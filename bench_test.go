@@ -205,10 +205,8 @@ func BenchmarkProjectionAblation(b *testing.B) {
 // loop is expected to cost >=1.3x less than fresh emission's hashing and
 // node allocation. The replay-prof variant runs the same replay path with
 // the graph profiler attached; its ns/op delta against replay is the
-// profiler's hot-path cost (budget: <3%). The replay-full variant freezes
-// the unreduced derived edge set (Engine.NoReduceGraph); its delta against
-// replay is what transitive reduction buys per step, and the replay modes
-// report the reduction's edges-pruned-% alongside.
+// profiler's hot-path cost (budget: <3%). The replay modes report the
+// transitive reduction's edges-pruned-% alongside.
 func BenchmarkGraphReplay(b *testing.B) {
 	cfg := core.Config{
 		Cell: core.LSTM, Arch: core.ManyToOne, Merge: core.MergeSum,
@@ -222,13 +220,11 @@ func BenchmarkGraphReplay(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
 		noReplay bool
-		noReduce bool
 		profile  bool
 	}{
-		{"fresh", true, false, false},
-		{"replay", false, false, false},
-		{"replay-full", false, true, false},
-		{"replay-prof", false, false, true},
+		{"fresh", true, false},
+		{"replay", false, false},
+		{"replay-prof", false, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			m, err := core.NewModel(cfg)
@@ -243,7 +239,6 @@ func BenchmarkGraphReplay(b *testing.B) {
 			defer rt.Shutdown()
 			eng := core.NewEngine(m, rt)
 			eng.NoReplay = mode.noReplay
-			eng.NoReduceGraph = mode.noReduce
 			corpus := data.NewSpeechCorpus(cfg.InputSize, 3)
 			batch := corpus.Batch(cfg.Batch, cfg.SeqLen)
 			// Warm workspaces (and, on the replay path, capture the

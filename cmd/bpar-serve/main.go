@@ -59,7 +59,6 @@ type options struct {
 	maxSeq    int
 	maxCached int
 	dtype     string
-	pack      bool
 	warm      string
 	listen    string
 	drainSec  int
@@ -88,7 +87,6 @@ func main() {
 	flag.IntVar(&o.maxSeq, "max-seq", 512, "reject sequences longer than this")
 	flag.IntVar(&o.maxCached, "max-cached-seqs", 16, "per-engine workspace/template LRU bound on distinct sequence lengths")
 	flag.StringVar(&o.dtype, "dtype", "f64", "inference dtype: f64 (bitwise-exact responses) or f32 (float32 mirror with packed weight panels; checkpoints stay f64)")
-	flag.BoolVar(&o.pack, "pack-panels", false, "use cache-contiguous packed weight panels on the f64 split path (bitwise-inert; f32 always packs)")
 	flag.StringVar(&o.warm, "warm", "", "comma-separated sequence lengths to pre-capture templates for at startup")
 	flag.StringVar(&o.listen, "listen", ":8080", "serve the API and telemetry on this address")
 	flag.IntVar(&o.drainSec, "drain-timeout", 30, "seconds to wait for graceful drain on SIGINT/SIGTERM")
@@ -210,7 +208,6 @@ func run(o options) error {
 		MaxSeqLen:        o.maxSeq,
 		MaxCachedSeqLens: o.maxCached,
 		InferDType:       dtype,
-		PackPanels:       o.pack,
 		Registry:         reg,
 	}
 	if profiler != nil {

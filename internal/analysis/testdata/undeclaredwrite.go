@@ -167,15 +167,16 @@ func emitConvDeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
 }
 
 // emitPackedUndeclared mimics a float32 packed-panel projection: both the
-// packed microkernel and the dtype-generic dispatcher write the preload
-// panel, and each seed must fire without help from the other.
+// packed microkernel and the generic column-window kernel instantiated at
+// float32 write the preload panel, and each seed must fire without help from
+// the other.
 func emitPackedUndeclared(rt *taskrt.Runtime, ws *fixWS, w *tensor.Mat[float32], pp *tensor.PackedPanel[float32]) {
 	rt.Submit(&taskrt.Task{
 		Label: "bad-packed",
 		In:    []taskrt.Dep{ws.kX32},
 		Fn: func() {
 			tensor.MatMulTColsPacked(ws.pre32, ws.x32, pp) // want "task \"bad-packed\" writes ws.pre32"
-			tensor.GemmTAccColsOf(ws.pre32, ws.x32, w, 0)  // want "task \"bad-packed\" writes ws.pre32"
+			tensor.GemmTAccCols(ws.pre32, ws.x32, w, 0)    // want "task \"bad-packed\" writes ws.pre32"
 		},
 	})
 }

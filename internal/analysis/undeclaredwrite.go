@@ -70,13 +70,6 @@ func seedSummaries() map[string]*mutSummary {
 		"GemmATAccCols", "GemmTAccDstCols", "TransposeStackInto",
 		"GemmTAccColsBatch", "GemmAccColsBatch", "GemmATAccColsBatch",
 		"CopyColsInto",
-		// Dtype-generic dispatchers. They reach the kernels through the
-		// per-dtype function table, which the fixed-point propagation cannot
-		// see through, so each carries its own seed.
-		"MatMulOf", "GemmAccOf", "MatMulTOf", "GemmTAccOf", "GemmATAccOf",
-		"GemmTAccColsOf", "MatMulTColsOf", "GemmTAccColsBatchOf",
-		"GemmAccColsOf", "MatMulColsOf", "GemmAccColsBatchOf",
-		"GemmATAccColsOf", "GemmATAccColsBatchOf", "GemmTAccDstColsOf",
 		// Packed-panel kernels and the cross-dtype conversion kernel.
 		"GemmTAccColsPacked", "MatMulTColsPacked", "GemmTAccColsPackedBatch",
 		"ConvertInto",

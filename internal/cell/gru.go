@@ -132,7 +132,7 @@ func GRUForward[E tensor.Elt](w *GRUWeightsOf[E], x, hPrev *tensor.Mat[E], st *G
 
 	// z and r gates: first 2H rows of W against Z1.
 	wZR := w.viewZR()
-	tensor.MatMulTOf(st.ZR, st.Z1, wZR)
+	tensor.MatMulT(st.ZR, st.Z1, wZR)
 	tensor.AddBiasRows(st.ZR, w.B[:2*H])
 	tensor.SigmoidInPlace(st.ZR)
 
@@ -147,7 +147,7 @@ func GRUForward[E tensor.Elt](w *GRUWeightsOf[E], x, hPrev *tensor.Mat[E], st *G
 		}
 	}
 	wH := w.viewH()
-	tensor.MatMulTOf(st.HBar, st.Z2, wH)
+	tensor.MatMulT(st.HBar, st.Z2, wH)
 	tensor.AddBiasRows(st.HBar, w.B[2*H:])
 	tensor.TanhInPlace(st.HBar)
 

@@ -124,7 +124,7 @@ func (s *LSTMStateOf[E]) WorkingSetBytes() int64 {
 func LSTMForward[E tensor.Elt](w *LSTMWeightsOf[E], x, hPrev, cPrev *tensor.Mat[E], st *LSTMStateOf[E]) {
 	tensor.ConcatCols(st.Z, x, hPrev)
 	// Fused gate GEMM: Gates = Z * W^T + B.
-	tensor.MatMulTOf(st.Gates, st.Z, w.W)
+	tensor.MatMulT(st.Gates, st.Z, w.W)
 	tensor.AddBiasRows(st.Gates, w.B)
 	lstmPointwise(w, cPrev, st)
 }

@@ -98,34 +98,7 @@ func GRUPreGatesPacked[E tensor.Elt](w *GRUWeightsOf[E], x, pre *tensor.Mat[E], 
 
 // GRUForwardPrePacked is GRUForwardPre reading the packed recurrent panels.
 func GRUForwardPrePacked[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], st *GRUStateOf[E], ps *PackSet[E]) {
-	H := w.HiddenSize
-	batch := pre.Rows
-
-	tensor.CopyColsInto(st.ZR, pre, 0)
-	tensor.GemmTAccColsPacked(st.ZR, hPrev, ps.HZR)
-	tensor.SigmoidInPlace(st.ZR)
-
-	for rI := 0; rI < batch; rI++ {
-		r := st.ZR.Row(rI)[gruGateR*H : (gruGateR+1)*H]
-		hp := hPrev.Row(rI)
-		rh := st.RH.Row(rI)
-		for j := 0; j < H; j++ {
-			rh[j] = r[j] * hp[j]
-		}
-	}
-	tensor.CopyColsInto(st.HBar, pre, 2*H)
-	tensor.GemmTAccColsPacked(st.HBar, st.RH, ps.HH)
-	tensor.TanhInPlace(st.HBar)
-
-	for rI := 0; rI < batch; rI++ {
-		z := st.ZR.Row(rI)[gruGateZ*H : (gruGateZ+1)*H]
-		hb := st.HBar.Row(rI)
-		hp := hPrev.Row(rI)
-		h := st.H.Row(rI)
-		for j := 0; j < H; j++ {
-			h[j] = z[j]*hb[j] + (1-z[j])*hp[j] // Equation 10
-		}
-	}
+	gruForwardPre(w, pre, hPrev, st, ps)
 }
 
 // RNNPreGatesPacked is RNNPreGates reading the packed input panel.

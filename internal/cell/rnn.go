@@ -77,7 +77,7 @@ func (s *RNNStateOf[E]) WorkingSetBytes() int64 {
 // RNNForward computes h = tanh(W*[x, hPrev] + b) for one cell and batch.
 func RNNForward[E tensor.Elt](w *RNNWeightsOf[E], x, hPrev *tensor.Mat[E], st *RNNStateOf[E]) {
 	tensor.ConcatCols(st.Z, x, hPrev)
-	tensor.MatMulTOf(st.H, st.Z, w.W)
+	tensor.MatMulT(st.H, st.Z, w.W)
 	tensor.AddBiasRows(st.H, w.B)
 	tensor.TanhInPlace(st.H)
 }

@@ -25,7 +25,7 @@ import "bpar/internal/tensor"
 // LSTMPreGates computes the input projection pre = x*Wx^T + B for one
 // timestep. pre is [batch x 4H]. No recurrence dependency.
 func LSTMPreGates[E tensor.Elt](w *LSTMWeightsOf[E], x, pre *tensor.Mat[E]) {
-	tensor.MatMulTColsOf(pre, x, w.W, 0)
+	tensor.MatMulTCols(pre, x, w.W, 0)
 	tensor.AddBiasRows(pre, w.B)
 }
 
@@ -34,7 +34,7 @@ func LSTMPreGates[E tensor.Elt](w *LSTMWeightsOf[E], x, pre *tensor.Mat[E]) {
 // split path never materializes the concatenation.
 func LSTMForwardPre[E tensor.Elt](w *LSTMWeightsOf[E], pre, hPrev, cPrev *tensor.Mat[E], st *LSTMStateOf[E]) {
 	st.Gates.CopyFrom(pre)
-	tensor.GemmTAccColsOf(st.Gates, hPrev, w.W, w.InputSize)
+	tensor.GemmTAccCols(st.Gates, hPrev, w.W, w.InputSize)
 	lstmPointwise(w, cPrev, st)
 }
 
@@ -107,20 +107,30 @@ func dwBiasSum(db []float64, panels []*tensor.Matrix) {
 // GRUPreGates computes pre = x*Wx^T + B for all three gate blocks; the z/r
 // and candidate windows are consumed separately by GRUForwardPre.
 func GRUPreGates[E tensor.Elt](w *GRUWeightsOf[E], x, pre *tensor.Mat[E]) {
-	tensor.MatMulTColsOf(pre, x, w.W, 0)
+	tensor.MatMulTCols(pre, x, w.W, 0)
 	tensor.AddBiasRows(pre, w.B)
 }
 
 // GRUForwardPre is the chain-resident forward remainder. st.Z1/st.Z2 are not
 // written; st.RH caches r⊙hPrev for the backward candidate GEMM.
 func GRUForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], st *GRUStateOf[E]) {
+	gruForwardPre(w, pre, hPrev, st, nil)
+}
+
+// gruForwardPre is the one body behind GRUForwardPre and GRUForwardPrePacked:
+// with ps nil the two recurrent GEMMs read their column windows of w.W in
+// place, otherwise the packed z/r and candidate panels.
+func gruForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], st *GRUStateOf[E], ps *PackSet[E]) {
 	H := w.HiddenSize
 	In := w.InputSize
 	batch := pre.Rows
 
-	wZR := w.viewZR()
 	tensor.CopyColsInto(st.ZR, pre, 0)
-	tensor.GemmTAccColsOf(st.ZR, hPrev, wZR, In)
+	if ps != nil {
+		tensor.GemmTAccColsPacked(st.ZR, hPrev, ps.HZR)
+	} else {
+		tensor.GemmTAccCols(st.ZR, hPrev, w.viewZR(), In)
+	}
 	tensor.SigmoidInPlace(st.ZR)
 
 	for rI := 0; rI < batch; rI++ {
@@ -131,9 +141,12 @@ func GRUForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], 
 			rh[j] = r[j] * hp[j]
 		}
 	}
-	wH := w.viewH()
 	tensor.CopyColsInto(st.HBar, pre, 2*H)
-	tensor.GemmTAccColsOf(st.HBar, st.RH, wH, In)
+	if ps != nil {
+		tensor.GemmTAccColsPacked(st.HBar, st.RH, ps.HH)
+	} else {
+		tensor.GemmTAccCols(st.HBar, st.RH, w.viewH(), In)
+	}
 	tensor.TanhInPlace(st.HBar)
 
 	for rI := 0; rI < batch; rI++ {
@@ -242,14 +255,14 @@ func GRUDWBatch(w *GRUWeights, grads *GRUGrads, panels, xs, hPrevs, rhs []*tenso
 
 // RNNPreGates computes pre = x*Wx^T + B for one timestep.
 func RNNPreGates[E tensor.Elt](w *RNNWeightsOf[E], x, pre *tensor.Mat[E]) {
-	tensor.MatMulTColsOf(pre, x, w.W, 0)
+	tensor.MatMulTCols(pre, x, w.W, 0)
 	tensor.AddBiasRows(pre, w.B)
 }
 
 // RNNForwardPre is the chain-resident forward remainder; st.Z is not written.
 func RNNForwardPre[E tensor.Elt](w *RNNWeightsOf[E], pre, hPrev *tensor.Mat[E], st *RNNStateOf[E]) {
 	st.H.CopyFrom(pre)
-	tensor.GemmTAccColsOf(st.H, hPrev, w.W, w.InputSize)
+	tensor.GemmTAccCols(st.H, hPrev, w.W, w.InputSize)
 	tensor.TanhInPlace(st.H)
 }
 

@@ -77,27 +77,28 @@ func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 		// order RNNs computations for each timestamp, and then merge"
 		// (Section II).
 		for i, ws := range wss {
-			e.emitFwdCells(ws, i, l, false)
+			e.fwdPass64(ws, i).cells(l, false)
 		}
 		if err := e.barrier(); err != nil {
 			return err
 		}
 		for i, ws := range wss {
-			e.emitRevCells(ws, i, l, false)
+			e.fwdPass64(ws, i).cells(l, true)
 		}
 		if err := e.barrier(); err != nil {
 			return err
 		}
 		for i, ws := range wss {
-			e.emitMergeCells(ws, i, l, false)
+			e.fwdPass64(ws, i).mergeCells(l)
 		}
 		if err := e.barrier(); err != nil {
 			return err
 		}
 	}
 	for i, ws := range wss {
-		e.emitFinalMerge(ws, i, false)
-		e.emitHeadForward(ws, i, false)
+		fp := e.fwdPass64(ws, i)
+		fp.finalMerge()
+		fp.heads()
 	}
 	if err := e.barrier(); err != nil {
 		return err

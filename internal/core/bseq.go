@@ -100,7 +100,7 @@ func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
 				wss := sub.workspaces(T)
 				wss[0].resetForStep()
 				wss[0].bindStep(mb)
-				sub.emitForward(wss[0], i, true, false)
+				sub.emitForward(wss[0], i)
 				sub.emitBackward(wss[0], i)
 			},
 		})

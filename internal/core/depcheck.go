@@ -34,6 +34,17 @@ func installDepCheckHook(dc *taskrt.DepChecker) {
 	})
 }
 
+// regMats names the non-nil buffers ms under key k for the sanitizer.
+func regMats[E tensor.Elt](dc *taskrt.DepChecker, k taskrt.Dep, name string, ms ...*tensor.Mat[E]) {
+	bufs := make([]any, 0, len(ms))
+	for _, m := range ms {
+		if m != nil {
+			bufs = append(bufs, m)
+		}
+	}
+	dc.Register(k, name, bufs...)
+}
+
 // registerDeps tells the sanitizer which buffers each dependency key names,
 // so an access to a buffer can be attributed to the key a task should have
 // declared. Scratch buffers private to a single task body (dHSum*, dXScratch*,
@@ -44,20 +55,12 @@ func (w *workspace) registerDeps(dc *taskrt.DepChecker, mbIdx int) {
 		return
 	}
 	reg := func(k taskrt.Dep, name string, ms ...*tensor.Matrix) {
-		bufs := make([]any, 0, len(ms))
-		for _, m := range ms {
-			if m != nil {
-				bufs = append(bufs, m)
-			}
-		}
-		dc.Register(k, fmt.Sprintf("%s mb%d", name, mbIdx), bufs...)
+		regMats(dc, k, fmt.Sprintf("%s mb%d", name, mbIdx), ms...)
 	}
+	registerFwdDeps(dc, w, &w.fwdBufs, "", mbIdx)
 	for l := range w.fwdSt {
 		for t := range w.fwdSt[l] {
-			reg(w.kFwdSt[l][t], fmt.Sprintf("fwdSt L%d t%d", l, t), w.fwdSt[l][t].mats()...)
-			reg(w.kRevSt[l][t], fmt.Sprintf("revSt L%d t%d", l, t), w.revSt[l][t].mats()...)
 			if w.merged[l] != nil {
-				reg(w.kMerged[l][t], fmt.Sprintf("merged L%d t%d", l, t), w.merged[l][t])
 				reg(w.kDMerged[l][t], fmt.Sprintf("dMerged L%d t%d", l, t), w.dMerged[l][t])
 			}
 			reg(w.kDHMergeFwd[l][t], fmt.Sprintf("dHMergeFwd L%d t%d", l, t), w.dHMergeFwd[l][t])
@@ -67,8 +70,6 @@ func (w *workspace) registerDeps(dc *taskrt.DepChecker, mbIdx int) {
 			reg(w.kDHChainRev[l][t], fmt.Sprintf("dHChainRev L%d t%d", l, t), w.dHChainRev[l][t])
 			reg(w.kDCChainRev[l][t], fmt.Sprintf("dCChainRev L%d t%d", l, t), w.dCChainRev[l][t])
 			if w.split {
-				reg(w.kPreFwd[l][t], fmt.Sprintf("preFwd L%d t%d", l, t), w.preFwd[l][t])
-				reg(w.kPreRev[l][t], fmt.Sprintf("preRev L%d t%d", l, t), w.preRev[l][t])
 				reg(w.kDGatesFwd[l][t], fmt.Sprintf("dGatesFwd L%d t%d", l, t), w.dGatesFwd[l][t])
 				reg(w.kDGatesRev[l][t], fmt.Sprintf("dGatesRev L%d t%d", l, t), w.dGatesRev[l][t])
 			}
@@ -78,69 +79,60 @@ func (w *workspace) registerDeps(dc *taskrt.DepChecker, mbIdx int) {
 		reg(w.kGradsFwd[l], fmt.Sprintf("gradsFwd L%d", l), dwF)
 		reg(w.kGradsRev[l], fmt.Sprintf("gradsRev L%d", l), dwR)
 	}
-	reg(w.kFinalMerged, "finalMerged", w.finalMerged)
 	reg(w.kDFinalMerged, "dFinalMerged", w.dFinalMerged)
 	reg(w.kDFinalHFwd, "dFinalHFwd", w.dFinalHFwd)
 	reg(w.kDFinalHRev, "dFinalHRev", w.dFinalHRev)
-	for s := range w.kProbs {
-		reg(w.kProbs[s], fmt.Sprintf("probs s%d", s), w.probs[s], w.logits[s])
-	}
 	for h := range w.kHeadGrads {
 		reg(w.kHeadGrads[h], fmt.Sprintf("headGrads h%d", h), w.headGrads[h].DW, w.dLogits[h])
 	}
 	if w.f32 != nil {
-		w.registerDepsF32(dc, mbIdx)
+		// Registration is additive per buffer, so the float32 buffers share
+		// the float64 buffers' keys — the graph has the identical topology
+		// and a task may legally touch either representation of the value
+		// its key names. Only the converted inputs get distinct keys (kX32),
+		// because they are written by conv tasks that read kX.
+		registerFwdDeps(dc, w, w.f32, "32", mbIdx)
+		for t, x := range w.f32.x {
+			regMats(dc, w.kX32[t], fmt.Sprintf("x32 t%d mb%d", t, mbIdx), x)
+		}
 	}
 }
 
-// registerDepsF32 registers the float32 mirror buffers. Registration is
-// additive per buffer, so the mirrors share the f64 buffers' keys — the f32
-// graph has the identical topology and a task may legally touch either
-// representation of the value its key names. Only the converted inputs get
-// distinct keys (kX32), because they are written by conv tasks that read kX.
-func (w *workspace) registerDepsF32(dc *taskrt.DepChecker, mbIdx int) {
-	reg := func(k taskrt.Dep, name string, ms ...*tensor.Mat[float32]) {
-		bufs := make([]any, 0, len(ms))
-		for _, m := range ms {
-			if m != nil {
-				bufs = append(bufs, m)
-			}
-		}
-		dc.Register(k, fmt.Sprintf("%s mb%d", name, mbIdx), bufs...)
+// registerFwdDeps registers the forward buffers b of w under w's forward
+// keys; tag distinguishes the element type in the sanitizer's names.
+func registerFwdDeps[E tensor.Elt](dc *taskrt.DepChecker, w *workspace, b *fwdBufs[E], tag string, mbIdx int) {
+	reg := func(k taskrt.Dep, name string, ms ...*tensor.Mat[E]) {
+		regMats(dc, k, fmt.Sprintf("%s mb%d", name, mbIdx), ms...)
 	}
-	s := w.f32
-	for t := range s.x {
-		reg(w.kX32[t], fmt.Sprintf("x32 t%d", t), s.x[t])
-	}
-	for l := range s.fwdSt {
-		for t := range s.fwdSt[l] {
-			reg(w.kFwdSt[l][t], fmt.Sprintf("fwdSt32 L%d t%d", l, t), s.fwdSt[l][t].mats()...)
-			reg(w.kRevSt[l][t], fmt.Sprintf("revSt32 L%d t%d", l, t), s.revSt[l][t].mats()...)
-			if s.merged[l] != nil {
-				reg(w.kMerged[l][t], fmt.Sprintf("merged32 L%d t%d", l, t), s.merged[l][t])
+	for l := range b.fwdSt {
+		for t := range b.fwdSt[l] {
+			reg(w.kFwdSt[l][t], fmt.Sprintf("fwdSt%s L%d t%d", tag, l, t), b.fwdSt[l][t].mats()...)
+			reg(w.kRevSt[l][t], fmt.Sprintf("revSt%s L%d t%d", tag, l, t), b.revSt[l][t].mats()...)
+			if b.merged[l] != nil {
+				reg(w.kMerged[l][t], fmt.Sprintf("merged%s L%d t%d", tag, l, t), b.merged[l][t])
 			}
-			if s.preFwd != nil {
-				reg(w.kPreFwd[l][t], fmt.Sprintf("preFwd32 L%d t%d", l, t), s.preFwd[l][t])
-				reg(w.kPreRev[l][t], fmt.Sprintf("preRev32 L%d t%d", l, t), s.preRev[l][t])
+			if b.preFwd != nil {
+				reg(w.kPreFwd[l][t], fmt.Sprintf("preFwd%s L%d t%d", tag, l, t), b.preFwd[l][t])
+				reg(w.kPreRev[l][t], fmt.Sprintf("preRev%s L%d t%d", tag, l, t), b.preRev[l][t])
 			}
 		}
 	}
-	reg(w.kFinalMerged, "finalMerged32", s.finalMerged)
-	for h := range w.kProbs {
-		reg(w.kProbs[h], fmt.Sprintf("probs32 h%d", h), s.probs[h], s.logits[h])
+	reg(w.kFinalMerged, "finalMerged"+tag, b.finalMerged)
+	for s := range w.kProbs {
+		reg(w.kProbs[s], fmt.Sprintf("probs%s s%d", tag, s), b.probs[s], b.logits[s])
 	}
 }
 
 // mats enumerates the state's activation matrices — everything the forward
 // cell task writes under the state's dependency key.
-func (s *cellSt) mats() []*tensor.Matrix {
+func (s *cellSt[E]) mats() []*tensor.Mat[E] {
 	switch {
 	case s.lstm != nil:
-		return []*tensor.Matrix{s.lstm.Z, s.lstm.Gates, s.lstm.C, s.lstm.TanhC, s.lstm.H}
+		return []*tensor.Mat[E]{s.lstm.Z, s.lstm.Gates, s.lstm.C, s.lstm.TanhC, s.lstm.H}
 	case s.gru != nil:
-		return []*tensor.Matrix{s.gru.Z1, s.gru.Z2, s.gru.ZR, s.gru.RH, s.gru.HBar, s.gru.H}
+		return []*tensor.Mat[E]{s.gru.Z1, s.gru.Z2, s.gru.ZR, s.gru.RH, s.gru.HBar, s.gru.H}
 	default:
-		return []*tensor.Matrix{s.rnn.Z, s.rnn.H}
+		return []*tensor.Mat[E]{s.rnn.Z, s.rnn.H}
 	}
 }
 

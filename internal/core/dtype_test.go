@@ -17,14 +17,13 @@ import (
 const f32ProbTol = 1e-4
 
 // inferProbsWith runs one forward pass on a fresh engine over model m with
-// the given dtype/packing knobs, returning flattened per-head probabilities.
-func inferProbsWith(t *testing.T, m *Model, b *Batch, dt tensor.DType, pack, noReplay bool) []*tensor.Matrix {
+// the given dtype/replay knobs, returning flattened per-head probabilities.
+func inferProbsWith(t *testing.T, m *Model, b *Batch, dt tensor.DType, noReplay bool) []*tensor.Matrix {
 	t.Helper()
 	rt := taskrt.New(taskrt.Options{Workers: 2})
 	defer rt.Shutdown()
 	e := NewEngine(m, rt)
 	e.InferDType = dt
-	e.PackPanels = pack
 	e.NoReplay = noReplay
 	probs, _, err := e.InferProbs(b)
 	if err != nil {
@@ -47,19 +46,21 @@ func probsMaxDiff(a, b []*tensor.Matrix) float64 {
 // mirror must cover — every cell kind, split and fused gates, replayed and
 // fresh emission, both architectures — and checks the probabilities stay in
 // the tolerance band while genuinely differing from f64 (a bitwise-equal
-// result would mean the f32 graph never ran).
+// result would mean the f32 graph never ran), and that the replayed and
+// freshly emitted f32 graphs agree bitwise with each other.
 func TestInferF32MatchesF64(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU, RNN} {
 		for _, arch := range []Arch{ManyToOne, ManyToMany} {
 			for _, fused := range []bool{false, true} {
-				for _, noReplay := range []bool{false, true} {
-					cfg := smallCfg(cell, arch, 1)
-					m, err := NewModel(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b := makeBatch(cfg, 5)
-					p64 := inferProbsWith(t, m, b, tensor.F64, false, noReplay)
+				cfg := smallCfg(cell, arch, 1)
+				m, err := NewModel(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := makeBatch(cfg, 5)
+				var p32s [2][]*tensor.Matrix // replayed, fresh emission
+				for i, noReplay := range []bool{false, true} {
+					p64 := inferProbsWith(t, m, b, tensor.F64, noReplay)
 
 					rt := taskrt.New(taskrt.Options{Workers: 2})
 					e := NewEngine(m, rt)
@@ -71,6 +72,7 @@ func TestInferF32MatchesF64(t *testing.T) {
 						t.Fatal(err)
 					}
 					rt.Shutdown()
+					p32s[i] = p32
 
 					d := probsMaxDiff(p64, p32)
 					if d > f32ProbTol {
@@ -80,72 +82,21 @@ func TestInferF32MatchesF64(t *testing.T) {
 						t.Errorf("%v/%v fused=%v noReplay=%v: f32 probs bitwise-equal to f64; mirror graph not exercised", cell, arch, fused, noReplay)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestPackPanelsBitwiseInert pins the packed-f64 contract: toggling
-// PackPanels must not change a single bit of the inference output, on both
-// the replay and fresh-emission paths and across cell kinds.
-func TestPackPanelsBitwiseInert(t *testing.T) {
-	for _, cell := range []CellKind{LSTM, GRU, RNN} {
-		for _, noReplay := range []bool{false, true} {
-			cfg := smallCfg(cell, ManyToOne, 1)
-			m, err := NewModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := makeBatch(cfg, 9)
-			plain := inferProbsWith(t, m, b, tensor.F64, false, noReplay)
-			packed := inferProbsWith(t, m, b, tensor.F64, true, noReplay)
-			for h := range plain {
-				if !plain[h].Equal(packed[h]) {
-					t.Errorf("%v noReplay=%v head %d: PackPanels changed f64 output (max diff %g)",
-						cell, noReplay, h, plain[h].MaxAbsDiff(packed[h]))
+				for h := range p32s[0] {
+					if !p32s[0][h].Equal(p32s[1][h]) {
+						t.Errorf("%v/%v fused=%v head %d: f32 replay not bitwise-equal to f32 fresh emission (max diff %g)",
+							cell, arch, fused, h, p32s[0][h].MaxAbsDiff(p32s[1][h]))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestPackPanelsTrainingUnaffected verifies a packing engine trains
-// bitwise-identically to a plain one: the packed kernels are forward-only
-// and training always runs the original f64 graph.
-func TestPackPanelsTrainingUnaffected(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 1)
-	run := func(pack bool) (*Model, float64) {
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := taskrt.New(taskrt.Options{Workers: 2})
-		defer rt.Shutdown()
-		e := NewEngine(m, rt)
-		e.PackPanels = pack
-		var loss float64
-		for i := 0; i < 3; i++ {
-			loss, err = e.TrainStep(makeBatch(cfg, uint64(50+i)), 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m, loss
-	}
-	mPlain, lPlain := run(false)
-	mPacked, lPacked := run(true)
-	if lPlain != lPacked {
-		t.Fatalf("loss diverged with PackPanels: %v vs %v", lPlain, lPacked)
-	}
-	if !mPlain.WeightsEqual(mPacked) {
-		t.Fatalf("weights diverged with PackPanels (max diff %g)", mPlain.WeightsMaxAbsDiff(mPacked))
-	}
-}
-
 // TestWeightCachesTrackTraining is the invalidation contract: one engine
-// alternates training and f32+packed inference, and after every update its
+// alternates training and f32 inference, and after every update its
 // inference must match a fresh engine built from the current weights — the
-// cached panels and the f32 mirror both have to repack/reconvert.
+// f32 mirror has to reconvert and its packed panels repack.
 func TestWeightCachesTrackTraining(t *testing.T) {
 	cfg := smallCfg(GRU, ManyToOne, 1)
 	m, err := NewModel(cfg)
@@ -156,7 +107,6 @@ func TestWeightCachesTrackTraining(t *testing.T) {
 	defer rt.Shutdown()
 	e := NewEngine(m, rt)
 	e.InferDType = tensor.F32
-	e.PackPanels = true
 	b := makeBatch(cfg, 7)
 	for i := 0; i < 3; i++ {
 		if _, err := e.TrainStep(makeBatch(cfg, uint64(80+i)), 0.1); err != nil {
@@ -169,11 +119,11 @@ func TestWeightCachesTrackTraining(t *testing.T) {
 		// A fresh engine converts the *current* weights from scratch: if the
 		// long-lived engine's caches went stale, the two diverge at 1e-2
 		// scale (the size of an SGD step), far outside the f32 band.
-		fresh := inferProbsWith(t, m, b, tensor.F32, true, false)
+		fresh := inferProbsWith(t, m, b, tensor.F32, false)
 		if d := probsMaxDiff(fresh, got); d > 1e-7 {
 			t.Fatalf("after update %d: cached f32 inference drifted %g from fresh conversion", i, d)
 		}
-		ref := inferProbsWith(t, m, b, tensor.F64, false, false)
+		ref := inferProbsWith(t, m, b, tensor.F64, false)
 		if d := probsMaxDiff(ref, got); d > f32ProbTol {
 			t.Fatalf("after update %d: f32 inference off f64 reference by %g", i, d)
 		}

@@ -162,7 +162,7 @@ func (e *Engine) emitFinalMergeBackward(ws *workspace, mbIdx int) {
 	if !ws.phantom {
 		task.Fn = func() {
 			mergeBackward(cfg.Merge, ws.dFinalMerged,
-				ws.gatherLastHFwd(), ws.revSt[L-1][0].H(),
+				ws.gatherLastHFwd(ws.bind.lens), ws.revSt[L-1][0].H(),
 				ws.dFinalHFwd, ws.dFinalHRev)
 		}
 	}
@@ -236,7 +236,7 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 	hs := p.hiddenSize()
 	deps := make([]taskrt.Dep, 0, 3*T)
 	for t := 0; t < T; t++ {
-		deps = append(deps, kDG[l][t], e.inputKey(ws, l, t, false), kSt[l][t])
+		deps = append(deps, kDG[l][t], ws.inputKey(ws.kX, l, t), kSt[l][t])
 	}
 	task := &taskrt.Task{
 		Label:      fmt.Sprintf("dw-%s L%d mb%d", dir, l, mbIdx),

@@ -19,47 +19,67 @@ func (e *Engine) kindFwdCell() string {
 	}
 }
 
-// emitForward emits the forward-propagation task graph of one mini-batch,
-// following the structure of Algorithms 2 and 3: per layer, the reverse-order
-// cells (a dependency chain from t=T-1 down to 0), the forward-order cells
-// (a chain from t=0 up to T-1), and the merge cells (each depending on
-// exactly one forward and one reverse cell — Equation 11). Tasks are created
-// in topological order; the run-time system overlaps their execution across
-// layers and directions with no barrier.
+// fwdPass emits the forward-propagation task graph of one mini-batch at
+// element type E, following the structure of Algorithms 2 and 3: per layer,
+// the reverse-order cells (a dependency chain from t=T-1 down to 0), the
+// forward-order cells (a chain from t=0 up to T-1), and the merge cells (each
+// depending on exactly one forward and one reverse cell — Equation 11). Tasks
+// are created in topological order; the run-time system overlaps their
+// execution across layers and directions with no barrier.
+//
+// The graph is described once. A float64 pass (training, float64 inference,
+// phantom graphs, the baseline execution models) runs it against the master
+// weights and the workspace's float64 buffers; a float32 pass (inference on
+// an InferDType == F32 engine) runs the identical topology and dependency
+// keys against the weight mirror and the float32 buffers, fed by one conv
+// task per timestep that writes the kX32 panels — the only dtype-specific
+// part of the graph. float32 graphs are forward-only.
 //
 // Per-step data (the mini-batch's input views and labels) is never captured
-// by task closures: bodies read it through the workspace's step binding
-// (ws.bind, set by bindStep), so one emission can be captured into a
-// taskrt.Template and replayed for every later batch of the same shape.
-// Phantom workspaces emit metadata-only tasks with no bodies.
-// withHead controls whether classifier-head tasks are emitted.
-//
-// When f32 is true the same graph is emitted against the workspace's float32
-// mirror buffers: identical topology and dependency keys, plus one conv task
-// per timestep converting the bound f64 input views into the kX32 panels.
-// f32 graphs are forward-only (training stays float64).
-func (e *Engine) emitForward(ws *workspace, mbIdx int, withHead, f32 bool) {
-	if f32 {
-		e.emitConvertInputs(ws, mbIdx)
-	}
-	for l := 0; l < e.M.Cfg.Layers; l++ {
-		e.emitForwardLayer(ws, mbIdx, l, f32)
-	}
-	e.emitFinalMerge(ws, mbIdx, f32)
-	if withHead {
-		e.emitHeadForward(ws, mbIdx, f32)
-	}
+// by task closures: bodies read it through the workspace's step binding (set
+// by bindStep), so one emission can be captured into a taskrt.Template and
+// replayed for every later batch of the same shape. Phantom workspaces emit
+// metadata-only tasks with no bodies, and never touch buf or w.
+type fwdPass[E tensor.Elt] struct {
+	e     *Engine
+	ws    *workspace
+	mbIdx int
+	buf   *fwdBufs[E]
+	w     *fwdWeights[E]
+	kIn   []taskrt.Dep // layer-0 input keys: kX at float64, kX32 at float32
 }
 
-// emitForwardLayer emits the forward-propagation tasks of one layer:
-// reverse-order cells, forward-order cells, and merge cells.
-func (e *Engine) emitForwardLayer(ws *workspace, mbIdx, l int, f32 bool) {
-	e.emitRevCells(ws, mbIdx, l, f32)
-	e.emitFwdCells(ws, mbIdx, l, f32)
-	e.emitMergeCells(ws, mbIdx, l, f32)
+// fwdPass64 returns the float64 forward pass over ws.
+func (e *Engine) fwdPass64(ws *workspace, mbIdx int) *fwdPass[float64] {
+	return &fwdPass[float64]{e: e, ws: ws, mbIdx: mbIdx, buf: &ws.fwdBufs, w: e.w64, kIn: ws.kX}
 }
 
-// emitConvertInputs emits one conversion task per timestep, widening the
+// emitForward emits the float64 forward graph, heads included.
+func (e *Engine) emitForward(ws *workspace, mbIdx int) {
+	e.fwdPass64(ws, mbIdx).emit()
+}
+
+// emitInfer emits the forward-only graph at the engine's inference dtype.
+func (e *Engine) emitInfer(ws *workspace, mbIdx int) {
+	if !e.isF32() {
+		e.emitForward(ws, mbIdx)
+		return
+	}
+	e.emitConvertInputs(ws, mbIdx)
+	(&fwdPass[float32]{e: e, ws: ws, mbIdx: mbIdx, buf: ws.f32, w: e.w32, kIn: ws.kX32}).emit()
+}
+
+func (fp *fwdPass[E]) emit() {
+	for l := 0; l < fp.e.M.Cfg.Layers; l++ {
+		fp.cells(l, true)
+		fp.cells(l, false)
+		fp.mergeCells(l)
+	}
+	fp.finalMerge()
+	fp.heads()
+}
+
+// emitConvertInputs emits one conversion task per timestep, narrowing the
 // bound float64 batch views into the workspace's float32 input panels. Conv
 // tasks are the only tasks that read both representations; everything
 // downstream of kX32 is pure float32.
@@ -75,8 +95,7 @@ func (e *Engine) emitConvertInputs(ws *workspace, mbIdx int) {
 			Flops:      float64(ws.rows * in),
 			WorkingSet: int64(12 * ws.rows * in),
 		}
-		t := t
-		task.Fn = func() { tensor.ConvertInto(ws.f32.x[t], ws.bind.x[t]) }
+		task.Fn = func() { tensor.ConvertInto(ws.f32.x[t], ws.x[t]) }
 		batch = append(batch, task)
 	}
 	taskrt.SubmitBatch(e.Exec, batch)
@@ -87,14 +106,14 @@ func (e *Engine) emitConvertInputs(ws *workspace, mbIdx int) {
 // keeping enough projection tasks in flight to overlap with the recurrence.
 const projTileT = 8
 
-// emitProjection emits layer l's blocked input-projection tasks for one
+// projection emits layer l's blocked input-projection tasks for one
 // direction: Pre_t = X_t*Wx^T + B for every timestep of a tile. These tasks
 // depend only on the layer input — never on the recurrence — so they are the
 // off-critical-path half of the split-gate decomposition. Tiles of the
 // reverse direction are submitted high-t first, matching the order its chain
 // consumes them.
-func (e *Engine) emitProjection(ws *workspace, mbIdx, l int, rev, f32 bool) {
-	T := ws.T
+func (fp *fwdPass[E]) projection(l int, rev bool) {
+	e, ws, T := fp.e, fp.ws, fp.ws.T
 	p, kPre, dir := e.M.fwd[l], ws.kPreFwd, "fwd"
 	if rev {
 		p, kPre, dir = e.M.rev[l], ws.kPreRev, "rev"
@@ -118,11 +137,11 @@ func (e *Engine) emitProjection(ws *workspace, mbIdx, l int, rev, f32 bool) {
 		deps := make([]taskrt.Dep, 0, t1-t0)
 		outs := make([]taskrt.Dep, 0, t1-t0)
 		for t := t0; t < t1; t++ {
-			deps = append(deps, e.inputKey(ws, l, t, f32))
+			deps = append(deps, ws.inputKey(fp.kIn, l, t))
 			outs = append(outs, kPre[l][t])
 		}
 		task := &taskrt.Task{
-			Label:      fmt.Sprintf("proj-%s L%d t%d:%d mb%d", dir, l, t0, t1, mbIdx),
+			Label:      fmt.Sprintf("proj-%s L%d t%d:%d mb%d", dir, l, t0, t1, fp.mbIdx),
 			Kind:       "proj",
 			In:         deps,
 			Out:        outs,
@@ -130,39 +149,17 @@ func (e *Engine) emitProjection(ws *workspace, mbIdx, l int, rev, f32 bool) {
 			WorkingSet: int64(8 * (gw*(in+1) + (t1-t0)*ws.rows*(in+gw))),
 		}
 		if !ws.phantom {
-			if f32 {
-				d32 := e.fm32[p]
-				pres := ws.f32.preFwd
-				if rev {
-					pres = ws.f32.preRev
+			buf, d := fp.buf, fp.w.dir(l, rev)
+			pres := buf.preFwd[l][t0:t1]
+			if rev {
+				pres = buf.preRev[l][t0:t1]
+			}
+			xs := make([]*tensor.Mat[E], t1-t0)
+			task.Fn = func() {
+				for i := range xs {
+					xs[i] = buf.input(l, t0+i)
 				}
-				xs := make([]*tensor.Mat[float32], t1-t0)
-				ps := make([]*tensor.Mat[float32], 0, t1-t0)
-				for t := t0; t < t1; t++ {
-					ps = append(ps, pres[l][t])
-				}
-				task.Fn = func() {
-					for i := range xs {
-						xs[i] = ws.inputF32(l, t0+i)
-					}
-					d32.preGatesBatch(xs, ps)
-				}
-			} else {
-				pres := ws.preFwd
-				if rev {
-					pres = ws.preRev
-				}
-				xs := make([]*tensor.Matrix, t1-t0)
-				ps := make([]*tensor.Matrix, 0, t1-t0)
-				for t := t0; t < t1; t++ {
-					ps = append(ps, pres[l][t])
-				}
-				task.Fn = func() {
-					for i := range xs {
-						xs[i] = ws.input(l, t0+i)
-					}
-					e.runPreGatesBatch(p, xs, ps)
-				}
+				d.preGatesBatch(xs, pres)
 			}
 		}
 		batch = append(batch, task)
@@ -170,94 +167,81 @@ func (e *Engine) emitProjection(ws *workspace, mbIdx, l int, rev, f32 bool) {
 	taskrt.SubmitBatch(e.Exec, batch)
 }
 
-// emitRevCells emits layer l's reverse-order cells, processed T-1 → 0
-// (Algorithm 3). In split mode the chain task consumes the gate preload
-// instead of the raw input, so its only serial dependency is the previous
-// state.
+// cells emits layer l's cells of one direction: forward-order cells
+// processed 0 → T-1 (Algorithm 2), reverse-order cells T-1 → 0 (Algorithm
+// 3). In split mode the direction's projection tasks go first and the chain
+// task consumes the gate preload instead of the raw input, so its only serial
+// dependency is the previous state.
 //
-// Variable-length batches: each body masks its state rows to zero where
-// timestep t is padding (lens[i] <= t), so row i's reverse chain effectively
-// restarts from the zero boundary state at its true last timestep lens[i]-1 —
-// bitwise-identical to running that row at its own length. The forward
-// direction needs no mask: padded-tail garbage stays confined to rows whose
-// real outputs never read it (rows are independent, and padded frames carry
-// IgnoreLabel losses and zero gradients).
-func (e *Engine) emitRevCells(ws *workspace, mbIdx, l int, f32 bool) {
-	T := ws.T
+// Variable-length batches: each reverse body masks its state rows to zero
+// where timestep t is padding (lens[i] <= t), so row i's reverse chain
+// effectively restarts from the zero boundary state at its true last
+// timestep lens[i]-1 — bitwise-identical to running that row at its own
+// length. The forward direction needs no mask: padded-tail garbage stays
+// confined to rows whose real outputs never read it (rows are independent,
+// and padded frames carry IgnoreLabel losses and zero gradients).
+func (fp *fwdPass[E]) cells(l int, rev bool) {
+	e, ws, T := fp.e, fp.ws, fp.ws.T
+	p, kSt, kPre, dir := e.M.fwd[l], ws.kFwdSt, ws.kPreFwd, "fwd"
+	if rev {
+		p, kSt, kPre, dir = e.M.rev[l], ws.kRevSt, ws.kPreRev, "rev"
+	}
 	cellKind := e.kindFwdCell()
-	lR := e.M.rev[l]
-	fwdFlops := lR.fwdFlops(ws.rows)
-	cellWS := lR.taskWorkingSet(ws.rows)
+	flops := p.fwdFlops(ws.rows)
+	cellWS := p.taskWorkingSet(ws.rows)
 	if ws.split {
-		e.emitProjection(ws, mbIdx, l, true, f32)
-		fwdFlops = lR.chainFwdFlops(ws.rows)
+		fp.projection(l, rev)
+		flops = p.chainFwdFlops(ws.rows)
 	}
 
 	batch := make([]*taskrt.Task, 0, T)
 	for u := 0; u < T; u++ {
-		t := T - 1 - u
+		// t is the u-th cell of the chain, prev its predecessor's timestep.
+		t, prev := u, u-1
+		if rev {
+			t, prev = T-1-u, T-u
+		}
 		var in []taskrt.Dep
 		if ws.split {
-			in = []taskrt.Dep{ws.kPreRev[l][t]}
+			in = []taskrt.Dep{kPre[l][t]}
 		} else {
-			in = []taskrt.Dep{e.inputKey(ws, l, t, f32)}
+			in = []taskrt.Dep{ws.inputKey(fp.kIn, l, t)}
 		}
-		if t < T-1 {
-			in = append(in, ws.kRevSt[l][t+1])
+		if u > 0 {
+			in = append(in, kSt[l][prev])
 		}
 		task := &taskrt.Task{
-			Label: fmt.Sprintf("rev L%d t%d mb%d", l, t, mbIdx),
+			Label: fmt.Sprintf("%s L%d t%d mb%d", dir, l, t, fp.mbIdx),
 			Kind:  cellKind,
 			In:    in,
-			Out:   []taskrt.Dep{ws.kRevSt[l][t]},
-			Flops: fwdFlops, WorkingSet: cellWS,
+			Out:   []taskrt.Dep{kSt[l][t]},
+			Flops: flops, WorkingSet: cellWS,
 		}
 		if !ws.phantom {
-			l, t := l, t
-			switch {
-			case f32 && ws.split:
-				d32 := e.fm32[lR]
-				pre := ws.f32.preRev[l][t]
-				task.Fn = func() {
-					hPrev, cPrev := ws.f32.zeroH, ws.f32.zeroC
-					if t < T-1 {
-						hPrev = ws.f32.revSt[l][t+1].H()
-						cPrev = ws.f32.revSt[l][t+1].C()
-					}
-					d32.forwardPre(pre, hPrev, cPrev, ws.f32.revSt[l][t])
-					ws.maskRevState32(l, t)
+			buf, d, first := fp.buf, fp.w.dir(l, rev), u == 0
+			sts := buf.fwdSt[l]
+			if rev {
+				sts = buf.revSt[l]
+			}
+			var pre *tensor.Mat[E] // nil on the fused path
+			if ws.split {
+				pre = buf.preFwd[l][t]
+				if rev {
+					pre = buf.preRev[l][t]
 				}
-			case f32:
-				d32 := e.fm32[lR]
-				task.Fn = func() {
-					hPrev, cPrev := ws.f32.zeroH, ws.f32.zeroC
-					if t < T-1 {
-						hPrev = ws.f32.revSt[l][t+1].H()
-						cPrev = ws.f32.revSt[l][t+1].C()
-					}
-					d32.forward(ws.inputF32(l, t), hPrev, cPrev, ws.f32.revSt[l][t])
-					ws.maskRevState32(l, t)
+			}
+			task.Fn = func() {
+				hPrev, cPrev := buf.zeroH, buf.zeroC
+				if !first {
+					hPrev, cPrev = sts[prev].H(), sts[prev].C()
 				}
-			case ws.split:
-				pre := ws.preRev[l][t]
-				task.Fn = func() {
-					hPrev, cPrev := ws.zeroH, ws.zeroC
-					if t < T-1 {
-						hPrev = ws.revSt[l][t+1].H()
-						cPrev = ws.revSt[l][t+1].C()
-					}
-					e.runForwardPre(lR, pre, hPrev, cPrev, ws.revSt[l][t])
-					ws.maskRevState(l, t)
+				if pre != nil {
+					d.forwardPre(pre, hPrev, cPrev, sts[t])
+				} else {
+					d.forward(buf.input(l, t), hPrev, cPrev, sts[t])
 				}
-			default:
-				task.Fn = func() {
-					hPrev, cPrev := ws.zeroH, ws.zeroC
-					if t < T-1 {
-						hPrev = ws.revSt[l][t+1].H()
-						cPrev = ws.revSt[l][t+1].C()
-					}
-					lR.forward(ws.input(l, t), hPrev, cPrev, ws.revSt[l][t])
-					ws.maskRevState(l, t)
+				if rev {
+					buf.maskRevState(l, t, ws.bind.lens)
 				}
 			}
 		}
@@ -266,132 +250,45 @@ func (e *Engine) emitRevCells(ws *workspace, mbIdx, l int, f32 bool) {
 	taskrt.SubmitBatch(e.Exec, batch)
 }
 
-// emitFwdCells emits layer l's forward-order cells, processed 0 → T-1
-// (Algorithm 2). See emitRevCells for the split-mode dependency shape.
-func (e *Engine) emitFwdCells(ws *workspace, mbIdx, l int, f32 bool) {
-	T := ws.T
-	cellKind := e.kindFwdCell()
-	lF := e.M.fwd[l]
-	fwdFlops := lF.fwdFlops(ws.rows)
-	cellWS := lF.taskWorkingSet(ws.rows)
-	if ws.split {
-		e.emitProjection(ws, mbIdx, l, false, f32)
-		fwdFlops = lF.chainFwdFlops(ws.rows)
+// mergeCells emits layer l's merge cells. Merges are kept as separate tasks
+// precisely so that forward and reverse cells of the same layer never depend
+// on each other.
+func (fp *fwdPass[E]) mergeCells(l int) {
+	ws, cfg, T := fp.ws, fp.e.M.Cfg, fp.ws.T
+	if !cfg.hasMergePerTimestep(l) {
+		return
 	}
-
+	mFlops := mergeFlops(cfg.Merge, ws.rows, cfg.HiddenSize)
+	mWS := mergeWorkingSetBytes(cfg.Merge, ws.rows, cfg.HiddenSize)
 	batch := make([]*taskrt.Task, 0, T)
 	for t := 0; t < T; t++ {
-		var in []taskrt.Dep
-		if ws.split {
-			in = []taskrt.Dep{ws.kPreFwd[l][t]}
-		} else {
-			in = []taskrt.Dep{e.inputKey(ws, l, t, f32)}
-		}
-		if t > 0 {
-			in = append(in, ws.kFwdSt[l][t-1])
-		}
 		task := &taskrt.Task{
-			Label: fmt.Sprintf("fwd L%d t%d mb%d", l, t, mbIdx),
-			Kind:  cellKind,
-			In:    in,
-			Out:   []taskrt.Dep{ws.kFwdSt[l][t]},
-			Flops: fwdFlops, WorkingSet: cellWS,
+			Label: fmt.Sprintf("merge L%d t%d mb%d", l, t, fp.mbIdx),
+			Kind:  "merge",
+			In:    []taskrt.Dep{ws.kFwdSt[l][t], ws.kRevSt[l][t]},
+			Out:   []taskrt.Dep{ws.kMerged[l][t]},
+			Flops: mFlops, WorkingSet: mWS,
 		}
 		if !ws.phantom {
-			l, t := l, t
-			switch {
-			case f32 && ws.split:
-				d32 := e.fm32[lF]
-				pre := ws.f32.preFwd[l][t]
-				task.Fn = func() {
-					hPrev, cPrev := ws.f32.zeroH, ws.f32.zeroC
-					if t > 0 {
-						hPrev = ws.f32.fwdSt[l][t-1].H()
-						cPrev = ws.f32.fwdSt[l][t-1].C()
-					}
-					d32.forwardPre(pre, hPrev, cPrev, ws.f32.fwdSt[l][t])
-				}
-			case f32:
-				d32 := e.fm32[lF]
-				task.Fn = func() {
-					hPrev, cPrev := ws.f32.zeroH, ws.f32.zeroC
-					if t > 0 {
-						hPrev = ws.f32.fwdSt[l][t-1].H()
-						cPrev = ws.f32.fwdSt[l][t-1].C()
-					}
-					d32.forward(ws.inputF32(l, t), hPrev, cPrev, ws.f32.fwdSt[l][t])
-				}
-			case ws.split:
-				pre := ws.preFwd[l][t]
-				task.Fn = func() {
-					hPrev, cPrev := ws.zeroH, ws.zeroC
-					if t > 0 {
-						hPrev = ws.fwdSt[l][t-1].H()
-						cPrev = ws.fwdSt[l][t-1].C()
-					}
-					e.runForwardPre(lF, pre, hPrev, cPrev, ws.fwdSt[l][t])
-				}
-			default:
-				task.Fn = func() {
-					hPrev, cPrev := ws.zeroH, ws.zeroC
-					if t > 0 {
-						hPrev = ws.fwdSt[l][t-1].H()
-						cPrev = ws.fwdSt[l][t-1].C()
-					}
-					lF.forward(ws.input(l, t), hPrev, cPrev, ws.fwdSt[l][t])
-				}
+			buf := fp.buf
+			task.Fn = func() {
+				mergeForward(cfg.Merge, buf.merged[l][t], buf.fwdSt[l][t].H(), buf.revSt[l][t].H())
 			}
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	taskrt.SubmitBatch(fp.e.Exec, batch)
 }
 
-// emitMergeCells emits layer l's merge cells. Merges are kept as separate
-// tasks precisely so that forward and reverse cells of the same layer never
-// depend on each other.
-func (e *Engine) emitMergeCells(ws *workspace, mbIdx, l int, f32 bool) {
-	cfg := e.M.Cfg
-	T := ws.T
-	if cfg.hasMergePerTimestep(l) {
-		mFlops := mergeFlops(cfg.Merge, ws.rows, cfg.HiddenSize)
-		mWS := mergeWorkingSetBytes(cfg.Merge, ws.rows, cfg.HiddenSize)
-		batch := make([]*taskrt.Task, 0, T)
-		for t := 0; t < T; t++ {
-			task := &taskrt.Task{
-				Label: fmt.Sprintf("merge L%d t%d mb%d", l, t, mbIdx),
-				Kind:  "merge",
-				In:    []taskrt.Dep{ws.kFwdSt[l][t], ws.kRevSt[l][t]},
-				Out:   []taskrt.Dep{ws.kMerged[l][t]},
-				Flops: mFlops, WorkingSet: mWS,
-			}
-			if !ws.phantom {
-				l, t := l, t
-				if f32 {
-					task.Fn = func() {
-						mergeForward(cfg.Merge, ws.f32.merged[l][t], ws.f32.fwdSt[l][t].H(), ws.f32.revSt[l][t].H())
-					}
-				} else {
-					task.Fn = func() {
-						mergeForward(cfg.Merge, ws.merged[l][t], ws.fwdSt[l][t].H(), ws.revSt[l][t].H())
-					}
-				}
-			}
-			batch = append(batch, task)
-		}
-		taskrt.SubmitBatch(e.Exec, batch)
-	}
-}
-
-// emitFinalMerge emits the single final merge feeding the classification
-// heads: cells 9f and 9r of Figure 1 — the forward direction's sequence-final
-// state and the last-processed reverse cell. Under a lens binding the
+// finalMerge emits the single final merge feeding the classification heads:
+// cells 9f and 9r of Figure 1 — the forward direction's sequence-final state
+// and the last-processed reverse cell. Under a lens binding the
 // sequence-final forward state is per-row fwdSt[L-1][lens[i]-1], so the task
 // conservatively depends on every top-layer forward cell (one template serves
 // both full-length and masked batches of the same T) and gathers the rows it
 // needs at run time. No-op when no head classifies.
-func (e *Engine) emitFinalMerge(ws *workspace, mbIdx int, f32 bool) {
-	cfg := e.M.Cfg
+func (fp *fwdPass[E]) finalMerge() {
+	ws, cfg := fp.ws, fp.e.M.Cfg
 	L, T := cfg.Layers, ws.T
 	if !cfg.anyClassify() {
 		return
@@ -402,7 +299,7 @@ func (e *Engine) emitFinalMerge(ws *workspace, mbIdx int, f32 bool) {
 	}
 	in = append(in, ws.kRevSt[L-1][0])
 	task := &taskrt.Task{
-		Label:      fmt.Sprintf("merge-final mb%d", mbIdx),
+		Label:      fmt.Sprintf("merge-final mb%d", fp.mbIdx),
 		Kind:       "merge",
 		In:         in,
 		Out:        []taskrt.Dep{ws.kFinalMerged},
@@ -410,113 +307,81 @@ func (e *Engine) emitFinalMerge(ws *workspace, mbIdx int, f32 bool) {
 		WorkingSet: mergeWorkingSetBytes(cfg.Merge, ws.rows, cfg.HiddenSize),
 	}
 	if !ws.phantom {
-		if f32 {
-			task.Fn = func() {
-				mergeForward(cfg.Merge, ws.f32.finalMerged, ws.gatherLastHFwd32(), ws.f32.revSt[L-1][0].H())
-			}
-		} else {
-			task.Fn = func() {
-				mergeForward(cfg.Merge, ws.finalMerged, ws.gatherLastHFwd(), ws.revSt[L-1][0].H())
-			}
+		buf := fp.buf
+		task.Fn = func() {
+			mergeForward(cfg.Merge, buf.finalMerged, buf.gatherLastHFwd(ws.bind.lens), buf.revSt[L-1][0].H())
 		}
 	}
-	e.Exec.Submit(task)
+	fp.e.Exec.Submit(task)
 }
 
 // inputKey returns the dependency key of the input consumed by layer l at
-// timestep t: the raw batch input for layer 0 (its converted panel on the
-// float32 graph), the merge output below otherwise.
-func (e *Engine) inputKey(ws *workspace, l, t int, f32 bool) taskrt.Dep {
+// timestep t: the merge output below, or for layer 0 the raw batch input,
+// named by kX (w.kX; w.kX32 for its converted panel on the float32 graph).
+func (w *workspace) inputKey(kX []taskrt.Dep, l, t int) taskrt.Dep {
 	if l == 0 {
-		if f32 {
-			return ws.kX32[t]
-		}
-		return ws.kX[t]
+		return kX[t]
 	}
-	return ws.kMerged[l-1][t]
+	return w.kMerged[l-1][t]
 }
 
-// emitHeadForward emits one task per output slot of every head: logits,
-// softmax and summed cross-entropy, fed by the final merge (classification
-// heads) or the timestep's merge (per-frame heads). Labels are read from the
-// step binding at run time, so the same task serves labeled and unlabeled
-// batches across replays. Slot layout is head-major (Config.HeadSlotRange).
-func (e *Engine) emitHeadForward(ws *workspace, mbIdx int, f32 bool) {
-	cfg := e.M.Cfg
+// heads emits one task per output slot of every head: logits, softmax and
+// summed cross-entropy, fed by the final merge (classification heads) or the
+// timestep's merge (per-frame heads). Labels are read from the step binding
+// at run time, so the same task serves labeled and unlabeled batches across
+// replays. Slot layout is head-major (Config.HeadSlotRange).
+func (fp *fwdPass[E]) heads() {
+	ws, cfg := fp.ws, fp.e.M.Cfg
 	D := cfg.MergeDim()
 	L, T := cfg.Layers, ws.T
 
 	for h, spec := range cfg.HeadSpecs() {
-		h, spec := h, spec
-		lo, _ := cfg.HeadSlotRange(h, T)
+		// A classification head owns one slot fed by the final merge; a
+		// per-frame head owns T, each fed by its timestep's merge.
+		perFrame, kind := spec.Kind.PerFrame(), spec.Kind
+		lo, n := cfg.HeadSlotRange(h, T)
 		hFlops := 2 * float64(ws.rows) * float64(D) * float64(spec.Classes)
 		hWS := int64(8 * (ws.rows*D + ws.rows*spec.Classes + spec.Classes*D))
 
-		if !spec.Kind.PerFrame() {
-			task := &taskrt.Task{
-				Label: fmt.Sprintf("head%d mb%d", h, mbIdx),
-				Kind:  "head",
-				In:    []taskrt.Dep{ws.kFinalMerged},
-				Out:   []taskrt.Dep{ws.kProbs[lo]},
-				Flops: hFlops, WorkingSet: hWS,
+		batch := make([]*taskrt.Task, 0, n)
+		for t := 0; t < n; t++ {
+			label, kIn := fmt.Sprintf("head%d mb%d", h, fp.mbIdx), ws.kFinalMerged
+			if perFrame {
+				label, kIn = fmt.Sprintf("head%d t%d mb%d", h, t, fp.mbIdx), ws.kMerged[L-1][t]
 			}
-			if !ws.phantom {
-				if f32 {
-					task.Fn = func() { e.headForward32(ws, h, lo, ws.f32.finalMerged, ws.bind.targets) }
-				} else {
-					task.Fn = func() { e.headForward(ws, h, lo, ws.finalMerged, ws.bind.targets) }
-				}
-			}
-			e.Exec.Submit(task)
-			continue
-		}
-
-		batch := make([]*taskrt.Task, 0, T)
-		for t := 0; t < T; t++ {
 			task := &taskrt.Task{
-				Label: fmt.Sprintf("head%d t%d mb%d", h, t, mbIdx),
+				Label: label,
 				Kind:  "head",
-				In:    []taskrt.Dep{ws.kMerged[L-1][t]},
+				In:    []taskrt.Dep{kIn},
 				Out:   []taskrt.Dep{ws.kProbs[lo+t]},
 				Flops: hFlops, WorkingSet: hWS,
 			}
 			if !ws.phantom {
-				t := t
-				if f32 {
-					task.Fn = func() { e.headForward32(ws, h, lo+t, ws.f32.merged[L-1][t], ws.headTargetsAt(spec.Kind, t)) }
-				} else {
-					task.Fn = func() { e.headForward(ws, h, lo+t, ws.merged[L-1][t], ws.headTargetsAt(spec.Kind, t)) }
+				buf := fp.buf
+				task.Fn = func() {
+					input, targets := buf.finalMerged, ws.bind.targets
+					if perFrame {
+						input, targets = buf.merged[L-1][t], ws.headTargetsAt(kind, t)
+					}
+					fp.headForward(h, lo+t, input, targets)
 				}
 			}
 			batch = append(batch, task)
 		}
-		taskrt.SubmitBatch(e.Exec, batch)
+		taskrt.SubmitBatch(fp.e.Exec, batch)
 	}
 }
 
 // headForward computes logits, probabilities, and (when labels are present)
-// the summed cross-entropy for head h's output slot writing into slot index
-// `slot`, fed by input.
-func (e *Engine) headForward(ws *workspace, h, slot int, input *tensor.Matrix, targets []int) {
-	head := &e.M.Heads[h]
-	tensor.MatMulT(ws.logits[slot], input, head.W)
-	tensor.AddBiasRows(ws.logits[slot], head.B)
-	ws.probs[slot].CopyFrom(ws.logits[slot])
-	tensor.SoftmaxRows(ws.probs[slot])
+// the summed cross-entropy for head h's output slot `slot`, fed by input.
+func (fp *fwdPass[E]) headForward(h, slot int, input *tensor.Mat[E], targets []int) {
+	buf := fp.buf
+	tensor.MatMulT(buf.logits[slot], input, fp.w.headW[h])
+	tensor.AddBiasRows(buf.logits[slot], fp.w.headB[h])
+	buf.probs[slot].CopyFrom(buf.logits[slot])
+	tensor.SoftmaxRows(buf.probs[slot])
 	if targets != nil {
-		ws.losses[slot] = sumCrossEntropy(ws.probs[slot], targets)
-	}
-}
-
-// headForward32 is headForward against the float32 head mirror.
-func (e *Engine) headForward32(ws *workspace, h, slot int, input *tensor.Mat[float32], targets []int) {
-	s := ws.f32
-	tensor.MatMulTOf(s.logits[slot], input, e.head32W[h])
-	tensor.AddBiasRows(s.logits[slot], e.head32B[h])
-	s.probs[slot].CopyFrom(s.logits[slot])
-	tensor.SoftmaxRows(s.probs[slot])
-	if targets != nil {
-		ws.losses[slot] = sumCrossEntropy(s.probs[slot], targets)
+		fp.ws.losses[slot] = sumCrossEntropy(buf.probs[slot], targets)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bpar/internal/cell"
 	"bpar/internal/obs"
 	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
@@ -123,20 +122,10 @@ type Engine struct {
 	// Set before the first step, like FusedGates; phantom engines ignore it.
 	InferDType tensor.DType
 
-	// PackPanels, when true, routes the float64 split-path column-window
-	// GEMMs through cache-contiguous packed weight panels (tensor.PackedPanel),
-	// cached per (layer, direction) and repacked when the weights change. The
-	// packed kernels accumulate bitwise-identically to the unpacked ones, so
-	// results do not change — only memory traffic does. No effect in fused
-	// mode. Set before the first step, like FusedGates.
-	PackPanels bool
-
-	// NoReduceGraph freezes captured templates with the full derived edge
-	// set instead of the transitive reduction taskrt applies by default.
-	// The two freezes replay identically (the reduction preserves the
-	// dependency closure); the flag exists for edge-set A/B benchmarks and
-	// graph diffing. Set before the first step, like FusedGates.
-	NoReduceGraph bool
+	// noReduce freezes captured templates with the full derived edge set
+	// instead of the transitive reduction (taskrt.Capture.NoReduce). Test
+	// oracle only: it lets the replay tests pin reduced == unreduced.
+	noReduce bool
 
 	phantom bool
 	// inStep guards against concurrent TrainStep/Infer/InferProbs calls: a
@@ -159,16 +148,14 @@ type Engine struct {
 	adam *adamState
 	obs  *engineObs // live metrics; nil unless EnableObs was called
 
-	// Derived weight caches, keyed on the model's weight version: float64
-	// packed panels (PackPanels) and the float32 weight mirror (InferDType ==
-	// F32). Built and refreshed host-side by refreshWeightCaches between
-	// steps; task bodies only read them.
-	pack64     map[*dirParams]*cell.PackSet[float64]
-	fm32       map[*dirParams]*dirF32
-	head32W    []*tensor.Mat[float32] // one mirror per head
-	head32B    [][]float32
-	cacheVer   uint64
-	cachesInit bool
+	// Forward-kernel views of the model. w64 aliases the master weights. w32
+	// is the float32 inference mirror (InferDType == F32): built and
+	// refreshed host-side by refreshWeightCaches between steps whenever the
+	// model's weight version has moved past cacheVer; task bodies only read
+	// it.
+	w64      *fwdWeights[float64]
+	w32      *fwdWeights[float32]
+	cacheVer uint64
 
 	// lastHeadLosses caches the per-head mean losses of the most recent
 	// labeled step; read through HeadLosses.
@@ -188,7 +175,7 @@ const defaultMaxCachedSeqLens = 8
 
 // NewEngine creates an engine executing real numeric tasks.
 func NewEngine(m *Model, exec taskrt.Executor) *Engine {
-	e := &Engine{M: m, Exec: exec, wsByT: make(map[int][]*workspace), tpls: make(map[tplKey]*taskrt.Template)}
+	e := &Engine{M: m, Exec: exec, w64: masterFwdWeights(m), wsByT: make(map[int][]*workspace), tpls: make(map[tplKey]*taskrt.Template)}
 	if dc := e.depChecker(); dc != nil {
 		installDepCheckHook(dc)
 	}
@@ -283,83 +270,25 @@ func (e *Engine) isF32() bool {
 	return e.InferDType == tensor.F32 && !e.phantom
 }
 
-// refreshWeightCaches rebuilds the derived weight caches (packed float64
-// panels, float32 mirror) when the model's weight version has moved since
-// they were last built. Runs host-side between steps; the refreshed buffers
-// are updated in place so pointers captured by replay templates stay valid.
+// refreshWeightCaches brings the float32 weight mirror up to date when the
+// model's weight version has moved since it was last converted. Runs
+// host-side between steps; the mirror is refreshed in place so pointers
+// captured by replay templates stay valid. On the split path the mirror
+// carries packed panels.
 func (e *Engine) refreshWeightCaches() {
-	needPack := e.PackPanels && !e.phantom && !e.FusedGates
-	needF32 := e.isF32()
-	if !needPack && !needF32 {
+	if !e.isF32() {
 		return
 	}
 	ver := e.M.weightVersion()
-	if e.cachesInit && e.M.mut != nil && ver == e.cacheVer {
+	switch {
+	case e.w32 == nil:
+		e.w32 = newFwdMirror[float32](e.M, !e.FusedGates)
+	case e.M.mut != nil && ver == e.cacheVer:
 		return
-	}
-	split := !e.FusedGates
-	for l := range e.M.fwd {
-		for _, p := range []*dirParams{e.M.fwd[l], e.M.rev[l]} {
-			if needPack {
-				if ps, ok := e.pack64[p]; ok {
-					ps.Repack()
-				} else {
-					if e.pack64 == nil {
-						e.pack64 = make(map[*dirParams]*cell.PackSet[float64])
-					}
-					e.pack64[p] = p.packPanels()
-				}
-			}
-			if needF32 {
-				if d, ok := e.fm32[p]; ok {
-					d.refresh(p)
-				} else {
-					if e.fm32 == nil {
-						e.fm32 = make(map[*dirParams]*dirF32)
-					}
-					e.fm32[p] = newDirF32(p, split)
-				}
-			}
-		}
-	}
-	if needF32 {
-		if e.head32W == nil {
-			for h := range e.M.Heads {
-				e.head32W = append(e.head32W, tensor.NewOf[float32](e.M.Heads[h].W.Rows, e.M.Heads[h].W.Cols))
-				e.head32B = append(e.head32B, make([]float32, len(e.M.Heads[h].B)))
-			}
-		}
-		for h := range e.M.Heads {
-			tensor.ConvertInto(e.head32W[h], e.M.Heads[h].W)
-			tensor.ConvertSlice(e.head32B[h], e.M.Heads[h].B)
-		}
+	default:
+		e.w32.refresh(e.M)
 	}
 	e.cacheVer = ver
-	e.cachesInit = true
-}
-
-// runForwardPre dispatches a float64 split chain update through the packed
-// panels when panel packing is active, the plain path otherwise. Consulted at
-// task run time so the same captured template serves both settings.
-func (e *Engine) runForwardPre(p *dirParams, pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	if e.PackPanels {
-		if ps, ok := e.pack64[p]; ok {
-			p.forwardPrePacked(ps, pre, hPrev, cPrev, st)
-			return
-		}
-	}
-	p.forwardPre(pre, hPrev, cPrev, st)
-}
-
-// runPreGatesBatch is runForwardPre for the batched input projection.
-func (e *Engine) runPreGatesBatch(p *dirParams, xs, pres []*tensor.Matrix) {
-	if e.PackPanels {
-		if ps, ok := e.pack64[p]; ok {
-			p.preGatesBatchPacked(ps, xs, pres)
-			return
-		}
-	}
-	p.preGatesBatch(xs, pres)
 }
 
 // mbBounds returns the row range of mini-batch i.
@@ -489,11 +418,7 @@ func (e *Engine) TrainStep(b *Batch, lr float64) (float64, error) {
 	if rp := e.replayer(); rp != nil {
 		rp.Replay(e.template(true, T))
 	} else {
-		for i, ws := range wss {
-			e.emitForward(ws, i, true, false)
-			e.emitBackward(ws, i)
-		}
-		e.emitReduce(wss)
+		e.emitTrain(wss)
 	}
 	if err := e.Exec.Wait(); err != nil {
 		return 0, err
@@ -563,20 +488,17 @@ func (e *Engine) template(train bool, T int) *taskrt.Template {
 	start := time.Now()
 	wss := e.wsByT[T]
 	rec := taskrt.NewCapture()
-	rec.NoReduce = e.NoReduceGraph
+	rec.NoReduce = e.noReduce
 	saved := e.Exec
 	e.Exec = rec
-	f32 := !train && e.isF32()
 	func() {
 		defer func() { e.Exec = saved }()
-		for i, ws := range wss {
-			e.emitForward(ws, i, true, f32)
-			if train {
-				e.emitBackward(ws, i)
-			}
-		}
 		if train {
-			e.emitReduce(wss)
+			e.emitTrain(wss)
+			return
+		}
+		for i, ws := range wss {
+			e.emitInfer(ws, i)
 		}
 	}()
 	tpl := rec.Freeze()
@@ -611,70 +533,29 @@ func (e *Engine) finishStep(dc *taskrt.DepChecker) {
 
 // Infer runs forward propagation only and returns, per output slot, the
 // predicted class of every sequence, plus the mean loss when labels are
-// present. Slots are laid out head-major (Config.HeadSlotRange): a
-// classification head owns one slot, a per-frame head one per timestep — so
-// a legacy many-to-one model returns one row and a legacy many-to-many model
-// one row per timestep, exactly as before.
+// present: the row-wise argmax of InferProbs. Slots are laid out head-major
+// (Config.HeadSlotRange): a classification head owns one slot, a per-frame
+// head one per timestep — so a legacy many-to-one model returns one row and a
+// legacy many-to-many model one row per timestep, exactly as before.
 func (e *Engine) Infer(b *Batch) ([][]int, float64, error) {
-	if e.phantom {
-		return nil, 0, fmt.Errorf("core: Infer on a phantom engine; use EmitInferGraph")
-	}
-	if err := e.checkBatch(b, false); err != nil {
+	probs, loss, err := e.InferProbs(b)
+	if err != nil {
 		return nil, 0, err
 	}
-	if err := e.beginStep(); err != nil {
-		return nil, 0, err
+	preds := make([][]int, len(probs))
+	for s, p := range probs {
+		preds[s] = tensor.ArgmaxRows(p)
 	}
-	defer e.endStep()
-	stepStart := time.Now()
-	T := b.SeqLen()
-	wss := e.workspaces(T)
-	e.refreshWeightCaches()
-	dc := e.bindWorkspaces(wss, b)
-	f32 := e.isF32()
-	if rp := e.replayer(); rp != nil {
-		rp.Replay(e.template(false, T))
-	} else {
-		for i, ws := range wss {
-			e.emitForward(ws, i, true, f32)
-		}
-	}
-	if err := e.Exec.Wait(); err != nil {
-		return nil, 0, err
-	}
-
-	nSlots := e.M.Cfg.HeadSlots(T)
-	preds := make([][]int, nSlots)
-	for s := 0; s < nSlots; s++ {
-		preds[s] = make([]int, 0, e.M.Cfg.Batch)
-		for _, ws := range wss {
-			if f32 {
-				preds[s] = append(preds[s], tensor.ArgmaxRows(ws.f32.probs[s])...)
-			} else {
-				preds[s] = append(preds[s], tensor.ArgmaxRows(ws.probs[s])...)
-			}
-		}
-	}
-	loss := 0.0
-	for _, ws := range wss {
-		loss += ws.sumLosses()
-	}
-	scale := e.lossScale(b)
-	loss /= scale
-	e.recordHeadLosses(wss, T, scale)
-	e.finishStep(dc)
-	e.recordStep(stepStart, loss, true, e.hasLabels(b), b.realRows(e.M.Cfg.Batch))
 	return preds, loss, nil
 }
 
 // InferProbs runs forward propagation and returns, per output slot, the full
 // class-probability matrix ([Batch x head Classes]) for every sequence, plus
 // the mean loss when labels are present. Slots are head-major, as in Infer.
-// Useful for sampling-based generation and calibration analysis; Infer is the
-// argmax convenience on top of the same forward pass.
+// Useful for sampling-based generation and calibration analysis.
 func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 	if e.phantom {
-		return nil, 0, fmt.Errorf("core: InferProbs on a phantom engine")
+		return nil, 0, fmt.Errorf("core: inference on a phantom engine; use EmitInferGraph")
 	}
 	if err := e.checkBatch(b, false); err != nil {
 		return nil, 0, err
@@ -688,12 +569,11 @@ func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 	wss := e.workspaces(T)
 	e.refreshWeightCaches()
 	dc := e.bindWorkspaces(wss, b)
-	f32 := e.isF32()
 	if rp := e.replayer(); rp != nil {
 		rp.Replay(e.template(false, T))
 	} else {
 		for i, ws := range wss {
-			e.emitForward(ws, i, true, f32)
+			e.emitInfer(ws, i)
 		}
 	}
 	if err := e.Exec.Wait(); err != nil {
@@ -705,17 +585,15 @@ func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 		lo, n := cfg.HeadSlotRange(h, T)
 		for s := lo; s < lo+n; s++ {
 			probs[s] = tensor.New(cfg.Batch, spec.Classes)
-			row := 0
+			off := 0
 			for _, ws := range wss {
-				rows := ws.probs[s].Rows
-				for r := 0; r < rows; r++ {
-					if f32 {
-						tensor.ConvertSlice(probs[s].Row(row), ws.f32.probs[s].Row(r))
-					} else {
-						copy(probs[s].Row(row), ws.probs[s].Row(r))
-					}
-					row++
+				dst := probs[s].Data[off : off+ws.rows*spec.Classes]
+				if e.isF32() {
+					tensor.ConvertSlice(dst, ws.f32.probs[s].Data)
+				} else {
+					copy(dst, ws.probs[s].Data)
 				}
+				off += len(dst)
 			}
 		}
 	}
@@ -735,9 +613,14 @@ func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 // training step of sequence length T (phantom engines only). The caller
 // owns Wait on the executor (typically a taskrt.Recorder).
 func (e *Engine) EmitTrainGraph(T int) {
-	wss := e.workspaces(T)
+	e.emitTrain(e.workspaces(T))
+}
+
+// emitTrain emits one training step over wss: per mini-batch the forward and
+// backward graphs, then the cross-mini-batch gradient reduction.
+func (e *Engine) emitTrain(wss []*workspace) {
 	for i, ws := range wss {
-		e.emitForward(ws, i, true, false)
+		e.emitForward(ws, i)
 		e.emitBackward(ws, i)
 	}
 	e.emitReduce(wss)
@@ -747,7 +630,7 @@ func (e *Engine) EmitTrainGraph(T int) {
 func (e *Engine) EmitInferGraph(T int) {
 	wss := e.workspaces(T)
 	for i, ws := range wss {
-		e.emitForward(ws, i, true, false)
+		e.emitForward(ws, i)
 	}
 }
 

@@ -474,6 +474,13 @@ func TestWorkingSetBytesPositiveAndPhantomAgrees(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("phantom estimate off: real %d phantom %d", r, p)
 	}
+	// An f32-inference engine keeps its float32 forward buffers next to the
+	// float64 ones (training still needs those), and the study must see both.
+	f32 := NewEngine(m, taskrt.NewInline(nil))
+	f32.InferDType = tensor.F32
+	if got := f32.WorkingSetBytes(cfg.SeqLen); got <= r || got >= 2*r {
+		t.Fatalf("f32 engine reports %d bytes, want more than the f64 engine's %d and less than twice it", got, r)
+	}
 }
 
 func TestInferProbsMatchesInfer(t *testing.T) {

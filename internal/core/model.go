@@ -8,17 +8,31 @@ import (
 	"bpar/internal/tensor"
 )
 
-// dirParams wraps one direction of one layer, dispatching on cell kind so
-// the emission code is written once for LSTM and GRU.
-type dirParams struct {
+// dirFwd is the forward-kernel view of one direction of one layer at element
+// type E, dispatching on cell kind so the emission code is written once for
+// every cell. The float64 instantiation is the master copy: it is embedded
+// in dirParams, which training reads and updates. The float32 instantiation
+// is the engine's inference mirror, converted from the master.
+type dirFwd[E tensor.Elt] struct {
 	kind CellKind
-	lstm *cell.LSTMWeights
-	gru  *cell.GRUWeights
-	rnn  *cell.RNNWeights
+	lstm *cell.LSTMWeightsOf[E]
+	gru  *cell.GRUWeightsOf[E]
+	rnn  *cell.RNNWeightsOf[E]
+	// pack, when non-nil, holds packed copies of the split-path weight
+	// panels and the split forward kernels read those; when nil they read
+	// the column windows of W in place. Both accumulate bitwise-identically
+	// per dtype. The float32 mirror packs; the float64 master never does
+	// (see DESIGN.md §14 for the measurements behind that).
+	pack *cell.PackSet[E]
+}
+
+// dirParams is the trainable float64 state of one direction of one layer.
+type dirParams struct {
+	dirFwd[float64]
 }
 
 func newDirParams(kind CellKind, inputSize, hiddenSize int, r *rng.RNG) *dirParams {
-	p := &dirParams{kind: kind}
+	p := &dirParams{dirFwd[float64]{kind: kind}}
 	switch kind {
 	case LSTM:
 		p.lstm = cell.NewLSTMWeights(inputSize, hiddenSize)
@@ -33,6 +47,107 @@ func newDirParams(kind CellKind, inputSize, hiddenSize int, r *rng.RNG) *dirPara
 	return p
 }
 
+// newDirMirror converts p's weights into a fresh E-typed view, packing its
+// split-path panels when pack is set.
+func newDirMirror[E tensor.Elt](p *dirParams, pack bool) *dirFwd[E] {
+	d := &dirFwd[E]{kind: p.kind}
+	switch p.kind {
+	case LSTM:
+		d.lstm = cell.ConvertLSTMWeights[E](p.lstm)
+		if pack {
+			d.pack = cell.PackLSTM(d.lstm)
+		}
+	case GRU:
+		d.gru = cell.ConvertGRUWeights[E](p.gru)
+		if pack {
+			d.pack = cell.PackGRU(d.gru)
+		}
+	default:
+		d.rnn = cell.ConvertRNNWeights[E](p.rnn)
+		if pack {
+			d.pack = cell.PackRNN(d.rnn)
+		}
+	}
+	return d
+}
+
+// refresh re-converts the mirror from the master weights in place, so
+// pointers captured by replay templates and packed panels stay valid.
+func (d *dirFwd[E]) refresh(p *dirParams) {
+	switch d.kind {
+	case LSTM:
+		cell.ConvertLSTMWeightsInto(d.lstm, p.lstm)
+	case GRU:
+		cell.ConvertGRUWeightsInto(d.gru, p.gru)
+	default:
+		cell.ConvertRNNWeightsInto(d.rnn, p.rnn)
+	}
+	if d.pack != nil {
+		d.pack.Repack()
+	}
+}
+
+// fwdWeights is the forward-kernel view of a whole model at element type E:
+// one dirFwd per layer and direction plus the output heads. It is what a
+// forward emission reads its weights through.
+type fwdWeights[E tensor.Elt] struct {
+	fwd, rev []*dirFwd[E] // per layer
+	headW    []*tensor.Mat[E]
+	headB    [][]E
+}
+
+// dir returns layer l's forward- or reverse-order kernel view.
+func (w *fwdWeights[E]) dir(l int, rev bool) *dirFwd[E] {
+	if rev {
+		return w.rev[l]
+	}
+	return w.fwd[l]
+}
+
+// masterFwdWeights returns m's float64 view. It aliases the trainable
+// weights, so updates show through it with no refresh.
+func masterFwdWeights(m *Model) *fwdWeights[float64] {
+	w := &fwdWeights[float64]{}
+	for l := range m.fwd {
+		w.fwd = append(w.fwd, &m.fwd[l].dirFwd)
+		w.rev = append(w.rev, &m.rev[l].dirFwd)
+	}
+	for h := range m.Heads {
+		w.headW = append(w.headW, m.Heads[h].W)
+		w.headB = append(w.headB, m.Heads[h].B)
+	}
+	return w
+}
+
+// newFwdMirror converts m's weights into a fresh E-typed view — the
+// inference mirror; training and checkpoints never see it. With pack set
+// every direction also carries packed split-path panels.
+func newFwdMirror[E tensor.Elt](m *Model, pack bool) *fwdWeights[E] {
+	w := &fwdWeights[E]{}
+	for l := range m.fwd {
+		w.fwd = append(w.fwd, newDirMirror[E](m.fwd[l], pack))
+		w.rev = append(w.rev, newDirMirror[E](m.rev[l], pack))
+	}
+	for h := range m.Heads {
+		w.headW = append(w.headW, tensor.ConvertedOf[E](m.Heads[h].W))
+		w.headB = append(w.headB, make([]E, len(m.Heads[h].B)))
+		tensor.ConvertSlice(w.headB[h], m.Heads[h].B)
+	}
+	return w
+}
+
+// refresh re-converts the whole mirror from m in place.
+func (w *fwdWeights[E]) refresh(m *Model) {
+	for l := range w.fwd {
+		w.fwd[l].refresh(m.fwd[l])
+		w.rev[l].refresh(m.rev[l])
+	}
+	for h := range w.headW {
+		tensor.ConvertInto(w.headW[h], m.Heads[h].W)
+		tensor.ConvertSlice(w.headB[h], m.Heads[h].B)
+	}
+}
+
 func (p *dirParams) paramCount() int {
 	switch p.kind {
 	case LSTM:
@@ -45,25 +160,27 @@ func (p *dirParams) paramCount() int {
 }
 
 // cellSt is the per-cell activation/cache record for either cell kind.
-type cellSt struct {
-	lstm *cell.LSTMState
-	gru  *cell.GRUState
-	rnn  *cell.RNNState
+type cellSt[E tensor.Elt] struct {
+	lstm *cell.LSTMStateOf[E]
+	gru  *cell.GRUStateOf[E]
+	rnn  *cell.RNNStateOf[E]
 }
 
-func (p *dirParams) newState(batch int) *cellSt {
+// newCellSt allocates an activation record shaped like p at element type E.
+func newCellSt[E tensor.Elt](p *dirParams, batch int) *cellSt[E] {
+	in, _ := p.dims()
 	switch p.kind {
 	case LSTM:
-		return &cellSt{lstm: cell.NewLSTMState(batch, p.lstm.InputSize, p.lstm.HiddenSize)}
+		return &cellSt[E]{lstm: cell.NewLSTMStateOf[E](batch, in, p.hiddenSize())}
 	case GRU:
-		return &cellSt{gru: cell.NewGRUState(batch, p.gru.InputSize, p.gru.HiddenSize)}
+		return &cellSt[E]{gru: cell.NewGRUStateOf[E](batch, in, p.hiddenSize())}
 	default:
-		return &cellSt{rnn: cell.NewRNNState(batch, p.rnn.InputSize, p.rnn.HiddenSize)}
+		return &cellSt[E]{rnn: cell.NewRNNStateOf[E](batch, in, p.hiddenSize())}
 	}
 }
 
 // H returns the cell's hidden output H_t.
-func (s *cellSt) H() *tensor.Matrix {
+func (s *cellSt[E]) H() *tensor.Mat[E] {
 	switch {
 	case s.lstm != nil:
 		return s.lstm.H
@@ -75,14 +192,14 @@ func (s *cellSt) H() *tensor.Matrix {
 }
 
 // C returns the LSTM cell state (nil for GRU and RNN).
-func (s *cellSt) C() *tensor.Matrix {
+func (s *cellSt[E]) C() *tensor.Mat[E] {
 	if s.lstm != nil {
 		return s.lstm.C
 	}
 	return nil
 }
 
-func (s *cellSt) workingSetBytes() int64 {
+func (s *cellSt[E]) workingSetBytes() int64 {
 	switch {
 	case s.lstm != nil:
 		return s.lstm.WorkingSetBytes()
@@ -93,20 +210,74 @@ func (s *cellSt) workingSetBytes() int64 {
 	}
 }
 
-// forward runs one cell update. cPrev is ignored for GRU and RNN.
-func (p *dirParams) forward(x, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	switch p.kind {
+// forward runs one fused-gate cell update. cPrev is ignored for GRU and RNN.
+func (d *dirFwd[E]) forward(x, hPrev, cPrev *tensor.Mat[E], st *cellSt[E]) {
+	switch d.kind {
 	case LSTM:
-		cell.LSTMForward(p.lstm, x, hPrev, cPrev, st.lstm)
+		cell.LSTMForward(d.lstm, x, hPrev, cPrev, st.lstm)
 	case GRU:
-		cell.GRUForward(p.gru, x, hPrev, st.gru)
+		cell.GRUForward(d.gru, x, hPrev, st.gru)
 	default:
-		cell.RNNForward(p.rnn, x, hPrev, st.rnn)
+		cell.RNNForward(d.rnn, x, hPrev, st.rnn)
+	}
+}
+
+// forwardPre runs the chain-resident split forward remainder, through the
+// packed recurrent panels when the view packs. cPrev is ignored for GRU and
+// RNN.
+func (d *dirFwd[E]) forwardPre(pre, hPrev, cPrev *tensor.Mat[E], st *cellSt[E]) {
+	if d.pack != nil {
+		switch d.kind {
+		case LSTM:
+			cell.LSTMForwardPrePacked(d.lstm, pre, hPrev, cPrev, st.lstm, d.pack)
+		case GRU:
+			cell.GRUForwardPrePacked(d.gru, pre, hPrev, st.gru, d.pack)
+		default:
+			cell.RNNForwardPrePacked(d.rnn, pre, hPrev, st.rnn, d.pack)
+		}
+		return
+	}
+	switch d.kind {
+	case LSTM:
+		cell.LSTMForwardPre(d.lstm, pre, hPrev, cPrev, st.lstm)
+	case GRU:
+		cell.GRUForwardPre(d.gru, pre, hPrev, st.gru)
+	default:
+		cell.RNNForwardPre(d.rnn, pre, hPrev, st.rnn)
+	}
+}
+
+// preGatesBatch computes pres[s] = xs[s]*Wx^T + B for a tile of timesteps
+// with one batched kernel call, so the Wx panel is streamed from memory once
+// per tile instead of once per timestep. The accumulation order (bias first,
+// then the column-window product) is the same with and without packing.
+func (d *dirFwd[E]) preGatesBatch(xs, pres []*tensor.Mat[E]) {
+	w, b := d.wParams()
+	for _, pre := range pres {
+		pre.Zero()
+		tensor.AddBiasRows(pre, b)
+	}
+	if d.pack != nil {
+		tensor.GemmTAccColsPackedBatch(pres, xs, d.pack.X)
+		return
+	}
+	tensor.GemmTAccColsBatch(pres, xs, w, 0)
+}
+
+// wParams returns the weight matrix and bias slice of the parameters.
+func (d *dirFwd[E]) wParams() (*tensor.Mat[E], []E) {
+	switch d.kind {
+	case LSTM:
+		return d.lstm.W, d.lstm.B
+	case GRU:
+		return d.gru.W, d.gru.B
+	default:
+		return d.rnn.W, d.rnn.B
 	}
 }
 
 // backward runs one cell's BPTT step. dC/dCPrev are ignored for GRU and RNN.
-func (p *dirParams) backward(st *cellSt, hPrev, cPrev, dH, dC, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
+func (p *dirParams) backward(st *cellSt[float64], hPrev, cPrev, dH, dC, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
 	switch p.kind {
 	case LSTM:
 		cell.LSTMBackward(p.lstm, st.lstm, cPrev, dH, dC, dX, dHPrev, dCPrev, g.lstm)
@@ -127,55 +298,6 @@ func (p *dirParams) dims() (in, gw int) {
 		return p.gru.InputSize, p.gru.W.Rows
 	default:
 		return p.rnn.InputSize, p.rnn.W.Rows
-	}
-}
-
-// preGates computes the input projection pre = x*Wx^T + B for one timestep.
-func (p *dirParams) preGates(x, pre *tensor.Matrix) {
-	switch p.kind {
-	case LSTM:
-		cell.LSTMPreGates(p.lstm, x, pre)
-	case GRU:
-		cell.GRUPreGates(p.gru, x, pre)
-	default:
-		cell.RNNPreGates(p.rnn, x, pre)
-	}
-}
-
-// preGatesBatch computes pres[s] = xs[s]*Wx^T + B for a tile of timesteps
-// with one batched kernel call, so the Wx panel is streamed from memory once
-// per tile instead of once per timestep.
-func (p *dirParams) preGatesBatch(xs, pres []*tensor.Matrix) {
-	w, b := p.wParams()
-	for _, pre := range pres {
-		pre.Zero()
-		tensor.AddBiasRows(pre, b)
-	}
-	tensor.GemmTAccColsBatch(pres, xs, w, 0)
-}
-
-// preGatesBatchPacked is preGatesBatch reading a packed input panel. The
-// accumulation order (bias first, then the column-window product) matches
-// preGatesBatch exactly, and the packed kernel is bitwise-identical to the
-// unpacked one, so toggling packing never changes float64 results.
-func (p *dirParams) preGatesBatchPacked(ps *cell.PackSet[float64], xs, pres []*tensor.Matrix) {
-	_, b := p.wParams()
-	for _, pre := range pres {
-		pre.Zero()
-		tensor.AddBiasRows(pre, b)
-	}
-	tensor.GemmTAccColsPackedBatch(pres, xs, ps.X)
-}
-
-// packPanels packs this direction's split-path weight panels.
-func (p *dirParams) packPanels() *cell.PackSet[float64] {
-	switch p.kind {
-	case LSTM:
-		return cell.PackLSTM(p.lstm)
-	case GRU:
-		return cell.PackGRU(p.gru)
-	default:
-		return cell.PackRNN(p.rnn)
 	}
 }
 
@@ -214,35 +336,10 @@ func (p *dirParams) hiddenSize() int {
 	}
 }
 
-// forwardPre runs the chain-resident split forward remainder. cPrev is
-// ignored for GRU and RNN.
-func (p *dirParams) forwardPre(pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	switch p.kind {
-	case LSTM:
-		cell.LSTMForwardPre(p.lstm, pre, hPrev, cPrev, st.lstm)
-	case GRU:
-		cell.GRUForwardPre(p.gru, pre, hPrev, st.gru)
-	default:
-		cell.RNNForwardPre(p.rnn, pre, hPrev, st.rnn)
-	}
-}
-
-// forwardPrePacked is forwardPre reading packed recurrent panels.
-func (p *dirParams) forwardPrePacked(ps *cell.PackSet[float64], pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	switch p.kind {
-	case LSTM:
-		cell.LSTMForwardPrePacked(p.lstm, pre, hPrev, cPrev, st.lstm, ps)
-	case GRU:
-		cell.GRUForwardPrePacked(p.gru, pre, hPrev, st.gru, ps)
-	default:
-		cell.RNNForwardPrePacked(p.rnn, pre, hPrev, st.rnn, ps)
-	}
-}
-
 // backwardPre runs the chain-resident split backward remainder, leaving the
 // pre-activation gate gradients in dGates for the batched dWx task.
 // dC/dCPrev are ignored for GRU and RNN.
-func (p *dirParams) backwardPre(st *cellSt, hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
+func (p *dirParams) backwardPre(st *cellSt[float64], hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
 	switch p.kind {
 	case LSTM:
 		cell.LSTMBackwardPre(p.lstm, st.lstm, hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev, g.lstm)
@@ -357,18 +454,6 @@ func (g *dirGrads) wData() (*tensor.Matrix, []float64) {
 		return g.gru.DW, g.gru.DB
 	default:
 		return g.rnn.DW, g.rnn.DB
-	}
-}
-
-// wParams returns the weight matrix and bias slice of the parameters.
-func (p *dirParams) wParams() (*tensor.Matrix, []float64) {
-	switch p.kind {
-	case LSTM:
-		return p.lstm.W, p.lstm.B
-	case GRU:
-		return p.gru.W, p.gru.B
-	default:
-		return p.rnn.W, p.rnn.B
 	}
 }
 
@@ -507,7 +592,7 @@ func (m *Model) Clone() *Model {
 }
 
 func cloneDir(p *dirParams) *dirParams {
-	c := &dirParams{kind: p.kind}
+	c := &dirParams{dirFwd[float64]{kind: p.kind}}
 	switch p.kind {
 	case LSTM:
 		c.lstm = cell.NewLSTMWeights(p.lstm.InputSize, p.lstm.HiddenSize)

@@ -94,7 +94,7 @@ func TestReplayReducedMatchesUnreducedBitwise(t *testing.T) {
 		rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.LocalityAware})
 		defer rt.Shutdown()
 		e := NewEngine(m, rt)
-		e.NoReduceGraph = noReduce
+		e.noReduce = noReduce
 		for i := 0; i < 4; i++ {
 			if _, err := e.TrainStep(makeBatch(cfg, uint64(500+i)), 0.05); err != nil {
 				t.Fatal(err)
@@ -102,7 +102,7 @@ func TestReplayReducedMatchesUnreducedBitwise(t *testing.T) {
 		}
 		tpl := e.tpls[tplKey{train: true, T: cfg.SeqLen}]
 		if noReduce && tpl.PrunedEdges() != 0 {
-			t.Fatalf("NoReduceGraph engine pruned %d edges", tpl.PrunedEdges())
+			t.Fatalf("noReduce engine pruned %d edges", tpl.PrunedEdges())
 		}
 		if !noReduce && tpl.PrunedEdges() == 0 {
 			t.Fatal("default engine pruned no edges — the comparison is vacuous")

@@ -19,18 +19,18 @@ func (g *headGrads) zero() {
 }
 
 // stepBinding is the per-step data a task graph reads at run time: the
-// current batch's input-matrix views and labels. Emitter task closures must
-// never capture these values structurally — they read them through ws.bind,
+// current batch's labels and lengths (its input-matrix views are bound as the
+// float64 forward buffers' x, see fwdBufs). Emitter task closures must never
+// capture these values structurally — they read them through the workspace,
 // swapped by bindStep before each emission or replay, which is what lets a
 // frozen taskrt.Template be replayed for any batch of the same shape. The
 // learning rate and loss scale stay host-side: applySGD consumes them after
 // Wait, outside the task graph.
 type stepBinding struct {
-	x           []*tensor.Matrix // layer-0 input views, one per timestep
-	targets     []int            // many-to-one labels; nil for unlabeled inference
-	stepTargets [][]int          // many-to-many labels, [timestep][sequence]
-	lens        []int            // per-row real lengths; nil for full-length batches
-	genTargets  [][]int          // stepTargets shifted one frame left (generate heads)
+	targets     []int   // many-to-one labels; nil for unlabeled inference
+	stepTargets [][]int // many-to-many labels, [timestep][sequence]
+	lens        []int   // per-row real lengths; nil for full-length batches
+	genTargets  [][]int // stepTargets shifted one frame left (generate heads)
 }
 
 // workspace holds the unrolled activations, caches and gradient buffers for
@@ -88,37 +88,24 @@ type workspace struct {
 	kDGatesFwd [][]taskrt.Dep
 	kDGatesRev [][]taskrt.Dep
 
-	// Real buffers; nil in phantom mode.
-	fwdSt, revSt             [][]*cellSt
-	merged                   [][]*tensor.Matrix
-	finalMerged              *tensor.Matrix
-	logits, probs            []*tensor.Matrix // one per output slot
-	losses                   []float64        // one per output slot
-	dMerged                  [][]*tensor.Matrix
-	dFinalMerged             *tensor.Matrix
-	dFinalHFwd, dFinalHRev   *tensor.Matrix // final-merge backward outputs
-	dHMergeFwd, dHMergeRev   [][]*tensor.Matrix
-	dHChainFwd, dCChainFwd   [][]*tensor.Matrix
-	dHChainRev, dCChainRev   [][]*tensor.Matrix
-	dXScratchFwd             []*tensor.Matrix // per layer
-	dXScratchRev             []*tensor.Matrix
-	dHSumFwd, dHSumRev       []*tensor.Matrix // per layer dH accumulation scratch
-	dHSinkFwd, dCSinkFwd     []*tensor.Matrix // discard targets at chain boundaries
-	dHSinkRev, dCSinkRev     []*tensor.Matrix
-	zeroH, zeroC, zeroChainH *tensor.Matrix
-	gradsFwd, gradsRev       []*dirGrads
-	headGrads                []*headGrads     // one per head
-	dLogits                  []*tensor.Matrix // per-head backward scratch (serialized by kHeadGrads[h])
-
-	// Variable-length final-merge support: with a bound lens the forward
-	// direction's sequence-final state is row i of fwdSt[L-1][lens[i]-1], not
-	// fwdSt[L-1][T-1]. gatherH assembles it (via gatherIdx = lens[i]-1 over
-	// the lastHFwd views); written by the final-merge forward task and reread
-	// by the final-merge backward task, which the head tasks already order,
-	// so it stays unregistered with the dependency sanitizer.
-	lastHFwd  []*tensor.Matrix // views of fwdSt[L-1][t].H()
-	gatherH   *tensor.Matrix
-	gatherIdx []int
+	// Real buffers; nil in phantom mode. The forward half lives in the
+	// embedded float64 fwdBufs, which the backward pass reads.
+	fwdBufs[float64]
+	losses                 []float64 // one per output slot
+	dMerged                [][]*tensor.Matrix
+	dFinalMerged           *tensor.Matrix
+	dFinalHFwd, dFinalHRev *tensor.Matrix // final-merge backward outputs
+	dHMergeFwd, dHMergeRev [][]*tensor.Matrix
+	dHChainFwd, dCChainFwd [][]*tensor.Matrix
+	dHChainRev, dCChainRev [][]*tensor.Matrix
+	dXScratchFwd           []*tensor.Matrix // per layer
+	dXScratchRev           []*tensor.Matrix
+	dHSumFwd, dHSumRev     []*tensor.Matrix // per layer dH accumulation scratch
+	dHSinkFwd, dCSinkFwd   []*tensor.Matrix // discard targets at chain boundaries
+	dHSinkRev, dCSinkRev   []*tensor.Matrix
+	gradsFwd, gradsRev     []*dirGrads
+	headGrads              []*headGrads     // one per head
+	dLogits                []*tensor.Matrix // per-head backward scratch (serialized by kHeadGrads[h])
 
 	// genTargets/ignoreRow back the generate heads' shifted label binding:
 	// bindStep points genTargets[t] at stepTargets[t+1] and the final frame
@@ -126,16 +113,15 @@ type workspace struct {
 	genTargets [][]int
 	ignoreRow  []int
 
-	// Pooled split-gate panels, allocated only when split && !phantom.
-	// Indexing: [layer][timestep], each [rows x G*H].
-	preFwd, preRev       [][]*tensor.Matrix
+	// Pooled split-gate gradient panels, allocated only when split &&
+	// !phantom. Indexing: [layer][timestep], each [rows x G*H].
 	dGatesFwd, dGatesRev [][]*tensor.Matrix
 
-	// f32 holds the float32 forward-only mirror buffers; nil unless the
-	// owning engine infers at float32. Mirror buffers share the f64 buffers'
-	// dependency keys (the graph topology is identical), except the converted
-	// inputs which get their own kX32 keys.
-	f32 *f32Space
+	// f32 holds the float32 forward buffers; nil unless the owning engine
+	// infers at float32. They share the float64 buffers' dependency keys (the
+	// graph topology is identical), except the converted inputs which get
+	// their own kX32 keys.
+	f32 *fwdBufs[float32]
 
 	// Per-(layer, direction) transposition scratch of the batched dw tasks:
 	// stackP* holds the [G*H x T·rows] gate-gradient stack, stackB* the
@@ -146,23 +132,35 @@ type workspace struct {
 	stackBFwd, stackBRev []*tensor.Matrix
 }
 
-// f32Space holds the float32 mirror of the forward-only slice of a
-// workspace: converted inputs, cell states, merge outputs, head buffers, and
-// (split path) the pooled gate-preload panels. Backward buffers have no
-// mirror — training is float64-only.
-type f32Space struct {
-	x            []*tensor.Mat[float32] // converted layer-0 inputs, per timestep
-	fwdSt, revSt [][]*cellSt32
-	merged       [][]*tensor.Mat[float32]
-	finalMerged  *tensor.Mat[float32]
-	logits       []*tensor.Mat[float32] // one per output slot
-	probs        []*tensor.Mat[float32]
-	zeroH, zeroC *tensor.Mat[float32]
-	// lastHFwd/gatherH mirror the f64 variable-length final-merge gather.
-	lastHFwd []*tensor.Mat[float32]
-	gatherH  *tensor.Mat[float32]
-	// preFwd/preRev pool the split-gate preload panels; nil when fused.
-	preFwd, preRev [][]*tensor.Mat[float32]
+// fwdBufs holds the forward-pass buffers of one workspace at element type E:
+// layer inputs, cell states, merge outputs, head buffers, and (split path)
+// the pooled gate-preload panels. Every workspace has the float64
+// instantiation — training's backward pass reads it; a float32-inference
+// engine adds the float32 one. Backward buffers exist at float64 only.
+type fwdBufs[E tensor.Elt] struct {
+	// x is the layer-0 input, one matrix per timestep. At float64 it is the
+	// current step's batch views, pointed here by bindStep; at float32 it is
+	// the workspace-owned panels the conv tasks fill from those views.
+	x             []*tensor.Mat[E]
+	fwdSt, revSt  [][]*cellSt[E]
+	merged        [][]*tensor.Mat[E]
+	finalMerged   *tensor.Mat[E]
+	logits, probs []*tensor.Mat[E] // one per output slot
+	zeroH, zeroC  *tensor.Mat[E]
+
+	// Variable-length final-merge support: with a bound lens the forward
+	// direction's sequence-final state is row i of fwdSt[L-1][lens[i]-1], not
+	// fwdSt[L-1][T-1]. gatherH assembles it (via gatherIdx = lens[i]-1 over
+	// the lastHFwd views); written by the final-merge forward task and reread
+	// by the final-merge backward task, which the head tasks already order,
+	// so it stays unregistered with the dependency sanitizer.
+	lastHFwd  []*tensor.Mat[E] // views of fwdSt[L-1][t].H()
+	gatherH   *tensor.Mat[E]
+	gatherIdx []int
+
+	// preFwd/preRev pool the split-gate preload panels, [layer][timestep],
+	// each [rows x G*H]; nil when fused.
+	preFwd, preRev [][]*tensor.Mat[E]
 }
 
 // token is a unique comparable dependency key for phantom buffers.
@@ -180,8 +178,8 @@ func (c Config) hasMergePerTimestep(l int) bool {
 // newWorkspace builds a workspace for one mini-batch of `rows` sequences of
 // length T. When phantom is true, only dependency keys are created. When
 // split is true, the workspace additionally pools the gate-preload and
-// gate-gradient panels of the split-gate decomposition. When f32 is true, a
-// float32 mirror of the forward-only buffers is allocated as well.
+// gate-gradient panels of the split-gate decomposition. When f32 is true, the
+// float32 forward buffers are allocated as well.
 func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 	cfg := m.Cfg
 	w := &workspace{phantom: phantom, split: split, rows: rows, T: T, cfg: cfg}
@@ -237,9 +235,7 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 	}
 
 	// Real buffers.
-	w.fwdSt = make([][]*cellSt, L)
-	w.revSt = make([][]*cellSt, L)
-	w.merged = make([][]*tensor.Matrix, L)
+	w.fwdBufs = newFwdBufs[float64](m, rows, T, split)
 	w.dMerged = make([][]*tensor.Matrix, L)
 	w.dHMergeFwd = make([][]*tensor.Matrix, L)
 	w.dHMergeRev = make([][]*tensor.Matrix, L)
@@ -248,64 +244,35 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 	w.dHChainRev = make([][]*tensor.Matrix, L)
 	w.dCChainRev = make([][]*tensor.Matrix, L)
 	for l := 0; l < L; l++ {
-		w.fwdSt[l] = make([]*cellSt, T)
-		w.revSt[l] = make([]*cellSt, T)
-		for t := 0; t < T; t++ {
-			w.fwdSt[l][t] = m.fwd[l].newState(rows)
-			w.revSt[l][t] = m.rev[l].newState(rows)
-		}
 		if cfg.hasMergePerTimestep(l) {
-			w.merged[l] = make([]*tensor.Matrix, T)
-			w.dMerged[l] = make([]*tensor.Matrix, T)
-			for t := 0; t < T; t++ {
-				w.merged[l][t] = tensor.New(rows, D)
-				w.dMerged[l][t] = tensor.New(rows, D)
-			}
+			w.dMerged[l] = matRow[float64](T, rows, D)
 		}
-		w.dHMergeFwd[l] = matRow(T, rows, H)
-		w.dHMergeRev[l] = matRow(T, rows, H)
-		w.dHChainFwd[l] = matRow(T, rows, H)
-		w.dCChainFwd[l] = matRow(T, rows, H)
-		w.dHChainRev[l] = matRow(T, rows, H)
-		w.dCChainRev[l] = matRow(T, rows, H)
+		w.dHMergeFwd[l] = matRow[float64](T, rows, H)
+		w.dHMergeRev[l] = matRow[float64](T, rows, H)
+		w.dHChainFwd[l] = matRow[float64](T, rows, H)
+		w.dCChainFwd[l] = matRow[float64](T, rows, H)
+		w.dHChainRev[l] = matRow[float64](T, rows, H)
+		w.dCChainRev[l] = matRow[float64](T, rows, H)
 	}
 	if cfg.anyClassify() {
-		w.finalMerged = tensor.New(rows, D)
 		w.dFinalMerged = tensor.New(rows, D)
 		w.dFinalHFwd = tensor.New(rows, H)
 		w.dFinalHRev = tensor.New(rows, H)
-		w.gatherH = tensor.New(rows, H)
-		w.gatherIdx = make([]int, rows)
-		w.lastHFwd = make([]*tensor.Matrix, T)
-		for t := 0; t < T; t++ {
-			w.lastHFwd[t] = w.fwdSt[L-1][t].H()
-		}
-	}
-	w.logits = make([]*tensor.Matrix, nSlots)
-	w.probs = make([]*tensor.Matrix, nSlots)
-	for h, spec := range specs {
-		lo, n := cfg.HeadSlotRange(h, T)
-		for s := lo; s < lo+n; s++ {
-			w.logits[s] = tensor.New(rows, spec.Classes)
-			w.probs[s] = tensor.New(rows, spec.Classes)
-		}
 	}
 
 	w.dXScratchFwd = make([]*tensor.Matrix, L)
 	w.dXScratchRev = make([]*tensor.Matrix, L)
-	w.dHSumFwd = matRow(L, rows, H)
-	w.dHSumRev = matRow(L, rows, H)
-	w.dHSinkFwd = matRow(L, rows, H)
-	w.dCSinkFwd = matRow(L, rows, H)
-	w.dHSinkRev = matRow(L, rows, H)
-	w.dCSinkRev = matRow(L, rows, H)
+	w.dHSumFwd = matRow[float64](L, rows, H)
+	w.dHSumRev = matRow[float64](L, rows, H)
+	w.dHSinkFwd = matRow[float64](L, rows, H)
+	w.dCSinkFwd = matRow[float64](L, rows, H)
+	w.dHSinkRev = matRow[float64](L, rows, H)
+	w.dCSinkRev = matRow[float64](L, rows, H)
 	for l := 0; l < L; l++ {
 		in := cfg.LayerInputSize(l)
 		w.dXScratchFwd[l] = tensor.New(rows, in)
 		w.dXScratchRev[l] = tensor.New(rows, in)
 	}
-	w.zeroH = tensor.New(rows, H)
-	w.zeroC = tensor.New(rows, H)
 
 	w.gradsFwd = make([]*dirGrads, L)
 	w.gradsRev = make([]*dirGrads, L)
@@ -331,8 +298,6 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 	}
 
 	if split {
-		w.preFwd = make([][]*tensor.Matrix, L)
-		w.preRev = make([][]*tensor.Matrix, L)
 		w.dGatesFwd = make([][]*tensor.Matrix, L)
 		w.dGatesRev = make([][]*tensor.Matrix, L)
 		w.stackPFwd = make([]*tensor.Matrix, L)
@@ -343,10 +308,8 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 		for l := 0; l < L; l++ {
 			inF, gwF := m.fwd[l].dims()
 			inR, gwR := m.rev[l].dims()
-			w.preFwd[l] = matRow(T, rows, gwF)
-			w.dGatesFwd[l] = matRow(T, rows, gwF)
-			w.preRev[l] = matRow(T, rows, gwR)
-			w.dGatesRev[l] = matRow(T, rows, gwR)
+			w.dGatesFwd[l] = matRow[float64](T, rows, gwF)
+			w.dGatesRev[l] = matRow[float64](T, rows, gwR)
 			w.stackPFwd[l] = tensor.New(gwF, K)
 			w.stackPRev[l] = tensor.New(gwR, K)
 			w.stackBFwd[l] = tensor.New(max(inF, H), K)
@@ -354,79 +317,73 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 		}
 	}
 	if f32 {
-		w.f32 = newF32Space(m, rows, T, split)
+		s := newFwdBufs[float32](m, rows, T, split)
+		s.x = matRow[float32](T, rows, cfg.InputSize)
+		w.f32 = &s
 	}
 	return w
 }
 
-// newF32Space allocates the float32 forward-only mirror buffers.
-func newF32Space(m *Model, rows, T int, split bool) *f32Space {
+// newFwdBufs allocates one workspace's forward buffers at element type E. x
+// is left to the caller (see fwdBufs.x).
+func newFwdBufs[E tensor.Elt](m *Model, rows, T int, split bool) fwdBufs[E] {
 	cfg := m.Cfg
 	L := cfg.Layers
 	H := cfg.HiddenSize
 	D := cfg.MergeDim()
-	s := &f32Space{}
-	s.x = matRow32(T, rows, cfg.InputSize)
-	s.fwdSt = make([][]*cellSt32, L)
-	s.revSt = make([][]*cellSt32, L)
-	s.merged = make([][]*tensor.Mat[float32], L)
+	var b fwdBufs[E]
+	b.fwdSt = make([][]*cellSt[E], L)
+	b.revSt = make([][]*cellSt[E], L)
+	b.merged = make([][]*tensor.Mat[E], L)
 	for l := 0; l < L; l++ {
-		s.fwdSt[l] = make([]*cellSt32, T)
-		s.revSt[l] = make([]*cellSt32, T)
+		b.fwdSt[l] = make([]*cellSt[E], T)
+		b.revSt[l] = make([]*cellSt[E], T)
 		for t := 0; t < T; t++ {
-			s.fwdSt[l][t] = m.fwd[l].newState32(rows)
-			s.revSt[l][t] = m.rev[l].newState32(rows)
+			b.fwdSt[l][t] = newCellSt[E](m.fwd[l], rows)
+			b.revSt[l][t] = newCellSt[E](m.rev[l], rows)
 		}
 		if cfg.hasMergePerTimestep(l) {
-			s.merged[l] = matRow32(T, rows, D)
+			b.merged[l] = matRow[E](T, rows, D)
 		}
 	}
 	if cfg.anyClassify() {
-		s.finalMerged = tensor.NewOf[float32](rows, D)
-		s.gatherH = tensor.NewOf[float32](rows, H)
-		s.lastHFwd = make([]*tensor.Mat[float32], T)
+		b.finalMerged = tensor.NewOf[E](rows, D)
+		b.gatherH = tensor.NewOf[E](rows, H)
+		b.gatherIdx = make([]int, rows)
+		b.lastHFwd = make([]*tensor.Mat[E], T)
 		for t := 0; t < T; t++ {
-			s.lastHFwd[t] = s.fwdSt[L-1][t].H()
+			b.lastHFwd[t] = b.fwdSt[L-1][t].H()
 		}
 	}
-	specs := cfg.HeadSpecs()
 	nSlots := cfg.HeadSlots(T)
-	s.logits = make([]*tensor.Mat[float32], nSlots)
-	s.probs = make([]*tensor.Mat[float32], nSlots)
-	for h, spec := range specs {
+	b.logits = make([]*tensor.Mat[E], nSlots)
+	b.probs = make([]*tensor.Mat[E], nSlots)
+	for h, spec := range cfg.HeadSpecs() {
 		lo, n := cfg.HeadSlotRange(h, T)
-		for sl := lo; sl < lo+n; sl++ {
-			s.logits[sl] = tensor.NewOf[float32](rows, spec.Classes)
-			s.probs[sl] = tensor.NewOf[float32](rows, spec.Classes)
+		for s := lo; s < lo+n; s++ {
+			b.logits[s] = tensor.NewOf[E](rows, spec.Classes)
+			b.probs[s] = tensor.NewOf[E](rows, spec.Classes)
 		}
 	}
-	s.zeroH = tensor.NewOf[float32](rows, H)
-	s.zeroC = tensor.NewOf[float32](rows, H)
+	b.zeroH = tensor.NewOf[E](rows, H)
+	b.zeroC = tensor.NewOf[E](rows, H)
 	if split {
-		s.preFwd = make([][]*tensor.Mat[float32], L)
-		s.preRev = make([][]*tensor.Mat[float32], L)
+		b.preFwd = make([][]*tensor.Mat[E], L)
+		b.preRev = make([][]*tensor.Mat[E], L)
 		for l := 0; l < L; l++ {
 			_, gwF := m.fwd[l].dims()
 			_, gwR := m.rev[l].dims()
-			s.preFwd[l] = matRow32(T, rows, gwF)
-			s.preRev[l] = matRow32(T, rows, gwR)
+			b.preFwd[l] = matRow[E](T, rows, gwF)
+			b.preRev[l] = matRow[E](T, rows, gwR)
 		}
 	}
-	return s
+	return b
 }
 
-func matRow(n, rows, cols int) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, n)
+func matRow[E tensor.Elt](n, rows, cols int) []*tensor.Mat[E] {
+	out := make([]*tensor.Mat[E], n)
 	for i := range out {
-		out[i] = tensor.New(rows, cols)
-	}
-	return out
-}
-
-func matRow32(n, rows, cols int) []*tensor.Mat[float32] {
-	out := make([]*tensor.Mat[float32], n)
-	for i := range out {
-		out[i] = tensor.NewOf[float32](rows, cols)
+		out[i] = tensor.NewOf[E](rows, cols)
 	}
 	return out
 }
@@ -434,7 +391,7 @@ func matRow32(n, rows, cols int) []*tensor.Mat[float32] {
 // bindStep points the workspace's per-step binding at mb's views. It must
 // run before emitting or replaying any non-phantom graph over this workspace.
 func (w *workspace) bindStep(mb *Batch) {
-	w.bind.x = mb.X
+	w.x = mb.X
 	w.bind.targets = mb.Targets
 	w.bind.stepTargets = mb.StepTargets
 	w.bind.lens = mb.Lens
@@ -448,24 +405,14 @@ func (w *workspace) bindStep(mb *Batch) {
 	}
 }
 
-// input returns the matrix feeding layer l at timestep t: the bound batch
-// view for layer 0, the merge output of the layer below otherwise. Task
-// bodies call it at run time so replayed closures see the current binding.
-func (w *workspace) input(l, t int) *tensor.Matrix {
+// input returns the matrix feeding layer l at timestep t: x for layer 0, the
+// merge output of the layer below otherwise. Task bodies call it at run time
+// so replayed closures see the current step's binding.
+func (b *fwdBufs[E]) input(l, t int) *tensor.Mat[E] {
 	if l == 0 {
-		return w.bind.x[t]
+		return b.x[t]
 	}
-	return w.merged[l-1][t]
-}
-
-// inputF32 is input for the float32 mirror. Layer 0 reads the converted
-// input panel (written by the conv task of timestep t) instead of the bound
-// batch view.
-func (w *workspace) inputF32(l, t int) *tensor.Mat[float32] {
-	if l == 0 {
-		return w.f32.x[t]
-	}
-	return w.f32.merged[l-1][t]
+	return b.merged[l-1][t]
 }
 
 // stepTargetsAt returns the bound many-to-many labels of timestep t, nil
@@ -491,44 +438,26 @@ func (w *workspace) headTargetsAt(kind HeadKind, t int) []int {
 }
 
 // maskRevState zeroes the rows of reverse state (l,t) for which timestep t
-// is padding under the current lens binding (no-op with no lens bound), so
-// the next reverse cell's hPrev/cPrev restart each short row's chain from
-// the zero boundary state.
-func (w *workspace) maskRevState(l, t int) {
-	tensor.MaskRowsZero(w.revSt[l][t].H(), w.bind.lens, t)
-	tensor.MaskRowsZero(w.revSt[l][t].C(), w.bind.lens, t)
-}
-
-// maskRevState32 is maskRevState for the float32 mirror.
-func (w *workspace) maskRevState32(l, t int) {
-	tensor.MaskRowsZero(w.f32.revSt[l][t].H(), w.bind.lens, t)
-	tensor.MaskRowsZero(w.f32.revSt[l][t].C(), w.bind.lens, t)
+// is padding under the step's lens binding (no-op with nil lens), so the next
+// reverse cell's hPrev/cPrev restart each short row's chain from the zero
+// boundary state.
+func (b *fwdBufs[E]) maskRevState(l, t int, lens []int) {
+	tensor.MaskRowsZero(b.revSt[l][t].H(), lens, t)
+	tensor.MaskRowsZero(b.revSt[l][t].C(), lens, t)
 }
 
 // gatherLastHFwd assembles the forward direction's sequence-final hidden
-// state under the current lens binding into gatherH and returns it; with no
-// lens bound it returns the T-1 state directly (the full-length fast path).
-func (w *workspace) gatherLastHFwd() *tensor.Matrix {
-	if w.bind.lens == nil {
-		return w.lastHFwd[w.T-1]
+// state under the step's lens binding into gatherH and returns it; with nil
+// lens it returns the T-1 state directly (the full-length fast path).
+func (b *fwdBufs[E]) gatherLastHFwd(lens []int) *tensor.Mat[E] {
+	if lens == nil {
+		return b.lastHFwd[len(b.lastHFwd)-1]
 	}
-	for i, n := range w.bind.lens {
-		w.gatherIdx[i] = n - 1
+	for i, n := range lens {
+		b.gatherIdx[i] = n - 1
 	}
-	tensor.GatherRows(w.gatherH, w.lastHFwd, w.gatherIdx)
-	return w.gatherH
-}
-
-// gatherLastHFwd32 is gatherLastHFwd for the float32 mirror.
-func (w *workspace) gatherLastHFwd32() *tensor.Mat[float32] {
-	if w.bind.lens == nil {
-		return w.f32.lastHFwd[w.T-1]
-	}
-	for i, n := range w.bind.lens {
-		w.gatherIdx[i] = n - 1
-	}
-	tensor.GatherRows(w.f32.gatherH, w.f32.lastHFwd, w.gatherIdx)
-	return w.f32.gatherH
+	tensor.GatherRows(b.gatherH, b.lastHFwd, b.gatherIdx)
+	return b.gatherH
 }
 
 // resetForStep zeroes the buffers that accumulate across tasks within one
@@ -571,33 +500,46 @@ func (w *workspace) workingSetBytes() int64 {
 	if w.phantom {
 		return w.phantomWorkingSetBytes()
 	}
-	var total int64
-	add := func(m *tensor.Matrix) {
-		if m != nil {
-			total += int64(len(m.Data)) * 8
-		}
+	total := w.fwdBufs.workingSetBytes()
+	if w.f32 != nil {
+		total += w.f32.workingSetBytes()
 	}
-	for l := range w.fwdSt {
-		for t := range w.fwdSt[l] {
-			total += w.fwdSt[l][t].workingSetBytes()
-			total += w.revSt[l][t].workingSetBytes()
-		}
+	for l := range w.dMerged {
 		for _, grid := range [][]*tensor.Matrix{
-			w.merged[l], w.dMerged[l], w.dHMergeFwd[l], w.dHMergeRev[l],
+			w.dMerged[l], w.dHMergeFwd[l], w.dHMergeRev[l],
 			w.dHChainFwd[l], w.dCChainFwd[l], w.dHChainRev[l], w.dCChainRev[l],
 		} {
-			for _, m := range grid {
-				add(m)
-			}
+			total += matsBytes(grid...)
 		}
 	}
-	add(w.finalMerged)
-	add(w.dFinalMerged)
-	for i := range w.logits {
-		add(w.logits[i])
-		add(w.probs[i])
+	return total + matsBytes(w.dFinalMerged)
+}
+
+// workingSetBytes is the forward half of workspace.workingSetBytes at one
+// element type: cell states, merge outputs and head buffers. Layer-0 inputs
+// are left out at both dtypes (the caller's batch at float64, its converted
+// copy at float32), like the preload panels.
+func (b *fwdBufs[E]) workingSetBytes() int64 {
+	var total int64
+	for l := range b.fwdSt {
+		for t := range b.fwdSt[l] {
+			total += b.fwdSt[l][t].workingSetBytes()
+			total += b.revSt[l][t].workingSetBytes()
+		}
+		total += matsBytes(b.merged[l]...)
 	}
-	return total
+	return total + matsBytes(b.finalMerged) + matsBytes(b.logits...) + matsBytes(b.probs...)
+}
+
+// matsBytes sums the storage of the non-nil matrices in ms.
+func matsBytes[E tensor.Elt](ms ...*tensor.Mat[E]) int64 {
+	var n int64
+	for _, m := range ms {
+		if m != nil {
+			n += int64(len(m.Data))
+		}
+	}
+	return n * int64(tensor.DTypeOf[E]().Size())
 }
 
 // phantomWorkingSetBytes computes the same estimate analytically.

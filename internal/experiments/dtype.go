@@ -12,15 +12,14 @@ import (
 
 // DTypeRow is one backend configuration of the inference-dtype study.
 type DTypeRow struct {
-	// Mode names the configuration: f64, f64+packed, or f32+packed.
+	// Mode names the configuration: f64 or f32.
 	Mode string
 	// StepsSec is forward-only (InferProbs) steps per second.
 	StepsSec float64
-	// Speedup is StepsSec over the plain f64 row's.
+	// Speedup is StepsSec over the f64 row's.
 	Speedup float64
 	// MaxAbsDiff is the largest absolute probability deviation from the
-	// plain f64 row across every timed batch. Zero for f64+packed (packed
-	// kernels are bitwise-identical per dtype); small but non-zero for f32.
+	// f64 row across every timed batch; small but non-zero for f32.
 	MaxAbsDiff float64
 }
 
@@ -31,9 +30,8 @@ type DTypeResult struct {
 }
 
 // RunDType contrasts the inference tensor backends at the Table III
-// batch-1 serving row {256, 256, batch 1, seq 100}: plain float64, float64
-// with packed weight panels (bitwise-identical, less memory traffic), and
-// the float32 mirror with packed panels (half the element width on top).
+// batch-1 serving row {256, 256, batch 1, seq 100}: float64, and the float32
+// mirror (half the element width, split-path weight panels packed).
 func RunDType(o Opts) (*DTypeResult, error) {
 	cfg := tableConfig(core.LSTM, [4]int{256, 256, 1, 100}, o.SeqLen)
 	const warmup, timed = 2, 6
@@ -48,23 +46,14 @@ func RunDType(o Opts) (*DTypeResult, error) {
 	res := &DTypeResult{
 		Input: cfg.InputSize, Hidden: cfg.HiddenSize, Batch: cfg.Batch, Seq: cfg.SeqLen,
 	}
-	modes := []struct {
-		name  string
-		dtype tensor.DType
-		pack  bool
-	}{
-		{"f64", tensor.F64, false},
-		{"f64+packed", tensor.F64, true},
-		{"f32+packed", tensor.F32, false}, // f32 split inference always packs
-	}
-	// Reference probabilities from the plain f64 configuration, per batch.
+	// Reference probabilities from the f64 configuration, per batch.
 	var refProbs [][]*tensor.Matrix
-	for _, mode := range modes {
-		stepsSec, probs, err := timeInferSteps(m, mode.dtype, mode.pack, o, warmup, batches)
+	for _, dtype := range []tensor.DType{tensor.F64, tensor.F32} {
+		stepsSec, probs, err := timeInferSteps(m, dtype, o, warmup, batches)
 		if err != nil {
-			return nil, fmt.Errorf("dtype %s: %w", mode.name, err)
+			return nil, fmt.Errorf("dtype %s: %w", dtype, err)
 		}
-		row := DTypeRow{Mode: mode.name, StepsSec: stepsSec}
+		row := DTypeRow{Mode: dtype.String(), StepsSec: stepsSec}
 		if refProbs == nil {
 			refProbs = probs
 			row.Speedup = 1
@@ -80,13 +69,12 @@ func RunDType(o Opts) (*DTypeResult, error) {
 // timeInferSteps runs forward-only steps over batches on a fresh engine
 // sharing model m, returning timed steps per second and the timed batches'
 // probability outputs (for cross-backend comparison).
-func timeInferSteps(m *core.Model, dtype tensor.DType, pack bool, o Opts, warmup int, batches []*core.Batch) (float64, [][]*tensor.Matrix, error) {
+func timeInferSteps(m *core.Model, dtype tensor.DType, o Opts, warmup int, batches []*core.Batch) (float64, [][]*tensor.Matrix, error) {
 	rt := taskrt.New(taskrt.Options{Workers: 2, Policy: taskrt.LocalityAware, Profile: o.Profile})
 	defer rt.Shutdown()
 	eng := core.NewEngine(m, rt)
 	eng.NoReplay = o.NoReplay
 	eng.InferDType = dtype
-	eng.PackPanels = pack
 	var start time.Time
 	var probs [][]*tensor.Matrix
 	for i, b := range batches {
@@ -130,7 +118,7 @@ func maxProbsDiff(a, b [][]*tensor.Matrix) float64 {
 
 // PrintDType renders the study.
 func PrintDType(w io.Writer, r *DTypeResult) {
-	fprintf(w, "Inference tensor backends — f64, f64 with packed panels, f32 mirror\n")
+	fprintf(w, "Inference tensor backends — f64, f32 mirror\n")
 	fprintf(w, "BLSTM 6 layers, input %d, hidden %d, batch %d, seq %d (Table III serving row)\n",
 		r.Input, r.Hidden, r.Batch, r.Seq)
 	fprintf(w, "%-14s %-12s %-10s %s\n", "mode", "steps/s", "speedup", "max |Δp| vs f64")

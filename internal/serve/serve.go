@@ -98,11 +98,6 @@ type Config struct {
 	// responses (the model's on-disk checkpoint stays float64 either way).
 	InferDType tensor.DType
 
-	// PackPanels enables cache-contiguous packed weight panels on the
-	// float64 split path of every pool engine. Bitwise-inert; see
-	// core.Engine.PackPanels.
-	PackPanels bool
-
 	// Registry receives the bpar_serve_* and per-engine bpar_engine_*
 	// series. Nil metrics go to a private throwaway registry.
 	Registry *obs.Registry
@@ -242,7 +237,6 @@ func New(cfg Config) (*Server, error) {
 		eng := core.NewEngine(cfg.Model, rt)
 		eng.MaxCachedSeqLens = cfg.MaxCachedSeqLens
 		eng.InferDType = cfg.InferDType
-		eng.PackPanels = cfg.PackPanels
 		eng.EnableObs(reg, "engine", strconv.Itoa(i))
 		s.rts = append(s.rts, rt)
 		s.engines = append(s.engines, eng)

@@ -58,7 +58,7 @@ func TestQuickF32GemmTAccWithinBand(t *testing.T) {
 		bT := randomMatrix(r, n, k)
 		dst := randomMatrix(r, m, n)
 		dst32 := ConvertedOf[float32](dst)
-		GemmTAccOf(dst32, ConvertedOf[float32](a), ConvertedOf[float32](bT))
+		GemmTAcc(dst32, ConvertedOf[float32](a), ConvertedOf[float32](bT))
 		naiveGemmT(dst, a, bT)
 		return withinBand(t, dst, dst32, k)
 	}
@@ -77,7 +77,7 @@ func TestQuickF32MatMulWithinBand(t *testing.T) {
 		want := New(m, n)
 		MatMulNaive(want, a, b)
 		got := NewOf[float32](m, n)
-		MatMulOf(got, ConvertedOf[float32](a), ConvertedOf[float32](b))
+		MatMul(got, ConvertedOf[float32](a), ConvertedOf[float32](b))
 		return withinBand(t, want, got, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -97,7 +97,7 @@ func TestQuickF32ColsWindowWithinBand(t *testing.T) {
 		bT := randomMatrix(r, n, lo+k+3)
 		dst := randomMatrix(r, m, n)
 		dst32 := ConvertedOf[float32](dst)
-		GemmTAccColsOf(dst32, ConvertedOf[float32](a), ConvertedOf[float32](bT), lo)
+		GemmTAccCols(dst32, ConvertedOf[float32](a), ConvertedOf[float32](bT), lo)
 		naiveGemmT(dst, a, subCols(bT, lo, lo+k))
 		return withinBand(t, dst, dst32, k)
 	}
@@ -135,7 +135,7 @@ func TestQuickF32GemmATAccWithinBand(t *testing.T) {
 		b := randomMatrix(r, k, n)
 		dst := randomMatrix(r, m, n)
 		dst32 := ConvertedOf[float32](dst)
-		GemmATAccOf(dst32, ConvertedOf[float32](a), ConvertedOf[float32](b))
+		GemmATAcc(dst32, ConvertedOf[float32](a), ConvertedOf[float32](b))
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				s := 0.0
@@ -166,40 +166,6 @@ func TestQuickF32SoftmaxWithinBand(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestF64GenericMirrorsBitwise pins the kernel-table claim: the generic
-// mirrors instantiated at float64 reproduce the hand-tuned originals
-// bitwise, so routing float64 through the table (as the Of dispatchers do)
-// can never change numerics even if the table were mis-wired.
-func TestF64GenericMirrorsBitwise(t *testing.T) {
-	r := rng.New(5)
-	const m, k, n, kb, lo = 3, 48, 70, 64, 9
-	a := randomMatrix(r, m, k)
-	b := randomMatrix(r, k, n)
-	aT := randomMatrix(r, k, m)
-	bT := randomMatrix(r, n, kb)
-	for _, c := range []struct {
-		name         string
-		mirror, orig func(dst *Matrix)
-	}{
-		{"GemmAcc", func(d *Matrix) { gemmAccG(d, a, b) }, func(d *Matrix) { GemmAcc(d, a, b) }},
-		{"GemmTAcc", func(d *Matrix) { gemmTAccG(d, a, subCols(bT, lo, lo+k)) }, func(d *Matrix) { GemmTAcc(d, a, subCols(bT, lo, lo+k)) }},
-		{"GemmATAcc", func(d *Matrix) { gemmATAccG(d, aT, b) }, func(d *Matrix) { GemmATAcc(d, aT, b) }},
-		{"GemmTAccCols", func(d *Matrix) { gemmTAccColsG(d, a, bT, lo) }, func(d *Matrix) { GemmTAccCols(d, a, bT, lo) }},
-		{"GemmTAccDstCols", func(d *Matrix) { gemmTAccDstColsG(d, 2, a, subCols(bT, lo, lo+k)) }, func(d *Matrix) { GemmTAccDstCols(d, 2, a, subCols(bT, lo, lo+k)) }},
-	} {
-		got := randomMatrix(rng.New(9), m, n)
-		if c.name == "GemmTAccDstCols" {
-			got = randomMatrix(rng.New(9), m, n+4)
-		}
-		want := got.Clone()
-		c.mirror(got)
-		c.orig(want)
-		if !want.Equal(got) {
-			t.Errorf("%s: float64 mirror not bitwise-identical to original (max diff %g)", c.name, want.MaxAbsDiff(got))
-		}
 	}
 }
 

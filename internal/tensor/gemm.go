@@ -12,7 +12,7 @@ const (
 
 // MatMul computes dst = a * b, where a is m x k and b is k x n.
 // dst must be m x n and must not alias a or b.
-func MatMul(dst, a, b *Matrix) {
+func MatMul[E Elt](dst, a, b *Mat[E]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch dst %dx%d = a %dx%d * b %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -23,14 +23,14 @@ func MatMul(dst, a, b *Matrix) {
 
 // GemmAcc computes dst += a * b with cache blocking.
 // dst must be m x n and must not alias a or b.
-func GemmAcc(dst, a, b *Matrix) {
+func GemmAcc[E Elt](dst, a, b *Mat[E]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: GemmAcc shape mismatch dst %dx%d += a %dx%d * b %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	guardWRR(dst, a, b)
 	m, k, n := a.Rows, a.Cols, b.Cols
-	countGemm(2 * int64(m) * int64(k) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for kk := 0; kk < k; kk += blockK {
 		kMax := min(kk+blockK, k)
 		for ii := 0; ii < m; ii += blockM {
@@ -53,7 +53,7 @@ func GemmAcc(dst, a, b *Matrix) {
 // MatMulT computes dst = a * bT^T, where a is m x k and bT is n x k
 // (that is, bT holds B transposed, the natural layout for weight matrices
 // stored as [outputs x inputs]). dst must be m x n.
-func MatMulT(dst, a, bT *Matrix) {
+func MatMulT[E Elt](dst, a, bT *Mat[E]) {
 	if a.Cols != bT.Cols || dst.Rows != a.Rows || dst.Cols != bT.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT shape mismatch dst %dx%d = a %dx%d * (b^T) %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, bT.Rows, bT.Cols))
@@ -65,14 +65,14 @@ func MatMulT(dst, a, bT *Matrix) {
 // GemmTAcc computes dst += a * bT^T with cache blocking. Inner loops are dot
 // products over contiguous rows of both operands, which is the
 // cache-friendliest form for row-major storage.
-func GemmTAcc(dst, a, bT *Matrix) {
+func GemmTAcc[E Elt](dst, a, bT *Mat[E]) {
 	if a.Cols != bT.Cols || dst.Rows != a.Rows || dst.Cols != bT.Rows {
 		panic(fmt.Sprintf("tensor: GemmTAcc shape mismatch dst %dx%d += a %dx%d * (b^T) %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, bT.Rows, bT.Cols))
 	}
 	guardWRR(dst, a, bT)
 	m, k, n := a.Rows, a.Cols, bT.Rows
-	countGemm(2 * int64(m) * int64(k) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for ii := 0; ii < m; ii += blockM {
 		iMax := min(ii+blockM, m)
 		for jj := 0; jj < n; jj += blockN {
@@ -91,14 +91,14 @@ func GemmTAcc(dst, a, bT *Matrix) {
 
 // GemmATAcc computes dst += a^T * b, where a is k x m and b is k x n, so dst
 // is m x n. This is the kernel for weight gradients: dW += dGates^T * Input.
-func GemmATAcc(dst, a, b *Matrix) {
+func GemmATAcc[E Elt](dst, a, b *Mat[E]) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: GemmATAcc shape mismatch dst %dx%d += (a^T of %dx%d) * b %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	guardWRR(dst, a, b)
 	k, m, n := a.Rows, a.Cols, b.Cols
-	countGemm(2 * int64(m) * int64(k) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for p := 0; p < k; p++ {
 		arow := a.Data[p*m : (p+1)*m]
 		brow := b.Data[p*n : (p+1)*n]
@@ -132,12 +132,12 @@ func MatMulNaive(dst, a, b *Matrix) {
 
 // Gemv computes dst = a * x for a m x k matrix and k-vector x; dst has m
 // elements. Used by batch-size-1 paths where a full GEMM is wasteful.
-func Gemv(dst []float64, a *Matrix, x []float64) {
+func Gemv[E Elt](dst []E, a *Mat[E], x []E) {
 	if a.Cols != len(x) || a.Rows != len(dst) {
 		panic(fmt.Sprintf("tensor: Gemv shape mismatch dst[%d] = a %dx%d * x[%d]",
 			len(dst), a.Rows, a.Cols, len(x)))
 	}
-	countGemm(2 * int64(a.Rows) * int64(a.Cols))
+	countGemmOf[E](2 * int64(a.Rows) * int64(a.Cols))
 	for i := 0; i < a.Rows; i++ {
 		dst[i] = dot(a.Data[i*a.Cols:(i+1)*a.Cols], x)
 	}
@@ -145,8 +145,8 @@ func Gemv(dst []float64, a *Matrix, x []float64) {
 
 // dot returns the inner product of equal-length slices, unrolled by four to
 // give the compiler independent accumulator chains.
-func dot(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
+func dot[E Elt](a, b []E) E {
+	var s0, s1, s2, s3 E
 	n := len(a)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -162,7 +162,7 @@ func dot(a, b []float64) float64 {
 }
 
 // axpy computes y += alpha * x over equal-length slices.
-func axpy(alpha float64, x, y []float64) {
+func axpy[E Elt](alpha E, x, y []E) {
 	n := len(x)
 	y = y[:n]
 	i := 0
@@ -178,7 +178,7 @@ func axpy(alpha float64, x, y []float64) {
 }
 
 // Dot exposes the inner product for vector callers.
-func Dot(a, b []float64) float64 {
+func Dot[E Elt](a, b []E) E {
 	if len(a) != len(b) {
 		panic("tensor: Dot length mismatch")
 	}
@@ -186,7 +186,7 @@ func Dot(a, b []float64) float64 {
 }
 
 // Axpy exposes y += alpha*x for vector callers.
-func Axpy(alpha float64, x, y []float64) {
+func Axpy[E Elt](alpha E, x, y []E) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}

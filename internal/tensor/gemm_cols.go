@@ -17,18 +17,18 @@ import "fmt"
 // is n x kb with lo+k <= kb. It is GemmTAcc restricted to a column window of
 // the transposed operand, so Wx/Wh products run against the fused weight
 // matrix without copying it apart.
-func GemmTAccCols(dst, a, bT *Matrix, lo int) {
+func GemmTAccCols[E Elt](dst, a, bT *Mat[E], lo int) {
 	checkTCols(dst, a, bT, lo, "GemmTAccCols")
 	guardWRR(dst, a, bT)
 	m, k, n := a.Rows, a.Cols, bT.Rows
-	countGemm(2 * int64(m) * int64(k) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for jj := 0; jj < n; jj += blockN {
 		gemmTColsPanel(dst, a, bT, lo, jj, min(jj+blockN, n))
 	}
 }
 
 // MatMulTCols computes dst = a * bT[:, lo:lo+k)^T.
-func MatMulTCols(dst, a, bT *Matrix, lo int) {
+func MatMulTCols[E Elt](dst, a, bT *Mat[E], lo int) {
 	checkTCols(dst, a, bT, lo, "MatMulTCols")
 	dst.Zero()
 	GemmTAccCols(dst, a, bT, lo)
@@ -39,7 +39,7 @@ func MatMulTCols(dst, a, bT *Matrix, lo int) {
 // and reused across the whole operand list, instead of being re-streamed per
 // call. Accumulation order per element is identical to sequential
 // GemmTAccCols calls, so the result is bitwise the same.
-func GemmTAccColsBatch(dsts, as []*Matrix, bT *Matrix, lo int) {
+func GemmTAccColsBatch[E Elt](dsts, as []*Mat[E], bT *Mat[E], lo int) {
 	if len(dsts) != len(as) {
 		panic(fmt.Sprintf("tensor: GemmTAccColsBatch got %d destinations for %d operands", len(dsts), len(as)))
 	}
@@ -52,7 +52,7 @@ func GemmTAccColsBatch(dsts, as []*Matrix, bT *Matrix, lo int) {
 		guardWRR(dsts[s], as[s], bT)
 		flops += 2 * int64(as[s].Rows) * int64(as[s].Cols) * int64(bT.Rows)
 	}
-	countGemm(flops)
+	countGemmOf[E](flops)
 	n := bT.Rows
 	for jj := 0; jj < n; jj += blockN {
 		jMax := min(jj+blockN, n)
@@ -75,7 +75,7 @@ func checkTCols[E Elt](dst, a, bT *Mat[E], lo int, name string) {
 // keeps the load ports off the critical path of the h-chain GEMM that repeats
 // T times per direction. Shared by the single and batched entry points so
 // both accumulate in bitwise-identical order.
-func gemmTColsPanel(dst, a, bT *Matrix, lo, jj, jMax int) {
+func gemmTColsPanel[E Elt](dst, a, bT *Mat[E], lo, jj, jMax int) {
 	m, k, n, kb := a.Rows, a.Cols, dst.Cols, bT.Cols
 	for ii := 0; ii < m; ii += blockM {
 		iMax := min(ii+blockM, m)
@@ -90,7 +90,7 @@ func gemmTColsPanel(dst, a, bT *Matrix, lo, jj, jMax int) {
 				b1 := bT.Data[(j+1)*kb+lo : (j+1)*kb+lo+k][:len(arow)]
 				b2 := bT.Data[(j+2)*kb+lo : (j+2)*kb+lo+k][:len(arow)]
 				b3 := bT.Data[(j+3)*kb+lo : (j+3)*kb+lo+k][:len(arow)]
-				var s0, s1, s2, s3 float64
+				var s0, s1, s2, s3 E
 				for p, av := range arow {
 					s0 += av * b0[p]
 					s1 += av * b1[p]
@@ -120,11 +120,11 @@ func gemmTColsPanel(dst, a, bT *Matrix, lo, jj, jMax int) {
 // stored once per group instead of once per row. The four updates are applied
 // as separate statements in row order, keeping per-element accumulation
 // bitwise identical to the one-row-at-a-time axpy formulation.
-func GemmAccCols(dst, a *Matrix, aLo, aHi int, b *Matrix, bLo int) {
+func GemmAccCols[E Elt](dst, a *Mat[E], aLo, aHi int, b *Mat[E], bLo int) {
 	checkACols(dst, a, aLo, aHi, b, bLo, "GemmAccCols")
 	guardWRR(dst, a, b)
 	m, kw, n := a.Rows, aHi-aLo, dst.Cols
-	countGemm(2 * int64(m) * int64(kw) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(kw) * int64(n))
 	for kk := 0; kk < kw; kk += blockK {
 		gemmAColsBlock(dst, a, aLo, b, bLo, kk, min(kk+blockK, kw))
 	}
@@ -133,7 +133,7 @@ func GemmAccCols(dst, a *Matrix, aLo, aHi int, b *Matrix, bLo int) {
 // gemmAColsBlock accumulates weight rows [kk, kMax) of one windowed a*b
 // product into dst. Shared by the single and batched entry points so both
 // accumulate in bitwise-identical order.
-func gemmAColsBlock(dst, a *Matrix, aLo int, b *Matrix, bLo, kk, kMax int) {
+func gemmAColsBlock[E Elt](dst, a *Mat[E], aLo int, b *Mat[E], bLo, kk, kMax int) {
 	m, n := a.Rows, dst.Cols
 	for ii := 0; ii < m; ii += blockM {
 		iMax := min(ii+blockM, m)
@@ -173,7 +173,7 @@ func gemmAColsBlock(dst, a *Matrix, aLo int, b *Matrix, bLo, kk, kMax int) {
 }
 
 // MatMulCols computes dst = a[:, aLo:aHi) * b[:, bLo:bLo+n).
-func MatMulCols(dst, a *Matrix, aLo, aHi int, b *Matrix, bLo int) {
+func MatMulCols[E Elt](dst, a *Mat[E], aLo, aHi int, b *Mat[E], bLo int) {
 	checkACols(dst, a, aLo, aHi, b, bLo, "MatMulCols")
 	dst.Zero()
 	GemmAccCols(dst, a, aLo, aHi, b, bLo)
@@ -185,7 +185,7 @@ func MatMulCols(dst, a *Matrix, aLo, aHi int, b *Matrix, bLo int) {
 // accumulation that moves the input gradient off the backward recurrence.
 // Per-element accumulation order (weight rows ascending) is identical to
 // sequential GemmAccCols calls, so the result is bitwise the same.
-func GemmAccColsBatch(dsts, as []*Matrix, aLo, aHi int, b *Matrix, bLo int) {
+func GemmAccColsBatch[E Elt](dsts, as []*Mat[E], aLo, aHi int, b *Mat[E], bLo int) {
 	if len(dsts) != len(as) {
 		panic(fmt.Sprintf("tensor: GemmAccColsBatch got %d destinations for %d operands", len(dsts), len(as)))
 	}
@@ -198,7 +198,7 @@ func GemmAccColsBatch(dsts, as []*Matrix, aLo, aHi int, b *Matrix, bLo int) {
 		guardWRR(dsts[s], as[s], b)
 		flops += 2 * int64(as[s].Rows) * int64(aHi-aLo) * int64(dsts[s].Cols)
 	}
-	countGemm(flops)
+	countGemmOf[E](flops)
 	kw := aHi - aLo
 	for kk := 0; kk < kw; kk += blockK {
 		kMax := min(kk+blockK, kw)
@@ -219,11 +219,11 @@ func checkACols[E Elt](dst, a *Mat[E], aLo, aHi int, b *Mat[E], bLo int, name st
 // GemmATAccCols computes dst[:, dstLo:dstLo+n) += a[:, aLo:aHi)^T * b: the
 // gate-gradient panel a[:, aLo:aHi) times input b lands in a column window of
 // the fused weight gradient. dst must have aHi-aLo rows.
-func GemmATAccCols(dst *Matrix, dstLo int, a *Matrix, aLo, aHi int, b *Matrix) {
+func GemmATAccCols[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo, aHi int, b *Mat[E]) {
 	checkATCols(dst, dstLo, a, aLo, aHi, b, "GemmATAccCols")
 	guardWRR(dst, a, b)
 	k, m, n := a.Rows, aHi-aLo, b.Cols
-	countGemm(2 * int64(m) * int64(k) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	gemmATColsBlock(dst, dstLo, a, aLo, b, 0, m)
 }
 
@@ -234,7 +234,7 @@ func GemmATAccCols(dst *Matrix, dstLo int, a *Matrix, aLo, aHi int, b *Matrix) {
 // moves the input-weight gradient off the backward recurrence. Per-element
 // accumulation order is (s ascending, then row ascending), identical to
 // sequential GemmATAccCols calls, so the result is bitwise the same.
-func GemmATAccColsBatch(dst *Matrix, dstLo int, as []*Matrix, aLo, aHi int, bs []*Matrix) {
+func GemmATAccColsBatch[E Elt](dst *Mat[E], dstLo int, as []*Mat[E], aLo, aHi int, bs []*Mat[E]) {
 	if len(as) != len(bs) {
 		panic(fmt.Sprintf("tensor: GemmATAccColsBatch got %d gradient panels for %d inputs", len(as), len(bs)))
 	}
@@ -247,7 +247,7 @@ func GemmATAccColsBatch(dst *Matrix, dstLo int, as []*Matrix, aLo, aHi int, bs [
 		guardWRR(dst, as[s], bs[s])
 		flops += 2 * int64(aHi-aLo) * int64(as[s].Rows) * int64(bs[s].Cols)
 	}
-	countGemm(flops)
+	countGemmOf[E](flops)
 	m := aHi - aLo
 	for ii := 0; ii < m; ii += blockM {
 		iMax := min(ii+blockM, m)
@@ -272,7 +272,7 @@ func checkATCols[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo, aHi int, b *Mat[
 // four independent multiply-adds. Grouping destination rows does not touch
 // any row's own accumulation sequence (still one update per b row, in
 // ascending p), so results stay bitwise identical to the axpy formulation.
-func gemmATColsBlock(dst *Matrix, dstLo int, a *Matrix, aLo int, b *Matrix, ii, iMax int) {
+func gemmATColsBlock[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo int, b *Mat[E], ii, iMax int) {
 	k, n := a.Rows, b.Cols
 	for p := 0; p < k; p++ {
 		arow := a.Data[p*a.Cols:]
@@ -316,14 +316,14 @@ func gemmATColsBlock(dst *Matrix, dstLo int, a *Matrix, aLo int, b *Matrix, ii, 
 // gradient element is read and written once per sequence instead of once per
 // timestep, and the microkernel accumulates in registers like the forward
 // panel kernel.
-func GemmTAccDstCols(dst *Matrix, dstLo int, a, bT *Matrix) {
+func GemmTAccDstCols[E Elt](dst *Mat[E], dstLo int, a, bT *Mat[E]) {
 	m, k, n := a.Rows, a.Cols, bT.Rows
 	if dst.Rows != m || bT.Cols != k || dstLo < 0 || dstLo+n > dst.Cols {
 		panic(fmt.Sprintf("tensor: GemmTAccDstCols shape mismatch (dst %dx%d)[:, %d:%d) += a %dx%d * (b^T %dx%d)",
 			dst.Rows, dst.Cols, dstLo, dstLo+n, m, k, bT.Rows, bT.Cols))
 	}
 	guardWRR(dst, a, bT)
-	countGemm(2 * int64(m) * int64(k) * int64(n))
+	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for jj := 0; jj < n; jj += blockN {
 		jMax := min(jj+blockN, n)
 		for ii := 0; ii < m; ii += blockM {
@@ -337,7 +337,7 @@ func GemmTAccDstCols(dst *Matrix, dstLo int, a, bT *Matrix) {
 					b1 := bT.Data[(j+1)*k : (j+2)*k][:len(arow)]
 					b2 := bT.Data[(j+2)*k : (j+3)*k][:len(arow)]
 					b3 := bT.Data[(j+3)*k : (j+4)*k][:len(arow)]
-					var s0, s1, s2, s3 float64
+					var s0, s1, s2, s3 E
 					for p, av := range arow {
 						s0 += av * b0[p]
 						s1 += av * b1[p]

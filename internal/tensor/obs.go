@@ -18,27 +18,16 @@ var (
 	gemmFlops32 atomic.Int64
 )
 
-// countGemm records one float64 kernel invocation performing the given number
-// of floating-point operations.
-func countGemm(flops int64) {
-	gemmCalls.Add(1)
-	gemmFlops.Add(flops)
-}
-
-// countGemm32 is countGemm for the float32 kernels.
-func countGemm32(flops int64) {
-	gemmCalls32.Add(1)
-	gemmFlops32.Add(flops)
-}
-
-// countGemmOf routes one kernel invocation to the counter pair of E.
+// countGemmOf records one kernel invocation performing the given number of
+// floating-point operations on the counter pair of E.
 func countGemmOf[E Elt](flops int64) {
-	var z E
-	if _, ok := any(z).(float64); ok {
-		countGemm(flops)
+	if DTypeOf[E]() == F64 {
+		gemmCalls.Add(1)
+		gemmFlops.Add(flops)
 		return
 	}
-	countGemm32(flops)
+	gemmCalls32.Add(1)
+	gemmFlops32.Add(flops)
 }
 
 // GEMMCalls returns the number of float64 GEMM/GEMV kernel invocations so far.

@@ -15,7 +15,7 @@ import "fmt"
 //
 // Layout: column-major over window rows — packed column j (row j of bT) is
 // the contiguous k-vector buf[j*k : (j+1)*k]. The packed microkernel is then
-// statement-for-statement the unpacked gemmTColsPanelG with kb = k, lo = 0:
+// statement-for-statement the unpacked gemmTColsPanel with kb = k, lo = 0:
 // same quad grouping, same accumulation order, same remainder dot, so packed
 // kernels are bitwise-identical to their unpacked originals per dtype while
 // reading one sequential stream instead of four strided ones.
@@ -110,7 +110,7 @@ func GemmTAccColsPackedBatch[E Elt](dsts, as []*Mat[E], pp *PackedPanel[E]) {
 	}
 }
 
-// gemmTColsPanelPacked is gemmTColsPanelG reading the contiguous packed
+// gemmTColsPanelPacked is gemmTColsPanel reading the contiguous packed
 // buffer instead of strided bT rows — identical multiply-add sequence per
 // output element, so packed and unpacked results match bitwise per dtype.
 func gemmTColsPanelPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E], jj, jMax int) {
@@ -139,7 +139,7 @@ func gemmTColsPanelPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E], jj, jMax in
 				drow[j+3] += s3
 			}
 			for ; j < jMax; j++ {
-				drow[j] += dotG(arow, pp.buf[j*k:(j+1)*k])
+				drow[j] += dot(arow, pp.buf[j*k:(j+1)*k])
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func packedWindows(k, kb int) []int {
 
 // packedCase checks the packed kernels against their unpacked originals for
 // one dtype. Packing is a pure layout change, so equality is bitwise.
-func packedCase[E Elt](t *testing.T, unpacked func(dst, a, bT *Mat[E], lo int)) {
+func packedCase[E Elt](t *testing.T) {
 	t.Helper()
 	r := rng.New(7)
 	for _, d := range packedShapes {
@@ -45,7 +45,7 @@ func packedCase[E Elt](t *testing.T, unpacked func(dst, a, bT *Mat[E], lo int)) 
 			want := dst.Clone()
 			pp := NewPackedPanel(bT, lo, k)
 			GemmTAccColsPacked(dst, a, pp)
-			unpacked(want, a, bT, lo)
+			GemmTAccCols(want, a, bT, lo)
 			if !want.Equal(dst) {
 				t.Fatalf("m=%d k=%d n=%d kb=%d lo=%d: packed result not bitwise equal (max diff %g)",
 					m, k, n, kb, lo, want.MaxAbsDiff(dst))
@@ -55,11 +55,11 @@ func packedCase[E Elt](t *testing.T, unpacked func(dst, a, bT *Mat[E], lo int)) 
 }
 
 func TestGemmTAccColsPackedBitwiseF64(t *testing.T) {
-	packedCase[float64](t, GemmTAccCols)
+	packedCase[float64](t)
 }
 
 func TestGemmTAccColsPackedBitwiseF32(t *testing.T) {
-	packedCase[float32](t, gemmTAccColsG[float32])
+	packedCase[float32](t)
 }
 
 func TestMatMulTColsPackedBitwise(t *testing.T) {
@@ -176,7 +176,7 @@ func benchPacked[E Elt](b *testing.B, T int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < T; s++ {
-				GemmTAccColsOf(pres[s], hs[s], w, h)
+				GemmTAccCols(pres[s], hs[s], w, h)
 			}
 		}
 	})

@@ -84,7 +84,7 @@ func ScaleInPlace[E Elt](m *Mat[E], alpha E) {
 func AxpyMatrix[E Elt](dst *Mat[E], alpha E, a *Mat[E]) {
 	checkSameShape2("AxpyMatrix", dst, a)
 	guardWR(dst, a)
-	axpyG(alpha, a.Data, dst.Data)
+	axpy(alpha, a.Data, dst.Data)
 }
 
 // Average computes dst = (a + b) / 2, one of the merge operators of

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"bpar/internal/taskrt"
+	"bpar/internal/tensor"
 )
 
 // weightFingerprint hashes the exact bit patterns of every parameter in the
@@ -33,34 +39,79 @@ func weightFingerprint(m *Model) uint64 {
 	return h.Sum64()
 }
 
-// TestSingleHeadBitwisePin pins single-head training numerics to the exact
-// bit patterns produced before the multi-head refactor. The fingerprints
-// below were captured from the pre-refactor implementation (one baked-in
-// classifier head); the refactored engine must reproduce them bit for bit.
+// twoHeadCfg is smallCfg split over two mini-batches with a classification
+// and a tagging head: the smallest shape in which every host-side parameter
+// pass (reduce, decay, clip, momentum, Adam, SGD) touches both directions of
+// several layers and more than one head.
+func twoHeadCfg(cell CellKind) Config {
+	cfg := smallCfg(cell, ManyToMany, 2)
+	cfg.Heads = []HeadSpec{{Kind: HeadClassify, Classes: 3}, {Kind: HeadTag, Classes: 4}}
+	return cfg
+}
+
+// TestSingleHeadBitwisePin pins training numerics to exact bit patterns. The
+// first three fingerprints were captured from the implementation before the
+// multi-head refactor (one baked-in classifier head). The two-head cases pin
+// each optimizer over the mbs:2 reduce graph; their constants were captured
+// from the implementation with paired fwd/rev fields and separate
+// directions-then-heads loops, which the parameter catalogue must reproduce
+// bit for bit.
 func TestSingleHeadBitwisePin(t *testing.T) {
+	plain := func(cfg Config, seed uint64) *Batch { return makeBatch(cfg, seed) }
+	multi := func(cfg Config, seed uint64) *Batch { return makeMultiBatch(cfg, seed, false) }
 	cases := []struct {
 		name     string
 		cfg      Config
+		setup    func(*Engine)
+		batch    func(Config, uint64) *Batch
 		wantHash uint64
 		wantLoss uint64 // Float64bits of the final step loss
 	}{
 		{
 			name:     "lstm-m2o",
 			cfg:      smallCfg(LSTM, ManyToOne, 2),
+			batch:    plain,
 			wantHash: 0x16c656dc4d298ae9,
 			wantLoss: 0x3ff1a22987862915,
 		},
 		{
 			name:     "gru-m2m",
 			cfg:      smallCfg(GRU, ManyToMany, 1),
+			batch:    plain,
 			wantHash: 0xa5c5e1a8e85e003f,
 			wantLoss: 0x3ff12d42a288f81b,
 		},
 		{
 			name:     "rnn-m2o-fused",
 			cfg:      smallCfg(RNN, ManyToOne, 1),
+			setup:    func(e *Engine) { e.FusedGates = true },
+			batch:    plain,
 			wantHash: 0x22fb9a510f1d0cf8,
 			wantLoss: 0x3ff1c033a9015381,
+		},
+		{
+			name:     "momentum-2head-mbs2",
+			cfg:      twoHeadCfg(LSTM),
+			setup:    func(e *Engine) { e.Momentum = 0.9 },
+			batch:    multi,
+			wantHash: 0xf3b39039145f57e6,
+			wantLoss: 0x3ff90f73643f003c,
+		},
+		{
+			name:     "adam-2head-mbs2",
+			cfg:      twoHeadCfg(GRU),
+			setup:    func(e *Engine) { e.Adam = DefaultAdam() },
+			batch:    multi,
+			wantHash: 0x29774cceda388bb9,
+			wantLoss: 0x3ff655b282821b79,
+		},
+		{
+			name:     "decay-clip-2head-mbs2",
+			cfg:      twoHeadCfg(LSTM),
+			setup:    func(e *Engine) { e.WeightDecay, e.GradClip = 0.01, 0.05 },
+			batch:    multi,
+			wantHash: 0x6b74476cef0545e3,
+			wantLoss: 0x3ff994309d98379a,
 		},
 	}
 	for _, tc := range cases {
@@ -71,13 +122,12 @@ func TestSingleHeadBitwisePin(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := NewEngine(m, inlineExec())
-			if tc.name == "rnn-m2o-fused" {
-				e.FusedGates = true
+			if tc.setup != nil {
+				tc.setup(e)
 			}
 			var loss float64
 			for i := 0; i < 3; i++ {
-				b := makeBatch(tc.cfg, uint64(100+i))
-				loss, err = e.TrainStep(b, 0.05)
+				loss, err = e.TrainStep(tc.batch(tc.cfg, uint64(100+i)), 0.05)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,9 +135,132 @@ func TestSingleHeadBitwisePin(t *testing.T) {
 			gotHash := weightFingerprint(m)
 			gotLoss := math.Float64bits(loss)
 			if gotHash != tc.wantHash || gotLoss != tc.wantLoss {
-				t.Fatalf("numerics drifted from pre-refactor pin:\n  hash 0x%x want 0x%x\n  loss 0x%x want 0x%x",
+				t.Fatalf("numerics drifted from the pin:\n  hash 0x%x want 0x%x\n  loss 0x%x want 0x%x",
 					gotHash, tc.wantHash, gotLoss, tc.wantLoss)
 			}
 		})
+	}
+}
+
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// TestTemplateDumpPins pins the frozen step templates — task labels, kinds,
+// cost metadata, declared keys by depcheck name, dependency order, submission
+// order and the reduced edge set — as FNV-64a of the DumpTemplates JSON. The
+// constants were captured from the implementation with separate
+// emitFwdCellBackward/emitRevCellBackward emitters and name-suffixed key
+// fields; any emitter rewrite must leave every byte of the dump alone.
+func TestTemplateDumpPins(t *testing.T) {
+	type tc struct {
+		name  string
+		cfg   Config
+		fused bool
+		f32   bool
+		train bool
+		lens  bool
+	}
+	var cases []tc
+	for _, cell := range []CellKind{LSTM, GRU, RNN} {
+		for _, train := range []bool{true, false} {
+			for _, fused := range []bool{false, true} {
+				name := fmt.Sprintf("%v-train=%v-fused=%v", cell, train, fused)
+				cases = append(cases, tc{name: name, cfg: smallCfg(cell, ManyToOne, 1), fused: fused, train: train})
+			}
+		}
+	}
+	cases = append(cases,
+		tc{name: "lstm-f32-infer", cfg: smallCfg(LSTM, ManyToMany, 2), f32: true},
+		tc{name: "multihead-masked-mbs2-train", cfg: multiHeadCfg(LSTM, 2), train: true, lens: true},
+		tc{name: "multihead-masked-mbs2-infer", cfg: multiHeadCfg(GRU, 2), lens: true},
+	)
+	want := map[string]uint64{
+		"LSTM-train=true-fused=false":  0x89f787c67d9ce02f,
+		"LSTM-train=true-fused=true":   0x731132cfe69467d6,
+		"LSTM-train=false-fused=false": 0x77db519fb325409b,
+		"LSTM-train=false-fused=true":  0xf0f3fb006d03a2ad,
+		"GRU-train=true-fused=false":   0x9091e30eaf8b811e,
+		"GRU-train=true-fused=true":    0xc9f54fe5983a28c0,
+		"GRU-train=false-fused=false":  0xd48b52247868637f,
+		"GRU-train=false-fused=true":   0xe68fc27f6d5e963b,
+		"RNN-train=true-fused=false":   0x7e557240e826df28,
+		"RNN-train=true-fused=true":    0xb8752729d2097e28,
+		"RNN-train=false-fused=false":  0x478c3cfb14769b89,
+		"RNN-train=false-fused=true":   0x63e6da0648bea7d7,
+		"lstm-f32-infer":               0x966cbf33724999e0,
+		"multihead-masked-mbs2-train":  0x1b8a559e39ae7c4d,
+		"multihead-masked-mbs2-infer":  0x95e6c9fdd0a6da51,
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewModel(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(m, inlineExec())
+			e.FusedGates = c.fused
+			if c.f32 {
+				e.InferDType = tensor.F32
+			}
+			b := makeBatch(c.cfg, 7)
+			if len(c.cfg.Heads) > 0 {
+				b = makeMultiBatch(c.cfg, 7, c.lens)
+			}
+			if c.train {
+				_, err = e.TrainStep(b, 0.05)
+			} else {
+				_, _, err = e.InferProbs(b)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(e.DumpTemplates())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fnv64a(js); got != want[c.name] {
+				t.Errorf("template dump drifted: 0x%x want 0x%x", got, want[c.name])
+			}
+		})
+	}
+}
+
+// TestBarrierGraphPin pins the phantom per-layer-barrier training graph
+// (labels, kinds and predecessor lists in submission order) that the
+// simulator's barrier ablation consumes.
+func TestBarrierGraphPin(t *testing.T) {
+	m, err := NewModel(multiHeadCfg(LSTM, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := taskrt.NewRecorder(false)
+	NewPhantomEngine(m, rec).EmitTrainGraphBarrier(m.Cfg.SeqLen)
+	var buf bytes.Buffer
+	for _, n := range rec.Graph().Nodes {
+		fmt.Fprintf(&buf, "%s|%s|%v\n", n.Label, n.Kind, n.Preds)
+	}
+	if got, want := fnv64a(buf.Bytes()), uint64(0xd417d1bc990bc083); got != want {
+		t.Fatalf("barrier graph drifted: 0x%x want 0x%x", got, want)
+	}
+}
+
+// TestCheckpointBytesPin pins the v2 checkpoint byte stream of a two-head
+// model: header, head table, then per layer fwd W, fwd B, rev W, rev B, then
+// each head's W and B.
+func TestCheckpointBytesPin(t *testing.T) {
+	m, err := NewModel(twoHeadCfg(GRU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fnv64a(buf.Bytes()), uint64(0xe7450d3999f259a1); got != want {
+		t.Fatalf("checkpoint bytes drifted: 0x%x want 0x%x", got, want)
 	}
 }

@@ -26,6 +26,18 @@ type fixWS struct {
 	kPre32   *int
 }
 
+// fixDir mimics the per-direction workspace struct: keys and the buffers they
+// name are sibling fields, reached through a pointer into a [2] array.
+type fixDir struct {
+	dHChain  [][]*tensor.Matrix
+	dHSink   []*tensor.Matrix // deliberately no kDHSink: chain-boundary discard
+	kDHChain [][]*int
+}
+
+type fixDirWS struct {
+	dir [2]fixDir
+}
+
 // scaleInto is a helper whose mutation of dst must be discovered by
 // fixed-point summary propagation from the tensor seed table.
 func scaleInto(dst, src *tensor.Matrix) {
@@ -218,6 +230,36 @@ func emitMaskDeclared(rt *taskrt.Runtime, ws *fixWS, lens []int, srcs []*tensor.
 			tensor.GatherRows(ws.pre, srcs, lens)    // declared: no diagnostic
 		},
 	})
+}
+
+// emitDirUndeclared mimics the unified backward-chain emitter: the direction
+// is an index, the body writes the chain buffer of the next cell through the
+// per-direction pointer, and Out forgets that buffer's key.
+func emitDirUndeclared(rt *taskrt.Runtime, ws *fixDirWS, i, l, t int, lens []int) {
+	d := &ws.dir[i]
+	rt.Submit(&taskrt.Task{
+		Label: "bad-dir-chain",
+		In:    []taskrt.Dep{d.kDHChain[l][t]},
+		Fn: func() {
+			tensor.MaskRowsZero(d.dHChain[l][t-1], lens, t-1) // want "task \"bad-dir-chain\" writes d.dHChain \\(key d.kDHChain\\)"
+			d.dHSink[l].Zero()                                // unmapped scratch: no diagnostic
+		},
+	})
+}
+
+// emitDirDeclared is the same write with the sibling key declared through
+// the append-built Out list the real emitter uses: silent.
+func emitDirDeclared(rt *taskrt.Runtime, ws *fixDirWS, i, l, t int, lens []int) {
+	d := &ws.dir[i]
+	var out []taskrt.Dep
+	if t > 0 {
+		out = append(out, d.kDHChain[l][t-1])
+	}
+	task := &taskrt.Task{Label: "good-dir-chain", In: []taskrt.Dep{d.kDHChain[l][t]}, Out: out}
+	task.Fn = func() {
+		tensor.MaskRowsZero(d.dHChain[l][t-1], lens, t-1) // declared: no diagnostic
+	}
+	rt.Submit(task)
 }
 
 // emitOpaqueDecl has a declaration list the analyzer cannot resolve:

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // barrierer is implemented by executors that can record a synchronization
 // point without blocking (taskrt.Recorder). Executors without it are
 // synchronized by waiting for all outstanding tasks — the behaviour of
@@ -25,34 +23,7 @@ func (e *Engine) barrier() error {
 // numerics are identical to TrainStep; only the available parallelism
 // differs. This is the ablation quantifying what removing barriers buys.
 func (e *Engine) TrainStepBarrier(b *Batch, lr float64) (float64, error) {
-	if e.phantom {
-		return 0, fmt.Errorf("core: TrainStepBarrier on a phantom engine; use EmitTrainGraphBarrier")
-	}
-	if err := e.checkBatch(b, true); err != nil {
-		return 0, err
-	}
-	T := b.SeqLen()
-	wss := e.workspaces(T)
-	e.refreshWeightCaches()
-	// The barrier ablation always emits fresh (replay has no sync points to
-	// model), so the post-step ResetDeps below handles the sanitizer state.
-	e.bindWorkspaces(wss, b)
-	if err := e.emitBarrierGraph(wss); err != nil {
-		return 0, err
-	}
-	if err := e.Exec.Wait(); err != nil {
-		return 0, err
-	}
-
-	scale := e.lossScale(b)
-	loss := 0.0
-	for _, ws := range wss {
-		loss += ws.sumLosses()
-	}
-	loss /= scale
-	e.applySGD(wss[0], lr, scale)
-	e.maybeResetDeps()
-	return loss, nil
+	return e.runStep(b, stepTrainBarrier, func(wss []*workspace, scale float64) { e.applySGD(wss[0], lr, scale) })
 }
 
 // EmitTrainGraphBarrier records the per-layer-barrier training graph of one
@@ -70,41 +41,39 @@ func (e *Engine) EmitTrainGraphBarrier(T int) {
 func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 	cfg := e.M.Cfg
 	L := cfg.Layers
+	// phase emits one group of tasks for every mini-batch, then a barrier.
+	phase := func(emit func(ws *workspace, mbIdx int)) error {
+		for i, ws := range wss {
+			emit(ws, i)
+		}
+		return e.barrier()
+	}
+	dirs := [2]bool{false, true}
 	for l := 0; l < L; l++ {
 		// Framework-style layers process one direction fully, then the
 		// other, then the merges, with synchronization points between —
 		// "Each layer sequentially performs either forward or reverse
 		// order RNNs computations for each timestamp, and then merge"
 		// (Section II).
-		for i, ws := range wss {
-			e.fwdPass64(ws, i).cells(l, false)
+		for _, rev := range dirs {
+			if err := phase(func(ws *workspace, i int) { e.fwdPass64(ws, i).cells(l, rev) }); err != nil {
+				return err
+			}
 		}
-		if err := e.barrier(); err != nil {
-			return err
-		}
-		for i, ws := range wss {
-			e.fwdPass64(ws, i).cells(l, true)
-		}
-		if err := e.barrier(); err != nil {
-			return err
-		}
-		for i, ws := range wss {
-			e.fwdPass64(ws, i).mergeCells(l)
-		}
-		if err := e.barrier(); err != nil {
+		if err := phase(func(ws *workspace, i int) { e.fwdPass64(ws, i).mergeCells(l) }); err != nil {
 			return err
 		}
 	}
-	for i, ws := range wss {
+	err := phase(func(ws *workspace, i int) {
 		fp := e.fwdPass64(ws, i)
 		fp.finalMerge()
 		fp.heads()
-	}
-	if err := e.barrier(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	for l := L - 1; l >= 0; l-- {
-		for i, ws := range wss {
+		err := phase(func(ws *workspace, i int) {
 			if l == L-1 {
 				e.emitHeadBackward(ws, i)
 				if cfg.anyClassify() {
@@ -114,21 +83,14 @@ func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 			if cfg.hasMergePerTimestep(l) {
 				e.emitMergeBackward(ws, l, i)
 			}
-		}
-		if err := e.barrier(); err != nil {
+		})
+		if err != nil {
 			return err
 		}
-		for i, ws := range wss {
-			e.emitFwdCellBackward(ws, l, i)
-		}
-		if err := e.barrier(); err != nil {
-			return err
-		}
-		for i, ws := range wss {
-			e.emitRevCellBackward(ws, l, i)
-		}
-		if err := e.barrier(); err != nil {
-			return err
+		for _, rev := range dirs {
+			if err := phase(func(ws *workspace, i int) { e.emitCellBackward(ws, l, i, rev) }); err != nil {
+				return err
+			}
 		}
 	}
 	e.emitReduce(wss)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bpar/internal/taskrt"
-	"bpar/internal/tensor"
 )
 
 // BSeq is the paper's data-parallel-only baseline: the batch is split into
@@ -26,41 +25,16 @@ type BSeq struct {
 // NewBSeq builds the baseline around an existing model. The model's
 // MiniBatches field sets the data-parallel width.
 func NewBSeq(m *Model, exec taskrt.Executor) *BSeq {
-	n := m.Cfg.MiniBatches
 	s := &BSeq{M: m, Exec: exec}
-	base := m.Cfg.Batch / n
-	rem := m.Cfg.Batch % n
-	for i := 0; i < n; i++ {
-		rows := base
-		if i < rem {
-			rows++
-		}
+	for i := 0; i < m.Cfg.MiniBatches; i++ {
 		// Each sub-engine shares the parent's weights but sees its
 		// mini-batch as its whole world, executed inline.
-		subM := &Model{Cfg: m.Cfg, fwd: m.fwd, rev: m.rev, Heads: m.Heads, mut: m.mut}
-		subM.Cfg.Batch = rows
-		subM.Cfg.MiniBatches = 1
-		s.subs = append(s.subs, NewEngine(subM, taskrt.NewInline(nil)))
+		lo, hi := m.Cfg.mbBounds(i)
+		sub := m.Cfg
+		sub.Batch, sub.MiniBatches = hi-lo, 1
+		s.subs = append(s.subs, NewEngine(m.view(sub), taskrt.NewInline(nil)))
 	}
 	return s
-}
-
-// mbBounds mirrors Engine's mini-batch row split.
-func (s *BSeq) mbBounds(i int) (lo, hi int) {
-	n := s.M.Cfg.MiniBatches
-	base := s.M.Cfg.Batch / n
-	rem := s.M.Cfg.Batch % n
-	for j := 0; j < i; j++ {
-		lo += base
-		if j < rem {
-			lo++
-		}
-	}
-	hi = lo + base
-	if i < rem {
-		hi++
-	}
-	return lo, hi
 }
 
 // TrainStep runs one data-parallel training step: one sequential coarse task
@@ -69,30 +43,12 @@ func (s *BSeq) mbBounds(i int) (lo, hi int) {
 // MiniBatches setting, because per-mini-batch computation and the reduction
 // order are identical — only the available parallelism differs.
 func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
-	T := len(b.X)
-	if T == 0 {
-		return 0, fmt.Errorf("core: empty batch")
+	if err := s.M.Cfg.checkBatch(b, true); err != nil {
+		return 0, err
 	}
+	T := b.SeqLen()
 	for i, sub := range s.subs {
-		i, sub := i, sub
-		lo, hi := s.mbBounds(i)
-		mb := &Batch{X: make([]*tensor.Matrix, T)}
-		for t := range b.X {
-			mb.X[t] = b.X[t].SliceRows(lo, hi)
-		}
-		if b.Targets != nil {
-			mb.Targets = b.Targets[lo:hi]
-		}
-		if b.StepTargets != nil {
-			mb.StepTargets = make([][]int, T)
-			for t := range b.StepTargets {
-				mb.StepTargets[t] = b.StepTargets[t][lo:hi]
-			}
-		}
-		if b.Lens != nil {
-			mb.Lens = b.Lens[lo:hi]
-		}
-		mb.Real = sliceReal(b.Real, lo, hi)
+		mb := b.sliceRows(s.M.Cfg.mbBounds(i))
 		s.Exec.Submit(&taskrt.Task{
 			Label: fmt.Sprintf("bseq mb%d", i),
 			Kind:  "bseq",
@@ -116,13 +72,8 @@ func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
 	for _, sub := range s.subs[1:] {
 		ws := sub.workspaces(T)[0]
 		loss += ws.sumLosses()
-		for l := range w0.gradsFwd {
-			w0.gradsFwd[l].addScaled(1, ws.gradsFwd[l])
-			w0.gradsRev[l].addScaled(1, ws.gradsRev[l])
-		}
-		for h := range w0.headGrads {
-			tensor.AxpyMatrix(w0.headGrads[h].DW, 1, ws.headGrads[h].DW)
-			tensor.Axpy(1, ws.headGrads[h].DB, w0.headGrads[h].DB)
+		for i, g := range w0.grads {
+			g.axpy(1, ws.grads[i].wb)
 		}
 	}
 

@@ -58,32 +58,27 @@ func (w *workspace) registerDeps(dc *taskrt.DepChecker, mbIdx int) {
 		regMats(dc, k, fmt.Sprintf("%s mb%d", name, mbIdx), ms...)
 	}
 	registerFwdDeps(dc, w, &w.fwdBufs, "", mbIdx)
-	for l := range w.fwdSt {
-		for t := range w.fwdSt[l] {
-			if w.merged[l] != nil {
-				reg(w.kDMerged[l][t], fmt.Sprintf("dMerged L%d t%d", l, t), w.dMerged[l][t])
-			}
-			reg(w.kDHMergeFwd[l][t], fmt.Sprintf("dHMergeFwd L%d t%d", l, t), w.dHMergeFwd[l][t])
-			reg(w.kDHMergeRev[l][t], fmt.Sprintf("dHMergeRev L%d t%d", l, t), w.dHMergeRev[l][t])
-			reg(w.kDHChainFwd[l][t], fmt.Sprintf("dHChainFwd L%d t%d", l, t), w.dHChainFwd[l][t])
-			reg(w.kDCChainFwd[l][t], fmt.Sprintf("dCChainFwd L%d t%d", l, t), w.dCChainFwd[l][t])
-			reg(w.kDHChainRev[l][t], fmt.Sprintf("dHChainRev L%d t%d", l, t), w.dHChainRev[l][t])
-			reg(w.kDCChainRev[l][t], fmt.Sprintf("dCChainRev L%d t%d", l, t), w.dCChainRev[l][t])
-			if w.split {
-				reg(w.kDGatesFwd[l][t], fmt.Sprintf("dGatesFwd L%d t%d", l, t), w.dGatesFwd[l][t])
-				reg(w.kDGatesRev[l][t], fmt.Sprintf("dGatesRev L%d t%d", l, t), w.dGatesRev[l][t])
+	for _, g := range w.keyGrids {
+		if g.bufs == nil {
+			continue
+		}
+		for l, row := range *g.bufs {
+			for t, buf := range row {
+				reg((*g.keys)[l][t], fmt.Sprintf("%s L%d t%d", g.name, l, t), buf)
 			}
 		}
-		dwF, _ := w.gradsFwd[l].wData()
-		dwR, _ := w.gradsRev[l].wData()
-		reg(w.kGradsFwd[l], fmt.Sprintf("gradsFwd L%d", l), dwF)
-		reg(w.kGradsRev[l], fmt.Sprintf("gradsRev L%d", l), dwR)
 	}
 	reg(w.kDFinalMerged, "dFinalMerged", w.dFinalMerged)
-	reg(w.kDFinalHFwd, "dFinalHFwd", w.dFinalHFwd)
-	reg(w.kDFinalHRev, "dFinalHRev", w.dFinalHRev)
+	for i := range w.dir {
+		d := &w.dir[i]
+		reg(d.kDFinalH, "dFinalH"+dirSuffix[i], d.dFinalH)
+		for l, g := range d.grads {
+			dw, _ := g.wData()
+			reg(d.kGrads[l], fmt.Sprintf("grads%s L%d", dirSuffix[i], l), dw)
+		}
+	}
 	for h := range w.kHeadGrads {
-		reg(w.kHeadGrads[h], fmt.Sprintf("headGrads h%d", h), w.headGrads[h].DW, w.dLogits[h])
+		reg(w.kHeadGrads[h], fmt.Sprintf("headGrads h%d", h), w.headGrads[h].W, w.dLogits[h])
 	}
 	if w.f32 != nil {
 		// Registration is additive per buffer, so the float32 buffers share
@@ -104,16 +99,17 @@ func registerFwdDeps[E tensor.Elt](dc *taskrt.DepChecker, w *workspace, b *fwdBu
 	reg := func(k taskrt.Dep, name string, ms ...*tensor.Mat[E]) {
 		regMats(dc, k, fmt.Sprintf("%s mb%d", name, mbIdx), ms...)
 	}
-	for l := range b.fwdSt {
-		for t := range b.fwdSt[l] {
-			reg(w.kFwdSt[l][t], fmt.Sprintf("fwdSt%s L%d t%d", tag, l, t), b.fwdSt[l][t].mats()...)
-			reg(w.kRevSt[l][t], fmt.Sprintf("revSt%s L%d t%d", tag, l, t), b.revSt[l][t].mats()...)
+	for l := range b.merged {
+		for t := 0; t < w.T; t++ {
 			if b.merged[l] != nil {
 				reg(w.kMerged[l][t], fmt.Sprintf("merged%s L%d t%d", tag, l, t), b.merged[l][t])
 			}
-			if b.preFwd != nil {
-				reg(w.kPreFwd[l][t], fmt.Sprintf("preFwd%s L%d t%d", tag, l, t), b.preFwd[l][t])
-				reg(w.kPreRev[l][t], fmt.Sprintf("preRev%s L%d t%d", tag, l, t), b.preRev[l][t])
+			for i := range w.dir {
+				d := &w.dir[i]
+				reg(d.kSt[l][t], fmt.Sprintf("%sSt%s L%d t%d", dirName[i], tag, l, t), b.st[i][l][t].mats()...)
+				if b.pre[i] != nil {
+					reg(d.kPre[l][t], fmt.Sprintf("pre%s%s L%d t%d", dirSuffix[i], tag, l, t), b.pre[i][l][t])
+				}
 			}
 		}
 	}

@@ -150,13 +150,13 @@ func TestF32LeavesF64BuffersUntouched(t *testing.T) {
 	if ws.f32 == nil {
 		t.Fatal("f32 workspace not allocated")
 	}
-	for _, v := range ws.fwdSt[0][1].lstm.H.Data {
+	for _, v := range ws.st[fwdDir][0][1].lstm.H.Data {
 		if v != 0 {
 			t.Fatal("f64 cell state written during f32 inference")
 		}
 	}
 	nonzero := false
-	for _, v := range ws.f32.fwdSt[0][1].lstm.H.Data {
+	for _, v := range ws.f32.st[fwdDir][0][1].lstm.H.Data {
 		if v != 0 {
 			nonzero = true
 			break

@@ -22,33 +22,21 @@ func (w *workspace) keyNames(mbIdx int, into map[taskrt.Dep]string) {
 	for t, k := range w.kX32 {
 		name(k, "x32 t%d", t)
 	}
-	grids := []struct {
-		label string
-		grid  [][]taskrt.Dep
-	}{
-		{"fwdSt", w.kFwdSt}, {"revSt", w.kRevSt},
-		{"merged", w.kMerged}, {"dMerged", w.kDMerged},
-		{"dHMergeFwd", w.kDHMergeFwd}, {"dHMergeRev", w.kDHMergeRev},
-		{"dHChainFwd", w.kDHChainFwd}, {"dCChainFwd", w.kDCChainFwd},
-		{"dHChainRev", w.kDHChainRev}, {"dCChainRev", w.kDCChainRev},
-		{"preFwd", w.kPreFwd}, {"preRev", w.kPreRev},
-		{"dGatesFwd", w.kDGatesFwd}, {"dGatesRev", w.kDGatesRev},
-	}
-	for _, g := range grids {
-		for l := range g.grid {
-			for t, k := range g.grid[l] {
-				name(k, "%s L%d t%d", g.label, l, t)
+	for _, g := range w.keyGrids {
+		for l, row := range *g.keys {
+			for t, k := range row {
+				name(k, "%s L%d t%d", g.name, l, t)
 			}
 		}
 	}
-	for l := range w.kGradsFwd {
-		name(w.kGradsFwd[l], "gradsFwd L%d", l)
-		name(w.kGradsRev[l], "gradsRev L%d", l)
-	}
 	name(w.kFinalMerged, "finalMerged")
 	name(w.kDFinalMerged, "dFinalMerged")
-	name(w.kDFinalHFwd, "dFinalHFwd")
-	name(w.kDFinalHRev, "dFinalHRev")
+	for i := range w.dir {
+		name(w.dir[i].kDFinalH, "dFinalH%s", dirSuffix[i])
+		for l, k := range w.dir[i].kGrads {
+			name(k, "grads%s L%d", dirSuffix[i], l)
+		}
+	}
 	for s, k := range w.kProbs {
 		name(k, "probs s%d", s)
 	}

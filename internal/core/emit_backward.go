@@ -29,7 +29,8 @@ func (e *Engine) emitBackward(ws *workspace, mbIdx int) {
 		if cfg.hasMergePerTimestep(l) {
 			e.emitMergeBackward(ws, l, mbIdx)
 		}
-		e.emitCellBackward(ws, l, mbIdx)
+		e.emitCellBackward(ws, l, mbIdx, false)
+		e.emitCellBackward(ws, l, mbIdx, true)
 	}
 }
 
@@ -123,18 +124,18 @@ func (e *Engine) headBackward(ws *workspace, h, slot int, input *tensor.Matrix, 
 		}
 		dLogits.Set(i, tgt, dLogits.At(i, tgt)-1)
 	}
-	tensor.GemmATAcc(ws.headGrads[h].DW, dLogits, input)
+	tensor.GemmATAcc(ws.headGrads[h].W, dLogits, input)
 	for i := 0; i < dLogits.Rows; i++ {
 		row := dLogits.Row(i)
 		for j, v := range row {
-			ws.headGrads[h].DB[j] += v
+			ws.headGrads[h].B[j] += v
 		}
 	}
 	tensor.GemmAcc(dInput, dLogits, head.W)
 }
 
 // emitFinalMergeBackward splits the accumulated final-merge gradient into the
-// two direction-specific gradients dFinalHFwd/dFinalHRev. These are dedicated
+// two direction-specific gradients dir[d].dFinalH. These are dedicated
 // buffers (not the per-timestep merge-gradient slots) so classification heads
 // coexist with per-frame heads on the same trunk; the top layer's chain tasks
 // inject them at each row's true boundary step. The task re-runs the forward
@@ -145,25 +146,21 @@ func (e *Engine) headBackward(ws *workspace, h, slot int, input *tensor.Matrix, 
 // template replayable across masked and full-length batches.
 func (e *Engine) emitFinalMergeBackward(ws *workspace, mbIdx int) {
 	cfg := e.M.Cfg
-	L, T := cfg.Layers, ws.T
-	in := []taskrt.Dep{ws.kDFinalMerged}
-	for t := 0; t < T; t++ {
-		in = append(in, ws.kFwdSt[L-1][t])
-	}
-	in = append(in, ws.kRevSt[L-1][0])
+	L := cfg.Layers
+	f, r := &ws.dir[fwdDir], &ws.dir[revDir]
 	task := &taskrt.Task{
 		Label:      fmt.Sprintf("merge-final-bwd mb%d", mbIdx),
 		Kind:       "merge-bwd",
-		In:         in,
-		Out:        []taskrt.Dep{ws.kDFinalHFwd, ws.kDFinalHRev},
+		In:         append([]taskrt.Dep{ws.kDFinalMerged}, ws.finalStateKeys()...),
+		Out:        []taskrt.Dep{f.kDFinalH, r.kDFinalH},
 		Flops:      mergeFlops(cfg.Merge, ws.rows, cfg.HiddenSize),
 		WorkingSet: mergeWorkingSetBytes(cfg.Merge, ws.rows, cfg.HiddenSize),
 	}
 	if !ws.phantom {
 		task.Fn = func() {
 			mergeBackward(cfg.Merge, ws.dFinalMerged,
-				ws.gatherLastHFwd(ws.bind.lens), ws.revSt[L-1][0].H(),
-				ws.dFinalHFwd, ws.dFinalHRev)
+				ws.gatherLastHFwd(ws.bind.lens), ws.st[revDir][L-1][0].H(),
+				f.dFinalH, r.dFinalH)
 		}
 	}
 	e.Exec.Submit(task)
@@ -175,25 +172,26 @@ func (e *Engine) emitMergeBackward(ws *workspace, l, mbIdx int) {
 	cfg := e.M.Cfg
 	mFlops := mergeFlops(cfg.Merge, ws.rows, cfg.HiddenSize)
 	mWS := mergeWorkingSetBytes(cfg.Merge, ws.rows, cfg.HiddenSize)
+	f, r := &ws.dir[fwdDir], &ws.dir[revDir]
 	batch := make([]*taskrt.Task, 0, ws.T)
 	for t := 0; t < ws.T; t++ {
 		in := []taskrt.Dep{ws.kDMerged[l][t]}
 		if cfg.Merge == MergeMul {
-			in = append(in, ws.kFwdSt[l][t], ws.kRevSt[l][t])
+			in = append(in, f.kSt[l][t], r.kSt[l][t])
 		}
 		task := &taskrt.Task{
 			Label: fmt.Sprintf("merge-bwd L%d t%d mb%d", l, t, mbIdx),
 			Kind:  "merge-bwd",
 			In:    in,
-			Out:   []taskrt.Dep{ws.kDHMergeFwd[l][t], ws.kDHMergeRev[l][t]},
+			Out:   []taskrt.Dep{f.kDHMerge[l][t], r.kDHMerge[l][t]},
 			Flops: mFlops, WorkingSet: mWS,
 		}
 		if !ws.phantom {
 			l, t := l, t
 			task.Fn = func() {
 				mergeBackward(cfg.Merge, ws.dMerged[l][t],
-					ws.fwdSt[l][t].H(), ws.revSt[l][t].H(),
-					ws.dHMergeFwd[l][t], ws.dHMergeRev[l][t])
+					ws.st[fwdDir][l][t].H(), ws.st[revDir][l][t].H(),
+					f.dHMerge[l][t], r.dHMerge[l][t])
 			}
 		}
 		batch = append(batch, task)
@@ -201,9 +199,11 @@ func (e *Engine) emitMergeBackward(ws *workspace, l, mbIdx int) {
 	taskrt.SubmitBatch(e.Exec, batch)
 }
 
-// emitCellBackward emits the backward cell tasks of layer l: the forward
-// direction's chain runs t=T-1 → 0, the reverse direction's chain t=0 → T-1
-// (each chain is the forward chain reversed). Every task:
+// emitCellBackward emits one direction's backward cell chain of layer l — the
+// forward chain reversed, so the forward direction's BPTT runs t=T-1 → 0 and
+// the reverse direction's (whose RNN processed t=T-1 first) t=0 → T-1 —
+// followed in split mode by the direction's batched dw task and dx tile
+// tasks. Every chain task:
 //
 //   - sums its merge gradient and chain gradient into the total dH,
 //   - runs the cell's BPTT kernel,
@@ -212,9 +212,116 @@ func (e *Engine) emitMergeBackward(ws *workspace, l, mbIdx int) {
 //     and the weight gradients (inout on the layer's grads); in split mode
 //     both are hoisted off the chain into the batched dx tile tasks and the
 //     per-direction dw task, leaving only gate gradients and dHPrev here.
-func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int) {
-	e.emitFwdCellBackward(ws, l, mbIdx)
-	e.emitRevCellBackward(ws, l, mbIdx)
+func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
+	cfg := e.M.Cfg
+	T, di := ws.T, dirIdx(rev)
+	p, d := e.M.dir[di][l], &ws.dir[di]
+	bFlops := p.bwdFlops(ws.rows)
+	if ws.split {
+		bFlops = p.chainBwdFlops(ws.rows)
+	}
+	cellWS := p.taskWorkingSet(ws.rows)
+	kind := e.kindBwdCell()
+	isLSTM := cfg.Cell == LSTM
+	// The top layer's chain injects the final-merge gradient where the
+	// direction produced its sequence-final state. Forward: row i's last real
+	// step is lens[i]-1 (T-1 with no lens bound), so every chain task reads
+	// dFinalH and adds the rows whose boundary it is. Reverse: always t=0
+	// (masking restarts each short row's chain, so its t=0 state is its true
+	// reverse output), so only the t=0 task injects, all rows at once.
+	classify := cfg.anyClassify() && l == cfg.Layers-1
+
+	batch := make([]*taskrt.Task, 0, T)
+	for u := 0; u < T; u++ {
+		// t is the u-th cell of the backward chain; prev is the timestep of
+		// the state cell t consumed in the forward pass — its predecessor in
+		// processing order, which the backward chain visits next.
+		t, prev, hasPrev := T-1-u, T-2-u, u < T-1
+		if rev {
+			t, prev = u, u+1
+		}
+		inject := classify && (!rev || t == 0)
+		in := []taskrt.Dep{d.kSt[l][t], d.kDHMerge[l][t], d.kDHChain[l][t]}
+		if inject {
+			in = append(in, d.kDFinalH)
+		}
+		if isLSTM {
+			in = append(in, d.kDCChain[l][t])
+		}
+		if hasPrev {
+			in = append(in, d.kSt[l][prev])
+		}
+		inout := []taskrt.Dep{d.kGrads[l]}
+		if l > 0 && !ws.split {
+			// Split mode hoists the dX accumulation into the dx tile tasks.
+			inout = append(inout, ws.kDMerged[l-1][t])
+		}
+		var out []taskrt.Dep
+		if ws.split {
+			out = append(out, d.kDGates[l][t])
+		}
+		if hasPrev {
+			out = append(out, d.kDHChain[l][prev])
+			if isLSTM {
+				out = append(out, d.kDCChain[l][prev])
+			}
+		}
+		task := &taskrt.Task{
+			Label: fmt.Sprintf("%s-bwd L%d t%d mb%d", dirName[di], l, t, mbIdx),
+			Kind:  kind,
+			In:    in, InOut: inout, Out: out,
+			Flops: bFlops, WorkingSet: cellWS,
+		}
+		if !ws.phantom {
+			sts := ws.st[di][l]
+			task.Fn = func() {
+				tensor.Add(d.dHSum[l], d.dHMerge[l][t], d.dHChain[l][t])
+				switch {
+				case inject && rev:
+					tensor.AddAcc(d.dHSum[l], d.dFinalH)
+				case inject:
+					tensor.AddRowsWhere(d.dHSum[l], d.dFinalH, ws.bind.lens, t, T-1)
+				}
+				// The boundary cell consumed the zero state, and its dHPrev
+				// has no consumer.
+				hPrev, cPrev := ws.zeroH, ws.zeroC
+				dHPrev, dCPrev := d.dHSink[l], d.dCSink[l]
+				if hasPrev {
+					hPrev, cPrev = sts[prev].H(), sts[prev].C()
+					dHPrev, dCPrev = d.dHChain[l][prev], d.dCChain[l][prev]
+				}
+				if ws.split {
+					p.backwardPre(sts[t], hPrev, cPrev,
+						d.dHSum[l], d.dCChain[l][t], d.dGates[l][t],
+						nil, dHPrev, dCPrev, d.grads[l])
+				} else {
+					p.backward(sts[t], hPrev, cPrev,
+						d.dHSum[l], d.dCChain[l][t],
+						d.dXScratch[l], dHPrev, dCPrev, d.grads[l])
+					if l > 0 {
+						tensor.AddAcc(ws.dMerged[l-1][t], d.dXScratch[l])
+					}
+				}
+				if rev && hasPrev {
+					// The gradient w.r.t. a masked (constant-zero) boundary
+					// state must not leak into the padded steps' chain: zero
+					// the rows whose reverse chain restarted at this step.
+					tensor.MaskRowsZero(d.dHChain[l][prev], ws.bind.lens, prev)
+					if isLSTM {
+						tensor.MaskRowsZero(d.dCChain[l][prev], ws.bind.lens, prev)
+					}
+				}
+			}
+		}
+		batch = append(batch, task)
+	}
+	taskrt.SubmitBatch(e.Exec, batch)
+	if ws.split {
+		e.emitDW(ws, mbIdx, l, rev)
+		if l > 0 {
+			e.emitDX(ws, mbIdx, l, rev)
+		}
+	}
 }
 
 // emitDW emits the single batched weight-gradient task of layer l's given
@@ -227,34 +334,24 @@ func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int) {
 // pins the task after every chain task and fixes the summation order (t
 // ascending), keeping parallel training bitwise identical to sequential.
 func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
-	T := ws.T
-	p, kDG, kGrads, kSt, dir := e.M.fwd[l], ws.kDGatesFwd, ws.kGradsFwd, ws.kFwdSt, "fwd"
-	if rev {
-		p, kDG, kGrads, kSt, dir = e.M.rev[l], ws.kDGatesRev, ws.kGradsRev, ws.kRevSt, "rev"
-	}
+	T, di := ws.T, dirIdx(rev)
+	p, d := e.M.dir[di][l], &ws.dir[di]
 	in, gw := p.dims()
 	hs := p.hiddenSize()
 	deps := make([]taskrt.Dep, 0, 3*T)
 	for t := 0; t < T; t++ {
-		deps = append(deps, kDG[l][t], ws.inputKey(ws.kX, l, t), kSt[l][t])
+		deps = append(deps, d.kDGates[l][t], ws.inputKey(ws.kX, l, t), d.kSt[l][t])
 	}
 	task := &taskrt.Task{
-		Label:      fmt.Sprintf("dw-%s L%d mb%d", dir, l, mbIdx),
+		Label:      fmt.Sprintf("dw-%s L%d mb%d", dirName[di], l, mbIdx),
 		Kind:       "dw",
 		In:         deps,
-		InOut:      []taskrt.Dep{kGrads[l]},
+		InOut:      []taskrt.Dep{d.kGrads[l]},
 		Flops:      p.dwFlops(T, ws.rows),
 		WorkingSet: int64(8 * (gw*(in+hs) + T*ws.rows*(in+hs+gw))),
 	}
 	if !ws.phantom {
-		panels, grads := ws.dGatesFwd[l], ws.gradsFwd[l]
-		sts := ws.fwdSt[l]
-		stackP, stackB := ws.stackPFwd[l], ws.stackBFwd[l]
-		if rev {
-			panels, grads = ws.dGatesRev[l], ws.gradsRev[l]
-			sts = ws.revSt[l]
-			stackP, stackB = ws.stackPRev[l], ws.stackBRev[l]
-		}
+		sts := ws.st[di][l]
 		xs := make([]*tensor.Matrix, T)
 		hPrevs := make([]*tensor.Matrix, T)
 		var rhs []*tensor.Matrix
@@ -278,7 +375,7 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 			for t := range xs {
 				xs[t] = ws.input(l, t)
 			}
-			p.dwBatch(grads, panels, xs, hPrevs, rhs, stackP, stackB)
+			p.dwBatch(d.grads[l], d.dGates[l], xs, hPrevs, rhs, d.stackP[l], d.stackB[l])
 		}
 	}
 	e.Exec.Submit(task)
@@ -294,11 +391,8 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 // the merge-gradient buffers serialize the two directions' accumulations in
 // submission order, keeping parallel training bitwise deterministic.
 func (e *Engine) emitDX(ws *workspace, mbIdx, l int, rev bool) {
-	T := ws.T
-	p, kDG, dir := e.M.fwd[l], ws.kDGatesFwd, "fwd"
-	if rev {
-		p, kDG, dir = e.M.rev[l], ws.kDGatesRev, "rev"
-	}
+	T, di := ws.T, dirIdx(rev)
+	p, d := e.M.dir[di][l], &ws.dir[di]
 	in, gw := p.dims()
 	step := p.dxFlops(ws.rows)
 	for t0 := 0; t0 < T; t0 += projTileT {
@@ -306,11 +400,11 @@ func (e *Engine) emitDX(ws *workspace, mbIdx, l int, rev bool) {
 		deps := make([]taskrt.Dep, 0, t1-t0)
 		inout := make([]taskrt.Dep, 0, t1-t0)
 		for t := t0; t < t1; t++ {
-			deps = append(deps, kDG[l][t])
+			deps = append(deps, d.kDGates[l][t])
 			inout = append(inout, ws.kDMerged[l-1][t])
 		}
 		task := &taskrt.Task{
-			Label:      fmt.Sprintf("dx-%s L%d t%d:%d mb%d", dir, l, t0, t1, mbIdx),
+			Label:      fmt.Sprintf("dx-%s L%d t%d:%d mb%d", dirName[di], l, t0, t1, mbIdx),
 			Kind:       "dx",
 			In:         deps,
 			InOut:      inout,
@@ -318,292 +412,43 @@ func (e *Engine) emitDX(ws *workspace, mbIdx, l int, rev bool) {
 			WorkingSet: int64(8 * (gw*in + (t1-t0)*ws.rows*(in+gw))),
 		}
 		if !ws.phantom {
-			panels := ws.dGatesFwd[l]
-			if rev {
-				panels = ws.dGatesRev[l]
-			}
-			dsts := make([]*tensor.Matrix, 0, t1-t0)
-			as := make([]*tensor.Matrix, 0, t1-t0)
-			for t := t0; t < t1; t++ {
-				dsts = append(dsts, ws.dMerged[l-1][t])
-				as = append(as, panels[t])
-			}
-			task.Fn = func() { p.dxBatch(dsts, as) }
+			dsts := ws.dMerged[l-1][t0:t1]
+			panels := d.dGates[l][t0:t1]
+			task.Fn = func() { p.dxBatch(dsts, panels) }
 		}
 		e.Exec.Submit(task)
 	}
 }
 
-// emitFwdCellBackward emits the forward direction's backward chain of layer
-// l: t = T-1 down to 0, followed in split mode by the batched dw task and
-// the dx tile tasks.
-func (e *Engine) emitFwdCellBackward(ws *workspace, l, mbIdx int) {
-	cfg := e.M.Cfg
-	T := ws.T
-	lF := e.M.fwd[l]
-	bFlops := lF.bwdFlops(ws.rows)
-	if ws.split {
-		bFlops = lF.chainBwdFlops(ws.rows)
-	}
-	cellWS := lF.taskWorkingSet(ws.rows)
-	kind := e.kindBwdCell()
-	isLSTM := cfg.Cell == LSTM
-	// The top layer's chain injects the final-merge gradient at each row's
-	// true boundary step (row i's last real forward step is lens[i]-1, or
-	// T-1 with no lens bound), so every chain task reads dFinalHFwd.
-	classify := cfg.anyClassify() && l == cfg.Layers-1
-
-	batch := make([]*taskrt.Task, 0, T)
-	for t := T - 1; t >= 0; t-- {
-		in := []taskrt.Dep{ws.kFwdSt[l][t], ws.kDHMergeFwd[l][t], ws.kDHChainFwd[l][t]}
-		if classify {
-			in = append(in, ws.kDFinalHFwd)
-		}
-		if isLSTM {
-			in = append(in, ws.kDCChainFwd[l][t])
-		}
-		if t > 0 {
-			in = append(in, ws.kFwdSt[l][t-1])
-		}
-		inout := []taskrt.Dep{ws.kGradsFwd[l]}
-		if l > 0 && !ws.split {
-			// Split mode hoists the dX accumulation into the dx tile tasks.
-			inout = append(inout, ws.kDMerged[l-1][t])
-		}
-		var out []taskrt.Dep
-		if ws.split {
-			out = append(out, ws.kDGatesFwd[l][t])
-		}
-		if t > 0 {
-			out = append(out, ws.kDHChainFwd[l][t-1])
-			if isLSTM {
-				out = append(out, ws.kDCChainFwd[l][t-1])
-			}
-		}
-		task := &taskrt.Task{
-			Label: fmt.Sprintf("fwd-bwd L%d t%d mb%d", l, t, mbIdx),
-			Kind:  kind,
-			In:    in, InOut: inout, Out: out,
-			Flops: bFlops, WorkingSet: cellWS,
-		}
-		if !ws.phantom {
-			l, t := l, t
-			task.Fn = func() {
-				tensor.Add(ws.dHSumFwd[l], ws.dHMergeFwd[l][t], ws.dHChainFwd[l][t])
-				if classify {
-					tensor.AddRowsWhere(ws.dHSumFwd[l], ws.dFinalHFwd, ws.bind.lens, t, ws.T-1)
-				}
-				hPrev, cPrev := ws.zeroH, ws.zeroC
-				if t > 0 {
-					hPrev = ws.fwdSt[l][t-1].H()
-					cPrev = ws.fwdSt[l][t-1].C()
-				}
-				dHPrev, dCPrev := ws.dHSinkFwd[l], ws.dCSinkFwd[l]
-				if t > 0 {
-					dHPrev = ws.dHChainFwd[l][t-1]
-					dCPrev = ws.dCChainFwd[l][t-1]
-				}
-				if ws.split {
-					lF.backwardPre(ws.fwdSt[l][t], hPrev, cPrev,
-						ws.dHSumFwd[l], ws.dCChainFwd[l][t], ws.dGatesFwd[l][t],
-						nil, dHPrev, dCPrev, ws.gradsFwd[l])
-				} else {
-					lF.backward(ws.fwdSt[l][t], hPrev, cPrev,
-						ws.dHSumFwd[l], ws.dCChainFwd[l][t],
-						ws.dXScratchFwd[l], dHPrev, dCPrev, ws.gradsFwd[l])
-					if l > 0 {
-						tensor.AddAcc(ws.dMerged[l-1][t], ws.dXScratchFwd[l])
-					}
-				}
-			}
-		}
-		batch = append(batch, task)
-	}
-	taskrt.SubmitBatch(e.Exec, batch)
-	if ws.split {
-		e.emitDW(ws, mbIdx, l, false)
-		if l > 0 {
-			e.emitDX(ws, mbIdx, l, false)
-		}
-	}
-}
-
-// emitRevCellBackward emits the reverse direction's backward chain of layer
-// l: t = 0 up to T-1. The reverse RNN processed t = T-1 first, so its BPTT
-// starts at t = 0; the cell's "previous" state in processing order lives at
-// t+1.
-func (e *Engine) emitRevCellBackward(ws *workspace, l, mbIdx int) {
-	cfg := e.M.Cfg
-	T := ws.T
-	lR := e.M.rev[l]
-	bFlops := lR.bwdFlops(ws.rows)
-	if ws.split {
-		bFlops = lR.chainBwdFlops(ws.rows)
-	}
-	cellWS := lR.taskWorkingSet(ws.rows)
-	kind := e.kindBwdCell()
-	isLSTM := cfg.Cell == LSTM
-	// The reverse direction's final processed state is always t=0 (masking
-	// restarts each short row's chain, so its t=0 state is its true reverse
-	// output), so the top layer's t=0 chain task injects all of dFinalHRev.
-	classify := cfg.anyClassify() && l == cfg.Layers-1
-
-	batch := make([]*taskrt.Task, 0, T)
-	for t := 0; t < T; t++ {
-		in := []taskrt.Dep{ws.kRevSt[l][t], ws.kDHMergeRev[l][t], ws.kDHChainRev[l][t]}
-		if classify && t == 0 {
-			in = append(in, ws.kDFinalHRev)
-		}
-		if isLSTM {
-			in = append(in, ws.kDCChainRev[l][t])
-		}
-		if t < T-1 {
-			in = append(in, ws.kRevSt[l][t+1])
-		}
-		inout := []taskrt.Dep{ws.kGradsRev[l]}
-		if l > 0 && !ws.split {
-			// Split mode hoists the dX accumulation into the dx tile tasks.
-			inout = append(inout, ws.kDMerged[l-1][t])
-		}
-		var out []taskrt.Dep
-		if ws.split {
-			out = append(out, ws.kDGatesRev[l][t])
-		}
-		if t < T-1 {
-			out = append(out, ws.kDHChainRev[l][t+1])
-			if isLSTM {
-				out = append(out, ws.kDCChainRev[l][t+1])
-			}
-		}
-		task := &taskrt.Task{
-			Label: fmt.Sprintf("rev-bwd L%d t%d mb%d", l, t, mbIdx),
-			Kind:  kind,
-			In:    in, InOut: inout, Out: out,
-			Flops: bFlops, WorkingSet: cellWS,
-		}
-		if !ws.phantom {
-			l, t := l, t
-			task.Fn = func() {
-				tensor.Add(ws.dHSumRev[l], ws.dHMergeRev[l][t], ws.dHChainRev[l][t])
-				if classify && t == 0 {
-					tensor.AddAcc(ws.dHSumRev[l], ws.dFinalHRev)
-				}
-				hPrev, cPrev := ws.zeroH, ws.zeroC
-				if t < T-1 {
-					hPrev = ws.revSt[l][t+1].H()
-					cPrev = ws.revSt[l][t+1].C()
-				}
-				dHPrev, dCPrev := ws.dHSinkRev[l], ws.dCSinkRev[l]
-				if t < T-1 {
-					dHPrev = ws.dHChainRev[l][t+1]
-					dCPrev = ws.dCChainRev[l][t+1]
-				}
-				if ws.split {
-					lR.backwardPre(ws.revSt[l][t], hPrev, cPrev,
-						ws.dHSumRev[l], ws.dCChainRev[l][t], ws.dGatesRev[l][t],
-						nil, dHPrev, dCPrev, ws.gradsRev[l])
-				} else {
-					lR.backward(ws.revSt[l][t], hPrev, cPrev,
-						ws.dHSumRev[l], ws.dCChainRev[l][t],
-						ws.dXScratchRev[l], dHPrev, dCPrev, ws.gradsRev[l])
-					if l > 0 {
-						tensor.AddAcc(ws.dMerged[l-1][t], ws.dXScratchRev[l])
-					}
-				}
-				if t < T-1 {
-					// The gradient w.r.t. a masked (constant-zero) boundary
-					// state must not leak into the padded steps' chain: zero
-					// the rows whose reverse chain restarted at this step.
-					tensor.MaskRowsZero(ws.dHChainRev[l][t+1], ws.bind.lens, t+1)
-					if isLSTM {
-						tensor.MaskRowsZero(ws.dCChainRev[l][t+1], ws.bind.lens, t+1)
-					}
-				}
-			}
-		}
-		batch = append(batch, task)
-	}
-	taskrt.SubmitBatch(e.Exec, batch)
-	if ws.split {
-		e.emitDW(ws, mbIdx, l, true)
-		if l > 0 {
-			e.emitDX(ws, mbIdx, l, true)
-		}
-	}
-}
-
 // emitReduce emits the mini-batch gradient reduction tasks: one task per
-// layer and direction (plus one per head) that folds every mini-batch's
-// gradients into workspace 0. These are the dependencies that, in the
-// paper's words, "enforce gradient synchronization among model replicas" —
-// expressed purely as dataflow, with no barrier.
+// parameter-catalogue entry (layer and direction, then head) that folds every
+// mini-batch's gradients into workspace 0. These are the dependencies that,
+// in the paper's words, "enforce gradient synchronization among model
+// replicas" — expressed purely as dataflow, with no barrier.
 func (e *Engine) emitReduce(wss []*workspace) {
 	if len(wss) == 1 {
 		return
 	}
-	cfg := e.M.Cfg
-	w0 := wss[0]
-	batch := make([]*taskrt.Task, 0, 2*cfg.Layers+1)
-	for l := 0; l < cfg.Layers; l++ {
-		for dir := 0; dir < 2; dir++ {
-			l, dir := l, dir
-			var in []taskrt.Dep
-			for _, ws := range wss[1:] {
-				if dir == 0 {
-					in = append(in, ws.kGradsFwd[l])
-				} else {
-					in = append(in, ws.kGradsRev[l])
-				}
-			}
-			target := w0.kGradsFwd[l]
-			if dir == 1 {
-				target = w0.kGradsRev[l]
-			}
-			params := e.M.fwd[l]
-			task := &taskrt.Task{
-				Label:      fmt.Sprintf("reduce L%d dir%d", l, dir),
-				Kind:       "reduce",
-				In:         in,
-				InOut:      []taskrt.Dep{target},
-				Flops:      2 * float64(params.paramCount()) * float64(len(wss)-1),
-				WorkingSet: int64(params.paramCount()) * 8 * int64(len(wss)),
-			}
-			if !w0.phantom {
-				task.Fn = func() {
-					for _, ws := range wss[1:] {
-						if dir == 0 {
-							w0.gradsFwd[l].addScaled(1, ws.gradsFwd[l])
-						} else {
-							w0.gradsRev[l].addScaled(1, ws.gradsRev[l])
-						}
-					}
-				}
-			}
-			batch = append(batch, task)
-		}
-	}
-
-	D := cfg.MergeDim()
-	for h, spec := range cfg.HeadSpecs() {
-		h := h
-		params := spec.Classes*D + spec.Classes
-		var in []taskrt.Dep
-		for _, ws := range wss[1:] {
-			in = append(in, ws.kHeadGrads[h])
+	w0, others := wss[0], wss[1:]
+	params := e.M.params
+	batch := make([]*taskrt.Task, 0, len(params))
+	for i, p := range params {
+		in := make([]taskrt.Dep, len(others))
+		for j, ws := range others {
+			in[j] = ws.grads[i].key
 		}
 		task := &taskrt.Task{
-			Label:      fmt.Sprintf("reduce head%d", h),
+			Label:      "reduce " + p.name,
 			Kind:       "reduce",
 			In:         in,
-			InOut:      []taskrt.Dep{w0.kHeadGrads[h]},
-			Flops:      2 * float64(params) * float64(len(wss)-1),
-			WorkingSet: int64(params) * 8 * int64(len(wss)),
+			InOut:      []taskrt.Dep{w0.grads[i].key},
+			Flops:      2 * float64(p.count()) * float64(len(others)),
+			WorkingSet: int64(p.count()) * 8 * int64(len(wss)),
 		}
 		if !w0.phantom {
 			task.Fn = func() {
-				for _, ws := range wss[1:] {
-					tensor.AxpyMatrix(w0.headGrads[h].DW, 1, ws.headGrads[h].DW)
-					tensor.Axpy(1, ws.headGrads[h].DB, w0.headGrads[h].DB)
+				for _, ws := range others {
+					w0.grads[i].axpy(1, ws.grads[i].wb)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
@@ -113,11 +114,8 @@ const projTileT = 8
 // reverse direction are submitted high-t first, matching the order its chain
 // consumes them.
 func (fp *fwdPass[E]) projection(l int, rev bool) {
-	e, ws, T := fp.e, fp.ws, fp.ws.T
-	p, kPre, dir := e.M.fwd[l], ws.kPreFwd, "fwd"
-	if rev {
-		p, kPre, dir = e.M.rev[l], ws.kPreRev, "rev"
-	}
+	e, ws, T, di := fp.e, fp.ws, fp.ws.T, dirIdx(rev)
+	p, d := e.M.dir[di][l], &ws.dir[di]
 	in, gw := p.dims()
 	stepFlops := p.projFlops(ws.rows)
 
@@ -138,10 +136,10 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 		outs := make([]taskrt.Dep, 0, t1-t0)
 		for t := t0; t < t1; t++ {
 			deps = append(deps, ws.inputKey(fp.kIn, l, t))
-			outs = append(outs, kPre[l][t])
+			outs = append(outs, d.kPre[l][t])
 		}
 		task := &taskrt.Task{
-			Label:      fmt.Sprintf("proj-%s L%d t%d:%d mb%d", dir, l, t0, t1, fp.mbIdx),
+			Label:      fmt.Sprintf("proj-%s L%d t%d:%d mb%d", dirName[di], l, t0, t1, fp.mbIdx),
 			Kind:       "proj",
 			In:         deps,
 			Out:        outs,
@@ -149,17 +147,14 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 			WorkingSet: int64(8 * (gw*(in+1) + (t1-t0)*ws.rows*(in+gw))),
 		}
 		if !ws.phantom {
-			buf, d := fp.buf, fp.w.dir(l, rev)
-			pres := buf.preFwd[l][t0:t1]
-			if rev {
-				pres = buf.preRev[l][t0:t1]
-			}
+			buf, k := fp.buf, fp.w.dir[di][l]
+			pres := buf.pre[di][l][t0:t1]
 			xs := make([]*tensor.Mat[E], t1-t0)
 			task.Fn = func() {
 				for i := range xs {
 					xs[i] = buf.input(l, t0+i)
 				}
-				d.preGatesBatch(xs, pres)
+				k.preGatesBatch(xs, pres)
 			}
 		}
 		batch = append(batch, task)
@@ -181,11 +176,8 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 // confined to rows whose real outputs never read it (rows are independent,
 // and padded frames carry IgnoreLabel losses and zero gradients).
 func (fp *fwdPass[E]) cells(l int, rev bool) {
-	e, ws, T := fp.e, fp.ws, fp.ws.T
-	p, kSt, kPre, dir := e.M.fwd[l], ws.kFwdSt, ws.kPreFwd, "fwd"
-	if rev {
-		p, kSt, kPre, dir = e.M.rev[l], ws.kRevSt, ws.kPreRev, "rev"
-	}
+	e, ws, T, di := fp.e, fp.ws, fp.ws.T, dirIdx(rev)
+	p, d := e.M.dir[di][l], &ws.dir[di]
 	cellKind := e.kindFwdCell()
 	flops := p.fwdFlops(ws.rows)
 	cellWS := p.taskWorkingSet(ws.rows)
@@ -203,32 +195,26 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 		}
 		var in []taskrt.Dep
 		if ws.split {
-			in = []taskrt.Dep{kPre[l][t]}
+			in = []taskrt.Dep{d.kPre[l][t]}
 		} else {
 			in = []taskrt.Dep{ws.inputKey(fp.kIn, l, t)}
 		}
 		if u > 0 {
-			in = append(in, kSt[l][prev])
+			in = append(in, d.kSt[l][prev])
 		}
 		task := &taskrt.Task{
-			Label: fmt.Sprintf("%s L%d t%d mb%d", dir, l, t, fp.mbIdx),
+			Label: fmt.Sprintf("%s L%d t%d mb%d", dirName[di], l, t, fp.mbIdx),
 			Kind:  cellKind,
 			In:    in,
-			Out:   []taskrt.Dep{kSt[l][t]},
+			Out:   []taskrt.Dep{d.kSt[l][t]},
 			Flops: flops, WorkingSet: cellWS,
 		}
 		if !ws.phantom {
-			buf, d, first := fp.buf, fp.w.dir(l, rev), u == 0
-			sts := buf.fwdSt[l]
-			if rev {
-				sts = buf.revSt[l]
-			}
+			buf, k, first := fp.buf, fp.w.dir[di][l], u == 0
+			sts := buf.st[di][l]
 			var pre *tensor.Mat[E] // nil on the fused path
 			if ws.split {
-				pre = buf.preFwd[l][t]
-				if rev {
-					pre = buf.preRev[l][t]
-				}
+				pre = buf.pre[di][l][t]
 			}
 			task.Fn = func() {
 				hPrev, cPrev := buf.zeroH, buf.zeroC
@@ -236,9 +222,9 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 					hPrev, cPrev = sts[prev].H(), sts[prev].C()
 				}
 				if pre != nil {
-					d.forwardPre(pre, hPrev, cPrev, sts[t])
+					k.forwardPre(pre, hPrev, cPrev, sts[t])
 				} else {
-					d.forward(buf.input(l, t), hPrev, cPrev, sts[t])
+					k.forward(buf.input(l, t), hPrev, cPrev, sts[t])
 				}
 				if rev {
 					buf.maskRevState(l, t, ws.bind.lens)
@@ -265,14 +251,14 @@ func (fp *fwdPass[E]) mergeCells(l int) {
 		task := &taskrt.Task{
 			Label: fmt.Sprintf("merge L%d t%d mb%d", l, t, fp.mbIdx),
 			Kind:  "merge",
-			In:    []taskrt.Dep{ws.kFwdSt[l][t], ws.kRevSt[l][t]},
+			In:    []taskrt.Dep{ws.dir[fwdDir].kSt[l][t], ws.dir[revDir].kSt[l][t]},
 			Out:   []taskrt.Dep{ws.kMerged[l][t]},
 			Flops: mFlops, WorkingSet: mWS,
 		}
 		if !ws.phantom {
 			buf := fp.buf
 			task.Fn = func() {
-				mergeForward(cfg.Merge, buf.merged[l][t], buf.fwdSt[l][t].H(), buf.revSt[l][t].H())
+				mergeForward(cfg.Merge, buf.merged[l][t], buf.st[fwdDir][l][t].H(), buf.st[revDir][l][t].H())
 			}
 		}
 		batch = append(batch, task)
@@ -283,25 +269,20 @@ func (fp *fwdPass[E]) mergeCells(l int) {
 // finalMerge emits the single final merge feeding the classification heads:
 // cells 9f and 9r of Figure 1 — the forward direction's sequence-final state
 // and the last-processed reverse cell. Under a lens binding the
-// sequence-final forward state is per-row fwdSt[L-1][lens[i]-1], so the task
+// sequence-final forward state is per-row st[fwdDir][L-1][lens[i]-1], so the task
 // conservatively depends on every top-layer forward cell (one template serves
 // both full-length and masked batches of the same T) and gathers the rows it
 // needs at run time. No-op when no head classifies.
 func (fp *fwdPass[E]) finalMerge() {
 	ws, cfg := fp.ws, fp.e.M.Cfg
-	L, T := cfg.Layers, ws.T
+	L := cfg.Layers
 	if !cfg.anyClassify() {
 		return
 	}
-	in := make([]taskrt.Dep, 0, T+1)
-	for t := 0; t < T; t++ {
-		in = append(in, ws.kFwdSt[L-1][t])
-	}
-	in = append(in, ws.kRevSt[L-1][0])
 	task := &taskrt.Task{
 		Label:      fmt.Sprintf("merge-final mb%d", fp.mbIdx),
 		Kind:       "merge",
-		In:         in,
+		In:         ws.finalStateKeys(),
 		Out:        []taskrt.Dep{ws.kFinalMerged},
 		Flops:      mergeFlops(cfg.Merge, ws.rows, cfg.HiddenSize),
 		WorkingSet: mergeWorkingSetBytes(cfg.Merge, ws.rows, cfg.HiddenSize),
@@ -309,10 +290,18 @@ func (fp *fwdPass[E]) finalMerge() {
 	if !ws.phantom {
 		buf := fp.buf
 		task.Fn = func() {
-			mergeForward(cfg.Merge, buf.finalMerged, buf.gatherLastHFwd(ws.bind.lens), buf.revSt[L-1][0].H())
+			mergeForward(cfg.Merge, buf.finalMerged, buf.gatherLastHFwd(ws.bind.lens), buf.st[revDir][L-1][0].H())
 		}
 	}
 	fp.e.Exec.Submit(task)
+}
+
+// finalStateKeys lists the keys of the states the final merge (and its
+// backward twin) reads: every top-layer forward cell, then the reverse
+// direction's last-processed cell.
+func (w *workspace) finalStateKeys() []taskrt.Dep {
+	top := w.cfg.Layers - 1
+	return append(slices.Clone(w.dir[fwdDir].kSt[top]), w.dir[revDir].kSt[top][0])
 }
 
 // inputKey returns the dependency key of the input consumed by layer l at

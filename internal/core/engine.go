@@ -144,7 +144,7 @@ type Engine struct {
 	// caches live and die together: evicting a T's workspaces evicts its
 	// templates in the same breath.
 	tpls map[tplKey]*taskrt.Template
-	vel  *velocity
+	vel  []wb // momentum buffers, parallel to Model.params
 	adam *adamState
 	obs  *engineObs // live metrics; nil unless EnableObs was called
 
@@ -204,17 +204,11 @@ func (e *Engine) workspaces(T int) []*workspace {
 	if e.obs != nil {
 		e.obs.cacheMisses.Inc()
 	}
-	cfg := e.M.Cfg
-	n := cfg.MiniBatches
+	n := e.M.Cfg.MiniBatches
 	ws := make([]*workspace, n)
-	base := cfg.Batch / n
-	rem := cfg.Batch % n
-	for i := 0; i < n; i++ {
-		rows := base
-		if i < rem {
-			rows++
-		}
-		ws[i] = newWorkspace(e.M, rows, T, e.phantom, !e.FusedGates, e.isF32())
+	for i := range ws {
+		lo, hi := e.M.Cfg.mbBounds(i)
+		ws[i] = newWorkspace(e.M, hi-lo, T, e.phantom, !e.FusedGates, e.isF32())
 	}
 	if dc := e.depChecker(); dc != nil {
 		for i, w := range ws {
@@ -292,8 +286,7 @@ func (e *Engine) refreshWeightCaches() {
 }
 
 // mbBounds returns the row range of mini-batch i.
-func (e *Engine) mbBounds(i int) (lo, hi int) {
-	cfg := e.M.Cfg
+func (cfg Config) mbBounds(i int) (lo, hi int) {
 	n := cfg.MiniBatches
 	base := cfg.Batch / n
 	rem := cfg.Batch % n
@@ -333,8 +326,9 @@ func (e *Engine) hasLabels(b *Batch) bool {
 	return true
 }
 
-func (e *Engine) checkBatch(b *Batch, needTargets bool) error {
-	cfg := e.M.Cfg
+// checkBatch validates b's shapes against cfg; needTargets additionally
+// requires the labels every configured head trains against.
+func (cfg Config) checkBatch(b *Batch, needTargets bool) error {
 	if len(b.X) == 0 {
 		return fmt.Errorf("core: empty batch")
 	}
@@ -379,8 +373,6 @@ func (e *Engine) checkBatch(b *Batch, needTargets bool) error {
 // for a masked variable-length batch, the total count of real frames, so a
 // uniformly short masked batch scales identically to the same batch run at
 // its true length.
-func (e *Engine) lossScale(b *Batch) float64 { return e.M.Cfg.lossScale(b) }
-
 func (cfg Config) lossScale(b *Batch) float64 {
 	s := float64(cfg.Batch)
 	if cfg.anyPerFrame() {
@@ -400,10 +392,32 @@ func (cfg Config) lossScale(b *Batch) float64 {
 // propagation, mini-batch gradient reduction, all as one barrier-free task
 // graph — then applies an SGD update. It returns the mean batch loss.
 func (e *Engine) TrainStep(b *Batch, lr float64) (float64, error) {
+	return e.runStep(b, stepTrain, func(wss []*workspace, scale float64) { e.applySGD(wss[0], lr, scale) })
+}
+
+// stepKind selects the task graph a step executes.
+type stepKind int
+
+const (
+	stepInfer        stepKind = iota // forward only, at the inference dtype
+	stepTrain                        // barrier-free forward + backward + reduce
+	stepTrainBarrier                 // the same tasks between per-layer barriers (barrier.go)
+)
+
+// runStep is the one step runner behind TrainStep, TrainStepBarrier and
+// InferProbs: validate the batch, take the single-caller guard, bind the
+// workspaces, run the kind's task graph — a template replay when the executor
+// can, fresh emission otherwise; the barrier ablation always emits fresh,
+// since replay has no sync points to model — and total the losses. consume
+// runs once the graph has completed and before the guard is released: it
+// applies the update or copies results out of the workspaces. Returns the
+// mean batch loss.
+func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace, scale float64)) (float64, error) {
 	if e.phantom {
-		return 0, fmt.Errorf("core: TrainStep on a phantom engine; use EmitTrainGraph")
+		return 0, fmt.Errorf("core: a phantom engine cannot execute steps; use EmitTrainGraph, EmitTrainGraphBarrier or EmitInferGraph")
 	}
-	if err := e.checkBatch(b, true); err != nil {
+	train := kind != stepInfer
+	if err := e.M.Cfg.checkBatch(b, train); err != nil {
 		return 0, err
 	}
 	if err := e.beginStep(); err != nil {
@@ -415,26 +429,34 @@ func (e *Engine) TrainStep(b *Batch, lr float64) (float64, error) {
 	wss := e.workspaces(T)
 	e.refreshWeightCaches()
 	dc := e.bindWorkspaces(wss, b)
-	if rp := e.replayer(); rp != nil {
-		rp.Replay(e.template(true, T))
-	} else {
-		e.emitTrain(wss)
+	var rp taskrt.Replayer
+	if kind != stepTrainBarrier {
+		rp = e.replayer()
+	}
+	switch {
+	case rp != nil:
+		rp.Replay(e.template(train, T))
+	case kind == stepTrainBarrier:
+		if err := e.emitBarrierGraph(wss); err != nil {
+			return 0, err
+		}
+	default:
+		e.emitStep(train, wss)
 	}
 	if err := e.Exec.Wait(); err != nil {
 		return 0, err
 	}
 
-	scale := e.lossScale(b)
+	scale := e.M.Cfg.lossScale(b)
 	loss := 0.0
 	for _, ws := range wss {
 		loss += ws.sumLosses()
 	}
 	loss /= scale
 	e.recordHeadLosses(wss, T, scale)
-
-	e.applySGD(wss[0], lr, scale)
-	e.finishStep(dc)
-	e.recordStep(stepStart, loss, false, true, b.realRows(e.M.Cfg.Batch))
+	consume(wss, scale)
+	e.finishStep(dc, rp != nil)
+	e.recordStep(stepStart, loss, !train, train || e.hasLabels(b), b.realRows(e.M.Cfg.Batch))
 	return loss, nil
 }
 
@@ -445,8 +467,7 @@ func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch) *taskrt.DepChecker {
 	dc := e.depChecker()
 	for i, ws := range wss {
 		ws.resetForStep()
-		lo, hi := e.mbBounds(i)
-		mb := e.sliceBatch(b, lo, hi)
+		mb := b.sliceRows(e.M.Cfg.mbBounds(i))
 		ws.bindStep(mb)
 		if dc != nil {
 			e.registerStepInputs(dc, ws, mb, i)
@@ -493,13 +514,7 @@ func (e *Engine) template(train bool, T int) *taskrt.Template {
 	e.Exec = rec
 	func() {
 		defer func() { e.Exec = saved }()
-		if train {
-			e.emitTrain(wss)
-			return
-		}
-		for i, ws := range wss {
-			e.emitInfer(ws, i)
-		}
+		e.emitStep(train, wss)
 	}()
 	tpl := rec.Freeze()
 	if train {
@@ -521,8 +536,8 @@ func (e *Engine) template(train bool, T int) *taskrt.Template {
 // cleared (along with the sanitizer's shadow state). Replay never touched
 // the table: only the sanitizer's per-step buffer registrations are dropped,
 // and no ResetDeps churn happens at all.
-func (e *Engine) finishStep(dc *taskrt.DepChecker) {
-	if e.replayer() == nil {
+func (e *Engine) finishStep(dc *taskrt.DepChecker, replayed bool) {
+	if !replayed {
 		e.maybeResetDeps()
 		return
 	}
@@ -554,32 +569,19 @@ func (e *Engine) Infer(b *Batch) ([][]int, float64, error) {
 // the mean loss when labels are present. Slots are head-major, as in Infer.
 // Useful for sampling-based generation and calibration analysis.
 func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
-	if e.phantom {
-		return nil, 0, fmt.Errorf("core: inference on a phantom engine; use EmitInferGraph")
-	}
-	if err := e.checkBatch(b, false); err != nil {
+	var probs []*tensor.Matrix
+	loss, err := e.runStep(b, stepInfer, func(wss []*workspace, _ float64) { probs = e.gatherProbs(wss) })
+	if err != nil {
 		return nil, 0, err
 	}
-	if err := e.beginStep(); err != nil {
-		return nil, 0, err
-	}
-	defer e.endStep()
-	stepStart := time.Now()
-	T := b.SeqLen()
-	wss := e.workspaces(T)
-	e.refreshWeightCaches()
-	dc := e.bindWorkspaces(wss, b)
-	if rp := e.replayer(); rp != nil {
-		rp.Replay(e.template(false, T))
-	} else {
-		for i, ws := range wss {
-			e.emitInfer(ws, i)
-		}
-	}
-	if err := e.Exec.Wait(); err != nil {
-		return nil, 0, err
-	}
-	cfg := e.M.Cfg
+	return probs, loss, nil
+}
+
+// gatherProbs copies every output slot's probabilities out of the mini-batch
+// workspaces into fresh [Batch x Classes] matrices, widening on a float32
+// engine.
+func (e *Engine) gatherProbs(wss []*workspace) []*tensor.Matrix {
+	cfg, T := e.M.Cfg, wss[0].T
 	probs := make([]*tensor.Matrix, cfg.HeadSlots(T))
 	for h, spec := range cfg.HeadSpecs() {
 		lo, n := cfg.HeadSlotRange(h, T)
@@ -597,16 +599,7 @@ func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 			}
 		}
 	}
-	loss := 0.0
-	for _, ws := range wss {
-		loss += ws.sumLosses()
-	}
-	scale := e.lossScale(b)
-	loss /= scale
-	e.recordHeadLosses(wss, T, scale)
-	e.finishStep(dc)
-	e.recordStep(stepStart, loss, true, e.hasLabels(b), b.realRows(e.M.Cfg.Batch))
-	return probs, loss, nil
+	return probs
 }
 
 // EmitTrainGraph emits the dependency/metadata-only task graph of one
@@ -624,6 +617,18 @@ func (e *Engine) emitTrain(wss []*workspace) {
 		e.emitBackward(ws, i)
 	}
 	e.emitReduce(wss)
+}
+
+// emitStep emits one step's barrier-free task graph over wss: the training
+// graph, or the forward-only graph at the engine's inference dtype.
+func (e *Engine) emitStep(train bool, wss []*workspace) {
+	if train {
+		e.emitTrain(wss)
+		return
+	}
+	for i, ws := range wss {
+		e.emitInfer(ws, i)
+	}
 }
 
 // EmitInferGraph emits the forward-only task graph of sequence length T.
@@ -644,8 +649,8 @@ func (e *Engine) WorkingSetBytes(T int) int64 {
 	return total
 }
 
-// sliceBatch returns the mini-batch view of rows [lo, hi).
-func (e *Engine) sliceBatch(b *Batch, lo, hi int) *Batch {
+// sliceRows returns the mini-batch view of rows [lo, hi).
+func (b *Batch) sliceRows(lo, hi int) *Batch {
 	mb := &Batch{X: make([]*tensor.Matrix, len(b.X))}
 	for t := range b.X {
 		mb.X[t] = b.X[t].SliceRows(lo, hi)
@@ -683,97 +688,46 @@ func sliceReal(real, lo, hi int) int {
 }
 
 // applySGD folds mini-batch gradients (already reduced into workspace 0),
-// normalizes, optionally clips, folds momentum, and updates the weights.
+// normalizes, optionally clips, folds momentum, and updates the weights —
+// each pass one loop over the parameter catalogue and ws.grads beside it.
 func (e *Engine) applySGD(ws *workspace, lr, scale float64) {
 	e.M.noteWeightUpdate()
+	params, grads := e.M.params, ws.grads
 	if e.WeightDecay > 0 {
-		decay := 1 - lr*e.WeightDecay
-		for l := range e.M.fwd {
-			for _, p := range []*dirParams{e.M.fwd[l], e.M.rev[l]} {
-				w, b := p.wParams()
-				tensor.ScaleInPlace(w, decay)
-				for i := range b {
-					b[i] *= decay
-				}
-			}
-		}
-		for h := range e.M.Heads {
-			tensor.ScaleInPlace(e.M.Heads[h].W, decay)
-			for i := range e.M.Heads[h].B {
-				e.M.Heads[h].B[i] *= decay
-			}
+		for _, p := range params {
+			p.scale(1 - lr*e.WeightDecay)
 		}
 	}
 	inv := 1.0 / scale
 	if e.GradClip > 0 || e.Momentum > 0 || e.Adam != nil {
 		// Normalize in place so clipping and momentum see mean gradients.
-		for l := range ws.gradsFwd {
-			scaleDirGrads(ws.gradsFwd[l], inv)
-			scaleDirGrads(ws.gradsRev[l], inv)
-		}
-		for _, g := range ws.headGrads {
-			tensor.ScaleInPlace(g.DW, inv)
-			for i := range g.DB {
-				g.DB[i] *= inv
-			}
+		for _, g := range grads {
+			g.scale(inv)
 		}
 		inv = 1
 	}
 	if e.GradClip > 0 {
-		for l := range ws.gradsFwd {
-			ws.gradsFwd[l].clip(e.GradClip)
-			ws.gradsRev[l].clip(e.GradClip)
-		}
-		for _, g := range ws.headGrads {
-			tensor.ClipInPlace(g.DW, e.GradClip)
-			clipSlice(g.DB, e.GradClip)
+		for _, g := range grads {
+			g.clip(e.GradClip)
 		}
 	}
-	if e.Adam != nil {
-		e.applyAdam(ws, lr)
-		return
-	}
-	if e.Momentum > 0 {
+	switch {
+	case e.Adam != nil:
+		e.applyAdam(params, grads, lr)
+	case e.Momentum > 0:
 		if e.vel == nil {
-			e.vel = newVelocity(e.M)
+			e.vel = newVelocity(params)
 		}
-		mu := e.Momentum
-		for l := range ws.gradsFwd {
-			vF, vR := e.vel.dirs[2*l], e.vel.dirs[2*l+1]
-			scaleDirGrads(vF, mu)
-			vF.addScaled(1, ws.gradsFwd[l])
-			scaleDirGrads(vR, mu)
-			vR.addScaled(1, ws.gradsRev[l])
-			e.M.fwd[l].applySGD(lr, vF)
-			e.M.rev[l].applySGD(lr, vR)
+		for i, p := range params {
+			v := e.vel[i]
+			v.scale(e.Momentum)
+			v.axpy(1, grads[i].wb)
+			p.axpy(-lr, v)
 		}
-		for h := range e.M.Heads {
-			tensor.ScaleInPlace(e.vel.headW[h], mu)
-			tensor.AxpyMatrix(e.vel.headW[h], 1, ws.headGrads[h].DW)
-			for i := range e.vel.headB[h] {
-				e.vel.headB[h][i] = mu*e.vel.headB[h][i] + ws.headGrads[h].DB[i]
-			}
-			tensor.AxpyMatrix(e.M.Heads[h].W, -lr, e.vel.headW[h])
-			tensor.Axpy(-lr, e.vel.headB[h], e.M.Heads[h].B)
+	default:
+		for i, p := range params {
+			p.axpy(-lr*inv, grads[i].wb)
 		}
-		return
-	}
-	eff := lr * inv
-	for l := range ws.gradsFwd {
-		e.M.fwd[l].applySGD(eff, ws.gradsFwd[l])
-		e.M.rev[l].applySGD(eff, ws.gradsRev[l])
-	}
-	for h := range e.M.Heads {
-		tensor.AxpyMatrix(e.M.Heads[h].W, -eff, ws.headGrads[h].DW)
-		tensor.Axpy(-eff, ws.headGrads[h].DB, e.M.Heads[h].B)
-	}
-}
-
-func scaleDirGrads(g *dirGrads, alpha float64) {
-	dw, db := g.wData()
-	tensor.ScaleInPlace(dw, alpha)
-	for i := range db {
-		db[i] *= alpha
 	}
 }
 

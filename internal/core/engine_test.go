@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -170,7 +169,7 @@ func checkModelGradients(t *testing.T, m *Model, b *Batch, name string) {
 		t.Fatal(err)
 	}
 	ws := e.workspaces(b.SeqLen())[0]
-	scale := e.lossScale(b)
+	scale := m.Cfg.lossScale(b)
 
 	const h = 1e-6
 	const tol = 2e-5
@@ -190,25 +189,10 @@ func checkModelGradients(t *testing.T, m *Model, b *Batch, name string) {
 		}
 	}
 
-	for l := 0; l < m.Cfg.Layers; l++ {
-		for dir := 0; dir < 2; dir++ {
-			p := m.fwd[l]
-			g := ws.gradsFwd[l]
-			tag := "fwd"
-			if dir == 1 {
-				p, g, tag = m.rev[l], ws.gradsRev[l], "rev"
-			}
-			w, bias := p.wParams()
-			dw, db := g.wData()
-			n := len(w.Data)
-			check(tag+"W", w.Data, dw.Data, []int{0, n / 2, n - 1})
-			check(tag+"B", bias, db, []int{0, len(bias) - 1})
-		}
-	}
-	for hh := range m.Heads {
-		w, bias := m.Heads[hh].W, m.Heads[hh].B
-		check(fmt.Sprintf("head%dW", hh), w.Data, ws.headGrads[hh].DW.Data, []int{0, len(w.Data) - 1})
-		check(fmt.Sprintf("head%dB", hh), bias, ws.headGrads[hh].DB, []int{0, len(bias) - 1})
+	for i, p := range m.params {
+		g, n := ws.grads[i], len(p.W.Data)
+		check(p.name+" W", p.W.Data, g.W.Data, []int{0, n / 2, n - 1})
+		check(p.name+" B", p.B, g.B, []int{0, len(p.B) - 1})
 	}
 }
 
@@ -357,6 +341,11 @@ func TestBarrierModeMatchesBPar(t *testing.T) {
 	if loss != parLoss {
 		t.Fatalf("losses differ: %g vs %g", loss, parLoss)
 	}
+	// The ablation runs through the ordinary step epilogue, so it reports
+	// per-head losses like TrainStep does.
+	if hl := e.HeadLosses(); len(hl) != 1 || hl[0] != loss {
+		t.Fatalf("HeadLosses after TrainStepBarrier = %v, want [%g]", hl, loss)
+	}
 }
 
 // TestVariableSequenceLength: the graph adapts when T changes between
@@ -380,22 +369,46 @@ func TestVariableSequenceLength(t *testing.T) {
 	}
 }
 
+// TestBatchValidation: every malformed batch is an error — never a panic in
+// mini-batch slicing — from the engine and from the B-Seq baseline alike
+// (both validate through Config.checkBatch before touching a row).
 func TestBatchValidation(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 1)
+	cfg := multiHeadCfg(LSTM, 2)
 	m, _ := NewModel(cfg)
-	e := NewEngine(m, taskrt.NewInline(nil))
-	if _, err := e.TrainStep(&Batch{}, 0.1); err == nil {
-		t.Fatal("empty batch must fail")
+	steppers := []struct {
+		name string
+		step func(*Batch) (float64, error)
+	}{
+		{"engine", func(b *Batch) (float64, error) { return NewEngine(m, inlineExec()).TrainStep(b, 0.1) }},
+		{"barrier", func(b *Batch) (float64, error) { return NewEngine(m, inlineExec()).TrainStepBarrier(b, 0.1) }},
+		{"bseq", func(b *Batch) (float64, error) { return NewBSeq(m, inlineExec()).TrainStep(b, 0.1) }},
 	}
-	b := makeBatch(cfg, 1)
-	b.Targets = b.Targets[:2]
-	if _, err := e.TrainStep(b, 0.1); err == nil {
-		t.Fatal("short targets must fail")
+	malformed := []struct {
+		name   string
+		mangle func(b *Batch)
+	}{
+		{"empty", func(b *Batch) { *b = Batch{} }},
+		{"short targets", func(b *Batch) { b.Targets = b.Targets[:2] }},
+		{"missing targets", func(b *Batch) { b.Targets = nil }},
+		{"short step targets", func(b *Batch) { b.StepTargets = b.StepTargets[:2] }},
+		{"short step-target row", func(b *Batch) { b.StepTargets[1] = b.StepTargets[1][:3] }},
+		{"short lens", func(b *Batch) { b.Lens = b.Lens[:cfg.Batch-1] }},
+		{"lens out of range", func(b *Batch) { b.Lens[0] = cfg.SeqLen + 1 }},
+		{"wrong input rows", func(b *Batch) { b.X[0] = tensor.New(cfg.Batch-1, cfg.InputSize) }},
+		{"wrong input width", func(b *Batch) { b.X[0] = tensor.New(cfg.Batch, cfg.InputSize+1) }},
+		{"real beyond batch", func(b *Batch) { b.Real = cfg.Batch + 1 }},
 	}
-	bad := makeBatch(cfg, 1)
-	bad.X[0] = tensor.New(cfg.Batch, cfg.InputSize+1)
-	if _, err := e.TrainStep(bad, 0.1); err == nil {
-		t.Fatal("wrong input width must fail")
+	for _, st := range steppers {
+		if _, err := st.step(makeMultiBatch(cfg, 1, true)); err != nil {
+			t.Fatalf("%s: well-formed batch failed: %v", st.name, err)
+		}
+		for _, mf := range malformed {
+			b := makeMultiBatch(cfg, 1, true)
+			mf.mangle(b)
+			if _, err := st.step(b); err == nil {
+				t.Errorf("%s: %s must fail", st.name, mf.name)
+			}
+		}
 	}
 }
 
@@ -420,11 +433,9 @@ func TestInferWithoutTargets(t *testing.T) {
 func TestMbBounds(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 4)
 	cfg.Batch = 10 // 3,3,2,2
-	m, _ := NewModel(cfg)
-	e := NewEngine(m, taskrt.NewInline(nil))
 	want := [][2]int{{0, 3}, {3, 6}, {6, 8}, {8, 10}}
 	for i, w := range want {
-		lo, hi := e.mbBounds(i)
+		lo, hi := cfg.mbBounds(i)
 		if lo != w[0] || hi != w[1] {
 			t.Fatalf("mb %d: [%d,%d) want [%d,%d)", i, lo, hi, w[0], w[1])
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"bpar/internal/cell"
@@ -87,30 +89,46 @@ func (d *dirFwd[E]) refresh(p *dirParams) {
 	}
 }
 
-// fwdWeights is the forward-kernel view of a whole model at element type E:
-// one dirFwd per layer and direction plus the output heads. It is what a
-// forward emission reads its weights through.
-type fwdWeights[E tensor.Elt] struct {
-	fwd, rev []*dirFwd[E] // per layer
-	headW    []*tensor.Mat[E]
-	headB    [][]E
+// Direction is an array index throughout this package: fwdDir is the
+// forward-order RNN of Algorithm 2, revDir the reverse-order RNN of Algorithm
+// 3 — the same recurrence with the time index reversed. dirName and dirSuffix
+// spell an index in task labels ("fwd L0 t3") and depcheck key names
+// ("dHChainFwd").
+const (
+	fwdDir = 0
+	revDir = 1
+)
+
+var (
+	dirName   = [2]string{"fwd", "rev"}
+	dirSuffix = [2]string{"Fwd", "Rev"}
+)
+
+// dirIdx maps an emitter's rev flag onto the direction index.
+func dirIdx(rev bool) int {
+	if rev {
+		return revDir
+	}
+	return fwdDir
 }
 
-// dir returns layer l's forward- or reverse-order kernel view.
-func (w *fwdWeights[E]) dir(l int, rev bool) *dirFwd[E] {
-	if rev {
-		return w.rev[l]
-	}
-	return w.fwd[l]
+// fwdWeights is the forward-kernel view of a whole model at element type E:
+// one dirFwd per direction and layer plus the output heads. It is what a
+// forward emission reads its weights through.
+type fwdWeights[E tensor.Elt] struct {
+	dir   [2][]*dirFwd[E] // [direction][layer]
+	headW []*tensor.Mat[E]
+	headB [][]E
 }
 
 // masterFwdWeights returns m's float64 view. It aliases the trainable
 // weights, so updates show through it with no refresh.
 func masterFwdWeights(m *Model) *fwdWeights[float64] {
 	w := &fwdWeights[float64]{}
-	for l := range m.fwd {
-		w.fwd = append(w.fwd, &m.fwd[l].dirFwd)
-		w.rev = append(w.rev, &m.rev[l].dirFwd)
+	for d := range m.dir {
+		for _, p := range m.dir[d] {
+			w.dir[d] = append(w.dir[d], &p.dirFwd)
+		}
 	}
 	for h := range m.Heads {
 		w.headW = append(w.headW, m.Heads[h].W)
@@ -124,9 +142,10 @@ func masterFwdWeights(m *Model) *fwdWeights[float64] {
 // every direction also carries packed split-path panels.
 func newFwdMirror[E tensor.Elt](m *Model, pack bool) *fwdWeights[E] {
 	w := &fwdWeights[E]{}
-	for l := range m.fwd {
-		w.fwd = append(w.fwd, newDirMirror[E](m.fwd[l], pack))
-		w.rev = append(w.rev, newDirMirror[E](m.rev[l], pack))
+	for d := range m.dir {
+		for _, p := range m.dir[d] {
+			w.dir[d] = append(w.dir[d], newDirMirror[E](p, pack))
+		}
 	}
 	for h := range m.Heads {
 		w.headW = append(w.headW, tensor.ConvertedOf[E](m.Heads[h].W))
@@ -138,9 +157,10 @@ func newFwdMirror[E tensor.Elt](m *Model, pack bool) *fwdWeights[E] {
 
 // refresh re-converts the whole mirror from m in place.
 func (w *fwdWeights[E]) refresh(m *Model) {
-	for l := range w.fwd {
-		w.fwd[l].refresh(m.fwd[l])
-		w.rev[l].refresh(m.rev[l])
+	for d := range w.dir {
+		for l, v := range w.dir[d] {
+			v.refresh(m.dir[d][l])
+		}
 	}
 	for h := range w.headW {
 		tensor.ConvertInto(w.headW[h], m.Heads[h].W)
@@ -457,46 +477,45 @@ func (g *dirGrads) wData() (*tensor.Matrix, []float64) {
 	}
 }
 
-func (g *dirGrads) zero() {
-	dw, db := g.wData()
-	dw.Zero()
-	for i := range db {
-		db[i] = 0
+// wb is one weight-shaped tensor pair — a parameter set, its gradient, or an
+// optimizer moment: a matrix plus a bias-shaped vector. Every host-side pass
+// over the model (decay, normalize, clip, momentum, SGD, Adam, the mini-batch
+// reduction, checkpoints, comparisons) is one loop over a list of these, in
+// Model.params order.
+type wb struct {
+	W *tensor.Matrix
+	B []float64
+}
+
+func (a wb) zero() {
+	a.W.Zero()
+	clear(a.B)
+}
+
+func (a wb) scale(alpha float64) {
+	tensor.ScaleInPlace(a.W, alpha)
+	for i := range a.B {
+		a.B[i] *= alpha
 	}
 }
 
-// addScaled accumulates alpha * src into g (the mini-batch reduction).
-func (g *dirGrads) addScaled(alpha float64, src *dirGrads) {
-	dw, db := g.wData()
-	sw, sb := src.wData()
-	tensor.AxpyMatrix(dw, alpha, sw)
-	tensor.Axpy(alpha, sb, db)
+// axpy accumulates alpha * x into a: the mini-batch reduction (alpha = 1) and
+// the SGD update (alpha = -lr).
+func (a wb) axpy(alpha float64, x wb) {
+	tensor.AxpyMatrix(a.W, alpha, x.W)
+	tensor.Axpy(alpha, x.B, a.B)
 }
 
-// applySGD performs w -= lr * g.
-func (p *dirParams) applySGD(lr float64, g *dirGrads) {
-	w, b := p.wParams()
-	dw, db := g.wData()
-	tensor.AxpyMatrix(w, -lr, dw)
-	tensor.Axpy(-lr, db, b)
-}
-
-// clip clamps gradient magnitudes; keeps small-model training stable.
-func (g *dirGrads) clip(limit float64) {
-	dw, db := g.wData()
-	tensor.ClipInPlace(dw, limit)
-	clipSlice(db, limit)
-}
-
-func clipSlice(s []float64, limit float64) {
-	for i, v := range s {
-		if v > limit {
-			s[i] = limit
-		} else if v < -limit {
-			s[i] = -limit
-		}
+// clip clamps magnitudes; keeps small-model training stable.
+func (a wb) clip(limit float64) {
+	tensor.ClipInPlace(a.W, limit)
+	for i, v := range a.B {
+		a.B[i] = min(max(v, -limit), limit)
 	}
 }
+
+// count returns the number of scalars in the pair.
+func (a wb) count() int { return len(a.W.Data) + len(a.B) }
 
 // Head is one trained output head on the shared bidirectional trunk: a
 // [Classes x MergeDim] affine projection plus softmax, applied either to the
@@ -516,7 +535,14 @@ type Head struct {
 type Model struct {
 	Cfg Config
 
-	fwd, rev []*dirParams // per layer
+	dir [2][]*dirParams // [direction][layer]
+
+	// params is the parameter catalogue: every trainable tensor pair in the
+	// one order the whole package agrees on — per layer the forward then the
+	// reverse direction, then the heads — which is the checkpoint byte order,
+	// the reduce-task submission order and the layout of workspace.grads and
+	// the optimizer moments. It aliases dir and Heads.
+	params []param
 
 	// Heads are the output heads, in Cfg.HeadSpecs() order. Single-head
 	// configs hold exactly the pre-refactor classifier parameters.
@@ -554,57 +580,53 @@ func NewModel(cfg Config) (*Model, error) {
 	m := &Model{Cfg: cfg, mut: new(atomic.Uint64)}
 	for l := 0; l < cfg.Layers; l++ {
 		in := cfg.LayerInputSize(l)
-		m.fwd = append(m.fwd, newDirParams(cfg.Cell, in, cfg.HiddenSize, r.Split()))
-		m.rev = append(m.rev, newDirParams(cfg.Cell, in, cfg.HiddenSize, r.Split()))
+		for d := range m.dir {
+			p := newDirParams(cfg.Cell, in, cfg.HiddenSize, r.Split())
+			m.dir[d] = append(m.dir[d], p)
+			w, b := p.wParams()
+			m.params = append(m.params, param{fmt.Sprintf("L%d dir%d", l, d), wb{w, b}})
+		}
 	}
 	d := cfg.MergeDim()
 	scale := 1.0 / sqrtF(float64(d))
-	for _, spec := range cfg.HeadSpecs() {
+	for i, spec := range cfg.HeadSpecs() {
 		h := Head{Kind: spec.Kind, Classes: spec.Classes, W: tensor.New(spec.Classes, d), B: make([]float64, spec.Classes)}
 		hr := r.Split()
 		hr.FillUniform(h.W.Data, -scale, scale)
 		m.Heads = append(m.Heads, h)
+		m.params = append(m.params, param{fmt.Sprintf("head%d", i), wb{h.W, h.B}})
 	}
 	return m, nil
+}
+
+// param is one entry of the model's parameter catalogue.
+type param struct {
+	name string // "L2 dir1", "head0": how task labels and errors spell it
+	wb
 }
 
 // ParamCount returns the recurrent parameter count (matches the paper's
 // tables); the head adds HeadParamCount more.
 func (m *Model) ParamCount() int {
 	total := 0
-	for l := range m.fwd {
-		total += m.fwd[l].paramCount() + m.rev[l].paramCount()
+	for d := range m.dir {
+		for _, p := range m.dir[d] {
+			total += p.paramCount()
+		}
 	}
 	return total
 }
 
 // Clone returns a deep copy of the model (same config, copied weights).
 func (m *Model) Clone() *Model {
-	c := &Model{Cfg: m.Cfg, mut: new(atomic.Uint64)}
-	for _, h := range m.Heads {
-		c.Heads = append(c.Heads, Head{Kind: h.Kind, Classes: h.Classes, W: h.W.Clone(), B: append([]float64(nil), h.B...)})
+	c, err := NewModel(m.Cfg)
+	if err != nil {
+		panic(err) // m.Cfg was validated when m was built
 	}
-	for l := range m.fwd {
-		c.fwd = append(c.fwd, cloneDir(m.fwd[l]))
-		c.rev = append(c.rev, cloneDir(m.rev[l]))
+	for i, p := range m.params {
+		c.params[i].W.CopyFrom(p.W)
+		copy(c.params[i].B, p.B)
 	}
-	return c
-}
-
-func cloneDir(p *dirParams) *dirParams {
-	c := &dirParams{dirFwd[float64]{kind: p.kind}}
-	switch p.kind {
-	case LSTM:
-		c.lstm = cell.NewLSTMWeights(p.lstm.InputSize, p.lstm.HiddenSize)
-	case GRU:
-		c.gru = cell.NewGRUWeights(p.gru.InputSize, p.gru.HiddenSize)
-	default:
-		c.rnn = cell.NewRNNWeights(p.rnn.InputSize, p.rnn.HiddenSize)
-	}
-	cw, cb := c.wParams()
-	pw, pb := p.wParams()
-	cw.CopyFrom(pw)
-	copy(cb, pb)
 	return c
 }
 
@@ -619,47 +641,22 @@ func (m *Model) WithBatch(batch, miniBatches int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{Cfg: cfg, fwd: m.fwd, rev: m.rev, Heads: m.Heads, mut: m.mut}, nil
+	return m.view(cfg), nil
+}
+
+// view returns a model sharing m's weights and weight version under cfg.
+func (m *Model) view(cfg Config) *Model {
+	return &Model{Cfg: cfg, dir: m.dir, params: m.params, Heads: m.Heads, mut: m.mut}
 }
 
 // WeightsEqual reports bitwise equality of all parameters — the
 // determinism/equivalence check used by the accuracy-preservation tests.
 func (m *Model) WeightsEqual(o *Model) bool {
-	if len(m.fwd) != len(o.fwd) {
+	if len(m.params) != len(o.params) {
 		return false
 	}
-	for l := range m.fwd {
-		if !dirEqual(m.fwd[l], o.fwd[l]) || !dirEqual(m.rev[l], o.rev[l]) {
-			return false
-		}
-	}
-	if len(m.Heads) != len(o.Heads) {
-		return false
-	}
-	for h := range m.Heads {
-		if !m.Heads[h].W.Equal(o.Heads[h].W) {
-			return false
-		}
-		for i, v := range m.Heads[h].B {
-			if v != o.Heads[h].B[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func dirEqual(a, b *dirParams) bool {
-	if a.kind != b.kind {
-		return false
-	}
-	aw, ab := a.wParams()
-	bw, bb := b.wParams()
-	if !aw.Equal(bw) {
-		return false
-	}
-	for i, v := range ab {
-		if v != bb[i] {
+	for i, p := range m.params {
+		if q := o.params[i]; !p.W.Equal(q.W) || !slices.Equal(p.B, q.B) {
 			return false
 		}
 	}
@@ -669,25 +666,12 @@ func dirEqual(a, b *dirParams) bool {
 // WeightsMaxAbsDiff returns the largest absolute parameter difference
 // between two models with identical configuration.
 func (m *Model) WeightsMaxAbsDiff(o *Model) float64 {
-	max := 0.0
-	upd := func(d float64) {
-		if d > max {
-			max = d
-		}
+	diff := 0.0
+	for i, p := range m.params {
+		q := o.params[i]
+		diff = max(diff, p.W.MaxAbsDiff(q.W), sliceMaxAbsDiff(p.B, q.B))
 	}
-	for l := range m.fwd {
-		for _, pair := range [][2]*dirParams{{m.fwd[l], o.fwd[l]}, {m.rev[l], o.rev[l]}} {
-			aw, ab := pair[0].wParams()
-			bw, bb := pair[1].wParams()
-			upd(aw.MaxAbsDiff(bw))
-			upd(sliceMaxAbsDiff(ab, bb))
-		}
-	}
-	for h := range m.Heads {
-		upd(m.Heads[h].W.MaxAbsDiff(o.Heads[h].W))
-		upd(sliceMaxAbsDiff(m.Heads[h].B, o.Heads[h].B))
-	}
-	return max
+	return diff
 }
 
 func sliceMaxAbsDiff(a, b []float64) float64 {

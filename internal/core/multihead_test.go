@@ -355,7 +355,7 @@ func TestLoadV1Checkpoint(t *testing.T) {
 		}
 	}
 	for l := 0; l < cfg.Layers; l++ {
-		for _, p := range []*dirParams{m.fwd[l], m.rev[l]} {
+		for _, p := range []*dirParams{m.dir[fwdDir][l], m.dir[revDir][l]} {
 			w, bias := p.wParams()
 			if err := binary.Write(&buf, binary.LittleEndian, w.Data); err != nil {
 				t.Fatal(err)

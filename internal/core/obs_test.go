@@ -157,6 +157,9 @@ func TestConcurrentStepReturnsErrEngineBusy(t *testing.T) {
 	if _, err := e.TrainStep(makeBatch(cfg, 4), 0.05); !errors.Is(err, ErrEngineBusy) {
 		t.Errorf("concurrent TrainStep returned %v, want ErrEngineBusy", err)
 	}
+	if _, err := e.TrainStepBarrier(makeBatch(cfg, 4), 0.05); !errors.Is(err, ErrEngineBusy) {
+		t.Errorf("concurrent TrainStepBarrier returned %v, want ErrEngineBusy", err)
+	}
 
 	close(g.release)
 	if err := <-firstErr; err != nil {

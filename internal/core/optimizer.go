@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"bpar/internal/tensor"
+)
 
 // AdamOpts configures the Adam optimizer. Enable by setting Engine.Adam;
 // it then takes precedence over Momentum/plain SGD.
@@ -15,11 +19,17 @@ func DefaultAdam() *AdamOpts { return &AdamOpts{Beta1: 0.9, Beta2: 0.999, Eps: 1
 // parameter, plus the step counter for bias correction.
 type adamState struct {
 	step int
-	m, v *velocity
+	m, v []wb
 }
 
-func newAdamState(model *Model) *adamState {
-	return &adamState{m: newVelocity(model), v: newVelocity(model)}
+// newVelocity returns zeroed optimizer state shaped like params, entry for
+// entry: the momentum buffer, or one of Adam's two moments.
+func newVelocity(params []param) []wb {
+	v := make([]wb, len(params))
+	for i, p := range params {
+		v[i] = wb{tensor.New(p.W.Rows, p.W.Cols), make([]float64, len(p.B))}
+	}
+	return v
 }
 
 // adamUpdate applies one Adam step to parameters w given normalized
@@ -35,35 +45,18 @@ func adamUpdate(w, g, m, v []float64, lr float64, o *AdamOpts, c1, c2 float64) {
 }
 
 // applyAdam performs one full-model Adam step from the (already normalized
-// and optionally clipped) gradients in ws.
-func (e *Engine) applyAdam(ws *workspace, lr float64) {
+// and optionally clipped) gradients.
+func (e *Engine) applyAdam(params []param, grads []gradRef, lr float64) {
 	if e.adam == nil {
-		e.adam = newAdamState(e.M)
+		e.adam = &adamState{m: newVelocity(params), v: newVelocity(params)}
 	}
 	st := e.adam
 	st.step++
 	c1 := 1 - math.Pow(e.Adam.Beta1, float64(st.step))
 	c2 := 1 - math.Pow(e.Adam.Beta2, float64(st.step))
-
-	for l := range ws.gradsFwd {
-		for dir := 0; dir < 2; dir++ {
-			p := e.M.fwd[l]
-			g := ws.gradsFwd[l]
-			if dir == 1 {
-				p, g = e.M.rev[l], ws.gradsRev[l]
-			}
-			w, bias := p.wParams()
-			dw, db := g.wData()
-			mBuf := st.m.dirs[2*l+dir]
-			vBuf := st.v.dirs[2*l+dir]
-			mW, mB := mBuf.wData()
-			vW, vB := vBuf.wData()
-			adamUpdate(w.Data, dw.Data, mW.Data, vW.Data, lr, e.Adam, c1, c2)
-			adamUpdate(bias, db, mB, vB, lr, e.Adam, c1, c2)
-		}
-	}
-	for h := range e.M.Heads {
-		adamUpdate(e.M.Heads[h].W.Data, ws.headGrads[h].DW.Data, st.m.headW[h].Data, st.v.headW[h].Data, lr, e.Adam, c1, c2)
-		adamUpdate(e.M.Heads[h].B, ws.headGrads[h].DB, st.m.headB[h], st.v.headB[h], lr, e.Adam, c1, c2)
+	for i, p := range params {
+		g, m, v := grads[i], st.m[i], st.v[i]
+		adamUpdate(p.W.Data, g.W.Data, m.W.Data, v.W.Data, lr, e.Adam, c1, c2)
+		adamUpdate(p.B, g.B, m.B, v.B, lr, e.Adam, c1, c2)
 	}
 }

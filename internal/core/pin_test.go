@@ -26,7 +26,7 @@ func weightFingerprint(m *Model) uint64 {
 		}
 	}
 	for l := 0; l < m.Cfg.Layers; l++ {
-		for _, p := range []*dirParams{m.fwd[l], m.rev[l]} {
+		for _, p := range []*dirParams{m.dir[fwdDir][l], m.dir[revDir][l]} {
 			w, b := p.wParams()
 			add(w.Data)
 			add(b)

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"bpar/internal/tensor"
 )
 
 // serialization format: a fixed magic/version header, the configuration as
@@ -42,26 +40,11 @@ func (m *Model) Save(w io.Writer) error {
 			return fmt.Errorf("core: save header: %w", err)
 		}
 	}
-	writeF64 := func(data []float64) error {
-		return binary.Write(bw, binary.LittleEndian, data)
-	}
-	for l := 0; l < cfg.Layers; l++ {
-		for _, p := range []*dirParams{m.fwd[l], m.rev[l]} {
-			w, bias := p.wParams()
-			if err := writeF64(w.Data); err != nil {
+	for _, p := range m.params {
+		for _, data := range [][]float64{p.W.Data, p.B} {
+			if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
 				return err
 			}
-			if err := writeF64(bias); err != nil {
-				return err
-			}
-		}
-	}
-	for h := range m.Heads {
-		if err := writeF64(m.Heads[h].W.Data); err != nil {
-			return err
-		}
-		if err := writeF64(m.Heads[h].B); err != nil {
-			return err
 		}
 	}
 	return bw.Flush()
@@ -117,48 +100,15 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load config: %w", err)
 	}
-	readF64 := func(data []float64) error {
-		return binary.Read(br, binary.LittleEndian, data)
-	}
-	for l := 0; l < cfg.Layers; l++ {
-		for _, p := range []*dirParams{m.fwd[l], m.rev[l]} {
-			w, bias := p.wParams()
-			if err := readF64(w.Data); err != nil {
-				return nil, fmt.Errorf("core: load layer %d weights: %w", l, err)
-			}
-			if err := readF64(bias); err != nil {
-				return nil, fmt.Errorf("core: load layer %d bias: %w", l, err)
-			}
-		}
-	}
 	// Version 1 bodies carry exactly one head's W and B, which is also the
 	// effective-head layout NewModel derives for a headless config.
-	for h := range m.Heads {
-		if err := readF64(m.Heads[h].W.Data); err != nil {
-			return nil, fmt.Errorf("core: load head %d weights: %w", h, err)
+	for _, p := range m.params {
+		if err := binary.Read(br, binary.LittleEndian, p.W.Data); err != nil {
+			return nil, fmt.Errorf("core: load %s weights: %w", p.name, err)
 		}
-		if err := readF64(m.Heads[h].B); err != nil {
-			return nil, fmt.Errorf("core: load head %d bias: %w", h, err)
+		if err := binary.Read(br, binary.LittleEndian, p.B); err != nil {
+			return nil, fmt.Errorf("core: load %s bias: %w", p.name, err)
 		}
 	}
 	return m, nil
-}
-
-// velocity holds momentum state matching one model's parameters.
-type velocity struct {
-	dirs  []*dirGrads // fwd then rev per layer, same layout as gradients
-	headW []*tensor.Matrix
-	headB [][]float64
-}
-
-func newVelocity(m *Model) *velocity {
-	v := &velocity{}
-	for h := range m.Heads {
-		v.headW = append(v.headW, tensor.New(m.Heads[h].W.Rows, m.Heads[h].W.Cols))
-		v.headB = append(v.headB, make([]float64, len(m.Heads[h].B)))
-	}
-	for l := range m.fwd {
-		v.dirs = append(v.dirs, m.fwd[l].newGrads(), m.rev[l].newGrads())
-	}
-	return v
 }

@@ -224,8 +224,8 @@ func TestWeightDecayShrinksNorms(t *testing.T) {
 			}
 		}
 		norm := m.Heads[0].W.SumAbs()
-		for l := range m.fwd {
-			w, _ := m.fwd[l].wParams()
+		for _, p := range m.dir[fwdDir] {
+			w, _ := p.wParams()
 			norm += w.SumAbs()
 		}
 		return norm

@@ -5,19 +5,6 @@ import (
 	"bpar/internal/tensor"
 )
 
-// headGrads accumulates one output head's gradients.
-type headGrads struct {
-	DW *tensor.Matrix
-	DB []float64
-}
-
-func (g *headGrads) zero() {
-	g.DW.Zero()
-	for i := range g.DB {
-		g.DB[i] = 0
-	}
-}
-
 // stepBinding is the per-step data a task graph reads at run time: the
 // current batch's labels and lengths (its input-matrix views are bound as the
 // float64 forward buffers' x, see fwdBufs). Emitter task closures must never
@@ -35,7 +22,8 @@ type stepBinding struct {
 
 // workspace holds the unrolled activations, caches and gradient buffers for
 // one mini-batch, plus the dependency keys that name them in task
-// annotations.
+// annotations. Everything that exists once per direction lives in dir; the
+// two directions meet only in the merge buffers held here (Equation 11).
 //
 // In phantom mode no numeric buffers are allocated: only dependency keys
 // exist, and emitted tasks carry metadata but no bodies. Phantom mode lets
@@ -51,61 +39,35 @@ type workspace struct {
 	// bind is the current step's batch view; see stepBinding.
 	bind stepBinding
 
-	// Dependency keys, always present. Indexing: [layer][timestep].
-	// Chain-buffer conventions:
-	//   kDHChainFwd[l][t] — grad w.r.t. H of forward cell (l,t), written by
-	//     the backward task of cell (l,t+1); zero (never written) at t=T-1.
-	//   kDHChainRev[l][t] — grad w.r.t. H of reverse cell (l,t), written by
-	//     the backward task of cell (l,t-1); zero at t=0.
+	dir [2]dirWS
+
+	// keyGrids lists every [layer][timestep] key grid of this workspace, the
+	// per-direction ones included; see keyGrid.
+	keyGrids []keyGrid
+
+	// Dependency keys, always present. Grids index [layer][timestep].
 	kX            []taskrt.Dep
 	kX32          []taskrt.Dep // float32 input mirror, written by conv tasks
-	kFwdSt        [][]taskrt.Dep
-	kRevSt        [][]taskrt.Dep
 	kMerged       [][]taskrt.Dep
 	kFinalMerged  taskrt.Dep
 	kProbs        []taskrt.Dep // one per output slot (see Config.HeadSlots)
 	kDMerged      [][]taskrt.Dep
 	kDFinalMerged taskrt.Dep
-	kDFinalHFwd   taskrt.Dep // final-merge grad w.r.t. the forward direction
-	kDFinalHRev   taskrt.Dep // final-merge grad w.r.t. the reverse direction
-	kDHMergeFwd   [][]taskrt.Dep
-	kDHMergeRev   [][]taskrt.Dep
-	kDHChainFwd   [][]taskrt.Dep
-	kDCChainFwd   [][]taskrt.Dep
-	kDHChainRev   [][]taskrt.Dep
-	kDCChainRev   [][]taskrt.Dep
-	kGradsFwd     []taskrt.Dep
-	kGradsRev     []taskrt.Dep
 	kHeadGrads    []taskrt.Dep // one per head
-
-	// Split-gate decomposition keys, always present so phantom graphs can be
-	// emitted in either mode. kPre*[l][t] names the gate-preload panel
-	// Pre_t = X_t*Wx^T + B written by the projection task; kDGates*[l][t]
-	// names the pre-activation gate-gradient panel left behind by the split
-	// backward chain for the batched dWx task.
-	kPreFwd    [][]taskrt.Dep
-	kPreRev    [][]taskrt.Dep
-	kDGatesFwd [][]taskrt.Dep
-	kDGatesRev [][]taskrt.Dep
 
 	// Real buffers; nil in phantom mode. The forward half lives in the
 	// embedded float64 fwdBufs, which the backward pass reads.
 	fwdBufs[float64]
-	losses                 []float64 // one per output slot
-	dMerged                [][]*tensor.Matrix
-	dFinalMerged           *tensor.Matrix
-	dFinalHFwd, dFinalHRev *tensor.Matrix // final-merge backward outputs
-	dHMergeFwd, dHMergeRev [][]*tensor.Matrix
-	dHChainFwd, dCChainFwd [][]*tensor.Matrix
-	dHChainRev, dCChainRev [][]*tensor.Matrix
-	dXScratchFwd           []*tensor.Matrix // per layer
-	dXScratchRev           []*tensor.Matrix
-	dHSumFwd, dHSumRev     []*tensor.Matrix // per layer dH accumulation scratch
-	dHSinkFwd, dCSinkFwd   []*tensor.Matrix // discard targets at chain boundaries
-	dHSinkRev, dCSinkRev   []*tensor.Matrix
-	gradsFwd, gradsRev     []*dirGrads
-	headGrads              []*headGrads     // one per head
-	dLogits                []*tensor.Matrix // per-head backward scratch (serialized by kHeadGrads[h])
+	losses       []float64 // one per output slot
+	dMerged      [][]*tensor.Matrix
+	dFinalMerged *tensor.Matrix
+	headGrads    []wb             // one per head; W/B hold dW/dB
+	dLogits      []*tensor.Matrix // per-head backward scratch (serialized by kHeadGrads[h])
+
+	// grads is the gradient catalogue: one entry per Model.params entry, in
+	// that order, aliasing dir[d].grads[l] and headGrads[h]. Phantom
+	// workspaces carry the keys only.
+	grads []gradRef
 
 	// genTargets/ignoreRow back the generate heads' shifted label binding:
 	// bindStep points genTargets[t] at stepTargets[t+1] and the final frame
@@ -113,23 +75,99 @@ type workspace struct {
 	genTargets [][]int
 	ignoreRow  []int
 
-	// Pooled split-gate gradient panels, allocated only when split &&
-	// !phantom. Indexing: [layer][timestep], each [rows x G*H].
-	dGatesFwd, dGatesRev [][]*tensor.Matrix
-
 	// f32 holds the float32 forward buffers; nil unless the owning engine
 	// infers at float32. They share the float64 buffers' dependency keys (the
 	// graph topology is identical), except the converted inputs which get
 	// their own kX32 keys.
 	f32 *fwdBufs[float32]
+}
 
-	// Per-(layer, direction) transposition scratch of the batched dw tasks:
-	// stackP* holds the [G*H x T·rows] gate-gradient stack, stackB* the
-	// [max(in,H) x T·rows] input/state stack. Private to one task each (the
-	// dw tasks of a layer's two directions serialize on different grad keys),
-	// so they stay unregistered with the dependency sanitizer.
-	stackPFwd, stackPRev []*tensor.Matrix
-	stackBFwd, stackBRev []*tensor.Matrix
+// dirWS is one direction's share of a workspace: its dependency keys and, as
+// sibling fields under the `foo ↔ kFoo` convention bpar-vet resolves, the
+// backward buffers they name. Grids index [layer][timestep].
+type dirWS struct {
+	// Dependency keys, always present (the split-gate ones too, so phantom
+	// graphs can be emitted in either mode).
+	// Chain-buffer convention: kDHChain[l][t] names the grad w.r.t. H of cell
+	// (l,t), written by the backward task of the cell processed after it —
+	// (l,t+1) forward, (l,t-1) reverse — and zero (never written) at the
+	// chain's last-processed cell, t=T-1 forward, t=0 reverse.
+	kSt      [][]taskrt.Dep
+	kPre     [][]taskrt.Dep // gate preload Pre_t = X_t*Wx^T + B, written by the projection task
+	kDGates  [][]taskrt.Dep // pre-activation gate gradients the split chain leaves for the dw task
+	kDHMerge [][]taskrt.Dep
+	kDHChain [][]taskrt.Dep
+	kDCChain [][]taskrt.Dep
+	kGrads   []taskrt.Dep // per layer
+	kDFinalH taskrt.Dep   // final-merge grad w.r.t. this direction
+
+	// Backward buffers; nil in phantom mode.
+	dHMerge, dHChain, dCChain [][]*tensor.Matrix
+	dGates                    [][]*tensor.Matrix // split only; each [rows x G*H]
+	dFinalH                   *tensor.Matrix     // final-merge backward output
+	grads                     []*dirGrads        // per layer
+
+	// Per-layer scratch private to one task body at a time, so unregistered
+	// with the dependency sanitizer: dH accumulation, the fused kernel's dX,
+	// discard targets at chain boundaries, and the batched dw task's
+	// transposition stacks — stackP the [G*H x T·rows] gate-gradient stack,
+	// stackB the [max(in,H) x T·rows] input/state stack (the dw tasks of a
+	// layer's two directions serialize on different grad keys).
+	dHSum, dXScratch []*tensor.Matrix
+	dHSink, dCSink   []*tensor.Matrix
+	stackP, stackB   []*tensor.Matrix
+}
+
+// gradRef is one entry of a workspace's gradient catalogue: the dependency
+// key that serializes accumulation into the pair, and the pair itself.
+type gradRef struct {
+	key taskrt.Dep
+	wb
+}
+
+// keyGrid describes one [layer][timestep] family of dependency keys: its
+// depcheck name, where the keys live, and — for backward grids — where the
+// float64 buffers they name live and how wide those are at layer l (0: the
+// layer has none). Forward grids leave bufs nil: their buffers exist per
+// element type in fwdBufs. newWorkspace, registerDeps and keyNames all walk
+// this one list.
+type keyGrid struct {
+	name string
+	keys *[][]taskrt.Dep
+	bufs *[][]*tensor.Matrix
+	cols func(l int) int
+}
+
+func (w *workspace) listKeyGrids(m *Model) []keyGrid {
+	cfg := w.cfg
+	hidden := func(int) int { return cfg.HiddenSize }
+	gs := []keyGrid{
+		{name: "merged", keys: &w.kMerged},
+		{name: "dMerged", keys: &w.kDMerged, bufs: &w.dMerged, cols: func(l int) int {
+			if !cfg.hasMergePerTimestep(l) {
+				return 0
+			}
+			return cfg.MergeDim()
+		}},
+	}
+	for i := range w.dir {
+		d, sfx := &w.dir[i], dirSuffix[i]
+		gs = append(gs,
+			keyGrid{name: dirName[i] + "St", keys: &d.kSt},
+			keyGrid{name: "pre" + sfx, keys: &d.kPre},
+			keyGrid{name: "dHMerge" + sfx, keys: &d.kDHMerge, bufs: &d.dHMerge, cols: hidden},
+			keyGrid{name: "dHChain" + sfx, keys: &d.kDHChain, bufs: &d.dHChain, cols: hidden},
+			keyGrid{name: "dCChain" + sfx, keys: &d.kDCChain, bufs: &d.dCChain, cols: hidden},
+			keyGrid{name: "dGates" + sfx, keys: &d.kDGates, bufs: &d.dGates, cols: func(l int) int {
+				if !w.split {
+					return 0
+				}
+				_, gw := m.dir[i][l].dims()
+				return gw
+			}},
+		)
+	}
+	return gs
 }
 
 // fwdBufs holds the forward-pass buffers of one workspace at element type E:
@@ -142,25 +180,25 @@ type fwdBufs[E tensor.Elt] struct {
 	// current step's batch views, pointed here by bindStep; at float32 it is
 	// the workspace-owned panels the conv tasks fill from those views.
 	x             []*tensor.Mat[E]
-	fwdSt, revSt  [][]*cellSt[E]
+	st            [2][][]*cellSt[E] // [direction][layer][timestep]
 	merged        [][]*tensor.Mat[E]
 	finalMerged   *tensor.Mat[E]
 	logits, probs []*tensor.Mat[E] // one per output slot
 	zeroH, zeroC  *tensor.Mat[E]
 
 	// Variable-length final-merge support: with a bound lens the forward
-	// direction's sequence-final state is row i of fwdSt[L-1][lens[i]-1], not
-	// fwdSt[L-1][T-1]. gatherH assembles it (via gatherIdx = lens[i]-1 over
-	// the lastHFwd views); written by the final-merge forward task and reread
-	// by the final-merge backward task, which the head tasks already order,
-	// so it stays unregistered with the dependency sanitizer.
-	lastHFwd  []*tensor.Mat[E] // views of fwdSt[L-1][t].H()
+	// direction's sequence-final state is row i of st[fwdDir][L-1][lens[i]-1],
+	// not st[fwdDir][L-1][T-1]. gatherH assembles it (via gatherIdx =
+	// lens[i]-1 over the lastHFwd views); written by the final-merge forward
+	// task and reread by the final-merge backward task, which the head tasks
+	// already order, so it stays unregistered with the dependency sanitizer.
+	lastHFwd  []*tensor.Mat[E] // views of st[fwdDir][L-1][t].H()
 	gatherH   *tensor.Mat[E]
 	gatherIdx []int
 
-	// preFwd/preRev pool the split-gate preload panels, [layer][timestep],
+	// pre pools the split-gate preload panels, [direction][layer][timestep],
 	// each [rows x G*H]; nil when fused.
-	preFwd, preRev [][]*tensor.Mat[E]
+	pre [2][][]*tensor.Mat[E]
 }
 
 // token is a unique comparable dependency key for phantom buffers.
@@ -184,144 +222,112 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 	cfg := m.Cfg
 	w := &workspace{phantom: phantom, split: split, rows: rows, T: T, cfg: cfg}
 	L := cfg.Layers
+
+	tokens := func(n int) []taskrt.Dep {
+		ks := make([]taskrt.Dep, n)
+		for i := range ks {
+			ks[i] = newToken()
+		}
+		return ks
+	}
+	w.keyGrids = w.listKeyGrids(m)
+	for _, g := range w.keyGrids {
+		*g.keys = make([][]taskrt.Dep, L)
+		for l := range *g.keys {
+			(*g.keys)[l] = tokens(T)
+		}
+	}
+	specs := cfg.HeadSpecs()
+	nSlots := cfg.HeadSlots(T)
+	w.kX, w.kX32 = tokens(T), tokens(T)
+	w.kFinalMerged, w.kDFinalMerged = newToken(), newToken()
+	w.kHeadGrads = tokens(len(specs))
+	w.kProbs = tokens(nSlots)
+	for i := range w.dir {
+		w.dir[i].kGrads = tokens(L)
+		w.dir[i].kDFinalH = newToken()
+	}
+	w.losses = make([]float64, nSlots)
+	if !phantom {
+		w.allocBuffers(m, f32)
+	}
+	for l := 0; l < L; l++ {
+		for i := range w.dir {
+			d := &w.dir[i]
+			g := gradRef{key: d.kGrads[l]}
+			if !phantom {
+				g.W, g.B = d.grads[l].wData()
+			}
+			w.grads = append(w.grads, g)
+		}
+	}
+	for h, k := range w.kHeadGrads {
+		g := gradRef{key: k}
+		if !phantom {
+			g.wb = w.headGrads[h]
+		}
+		w.grads = append(w.grads, g)
+	}
+	return w
+}
+
+// allocBuffers allocates the numeric buffers of a non-phantom workspace.
+func (w *workspace) allocBuffers(m *Model, f32 bool) {
+	cfg, rows, T := w.cfg, w.rows, w.T
+	L := cfg.Layers
 	H := cfg.HiddenSize
 	D := cfg.MergeDim()
 
-	grid := func() [][]taskrt.Dep {
-		g := make([][]taskrt.Dep, L)
-		for l := range g {
-			g[l] = make([]taskrt.Dep, T)
-			for t := range g[l] {
-				g[l][t] = newToken()
+	w.fwdBufs = newFwdBufs[float64](m, rows, T, w.split)
+	for _, g := range w.keyGrids {
+		if g.bufs == nil {
+			continue
+		}
+		*g.bufs = make([][]*tensor.Matrix, L)
+		for l := range *g.bufs {
+			if c := g.cols(l); c > 0 {
+				(*g.bufs)[l] = matRow[float64](T, rows, c)
 			}
 		}
-		return g
-	}
-
-	w.kX = make([]taskrt.Dep, T)
-	w.kX32 = make([]taskrt.Dep, T)
-	for t := range w.kX {
-		w.kX[t] = newToken()
-		w.kX32[t] = newToken()
-	}
-	w.kFwdSt, w.kRevSt = grid(), grid()
-	w.kPreFwd, w.kPreRev = grid(), grid()
-	w.kDGatesFwd, w.kDGatesRev = grid(), grid()
-	w.kMerged, w.kDMerged = grid(), grid()
-	w.kDHMergeFwd, w.kDHMergeRev = grid(), grid()
-	w.kDHChainFwd, w.kDCChainFwd = grid(), grid()
-	w.kDHChainRev, w.kDCChainRev = grid(), grid()
-	w.kFinalMerged, w.kDFinalMerged = newToken(), newToken()
-	w.kDFinalHFwd, w.kDFinalHRev = newToken(), newToken()
-	specs := cfg.HeadSpecs()
-	nSlots := cfg.HeadSlots(T)
-	w.kHeadGrads = make([]taskrt.Dep, len(specs))
-	for i := range w.kHeadGrads {
-		w.kHeadGrads[i] = newToken()
-	}
-	w.kProbs = make([]taskrt.Dep, nSlots)
-	for i := range w.kProbs {
-		w.kProbs[i] = newToken()
-	}
-	w.kGradsFwd = make([]taskrt.Dep, L)
-	w.kGradsRev = make([]taskrt.Dep, L)
-	for l := 0; l < L; l++ {
-		w.kGradsFwd[l] = newToken()
-		w.kGradsRev[l] = newToken()
-	}
-	w.losses = make([]float64, nSlots)
-	if phantom {
-		return w
-	}
-
-	// Real buffers.
-	w.fwdBufs = newFwdBufs[float64](m, rows, T, split)
-	w.dMerged = make([][]*tensor.Matrix, L)
-	w.dHMergeFwd = make([][]*tensor.Matrix, L)
-	w.dHMergeRev = make([][]*tensor.Matrix, L)
-	w.dHChainFwd = make([][]*tensor.Matrix, L)
-	w.dCChainFwd = make([][]*tensor.Matrix, L)
-	w.dHChainRev = make([][]*tensor.Matrix, L)
-	w.dCChainRev = make([][]*tensor.Matrix, L)
-	for l := 0; l < L; l++ {
-		if cfg.hasMergePerTimestep(l) {
-			w.dMerged[l] = matRow[float64](T, rows, D)
-		}
-		w.dHMergeFwd[l] = matRow[float64](T, rows, H)
-		w.dHMergeRev[l] = matRow[float64](T, rows, H)
-		w.dHChainFwd[l] = matRow[float64](T, rows, H)
-		w.dCChainFwd[l] = matRow[float64](T, rows, H)
-		w.dHChainRev[l] = matRow[float64](T, rows, H)
-		w.dCChainRev[l] = matRow[float64](T, rows, H)
 	}
 	if cfg.anyClassify() {
 		w.dFinalMerged = tensor.New(rows, D)
-		w.dFinalHFwd = tensor.New(rows, H)
-		w.dFinalHRev = tensor.New(rows, H)
 	}
-
-	w.dXScratchFwd = make([]*tensor.Matrix, L)
-	w.dXScratchRev = make([]*tensor.Matrix, L)
-	w.dHSumFwd = matRow[float64](L, rows, H)
-	w.dHSumRev = matRow[float64](L, rows, H)
-	w.dHSinkFwd = matRow[float64](L, rows, H)
-	w.dCSinkFwd = matRow[float64](L, rows, H)
-	w.dHSinkRev = matRow[float64](L, rows, H)
-	w.dCSinkRev = matRow[float64](L, rows, H)
-	for l := 0; l < L; l++ {
-		in := cfg.LayerInputSize(l)
-		w.dXScratchFwd[l] = tensor.New(rows, in)
-		w.dXScratchRev[l] = tensor.New(rows, in)
+	for i := range w.dir {
+		d := &w.dir[i]
+		if cfg.anyClassify() {
+			d.dFinalH = tensor.New(rows, H)
+		}
+		d.dHSum = matRow[float64](L, rows, H)
+		d.dHSink = matRow[float64](L, rows, H)
+		d.dCSink = matRow[float64](L, rows, H)
+		for _, p := range m.dir[i] {
+			in, gw := p.dims()
+			d.dXScratch = append(d.dXScratch, tensor.New(rows, in))
+			d.grads = append(d.grads, p.newGrads())
+			if w.split {
+				K := T * rows
+				d.stackP = append(d.stackP, tensor.New(gw, K))
+				d.stackB = append(d.stackB, tensor.New(max(in, H), K))
+			}
+		}
 	}
-
-	w.gradsFwd = make([]*dirGrads, L)
-	w.gradsRev = make([]*dirGrads, L)
-	for l := 0; l < L; l++ {
-		w.gradsFwd[l] = m.fwd[l].newGrads()
-		w.gradsRev[l] = m.rev[l].newGrads()
-	}
-	w.headGrads = make([]*headGrads, len(specs))
-	w.dLogits = make([]*tensor.Matrix, len(specs))
-	for h, spec := range specs {
-		w.headGrads[h] = &headGrads{DW: tensor.New(spec.Classes, D), DB: make([]float64, spec.Classes)}
-		w.dLogits[h] = tensor.New(rows, spec.Classes)
-	}
-	for _, spec := range specs {
-		if spec.Kind == HeadGenerate {
+	for _, spec := range cfg.HeadSpecs() {
+		w.headGrads = append(w.headGrads, wb{tensor.New(spec.Classes, D), make([]float64, spec.Classes)})
+		w.dLogits = append(w.dLogits, tensor.New(rows, spec.Classes))
+		if spec.Kind == HeadGenerate && w.genTargets == nil {
 			w.genTargets = make([][]int, T)
 			w.ignoreRow = make([]int, rows)
 			for i := range w.ignoreRow {
 				w.ignoreRow[i] = tensor.IgnoreLabel
 			}
-			break
-		}
-	}
-
-	if split {
-		w.dGatesFwd = make([][]*tensor.Matrix, L)
-		w.dGatesRev = make([][]*tensor.Matrix, L)
-		w.stackPFwd = make([]*tensor.Matrix, L)
-		w.stackPRev = make([]*tensor.Matrix, L)
-		w.stackBFwd = make([]*tensor.Matrix, L)
-		w.stackBRev = make([]*tensor.Matrix, L)
-		K := T * rows
-		for l := 0; l < L; l++ {
-			inF, gwF := m.fwd[l].dims()
-			inR, gwR := m.rev[l].dims()
-			w.dGatesFwd[l] = matRow[float64](T, rows, gwF)
-			w.dGatesRev[l] = matRow[float64](T, rows, gwR)
-			w.stackPFwd[l] = tensor.New(gwF, K)
-			w.stackPRev[l] = tensor.New(gwR, K)
-			w.stackBFwd[l] = tensor.New(max(inF, H), K)
-			w.stackBRev[l] = tensor.New(max(inR, H), K)
 		}
 	}
 	if f32 {
-		s := newFwdBufs[float32](m, rows, T, split)
+		s := newFwdBufs[float32](m, rows, T, w.split)
 		s.x = matRow[float32](T, rows, cfg.InputSize)
 		w.f32 = &s
 	}
-	return w
 }
 
 // newFwdBufs allocates one workspace's forward buffers at element type E. x
@@ -332,18 +338,23 @@ func newFwdBufs[E tensor.Elt](m *Model, rows, T int, split bool) fwdBufs[E] {
 	H := cfg.HiddenSize
 	D := cfg.MergeDim()
 	var b fwdBufs[E]
-	b.fwdSt = make([][]*cellSt[E], L)
-	b.revSt = make([][]*cellSt[E], L)
 	b.merged = make([][]*tensor.Mat[E], L)
 	for l := 0; l < L; l++ {
-		b.fwdSt[l] = make([]*cellSt[E], T)
-		b.revSt[l] = make([]*cellSt[E], T)
-		for t := 0; t < T; t++ {
-			b.fwdSt[l][t] = newCellSt[E](m.fwd[l], rows)
-			b.revSt[l][t] = newCellSt[E](m.rev[l], rows)
-		}
 		if cfg.hasMergePerTimestep(l) {
 			b.merged[l] = matRow[E](T, rows, D)
+		}
+	}
+	for d := range m.dir {
+		for _, p := range m.dir[d] {
+			sts := make([]*cellSt[E], T)
+			for t := range sts {
+				sts[t] = newCellSt[E](p, rows)
+			}
+			b.st[d] = append(b.st[d], sts)
+			if split {
+				_, gw := p.dims()
+				b.pre[d] = append(b.pre[d], matRow[E](T, rows, gw))
+			}
 		}
 	}
 	if cfg.anyClassify() {
@@ -352,7 +363,7 @@ func newFwdBufs[E tensor.Elt](m *Model, rows, T int, split bool) fwdBufs[E] {
 		b.gatherIdx = make([]int, rows)
 		b.lastHFwd = make([]*tensor.Mat[E], T)
 		for t := 0; t < T; t++ {
-			b.lastHFwd[t] = b.fwdSt[L-1][t].H()
+			b.lastHFwd[t] = b.st[fwdDir][L-1][t].H()
 		}
 	}
 	nSlots := cfg.HeadSlots(T)
@@ -367,16 +378,6 @@ func newFwdBufs[E tensor.Elt](m *Model, rows, T int, split bool) fwdBufs[E] {
 	}
 	b.zeroH = tensor.NewOf[E](rows, H)
 	b.zeroC = tensor.NewOf[E](rows, H)
-	if split {
-		b.preFwd = make([][]*tensor.Mat[E], L)
-		b.preRev = make([][]*tensor.Mat[E], L)
-		for l := 0; l < L; l++ {
-			_, gwF := m.fwd[l].dims()
-			_, gwR := m.rev[l].dims()
-			b.preFwd[l] = matRow[E](T, rows, gwF)
-			b.preRev[l] = matRow[E](T, rows, gwR)
-		}
-	}
 	return b
 }
 
@@ -442,8 +443,9 @@ func (w *workspace) headTargetsAt(kind HeadKind, t int) []int {
 // reverse cell's hPrev/cPrev restart each short row's chain from the zero
 // boundary state.
 func (b *fwdBufs[E]) maskRevState(l, t int, lens []int) {
-	tensor.MaskRowsZero(b.revSt[l][t].H(), lens, t)
-	tensor.MaskRowsZero(b.revSt[l][t].C(), lens, t)
+	st := b.st[revDir][l][t]
+	tensor.MaskRowsZero(st.H(), lens, t)
+	tensor.MaskRowsZero(st.C(), lens, t)
 }
 
 // gatherLastHFwd assembles the forward direction's sequence-final hidden
@@ -478,16 +480,10 @@ func (w *workspace) resetForStep() {
 	if w.dFinalMerged != nil {
 		w.dFinalMerged.Zero()
 	}
-	for l := range w.gradsFwd {
-		w.gradsFwd[l].zero()
-		w.gradsRev[l].zero()
-	}
-	for _, g := range w.headGrads {
+	for _, g := range w.grads {
 		g.zero()
 	}
-	for i := range w.losses {
-		w.losses[i] = 0
-	}
+	clear(w.losses)
 }
 
 // workingSetBytes estimates the resident bytes of all live activation and
@@ -505,11 +501,10 @@ func (w *workspace) workingSetBytes() int64 {
 		total += w.f32.workingSetBytes()
 	}
 	for l := range w.dMerged {
-		for _, grid := range [][]*tensor.Matrix{
-			w.dMerged[l], w.dHMergeFwd[l], w.dHMergeRev[l],
-			w.dHChainFwd[l], w.dCChainFwd[l], w.dHChainRev[l], w.dCChainRev[l],
-		} {
-			total += matsBytes(grid...)
+		total += matsBytes(w.dMerged[l]...)
+		for i := range w.dir {
+			d := &w.dir[i]
+			total += matsBytes(d.dHMerge[l]...) + matsBytes(d.dHChain[l]...) + matsBytes(d.dCChain[l]...)
 		}
 	}
 	return total + matsBytes(w.dFinalMerged)
@@ -521,12 +516,13 @@ func (w *workspace) workingSetBytes() int64 {
 // copy at float32), like the preload panels.
 func (b *fwdBufs[E]) workingSetBytes() int64 {
 	var total int64
-	for l := range b.fwdSt {
-		for t := range b.fwdSt[l] {
-			total += b.fwdSt[l][t].workingSetBytes()
-			total += b.revSt[l][t].workingSetBytes()
-		}
+	for l := range b.merged {
 		total += matsBytes(b.merged[l]...)
+		for d := range b.st {
+			for _, st := range b.st[d][l] {
+				total += st.workingSetBytes()
+			}
+		}
 	}
 	return total + matsBytes(b.finalMerged) + matsBytes(b.logits...) + matsBytes(b.probs...)
 }

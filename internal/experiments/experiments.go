@@ -133,6 +133,11 @@ func simBParBest(cfg core.Config, machine costmodel.Machine, coreCounts []int) (
 	if err != nil {
 		return 0, 0, err
 	}
+	return simGraphBest(g, machine, coreCounts)
+}
+
+// simGraphBest is simBParBest over an already recorded training graph.
+func simGraphBest(g *taskrt.Graph, machine costmodel.Machine, coreCounts []int) (float64, int, error) {
 	best, bestC := -1.0, 0
 	for _, c := range coreCounts {
 		res, err := sim.Run(g, sim.Options{Machine: machine, Cores: c, Policy: sim.Locality})
@@ -146,16 +151,37 @@ func simBParBest(cfg core.Config, machine costmodel.Machine, coreCounts []int) (
 	return best, bestC, nil
 }
 
-// bseqTrainSec models the data-parallel-only baseline: MiniBatches coarse
-// sequential tasks scheduled on min(cores, MiniBatches) cores. Each coarse
-// task processes its share of the batch at single-core speed with a modest
-// memory multiplier (sequential execution reuses caches poorly across a
-// whole network sweep). It matches the paper's observed B-Seq behaviour:
-// scaling flat once cores exceed the mini-batch count.
-func bseqTrainSec(cfg core.Config, machine costmodel.Machine, cores int) float64 {
+// trainBest records cfg's training graph once and returns the best-over-cores
+// times of both task-based models on it: B-Par simulated, B-Seq modelled from
+// the graph's flop total.
+func trainBest(cfg core.Config, machine costmodel.Machine, coreCounts []int) (bpar, bseq float64, err error) {
+	g, err := buildTrainGraph(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	if bpar, _, err = simGraphBest(g, machine, coreCounts); err != nil {
+		return 0, 0, err
+	}
+	flops := g.TotalFlops()
+	bseq = -1
+	for _, c := range coreCounts {
+		if t := bseqTrainSec(flops, cfg.MiniBatches, machine, c); bseq < 0 || t < bseq {
+			bseq = t
+		}
+	}
+	return bpar, bseq, nil
+}
+
+// bseqTrainSec models the data-parallel-only baseline: n mini-batches as
+// coarse sequential tasks scheduled on min(cores, n) cores, totalFlops being
+// one training batch's cell flops (forward + backward; the training graph's
+// TotalFlops). Each coarse task processes its share of the batch at
+// single-core speed with a modest memory multiplier (sequential execution
+// reuses caches poorly across a whole network sweep). It matches the paper's
+// observed B-Seq behaviour: scaling flat once cores exceed the mini-batch
+// count.
+func bseqTrainSec(totalFlops float64, n int, machine costmodel.Machine, cores int) float64 {
 	const seqMemMult = 2.4
-	totalFlops := trainFlops(cfg)
-	n := cfg.MiniBatches
 	perMB := totalFlops / float64(n) / (machine.CoreGFlops * 1e9) * seqMemMult
 	width := cores
 	if width > n {
@@ -166,15 +192,6 @@ func bseqTrainSec(cfg core.Config, machine costmodel.Machine, cores int) float64
 	}
 	waves := (n + width - 1) / width
 	return float64(waves) * perMB
-}
-
-// trainFlops sums one training batch's cell flops (forward + backward).
-func trainFlops(cfg core.Config) float64 {
-	g, err := buildTrainGraph(cfg)
-	if err != nil {
-		return 0
-	}
-	return g.TotalFlops()
 }
 
 // fprintln writes a line, ignoring errors (report writers are in-memory or

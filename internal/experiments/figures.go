@@ -124,10 +124,11 @@ func RunFig4(o Opts) (*Fig4Result, error) {
 		return nil, err
 	}
 	res := &Fig4Result{Cores: cores}
+	flops := g.TotalFlops()
 	for _, c := range cores {
 		res.Keras = append(res.Keras, k.TrainBatchSec(cfg, c))
 		res.PyTorch = append(res.PyTorch, p.TrainBatchSec(cfg, c))
-		res.BSeq = append(res.BSeq, bseqTrainSec(cfg, machine, c))
+		res.BSeq = append(res.BSeq, bseqTrainSec(flops, cfg.MiniBatches, machine, c))
 		r, err := sim.Run(g, sim.Options{Machine: machine, Cores: c, Policy: sim.Locality})
 		if err != nil {
 			return nil, err
@@ -171,17 +172,10 @@ func RunFig5(o Opts) ([]Fig5Row, error) {
 				row.Keras, _ = k.BestOverCores(cfg, cores, true)
 				row.PyTorch, _ = p.BestOverCores(cfg, cores, true)
 				var err error
-				row.BPar, _, err = simBParBest(cfg, machine, cores)
+				row.BPar, row.BSeq, err = trainBest(cfg, machine, cores)
 				if err != nil {
 					return nil, err
 				}
-				best := -1.0
-				for _, c := range cores {
-					if t := bseqTrainSec(cfg, machine, c); best < 0 || t < best {
-						best = t
-					}
-				}
-				row.BSeq = best
 				row.SpeedupVsKeras = row.Keras / row.BPar
 				row.SpeedupVsPyTorch = row.PyTorch / row.BPar
 				rows = append(rows, row)
@@ -224,17 +218,10 @@ func RunFig6(o Opts) ([]Fig6Row, error) {
 		row.TrainKeras, _ = k.BestOverCores(cfg, cores, true)
 		row.TrainPyTorch, _ = p.BestOverCores(cfg, cores, true)
 		var err error
-		row.TrainBPar, _, err = simBParBest(cfg, machine, cores)
+		row.TrainBPar, row.TrainBSeq, err = trainBest(cfg, machine, cores)
 		if err != nil {
 			return nil, err
 		}
-		best := -1.0
-		for _, c := range cores {
-			if t := bseqTrainSec(cfg, machine, c); best < 0 || t < best {
-				best = t
-			}
-		}
-		row.TrainBSeq = best
 
 		row.InferKeras, _ = k.BestOverCores(cfg, cores, false)
 		row.InferPyTorch, _ = p.BestOverCores(cfg, cores, false)

@@ -86,17 +86,10 @@ func RunTable(cell core.CellKind, o Opts) ([]TableRow, error) {
 			return nil, err
 		}
 
-		row.BPar, _, err = simBParBest(cfg, machine, coreCounts)
+		row.BPar, row.BSeq, err = trainBest(cfg, machine, coreCounts)
 		if err != nil {
 			return nil, err
 		}
-		bseqBest := -1.0
-		for _, c := range coreCounts {
-			if t := bseqTrainSec(cfg, machine, c); bseqBest < 0 || t < bseqBest {
-				bseqBest = t
-			}
-		}
-		row.BSeq = bseqBest
 
 		row.SpKCPU = row.KCPU / row.BPar
 		row.SpKGPU = row.KGPU / row.BPar

@@ -157,7 +157,7 @@ func record(cfg core.Config, infer, barrier bool) (*taskrt.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	e := core.NewPhantomEngine(m, rec)
 	switch {
 	case infer:

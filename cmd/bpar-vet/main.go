@@ -5,7 +5,7 @@
 //	undeclaredwrite  task body writes a tensor whose key is missing from Out/InOut
 //	depkey           value-typed dependency key in a []taskrt.Dep list
 //	lifecycle        Submit/SubmitAll/Replay after Shutdown on the same runtime
-//	emitterbarrier   Wait/WaitFor inside a graph-emitter file
+//	emitterbarrier   Wait inside a graph-emitter file
 //	errcheck         discarded error result in a command package
 //
 // With -graph, the arguments are template dump files (written by
@@ -38,7 +38,7 @@ import (
 )
 
 func main() {
-	strictWait := flag.Bool("strict-wait", false, "treat Wait/WaitFor like Shutdown in the lifecycle pass")
+	strictWait := flag.Bool("strict-wait", false, "treat Wait like Shutdown in the lifecycle pass")
 	passList := flag.String("pass", "", "comma-separated pass names to run (default: all)")
 	list := flag.Bool("list", false, "list available passes and exit")
 	graph := flag.Bool("graph", false, "arguments are template dump files; run the whole-graph verifier instead of source passes")

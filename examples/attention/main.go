@@ -72,7 +72,7 @@ func main() {
 	}
 
 	// 3. Record the graph and replay it on the simulated 48-core Xeon.
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	recStates := make([]*attention.State, nSeq)
 	for i := range recStates {
 		recStates[i] = attention.NewState(w, T)

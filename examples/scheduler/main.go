@@ -84,7 +84,7 @@ func graphReplayDemo() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	core.NewPhantomEngine(model, rec).EmitTrainGraph(cfg.SeqLen)
 	g := rec.Graph()
 	fmt.Printf("  %v\n  graph: %d tasks, %.1f GFLOP, critical path %.1f GFLOP, width %d\n",

@@ -55,7 +55,7 @@ type Pass struct {
 type Program struct {
 	Units []*Unit
 
-	// StrictWait makes the lifecycle pass treat Wait/WaitFor like Shutdown,
+	// StrictWait makes the lifecycle pass treat Wait like Shutdown,
 	// flagging any submission after a full synchronization point.
 	StrictWait bool
 

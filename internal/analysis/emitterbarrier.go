@@ -10,12 +10,12 @@ import (
 // passEmitterBarrier flags barrier-like full synchronization inside the
 // graph emitters. The paper's core claim (§IV) is that replacing per-stage
 // barriers with point-to-point dependency edges is what exposes the wavefront
-// parallelism; a Wait or WaitFor inside emit_forward.go, emit_backward.go, or
-// merge.go reintroduces exactly the serialization the design removed, and
+// parallelism; a Wait inside emit_forward.go, emit_backward.go, or merge.go
+// reintroduces exactly the serialization the design removed, and
 // costs throughput silently — nothing is incorrect, just slow.
 var passEmitterBarrier = Pass{
 	Name: "emitterbarrier",
-	Doc:  "full-graph synchronization (Wait/WaitFor) inside an emitter file",
+	Doc:  "full-graph synchronization (Wait) inside an emitter file",
 	Run:  runEmitterBarrier,
 }
 
@@ -47,7 +47,7 @@ func runEmitterBarrier(p *Program, u *Unit) []Diagnostic {
 			if !ok || !isTaskrtPkg(fn.Pkg()) {
 				return true
 			}
-			if name := fn.Name(); name == "Wait" || name == "WaitFor" {
+			if name := fn.Name(); name == "Wait" {
 				diags = append(diags, Diagnostic{
 					Pos:     u.Fset.Position(call.Pos()),
 					Pass:    "emitterbarrier",

@@ -49,7 +49,7 @@ func lifecycleInFunc(p *Program, u *Unit, fd *ast.FuncDecl) []Diagnostic {
 			return true
 		}
 		name, obj := taskrtMethodCall(u.Info, call)
-		terminal := name == "Shutdown" || (p.StrictWait && (name == "Wait" || name == "WaitFor"))
+		terminal := name == "Shutdown" || (p.StrictWait && name == "Wait")
 		if !terminal || obj == nil {
 			return true
 		}

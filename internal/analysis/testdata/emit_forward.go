@@ -10,7 +10,3 @@ func emitStageWithBarrier(rt *taskrt.Runtime, tasks []*taskrt.Task) {
 	}
 	_ = rt.Wait() // want "Wait inside emitter emit_forward.go acts as a barrier"
 }
-
-func emitPointSync(rt *taskrt.Runtime, k taskrt.Dep) {
-	rt.WaitFor(k) // want "WaitFor inside emitter emit_forward.go"
-}

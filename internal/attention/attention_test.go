@@ -158,7 +158,7 @@ func TestTaskGraphStructure(t *testing.T) {
 		r.FillUniform(xs[i].Data, -1, 1)
 		states[i] = NewState(w, T)
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	EmitForward(rec, w, xs, states)
 	g := rec.Graph()
 	if err := g.Validate(); err != nil {

@@ -28,12 +28,7 @@ func ConvertLSTMWeightsInto[D, S tensor.Elt](dst *LSTMWeightsOf[D], src *LSTMWei
 
 // ConvertGRUWeights allocates a D-typed copy of src.
 func ConvertGRUWeights[D, S tensor.Elt](src *GRUWeightsOf[S]) *GRUWeightsOf[D] {
-	dst := &GRUWeightsOf[D]{
-		InputSize:  src.InputSize,
-		HiddenSize: src.HiddenSize,
-		W:          tensor.NewOf[D](src.W.Rows, src.W.Cols),
-		B:          make([]D, len(src.B)),
-	}
+	dst := newGRUWeightsOf(src.InputSize, src.HiddenSize, tensor.NewOf[D](src.W.Rows, src.W.Cols), make([]D, len(src.B)))
 	ConvertGRUWeightsInto(dst, src)
 	return dst
 }

@@ -25,30 +25,23 @@ type GRUWeightsOf[E tensor.Elt] struct {
 	W                     *tensor.Mat[E]
 	B                     []E
 
-	// Lazily built row views of W: the z/r block (first 2H rows) and the
-	// candidate block (last H rows). Cached so hot cell calls stay alloc-free.
+	// Row views of W, built with it: the [2H x (In+H)] z/r block and the
+	// [H x (In+H)] candidate block. Hot cell calls stay alloc-free, and the
+	// mini-batch workspaces that read one set of weights at once never write
+	// the struct.
 	zrView, hView *tensor.Mat[E]
 }
 
 // GRUWeights is the float64 weights — the training and checkpoint dtype.
 type GRUWeights = GRUWeightsOf[float64]
 
-// viewZR returns the [2H x (In+H)] z/r-gate row view of W.
-func (w *GRUWeightsOf[E]) viewZR() *tensor.Mat[E] {
-	if w.zrView == nil {
-		h := w.HiddenSize
-		w.zrView = &tensor.Mat[E]{Rows: 2 * h, Cols: w.InputSize + h, Data: w.W.Data[:2*h*(w.InputSize+h)]}
+// newGRUWeightsOf wraps W [3H x (In+H)] and B with W's gate row views.
+func newGRUWeightsOf[E tensor.Elt](in, h int, w *tensor.Mat[E], b []E) *GRUWeightsOf[E] {
+	return &GRUWeightsOf[E]{
+		InputSize: in, HiddenSize: h, W: w, B: b,
+		zrView: &tensor.Mat[E]{Rows: 2 * h, Cols: in + h, Data: w.Data[:2*h*(in+h)]},
+		hView:  &tensor.Mat[E]{Rows: h, Cols: in + h, Data: w.Data[2*h*(in+h):]},
 	}
-	return w.zrView
-}
-
-// viewH returns the [H x (In+H)] candidate-gate row view of W.
-func (w *GRUWeightsOf[E]) viewH() *tensor.Mat[E] {
-	if w.hView == nil {
-		h := w.HiddenSize
-		w.hView = &tensor.Mat[E]{Rows: h, Cols: w.InputSize + h, Data: w.W.Data[2*h*(w.InputSize+h):]}
-	}
-	return w.hView
 }
 
 // NewGRUWeights allocates zeroed float64 weights.
@@ -56,12 +49,8 @@ func NewGRUWeights(inputSize, hiddenSize int) *GRUWeights {
 	if inputSize <= 0 || hiddenSize <= 0 {
 		panic(fmt.Sprintf("cell: invalid GRU dims in=%d hidden=%d", inputSize, hiddenSize))
 	}
-	return &GRUWeights{
-		InputSize:  inputSize,
-		HiddenSize: hiddenSize,
-		W:          tensor.New(gruGates*hiddenSize, inputSize+hiddenSize),
-		B:          make([]float64, gruGates*hiddenSize),
-	}
+	return newGRUWeightsOf(inputSize, hiddenSize,
+		tensor.New(gruGates*hiddenSize, inputSize+hiddenSize), make([]float64, gruGates*hiddenSize))
 }
 
 // Init fills the weights with scaled uniform values (Xavier/Glorot).
@@ -131,7 +120,7 @@ func GRUForward[E tensor.Elt](w *GRUWeightsOf[E], x, hPrev *tensor.Mat[E], st *G
 	tensor.ConcatCols(st.Z1, x, hPrev)
 
 	// z and r gates: first 2H rows of W against Z1.
-	wZR := w.viewZR()
+	wZR := w.zrView
 	tensor.MatMulT(st.ZR, st.Z1, wZR)
 	tensor.AddBiasRows(st.ZR, w.B[:2*H])
 	tensor.SigmoidInPlace(st.ZR)
@@ -146,7 +135,7 @@ func GRUForward[E tensor.Elt](w *GRUWeightsOf[E], x, hPrev *tensor.Mat[E], st *G
 			z2[In+j] = r[j] * hp[j]
 		}
 	}
-	wH := w.viewH()
+	wH := w.hView
 	tensor.MatMulT(st.HBar, st.Z2, wH)
 	tensor.AddBiasRows(st.HBar, w.B[2*H:])
 	tensor.TanhInPlace(st.HBar)
@@ -173,7 +162,7 @@ type GRUGrads struct {
 	dZR, dPreH, dRH, dZ1 *tensor.Matrix // fused path
 	dRHh                 *tensor.Matrix // split path: grad of r⊙hPrev
 
-	// Lazily built row views of DW, mirroring GRUWeights.viewZR/viewH.
+	// Lazily built row views of DW, mirroring GRUWeights' zrView/hView.
 	dzrView, dhView *tensor.Matrix
 }
 
@@ -252,7 +241,7 @@ func GRUBackward(w *GRUWeights, st *GRUState, hPrev, dH, dX, dHPrev *tensor.Matr
 			dph[j] = dh[j] * z[j] * tensor.DTanhFromY(hb[j])
 		}
 	}
-	wH := w.viewH()
+	wH := w.hView
 	dWH := grads.viewDH()
 	tensor.GemmATAcc(dWH, dPreH, st.Z2)
 	for rI := 0; rI < batch; rI++ {
@@ -283,7 +272,7 @@ func GRUBackward(w *GRUWeights, st *GRUState, hPrev, dH, dX, dHPrev *tensor.Matr
 		}
 	}
 
-	wZR := w.viewZR()
+	wZR := w.zrView
 	dWZR := grads.viewDZR()
 	tensor.GemmATAcc(dWZR, dZR, st.Z1)
 	for rI := 0; rI < batch; rI++ {

@@ -35,8 +35,8 @@ func PackLSTM[E tensor.Elt](w *LSTMWeightsOf[E]) *PackSet[E] {
 func PackGRU[E tensor.Elt](w *GRUWeightsOf[E]) *PackSet[E] {
 	return &PackSet[E]{
 		X:   tensor.NewPackedPanel(w.W, 0, w.InputSize),
-		HZR: tensor.NewPackedPanel(w.viewZR(), w.InputSize, w.HiddenSize),
-		HH:  tensor.NewPackedPanel(w.viewH(), w.InputSize, w.HiddenSize),
+		HZR: tensor.NewPackedPanel(w.zrView, w.InputSize, w.HiddenSize),
+		HH:  tensor.NewPackedPanel(w.hView, w.InputSize, w.HiddenSize),
 	}
 }
 

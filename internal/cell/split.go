@@ -129,7 +129,7 @@ func gruForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], 
 	if ps != nil {
 		tensor.GemmTAccColsPacked(st.ZR, hPrev, ps.HZR)
 	} else {
-		tensor.GemmTAccCols(st.ZR, hPrev, w.viewZR(), In)
+		tensor.GemmTAccCols(st.ZR, hPrev, w.zrView, In)
 	}
 	tensor.SigmoidInPlace(st.ZR)
 
@@ -145,7 +145,7 @@ func gruForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], 
 	if ps != nil {
 		tensor.GemmTAccColsPacked(st.HBar, st.RH, ps.HH)
 	} else {
-		tensor.GemmTAccCols(st.HBar, st.RH, w.viewH(), In)
+		tensor.GemmTAccCols(st.HBar, st.RH, w.hView, In)
 	}
 	tensor.TanhInPlace(st.HBar)
 
@@ -184,7 +184,7 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 			dg[gruGateH*H+j] = dh[j] * z[j] * tensor.DTanhFromY(hb[j])
 		}
 	}
-	wH := w.viewH()
+	wH := w.hView
 	if dX != nil {
 		dWH := grads.viewDH()
 		tensor.GemmATAccCols(dWH, In, dGates, gruGateH*H, gruGates*H, st.RH)
@@ -208,7 +208,7 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 			dhp[j] = dh[j]*(1-z[j]) + drhh[j]*r[j]
 		}
 	}
-	wZR := w.viewZR()
+	wZR := w.zrView
 	if dX != nil {
 		dWZR := grads.viewDZR()
 		tensor.GemmATAccCols(dWZR, In, dGates, 0, 2*H, hPrev)

@@ -1,7 +1,7 @@
 package core
 
 // barrierer is implemented by executors that can record a synchronization
-// point without blocking (taskrt.Recorder). Executors without it are
+// point without blocking (taskrt.Capture). Executors without it are
 // synchronized by waiting for all outstanding tasks — the behaviour of
 // framework per-layer barriers on a real runtime.
 type barrierer interface{ Barrier() }
@@ -27,7 +27,7 @@ func (e *Engine) TrainStepBarrier(b *Batch, lr float64) (float64, error) {
 }
 
 // EmitTrainGraphBarrier records the per-layer-barrier training graph of one
-// step (phantom engines with a Recorder executor); the simulator contrasts
+// step (phantom engines with a Capture executor); the simulator contrasts
 // it against the barrier-free graph for the memory and scalability studies.
 func (e *Engine) EmitTrainGraphBarrier(T int) {
 	wss := e.workspaces(T)

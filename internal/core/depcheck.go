@@ -9,7 +9,7 @@ import (
 
 // depChecker returns the executor's dependency sanitizer when it has one
 // (taskrt.Runtime with Options.DepCheck), nil otherwise. Detected through an
-// interface so Recorder, Inline, and test executors need no stub.
+// interface so Capture, Inline, and test executors need no stub.
 func (e *Engine) depChecker() *taskrt.DepChecker {
 	if p, ok := e.Exec.(interface{ DepChecker() *taskrt.DepChecker }); ok {
 		return p.DepChecker()

@@ -184,7 +184,7 @@ func NewEngine(m *Model, exec taskrt.Executor) *Engine {
 
 // NewPhantomEngine creates an engine that emits dependency-and-metadata-only
 // task graphs (no numeric buffers, no task bodies); used with
-// taskrt.Recorder to capture graphs for the discrete-event simulator.
+// taskrt.Capture to record graphs for the discrete-event simulator.
 func NewPhantomEngine(m *Model, exec taskrt.Executor) *Engine {
 	return &Engine{M: m, Exec: exec, phantom: true, FusedGates: true, wsByT: make(map[int][]*workspace), tpls: make(map[tplKey]*taskrt.Template)}
 }
@@ -604,7 +604,7 @@ func (e *Engine) gatherProbs(wss []*workspace) []*tensor.Matrix {
 
 // EmitTrainGraph emits the dependency/metadata-only task graph of one
 // training step of sequence length T (phantom engines only). The caller
-// owns Wait on the executor (typically a taskrt.Recorder).
+// owns Wait on the executor (typically a taskrt.Capture).
 func (e *Engine) EmitTrainGraph(T int) {
 	e.emitTrain(e.workspaces(T))
 }

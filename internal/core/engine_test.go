@@ -462,7 +462,7 @@ func TestGradClipKeepsTrainingStable(t *testing.T) {
 func TestPhantomEngineRefusesRealWork(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 1)
 	m, _ := NewModel(cfg)
-	e := NewPhantomEngine(m, taskrt.NewRecorder(false))
+	e := NewPhantomEngine(m, taskrt.NewCapture())
 	if _, err := e.TrainStep(makeBatch(cfg, 1), 0.1); err == nil {
 		t.Fatal("phantom TrainStep must fail")
 	}
@@ -475,7 +475,7 @@ func TestWorkingSetBytesPositiveAndPhantomAgrees(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
 	m, _ := NewModel(cfg)
 	real := NewEngine(m, taskrt.NewInline(nil))
-	phantom := NewPhantomEngine(m, taskrt.NewRecorder(false))
+	phantom := NewPhantomEngine(m, taskrt.NewCapture())
 	r := real.WorkingSetBytes(cfg.SeqLen)
 	p := phantom.WorkingSetBytes(cfg.SeqLen)
 	if r <= 0 || p <= 0 {
@@ -617,7 +617,7 @@ func TestIgnoreLabelLossDropsMaskedRows(t *testing.T) {
 func TestWorkspaceCacheLRU(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
 	m, _ := NewModel(cfg)
-	e := NewPhantomEngine(m, taskrt.NewRecorder(false))
+	e := NewPhantomEngine(m, taskrt.NewCapture())
 	e.MaxCachedSeqLens = 3
 
 	for _, T := range []int{2, 3, 4} {
@@ -641,7 +641,7 @@ func TestWorkspaceCacheLRU(t *testing.T) {
 	}
 
 	// Default bound applies when the field is zero.
-	e2 := NewPhantomEngine(m, taskrt.NewRecorder(false))
+	e2 := NewPhantomEngine(m, taskrt.NewCapture())
 	for T := 1; T <= 20; T++ {
 		e2.workspaces(T)
 	}
@@ -650,7 +650,7 @@ func TestWorkspaceCacheLRU(t *testing.T) {
 	}
 
 	// Negative disables the bound.
-	e3 := NewPhantomEngine(m, taskrt.NewRecorder(false))
+	e3 := NewPhantomEngine(m, taskrt.NewCapture())
 	e3.MaxCachedSeqLens = -1
 	for T := 1; T <= 20; T++ {
 		e3.workspaces(T)

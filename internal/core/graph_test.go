@@ -14,7 +14,7 @@ func recordTrain(t *testing.T, cfg Config) *taskrt.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	NewPhantomEngine(m, rec).EmitTrainGraph(cfg.SeqLen)
 	g := rec.Graph()
 	if err := g.Validate(); err != nil {
@@ -29,7 +29,7 @@ func recordInfer(t *testing.T, cfg Config) *taskrt.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	NewPhantomEngine(m, rec).EmitInferGraph(cfg.SeqLen)
 	g := rec.Graph()
 	if err := g.Validate(); err != nil {
@@ -145,7 +145,7 @@ func TestBarrierGraphHasBarriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	NewPhantomEngine(m, rec).EmitTrainGraphBarrier(cfg.SeqLen)
 	g := rec.Graph()
 	if err := g.Validate(); err != nil {
@@ -206,7 +206,7 @@ func TestQuickRandomConfigGraphs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rec := taskrt.NewRecorder(false)
+		rec := taskrt.NewCapture()
 		NewPhantomEngine(m, rec).EmitTrainGraph(cfg.SeqLen)
 		g := rec.Graph()
 		if g.Validate() != nil {

@@ -86,7 +86,7 @@ func recordSplitTrain(t *testing.T, cfg Config) *taskrt.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	e := NewPhantomEngine(m, rec)
 	e.FusedGates = false // phantom defaults to fused; opt into the split graph
 	e.EmitTrainGraph(cfg.SeqLen)

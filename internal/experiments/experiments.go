@@ -70,7 +70,7 @@ func buildTrainGraph(cfg core.Config) (*taskrt.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	e := core.NewPhantomEngine(m, rec)
 	e.EmitTrainGraph(cfg.SeqLen)
 	g := rec.Graph()
@@ -86,7 +86,7 @@ func buildInferGraph(cfg core.Config) (*taskrt.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	e := core.NewPhantomEngine(m, rec)
 	e.EmitInferGraph(cfg.SeqLen)
 	g := rec.Graph()
@@ -103,7 +103,7 @@ func buildBarrierTrainGraph(cfg core.Config) (*taskrt.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := taskrt.NewRecorder(false)
+	rec := taskrt.NewCapture()
 	e := core.NewPhantomEngine(m, rec)
 	e.EmitTrainGraphBarrier(cfg.SeqLen)
 	g := rec.Graph()

@@ -26,8 +26,8 @@ type SchedulerRow struct {
 // worst case for a task runtime: a flood of very small tasks forming many
 // short independent chains, where submit/complete bookkeeping — not task
 // bodies — dominates. It exercises both policies and both submission APIs
-// and reports the contention counters introduced with the sharded
-// scheduler.
+// and reports the runtime's contention counters: submission-lock wait,
+// steals, failed steals and idle time.
 func RunScheduler(o Opts) ([]SchedulerRow, error) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {

@@ -120,15 +120,15 @@ func TestModelCheckCatchesRootsBeforeReset(t *testing.T) {
 }
 
 // TestModelCheckCatchesTableWrites injects dependency-table writes into
-// replayed bodies and expects the WaitFor-invisibility check to fire.
+// replayed bodies and expects the table-isolation check to fire.
 func TestModelCheckCatchesTableWrites(t *testing.T) {
 	d := goldenDiamond()
 	res := graphlint.ModelCheck(&d, graphlint.ModelOptions{Bug: graphlint.BugTableWrites})
 	if res.Violation == "" {
 		t.Fatal("table-write bug not caught")
 	}
-	if !strings.Contains(res.Violation, "WaitFor") {
-		t.Fatalf("violation does not describe WaitFor visibility: %s", res.Violation)
+	if !strings.Contains(res.Violation, "never enter the table") {
+		t.Fatalf("violation does not describe table isolation: %s", res.Violation)
 	}
 }
 

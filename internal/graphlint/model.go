@@ -26,8 +26,10 @@ const (
 	// overwrites it.
 	BugRootsBeforeReset
 	// BugTableWrites models replayed writers bumping the dependency table's
-	// completion versions, violating WaitFor-invisibility: a concurrent
-	// WaitFor(key) would observe a version fresh emission never produced.
+	// completion versions, violating table isolation: a replay never enters
+	// the dependency table, so a later fresh emission derives against a clean
+	// table, and a table the replay advanced would order it against writes
+	// fresh emission never produced.
 	BugTableWrites
 )
 
@@ -66,8 +68,9 @@ type ModelResult struct {
 //     ordering), and each task runs exactly once per replay;
 //   - the counter-reset-before-roots invariant: no completion ever touches
 //     a successor counter still holding the previous replay's value;
-//   - WaitFor-invisibility: replayed completions leave the dependency
-//     table's versions untouched;
+//   - table isolation: replayed completions leave the dependency table's
+//     versions untouched, so a later fresh emission derives against a
+//     clean table;
 //   - termination: every maximal schedule executes the whole graph (no
 //     deadlock).
 //
@@ -238,7 +241,7 @@ func (m *modelChecker) step(st *modelState, round int) string {
 		}
 		if m.bug == BugTableWrites && (len(m.d.Nodes[i].Out) > 0 || len(m.d.Nodes[i].InOut) > 0) {
 			k := firstWrittenKey(&m.d.Nodes[i])
-			return fmt.Sprintf("template %q replay %d: replayed task %q advanced the dependency table version of key %q — WaitFor would observe the replay",
+			return fmt.Sprintf("template %q replay %d: replayed task %q advanced the dependency table version of key %q — a replay must never enter the table, so later fresh emission derives against a clean one",
 				m.d.Name, round, m.d.Nodes[i].Label, m.d.Keys[k])
 		}
 		undo, raced := m.complete(st, i)

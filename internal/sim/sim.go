@@ -134,7 +134,7 @@ type readyItem struct {
 
 // Run simulates the graph on the configured machine and returns aggregate
 // results. The graph must be topologically ordered by node ID (which
-// taskrt.Recorder guarantees).
+// taskrt.Capture guarantees).
 func Run(g *taskrt.Graph, opt Options) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ type key string
 
 // chainGraph builds a linear chain of n tasks of the given flops.
 func chainGraph(n int, flops float64) *taskrt.Graph {
-	r := taskrt.NewRecorder(false)
+	r := taskrt.NewCapture()
 	k := key("c")
 	for i := 0; i < n; i++ {
 		r.Submit(&taskrt.Task{Label: fmt.Sprintf("c%d", i), InOut: []taskrt.Dep{k}, Flops: flops, WorkingSet: 100})
@@ -37,7 +37,7 @@ func chainGraph(n int, flops float64) *taskrt.Graph {
 
 // independentGraph builds n independent tasks.
 func independentGraph(n int, flops float64) *taskrt.Graph {
-	r := taskrt.NewRecorder(false)
+	r := taskrt.NewCapture()
 	for i := 0; i < n; i++ {
 		r.Submit(&taskrt.Task{Label: fmt.Sprintf("i%d", i), Flops: flops, WorkingSet: 100})
 	}
@@ -99,7 +99,7 @@ func TestMakespanLowerBounds(t *testing.T) {
 }
 
 func randomGraph(seed uint64, n int) *taskrt.Graph {
-	r := taskrt.NewRecorder(false)
+	r := taskrt.NewCapture()
 	state := seed
 	next := func(mod int) int {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -167,7 +167,7 @@ func TestCacheModelRewardsLocality(t *testing.T) {
 	// A graph of many independent chains: locality-aware scheduling keeps
 	// each chain on one core (hot), FIFO round-robins across cores (cold).
 	m := costmodel.XeonPlatinum8160x2().WithCores(4)
-	r := taskrt.NewRecorder(false)
+	r := taskrt.NewCapture()
 	const chains = 16
 	const length = 40
 	for c := 0; c < chains; c++ {
@@ -209,7 +209,7 @@ func TestNUMAPenaltyVisibleAcrossSockets(t *testing.T) {
 	m1.Cores = 24
 	m1.Sockets = 1
 
-	r := taskrt.NewRecorder(false)
+	r := taskrt.NewCapture()
 	var roots []taskrt.Dep
 	for i := 0; i < 24; i++ {
 		k := key(fmt.Sprintf("r%d", i))
@@ -240,7 +240,7 @@ func TestNUMAPenaltyVisibleAcrossSockets(t *testing.T) {
 
 func TestBarrierNodesSlowGraph(t *testing.T) {
 	mk := func(barrier bool) *taskrt.Graph {
-		r := taskrt.NewRecorder(false)
+		r := taskrt.NewCapture()
 		for layer := 0; layer < 4; layer++ {
 			for i := 0; i < 8; i++ {
 				// Uneven task sizes: barriers force waiting for stragglers.
@@ -374,7 +374,7 @@ func TestNoStealDisablesThieves(t *testing.T) {
 func TestCriticalPathPolicyRunsAndHelpsImbalance(t *testing.T) {
 	// A long chain plus many independent fillers: critical-path scheduling
 	// must start the chain immediately rather than draining fillers first.
-	r := taskrt.NewRecorder(false)
+	r := taskrt.NewCapture()
 	k := key("chain")
 	for i := 0; i < 20; i++ {
 		r.Submit(&taskrt.Task{Label: fmt.Sprintf("chain%d", i), InOut: []taskrt.Dep{k}, Flops: 1e9, WorkingSet: 100})

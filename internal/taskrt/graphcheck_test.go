@@ -31,7 +31,7 @@ func TestCheckAcyclicPassesOnDAG(t *testing.T) {
 }
 
 func TestCheckAcyclicPassesOnRecordedGraph(t *testing.T) {
-	rec := NewRecorder(false)
+	rec := NewCapture()
 	k1, k2 := Dep(new(int)), Dep(new(int))
 	rec.Submit(&Task{Label: "p", Out: []Dep{k1}})
 	rec.Submit(&Task{Label: "q", In: []Dep{k1}, Out: []Dep{k2}})

@@ -3,7 +3,6 @@ package taskrt
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,44 +82,6 @@ type node struct {
 	tplIdx   int32
 }
 
-// done reports whether the node's task has completed.
-func (n *node) done() bool {
-	n.mu.Lock()
-	d := n.finished
-	n.mu.Unlock()
-	return d
-}
-
-// depEntry tracks the last writer and the readers-since-last-write of one
-// dependency key, from which RAW/WAR/WAW edges are derived.
-type depEntry struct {
-	lastWriter *node
-	readers    []*node
-}
-
-// depShards is the number of dependency-table shards. Power of two so the
-// shard index is a mask of the key hash.
-const depShards = 64
-
-// depShard is one slice of the dependency table with its own lock, so
-// WaitFor readers and the submitter never contend on a single table-wide
-// mutex. Padded so neighbouring shard locks do not share a cache line.
-type depShard struct {
-	mu sync.Mutex
-	m  map[Dep]*depEntry
-	_  [32]byte
-}
-
-// entry returns (creating if needed) the entry for k. Caller holds s.mu.
-func (s *depShard) entry(k Dep) *depEntry {
-	e := s.m[k]
-	if e == nil {
-		e = &depEntry{}
-		s.m[k] = e
-	}
-	return e
-}
-
 // queue is a locked slice-backed task queue. The global ready queue pops
 // FIFO at the head; per-worker deques pop LIFO at the tail (the hottest,
 // most recently readied task) while thieves steal FIFO from the head (the
@@ -192,22 +153,21 @@ func (q *queue) popTail() *node {
 // dependency graph dynamically from Submit annotations.
 //
 // Unlike a single-mutex design, the hot paths are partitioned: submission
-// serializes on submitMu (dependency derivation must observe submissions in
-// order), the dependency table is sharded by key hash, each worker owns a
-// ready deque with its own small lock, and completion bookkeeping touches
-// only atomics, the finished node, and the readied successors' queues — so
+// serializes on submitMu, which also guards the dependency table (derivation
+// must observe submissions in order), each worker owns a ready deque with its
+// own small lock, and completion bookkeeping touches only atomics, the
+// finished node, and the readied successors' queues — never the table — so
 // the builder goroutine submitting the next timestep never contends with
 // workers retiring the previous one.
 type Runtime struct {
 	opts  Options
 	start time.Time
 
-	// submitMu serializes task submission. Completion never takes it.
+	// submitMu serializes task submission and guards deps, the dependency
+	// table. Completion never takes it.
 	submitMu sync.Mutex
 	nextID   int
-
-	hashSeed maphash.Seed
-	shards   [depShards]depShard
+	deps     depTable[*node]
 
 	global queue
 	local  []queue
@@ -223,8 +183,8 @@ type Runtime struct {
 	wakeups  int
 	idlers   atomic.Int32
 
-	// Wait and WaitFor park on doneCond; completions broadcast only when
-	// doneWaiters says someone is listening.
+	// Wait parks on doneCond; the completion that drains outstanding to zero
+	// broadcasts, and only when doneWaiters says someone is listening.
 	doneMu      sync.Mutex
 	doneCond    *sync.Cond
 	doneWaiters atomic.Int32
@@ -268,13 +228,10 @@ func New(opts Options) *Runtime {
 		panic(fmt.Sprintf("taskrt: Workers must be >= 1, got %d", opts.Workers))
 	}
 	r := &Runtime{
-		opts:     opts,
-		start:    time.Now(),
-		hashSeed: maphash.MakeSeed(),
-		local:    make([]queue, opts.Workers),
-	}
-	for i := range r.shards {
-		r.shards[i].m = make(map[Dep]*depEntry)
+		opts:  opts,
+		start: time.Now(),
+		deps:  newDepTable[*node](nil),
+		local: make([]queue, opts.Workers),
 	}
 	if opts.DepCheck {
 		r.depc = newDepChecker()
@@ -298,11 +255,6 @@ func (r *Runtime) Workers() int { return r.opts.Workers }
 // Options.DepCheck is off. Callers register buffer-to-key associations on it
 // so undeclared accesses can be attributed.
 func (r *Runtime) DepChecker() *DepChecker { return r.depc }
-
-// shard returns the dependency shard owning key k.
-func (r *Runtime) shard(k Dep) *depShard {
-	return &r.shards[maphash.Comparable(r.hashSeed, k)&(depShards-1)]
-}
 
 // Submit registers the task; it becomes ready as soon as its dependencies
 // are satisfied. Safe for concurrent use, although B-Par's builders submit
@@ -367,19 +319,8 @@ func (r *Runtime) submitOne(t *Task, at time.Time) *node {
 		r.depc.onSubmit(t)
 	}
 	n.pending.Store(1) // submission guard, dropped at the end
-
-	// predSeen dedupes multiple edges from the same predecessor so pending
-	// counts each predecessor once. Allocated lazily: dependency-free tasks
-	// never pay for it.
-	var predSeen map[*node]bool
-	addPred := func(p *node) {
-		if p == nil || p == n || predSeen[p] {
-			return
-		}
-		if predSeen == nil {
-			predSeen = make(map[*node]bool)
-		}
-		predSeen[p] = true
+	// The deriver reports each predecessor once, so pending counts each once.
+	r.deps.derive(t, n, func(p *node, _ bool) {
 		p.mu.Lock()
 		if !p.finished {
 			// Increment before the successor becomes visible to p's
@@ -389,41 +330,7 @@ func (r *Runtime) submitOne(t *Task, at time.Time) *node {
 			p.succs = append(p.succs, n)
 		}
 		p.mu.Unlock()
-	}
-
-	for _, k := range t.In {
-		sh := r.shard(k)
-		sh.mu.Lock()
-		e := sh.entry(k)
-		addPred(e.lastWriter) // RAW
-		e.readers = append(e.readers, n)
-		sh.mu.Unlock()
-	}
-	for _, k := range t.InOut {
-		sh := r.shard(k)
-		sh.mu.Lock()
-		e := sh.entry(k)
-		addPred(e.lastWriter) // RAW + WAW
-		for _, rd := range e.readers {
-			addPred(rd) // WAR
-		}
-		e.lastWriter = n
-		e.readers = e.readers[:0]
-		sh.mu.Unlock()
-	}
-	for _, k := range t.Out {
-		sh := r.shard(k)
-		sh.mu.Lock()
-		e := sh.entry(k)
-		addPred(e.lastWriter) // WAW
-		for _, rd := range e.readers {
-			addPred(rd) // WAR
-		}
-		e.lastWriter = n
-		e.readers = e.readers[:0]
-		sh.mu.Unlock()
-	}
-
+	})
 	r.outstanding.Add(1)
 	r.stats.submitted.Add(1)
 	if n.pending.Add(-1) == 0 {
@@ -561,7 +468,8 @@ func (r *Runtime) awaitWork(w int) *node {
 }
 
 // execute runs a task body, then performs completion bookkeeping: marking
-// successors ready and waking waiters. No global lock is involved.
+// successors ready and, on a full drain, waking Wait. No global lock is
+// involved.
 func (r *Runtime) execute(n *node, w int) {
 	if r.depc != nil {
 		// begin blocks until no other checked body runs; end always follows,
@@ -621,9 +529,9 @@ func (r *Runtime) execute(n *node, w int) {
 
 	var succs []*node
 	if n.tpl != nil {
-		// Replayed node: the frozen successor list needs no lock, and the
-		// finished flag stays false on purpose — template nodes are reused
-		// across replays and are invisible to WaitFor's done() protocol.
+		// Replayed node: the frozen successor list needs no lock, since no
+		// submitter ever appends to it, and the finished flag stays false
+		// because template nodes are reused across replays.
 		succs = n.tplSuccs
 	} else {
 		n.mu.Lock()
@@ -660,41 +568,15 @@ func (r *Runtime) execute(n *node, w int) {
 			r.opts.Profile.ReplayDone(n.tpl, endNS)
 		}
 	}
-	r.outstanding.Add(-1)
-	// Every completion may satisfy a WaitFor; a full drain satisfies Wait.
-	if r.doneWaiters.Load() > 0 {
+	// Only a full drain satisfies Wait. A waiter registers in doneWaiters
+	// before it checks outstanding under doneMu, so either it sees zero or
+	// this load sees it and the broadcast reaches it.
+	if r.outstanding.Add(-1) == 0 && r.doneWaiters.Load() > 0 {
 		r.doneMu.Lock()
 		r.doneCond.Broadcast()
 		r.doneMu.Unlock()
 	}
 	r.stats.completeNS.Add(time.Since(endT).Nanoseconds())
-}
-
-// WaitFor blocks until the last task that wrote the given dependency key
-// has completed — the equivalent of OmpSs's `#pragma omp taskwait on(x)`.
-// It returns immediately if no unfinished task writes the key. Unlike Wait,
-// it does not drain the whole graph, so a caller can consume one result
-// while unrelated tasks continue executing.
-func (r *Runtime) WaitFor(k Dep) {
-	for {
-		sh := r.shard(k)
-		sh.mu.Lock()
-		var lw *node
-		if e := sh.m[k]; e != nil {
-			lw = e.lastWriter
-		}
-		sh.mu.Unlock()
-		if lw == nil || lw.done() {
-			return
-		}
-		r.doneWaiters.Add(1)
-		r.doneMu.Lock()
-		if !lw.done() {
-			r.doneCond.Wait()
-		}
-		r.doneMu.Unlock()
-		r.doneWaiters.Add(-1)
-	}
 }
 
 // Wait blocks until all submitted tasks have completed, then returns the
@@ -773,12 +655,7 @@ func (r *Runtime) ResetDeps() {
 	if r.outstanding.Load() != 0 {
 		panic("taskrt: ResetDeps with outstanding tasks")
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[Dep]*depEntry)
-		sh.mu.Unlock()
-	}
+	r.deps.reset()
 	if r.depc != nil {
 		r.depc.reset()
 	}

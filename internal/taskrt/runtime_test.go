@@ -416,47 +416,3 @@ func TestSinkReceivesRecords(t *testing.T) {
 		t.Fatalf("time travel: %+v", rec)
 	}
 }
-
-func TestWaitFor(t *testing.T) {
-	r := New(Options{Workers: 2})
-	defer r.Shutdown()
-	kFast, kSlow := key("fast"), key("slow")
-	release := make(chan struct{})
-	var fastDone, slowDone int32
-	r.Submit(&Task{Label: "fast", Out: []Dep{kFast}, Fn: func() { atomic.StoreInt32(&fastDone, 1) }})
-	r.Submit(&Task{Label: "slow", Out: []Dep{kSlow}, Fn: func() {
-		<-release
-		atomic.StoreInt32(&slowDone, 1)
-	}})
-	// WaitFor the fast key must return while the slow task still runs.
-	r.WaitFor(kFast)
-	if atomic.LoadInt32(&fastDone) != 1 {
-		t.Fatal("WaitFor returned before its writer finished")
-	}
-	if atomic.LoadInt32(&slowDone) == 1 {
-		t.Fatal("slow task finished unexpectedly early")
-	}
-	close(release)
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// WaitFor on a key nobody writes returns immediately.
-	r.WaitFor(key("unwritten"))
-}
-
-func TestWaitForChain(t *testing.T) {
-	r := New(Options{Workers: 4})
-	defer r.Shutdown()
-	k := key("acc")
-	var n int32
-	for i := 0; i < 50; i++ {
-		r.Submit(&Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt32(&n, 1) }})
-	}
-	r.WaitFor(k) // must wait for the LAST writer
-	if got := atomic.LoadInt32(&n); got != 50 {
-		t.Fatalf("WaitFor returned after %d of 50 chain tasks", got)
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -84,14 +84,16 @@ func buildStressDAG(rng *rand.Rand, nTasks, nKeys int) []*stressSpec {
 	return specs
 }
 
-// runStressDAG submits the generated DAG to e and returns the number of
-// dependency violations observed and the number of task bodies executed.
-func runStressDAG(specs []*stressSpec, nKeys int, e Executor) (violations, executed int64) {
+// stressTasks builds the task stream of the generated DAG over a fresh
+// shared state array. Each body checks that it observes exactly the writers
+// the reference derivation expects, counting mismatches into viol and
+// executed bodies into execd.
+func stressTasks(specs []*stressSpec, nKeys int) (tasks []*Task, viol, execd *atomic.Int64) {
 	state := make([]atomic.Int64, nKeys)
 	for k := range state {
 		state[k].Store(-1)
 	}
-	var viol, execd atomic.Int64
+	viol, execd = new(atomic.Int64), new(atomic.Int64)
 	deps := func(ks []int) []Dep {
 		out := make([]Dep, len(ks))
 		for i, k := range ks {
@@ -101,7 +103,7 @@ func runStressDAG(specs []*stressSpec, nKeys int, e Executor) (violations, execu
 	}
 	for _, s := range specs {
 		s := s
-		t := &Task{
+		tasks = append(tasks, &Task{
 			Label: fmt.Sprintf("stress-%d", s.id),
 			Kind:  "stress",
 			In:    deps(s.in), Out: deps(s.out), InOut: deps(s.inout),
@@ -119,8 +121,24 @@ func runStressDAG(specs []*stressSpec, nKeys int, e Executor) (violations, execu
 				}
 				execd.Add(1)
 			},
+		})
+	}
+	return tasks, viol, execd
+}
+
+// runStressDAG submits the generated DAG to e — or, with replay set,
+// captures and freezes it and replays the template on e — and returns the
+// number of dependency violations observed and task bodies executed.
+func runStressDAG(specs []*stressSpec, nKeys int, e Executor, replay bool) (violations, executed int64) {
+	tasks, viol, execd := stressTasks(specs, nKeys)
+	if replay {
+		c := NewCapture()
+		c.SubmitAll(tasks)
+		e.(Replayer).Replay(c.Freeze())
+	} else {
+		for _, t := range tasks {
+			e.Submit(t)
 		}
-		e.Submit(t)
 	}
 	if err := e.Wait(); err != nil {
 		viol.Add(1)
@@ -130,7 +148,10 @@ func runStressDAG(specs []*stressSpec, nKeys int, e Executor) (violations, execu
 
 // TestStressRandomDAG checks that the parallel runtime executes randomized
 // dependency graphs with exactly the ordering the annotations imply, for
-// both policies across worker counts, against the Inline reference.
+// both policies across worker counts, against the Inline reference. The
+// reference is buildStressDAG's sequential last-writer walk, not the
+// dependency table, so it also checks the deriver: at 1 and 4 workers the
+// same DAG is captured, frozen and replayed, on the runtime and inline.
 func TestStressRandomDAG(t *testing.T) {
 	const nTasks, nKeys = 250, 24
 	for _, policy := range []Policy{BreadthFirst, LocalityAware} {
@@ -141,13 +162,13 @@ func TestStressRandomDAG(t *testing.T) {
 					specs := buildStressDAG(rand.New(rand.NewSource(seed)), nTasks, nKeys)
 
 					inl := NewInline(nil)
-					if v, n := runStressDAG(specs, nKeys, inl); v != 0 || n != nTasks {
+					if v, n := runStressDAG(specs, nKeys, inl, false); v != 0 || n != nTasks {
 						t.Fatalf("inline reference: %d violations, %d executed", v, n)
 					}
 
 					rt := New(Options{Workers: workers, Policy: policy})
 					defer rt.Shutdown()
-					v, n := runStressDAG(specs, nKeys, rt)
+					v, n := runStressDAG(specs, nKeys, rt, false)
 					if v != 0 {
 						t.Fatalf("%d dependency violations", v)
 					}
@@ -157,6 +178,15 @@ func TestStressRandomDAG(t *testing.T) {
 					st := rt.Stats()
 					if st.Submitted != nTasks || st.Executed != nTasks {
 						t.Fatalf("stats submitted=%d executed=%d", st.Submitted, st.Executed)
+					}
+
+					if workers != 1 && workers != 4 {
+						return
+					}
+					for _, e := range []Executor{rt, inl} {
+						if v, n := runStressDAG(specs, nKeys, e, true); v != 0 || n != nTasks {
+							t.Fatalf("%T replay: %d violations, %d executed", e, v, n)
+						}
 					}
 				})
 			}
@@ -169,52 +199,12 @@ func TestStressRandomDAG(t *testing.T) {
 func TestStressRandomDAGBatched(t *testing.T) {
 	const nTasks, nKeys = 250, 24
 	specs := buildStressDAG(rand.New(rand.NewSource(7)), nTasks, nKeys)
-	state := make([]atomic.Int64, nKeys)
-	for k := range state {
-		state[k].Store(-1)
-	}
-	var viol, execd atomic.Int64
+	tasks, viol, execd := stressTasks(specs, nKeys)
 	rt := New(Options{Workers: 4, Policy: LocalityAware})
 	defer rt.Shutdown()
-	var batch []*Task
-	for _, s := range specs {
-		s := s
-		in := make([]Dep, len(s.in))
-		for i, k := range s.in {
-			in[i] = k
-		}
-		out := make([]Dep, len(s.out))
-		for i, k := range s.out {
-			out[i] = k
-		}
-		inout := make([]Dep, len(s.inout))
-		for i, k := range s.inout {
-			inout[i] = k
-		}
-		batch = append(batch, &Task{
-			Label: fmt.Sprintf("stress-%d", s.id),
-			In:    in, Out: out, InOut: inout,
-			Fn: func() {
-				for k, want := range s.expect {
-					if got := state[k].Load(); got != int64(want) {
-						viol.Add(1)
-					}
-				}
-				for _, k := range s.inout {
-					state[k].Store(int64(s.id))
-				}
-				for _, k := range s.out {
-					state[k].Store(int64(s.id))
-				}
-				execd.Add(1)
-			},
-		})
-		if len(batch) == 32 {
-			rt.SubmitAll(batch)
-			batch = nil
-		}
+	for lo := 0; lo < len(tasks); lo += 32 {
+		rt.SubmitAll(tasks[lo:min(lo+32, len(tasks))])
 	}
-	rt.SubmitAll(batch)
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,48 +272,45 @@ func TestSubmitBatchFallback(t *testing.T) {
 	}
 }
 
-// TestConcurrentWaitFor exercises many goroutines blocking on WaitFor
-// while a dependency chain executes; run under -race this also checks the
-// happens-before edge WaitFor is supposed to provide.
-func TestConcurrentWaitFor(t *testing.T) {
+// TestConcurrentWaitDrain parks four goroutines in Wait while a 10k-task
+// InOut chain drains. Completion wakes Wait only at the drain, so every
+// waiter must be woken by that one broadcast (or see the drain itself) and
+// observe every link's write; under -race this also checks the
+// happens-before edge from the final completion to each waiter.
+func TestConcurrentWaitDrain(t *testing.T) {
 	rt := New(Options{Workers: 4})
 	defer rt.Shutdown()
-	const n = 50
-	vals := make([]int64, n) // written by tasks, read by waiters after WaitFor
-	for i := 0; i < n; i++ {
-		i := i
-		var in []Dep
-		if i > 0 {
-			in = []Dep{i - 1}
-		}
-		rt.Submit(&Task{
-			Label: fmt.Sprintf("w%d", i),
-			In:    in,
-			Out:   []Dep{i},
-			Fn:    func() { vals[i] = int64(i + 1) },
-		})
+	const n, waiters = 10000, 4
+	release := make(chan struct{})
+	links := 0 // written by the chain in order, read by the waiters after Wait
+	k := key("chain")
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		tasks[i] = &Task{Label: "link", InOut: []Dep{k}, Fn: func() { links++ }}
 	}
+	tasks[0].Fn = func() {
+		<-release
+		links++
+	}
+	rt.SubmitAll(tasks)
 	var wg sync.WaitGroup
 	var bad atomic.Int64
-	for i := 0; i < n; i++ {
-		for dup := 0; dup < 2; dup++ { // two waiters per key
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rt.WaitFor(i)
-				if vals[i] != int64(i+1) {
-					bad.Add(1)
-				}
-			}()
-		}
+	for w := 0; w < waiters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := rt.Wait(); err != nil || links != n {
+				bad.Add(1)
+			}
+		}()
 	}
+	for rt.doneWaiters.Load() < waiters {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
 	if bad.Load() != 0 {
-		t.Fatalf("%d WaitFor callers saw stale data", bad.Load())
-	}
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%d of %d waiters returned before the chain drained", bad.Load(), waiters)
 	}
 }
 

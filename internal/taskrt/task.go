@@ -49,8 +49,8 @@ type Task struct {
 }
 
 // Executor abstracts where an emitted task graph runs: the native goroutine
-// runtime (Runtime), an inline sequential executor, or a pure graph recorder
-// feeding the discrete-event simulator. B-Par's builders emit the same task
+// runtime (Runtime), an inline sequential executor, or a graph capture
+// (Capture) feeding template replay and the discrete-event simulator. B-Par's builders emit the same task
 // stream to any of them.
 type Executor interface {
 	// Submit registers the task and its dependencies. The task runs when its
@@ -73,8 +73,8 @@ type BatchSubmitter interface {
 // SubmitBatch submits the tasks through e.SubmitAll when e supports
 // batching, and falls back to one Submit call per task otherwise. Builders
 // emit per-timestep and per-layer task batches through this helper so the
-// parallel runtime amortizes locking while Inline and Recorder keep their
-// simple per-task paths.
+// parallel runtime amortizes locking while Inline keeps its simple per-task
+// path.
 func SubmitBatch(e Executor, ts []*Task) {
 	if b, ok := e.(BatchSubmitter); ok {
 		b.SubmitAll(ts)

@@ -22,19 +22,12 @@ type Replayer interface {
 	Replay(tpl *Template)
 }
 
-// capEntry mirrors depEntry for capture: last writer and readers-since-last-
-// write of one key, as task indices into the capture's submission sequence.
-type capEntry struct {
-	lastWriter int
-	readers    []int
-}
-
 // Capture is an Executor/BatchSubmitter that records a submission sequence
-// instead of executing it. It derives RAW/WAR/WAW edges with exactly the
-// rules Runtime.submitOne applies to an empty dependency table, so a graph
-// captured here and frozen into a Template executes with the same edge set —
-// and therefore the same floating-point summation order — as fresh emission
-// after a ResetDeps.
+// instead of executing it. It derives RAW/WAR/WAW edges with the dependency
+// table Runtime.submitOne uses, starting empty, so a graph captured here and
+// frozen into a Template executes with the same edge set — and therefore the
+// same floating-point summation order — as fresh emission after a ResetDeps.
+// Graph hands the same derived edges, barriers included, to the simulator.
 //
 // Capture is not safe for concurrent use; builders submit from one goroutine.
 type Capture struct {
@@ -45,72 +38,64 @@ type Capture struct {
 	// constraint); the flag exists for edge-set diffing and A/B benchmarks.
 	NoReduce bool
 
-	tasks   []*Task
-	preds   [][]int
-	entries map[Dep]*capEntry
-	frozen  bool
+	tasks []*Task
+	preds [][]int  // per task, derived predecessors in discovery order
+	data  [][]bool // parallel to preds: the edge is RAW (carries data)
+	deps  depTable[int]
+	// lastBarrier is the index of the latest Barrier node, -1 before one.
+	lastBarrier int
+	frozen      bool
 }
 
 // NewCapture returns an empty capture with a fresh (empty) dependency view,
 // matching the table state a fresh-emission step starts from.
 func NewCapture() *Capture {
-	return &Capture{entries: make(map[Dep]*capEntry)}
+	return &Capture{deps: newDepTable(-1), lastBarrier: -1}
 }
 
-func (c *Capture) entry(k Dep) *capEntry {
-	e := c.entries[k]
-	if e == nil {
-		e = &capEntry{lastWriter: -1}
-		c.entries[k] = e
-	}
-	return e
-}
-
-// Submit records the task and derives its dependency edges.
+// Submit records the task and derives its dependency edges; after a Barrier
+// the barrier node comes first among them.
 func (c *Capture) Submit(t *Task) {
 	if c.frozen {
 		panic(fmt.Sprintf("taskrt: Submit of task %q on a frozen Capture", t.Label))
 	}
 	id := len(c.tasks)
 	c.tasks = append(c.tasks, t)
-
 	var preds []int
-	var predSeen map[int]bool
-	addPred := func(p int) {
-		if p < 0 || p == id || predSeen[p] {
-			return
-		}
-		if predSeen == nil {
-			predSeen = make(map[int]bool)
-		}
-		predSeen[p] = true
+	var data []bool
+	add := func(p int, d bool) {
+		preds = append(preds, p)
+		data = append(data, d)
+	}
+	if c.lastBarrier >= 0 {
+		add(c.lastBarrier, false)
+	}
+	c.deps.derive(t, id, add)
+	c.preds = append(c.preds, preds)
+	c.data = append(c.data, data)
+}
+
+// Barrier records a synchronization point: a zero-cost "barrier" node that
+// depends on every node submitted since the previous barrier and that every
+// later node depends on. It models the per-layer barriers of framework-style
+// execution so the simulator can contrast them with B-Par's barrier-free
+// graphs.
+func (c *Capture) Barrier() {
+	id := len(c.tasks)
+	var preds []int
+	for p := c.lastBarrier + 1; p < id; p++ {
 		preds = append(preds, p)
 	}
-	for _, k := range t.In {
-		e := c.entry(k)
-		addPred(e.lastWriter) // RAW
-		e.readers = append(e.readers, id)
-	}
-	for _, k := range t.InOut {
-		e := c.entry(k)
-		addPred(e.lastWriter) // RAW + WAW
-		for _, rd := range e.readers {
-			addPred(rd) // WAR
-		}
-		e.lastWriter = id
-		e.readers = e.readers[:0]
-	}
-	for _, k := range t.Out {
-		e := c.entry(k)
-		addPred(e.lastWriter) // WAW
-		for _, rd := range e.readers {
-			addPred(rd) // WAR
-		}
-		e.lastWriter = id
-		e.readers = e.readers[:0]
-	}
+	c.tasks = append(c.tasks, &Task{Label: "barrier", Kind: "barrier"})
 	c.preds = append(c.preds, preds)
+	c.data = append(c.data, make([]bool, len(preds)))
+	c.lastBarrier = id
 }
+
+// Graph returns the full derived graph of the submissions so far — every
+// RAW/WAR/WAW and barrier edge, before the transitive reduction Freeze
+// applies. Node IDs are submission order, which is topological.
+func (c *Capture) Graph() *Graph { return linkGraph(taskNodes(c.tasks), c.preds, c.data) }
 
 // SubmitAll records a batch in order, like Runtime.SubmitAll.
 func (c *Capture) SubmitAll(ts []*Task) {
@@ -145,17 +130,19 @@ func (c *Capture) Freeze() *Template {
 	for _, preds := range c.preds {
 		fullEdges += len(preds)
 	}
+	kept, data := c.preds, c.data
 	if !c.NoReduce {
-		c.preds = reducePreds(c.preds, n)
+		kept, data = reducePreds(kept, data)
 	}
 	tpl := &Template{
 		tasks:       c.tasks,
 		initPending: make([]int32, n),
 		nodes:       make([]node, n),
 		preds:       make([][]int32, n),
+		data:        data,
 		fullEdges:   fullEdges,
 	}
-	for id, preds := range c.preds {
+	for id, preds := range kept {
 		ps := make([]int32, len(preds))
 		for j, p := range preds {
 			ps[j] = int32(p)
@@ -165,7 +152,7 @@ func (c *Capture) Freeze() *Template {
 
 	counts := make([]int, n)
 	total := 0
-	for _, preds := range c.preds {
+	for _, preds := range kept {
 		for _, p := range preds {
 			counts[p]++
 			total++
@@ -178,7 +165,7 @@ func (c *Capture) Freeze() *Template {
 		succs[i] = arena[off : off : off+counts[i]]
 		off += counts[i]
 	}
-	for id, preds := range c.preds {
+	for id, preds := range kept {
 		tpl.initPending[id] = int32(len(preds))
 		for _, p := range preds {
 			succs[p] = append(succs[p], &tpl.nodes[id])
@@ -199,18 +186,19 @@ func (c *Capture) Freeze() *Template {
 
 // reducePreds computes the transitive reduction of a DAG given in
 // topological order (every predecessor index is smaller than its node's).
-// It returns new per-node predecessor lists with every transitively
-// redundant edge removed: edge p→i is redundant iff p is an ancestor of
-// some other predecessor q of i, since then p→…→q→i already orders the
-// pair. For a DAG the transitive reduction is unique, so this is the
-// minimal edge set with the same transitive closure.
+// It returns new per-node predecessor lists, and their data flags, with
+// every transitively redundant edge removed: edge p→i is redundant iff p is
+// an ancestor of some other predecessor q of i, since then p→…→q→i already
+// orders the pair. For a DAG the transitive reduction is unique, so this is
+// the minimal edge set with the same transitive closure.
 //
 // Ancestor sets are bitsets built in one forward sweep; the cost is
 // O(n²/64 · avg preds) time and n²/8 bytes — a one-off at capture time,
 // off the replay path.
-func reducePreds(preds [][]int, n int) [][]int {
+func reducePreds(preds [][]int, data [][]bool) ([][]int, [][]bool) {
+	n := len(preds)
 	if n == 0 {
-		return preds
+		return preds, data
 	}
 	words := (n + 63) / 64
 	buf := make([]uint64, n*words)
@@ -227,15 +215,15 @@ func reducePreds(preds [][]int, n int) [][]int {
 			a[p>>6] |= 1 << (uint(p) & 63)
 		}
 	}
-	reduced := make([][]int, n)
+	reduced, flags := make([][]int, n), make([][]bool, n)
 	for i := 0; i < n; i++ {
 		ps := preds[i]
 		if len(ps) <= 1 {
-			reduced[i] = ps
+			reduced[i], flags[i] = ps, data[i]
 			continue
 		}
-		keep := make([]int, 0, len(ps))
-		for _, p := range ps {
+		keep, keepData := make([]int, 0, len(ps)), make([]bool, 0, len(ps))
+		for j, p := range ps {
 			redundant := false
 			for _, q := range ps {
 				if q != p && anc[q][p>>6]&(1<<(uint(p)&63)) != 0 {
@@ -245,11 +233,12 @@ func reducePreds(preds [][]int, n int) [][]int {
 			}
 			if !redundant {
 				keep = append(keep, p)
+				keepData = append(keepData, data[i][j])
 			}
 		}
-		reduced[i] = keep
+		reduced[i], flags[i] = keep, keepData
 	}
-	return reduced
+	return reduced, flags
 }
 
 // Template is a frozen task DAG: one submission sequence with precomputed
@@ -273,6 +262,7 @@ type Template struct {
 	nodes       []node
 	roots       []*node
 	preds       [][]int32
+	data        [][]bool // parallel to preds: the edge carries data (RAW)
 	fullEdges   int
 
 	// live counts this template's nodes still in flight; Replay refuses to
@@ -313,57 +303,9 @@ func (tpl *Template) PrunedEdges() int { return tpl.fullEdges - tpl.Edges() }
 
 // Graph converts the frozen template into a Graph so the DOT renderer,
 // cycle checker, and simulator run on exactly the edge set replay executes
-// (reduced, if the capture reduced). An edge is marked data-carrying when
-// the predecessor writes a key the node reads; edges the reduction kept for
-// WAR/WAW ordering only are dashed in DOT output.
-func (tpl *Template) Graph() *Graph {
-	nodes := make([]*GraphNode, len(tpl.nodes))
-	writes := make([]map[Dep]bool, len(tpl.nodes))
-	for i, t := range tpl.tasks {
-		if len(t.Out)+len(t.InOut) > 0 {
-			w := make(map[Dep]bool, len(t.Out)+len(t.InOut))
-			for _, k := range t.Out {
-				w[k] = true
-			}
-			for _, k := range t.InOut {
-				w[k] = true
-			}
-			writes[i] = w
-		}
-		nodes[i] = &GraphNode{
-			ID: i, Label: t.Label, Kind: t.Kind,
-			Flops: t.Flops, WorkingSet: t.WorkingSet,
-		}
-	}
-	carriesData := func(p, i int) bool {
-		w := writes[p]
-		if w == nil {
-			return false
-		}
-		t := tpl.tasks[i]
-		for _, k := range t.In {
-			if w[k] {
-				return true
-			}
-		}
-		for _, k := range t.InOut {
-			if w[k] {
-				return true
-			}
-		}
-		return false
-	}
-	for i := range tpl.preds {
-		n := nodes[i]
-		for _, p32 := range tpl.preds[i] {
-			p := int(p32)
-			n.Preds = append(n.Preds, p)
-			n.DataPreds = append(n.DataPreds, carriesData(p, i))
-			nodes[p].Succs = append(nodes[p].Succs, i)
-		}
-	}
-	return &Graph{Nodes: nodes}
-}
+// (reduced, if the capture reduced). Data flags are the deriver's: edges the
+// reduction kept for WAR/WAW ordering only are dashed in DOT output.
+func (tpl *Template) Graph() *Graph { return linkGraph(taskNodes(tpl.tasks), tpl.preds, tpl.data) }
 
 // Dot renders the frozen template through the shared DOT path — handy for
 // eyeballing a captured graph, or diffing the same capture frozen with and
@@ -375,9 +317,9 @@ func (tpl *Template) Dot(w io.Writer, title string) error {
 // Replay executes a frozen template on the worker pool: it resets every
 // node's in-degree counter in one pass over the flat node slice, then
 // publishes the roots. No dependency-table work happens — the edges were
-// derived once at capture. The dependency table itself is left untouched, so
-// replayed writes are invisible to WaitFor; a replay is synchronized with
-// Wait, like a whole-step fresh emission.
+// derived once at capture. A replay never enters the dependency table, so a
+// later fresh emission derives against a clean table; a replay is
+// synchronized with Wait, like a whole-step fresh emission.
 //
 // The dependency sanitizer, when enabled, re-validates every replay: the
 // capture-ordered submission sequence is re-announced to it (shadow versions

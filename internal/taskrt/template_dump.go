@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // TemplateDumpVersion identifies the template dump schema; bpar-vet -graph
@@ -111,56 +112,35 @@ func (d *TemplateDump) Edges() int {
 }
 
 // Graph rebuilds the dumped template as a Graph for DOT rendering and cycle
-// checking. Edges are marked data-carrying when the predecessor writes a key
-// the node reads, like Template.Graph.
+// checking. A dump carries no derived flags, so an edge is marked
+// data-carrying when the predecessor writes a key the node reads.
 func (d *TemplateDump) Graph() *Graph {
 	nodes := make([]*GraphNode, len(d.Nodes))
-	writes := make([]map[int]bool, len(d.Nodes))
+	preds := make([][]int32, len(d.Nodes))
+	data := make([][]bool, len(d.Nodes))
 	for i := range d.Nodes {
 		nd := &d.Nodes[i]
-		if len(nd.Out)+len(nd.InOut) > 0 {
-			w := make(map[int]bool, len(nd.Out)+len(nd.InOut))
-			for _, k := range nd.Out {
-				w[k] = true
-			}
-			for _, k := range nd.InOut {
-				w[k] = true
-			}
-			writes[i] = w
-		}
-		nodes[i] = &GraphNode{
-			ID: i, Label: nd.Label, Kind: nd.Kind,
-			Flops: nd.Flops, WorkingSet: nd.WorkingSet,
+		nodes[i] = &GraphNode{ID: i, Label: nd.Label, Kind: nd.Kind, Flops: nd.Flops, WorkingSet: nd.WorkingSet}
+		preds[i] = nd.Preds
+		data[i] = make([]bool, len(nd.Preds))
+		for j, p := range nd.Preds {
+			data[i][j] = writesRead(&d.Nodes[p], nd)
 		}
 	}
-	for i := range d.Nodes {
-		nd := &d.Nodes[i]
-		gn := nodes[i]
-		for _, p32 := range nd.Preds {
-			p := int(p32)
-			data := false
-			if w := writes[p]; w != nil {
-				for _, k := range nd.In {
-					if w[k] {
-						data = true
-						break
-					}
-				}
-				if !data {
-					for _, k := range nd.InOut {
-						if w[k] {
-							data = true
-							break
-						}
-					}
-				}
+	return linkGraph(nodes, preds, data)
+}
+
+// writesRead reports whether dumped node w writes (Out or InOut) a key that
+// node r reads (In or InOut).
+func writesRead(w, r *TemplateNodeDump) bool {
+	for _, ws := range [2][]int{w.Out, w.InOut} {
+		for _, k := range ws {
+			if slices.Contains(r.In, k) || slices.Contains(r.InOut, k) {
+				return true
 			}
-			gn.Preds = append(gn.Preds, p)
-			gn.DataPreds = append(gn.DataPreds, data)
-			nodes[p].Succs = append(nodes[p].Succs, i)
 		}
 	}
-	return &Graph{Nodes: nodes}
+	return false
 }
 
 // SortTemplateDumps orders templates by name, then size — the deterministic

@@ -531,30 +531,40 @@ func TestServeBucketsBitwiseExact(t *testing.T) {
 	for _, arch := range []core.Arch{core.ManyToOne, core.ManyToMany} {
 		t.Run(arch.String(), func(t *testing.T) {
 			m := testModel(t, arch)
-			_, ts := newTestServer(t, Config{
-				Model:   m,
-				Engines: 2,
-				Buckets: []int{4, 8},
-			})
-			for _, origT := range []int{2, 3, 4, 5, 7, 8} {
-				frames := makeSeq(origT, m.Cfg.InputSize, uint64(100+origT))
-				want := directProbs(t, m, frames)
-				resp, out := post(t, ts.URL+"/v1/probs", [][][]float64{frames})
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("T=%d: status %d", origT, resp.StatusCode)
-				}
-				got := out.Results[0]
-				if got.SeqLen != origT {
-					t.Fatalf("T=%d: seq_len %d", origT, got.SeqLen)
-				}
-				if len(got.Probs) != len(want) {
-					t.Fatalf("T=%d: %d prob rows, want %d", origT, len(got.Probs), len(want))
-				}
-				for h := range want {
-					for j := range want[h] {
-						if got.Probs[h][j] != want[h][j] {
-							t.Fatalf("T=%d head %d class %d: %v != %v (bucketed response not bitwise-equal)",
-								origT, h, j, got.Probs[h][j], want[h][j])
+			// The single-engine order runs a short sequence right after a
+			// long one in the same bucket on the same engine.
+			for _, c := range []struct {
+				engines int
+				lens    []int
+			}{
+				{2, []int{2, 3, 4, 5, 7, 8}},
+				{1, []int{8, 5, 4, 2, 7, 3}},
+			} {
+				_, ts := newTestServer(t, Config{
+					Model:   m,
+					Engines: c.engines,
+					Buckets: []int{4, 8},
+				})
+				for _, origT := range c.lens {
+					frames := makeSeq(origT, m.Cfg.InputSize, uint64(100+origT))
+					want := directProbs(t, m, frames)
+					resp, out := post(t, ts.URL+"/v1/probs", [][][]float64{frames})
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("T=%d: status %d", origT, resp.StatusCode)
+					}
+					got := out.Results[0]
+					if got.SeqLen != origT {
+						t.Fatalf("T=%d: seq_len %d", origT, got.SeqLen)
+					}
+					if len(got.Probs) != len(want) {
+						t.Fatalf("T=%d: %d prob rows, want %d", origT, len(got.Probs), len(want))
+					}
+					for h := range want {
+						for j := range want[h] {
+							if got.Probs[h][j] != want[h][j] {
+								t.Fatalf("T=%d head %d class %d: %v != %v (bucketed response not bitwise-equal)",
+									origT, h, j, got.Probs[h][j], want[h][j])
+							}
 						}
 					}
 				}

@@ -96,7 +96,11 @@ func (e *Engine) emitConvertInputs(ws *workspace, mbIdx int) {
 			Flops:      float64(ws.rows * in),
 			WorkingSet: int64(12 * ws.rows * in),
 		}
-		task.Fn = func() { tensor.ConvertInto(ws.f32.x[t], ws.x[t]) }
+		task.Fn = func() {
+			if t < ws.bind.maxLen {
+				tensor.ConvertInto(ws.f32.x[t], ws.x[t])
+			}
+		}
 		batch = append(batch, task)
 	}
 	taskrt.SubmitBatch(e.Exec, batch)
@@ -151,10 +155,13 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 			pres := buf.pre[di][l][t0:t1]
 			xs := make([]*tensor.Mat[E], t1-t0)
 			task.Fn = func() {
-				for i := range xs {
+				// Clip the tile at the longest row: each timestep's preload
+				// is computed independently, so the bits match a full tile.
+				n := max(0, min(t1, ws.bind.maxLen)-t0)
+				for i := range n {
 					xs[i] = buf.input(l, t0+i)
 				}
-				k.preGatesBatch(xs, pres)
+				k.preGatesBatch(xs[:n], pres[:n])
 			}
 		}
 		batch = append(batch, task)
@@ -174,7 +181,10 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 // timestep lens[i]-1 — bitwise-identical to running that row at its own
 // length. The forward direction needs no mask: padded-tail garbage stays
 // confined to rows whose real outputs never read it (rows are independent,
-// and padded frames carry IgnoreLabel losses and zero gradients).
+// and padded frames carry IgnoreLabel losses and zero gradients). Every
+// forward body — conv, projection, cell, merge and per-frame head — returns
+// at once at timesteps ≥ ws.bind.maxLen, which every row pads; the reverse
+// chain then starts from the zero state, exactly what the mask would leave.
 func (fp *fwdPass[E]) cells(l int, rev bool) {
 	e, ws, T, di := fp.e, fp.ws, fp.ws.T, dirIdx(rev)
 	p, d := e.M.dir[di][l], &ws.dir[di]
@@ -217,8 +227,11 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 				pre = buf.pre[di][l][t]
 			}
 			task.Fn = func() {
+				if t >= ws.bind.maxLen {
+					return
+				}
 				hPrev, cPrev := buf.zeroH, buf.zeroC
-				if !first {
+				if !first && prev < ws.bind.maxLen {
 					hPrev, cPrev = sts[prev].H(), sts[prev].C()
 				}
 				if pre != nil {
@@ -258,7 +271,9 @@ func (fp *fwdPass[E]) mergeCells(l int) {
 		if !ws.phantom {
 			buf := fp.buf
 			task.Fn = func() {
-				mergeForward(cfg.Merge, buf.merged[l][t], buf.st[fwdDir][l][t].H(), buf.st[revDir][l][t].H())
+				if t < ws.bind.maxLen {
+					mergeForward(cfg.Merge, buf.merged[l][t], buf.st[fwdDir][l][t].H(), buf.st[revDir][l][t].H())
+				}
 			}
 		}
 		batch = append(batch, task)
@@ -350,6 +365,12 @@ func (fp *fwdPass[E]) heads() {
 				task.Fn = func() {
 					input, targets := buf.finalMerged, ws.bind.targets
 					if perFrame {
+						if t >= ws.bind.maxLen {
+							// A skipped frame answers 0; its loss is the 0
+							// resetForStep left (every row is IgnoreLabel).
+							buf.probs[lo+t].Zero()
+							return
+						}
 						input, targets = buf.merged[L-1][t], ws.headTargetsAt(kind, t)
 					}
 					fp.headForward(h, lo+t, input, targets)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -33,9 +34,9 @@ type Batch struct {
 	// path pads micro-batches up to Cfg.Batch). Zero means every row is
 	// real; negative means every row is padding (a value mini-batch slicing
 	// produces when a partial batch's real rows all land in earlier slices).
-	// Padding rows are still computed — row independence of the forward pass
-	// makes them numerically inert — but throughput metrics count only real
-	// rows.
+	// Padding rows are computed like real ones — row independence of the
+	// forward pass makes them numerically inert; only time padding is
+	// skipped (see Lens) — but throughput metrics count only real rows.
 	Real int
 
 	// Lens, when non-nil, gives each row's true sequence length (1 ≤
@@ -43,8 +44,10 @@ type Batch struct {
 	// The engine masks the reverse direction's state at padded steps and
 	// gathers each row's forward output at its own boundary, so a masked
 	// row trains and infers bitwise-equal (under ==) to running it at its
-	// true length. Per-frame labels beyond a row's length must be
-	// tensor.IgnoreLabel. Nil means every row spans the full SeqLen.
+	// true length. Forward-only steps do not compute timesteps at or past
+	// max(Lens) at all: their per-frame probabilities read 0. Per-frame
+	// labels beyond a row's length must be tensor.IgnoreLabel. Nil means
+	// every row spans the full SeqLen.
 	Lens []int
 }
 
@@ -428,7 +431,7 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 	T := b.SeqLen()
 	wss := e.workspaces(T)
 	e.refreshWeightCaches()
-	dc := e.bindWorkspaces(wss, b)
+	dc := e.bindWorkspaces(wss, b, train)
 	var rp taskrt.Replayer
 	if kind != stepTrainBarrier {
 		rp = e.replayer()
@@ -462,13 +465,20 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 
 // bindWorkspaces prepares every workspace for one step over batch b: reset
 // the step accumulators, bind the per-step batch views, and (under depcheck)
-// register this step's input matrices. Returns the sanitizer for finishStep.
-func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch) *taskrt.DepChecker {
+// register this step's input matrices. A forward-only step skips each
+// micro-batch's timesteps past its longest row; training runs all T, since
+// the backward chains read every timestep. Returns the sanitizer for
+// finishStep.
+func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch, train bool) *taskrt.DepChecker {
 	dc := e.depChecker()
 	for i, ws := range wss {
 		ws.resetForStep()
 		mb := b.sliceRows(e.M.Cfg.mbBounds(i))
-		ws.bindStep(mb)
+		maxLen := mb.SeqLen()
+		if !train && mb.Lens != nil {
+			maxLen = slices.Max(mb.Lens)
+		}
+		ws.bindStep(mb, maxLen)
 		if dc != nil {
 			e.registerStepInputs(dc, ws, mb, i)
 		}

@@ -18,6 +18,9 @@ type stepBinding struct {
 	stepTargets [][]int // many-to-many labels, [timestep][sequence]
 	lens        []int   // per-row real lengths; nil for full-length batches
 	genTargets  [][]int // stepTargets shifted one frame left (generate heads)
+	// maxLen is the first timestep forward task bodies skip: the longest
+	// row's length on forward-only steps, T on training steps.
+	maxLen int
 }
 
 // workspace holds the unrolled activations, caches and gradient buffers for
@@ -389,13 +392,15 @@ func matRow[E tensor.Elt](n, rows, cols int) []*tensor.Mat[E] {
 	return out
 }
 
-// bindStep points the workspace's per-step binding at mb's views. It must
-// run before emitting or replaying any non-phantom graph over this workspace.
-func (w *workspace) bindStep(mb *Batch) {
+// bindStep points the workspace's per-step binding at mb's views, with
+// forward tasks at timesteps ≥ maxLen skipped. It must run before emitting
+// or replaying any non-phantom graph over this workspace.
+func (w *workspace) bindStep(mb *Batch, maxLen int) {
 	w.x = mb.X
 	w.bind.targets = mb.Targets
 	w.bind.stepTargets = mb.StepTargets
 	w.bind.lens = mb.Lens
+	w.bind.maxLen = maxLen
 	w.bind.genTargets = nil
 	if w.genTargets != nil && mb.StepTargets != nil {
 		for t := 0; t < w.T-1; t++ {

@@ -19,8 +19,9 @@
 // micro-batch carries Batch.Lens with each row's true length, the engine
 // masks the reverse direction at padded steps and gathers each row's final
 // forward state at its own boundary, so a bucketed response stays bitwise
-// identical to a direct Engine.InferProbs call at the exact length. Buckets
-// is the production shape — a handful of fixed lengths keeps the per-(T)
+// identical to a direct Engine.InferProbs call at the exact length. Frames
+// past a micro-batch's longest row are not computed at all. Buckets is the
+// production shape — a handful of fixed lengths keeps the per-(T)
 // template cache hot regardless of request-length diversity.
 package serve
 
@@ -341,52 +342,54 @@ func (s *Server) runBatch(eng *core.Engine, mb *microBatch) {
 		// Frames [len(it.frames), T) — rounded-up length padding — and rows
 		// [len(items), Batch) — partial-batch padding — stay zero.
 	}
-	// Lens makes length padding bitwise-inert; nil when every row spans the
-	// full T keeps the exact legacy path (the template is shared either way).
+	// Lens makes length padding bitwise-inert, and the engine skips every
+	// timestep past the longest real row; nil when every row spans the full T
+	// keeps the exact legacy path (the template is shared either way).
 	var lens []int
 	if short {
 		lens = make([]int, cfg.Batch)
 		for r := range lens {
-			lens[r] = mb.T // partial-batch padding rows: full length, inert
+			lens[r] = 1 // partial-batch padding rows: zero frames, discarded
 		}
 		for r, it := range mb.items {
 			lens[r] = it.origT
 		}
 	}
 	probs, _, err := eng.InferProbs(&core.Batch{X: X, Real: len(mb.items), Lens: lens})
-	if err != nil {
-		for _, it := range mb.items {
-			it.done <- itemResult{err: err}
+	results := make([]itemResult, len(mb.items))
+	specs := cfg.HeadSpecs()
+	for r, it := range mb.items {
+		if err != nil {
+			results[r].err = err
+			continue
 		}
-	} else {
-		specs := cfg.HeadSpecs()
-		for r, it := range mb.items {
-			heads := make([]headProbs, len(specs))
-			for h, spec := range specs {
-				lo, _ := cfg.HeadSlotRange(h, mb.T)
-				rows := 1
-				if spec.Kind.PerFrame() {
-					rows = it.origT // drop rounded-up padding frames
-				}
-				out := make([][]float64, rows)
-				for j := range out {
-					out[j] = append([]float64(nil), probs[lo+j].Row(r)...)
-				}
-				heads[h] = headProbs{kind: spec.Kind, rows: out}
+		heads := make([]headProbs, len(specs))
+		for h, spec := range specs {
+			lo, _ := cfg.HeadSlotRange(h, mb.T)
+			rows := 1
+			if spec.Kind.PerFrame() {
+				rows = it.origT // drop rounded-up padding frames
 			}
-			it.done <- itemResult{heads: heads}
+			out := make([][]float64, rows)
+			for j := range out {
+				out[j] = append([]float64(nil), probs[lo+j].Row(r)...)
+			}
+			heads[h] = headProbs{kind: spec.Kind, rows: out}
 		}
+		results[r].heads = heads
 	}
-	s.inflight.Add(-int64(len(mb.items)))
+	// The batch is recorded before any item is answered, so a client holding
+	// its answer always finds the batch in the metrics.
 	s.met.batches.Inc()
 	s.met.sequences.Add(int64(len(mb.items)))
 	s.met.batchFill.Observe(float64(len(mb.items)) / float64(cfg.Batch))
 	s.met.stageCompute.Observe(time.Since(computeStart).Seconds())
-	// Padding overhead: the fraction of computed cells (batch rows × frames)
-	// that were zero padding — row padding up to cfg.Batch plus rounded-up
-	// sequence-length padding. Masking keeps the numerics exact but the
-	// engine still computes every padded cell; this is the throughput cost
-	// of batching, reported both overall and per length bucket.
+	// Padding overhead: the fraction of the micro-batch's cells (batch rows ×
+	// bucket frames) that were zero padding — row padding up to cfg.Batch
+	// plus rounded-up sequence-length padding — reported both overall and
+	// per length bucket. The engine computes padded rows and the padded
+	// frames of rows shorter than the longest, but skips the frames past the
+	// longest row, so this bounds the compute that batching wastes.
 	useful := 0
 	for _, it := range mb.items {
 		useful += it.origT
@@ -400,6 +403,10 @@ func (s *Server) runBatch(eng *core.Engine, mb *microBatch) {
 		bm.fill.Observe(float64(len(mb.items)) / float64(cfg.Batch))
 		bm.padOverhead.Observe(1 - float64(useful)/float64(total))
 	}
+	for r, it := range mb.items {
+		it.done <- results[r]
+	}
+	s.inflight.Add(-int64(len(mb.items)))
 }
 
 // TemplateStats sums template-cache hits and misses across the engine pool.

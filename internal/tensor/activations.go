@@ -88,32 +88,6 @@ func SoftmaxRows[E Elt](m *Mat[E]) {
 // the padding label for within-batch variable-length sequences.
 const IgnoreLabel = -1
 
-// CrossEntropyRows returns the mean negative log-likelihood of the target
-// class per row, given row-wise probability distributions (after
-// SoftmaxRows). targets[i] is the class index for row i; rows labelled
-// IgnoreLabel contribute nothing (and do not count toward the mean).
-func CrossEntropyRows[E Elt](probs *Mat[E], targets []int) float64 {
-	if len(targets) != probs.Rows {
-		panic("tensor: CrossEntropyRows targets length mismatch")
-	}
-	guardR(probs)
-	const eps = 1e-12
-	loss := 0.0
-	n := 0
-	for i, t := range targets {
-		if t == IgnoreLabel {
-			continue
-		}
-		p := float64(probs.At(i, t))
-		loss -= math.Log(p + eps)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return loss / float64(n)
-}
-
 // SoftmaxCrossEntropyBackward writes into dst the gradient of the mean
 // cross-entropy loss with respect to the softmax *inputs*: (p - onehot)/N.
 // probs must already contain softmax outputs.

@@ -130,19 +130,6 @@ func MatMulNaive(dst, a, b *Matrix) {
 	}
 }
 
-// Gemv computes dst = a * x for a m x k matrix and k-vector x; dst has m
-// elements. Used by batch-size-1 paths where a full GEMM is wasteful.
-func Gemv[E Elt](dst []E, a *Mat[E], x []E) {
-	if a.Cols != len(x) || a.Rows != len(dst) {
-		panic(fmt.Sprintf("tensor: Gemv shape mismatch dst[%d] = a %dx%d * x[%d]",
-			len(dst), a.Rows, a.Cols, len(x)))
-	}
-	countGemmOf[E](2 * int64(a.Rows) * int64(a.Cols))
-	for i := 0; i < a.Rows; i++ {
-		dst[i] = dot(a.Data[i*a.Cols:(i+1)*a.Cols], x)
-	}
-}
-
 // dot returns the inner product of equal-length slices, unrolled by four to
 // give the compiler independent accumulator chains.
 func dot[E Elt](a, b []E) E {

@@ -30,9 +30,6 @@ func SetAccessHook(h AccessHook) {
 	accessHook.Store(&h)
 }
 
-// GuardingEnabled reports whether an access hook is installed.
-func GuardingEnabled() bool { return accessHook.Load() != nil }
-
 // The guard helpers keep the disabled path allocation-free: the reads slice
 // is only materialized after the nil check.
 

@@ -1,7 +1,7 @@
 // Package tensor implements the dense linear-algebra kernels that back every
-// B-Par task: blocked matrix multiplication, matrix-vector products,
-// element-wise gate arithmetic, and the activation functions used by LSTM and
-// GRU cells (Equations 1-10 of the paper).
+// B-Par task: blocked matrix multiplication, element-wise gate arithmetic,
+// and the activation functions used by LSTM and GRU cells (Equations 1-10 of
+// the paper).
 //
 // It is the stand-in for the MKL-Sequential library the paper links against:
 // each B-Par task executes a short sequence of these kernels sequentially,
@@ -33,14 +33,6 @@ type Matrix = Mat[float64]
 // New returns a zeroed rows x cols float64 matrix.
 func New(rows, cols int) *Matrix {
 	return NewOf[float64](rows, cols)
-}
-
-// FromSlice wraps data (length must be rows*cols) without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice got %d values for %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // At returns element (i, j).

@@ -8,56 +8,56 @@ import (
 )
 
 func TestAddSubMul(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
+	a := fromSlice(2, 2, []float64{1, 2, 3, 4})
+	b := fromSlice(2, 2, []float64{5, 6, 7, 8})
 	dst := New(2, 2)
 
 	Add(dst, a, b)
-	if !dst.Equal(FromSlice(2, 2, []float64{6, 8, 10, 12})) {
+	if !dst.Equal(fromSlice(2, 2, []float64{6, 8, 10, 12})) {
 		t.Fatalf("Add got %v", dst)
 	}
 	Sub(dst, b, a)
-	if !dst.Equal(FromSlice(2, 2, []float64{4, 4, 4, 4})) {
+	if !dst.Equal(fromSlice(2, 2, []float64{4, 4, 4, 4})) {
 		t.Fatalf("Sub got %v", dst)
 	}
 	Mul(dst, a, b)
-	if !dst.Equal(FromSlice(2, 2, []float64{5, 12, 21, 32})) {
+	if !dst.Equal(fromSlice(2, 2, []float64{5, 12, 21, 32})) {
 		t.Fatalf("Mul got %v", dst)
 	}
 }
 
 func TestMulAccAddAcc(t *testing.T) {
-	a := FromSlice(1, 3, []float64{1, 2, 3})
-	b := FromSlice(1, 3, []float64{4, 5, 6})
-	dst := FromSlice(1, 3, []float64{1, 1, 1})
+	a := fromSlice(1, 3, []float64{1, 2, 3})
+	b := fromSlice(1, 3, []float64{4, 5, 6})
+	dst := fromSlice(1, 3, []float64{1, 1, 1})
 	MulAcc(dst, a, b)
-	if !dst.Equal(FromSlice(1, 3, []float64{5, 11, 19})) {
+	if !dst.Equal(fromSlice(1, 3, []float64{5, 11, 19})) {
 		t.Fatalf("MulAcc got %v", dst)
 	}
 	AddAcc(dst, a)
-	if !dst.Equal(FromSlice(1, 3, []float64{6, 13, 22})) {
+	if !dst.Equal(fromSlice(1, 3, []float64{6, 13, 22})) {
 		t.Fatalf("AddAcc got %v", dst)
 	}
 }
 
 func TestScaleAxpyAverage(t *testing.T) {
-	a := FromSlice(1, 2, []float64{2, 4})
+	a := fromSlice(1, 2, []float64{2, 4})
 	dst := New(1, 2)
 	Scale(dst, 0.5, a)
-	if !dst.Equal(FromSlice(1, 2, []float64{1, 2})) {
+	if !dst.Equal(fromSlice(1, 2, []float64{1, 2})) {
 		t.Fatalf("Scale got %v", dst)
 	}
 	AxpyMatrix(dst, 2, a)
-	if !dst.Equal(FromSlice(1, 2, []float64{5, 10})) {
+	if !dst.Equal(fromSlice(1, 2, []float64{5, 10})) {
 		t.Fatalf("AxpyMatrix got %v", dst)
 	}
-	b := FromSlice(1, 2, []float64{3, 2})
+	b := fromSlice(1, 2, []float64{3, 2})
 	Average(dst, a, b)
-	if !dst.Equal(FromSlice(1, 2, []float64{2.5, 3})) {
+	if !dst.Equal(fromSlice(1, 2, []float64{2.5, 3})) {
 		t.Fatalf("Average got %v", dst)
 	}
 	ScaleInPlace(dst, 2)
-	if !dst.Equal(FromSlice(1, 2, []float64{5, 6})) {
+	if !dst.Equal(fromSlice(1, 2, []float64{5, 6})) {
 		t.Fatalf("ScaleInPlace got %v", dst)
 	}
 }
@@ -73,7 +73,7 @@ func TestAddBiasRows(t *testing.T) {
 }
 
 func TestSumAndSumAbs(t *testing.T) {
-	m := FromSlice(1, 4, []float64{1, -2, 3, -4})
+	m := fromSlice(1, 4, []float64{1, -2, 3, -4})
 	if m.Sum() != -2 {
 		t.Fatalf("Sum got %g", m.Sum())
 	}
@@ -83,7 +83,7 @@ func TestSumAndSumAbs(t *testing.T) {
 }
 
 func TestArgmaxRows(t *testing.T) {
-	m := FromSlice(2, 3, []float64{0.1, 0.9, 0.5, 3, 2, 1})
+	m := fromSlice(2, 3, []float64{0.1, 0.9, 0.5, 3, 2, 1})
 	got := ArgmaxRows(m)
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgmaxRows got %v", got)
@@ -91,9 +91,9 @@ func TestArgmaxRows(t *testing.T) {
 }
 
 func TestClipInPlace(t *testing.T) {
-	m := FromSlice(1, 4, []float64{-5, -0.5, 0.5, 5})
+	m := fromSlice(1, 4, []float64{-5, -0.5, 0.5, 5})
 	ClipInPlace(m, 1)
-	if !m.Equal(FromSlice(1, 4, []float64{-1, -0.5, 0.5, 1})) {
+	if !m.Equal(fromSlice(1, 4, []float64{-1, -0.5, 0.5, 1})) {
 		t.Fatalf("ClipInPlace got %v", m)
 	}
 }
@@ -120,7 +120,7 @@ func TestSigmoidProperties(t *testing.T) {
 }
 
 func TestActivationInPlaceAndSlices(t *testing.T) {
-	m := FromSlice(1, 3, []float64{-1, 0, 1})
+	m := fromSlice(1, 3, []float64{-1, 0, 1})
 	s := m.Clone()
 	SigmoidInPlace(s)
 	for i, v := range m.Data {
@@ -165,7 +165,7 @@ func TestDerivativeFromOutput(t *testing.T) {
 }
 
 func TestSoftmaxRows(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
+	m := fromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
 	SoftmaxRows(m)
 	for i := 0; i < 2; i++ {
 		sum := 0.0
@@ -191,12 +191,20 @@ func TestSoftmaxRows(t *testing.T) {
 }
 
 func TestCrossEntropyAndBackward(t *testing.T) {
-	logits := FromSlice(2, 3, []float64{2, 1, 0, 0, 3, 0})
+	logits := fromSlice(2, 3, []float64{2, 1, 0, 0, 3, 0})
 	probs := logits.Clone()
 	SoftmaxRows(probs)
 	targets := []int{0, 1}
-	loss := CrossEntropyRows(probs, targets)
-	if loss <= 0 {
+	// meanNLL is the loss the backward kernel differentiates: the targets'
+	// negative log-likelihood averaged over the rows.
+	meanNLL := func(probs *Matrix) float64 {
+		loss := 0.0
+		for i, c := range targets {
+			loss -= math.Log(probs.At(i, c))
+		}
+		return loss / float64(probs.Rows)
+	}
+	if loss := meanNLL(probs); loss <= 0 {
 		t.Fatalf("loss must be positive, got %g", loss)
 	}
 
@@ -212,7 +220,7 @@ func TestCrossEntropyAndBackward(t *testing.T) {
 			lm := logits.Clone()
 			lm.Set(i, j, lm.At(i, j)-h)
 			SoftmaxRows(lm)
-			num := (CrossEntropyRows(lp, targets) - CrossEntropyRows(lm, targets)) / (2 * h)
+			num := (meanNLL(lp) - meanNLL(lm)) / (2 * h)
 			if math.Abs(num-grad.At(i, j)) > 1e-5 {
 				t.Fatalf("CE gradient off at (%d,%d): analytic %g numeric %g", i, j, grad.At(i, j), num)
 			}
@@ -246,21 +254,7 @@ func TestGradKernelsAgainstRandomShapes(t *testing.T) {
 }
 
 func TestCrossEntropyIgnoreLabel(t *testing.T) {
-	probs := FromSlice(3, 2, []float64{0.7, 0.3, 0.2, 0.8, 0.5, 0.5})
-	full := CrossEntropyRows(probs, []int{0, 1, 0})
-	masked := CrossEntropyRows(probs, []int{0, 1, IgnoreLabel})
-	// Masked mean is over two rows only.
-	want := (-math.Log(0.7) - math.Log(0.8)) / 2
-	if math.Abs(masked-want) > 1e-9 {
-		t.Fatalf("masked CE %g want %g", masked, want)
-	}
-	if masked == full {
-		t.Fatal("mask must change the mean")
-	}
-	if CrossEntropyRows(probs, []int{IgnoreLabel, IgnoreLabel, IgnoreLabel}) != 0 {
-		t.Fatal("all-ignored batch must have zero loss")
-	}
-
+	probs := fromSlice(3, 2, []float64{0.7, 0.3, 0.2, 0.8, 0.5, 0.5})
 	grad := New(3, 2)
 	SoftmaxCrossEntropyBackward(grad, probs, []int{0, 1, IgnoreLabel})
 	for j := 0; j < 2; j++ {

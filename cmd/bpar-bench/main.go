@@ -14,12 +14,7 @@
 //	bpar-bench -exp replay            # fresh emission vs graph capture & replay
 //	bpar-bench -exp all -seq 40       # reduced sequence length (faster)
 //
-// The load-generator mode measures an inference service instead of training:
-//
-//	bpar-bench -exp loadgen                       # in-process server, Table III batch-1 BLSTM
-//	bpar-bench -exp loadgen -lg-rate 200 -lg-seconds 10
-//	bpar-bench -exp loadgen -lg-url http://host:8080   # a running bpar-serve
-//	bpar-bench -exp loadgen-sweep                 # doubling offered rates to saturation
+// Serving load is measured by the benchmark harness in bench/, not here.
 package main
 
 import (
@@ -31,7 +26,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -40,49 +34,13 @@ import (
 	"bpar/internal/experiments"
 	"bpar/internal/obs"
 	"bpar/internal/prof"
-	"bpar/internal/serve"
 	"bpar/internal/tensor"
 )
 
-// lgFlags collects the load-generator experiment's knobs; the training
-// experiments ignore them.
-type lgFlags struct {
-	url     string
-	rate    float64
-	seconds float64
-	seqLens string
-	engines int
-	steps   int
-}
-
-// loadGenConfig translates the flags into a serve.LoadGenConfig.
-func (f lgFlags) config(seqOverride int) (serve.LoadGenConfig, error) {
-	cfg := serve.LoadGenConfig{
-		URL:      f.url,
-		Rate:     f.rate,
-		Duration: time.Duration(f.seconds * float64(time.Second)),
-		Seed:     1,
-		Serve:    serve.Config{Engines: f.engines},
-	}
-	if f.seqLens != "" {
-		for _, part := range strings.Split(f.seqLens, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				return cfg, fmt.Errorf("bad -lg-seqlens entry %q", part)
-			}
-			cfg.SeqLens = append(cfg.SeqLens, n)
-		}
-	} else if seqOverride > 0 {
-		cfg.SeqLens = []int{seqOverride}
-	}
-	return cfg, nil
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table3, table4, fig3..fig8, granularity, memory, ablation, projection, replay, policy, efficiency, sched, determinism, dtype, multihead, loadgen, loadgen-sweep")
+	exp := flag.String("exp", "all", "experiment: all, table3, table4, fig3..fig8, granularity, memory, ablation, projection, replay, policy, efficiency, sched, determinism, dtype, multihead")
 	seq := flag.Int("seq", 0, "override sequence length (0 = paper value, 100)")
-	replay := flag.Bool("replay", true, "use graph capture & replay in native-engine experiments")
-	noReplay := flag.Bool("no-replay", false, "force fresh task-graph emission every step (overrides -replay)")
+	noReplay := flag.Bool("no-replay", false, "force fresh task-graph emission every step in native-engine experiments instead of graph capture & replay")
 	listen := flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address (e.g. :8080) during the run")
 	profGraph := flag.Bool("profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof)")
 	profOut := flag.String("profile-out", "bpar-profile.json", "profile dump path written at exit when -profile-graph is set")
@@ -90,13 +48,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	jsonOut := flag.String("json", "", "write machine-readable results of every experiment run to this JSON file")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
-	var lg lgFlags
-	flag.StringVar(&lg.url, "lg-url", "", "loadgen target (empty = in-process server at the Table III batch-1 config)")
-	flag.Float64Var(&lg.rate, "lg-rate", 50, "loadgen offered arrival rate, requests/second")
-	flag.Float64Var(&lg.seconds, "lg-seconds", 5, "loadgen run duration in seconds")
-	flag.StringVar(&lg.seqLens, "lg-seqlens", "", "loadgen comma-separated sequence lengths (empty = model default)")
-	flag.IntVar(&lg.engines, "lg-engines", 0, "loadgen in-process engine pool size (0 = auto)")
-	flag.IntVar(&lg.steps, "lg-sweep-steps", 5, "loadgen-sweep maximum doubling steps")
 	flag.Parse()
 
 	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
@@ -139,7 +90,7 @@ func main() {
 			"endpoints", "/metrics /healthz /debug/pprof/")
 	}
 
-	o := experiments.Opts{SeqLen: *seq, NoReplay: *noReplay || !*replay}
+	o := experiments.Opts{SeqLen: *seq, NoReplay: *noReplay}
 	var profiler *prof.GraphProfiler
 	if *profGraph {
 		profiler = prof.NewGraphProfiler()
@@ -158,7 +109,7 @@ func main() {
 		}
 		name = strings.TrimSpace(name)
 		start := time.Now()
-		res, err := run(name, o, lg)
+		res, err := run(name, o)
 		if err != nil {
 			log.Error("experiment failed", "exp", name, "err", err)
 			os.Exit(1)
@@ -237,37 +188,9 @@ func writeResults(path string, results map[string]any, durations map[string]floa
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func run(name string, o experiments.Opts, lg lgFlags) (any, error) {
+func run(name string, o experiments.Opts) (any, error) {
 	w := os.Stdout
 	switch name {
-	case "loadgen":
-		cfg, err := lg.config(o.SeqLen)
-		if err != nil {
-			return nil, err
-		}
-		r, err := serve.RunLoadGen(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(w, "Load generator — open-loop Poisson arrivals vs bpar-serve")
-		printLoadGenHeader(w)
-		printLoadGenRow(w, r)
-		return r, nil
-	case "loadgen-sweep":
-		cfg, err := lg.config(o.SeqLen)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := serve.RunSaturationSweep(cfg, lg.steps)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(w, "Saturation sweep — doubling offered rate until <50% of requests succeed")
-		printLoadGenHeader(w)
-		for _, r := range rs {
-			printLoadGenRow(w, r)
-		}
-		return rs, nil
 	case "table3":
 		rows, err := experiments.RunTable(core.LSTM, o)
 		if err != nil {
@@ -428,16 +351,4 @@ func run(name string, o experiments.Opts, lg lgFlags) (any, error) {
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
-}
-
-func printLoadGenHeader(w *os.File) {
-	fmt.Fprintf(w, "  %10s %8s %8s %6s %6s %8s %10s %10s %10s %10s\n",
-		"offered/s", "sent", "ok", "429", "err", "qps", "p50", "p90", "p99", "max")
-}
-
-func printLoadGenRow(w *os.File, r *serve.LoadGenResult) {
-	fmt.Fprintf(w, "  %10.1f %8d %8d %6d %6d %8.1f %10s %10s %10s %10s\n",
-		r.OfferedQPS, r.Sent, r.OK, r.Rejected, r.Errors, r.AchievedQPS,
-		r.P50.Round(10*time.Microsecond), r.P90.Round(10*time.Microsecond),
-		r.P99.Round(10*time.Microsecond), r.Max.Round(10*time.Microsecond))
 }

@@ -7,7 +7,9 @@
 // metrics in Prometheus text format at /metrics, liveness at /healthz, and
 // the standard pprof profiles at /debug/pprof/ for the duration of the run.
 // For headless runs, -cpuprofile and -memprofile write runtime/pprof files
-// directly.
+// directly. With -profile-graph, per-node timings of the replayed step
+// templates are dumped at exit for bpar-prof, which reports them and renders
+// the schedule as a Chrome trace.
 //
 // Usage:
 //
@@ -15,6 +17,7 @@
 //	bpar-train -task text -cell gru -layers 2 -hidden 128 -seq 32
 //	bpar-train -task speech -listen :8080          # curl localhost:8080/metrics
 //	bpar-train -task speech -cpuprofile cpu.pprof
+//	bpar-train -task speech -profile-graph && bpar-prof -chrome trace.json bpar-profile.json
 package main
 
 import (
@@ -36,7 +39,6 @@ import (
 	"bpar/internal/prof"
 	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
-	"bpar/internal/trace"
 )
 
 // options collects every flag so run stays a single-argument call.
@@ -54,12 +56,9 @@ type options struct {
 	workers    int
 	locality   bool
 	depCheck   bool
-	replay     bool
 	noReplay   bool
 	inferDtype string
 	seed       uint64
-	traceFile  string
-	traceCap   int
 	profGraph  bool
 	profOut    string
 	dumpTpls   string
@@ -85,13 +84,10 @@ func main() {
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "worker goroutines")
 	flag.BoolVar(&o.locality, "locality", true, "locality-aware scheduling")
 	flag.BoolVar(&o.depCheck, "depcheck", false, "enable the dependency sanitizer: verify every tensor access against declared In/Out/InOut edges (slow; serializes task bodies)")
-	flag.BoolVar(&o.replay, "replay", true, "capture each step's task graph once and replay it every step")
-	flag.BoolVar(&o.noReplay, "no-replay", false, "force fresh task-graph emission every step (overrides -replay)")
+	flag.BoolVar(&o.noReplay, "no-replay", false, "force fresh task-graph emission every step instead of capturing each step's graph once and replaying it")
 	flag.StringVar(&o.inferDtype, "infer-dtype", "f64", "dtype for the per-epoch eval pass: f64 (exact) or f32 (float32 mirror, refreshed after every weight update; training itself always runs f64)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
-	flag.StringVar(&o.traceFile, "trace", "", "write a Chrome trace-event JSON of the run's schedule to this file")
-	flag.IntVar(&o.traceCap, "trace-cap", 0, "max task records retained by -trace (reservoir sampling; 0 = unbounded)")
-	flag.BoolVar(&o.profGraph, "profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof)")
+	flag.BoolVar(&o.profGraph, "profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof; bpar-prof -chrome renders the schedule timeline)")
 	flag.StringVar(&o.profOut, "profile-out", "bpar-profile.json", "profile dump path written at exit when -profile-graph is set")
 	flag.StringVar(&o.dumpTpls, "dump-templates", "", "write every cached step template (with named dependency keys) to this file at exit, for bpar-vet -graph")
 	flag.StringVar(&o.listen, "listen", "", "serve /metrics, /healthz, and /debug/pprof on this address (e.g. :8080) during the run")
@@ -104,8 +100,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bpar-train:", err)
 		os.Exit(2)
 	}
-	// One signal stops cleanly between steps (epoch summary, trace, and
-	// telemetry teardown still run); a second kills the process.
+	// One signal stops cleanly between steps (epoch summary, profile dump,
+	// and telemetry teardown still run); a second kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, o); err != nil {
@@ -116,6 +112,12 @@ func main() {
 
 func run(ctx context.Context, o options) error {
 	log := obs.Logger("cmd")
+
+	// The profiler only sees template replays, so without them its dump
+	// would hold no templates at all.
+	if o.profGraph && o.noReplay {
+		return fmt.Errorf("-profile-graph needs template replay; drop -no-replay")
+	}
 
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
@@ -199,19 +201,13 @@ func run(ctx context.Context, o options) error {
 	if o.locality {
 		pol = taskrt.LocalityAware
 	}
-	var sink *trace.Recorder
-	var tsink taskrt.TraceSink
-	if o.traceFile != "" {
-		sink = trace.NewBounded(o.traceCap)
-		tsink = sink
-	}
 	var profiler *prof.GraphProfiler
 	var psink taskrt.ProfileSink
 	if o.profGraph {
 		profiler = prof.NewGraphProfiler()
 		psink = profiler
 	}
-	rt := taskrt.New(taskrt.Options{Workers: o.workers, Policy: pol, Sink: tsink, DepCheck: o.depCheck, Profile: psink})
+	rt := taskrt.New(taskrt.Options{Workers: o.workers, Policy: pol, DepCheck: o.depCheck, Profile: psink})
 	defer rt.Shutdown()
 	if o.depCheck {
 		defer tensor.SetAccessHook(nil)
@@ -219,23 +215,20 @@ func run(ctx context.Context, o options) error {
 	}
 	eng := core.NewEngine(model, rt)
 	eng.GradClip = 1.0
-	eng.NoReplay = o.noReplay || !o.replay
+	eng.NoReplay = o.noReplay
 	inferDT, err := tensor.ParseDType(o.inferDtype)
 	if err != nil {
 		return err
 	}
 	eng.InferDType = inferDT
 
-	// Live telemetry: scheduler, engine, tensor, trace, and process series
+	// Live telemetry: scheduler, engine, tensor, profile, and process series
 	// on one registry, served for the duration of the run.
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg)
 	rt.RegisterMetrics(reg)
 	eng.EnableObs(reg)
 	tensor.RegisterMetrics(reg)
-	if sink != nil {
-		sink.RegisterMetrics(reg)
-	}
 	if profiler != nil {
 		prof.RegisterMetrics(reg, profiler, o.workers)
 	}
@@ -347,20 +340,6 @@ func run(ctx context.Context, o options) error {
 		}
 		log.Info("template dump written", "file", o.dumpTpls,
 			"templates", len(df.Templates), "reader", "bpar-vet -graph "+o.dumpTpls)
-	}
-
-	if sink != nil {
-		f, err := os.Create(o.traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := sink.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		log.Info("chrome trace written", "file", o.traceFile,
-			"tasks", sink.Len(), "seen", sink.Seen(), "dropped", sink.Dropped(),
-			"viewer", "chrome://tracing or ui.perfetto.dev")
 	}
 
 	if o.memProfile != "" {

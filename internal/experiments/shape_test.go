@@ -10,6 +10,9 @@ package experiments
 // bench harness and cmd/bpar-bench run the full paper parameters.
 
 import (
+	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -341,6 +344,35 @@ func TestGranularityShape(t *testing.T) {
 	}
 	if r.HostTasks < 1000 {
 		t.Errorf("host run produced only %d tasks", r.HostTasks)
+	}
+	// The measured distribution: kinds partition the tasks, the summary
+	// statistics are ordered, and the JSON result carries them.
+	g := r.HostGranularity
+	sum := 0
+	var kinds []string
+	for _, ks := range g.ByKind {
+		sum += ks.Count
+		kinds = append(kinds, ks.Kind)
+	}
+	if sum != r.HostTasks {
+		t.Errorf("per-kind counts sum to %d, want %d", sum, r.HostTasks)
+	}
+	if !sort.StringsAreSorted(kinds) || !slices.Contains(kinds, "lstm") || !slices.Contains(kinds, "lstm-bwd") {
+		t.Errorf("kinds %v: want sorted, with lstm and lstm-bwd", kinds)
+	}
+	if !(0 < g.MinUS && g.MinUS <= g.P50US && g.P50US <= g.MaxUS) || !(g.MinUS <= g.MeanUS && g.MeanUS <= g.MaxUS) {
+		t.Errorf("duration summary out of order: min %g mean %g p50 %g max %g", g.MinUS, g.MeanUS, g.P50US, g.MaxUS)
+	}
+	js, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back GranularityResult
+	if err := json.Unmarshal(js, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.HostGranularity == nil || back.HostGranularity.MaxUS <= 0 {
+		t.Error("JSON result drops the duration summary (MaxUS)")
 	}
 	// Paper-scale modelled durations: avg near the paper's 13,052us.
 	if r.PaperAvgUS < 2000 || r.PaperAvgUS > 40000 {

@@ -3,7 +3,7 @@
 // text-format exposition, an HTTP mux serving /metrics, /healthz, and the
 // standard pprof endpoints, and slog-based structured logging helpers.
 //
-// The post-hoc instruments (internal/trace, taskrt.Stats) answer "what
+// The post-hoc instruments (internal/prof, taskrt.Stats) answer "what
 // happened during that run"; obs answers "what is happening right now".
 // Hot-path recording never takes a shared lock: counters and gauges are
 // single atomics, histograms shard their buckets per worker, and the

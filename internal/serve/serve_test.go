@@ -394,38 +394,6 @@ func TestServeTemplateHitRateAfterWarm(t *testing.T) {
 	}
 }
 
-// TestLoadGenSmoke runs the open-loop generator against an in-process server
-// on a small model and sanity-checks the measurement.
-func TestLoadGenSmoke(t *testing.T) {
-	m := testModel(t, core.ManyToOne)
-	res, err := RunLoadGen(LoadGenConfig{
-		Model:    m,
-		Serve:    Config{Engines: 1, BatchWindow: time.Millisecond},
-		Rate:     200,
-		Duration: 300 * time.Millisecond,
-		SeqLens:  []int{3, 5},
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent == 0 {
-		t.Fatal("load generator sent nothing")
-	}
-	if res.OK == 0 {
-		t.Fatalf("no successful requests: %+v", res)
-	}
-	if res.Errors != 0 {
-		t.Errorf("%d transport/server errors: %+v", res.Errors, res)
-	}
-	if res.P50 <= 0 || res.P99 < res.P50 {
-		t.Errorf("implausible percentiles p50=%v p99=%v", res.P50, res.P99)
-	}
-	if res.AchievedQPS <= 0 {
-		t.Errorf("achieved qps = %g, want > 0", res.AchievedQPS)
-	}
-}
-
 // TestServeStageMetricsAndProfile drives requests through a profiled server
 // and checks (1) the per-stage histograms populate on the scrape and (2) the
 // engine-pool replays reached the Profile sink so a profile dump can be

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"bpar/internal/costmodel"
-	"bpar/internal/metrics"
 	"bpar/internal/taskrt"
 )
 
@@ -83,7 +82,7 @@ type Result struct {
 	CoreBusySec []float64
 	// IPCHist and MPKIHist are duration-weighted histograms of the cache
 	// model's per-task IPC and L3 MPKI estimates (Figure 7).
-	IPCHist, MPKIHist *metrics.Hist
+	IPCHist, MPKIHist *Hist
 	// AvgHitRatio is the duration-weighted mean cache-hit ratio.
 	AvgHitRatio float64
 	// AvgRunningWS and PeakRunningWS track the summed working sets of
@@ -152,8 +151,8 @@ func Run(g *taskrt.Graph, opt Options) (*Result, error) {
 	n := len(g.Nodes)
 	res := &Result{
 		CoreBusySec: make([]float64, m.Cores),
-		IPCHist:     metrics.NewHist(0, 0.5, 1.0, 1.5, 2.0),
-		MPKIHist:    metrics.NewHist(0, 10, 20, 30),
+		IPCHist:     NewHist(0, 0.5, 1.0, 1.5, 2.0),
+		MPKIHist:    NewHist(0, 10, 20, 30),
 		Tasks:       n,
 	}
 	if n == 0 {

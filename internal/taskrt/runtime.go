@@ -499,23 +499,17 @@ func (r *Runtime) execute(n *node, w int) {
 		r.opts.Profile.NodeDone(n.tpl, int(n.tplIdx), w, startNS, endNS)
 	}
 	if r.opts.Sink != nil {
-		rec := TaskRecord{
+		r.opts.Sink.TaskDone(TaskRecord{
 			ID:         n.id,
 			Label:      n.task.Label,
 			Kind:       n.task.Kind,
 			Worker:     w,
-			TplIdx:     -1,
 			SubmitNS:   n.submitNS,
 			StartNS:    startNS,
 			EndNS:      endNS,
 			Flops:      n.task.Flops,
 			WorkingSet: n.task.WorkingSet,
-		}
-		if n.tpl != nil {
-			rec.Tpl = n.tpl
-			rec.TplIdx = int(n.tplIdx)
-		}
-		r.opts.Sink.TaskDone(rec)
+		})
 	}
 
 	r.stats.running.Add(-1)

@@ -85,7 +85,7 @@ func SubmitBatch(e Executor, ts []*Task) {
 	}
 }
 
-// TaskRecord describes one executed task for trace sinks.
+// TaskRecord describes one executed task for a TraceSink.
 type TaskRecord struct {
 	ID         int
 	Label      string
@@ -96,24 +96,18 @@ type TaskRecord struct {
 	EndNS      int64
 	Flops      float64
 	WorkingSet int64
-	// Tpl and TplIdx identify the frozen template node this execution
-	// replayed: Tpl is nil and TplIdx is -1 for fresh-emission tasks. A
-	// replayed record's ID is the replay's base ID plus TplIdx, so two
-	// records of the same replay whose template nodes share an edge can be
-	// correlated (the Chrome-trace flow events are built exactly this way).
-	Tpl    *Template
-	TplIdx int
 }
 
-// TraceSink receives a record for every completed task. Implementations must
-// be safe for concurrent use.
+// TraceSink receives a record for every completed task, fresh or replayed;
+// tests and the granularity study observe execution through it. Timelines
+// come from a ProfileSink. Implementations must be safe for concurrent use.
 type TraceSink interface {
 	TaskDone(rec TaskRecord)
 }
 
 // ProfileSink receives template-replay timing callbacks from a Runtime; it
-// is the profiling hook next to TraceSink, scoped to frozen templates so
-// implementations can accumulate into fixed-index arrays keyed by template
+// is the profiling hook behind prof.GraphProfiler, scoped to frozen templates
+// so implementations can accumulate into fixed-index arrays keyed by template
 // node index with no maps or locks between tasks. The Runtime guarantees:
 //
 //   - ReplayStart(tpl) is called under the submission lock, strictly before

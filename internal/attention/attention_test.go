@@ -214,7 +214,7 @@ func TestGradsZero(t *testing.T) {
 	g.DWq.Fill(1)
 	g.DWo.Fill(2)
 	g.Zero()
-	if g.DWq.SumAbs() != 0 || g.DWo.SumAbs() != 0 {
+	if !g.DWq.Equal(tensor.New(g.DWq.Rows, g.DWq.Cols)) || !g.DWo.Equal(tensor.New(g.DWo.Rows, g.DWo.Cols)) {
 		t.Fatal("Zero failed")
 	}
 }

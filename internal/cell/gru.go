@@ -103,9 +103,9 @@ func NewGRUStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *GRUStateOf[E
 	}
 }
 
-// WorkingSetBytes estimates the bytes this state occupies.
+// WorkingSetBytes estimates the bytes this state's allocations occupy.
 func (s *GRUStateOf[E]) WorkingSetBytes() int64 {
-	n := int64(len(s.Z1.Data) + len(s.Z2.Data) + len(s.ZR.Data) + len(s.HBar.Data) + len(s.H.Data))
+	n := int64(cap(s.Z1.Data) + cap(s.Z2.Data) + cap(s.ZR.Data) + cap(s.HBar.Data) + cap(s.H.Data))
 	return int64(tensor.DTypeOf[E]().Size()) * n
 }
 

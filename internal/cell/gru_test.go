@@ -187,7 +187,7 @@ func TestGRUGradsZero(t *testing.T) {
 	g.DW.Fill(1)
 	g.DB[1] = 2
 	g.Zero()
-	if g.DW.SumAbs() != 0 || g.DB[1] != 0 {
+	if !g.DW.Equal(tensor.New(g.DW.Rows, g.DW.Cols)) || g.DB[1] != 0 {
 		t.Fatal("Zero failed")
 	}
 }

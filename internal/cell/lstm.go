@@ -107,9 +107,9 @@ func NewLSTMStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *LSTMStateOf
 	}
 }
 
-// WorkingSetBytes estimates the bytes this state occupies.
+// WorkingSetBytes estimates the bytes this state's allocations occupy.
 func (s *LSTMStateOf[E]) WorkingSetBytes() int64 {
-	n := int64(len(s.Z.Data) + len(s.Gates.Data) + len(s.C.Data) + len(s.TanhC.Data) + len(s.H.Data))
+	n := int64(cap(s.Z.Data) + cap(s.Gates.Data) + cap(s.C.Data) + cap(s.TanhC.Data) + cap(s.H.Data))
 	return int64(tensor.DTypeOf[E]().Size()) * n
 }
 

@@ -224,7 +224,7 @@ func TestLSTMGradsZero(t *testing.T) {
 	g.DW.Fill(3)
 	g.DB[0] = 4
 	g.Zero()
-	if g.DW.SumAbs() != 0 || g.DB[0] != 0 {
+	if !g.DW.Equal(tensor.New(g.DW.Rows, g.DW.Cols)) || g.DB[0] != 0 {
 		t.Fatal("Zero failed")
 	}
 }

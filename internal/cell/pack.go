@@ -101,12 +101,6 @@ func GRUForwardPrePacked[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Ma
 	gruForwardPre(w, pre, hPrev, st, ps)
 }
 
-// RNNPreGatesPacked is RNNPreGates reading the packed input panel.
-func RNNPreGatesPacked[E tensor.Elt](w *RNNWeightsOf[E], x, pre *tensor.Mat[E], ps *PackSet[E]) {
-	tensor.MatMulTColsPacked(pre, x, ps.X)
-	tensor.AddBiasRows(pre, w.B)
-}
-
 // RNNForwardPrePacked is RNNForwardPre reading the packed recurrent panel.
 func RNNForwardPrePacked[E tensor.Elt](w *RNNWeightsOf[E], pre, hPrev *tensor.Mat[E], st *RNNStateOf[E], ps *PackSet[E]) {
 	st.H.CopyFrom(pre)

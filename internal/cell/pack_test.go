@@ -81,11 +81,12 @@ func TestPackedSplitForwardBitwise(t *testing.T) {
 		for s := 0; s < T; s++ {
 			x := randMat(r, batch, in)
 			pre, preP := tensor.New(batch, h), tensor.New(batch, h)
-			stU := NewRNNState(batch, in, h)
-			stP := NewRNNState(batch, in, h)
+			stU := NewRNNStateOf[float64](batch, in, h)
+			stP := NewRNNStateOf[float64](batch, in, h)
 			RNNPreGates(w, x, pre)
 			RNNForwardPre(w, pre, hU, stU)
-			RNNPreGatesPacked(w, x, preP, ps)
+			tensor.MatMulTColsPacked(preP, x, ps.X)
+			tensor.AddBiasRows(preP, w.B)
 			RNNForwardPrePacked(w, preP, hP, stP, ps)
 			if !preP.Equal(pre) || !stP.H.Equal(stU.H) {
 				t.Fatalf("step %d: packed RNN split forward not bitwise-identical", s)
@@ -145,7 +146,7 @@ func TestF32ForwardWithinBand(t *testing.T) {
 		h32 := tensor.NewOf[float32](batch, h)
 		for s := 0; s < T; s++ {
 			x := randMat(r, batch, in)
-			st := NewRNNState(batch, in, h)
+			st := NewRNNStateOf[float64](batch, in, h)
 			st32 := NewRNNStateOf[float32](batch, in, h)
 			RNNForward(w, x, h64, st)
 			RNNForward(w32, toF32(x), h32, st32)

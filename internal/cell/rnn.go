@@ -56,11 +56,6 @@ type RNNStateOf[E tensor.Elt] struct {
 // RNNState is the float64 state.
 type RNNState = RNNStateOf[float64]
 
-// NewRNNState allocates the per-cell float64 buffers for a batch.
-func NewRNNState(batch, inputSize, hiddenSize int) *RNNState {
-	return NewRNNStateOf[float64](batch, inputSize, hiddenSize)
-}
-
 // NewRNNStateOf allocates the per-cell buffers at element type E.
 func NewRNNStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *RNNStateOf[E] {
 	return &RNNStateOf[E]{
@@ -69,9 +64,9 @@ func NewRNNStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *RNNStateOf[E
 	}
 }
 
-// WorkingSetBytes estimates the bytes this state occupies.
+// WorkingSetBytes estimates the bytes this state's allocations occupy.
 func (s *RNNStateOf[E]) WorkingSetBytes() int64 {
-	return int64(tensor.DTypeOf[E]().Size()) * int64(len(s.Z.Data)+len(s.H.Data))
+	return int64(tensor.DTypeOf[E]().Size()) * int64(cap(s.Z.Data)+cap(s.H.Data))
 }
 
 // RNNForward computes h = tanh(W*[x, hPrev] + b) for one cell and batch.

@@ -13,7 +13,7 @@ func rnnChainLoss(w *RNNWeights, xs, masks []*tensor.Matrix, batch int) float64 
 	hPrev := tensor.New(batch, w.HiddenSize)
 	loss := 0.0
 	for t := range xs {
-		st := NewRNNState(batch, w.InputSize, w.HiddenSize)
+		st := NewRNNStateOf[float64](batch, w.InputSize, w.HiddenSize)
 		RNNForward(w, xs[t], hPrev, st)
 		for i, v := range st.H.Data {
 			loss += masks[t].Data[i] * v
@@ -29,7 +29,7 @@ func TestRNNForwardRange(t *testing.T) {
 	w.Init(r)
 	x := tensor.New(4, 3)
 	r.FillUniform(x.Data, -1, 1)
-	st := NewRNNState(4, 3, 5)
+	st := NewRNNStateOf[float64](4, 3, 5)
 	RNNForward(w, x, tensor.New(4, 5), st)
 	for _, v := range st.H.Data {
 		if math.Abs(v) >= 1 || math.IsNaN(v) {
@@ -63,7 +63,7 @@ func TestRNNGradientCheck(t *testing.T) {
 	hPrev := tensor.New(batch, hid)
 	states := make([]*RNNState, steps)
 	for t0 := 0; t0 < steps; t0++ {
-		states[t0] = NewRNNState(batch, in, hid)
+		states[t0] = NewRNNStateOf[float64](batch, in, hid)
 		RNNForward(w, xs[t0], hPrev, states[t0])
 		hPrev = states[t0].H
 	}
@@ -138,7 +138,7 @@ func TestRNNCheaperThanGRU(t *testing.T) {
 	if RNNWorkingSetBytes(128, 256, 256) <= 0 {
 		t.Fatal("working set must be positive")
 	}
-	if NewRNNState(2, 3, 4).WorkingSetBytes() <= 0 {
+	if NewRNNStateOf[float64](2, 3, 4).WorkingSetBytes() <= 0 {
 		t.Fatal("state working set must be positive")
 	}
 }
@@ -148,7 +148,7 @@ func TestRNNGradsZero(t *testing.T) {
 	g.DW.Fill(1)
 	g.DB[0] = 2
 	g.Zero()
-	if g.DW.SumAbs() != 0 || g.DB[0] != 0 {
+	if !g.DW.Equal(tensor.New(g.DW.Rows, g.DW.Cols)) || g.DB[0] != 0 {
 		t.Fatal("Zero failed")
 	}
 }

@@ -277,11 +277,11 @@ func TestRNNSplitMatchesFused(t *testing.T) {
 		pres := make([]*tensor.Matrix, T)
 		hF, hS := zero, zero
 		for s := 0; s < T; s++ {
-			fSt[s] = NewRNNState(batch, in, h)
+			fSt[s] = NewRNNStateOf[float64](batch, in, h)
 			RNNForward(w, xs[s], hF, fSt[s])
 			hF = fSt[s].H
 
-			sSt[s] = NewRNNState(batch, in, h)
+			sSt[s] = NewRNNStateOf[float64](batch, in, h)
 			pres[s] = tensor.New(batch, h)
 			RNNPreGates(w, xs[s], pres[s])
 			RNNForwardPre(w, pres[s], hS, sSt[s])
@@ -422,7 +422,7 @@ func TestRNNBackwardZeroAlloc(t *testing.T) {
 	r := rng.New(7)
 	w := NewRNNWeights(in, h)
 	w.Init(r)
-	st := NewRNNState(batch, in, h)
+	st := NewRNNStateOf[float64](batch, in, h)
 	x, hPrev := randMat(r, batch, in), randMat(r, batch, h)
 	RNNForward(w, x, hPrev, st)
 	dH := randMat(r, batch, h)

@@ -77,7 +77,7 @@ func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
 		}
 	}
 
-	scale := s.M.Cfg.lossScale(b)
+	scale := s.M.Cfg.lossScale(b, s.M.Cfg.Batch)
 	s.subs[0].applySGD(w0, lr, scale)
 	return loss / scale, nil
 }

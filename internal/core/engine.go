@@ -34,9 +34,10 @@ type Batch struct {
 	// path pads micro-batches up to Cfg.Batch). Zero means every row is
 	// real; negative means every row is padding (a value mini-batch slicing
 	// produces when a partial batch's real rows all land in earlier slices).
-	// Padding rows are computed like real ones — row independence of the
-	// forward pass makes them numerically inert; only time padding is
-	// skipped (see Lens) — but throughput metrics count only real rows.
+	// Forward-only steps compute the real rows only: padding rows' labels
+	// are ignored, the loss is a mean over the real rows, and padding rows'
+	// probabilities read 0. Training computes every row. Throughput metrics
+	// count only real rows.
 	Real int
 
 	// Lens, when non-nil, gives each row's true sequence length (1 ≤
@@ -45,25 +46,24 @@ type Batch struct {
 	// gathers each row's forward output at its own boundary, so a masked
 	// row trains and infers bitwise-equal (under ==) to running it at its
 	// true length. Forward-only steps do not compute timesteps at or past
-	// max(Lens) at all: their per-frame probabilities read 0. Per-frame
-	// labels beyond a row's length must be tensor.IgnoreLabel. Nil means
-	// every row spans the full SeqLen.
+	// the real rows' max(Lens): their per-frame probabilities read 0.
+	// Per-frame labels beyond a row's length must be tensor.IgnoreLabel.
+	// Nil means every row spans the full SeqLen.
 	Lens []int
 }
 
 // SeqLen returns the batch's sequence length.
 func (b *Batch) SeqLen() int { return len(b.X) }
 
-// realRows returns the number of non-padding rows given the configured
-// batch size.
-func (b *Batch) realRows(batch int) int {
+// realRows returns the number of non-padding rows among rows [lo, hi).
+func (b *Batch) realRows(lo, hi int) int {
 	switch {
 	case b.Real > 0:
-		return b.Real
+		return min(max(b.Real-lo, 0), hi-lo)
 	case b.Real < 0:
 		return 0
 	default:
-		return batch
+		return hi - lo
 	}
 }
 
@@ -371,24 +371,25 @@ func (cfg Config) checkBatch(b *Batch, needTargets bool) error {
 	return nil
 }
 
-// lossScale is the normalizer turning summed per-row losses/gradients into
-// means: batch size, times sequence length when any head is per-frame — or,
-// for a masked variable-length batch, the total count of real frames, so a
-// uniformly short masked batch scales identically to the same batch run at
-// its true length.
-func (cfg Config) lossScale(b *Batch) float64 {
-	s := float64(cfg.Batch)
+// lossScale is the normalizer turning the summed losses/gradients of b's
+// first rows rows (all on training steps, the real ones otherwise) into
+// means: rows, times sequence length when any head is per-frame — or, for a
+// masked batch, those rows' real frames, so a uniformly short masked batch
+// scales identically to the same batch run at its true length. At least 1:
+// an all-padding step reports a zero loss.
+func (cfg Config) lossScale(b *Batch, rows int) float64 {
+	s := float64(rows)
 	if cfg.anyPerFrame() {
 		if b.Lens != nil {
 			s = 0
-			for _, n := range b.Lens {
+			for _, n := range b.Lens[:rows] {
 				s += float64(min(n, b.SeqLen()))
 			}
 		} else {
 			s *= float64(b.SeqLen())
 		}
 	}
-	return s
+	return max(s, 1)
 }
 
 // TrainStep runs one full training step — forward propagation, backward
@@ -450,7 +451,11 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 		return 0, err
 	}
 
-	scale := e.M.Cfg.lossScale(b)
+	real, rows := b.realRows(0, e.M.Cfg.Batch), e.M.Cfg.Batch
+	if !train {
+		rows = real
+	}
+	scale := e.M.Cfg.lossScale(b, rows)
 	loss := 0.0
 	for _, ws := range wss {
 		loss += ws.sumLosses()
@@ -459,23 +464,31 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 	e.recordHeadLosses(wss, T, scale)
 	consume(wss, scale)
 	e.finishStep(dc, rp != nil)
-	e.recordStep(stepStart, loss, !train, train || e.hasLabels(b), b.realRows(e.M.Cfg.Batch))
+	e.recordStep(stepStart, loss, !train, train || e.hasLabels(b), real)
 	return loss, nil
 }
 
 // bindWorkspaces prepares every workspace for one step over batch b: reset
 // the step accumulators, bind the per-step batch views, and (under depcheck)
-// register this step's input matrices. A forward-only step skips each
-// micro-batch's timesteps past its longest row; training runs all T, since
-// the backward chains read every timestep. Returns the sanitizer for
-// finishStep.
+// register this step's input matrices. A forward-only step binds each
+// micro-batch's leading real rows only and skips the timesteps past its
+// longest real row (all of them for an all-padding micro-batch); training
+// binds every row for all T, since the backward chains read every row and
+// timestep. Returns the sanitizer for finishStep.
 func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch, train bool) *taskrt.DepChecker {
 	dc := e.depChecker()
 	for i, ws := range wss {
 		ws.resetForStep()
-		mb := b.sliceRows(e.M.Cfg.mbBounds(i))
+		lo, hi := e.M.Cfg.mbBounds(i)
+		if !train {
+			hi = lo + b.realRows(lo, hi)
+		}
+		mb := b.sliceRows(lo, hi)
 		maxLen := mb.SeqLen()
-		if !train && mb.Lens != nil {
+		switch {
+		case lo == hi:
+			maxLen = 0
+		case !train && mb.Lens != nil:
 			maxLen = slices.Max(mb.Lens)
 		}
 		ws.bindStep(mb, maxLen)
@@ -589,7 +602,8 @@ func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 
 // gatherProbs copies every output slot's probabilities out of the mini-batch
 // workspaces into fresh [Batch x Classes] matrices, widening on a float32
-// engine.
+// engine. Each workspace contributes the rows its step computed at its own
+// row offset; the padding rows a forward-only step skipped read 0.
 func (e *Engine) gatherProbs(wss []*workspace) []*tensor.Matrix {
 	cfg, T := e.M.Cfg, wss[0].T
 	probs := make([]*tensor.Matrix, cfg.HeadSlots(T))
@@ -599,13 +613,13 @@ func (e *Engine) gatherProbs(wss []*workspace) []*tensor.Matrix {
 			probs[s] = tensor.New(cfg.Batch, spec.Classes)
 			off := 0
 			for _, ws := range wss {
-				dst := probs[s].Data[off : off+ws.rows*spec.Classes]
+				dst := probs[s].Data[off:]
 				if e.isF32() {
-					tensor.ConvertSlice(dst, ws.f32.probs[s].Data)
+					tensor.ConvertSlice(dst[:len(ws.f32.probs[s].Data)], ws.f32.probs[s].Data)
 				} else {
 					copy(dst, ws.probs[s].Data)
 				}
-				off += len(dst)
+				off += ws.rows * spec.Classes
 			}
 		}
 	}

@@ -169,7 +169,7 @@ func checkModelGradients(t *testing.T, m *Model, b *Batch, name string) {
 		t.Fatal(err)
 	}
 	ws := e.workspaces(b.SeqLen())[0]
-	scale := m.Cfg.lossScale(b)
+	scale := m.Cfg.lossScale(b, m.Cfg.Batch)
 
 	const h = 1e-6
 	const tol = 2e-5

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bpar/internal/taskrt"
+	"bpar/internal/tensor"
 )
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -223,10 +224,17 @@ func TestWeightDecayShrinksNorms(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		norm := m.Heads[0].W.SumAbs()
+		// L1 norm of the head and the forward-direction weights.
+		ws := []*tensor.Matrix{m.Heads[0].W}
 		for _, p := range m.dir[fwdDir] {
 			w, _ := p.wParams()
-			norm += w.SumAbs()
+			ws = append(ws, w)
+		}
+		norm := 0.0
+		for _, w := range ws {
+			for _, v := range w.Data {
+				norm += math.Abs(v)
+			}
 		}
 		return norm
 	}

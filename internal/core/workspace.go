@@ -19,7 +19,7 @@ type stepBinding struct {
 	lens        []int   // per-row real lengths; nil for full-length batches
 	genTargets  [][]int // stepTargets shifted one frame left (generate heads)
 	// maxLen is the first timestep forward task bodies skip: the longest
-	// row's length on forward-only steps, T on training steps.
+	// real row's length on forward-only steps, T on training steps.
 	maxLen int
 }
 
@@ -392,10 +392,11 @@ func matRow[E tensor.Elt](n, rows, cols int) []*tensor.Mat[E] {
 	return out
 }
 
-// bindStep points the workspace's per-step binding at mb's views, with
-// forward tasks at timesteps ≥ maxLen skipped. It must run before emitting
-// or replaying any non-phantom graph over this workspace.
+// bindStep binds mb's views and fits the forward buffers to mb's rows, with
+// forward tasks at timesteps ≥ maxLen skipped. It must run before emitting or
+// replaying any non-phantom graph over this workspace.
 func (w *workspace) bindStep(mb *Batch, maxLen int) {
+	w.fitRows(mb.X[0].Rows)
 	w.x = mb.X
 	w.bind.targets = mb.Targets
 	w.bind.stepTargets = mb.StepTargets
@@ -408,6 +409,49 @@ func (w *workspace) bindStep(mb *Batch, maxLen int) {
 		}
 		w.genTargets[w.T-1] = w.ignoreRow
 		w.bind.genTargets = w.genTargets
+	}
+}
+
+// fitRows reshapes every workspace-owned forward buffer in place to its
+// leading n rows of the unchanged allocation, so forward kernels run on n
+// rows; a later step at more rows (training binds all) restores them. Headers
+// keep their identity: replayed closures and the dependency sanitizer hold
+// buffers by pointer. The float64 x is the caller's view, never reshaped.
+func (w *workspace) fitRows(n int) {
+	if w.zeroH.Rows == n {
+		return
+	}
+	w.fwdBufs.fitRows(n)
+	if w.f32 != nil {
+		w.f32.fitRows(n)
+		fitMats(n, w.f32.x...)
+	}
+}
+
+func (b *fwdBufs[E]) fitRows(n int) {
+	for d := range b.st {
+		for l := range b.st[d] {
+			for _, st := range b.st[d][l] {
+				fitMats(n, st.mats()...)
+			}
+		}
+		for _, pre := range b.pre[d] {
+			fitMats(n, pre...)
+		}
+	}
+	for _, ms := range b.merged {
+		fitMats(n, ms...)
+	}
+	fitMats(n, b.finalMerged, b.gatherH, b.zeroH, b.zeroC)
+	fitMats(n, b.logits...)
+	fitMats(n, b.probs...)
+}
+
+func fitMats[E tensor.Elt](n int, ms ...*tensor.Mat[E]) {
+	for _, m := range ms {
+		if m != nil {
+			m.Rows, m.Data = n, m.Data[:n*m.Cols]
+		}
 	}
 }
 
@@ -463,7 +507,7 @@ func (b *fwdBufs[E]) gatherLastHFwd(lens []int) *tensor.Mat[E] {
 	for i, n := range lens {
 		b.gatherIdx[i] = n - 1
 	}
-	tensor.GatherRows(b.gatherH, b.lastHFwd, b.gatherIdx)
+	tensor.GatherRows(b.gatherH, b.lastHFwd, b.gatherIdx[:len(lens)])
 	return b.gatherH
 }
 
@@ -532,12 +576,12 @@ func (b *fwdBufs[E]) workingSetBytes() int64 {
 	return total + matsBytes(b.finalMerged) + matsBytes(b.logits...) + matsBytes(b.probs...)
 }
 
-// matsBytes sums the storage of the non-nil matrices in ms.
+// matsBytes sums the allocated storage of the non-nil matrices in ms.
 func matsBytes[E tensor.Elt](ms ...*tensor.Mat[E]) int64 {
 	var n int64
 	for _, m := range ms {
 		if m != nil {
-			n += int64(len(m.Data))
+			n += int64(cap(m.Data))
 		}
 	}
 	return n * int64(tensor.DTypeOf[E]().Size())

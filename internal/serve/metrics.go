@@ -50,7 +50,7 @@ type metrics struct {
 
 // bucketMetrics is one length bucket's occupancy view: how many sequences
 // and micro-batches it carried, how full its batches ran, and what fraction
-// of its computed cells were padding.
+// of its dispatched cells were padding.
 type bucketMetrics struct {
 	rows        *obs.Counter
 	batches     *obs.Counter

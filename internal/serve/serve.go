@@ -12,9 +12,10 @@
 // single-threaded by design (it guards against concurrent use with
 // core.ErrEngineBusy; the pool is how concurrency is supposed to happen).
 //
-// Row padding is numerically inert: the forward pass is row-independent, so
-// a sequence's probabilities are bitwise identical whether it rides in a
-// full batch, a padded one, or alone. Sequence-length padding (RoundSeqTo or
+// Row padding is not computed: the engine runs a partial micro-batch's real
+// rows only (Batch.Real), and the forward pass is row-independent, so a
+// sequence's probabilities are bitwise identical whether it rides in a full
+// batch, a padded one, or alone. Sequence-length padding (RoundSeqTo or
 // Buckets) is made inert through the engine's masked-batch path: every
 // micro-batch carries Batch.Lens with each row's true length, the engine
 // masks the reverse direction at padded steps and gathers each row's final
@@ -340,7 +341,8 @@ func (s *Server) runBatch(eng *core.Engine, mb *microBatch) {
 			short = true
 		}
 		// Frames [len(it.frames), T) — rounded-up length padding — and rows
-		// [len(items), Batch) — partial-batch padding — stay zero.
+		// [len(items), Batch) — partial-batch padding, which the engine never
+		// computes — stay zero.
 	}
 	// Lens makes length padding bitwise-inert, and the engine skips every
 	// timestep past the longest real row; nil when every row spans the full T
@@ -349,7 +351,7 @@ func (s *Server) runBatch(eng *core.Engine, mb *microBatch) {
 	if short {
 		lens = make([]int, cfg.Batch)
 		for r := range lens {
-			lens[r] = 1 // partial-batch padding rows: zero frames, discarded
+			lens[r] = 1 // padding rows: any valid length, never read
 		}
 		for r, it := range mb.items {
 			lens[r] = it.origT
@@ -387,9 +389,10 @@ func (s *Server) runBatch(eng *core.Engine, mb *microBatch) {
 	// Padding overhead: the fraction of the micro-batch's cells (batch rows ×
 	// bucket frames) that were zero padding — row padding up to cfg.Batch
 	// plus rounded-up sequence-length padding — reported both overall and
-	// per length bucket. The engine computes padded rows and the padded
-	// frames of rows shorter than the longest, but skips the frames past the
-	// longest row, so this bounds the compute that batching wastes.
+	// per length bucket. The engine skips padding rows and the frames past
+	// the longest row, and computes only the padded frames of real rows
+	// shorter than the longest, so this overstates the compute batching
+	// wastes; the definition is kept so the figure stays comparable.
 	useful := 0
 	for _, it := range mb.items {
 		useful += it.origT

@@ -28,7 +28,7 @@ func TestGemmTAccColsMatchesExtractedOperand(t *testing.T) {
 			want := dst.Clone()
 			GemmTAccCols(dst, a, bT, lo)
 			GemmTAcc(want, a, subCols(bT, lo, lo+k))
-			if !want.AllClose(dst, 1e-12, 1e-12) {
+			if !allClose(want, dst, 1e-12, 1e-12) {
 				t.Fatalf("m=%d k=%d n=%d kb=%d lo=%d: max diff %g", m, k, n, kb, lo, want.MaxAbsDiff(dst))
 			}
 		}
@@ -43,7 +43,7 @@ func TestMatMulTColsZeroesDst(t *testing.T) {
 	want := New(2, 5)
 	MatMulT(want, a, subCols(bT, 12, 20))
 	MatMulTCols(dst, a, bT, 12)
-	if !want.AllClose(dst, 1e-12, 1e-12) {
+	if !allClose(want, dst, 1e-12, 1e-12) {
 		t.Fatalf("max diff %g", want.MaxAbsDiff(dst))
 	}
 }
@@ -84,7 +84,7 @@ func TestGemmAccColsMatchesExtractedOperands(t *testing.T) {
 		want := dst.Clone()
 		GemmAccCols(dst, a, aLo, aLo+kw, bm, bLo)
 		GemmAcc(want, subCols(a, aLo, aLo+kw), subCols(bm, bLo, bLo+n))
-		if !want.AllClose(dst, 1e-12, 1e-12) {
+		if !allClose(want, dst, 1e-12, 1e-12) {
 			t.Fatalf("%v: max diff %g", d, want.MaxAbsDiff(dst))
 		}
 	}
@@ -98,7 +98,7 @@ func TestMatMulColsZeroesDst(t *testing.T) {
 	want := New(3, 6)
 	MatMulCols(dst, a, 2, 6, bm, 3)
 	MatMul(want, subCols(a, 2, 6), subCols(bm, 3, 9))
-	if !want.AllClose(dst, 1e-12, 1e-12) {
+	if !allClose(want, dst, 1e-12, 1e-12) {
 		t.Fatalf("max diff %g", want.MaxAbsDiff(dst))
 	}
 }
@@ -143,7 +143,7 @@ func TestGemmATAccColsMatchesWindowedReference(t *testing.T) {
 		for i := 0; i < m; i++ {
 			copy(want.Data[i*dw+dstLo:i*dw+dstLo+n], ref.Data[i*n:(i+1)*n])
 		}
-		if !want.AllClose(dst, 1e-12, 1e-12) {
+		if !allClose(want, dst, 1e-12, 1e-12) {
 			t.Fatalf("%v: max diff %g", d, want.MaxAbsDiff(dst))
 		}
 	}
@@ -186,7 +186,7 @@ func TestGemmTAccDstColsMatchesWindowedReference(t *testing.T) {
 		for i := 0; i < m; i++ {
 			copy(want.Data[i*dw+dstLo:i*dw+dstLo+n], ref.Data[i*n:(i+1)*n])
 		}
-		if !want.AllClose(dst, 1e-12, 1e-12) {
+		if !allClose(want, dst, 1e-12, 1e-12) {
 			t.Fatalf("%v: max diff %g", d, want.MaxAbsDiff(dst))
 		}
 	}

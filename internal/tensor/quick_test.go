@@ -18,7 +18,7 @@ func TestQuickTransposeInvolution(t *testing.T) {
 	f := func(seed uint64, rs, cs uint8) bool {
 		rows, cols := shapeFromSeeds(rs, cs)
 		m := randomMatrix(rng.New(seed), rows, cols)
-		return m.Transpose().Transpose().Equal(m)
+		return transpose(transpose(m)).Equal(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestQuickGemmMatchesNaive(t *testing.T) {
 		got, want := New(m, n), New(m, n)
 		MatMul(got, a, b)
 		MatMulNaive(want, a, b)
-		return got.AllClose(want, 1e-11, 1e-11)
+		return allClose(got, want, 1e-11, 1e-11)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestQuickGemmDistributesOverAdd(t *testing.T) {
 		MatMul(r2, a2, b)
 		right := New(m, n)
 		Add(right, r1, r2)
-		return left.AllClose(right, 1e-10, 1e-10)
+		return allClose(left, right, 1e-10, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -77,10 +77,10 @@ func TestQuickTransposeOfProduct(t *testing.T) {
 		b := randomMatrix(r, k, n)
 		ab := New(m, n)
 		MatMul(ab, a, b)
-		left := ab.Transpose()
+		left := transpose(ab)
 		right := New(n, m)
-		MatMul(right, b.Transpose(), a.Transpose())
-		return left.AllClose(right, 1e-10, 1e-10)
+		MatMul(right, transpose(b), transpose(a))
+		return allClose(left, right, 1e-10, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

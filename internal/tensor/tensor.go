@@ -90,22 +90,6 @@ func (m *Mat[E]) Equal(o *Mat[E]) bool {
 	return true
 }
 
-// AllClose reports element-wise closeness within absolute tolerance atol or
-// relative tolerance rtol, whichever is looser, NaN-unsafe.
-func (m *Mat[E]) AllClose(o *Mat[E], rtol, atol float64) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		w := float64(o.Data[i])
-		d := math.Abs(float64(v) - w)
-		if d > atol+rtol*math.Max(math.Abs(float64(v)), math.Abs(w)) {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference.
 func (m *Mat[E]) MaxAbsDiff(o *Mat[E]) float64 {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
@@ -118,25 +102,6 @@ func (m *Mat[E]) MaxAbsDiff(o *Mat[E]) float64 {
 		}
 	}
 	return max
-}
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Mat[E]) Transpose() *Mat[E] {
-	t := NewOf[E](m.Cols, m.Rows)
-	const block = 32
-	for ii := 0; ii < m.Rows; ii += block {
-		iMax := min(ii+block, m.Rows)
-		for jj := 0; jj < m.Cols; jj += block {
-			jMax := min(jj+block, m.Cols)
-			for i := ii; i < iMax; i++ {
-				row := m.Data[i*m.Cols:]
-				for j := jj; j < jMax; j++ {
-					t.Data[j*t.Cols+i] = row[j]
-				}
-			}
-		}
-	}
-	return t
 }
 
 // String renders small matrices for debugging.

@@ -106,20 +106,6 @@ func (m *Mat[E]) Sum() float64 {
 	return s
 }
 
-// SumAbs returns the sum of absolute values (L1 norm of the flattened data),
-// accumulated in float64.
-func (m *Mat[E]) SumAbs() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		if v < 0 {
-			s -= float64(v)
-		} else {
-			s += float64(v)
-		}
-	}
-	return s
-}
-
 // ArgmaxRows returns, for each row, the column index of the maximum value.
 func ArgmaxRows[E Elt](m *Mat[E]) []int {
 	guardR(m)

@@ -153,50 +153,6 @@ func BenchmarkNativeTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkProjectionAblation contrasts fused gate tasks against the
-// split-gate critical-path decomposition on the native runtime at the
-// Table III serving row {input 256, hidden 256, batch 1, seq 100} — the
-// weight-bandwidth-bound regime the decomposition targets. Run both
-// sub-benchmarks and compare ns/op; the split path is expected to be
-// >=1.25x faster with 4 workers.
-func BenchmarkProjectionAblation(b *testing.B) {
-	cfg := core.Config{
-		Cell: core.LSTM, Arch: core.ManyToOne, Merge: core.MergeSum,
-		InputSize: 256, HiddenSize: 256, Layers: 6, SeqLen: 100,
-		Batch: 1, Classes: 11, MiniBatches: 1, Seed: 1,
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
-	for _, mode := range []struct {
-		name  string
-		fused bool
-	}{{"fused", true}, {"split", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			m, err := core.NewModel(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt := taskrt.New(taskrt.Options{Workers: workers, Policy: taskrt.BreadthFirst})
-			defer rt.Shutdown()
-			eng := core.NewEngine(m, rt)
-			eng.FusedGates = mode.fused
-			corpus := data.NewSpeechCorpus(cfg.InputSize, 3)
-			batch := corpus.Batch(cfg.Batch, cfg.SeqLen)
-			if _, err := eng.TrainStep(batch, 0.01); err != nil {
-				b.Fatal(err) // warm workspaces outside the timed loop
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.TrainStep(batch, 0.01); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGraphReplay contrasts fresh per-step task-graph emission against
 // capture-once/replay-every-step on the native runtime at the Table III
 // serving row {input 256, hidden 256, batch 1, seq 100}, where per-step

@@ -10,7 +10,6 @@
 //	bpar-bench -exp granularity       # the task-granularity study
 //	bpar-bench -exp memory            # the memory-consumption study
 //	bpar-bench -exp ablation          # barrier-removal ablation
-//	bpar-bench -exp projection        # fused vs split gate-task ablation
 //	bpar-bench -exp replay            # fresh emission vs graph capture & replay
 //	bpar-bench -exp all -seq 40       # reduced sequence length (faster)
 //
@@ -38,7 +37,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table3, table4, fig3..fig8, granularity, memory, ablation, projection, replay, policy, efficiency, sched, determinism, dtype, multihead")
+	exp := flag.String("exp", "all", "experiment: all, table3, table4, fig3..fig8, granularity, memory, ablation, replay, policy, efficiency, sched, determinism, dtype, multihead")
 	seq := flag.Int("seq", 0, "override sequence length (0 = paper value, 100)")
 	noReplay := flag.Bool("no-replay", false, "force fresh task-graph emission every step in native-engine experiments instead of graph capture & replay")
 	listen := flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address (e.g. :8080) during the run")
@@ -98,7 +97,7 @@ func main() {
 	}
 	names := strings.Split(*exp, ",")
 	if *exp == "all" {
-		names = []string{"table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "granularity", "memory", "ablation", "projection", "replay", "policy", "efficiency", "platforms", "crossover", "sched"}
+		names = []string{"table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "granularity", "memory", "ablation", "replay", "policy", "efficiency", "platforms", "crossover", "sched"}
 	}
 	results := make(map[string]any)
 	durations := make(map[string]float64)
@@ -309,13 +308,6 @@ func run(name string, o experiments.Opts) (any, error) {
 			return nil, err
 		}
 		experiments.PrintMultiHead(w, r)
-		return r, nil
-	case "projection":
-		r, err := experiments.RunProjection(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintProjection(w, r)
 		return r, nil
 	case "replay":
 		r, err := experiments.RunReplay(o)

@@ -68,7 +68,7 @@ func seedSummaries() map[string]*mutSummary {
 		// (append-built locals stay conservatively silent).
 		"MatMulCols", "MatMulTCols", "GemmAccCols", "GemmTAccCols",
 		"GemmATAccCols", "GemmTAccDstCols", "TransposeStackInto",
-		"GemmTAccColsBatch", "GemmAccColsBatch", "GemmATAccColsBatch",
+		"GemmTAccColsBatch", "GemmAccColsBatch",
 		"CopyColsInto",
 		// Packed-panel kernels and the cross-dtype conversion kernel.
 		"GemmTAccColsPacked", "MatMulTColsPacked", "GemmTAccColsPackedBatch",

@@ -8,15 +8,15 @@ import (
 	"bpar/internal/tensor"
 )
 
-// gruChainLoss runs a two-timestep GRU chain and returns the masked sum of
-// hidden outputs, for numeric gradient checking.
+// gruChainLoss runs a GRU chain and returns the masked sum of hidden
+// outputs, for numeric gradient checking.
 func gruChainLoss(w *GRUWeights, xs []*tensor.Matrix, masks []*tensor.Matrix, batch int) float64 {
 	H := w.HiddenSize
 	hPrev := tensor.New(batch, H)
 	loss := 0.0
 	for t := range xs {
 		st := NewGRUState(batch, w.InputSize, H)
-		GRUForward(w, xs[t], hPrev, st)
+		gruStep(w, xs[t], hPrev, st)
 		for i, v := range st.H.Data {
 			loss += masks[t].Data[i] * v
 		}
@@ -33,7 +33,7 @@ func TestGRUForwardShapesAndRange(t *testing.T) {
 	x := tensor.New(batch, 3)
 	r.FillUniform(x.Data, -1, 1)
 	st := NewGRUState(batch, 3, 5)
-	GRUForward(w, x, tensor.New(batch, 5), st)
+	gruStep(w, x, tensor.New(batch, 5), st)
 	for _, v := range st.H.Data {
 		if math.Abs(v) >= 1 || math.IsNaN(v) {
 			t.Fatalf("H out of range: %g", v)
@@ -58,7 +58,7 @@ func TestGRUInterpolationProperty(t *testing.T) {
 	hPrev := tensor.New(batch, 6)
 	r.FillUniform(hPrev.Data, -1, 1)
 	st := NewGRUState(batch, 4, 6)
-	GRUForward(w, x, hPrev, st)
+	gruStep(w, x, hPrev, st)
 	for i, h := range st.H.Data {
 		lo := math.Min(st.HBar.Data[i], hPrev.Data[i])
 		hi := math.Max(st.HBar.Data[i], hPrev.Data[i])
@@ -68,88 +68,41 @@ func TestGRUInterpolationProperty(t *testing.T) {
 	}
 }
 
+// TestGRUGradientCheck is TestLSTMGradientCheck for the GRU: the batched
+// dW fold reads the candidate rows against the cached r⊙hPrev panels.
 func TestGRUGradientCheck(t *testing.T) {
-	const (
-		batch = 2
-		in    = 3
-		hid   = 4
-		steps = 2
-		h     = 1e-6
-		tol   = 1e-5
-	)
+	const batch, in, hid, steps = 2, 3, 4, 3
 	r := rng.New(9)
 	w := NewGRUWeights(in, hid)
 	w.Init(r)
 	xs := make([]*tensor.Matrix, steps)
 	masks := make([]*tensor.Matrix, steps)
-	for t0 := 0; t0 < steps; t0++ {
-		xs[t0] = tensor.New(batch, in)
-		r.FillUniform(xs[t0].Data, -1, 1)
-		masks[t0] = tensor.New(batch, hid)
-		r.FillUniform(masks[t0].Data, -1, 1)
+	for t0 := range xs {
+		xs[t0], masks[t0] = randMat(r, batch, in), randMat(r, batch, hid)
 	}
 
-	grads := NewGRUGrads(w)
-	hPrev := tensor.New(batch, hid)
 	states := make([]*GRUState, steps)
-	hPrevs := make([]*tensor.Matrix, steps)
-	for t0 := 0; t0 < steps; t0++ {
+	hPrevs, rhs := make([]*tensor.Matrix, steps), make([]*tensor.Matrix, steps)
+	hPrev := tensor.New(batch, hid)
+	for t0 := range xs {
 		states[t0] = NewGRUState(batch, in, hid)
 		hPrevs[t0] = hPrev
-		GRUForward(w, xs[t0], hPrev, states[t0])
-		hPrev = states[t0].H
+		gruStep(w, xs[t0], hPrev, states[t0])
+		hPrev, rhs[t0] = states[t0].H, states[t0].RH
 	}
-	dXs := make([]*tensor.Matrix, steps)
-	dH := tensor.New(batch, hid)
-	dHPrev := tensor.New(batch, hid)
-	for t0 := steps - 1; t0 >= 0; t0-- {
-		for i := range dH.Data {
-			dH.Data[i] = masks[t0].Data[i]
-		}
-		if t0 < steps-1 {
-			tensor.AddAcc(dH, dHPrev)
-		}
-		dXs[t0] = tensor.New(batch, in)
-		newDHPrev := tensor.New(batch, hid)
-		GRUBackward(w, states[t0], hPrevs[t0], dH, dXs[t0], newDHPrev, grads)
-		dHPrev = newDHPrev
-	}
+	grads := NewGRUGrads(w)
+	panels, dXs := chainGrads(w.W, in, gruGates*hid, masks, func(t0 int, dH, panel *tensor.Matrix) *tensor.Matrix {
+		dHPrev := tensor.New(batch, hid)
+		GRUBackwardPre(w, states[t0], hPrevs[t0], dH, panel, nil, dHPrev, grads)
+		return dHPrev
+	})
+	GRUDWBatch(w, grads, panels, xs, hPrevs, rhs, tensor.New(gruGates*hid, steps*batch), tensor.New(max(in, hid), steps*batch))
 
-	for _, idx := range []int{0, 5, hid*(in+hid) + 2, 2*hid*(in+hid) + 1, len(w.W.Data) - 1} {
-		orig := w.W.Data[idx]
-		w.W.Data[idx] = orig + h
-		lp := gruChainLoss(w, xs, masks, batch)
-		w.W.Data[idx] = orig - h
-		lm := gruChainLoss(w, xs, masks, batch)
-		w.W.Data[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grads.DW.Data[idx]) > tol {
-			t.Fatalf("dW[%d]: analytic %g numeric %g", idx, grads.DW.Data[idx], num)
-		}
-	}
-	for _, idx := range []int{0, hid, 2*hid + 1, len(w.B) - 1} {
-		orig := w.B[idx]
-		w.B[idx] = orig + h
-		lp := gruChainLoss(w, xs, masks, batch)
-		w.B[idx] = orig - h
-		lm := gruChainLoss(w, xs, masks, batch)
-		w.B[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grads.DB[idx]) > tol {
-			t.Fatalf("dB[%d]: analytic %g numeric %g", idx, grads.DB[idx], num)
-		}
-	}
-	for _, idx := range []int{0, batch*in - 1} {
-		orig := xs[0].Data[idx]
-		xs[0].Data[idx] = orig + h
-		lp := gruChainLoss(w, xs, masks, batch)
-		xs[0].Data[idx] = orig - h
-		lm := gruChainLoss(w, xs, masks, batch)
-		xs[0].Data[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-dXs[0].Data[idx]) > tol {
-			t.Fatalf("dX0[%d]: analytic %g numeric %g", idx, dXs[0].Data[idx], num)
-		}
+	loss := func() float64 { return gruChainLoss(w, xs, masks, batch) }
+	checkFD(t, "dW", w.W.Data, grads.DW.Data, loss)
+	checkFD(t, "dB", w.B, grads.DB, loss)
+	for t0 := range xs {
+		checkFD(t, "dX", xs[t0].Data, dXs[t0].Data, loss)
 	}
 }
 
@@ -174,8 +127,8 @@ func TestGRUDeterministic(t *testing.T) {
 	r.FillUniform(x.Data, -1, 1)
 	h0 := tensor.New(2, 3)
 	s1, s2 := NewGRUState(2, 3, 3), NewGRUState(2, 3, 3)
-	GRUForward(w, x, h0, s1)
-	GRUForward(w, x, h0, s2)
+	gruStep(w, x, h0, s1)
+	gruStep(w, x, h0, s2)
 	if !s1.H.Equal(s2.H) {
 		t.Fatal("forward must be deterministic")
 	}
@@ -204,9 +157,6 @@ func TestGRUFlopsEstimates(t *testing.T) {
 	}
 	if GRUWorkingSetBytes(128, 256, 256) <= 0 {
 		t.Fatal("working set must be positive")
-	}
-	if NewGRUState(4, 3, 5).WorkingSetBytes() <= 0 {
-		t.Fatal("state working set must be positive")
 	}
 }
 

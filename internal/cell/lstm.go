@@ -1,11 +1,14 @@
 // Package cell implements the LSTM and GRU cell mathematics of the paper's
-// Equations 1-6 and 7-10, in the fused-gate formulation used by production
-// frameworks: the four LSTM gates (respectively three GRU gates) share one
-// weight matrix so each cell update is dominated by a single GEMM.
+// Equations 1-6 and 7-10. The gates of one cell share one weight matrix W
+// over the concatenation [X_t, H_{t-1}] (four blocks for the LSTM, three for
+// the GRU), and every kernel splits that product at the column boundary: an
+// input projection off the recurrence, a recurrent remainder on it, and
+// batched weight-gradient folds after it (split.go).
 //
-// Every function here is sequential. A B-Par task wraps exactly one call
-// (one cell update for one mini-batch), so the package also provides flop
-// and working-set estimators that parameterize the task cost model.
+// Every function here is sequential. A B-Par task wraps one call, so the
+// package also provides flop and working-set estimators that parameterize
+// the task cost model — for the split tasks the engine runs and for the
+// paper's one-task-per-cell shape the simulator records.
 //
 // Weights, states, and the forward kernels are generic over the tensor
 // element type: training always runs the float64 instantiations (aliased to
@@ -77,11 +80,9 @@ func (w *LSTMWeightsOf[E]) Init(r *rng.RNG) {
 func (w *LSTMWeightsOf[E]) ParamCount() int { return len(w.W.Data) + len(w.B) }
 
 // LSTMStateOf caches everything one forward cell update produces that its
-// backward counterpart needs: the concatenated input, post-activation gates,
-// the cell state, its tanh, and the hidden output.
+// backward counterpart needs: the post-activation gates, the cell state, its
+// tanh, and the hidden output.
 type LSTMStateOf[E tensor.Elt] struct {
-	// Z is the concatenation [X_t, H_{t-1}], shape [batch x (In+H)].
-	Z *tensor.Mat[E]
 	// Gates holds post-activation f,i,g,o blocks, shape [batch x 4H].
 	Gates *tensor.Mat[E]
 	// C is the cell state C_t; TanhC caches tanh(C_t); H is the output H_t.
@@ -97,9 +98,9 @@ func NewLSTMState(batch, inputSize, hiddenSize int) *LSTMState {
 }
 
 // NewLSTMStateOf allocates the per-cell activation buffers at element type E.
-func NewLSTMStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *LSTMStateOf[E] {
+// Every buffer is hiddenSize wide; the input width shapes none of them.
+func NewLSTMStateOf[E tensor.Elt](batch, _, hiddenSize int) *LSTMStateOf[E] {
 	return &LSTMStateOf[E]{
-		Z:     tensor.NewOf[E](batch, inputSize+hiddenSize),
 		Gates: tensor.NewOf[E](batch, lstmGates*hiddenSize),
 		C:     tensor.NewOf[E](batch, hiddenSize),
 		TanhC: tensor.NewOf[E](batch, hiddenSize),
@@ -107,31 +108,11 @@ func NewLSTMStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *LSTMStateOf
 	}
 }
 
-// WorkingSetBytes estimates the bytes this state's allocations occupy.
-func (s *LSTMStateOf[E]) WorkingSetBytes() int64 {
-	n := int64(cap(s.Z.Data) + cap(s.Gates.Data) + cap(s.C.Data) + cap(s.TanhC.Data) + cap(s.H.Data))
-	return int64(tensor.DTypeOf[E]().Size()) * n
-}
-
-// LSTMForward computes Equations 1-6 for one cell and one mini-batch:
+// lstmPointwise applies the gate activations of Equations 1-4 and the c/h
+// update of Equations 5-6 to the pre-activation gate buffer:
 //
-//	f = sigm(Wf*[x,hPrev]+bf)   i = sigm(Wi*[x,hPrev]+bi)
-//	g = tanh(Wc*[x,hPrev]+bc)   o = sigm(Wo*[x,hPrev]+bo)
+//	f = sigm(.)   i = sigm(.)   g = tanh(.)   o = sigm(.)
 //	c = f ⊙ cPrev + i ⊙ g       h = o ⊙ tanh(c)
-//
-// x is [batch x In]; hPrev and cPrev are [batch x H] (zeros at t=0).
-// Results and caches land in st.
-func LSTMForward[E tensor.Elt](w *LSTMWeightsOf[E], x, hPrev, cPrev *tensor.Mat[E], st *LSTMStateOf[E]) {
-	tensor.ConcatCols(st.Z, x, hPrev)
-	// Fused gate GEMM: Gates = Z * W^T + B.
-	tensor.MatMulT(st.Gates, st.Z, w.W)
-	tensor.AddBiasRows(st.Gates, w.B)
-	lstmPointwise(w, cPrev, st)
-}
-
-// lstmPointwise applies the gate activations and the c/h update (Equations
-// 5-6) to the pre-activation gate buffer. Shared by the fused and split
-// forward paths.
 func lstmPointwise[E tensor.Elt](w *LSTMWeightsOf[E], cPrev *tensor.Mat[E], st *LSTMStateOf[E]) {
 	H := w.HiddenSize
 	batch := st.Gates.Rows
@@ -164,19 +145,6 @@ func lstmPointwise[E tensor.Elt](w *LSTMWeightsOf[E], cPrev *tensor.Mat[E], st *
 type LSTMGrads struct {
 	DW *tensor.Matrix
 	DB []float64
-
-	// Reusable backward scratch, lazily sized to the batch so a steady-state
-	// training step performs no heap allocations. Safe because gradient
-	// accumulation is serialized per (layer, direction) by the inout edge.
-	dGates, dZ *tensor.Matrix
-}
-
-// ensureScratch (re)allocates the backward scratch when the batch changes.
-func (g *LSTMGrads) ensureScratch(batch int) {
-	if g.dGates == nil || g.dGates.Rows != batch {
-		g.dGates = tensor.New(batch, g.DW.Rows)
-		g.dZ = tensor.New(batch, g.DW.Cols)
-	}
 }
 
 // NewLSTMGrads allocates zeroed gradients matching w.
@@ -195,37 +163,10 @@ func (g *LSTMGrads) Zero() {
 	}
 }
 
-// LSTMBackward computes one cell's contribution to backward propagation.
-// Inputs: the forward cache st, the previous cell state cPrev, and the
-// incoming gradients dH (w.r.t. H_t, already summed over all consumers) and
-// dC (w.r.t. C_t from the t+1 cell; may be nil at the last timestep).
-// Outputs: dX (gradient to the layer below / merge cell), dHPrev and dCPrev
-// (gradients to the t-1 cell), written into the provided matrices; weight
-// gradients accumulate into grads.
-func LSTMBackward(w *LSTMWeights, st *LSTMState, cPrev, dH, dC, dX, dHPrev, dCPrev *tensor.Matrix, grads *LSTMGrads) {
-	batch := dH.Rows
-	grads.ensureScratch(batch)
-	dGates := grads.dGates
-	lstmGateGrads(w, st, cPrev, dH, dC, dGates, dCPrev)
-
-	// dW += dGates^T * Z ; dB += column sums of dGates.
-	tensor.GemmATAcc(grads.DW, dGates, st.Z)
-	for r := 0; r < batch; r++ {
-		row := dGates.Row(r)
-		for j, v := range row {
-			grads.DB[j] += v
-		}
-	}
-
-	// dZ = dGates * W, then split into dX and dHPrev.
-	dZ := grads.dZ
-	tensor.MatMul(dZ, dGates, w.W)
-	tensor.SplitCols(dZ, dX, dHPrev)
-}
-
 // lstmGateGrads computes the pre-activation gate gradients and dCPrev from
-// the forward cache — the elementwise half of the backward cell, shared by
-// the fused and split paths.
+// the forward cache — the elementwise half of the backward cell. dH is the
+// gradient w.r.t. H_t summed over its consumers; dC, the gradient w.r.t. C_t
+// from the t+1 cell, may be nil at the chain's last cell.
 func lstmGateGrads(w *LSTMWeights, st *LSTMState, cPrev, dH, dC, dGates, dCPrev *tensor.Matrix) {
 	H := w.HiddenSize
 	batch := dH.Rows
@@ -259,8 +200,9 @@ func lstmGateGrads(w *LSTMWeights, st *LSTMState, cPrev, dH, dC, dGates, dCPrev 
 	}
 }
 
-// LSTMForwardFlops estimates the floating-point operations of one forward
-// cell update: the fused GEMM dominates.
+// LSTMForwardFlops estimates the floating-point operations of one whole
+// forward cell update — the paper's one-task-per-cell shape, dominated by the
+// GEMM over [X_t, H_{t-1}].
 func LSTMForwardFlops(batch, inputSize, hiddenSize int) float64 {
 	gemm := 2.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(lstmGates*hiddenSize)
 	elem := 12.0 * float64(batch) * float64(hiddenSize)

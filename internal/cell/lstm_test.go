@@ -8,9 +8,9 @@ import (
 	"bpar/internal/tensor"
 )
 
-// lstmChainLoss runs a two-timestep LSTM chain with the given weights and
-// inputs and returns loss = Σ_t Σ_ij mask_t[ij] * H_t[ij]. Used as the
-// scalar function for numeric gradient checking.
+// lstmChainLoss runs an LSTM chain with the given weights and inputs and
+// returns loss = Σ_t Σ_ij mask_t[ij] * H_t[ij]. Used as the scalar function
+// for numeric gradient checking.
 func lstmChainLoss(w *LSTMWeights, xs []*tensor.Matrix, masks []*tensor.Matrix, batch int) float64 {
 	H := w.HiddenSize
 	hPrev := tensor.New(batch, H)
@@ -18,7 +18,7 @@ func lstmChainLoss(w *LSTMWeights, xs []*tensor.Matrix, masks []*tensor.Matrix, 
 	loss := 0.0
 	for t := range xs {
 		st := NewLSTMState(batch, w.InputSize, H)
-		LSTMForward(w, xs[t], hPrev, cPrev, st)
+		lstmStep(w, xs[t], hPrev, cPrev, st)
 		for i, v := range st.H.Data {
 			loss += masks[t].Data[i] * v
 		}
@@ -37,7 +37,7 @@ func TestLSTMForwardShapesAndRange(t *testing.T) {
 	hPrev := tensor.New(batch, 5)
 	cPrev := tensor.New(batch, 5)
 	st := NewLSTMState(batch, 3, 5)
-	LSTMForward(w, x, hPrev, cPrev, st)
+	lstmStep(w, x, hPrev, cPrev, st)
 	for _, v := range st.H.Data {
 		if v <= -1 || v >= 1 || math.IsNaN(v) {
 			t.Fatalf("H out of (-1,1): %g", v)
@@ -69,7 +69,7 @@ func TestLSTMZeroStateFirstStep(t *testing.T) {
 	x := tensor.New(1, 2)
 	r.FillUniform(x.Data, -1, 1)
 	st := NewLSTMState(1, 2, 3)
-	LSTMForward(w, x, tensor.New(1, 3), tensor.New(1, 3), st)
+	lstmStep(w, x, tensor.New(1, 3), tensor.New(1, 3), st)
 	row := st.Gates.Row(0)
 	for j := 0; j < 3; j++ {
 		want := row[lstmGateI*3+j] * row[lstmGateG*3+j]
@@ -88,105 +88,52 @@ func TestLSTMForwardDeterministic(t *testing.T) {
 	h0, c0 := tensor.New(2, 4), tensor.New(2, 4)
 	s1 := NewLSTMState(2, 4, 4)
 	s2 := NewLSTMState(2, 4, 4)
-	LSTMForward(w, x, h0, c0, s1)
-	LSTMForward(w, x, h0, c0, s2)
+	lstmStep(w, x, h0, c0, s1)
+	lstmStep(w, x, h0, c0, s2)
 	if !s1.H.Equal(s2.H) || !s1.C.Equal(s2.C) {
 		t.Fatal("forward must be bitwise deterministic")
 	}
 }
 
+// TestLSTMGradientCheck runs a chain through the engine's split kernels —
+// projection and chain forward; chain backward emitting gate-gradient panels,
+// then the batched dW/dB fold and the dx fold — and checks every element of
+// dW, dB and every dX against central differences of the chain's loss.
 func TestLSTMGradientCheck(t *testing.T) {
-	const (
-		batch = 2
-		in    = 3
-		hid   = 4
-		steps = 2
-		h     = 1e-6
-		tol   = 1e-5
-	)
+	const batch, in, hid, steps = 2, 3, 4, 3
 	r := rng.New(7)
 	w := NewLSTMWeights(in, hid)
 	w.Init(r)
 	xs := make([]*tensor.Matrix, steps)
 	masks := make([]*tensor.Matrix, steps)
-	for t0 := 0; t0 < steps; t0++ {
-		xs[t0] = tensor.New(batch, in)
-		r.FillUniform(xs[t0].Data, -1, 1)
-		masks[t0] = tensor.New(batch, hid)
-		r.FillUniform(masks[t0].Data, -1, 1)
+	for t0 := range xs {
+		xs[t0], masks[t0] = randMat(r, batch, in), randMat(r, batch, hid)
 	}
 
-	// Analytic gradients: forward caching states, then BPTT.
-	grads := NewLSTMGrads(w)
-	hPrev := tensor.New(batch, hid)
-	cPrev := tensor.New(batch, hid)
 	states := make([]*LSTMState, steps)
-	cPrevs := make([]*tensor.Matrix, steps)
-	for t0 := 0; t0 < steps; t0++ {
+	hPrevs, cPrevs := make([]*tensor.Matrix, steps), make([]*tensor.Matrix, steps)
+	hPrev, cPrev := tensor.New(batch, hid), tensor.New(batch, hid)
+	for t0 := range xs {
 		states[t0] = NewLSTMState(batch, in, hid)
-		cPrevs[t0] = cPrev
-		LSTMForward(w, xs[t0], hPrev, cPrev, states[t0])
+		hPrevs[t0], cPrevs[t0] = hPrev, cPrev
+		lstmStep(w, xs[t0], hPrev, cPrev, states[t0])
 		hPrev, cPrev = states[t0].H, states[t0].C
 	}
-	dXs := make([]*tensor.Matrix, steps)
-	dH := tensor.New(batch, hid)
-	var dC *tensor.Matrix
-	dHPrev := tensor.New(batch, hid)
-	dCPrev := tensor.New(batch, hid)
-	for t0 := steps - 1; t0 >= 0; t0-- {
-		// dH = mask_t + gradient flowing from t+1.
-		for i := range dH.Data {
-			dH.Data[i] = masks[t0].Data[i]
-		}
-		if t0 < steps-1 {
-			tensor.AddAcc(dH, dHPrev)
-		}
-		dXs[t0] = tensor.New(batch, in)
-		newDHPrev := tensor.New(batch, hid)
-		newDCPrev := tensor.New(batch, hid)
-		LSTMBackward(w, states[t0], cPrevs[t0], dH, dC, dXs[t0], newDHPrev, newDCPrev, grads)
-		dHPrev, dCPrev = newDHPrev, newDCPrev
+	grads := NewLSTMGrads(w)
+	var dC *tensor.Matrix // nil at the chain's last cell
+	panels, dXs := chainGrads(w.W, in, lstmGates*hid, masks, func(t0 int, dH, panel *tensor.Matrix) *tensor.Matrix {
+		dHPrev, dCPrev := tensor.New(batch, hid), tensor.New(batch, hid)
+		LSTMBackwardPre(w, states[t0], hPrevs[t0], cPrevs[t0], dH, dC, panel, nil, dHPrev, dCPrev, grads)
 		dC = dCPrev
-	}
+		return dHPrev
+	})
+	LSTMDWBatch(w, grads, panels, xs, hPrevs, tensor.New(lstmGates*hid, steps*batch), tensor.New(max(in, hid), steps*batch))
 
-	// Numeric check of dW.
-	for _, idx := range []int{0, 1, 7, hid*(in+hid) + 3, 2*hid*(in+hid) + 5, len(w.W.Data) - 1} {
-		orig := w.W.Data[idx]
-		w.W.Data[idx] = orig + h
-		lp := lstmChainLoss(w, xs, masks, batch)
-		w.W.Data[idx] = orig - h
-		lm := lstmChainLoss(w, xs, masks, batch)
-		w.W.Data[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grads.DW.Data[idx]) > tol {
-			t.Fatalf("dW[%d]: analytic %g numeric %g", idx, grads.DW.Data[idx], num)
-		}
-	}
-	// Numeric check of dB.
-	for _, idx := range []int{0, hid + 1, 2*hid + 2, len(w.B) - 1} {
-		orig := w.B[idx]
-		w.B[idx] = orig + h
-		lp := lstmChainLoss(w, xs, masks, batch)
-		w.B[idx] = orig - h
-		lm := lstmChainLoss(w, xs, masks, batch)
-		w.B[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grads.DB[idx]) > tol {
-			t.Fatalf("dB[%d]: analytic %g numeric %g", idx, grads.DB[idx], num)
-		}
-	}
-	// Numeric check of dX at t=0 (flows through both timesteps).
-	for _, idx := range []int{0, batch*in - 1} {
-		orig := xs[0].Data[idx]
-		xs[0].Data[idx] = orig + h
-		lp := lstmChainLoss(w, xs, masks, batch)
-		xs[0].Data[idx] = orig - h
-		lm := lstmChainLoss(w, xs, masks, batch)
-		xs[0].Data[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-dXs[0].Data[idx]) > tol {
-			t.Fatalf("dX0[%d]: analytic %g numeric %g", idx, dXs[0].Data[idx], num)
-		}
+	loss := func() float64 { return lstmChainLoss(w, xs, masks, batch) }
+	checkFD(t, "dW", w.W.Data, grads.DW.Data, loss)
+	checkFD(t, "dB", w.B, grads.DB, loss)
+	for t0 := range xs {
+		checkFD(t, "dX", xs[t0].Data, dXs[t0].Data, loss)
 	}
 }
 
@@ -238,10 +185,6 @@ func TestLSTMFlopsAndWorkingSetPositive(t *testing.T) {
 	mb := float64(ws) / (1 << 20)
 	if mb < 3 || mb > 15 {
 		t.Fatalf("working set estimate %f MB implausible vs paper's 4.71 MB scale", mb)
-	}
-	st := NewLSTMState(128, 64, 512)
-	if st.WorkingSetBytes() <= 0 {
-		t.Fatal("state working set must be positive")
 	}
 }
 

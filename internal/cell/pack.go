@@ -69,13 +69,11 @@ func (ps *PackSet[E]) Bytes() int {
 	return n
 }
 
-// --- Packed forward variants (split path only) ---
+// --- Packed forward variants ---
 //
 // Each mirrors its unpacked counterpart exactly — same bias handling, same
 // pointwise code — with the column-window GEMM swapped for its packed twin,
-// which accumulates bitwise-identically per dtype. The fused path is never
-// packed: GemmTAcc's per-column dot order differs from the 4-wide panel
-// microkernel, so packing there would not be a pure layout change.
+// which accumulates bitwise-identically per dtype.
 
 // LSTMPreGatesPacked is LSTMPreGates reading the packed input panel.
 func LSTMPreGatesPacked[E tensor.Elt](w *LSTMWeightsOf[E], x, pre *tensor.Mat[E], ps *PackSet[E]) {

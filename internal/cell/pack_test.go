@@ -97,8 +97,8 @@ func TestPackedSplitForwardBitwise(t *testing.T) {
 }
 
 // TestF32ForwardWithinBand runs a T-step recurrence of each cell in float32
-// (fused path, converted weights) against the float64 reference and checks
-// the hidden state stays inside the documented band.
+// (unpacked kernels, converted weights) against float64 and checks the
+// hidden state stays inside the documented band.
 func TestF32ForwardWithinBand(t *testing.T) {
 	const T, batch, in, h = 6, 3, 24, 16
 	r := rng.New(7)
@@ -112,8 +112,8 @@ func TestF32ForwardWithinBand(t *testing.T) {
 			x := randMat(r, batch, in)
 			st := NewLSTMState(batch, in, h)
 			st32 := NewLSTMStateOf[float32](batch, in, h)
-			LSTMForward(w, x, h64, c64, st)
-			LSTMForward(w32, toF32(x), h32, c32, st32)
+			lstmStep(w, x, h64, c64, st)
+			lstmStep(w32, toF32(x), h32, c32, st32)
 			if d := matMaxDiff32(st.H, st32.H); d > f32CellTol {
 				t.Fatalf("step %d: LSTM f32 H diverged by %g", s, d)
 			}
@@ -130,8 +130,8 @@ func TestF32ForwardWithinBand(t *testing.T) {
 			x := randMat(r, batch, in)
 			st := NewGRUState(batch, in, h)
 			st32 := NewGRUStateOf[float32](batch, in, h)
-			GRUForward(w, x, h64, st)
-			GRUForward(w32, toF32(x), h32, st32)
+			gruStep(w, x, h64, st)
+			gruStep(w32, toF32(x), h32, st32)
 			if d := matMaxDiff32(st.H, st32.H); d > f32CellTol {
 				t.Fatalf("step %d: GRU f32 H diverged by %g", s, d)
 			}
@@ -148,45 +148,14 @@ func TestF32ForwardWithinBand(t *testing.T) {
 			x := randMat(r, batch, in)
 			st := NewRNNStateOf[float64](batch, in, h)
 			st32 := NewRNNStateOf[float32](batch, in, h)
-			RNNForward(w, x, h64, st)
-			RNNForward(w32, toF32(x), h32, st32)
+			rnnStep(w, x, h64, st)
+			rnnStep(w32, toF32(x), h32, st32)
 			if d := matMaxDiff32(st.H, st32.H); d > f32CellTol {
 				t.Fatalf("step %d: RNN f32 H diverged by %g", s, d)
 			}
 			h64, h32 = st.H, st32.H
 		}
 	})
-}
-
-// TestF32PackedSplitMatchesF32Fused closes the loop: the float32 split path
-// with packed panels (exactly what the engine's f32 inference runs) must
-// agree with the float32 fused forward within the split-vs-fused
-// reassociation band — at float32, eps32-scale rather than splitTol.
-func TestF32PackedSplitMatchesF32Fused(t *testing.T) {
-	const T, batch, in, h = 5, 2, 24, 16
-	r := rng.New(11)
-	w := NewLSTMWeights(in, h)
-	w.Init(r)
-	w32 := ConvertLSTMWeights[float32](w)
-	ps := PackLSTM(w32)
-	hF, cF := tensor.NewOf[float32](batch, h), tensor.NewOf[float32](batch, h)
-	hS, cS := tensor.NewOf[float32](batch, h), tensor.NewOf[float32](batch, h)
-	const reassocTol = 64.0 / (1 << 24) // depth-(In+H) sum reassociation at eps32
-	for s := 0; s < T; s++ {
-		x := toF32(randMat(r, batch, in))
-		stF := NewLSTMStateOf[float32](batch, in, h)
-		stS := NewLSTMStateOf[float32](batch, in, h)
-		LSTMForward(w32, x, hF, cF, stF)
-		pre := tensor.NewOf[float32](batch, lstmGates*h)
-		LSTMPreGatesPacked(w32, x, pre, ps)
-		LSTMForwardPrePacked(w32, pre, hS, cS, stS, ps)
-		for i := range stF.H.Data {
-			if d := math.Abs(float64(stF.H.Data[i] - stS.H.Data[i])); d > reassocTol {
-				t.Fatalf("step %d elem %d: f32 packed split vs fused diff %g", s, i, d)
-			}
-		}
-		hF, cF, hS, cS = stF.H, stF.C, stS.H, stS.C
-	}
 }
 
 func TestConvertWeightsRoundTrip(t *testing.T) {

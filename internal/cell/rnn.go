@@ -45,55 +45,25 @@ func (w *RNNWeightsOf[E]) Init(r *rng.RNG) {
 // ParamCount returns the number of trainable parameters.
 func (w *RNNWeightsOf[E]) ParamCount() int { return len(w.W.Data) + len(w.B) }
 
-// RNNStateOf caches one cell update: the concatenated input and the output.
+// RNNStateOf caches one cell update: its output.
 type RNNStateOf[E tensor.Elt] struct {
-	// Z is [X_t, H_{t-1}], shape [batch x (In+H)].
-	Z *tensor.Mat[E]
-	// H is tanh(W*Z + B), shape [batch x H].
+	// H is tanh(W*[X_t, H_{t-1}] + B), shape [batch x H].
 	H *tensor.Mat[E]
 }
 
 // RNNState is the float64 state.
 type RNNState = RNNStateOf[float64]
 
-// NewRNNStateOf allocates the per-cell buffers at element type E.
-func NewRNNStateOf[E tensor.Elt](batch, inputSize, hiddenSize int) *RNNStateOf[E] {
-	return &RNNStateOf[E]{
-		Z: tensor.NewOf[E](batch, inputSize+hiddenSize),
-		H: tensor.NewOf[E](batch, hiddenSize),
-	}
-}
-
-// WorkingSetBytes estimates the bytes this state's allocations occupy.
-func (s *RNNStateOf[E]) WorkingSetBytes() int64 {
-	return int64(tensor.DTypeOf[E]().Size()) * int64(cap(s.Z.Data)+cap(s.H.Data))
-}
-
-// RNNForward computes h = tanh(W*[x, hPrev] + b) for one cell and batch.
-func RNNForward[E tensor.Elt](w *RNNWeightsOf[E], x, hPrev *tensor.Mat[E], st *RNNStateOf[E]) {
-	tensor.ConcatCols(st.Z, x, hPrev)
-	tensor.MatMulT(st.H, st.Z, w.W)
-	tensor.AddBiasRows(st.H, w.B)
-	tensor.TanhInPlace(st.H)
+// NewRNNStateOf allocates the per-cell buffers at element type E; the input
+// width shapes none of them.
+func NewRNNStateOf[E tensor.Elt](batch, _, hiddenSize int) *RNNStateOf[E] {
+	return &RNNStateOf[E]{H: tensor.NewOf[E](batch, hiddenSize)}
 }
 
 // RNNGrads accumulates weight gradients for one direction of one layer.
 type RNNGrads struct {
 	DW *tensor.Matrix
 	DB []float64
-
-	// Reusable backward scratch, lazily sized to the batch so a steady-state
-	// training step performs no heap allocations. Safe because gradient
-	// accumulation is serialized per (layer, direction) by the inout edge.
-	dPre, dZ *tensor.Matrix
-}
-
-// ensureScratch (re)allocates the backward scratch when the batch changes.
-func (g *RNNGrads) ensureScratch(batch int) {
-	if g.dPre == nil || g.dPre.Rows != batch {
-		g.dPre = tensor.New(batch, g.DW.Rows)
-		g.dZ = tensor.New(batch, g.DW.Cols)
-	}
 }
 
 // NewRNNGrads allocates zeroed gradients matching w.
@@ -109,27 +79,8 @@ func (g *RNNGrads) Zero() {
 	}
 }
 
-// RNNBackward computes one cell's BPTT step: dH is the incoming gradient
-// w.r.t. H_t; dX and dHPrev receive input gradients; weight gradients
-// accumulate into grads.
-func RNNBackward(w *RNNWeights, st *RNNState, dH, dX, dHPrev *tensor.Matrix, grads *RNNGrads) {
-	batch := dH.Rows
-	grads.ensureScratch(batch)
-	dPre := grads.dPre
-	rnnPreGrads(st, dH, dPre)
-	tensor.GemmATAcc(grads.DW, dPre, st.Z)
-	for r := 0; r < batch; r++ {
-		row := dPre.Row(r)
-		for j, v := range row {
-			grads.DB[j] += v
-		}
-	}
-	dZ := grads.dZ
-	tensor.MatMul(dZ, dPre, w.W)
-	tensor.SplitCols(dZ, dX, dHPrev)
-}
-
-// RNNForwardFlops estimates one forward cell update.
+// RNNForwardFlops estimates one whole forward cell update (the paper's
+// one-task-per-cell shape).
 func RNNForwardFlops(batch, inputSize, hiddenSize int) float64 {
 	gemm := 2.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(hiddenSize)
 	return gemm + 2.0*float64(batch)*float64(hiddenSize)

@@ -8,13 +8,13 @@ import (
 	"bpar/internal/tensor"
 )
 
-// rnnChainLoss runs a two-step chain and returns the masked hidden sum.
+// rnnChainLoss runs a chain and returns the masked hidden sum.
 func rnnChainLoss(w *RNNWeights, xs, masks []*tensor.Matrix, batch int) float64 {
 	hPrev := tensor.New(batch, w.HiddenSize)
 	loss := 0.0
 	for t := range xs {
 		st := NewRNNStateOf[float64](batch, w.InputSize, w.HiddenSize)
-		RNNForward(w, xs[t], hPrev, st)
+		rnnStep(w, xs[t], hPrev, st)
 		for i, v := range st.H.Data {
 			loss += masks[t].Data[i] * v
 		}
@@ -30,7 +30,7 @@ func TestRNNForwardRange(t *testing.T) {
 	x := tensor.New(4, 3)
 	r.FillUniform(x.Data, -1, 1)
 	st := NewRNNStateOf[float64](4, 3, 5)
-	RNNForward(w, x, tensor.New(4, 5), st)
+	rnnStep(w, x, tensor.New(4, 5), st)
 	for _, v := range st.H.Data {
 		if math.Abs(v) >= 1 || math.IsNaN(v) {
 			t.Fatalf("H out of range: %g", v)
@@ -38,86 +38,40 @@ func TestRNNForwardRange(t *testing.T) {
 	}
 }
 
+// TestRNNGradientCheck is TestLSTMGradientCheck for the Elman cell.
 func TestRNNGradientCheck(t *testing.T) {
-	const (
-		batch = 2
-		in    = 3
-		hid   = 4
-		steps = 2
-		h     = 1e-6
-		tol   = 1e-5
-	)
+	const batch, in, hid, steps = 2, 3, 4, 3
 	r := rng.New(5)
 	w := NewRNNWeights(in, hid)
 	w.Init(r)
 	xs := make([]*tensor.Matrix, steps)
 	masks := make([]*tensor.Matrix, steps)
 	for t0 := range xs {
-		xs[t0] = tensor.New(batch, in)
-		r.FillUniform(xs[t0].Data, -1, 1)
-		masks[t0] = tensor.New(batch, hid)
-		r.FillUniform(masks[t0].Data, -1, 1)
+		xs[t0], masks[t0] = randMat(r, batch, in), randMat(r, batch, hid)
 	}
 
-	grads := NewRNNGrads(w)
-	hPrev := tensor.New(batch, hid)
 	states := make([]*RNNState, steps)
-	for t0 := 0; t0 < steps; t0++ {
+	hPrevs := make([]*tensor.Matrix, steps)
+	hPrev := tensor.New(batch, hid)
+	for t0 := range xs {
 		states[t0] = NewRNNStateOf[float64](batch, in, hid)
-		RNNForward(w, xs[t0], hPrev, states[t0])
+		hPrevs[t0] = hPrev
+		rnnStep(w, xs[t0], hPrev, states[t0])
 		hPrev = states[t0].H
 	}
-	dXs := make([]*tensor.Matrix, steps)
-	dH := tensor.New(batch, hid)
-	dHPrev := tensor.New(batch, hid)
-	for t0 := steps - 1; t0 >= 0; t0-- {
-		for i := range dH.Data {
-			dH.Data[i] = masks[t0].Data[i]
-		}
-		if t0 < steps-1 {
-			tensor.AddAcc(dH, dHPrev)
-		}
-		dXs[t0] = tensor.New(batch, in)
-		newDHPrev := tensor.New(batch, hid)
-		RNNBackward(w, states[t0], dH, dXs[t0], newDHPrev, grads)
-		dHPrev = newDHPrev
-	}
+	grads := NewRNNGrads(w)
+	panels, dXs := chainGrads(w.W, in, hid, masks, func(t0 int, dH, panel *tensor.Matrix) *tensor.Matrix {
+		dHPrev := tensor.New(batch, hid)
+		RNNBackwardPre(w, states[t0], hPrevs[t0], dH, panel, nil, dHPrev, grads)
+		return dHPrev
+	})
+	RNNDWBatch(w, grads, panels, xs, hPrevs, tensor.New(hid, steps*batch), tensor.New(max(in, hid), steps*batch))
 
-	for _, idx := range []int{0, 7, len(w.W.Data) - 1} {
-		orig := w.W.Data[idx]
-		w.W.Data[idx] = orig + h
-		lp := rnnChainLoss(w, xs, masks, batch)
-		w.W.Data[idx] = orig - h
-		lm := rnnChainLoss(w, xs, masks, batch)
-		w.W.Data[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grads.DW.Data[idx]) > tol {
-			t.Fatalf("dW[%d]: analytic %g numeric %g", idx, grads.DW.Data[idx], num)
-		}
-	}
-	for _, idx := range []int{0, hid - 1} {
-		orig := w.B[idx]
-		w.B[idx] = orig + h
-		lp := rnnChainLoss(w, xs, masks, batch)
-		w.B[idx] = orig - h
-		lm := rnnChainLoss(w, xs, masks, batch)
-		w.B[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grads.DB[idx]) > tol {
-			t.Fatalf("dB[%d]: analytic %g numeric %g", idx, grads.DB[idx], num)
-		}
-	}
-	for _, idx := range []int{0, batch*in - 1} {
-		orig := xs[0].Data[idx]
-		xs[0].Data[idx] = orig + h
-		lp := rnnChainLoss(w, xs, masks, batch)
-		xs[0].Data[idx] = orig - h
-		lm := rnnChainLoss(w, xs, masks, batch)
-		xs[0].Data[idx] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-dXs[0].Data[idx]) > tol {
-			t.Fatalf("dX0[%d]: analytic %g numeric %g", idx, dXs[0].Data[idx], num)
-		}
+	loss := func() float64 { return rnnChainLoss(w, xs, masks, batch) }
+	checkFD(t, "dW", w.W.Data, grads.DW.Data, loss)
+	checkFD(t, "dB", w.B, grads.DB, loss)
+	for t0 := range xs {
+		checkFD(t, "dX", xs[t0].Data, dXs[t0].Data, loss)
 	}
 }
 
@@ -137,9 +91,6 @@ func TestRNNCheaperThanGRU(t *testing.T) {
 	}
 	if RNNWorkingSetBytes(128, 256, 256) <= 0 {
 		t.Fatal("working set must be positive")
-	}
-	if NewRNNStateOf[float64](2, 3, 4).WorkingSetBytes() <= 0 {
-		t.Fatal("state working set must be positive")
 	}
 }
 

@@ -1,5 +1,5 @@
-// Split-weight execution path: the fused gate product Gates_t = W*[x_t,
-// h_{t-1}] + B decomposes into an input projection x_t*Wx^T + B with no
+// Split-weight execution, the one numeric path: the gate product Gates_t =
+// W*[x_t, h_{t-1}] + B decomposes into an input projection x_t*Wx^T + B with no
 // recurrence dependency and a recurrent half h_{t-1}*Wh^T that alone stays on
 // the sequential chain. The *PreGates functions compute the projection ahead
 // of time (batched across timesteps by the task graph); the *ForwardPre /
@@ -30,8 +30,7 @@ func LSTMPreGates[E tensor.Elt](w *LSTMWeightsOf[E], x, pre *tensor.Mat[E]) {
 }
 
 // LSTMForwardPre is the chain-resident forward remainder: Gates = pre +
-// hPrev*Wh^T, then activations and the c/h update. st.Z is not written — the
-// split path never materializes the concatenation.
+// hPrev*Wh^T, then activations and the c/h update.
 func LSTMForwardPre[E tensor.Elt](w *LSTMWeightsOf[E], pre, hPrev, cPrev *tensor.Mat[E], st *LSTMStateOf[E]) {
 	st.Gates.CopyFrom(pre)
 	tensor.GemmTAccCols(st.Gates, hPrev, w.W, w.InputSize)
@@ -111,8 +110,12 @@ func GRUPreGates[E tensor.Elt](w *GRUWeightsOf[E], x, pre *tensor.Mat[E]) {
 	tensor.AddBiasRows(pre, w.B)
 }
 
-// GRUForwardPre is the chain-resident forward remainder. st.Z1/st.Z2 are not
-// written; st.RH caches r⊙hPrev for the backward candidate GEMM.
+// GRUForwardPre is the chain-resident forward remainder of Equations 7-10:
+//
+//	z = sigm(pre_z + Wz_h*hPrev)   r = sigm(pre_r + Wr_h*hPrev)
+//	hbar = tanh(pre_h + Wh_h*(r⊙hPrev))   h = z ⊙ hbar + (1-z) ⊙ hPrev
+//
+// st.RH caches r⊙hPrev for the backward candidate GEMM.
 func GRUForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], st *GRUStateOf[E]) {
 	gruForwardPre(w, pre, hPrev, st, nil)
 }
@@ -170,7 +173,7 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 	H := w.HiddenSize
 	In := w.InputSize
 	batch := dH.Rows
-	grads.ensureSplitScratch(batch)
+	grads.ensureScratch(batch)
 	dRHh := grads.dRHh // grad of r⊙hPrev through the candidate GEMM
 	dHPrev.Zero()
 
@@ -259,15 +262,15 @@ func RNNPreGates[E tensor.Elt](w *RNNWeightsOf[E], x, pre *tensor.Mat[E]) {
 	tensor.AddBiasRows(pre, w.B)
 }
 
-// RNNForwardPre is the chain-resident forward remainder; st.Z is not written.
+// RNNForwardPre is the chain-resident forward remainder: h = tanh(pre +
+// hPrev*Wh^T).
 func RNNForwardPre[E tensor.Elt](w *RNNWeightsOf[E], pre, hPrev *tensor.Mat[E], st *RNNStateOf[E]) {
 	st.H.CopyFrom(pre)
 	tensor.GemmTAccCols(st.H, hPrev, w.W, w.InputSize)
 	tensor.TanhInPlace(st.H)
 }
 
-// rnnPreGrads computes the pre-activation gradient dPre = dH ⊙ (1 - H²),
-// shared by the fused and split backward paths.
+// rnnPreGrads computes the pre-activation gradient dPre = dH ⊙ (1 - H²).
 func rnnPreGrads(st *RNNState, dH, dPre *tensor.Matrix) {
 	batch := dH.Rows
 	for r := 0; r < batch; r++ {

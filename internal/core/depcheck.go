@@ -47,8 +47,8 @@ func regMats[E tensor.Elt](dc *taskrt.DepChecker, k taskrt.Dep, name string, ms 
 
 // registerDeps tells the sanitizer which buffers each dependency key names,
 // so an access to a buffer can be attributed to the key a task should have
-// declared. Scratch buffers private to a single task body (dHSum*, dXScratch*,
-// sinks, zeroH/C) stay unregistered: accesses to them are not attributable
+// declared. Scratch buffers private to a single task body (dHSum*, sinks,
+// zeroH/C) stay unregistered: accesses to them are not attributable
 // and therefore never reported.
 func (w *workspace) registerDeps(dc *taskrt.DepChecker, mbIdx int) {
 	if w.phantom {
@@ -120,15 +120,16 @@ func registerFwdDeps[E tensor.Elt](dc *taskrt.DepChecker, w *workspace, b *fwdBu
 }
 
 // mats enumerates the state's activation matrices — everything the forward
-// cell task writes under the state's dependency key.
+// cell task writes under the state's dependency key, and the one list of a
+// state's buffers that fitRows and the working-set figure also walk.
 func (s *cellSt[E]) mats() []*tensor.Mat[E] {
 	switch {
 	case s.lstm != nil:
-		return []*tensor.Mat[E]{s.lstm.Z, s.lstm.Gates, s.lstm.C, s.lstm.TanhC, s.lstm.H}
+		return []*tensor.Mat[E]{s.lstm.Gates, s.lstm.C, s.lstm.TanhC, s.lstm.H}
 	case s.gru != nil:
-		return []*tensor.Mat[E]{s.gru.Z1, s.gru.Z2, s.gru.ZR, s.gru.RH, s.gru.HBar, s.gru.H}
+		return []*tensor.Mat[E]{s.gru.ZR, s.gru.RH, s.gru.HBar, s.gru.H}
 	default:
-		return []*tensor.Mat[E]{s.rnn.Z, s.rnn.H}
+		return []*tensor.Mat[E]{s.rnn.H}
 	}
 }
 

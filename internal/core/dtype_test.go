@@ -43,50 +43,38 @@ func probsMaxDiff(a, b []*tensor.Matrix) float64 {
 }
 
 // TestInferF32MatchesF64 sweeps the full configuration matrix the float32
-// mirror must cover — every cell kind, split and fused gates, replayed and
-// fresh emission, both architectures — and checks the probabilities stay in
+// mirror must cover — every cell kind, replayed and fresh emission, both
+// architectures — and checks the probabilities stay in
 // the tolerance band while genuinely differing from f64 (a bitwise-equal
 // result would mean the f32 graph never ran), and that the replayed and
 // freshly emitted f32 graphs agree bitwise with each other.
 func TestInferF32MatchesF64(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU, RNN} {
 		for _, arch := range []Arch{ManyToOne, ManyToMany} {
-			for _, fused := range []bool{false, true} {
-				cfg := smallCfg(cell, arch, 1)
-				m, err := NewModel(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b := makeBatch(cfg, 5)
-				var p32s [2][]*tensor.Matrix // replayed, fresh emission
-				for i, noReplay := range []bool{false, true} {
-					p64 := inferProbsWith(t, m, b, tensor.F64, noReplay)
+			cfg := smallCfg(cell, arch, 1)
+			m, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := makeBatch(cfg, 5)
+			var p32s [2][]*tensor.Matrix // replayed, fresh emission
+			for i, noReplay := range []bool{false, true} {
+				p64 := inferProbsWith(t, m, b, tensor.F64, noReplay)
+				p32 := inferProbsWith(t, m, b, tensor.F32, noReplay)
+				p32s[i] = p32
 
-					rt := taskrt.New(taskrt.Options{Workers: 2})
-					e := NewEngine(m, rt)
-					e.FusedGates = fused
-					e.InferDType = tensor.F32
-					e.NoReplay = noReplay
-					p32, _, err := e.InferProbs(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rt.Shutdown()
-					p32s[i] = p32
-
-					d := probsMaxDiff(p64, p32)
-					if d > f32ProbTol {
-						t.Errorf("%v/%v fused=%v noReplay=%v: f32 probs off by %g", cell, arch, fused, noReplay, d)
-					}
-					if d == 0 {
-						t.Errorf("%v/%v fused=%v noReplay=%v: f32 probs bitwise-equal to f64; mirror graph not exercised", cell, arch, fused, noReplay)
-					}
+				d := probsMaxDiff(p64, p32)
+				if d > f32ProbTol {
+					t.Errorf("%v/%v noReplay=%v: f32 probs off by %g", cell, arch, noReplay, d)
 				}
-				for h := range p32s[0] {
-					if !p32s[0][h].Equal(p32s[1][h]) {
-						t.Errorf("%v/%v fused=%v head %d: f32 replay not bitwise-equal to f32 fresh emission (max diff %g)",
-							cell, arch, fused, h, p32s[0][h].MaxAbsDiff(p32s[1][h]))
-					}
+				if d == 0 {
+					t.Errorf("%v/%v noReplay=%v: f32 probs bitwise-equal to f64; mirror graph not exercised", cell, arch, noReplay)
+				}
+			}
+			for h := range p32s[0] {
+				if !p32s[0][h].Equal(p32s[1][h]) {
+					t.Errorf("%v/%v head %d: f32 replay not bitwise-equal to f32 fresh emission (max diff %g)",
+						cell, arch, h, p32s[0][h].MaxAbsDiff(p32s[1][h]))
 				}
 			}
 		}

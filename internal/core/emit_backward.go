@@ -202,23 +202,21 @@ func (e *Engine) emitMergeBackward(ws *workspace, l, mbIdx int) {
 // emitCellBackward emits one direction's backward cell chain of layer l — the
 // forward chain reversed, so the forward direction's BPTT runs t=T-1 → 0 and
 // the reverse direction's (whose RNN processed t=T-1 first) t=0 → T-1 —
-// followed in split mode by the direction's batched dw task and dx tile
-// tasks. Every chain task:
-//
-//   - sums its merge gradient and chain gradient into the total dH,
-//   - runs the cell's BPTT kernel,
-//   - in fused mode, accumulates its dX into the merge-gradient buffer of
-//     the layer below (inout — two directions may target the same buffer)
-//     and the weight gradients (inout on the layer's grads); in split mode
-//     both are hoisted off the chain into the batched dx tile tasks and the
-//     per-direction dw task, leaving only gate gradients and dHPrev here.
+// followed by the direction's batched dw task and dx tile tasks. Every chain
+// task sums its merge gradient and chain gradient into the total dH and runs
+// the cell's BPTT remainder, leaving only its gate gradients and dHPrev: dX
+// and the weight gradients are hoisted off the chain into the dx tiles and
+// the dw task. A phantom workspace records the fused shape instead (see
+// cells): each chain task costs a whole backward cell and accumulates its dX
+// into the layer below's merge gradient (inout) and its weight gradients
+// (inout on the layer's grads) itself, and no dw or dx task exists.
 func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
 	cfg := e.M.Cfg
 	T, di := ws.T, dirIdx(rev)
 	p, d := e.M.dir[di][l], &ws.dir[di]
-	bFlops := p.bwdFlops(ws.rows)
-	if ws.split {
-		bFlops = p.chainBwdFlops(ws.rows)
+	bFlops := p.chainBwdFlops(ws.rows)
+	if ws.phantom {
+		bFlops = p.bwdFlops(ws.rows)
 	}
 	cellWS := p.taskWorkingSet(ws.rows)
 	kind := e.kindBwdCell()
@@ -252,12 +250,11 @@ func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
 			in = append(in, d.kSt[l][prev])
 		}
 		inout := []taskrt.Dep{d.kGrads[l]}
-		if l > 0 && !ws.split {
-			// Split mode hoists the dX accumulation into the dx tile tasks.
+		if l > 0 && ws.phantom {
 			inout = append(inout, ws.kDMerged[l-1][t])
 		}
 		var out []taskrt.Dep
-		if ws.split {
+		if !ws.phantom {
 			out = append(out, d.kDGates[l][t])
 		}
 		if hasPrev {
@@ -290,18 +287,9 @@ func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
 					hPrev, cPrev = sts[prev].H(), sts[prev].C()
 					dHPrev, dCPrev = d.dHChain[l][prev], d.dCChain[l][prev]
 				}
-				if ws.split {
-					p.backwardPre(sts[t], hPrev, cPrev,
-						d.dHSum[l], d.dCChain[l][t], d.dGates[l][t],
-						nil, dHPrev, dCPrev, d.grads[l])
-				} else {
-					p.backward(sts[t], hPrev, cPrev,
-						d.dHSum[l], d.dCChain[l][t],
-						d.dXScratch[l], dHPrev, dCPrev, d.grads[l])
-					if l > 0 {
-						tensor.AddAcc(ws.dMerged[l-1][t], d.dXScratch[l])
-					}
-				}
+				p.backwardPre(sts[t], hPrev, cPrev,
+					d.dHSum[l], d.dCChain[l][t], d.dGates[l][t],
+					nil, dHPrev, dCPrev, d.grads[l])
 				if rev && hasPrev {
 					// The gradient w.r.t. a masked (constant-zero) boundary
 					// state must not leak into the padded steps' chain: zero
@@ -316,7 +304,7 @@ func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
 		batch = append(batch, task)
 	}
 	taskrt.SubmitBatch(e.Exec, batch)
-	if ws.split {
+	if !ws.phantom {
 		e.emitDW(ws, mbIdx, l, rev)
 		if l > 0 {
 			e.emitDX(ws, mbIdx, l, rev)
@@ -350,33 +338,31 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 		Flops:      p.dwFlops(T, ws.rows),
 		WorkingSet: int64(8 * (gw*(in+hs) + T*ws.rows*(in+hs+gw))),
 	}
-	if !ws.phantom {
-		sts := ws.st[di][l]
-		xs := make([]*tensor.Matrix, T)
-		hPrevs := make([]*tensor.Matrix, T)
-		var rhs []*tensor.Matrix
-		if e.M.Cfg.Cell == GRU {
-			rhs = make([]*tensor.Matrix, T)
+	sts := ws.st[di][l]
+	xs := make([]*tensor.Matrix, T)
+	hPrevs := make([]*tensor.Matrix, T)
+	var rhs []*tensor.Matrix
+	if e.M.Cfg.Cell == GRU {
+		rhs = make([]*tensor.Matrix, T)
+	}
+	for t := 0; t < T; t++ {
+		// The cell at t consumed the neighbor state in processing order; the
+		// boundary cell consumed the zero state.
+		hPrevs[t] = ws.zeroH
+		if rev && t < T-1 {
+			hPrevs[t] = sts[t+1].H()
+		} else if !rev && t > 0 {
+			hPrevs[t] = sts[t-1].H()
 		}
-		for t := 0; t < T; t++ {
-			// The cell at t consumed the neighbor state in processing order;
-			// the boundary cell consumed the zero state.
-			hPrevs[t] = ws.zeroH
-			if rev && t < T-1 {
-				hPrevs[t] = sts[t+1].H()
-			} else if !rev && t > 0 {
-				hPrevs[t] = sts[t-1].H()
-			}
-			if rhs != nil {
-				rhs[t] = sts[t].gru.RH
-			}
+		if rhs != nil {
+			rhs[t] = sts[t].gru.RH
 		}
-		task.Fn = func() {
-			for t := range xs {
-				xs[t] = ws.input(l, t)
-			}
-			p.dwBatch(d.grads[l], d.dGates[l], xs, hPrevs, rhs, d.stackP[l], d.stackB[l])
+	}
+	task.Fn = func() {
+		for t := range xs {
+			xs[t] = ws.input(l, t)
 		}
+		p.dwBatch(d.grads[l], d.dGates[l], xs, hPrevs, rhs, d.stackP[l], d.stackB[l])
 	}
 	e.Exec.Submit(task)
 }
@@ -385,11 +371,10 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 // direction: per timestep tile, dMerged[l-1][t] += dGates_t * Wx. Like the
 // forward projection, dX has no recurrence dependency — it only feeds the
 // layer below — so it streams the Wx panel once per tile instead of once per
-// chain step. Layer 0 has no consumer for its input gradient, so the split
-// path skips it entirely there (the fused kernel cannot: its dZ product
-// computes the dX and dHPrev halves in one GEMM). The inout dependencies on
-// the merge-gradient buffers serialize the two directions' accumulations in
-// submission order, keeping parallel training bitwise deterministic.
+// chain step. Layer 0 has no consumer for its input gradient, so no dx task
+// exists there. The inout dependencies on the merge-gradient buffers
+// serialize the two directions' accumulations in submission order, keeping
+// parallel training bitwise deterministic.
 func (e *Engine) emitDX(ws *workspace, mbIdx, l int, rev bool) {
 	T, di := ws.T, dirIdx(rev)
 	p, d := e.M.dir[di][l], &ws.dir[di]
@@ -411,11 +396,8 @@ func (e *Engine) emitDX(ws *workspace, mbIdx, l int, rev bool) {
 			Flops:      step * float64(t1-t0),
 			WorkingSet: int64(8 * (gw*in + (t1-t0)*ws.rows*(in+gw))),
 		}
-		if !ws.phantom {
-			dsts := ws.dMerged[l-1][t0:t1]
-			panels := d.dGates[l][t0:t1]
-			task.Fn = func() { p.dxBatch(dsts, panels) }
-		}
+		dsts, panels := ws.dMerged[l-1][t0:t1], d.dGates[l][t0:t1]
+		task.Fn = func() { p.dxBatch(dsts, panels) }
 		e.Exec.Submit(task)
 	}
 }

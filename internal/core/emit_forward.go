@@ -116,7 +116,7 @@ const projTileT = 8
 // depend only on the layer input — never on the recurrence — so they are the
 // off-critical-path half of the split-gate decomposition. Tiles of the
 // reverse direction are submitted high-t first, matching the order its chain
-// consumes them.
+// consumes them. Phantom workspaces emit none (see cells).
 func (fp *fwdPass[E]) projection(l int, rev bool) {
 	e, ws, T, di := fp.e, fp.ws, fp.ws.T, dirIdx(rev)
 	p, d := e.M.dir[di][l], &ws.dir[di]
@@ -150,19 +150,17 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 			Flops:      stepFlops * float64(t1-t0),
 			WorkingSet: int64(8 * (gw*(in+1) + (t1-t0)*ws.rows*(in+gw))),
 		}
-		if !ws.phantom {
-			buf, k := fp.buf, fp.w.dir[di][l]
-			pres := buf.pre[di][l][t0:t1]
-			xs := make([]*tensor.Mat[E], t1-t0)
-			task.Fn = func() {
-				// Clip the tile at the longest row: each timestep's preload
-				// is computed independently, so the bits match a full tile.
-				n := max(0, min(t1, ws.bind.maxLen)-t0)
-				for i := range n {
-					xs[i] = buf.input(l, t0+i)
-				}
-				k.preGatesBatch(xs[:n], pres[:n])
+		buf, k := fp.buf, fp.w.dir[di][l]
+		pres := buf.pre[di][l][t0:t1]
+		xs := make([]*tensor.Mat[E], t1-t0)
+		task.Fn = func() {
+			// Clip the tile at the longest row: each timestep's preload is
+			// computed independently, so the bits match a full tile.
+			n := max(0, min(t1, ws.bind.maxLen)-t0)
+			for i := range n {
+				xs[i] = buf.input(l, t0+i)
 			}
+			k.preGatesBatch(xs[:n], pres[:n])
 		}
 		batch = append(batch, task)
 	}
@@ -171,9 +169,11 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 
 // cells emits layer l's cells of one direction: forward-order cells
 // processed 0 → T-1 (Algorithm 2), reverse-order cells T-1 → 0 (Algorithm
-// 3). In split mode the direction's projection tasks go first and the chain
-// task consumes the gate preload instead of the raw input, so its only serial
-// dependency is the previous state.
+// 3). The direction's projection tasks go first and each chain task consumes
+// its gate preload instead of the raw input, so its only serial dependency is
+// the previous state. A phantom workspace records the paper's fused cell shape
+// instead, the one the simulator is calibrated on: no projection tasks, and
+// each cell task reads its layer input and costs a whole cell update.
 //
 // Variable-length batches: each reverse body masks its state rows to zero
 // where timestep t is padding (lens[i] <= t), so row i's reverse chain
@@ -189,11 +189,12 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 	e, ws, T, di := fp.e, fp.ws, fp.ws.T, dirIdx(rev)
 	p, d := e.M.dir[di][l], &ws.dir[di]
 	cellKind := e.kindFwdCell()
-	flops := p.fwdFlops(ws.rows)
+	flops := p.chainFwdFlops(ws.rows)
 	cellWS := p.taskWorkingSet(ws.rows)
-	if ws.split {
+	if ws.phantom {
+		flops = p.fwdFlops(ws.rows)
+	} else {
 		fp.projection(l, rev)
-		flops = p.chainFwdFlops(ws.rows)
 	}
 
 	batch := make([]*taskrt.Task, 0, T)
@@ -203,10 +204,8 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 		if rev {
 			t, prev = T-1-u, T-u
 		}
-		var in []taskrt.Dep
-		if ws.split {
-			in = []taskrt.Dep{d.kPre[l][t]}
-		} else {
+		in := []taskrt.Dep{d.kPre[l][t]}
+		if ws.phantom {
 			in = []taskrt.Dep{ws.inputKey(fp.kIn, l, t)}
 		}
 		if u > 0 {
@@ -221,11 +220,7 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 		}
 		if !ws.phantom {
 			buf, k, first := fp.buf, fp.w.dir[di][l], u == 0
-			sts := buf.st[di][l]
-			var pre *tensor.Mat[E] // nil on the fused path
-			if ws.split {
-				pre = buf.pre[di][l][t]
-			}
+			sts, pre := buf.st[di][l], buf.pre[di][l][t]
 			task.Fn = func() {
 				if t >= ws.bind.maxLen {
 					return
@@ -234,11 +229,7 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 				if !first && prev < ws.bind.maxLen {
 					hPrev, cPrev = sts[prev].H(), sts[prev].C()
 				}
-				if pre != nil {
-					k.forwardPre(pre, hPrev, cPrev, sts[t])
-				} else {
-					k.forward(buf.input(l, t), hPrev, cPrev, sts[t])
-				}
+				k.forwardPre(pre, hPrev, cPrev, sts[t])
 				if rev {
 					buf.maskRevState(l, t, ws.bind.lens)
 				}

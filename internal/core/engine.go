@@ -92,18 +92,6 @@ type Engine struct {
 	// before each update: w *= (1 - lr*WeightDecay).
 	WeightDecay float64
 
-	// FusedGates, when true, emits the legacy fused-gate cell tasks (one
-	// task computes Gates = [X_t, H_{t-1}]*W^T + B in full). The default
-	// (false) uses the split-gate decomposition: batched off-critical-path
-	// input-projection tasks compute Pre_t = X_t*Wx^T + B, the recurrence
-	// chain only adds H_{t-1}*Wh^T, and backward defers dWx to one batched
-	// task per layer and direction. Both modes are bitwise deterministic
-	// across worker counts and schedule policies, but they order the gate
-	// summation differently, so they agree only to rounding (~1e-9), not
-	// bitwise. Set before the first step; workspaces are built per mode.
-	// Phantom engines default to fused so recorded graph shapes stay stable.
-	FusedGates bool
-
 	// MaxCachedSeqLens bounds how many distinct sequence lengths keep live
 	// workspaces in the cache (LRU eviction). Zero means the default of 8;
 	// negative means unbounded. Variable-length serving workloads would
@@ -120,9 +108,9 @@ type Engine struct {
 	// InferDType selects the numeric representation of forward-only steps
 	// (Infer/InferProbs): tensor.F64 (zero value, the default) runs the
 	// float64 graph; tensor.F32 runs a float32 mirror of the model — weights
-	// converted once per weight version, activations in float32 throughout,
-	// and (split mode) packed weight panels. Training is always float64.
-	// Set before the first step, like FusedGates; phantom engines ignore it.
+	// converted once per weight version into packed panels, activations in
+	// float32 throughout. Training is always float64. Set before the first
+	// step: workspaces are built per dtype. Phantom engines ignore it.
 	InferDType tensor.DType
 
 	// noReduce freezes captured templates with the full derived edge set
@@ -187,9 +175,10 @@ func NewEngine(m *Model, exec taskrt.Executor) *Engine {
 
 // NewPhantomEngine creates an engine that emits dependency-and-metadata-only
 // task graphs (no numeric buffers, no task bodies); used with
-// taskrt.Capture to record graphs for the discrete-event simulator.
+// taskrt.Capture to record graphs for the discrete-event simulator. Its
+// graphs have the paper's one-task-per-cell shape (see fwdPass.cells).
 func NewPhantomEngine(m *Model, exec taskrt.Executor) *Engine {
-	return &Engine{M: m, Exec: exec, phantom: true, FusedGates: true, wsByT: make(map[int][]*workspace), tpls: make(map[tplKey]*taskrt.Template)}
+	return &Engine{M: m, Exec: exec, phantom: true, wsByT: make(map[int][]*workspace), tpls: make(map[tplKey]*taskrt.Template)}
 }
 
 // workspaces returns (building if needed) the per-mini-batch workspaces for
@@ -211,7 +200,7 @@ func (e *Engine) workspaces(T int) []*workspace {
 	ws := make([]*workspace, n)
 	for i := range ws {
 		lo, hi := e.M.Cfg.mbBounds(i)
-		ws[i] = newWorkspace(e.M, hi-lo, T, e.phantom, !e.FusedGates, e.isF32())
+		ws[i] = newWorkspace(e.M, hi-lo, T, e.phantom, e.isF32())
 	}
 	if dc := e.depChecker(); dc != nil {
 		for i, w := range ws {
@@ -269,9 +258,8 @@ func (e *Engine) isF32() bool {
 
 // refreshWeightCaches brings the float32 weight mirror up to date when the
 // model's weight version has moved since it was last converted. Runs
-// host-side between steps; the mirror is refreshed in place so pointers
-// captured by replay templates stay valid. On the split path the mirror
-// carries packed panels.
+// host-side between steps; the mirror, packed panels included, is refreshed
+// in place so pointers captured by replay templates stay valid.
 func (e *Engine) refreshWeightCaches() {
 	if !e.isF32() {
 		return
@@ -279,7 +267,7 @@ func (e *Engine) refreshWeightCaches() {
 	ver := e.M.weightVersion()
 	switch {
 	case e.w32 == nil:
-		e.w32 = newFwdMirror[float32](e.M, !e.FusedGates)
+		e.w32 = newFwdMirror[float32](e.M)
 	case e.M.mut != nil && ver == e.cacheVer:
 		return
 	default:

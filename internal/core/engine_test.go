@@ -128,91 +128,6 @@ func TestParallelRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestEndToEndGradientCheck verifies the whole assembled network — cells,
-// merges, head, BPTT wiring — against numeric differentiation of the loss
-// with respect to a sample of weights in every layer and direction.
-func TestEndToEndGradientCheck(t *testing.T) {
-	for _, cellKind := range []CellKind{LSTM, GRU, RNN} {
-		for _, arch := range []Arch{ManyToOne, ManyToMany} {
-			cfg := Config{
-				Cell: cellKind, Arch: arch, Merge: MergeSum,
-				InputSize: 2, HiddenSize: 3, Layers: 2, SeqLen: 3,
-				Batch: 2, Classes: 3, MiniBatches: 1, Seed: 7,
-			}
-			m, err := NewModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := makeBatch(cfg, 55)
-			checkModelGradients(t, m, b, cellKind.String()+"/"+arch.String())
-		}
-	}
-}
-
-// lossOf runs a forward pass and returns the mean loss without updating.
-func lossOf(t *testing.T, m *Model, b *Batch) float64 {
-	t.Helper()
-	e := NewEngine(m, taskrt.NewInline(nil))
-	_, loss, err := e.Infer(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loss
-}
-
-func checkModelGradients(t *testing.T, m *Model, b *Batch, name string) {
-	t.Helper()
-	// Analytic gradients: run one forward+backward without SGD by using a
-	// zero learning rate, then read the workspace gradients.
-	e := NewEngine(m, taskrt.NewInline(nil))
-	if _, err := e.TrainStep(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	ws := e.workspaces(b.SeqLen())[0]
-	scale := m.Cfg.lossScale(b, m.Cfg.Batch)
-
-	const h = 1e-6
-	const tol = 2e-5
-	check := func(what string, w []float64, g []float64, indices []int) {
-		for _, idx := range indices {
-			orig := w[idx]
-			w[idx] = orig + h
-			lp := lossOf(t, m, b)
-			w[idx] = orig - h
-			lm := lossOf(t, m, b)
-			w[idx] = orig
-			num := (lp - lm) / (2 * h)
-			analytic := g[idx] / scale
-			if math.Abs(num-analytic) > tol {
-				t.Fatalf("%s %s[%d]: analytic %g numeric %g", name, what, idx, analytic, num)
-			}
-		}
-	}
-
-	for i, p := range m.params {
-		g, n := ws.grads[i], len(p.W.Data)
-		check(p.name+" W", p.W.Data, g.W.Data, []int{0, n / 2, n - 1})
-		check(p.name+" B", p.B, g.B, []int{0, len(p.B) - 1})
-	}
-}
-
-// TestAllMergeOpsGradients runs the end-to-end gradient check once per merge
-// operator, covering the distinct backward paths of Equation 11.
-func TestAllMergeOpsGradients(t *testing.T) {
-	for _, op := range []MergeOp{MergeSum, MergeAvg, MergeMul, MergeConcat} {
-		cfg := Config{
-			Cell: LSTM, Arch: ManyToOne, Merge: op,
-			InputSize: 2, HiddenSize: 3, Layers: 2, SeqLen: 3,
-			Batch: 2, Classes: 3, MiniBatches: 1, Seed: 11,
-		}
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkModelGradients(t, m, makeBatch(cfg, 66), "merge-"+op.String())
-	}
-}
-
 // TestTrainingReducesLoss: a small model fits a fixed batch.
 func TestTrainingReducesLoss(t *testing.T) {
 	for _, arch := range []Arch{ManyToOne, ManyToMany} {
@@ -494,6 +409,23 @@ func TestWorkingSetBytesPositiveAndPhantomAgrees(t *testing.T) {
 	}
 }
 
+// TestGRUStateBytesCountEveryBuffer: a GRU cell state's working set is the
+// buffers its kernels cache — z/r gates (2H), candidate, r⊙hPrev and output
+// (H each) — r⊙hPrev included.
+func TestGRUStateBytesCountEveryBuffer(t *testing.T) {
+	m, err := NewModel(smallCfg(GRU, ManyToOne, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 3
+	H := m.Cfg.HiddenSize
+	for _, p := range []*dirParams{m.dir[fwdDir][0], m.dir[fwdDir][1]} {
+		if got, want := newCellSt[float64](p, rows).workingSetBytes(), int64(8*rows*(2*H+H+H+H)); got != want {
+			t.Fatalf("GRU state holds %d bytes, want %d", got, want)
+		}
+	}
+}
+
 func TestInferProbsMatchesInfer(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
 	m, _ := NewModel(cfg)
@@ -568,7 +500,8 @@ func TestWithBatchSharesWeights(t *testing.T) {
 
 // TestIgnoreLabelGradients: within-batch variable-length sequences mask
 // padded timesteps with tensor.IgnoreLabel; the masked loss still gradient-
-// checks end to end, and masked slots carry no gradient.
+// checks end to end against the reference, and masked slots carry no
+// gradient.
 func TestIgnoreLabelGradients(t *testing.T) {
 	cfg := Config{
 		Cell: LSTM, Arch: ManyToMany, Merge: MergeSum,
@@ -583,7 +516,7 @@ func TestIgnoreLabelGradients(t *testing.T) {
 	// Sequence 1 "ends" after two steps: mask its tail labels.
 	b.StepTargets[2][1] = tensor.IgnoreLabel
 	b.StepTargets[3][1] = tensor.IgnoreLabel
-	checkModelGradients(t, m, b, "masked-m2m")
+	checkGradients(t, "masked-m2m", m, b)
 }
 
 // TestIgnoreLabelMatchesManualMask: masking a row's label produces exactly

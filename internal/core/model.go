@@ -20,11 +20,11 @@ type dirFwd[E tensor.Elt] struct {
 	lstm *cell.LSTMWeightsOf[E]
 	gru  *cell.GRUWeightsOf[E]
 	rnn  *cell.RNNWeightsOf[E]
-	// pack, when non-nil, holds packed copies of the split-path weight
-	// panels and the split forward kernels read those; when nil they read
-	// the column windows of W in place. Both accumulate bitwise-identically
-	// per dtype. The float32 mirror packs; the float64 master never does
-	// (see DESIGN.md §14 for the measurements behind that).
+	// pack, when non-nil, holds packed copies of the weight panels and the
+	// forward kernels read those; when nil they read the column windows of W
+	// in place. Both accumulate bitwise-identically per dtype. The float32
+	// mirror packs; the float64 master never does (see DESIGN.md §14 for the
+	// measurements behind that).
 	pack *cell.PackSet[E]
 }
 
@@ -49,26 +49,20 @@ func newDirParams(kind CellKind, inputSize, hiddenSize int, r *rng.RNG) *dirPara
 	return p
 }
 
-// newDirMirror converts p's weights into a fresh E-typed view, packing its
-// split-path panels when pack is set.
-func newDirMirror[E tensor.Elt](p *dirParams, pack bool) *dirFwd[E] {
+// newDirMirror converts p's weights into a fresh E-typed view with packed
+// weight panels.
+func newDirMirror[E tensor.Elt](p *dirParams) *dirFwd[E] {
 	d := &dirFwd[E]{kind: p.kind}
 	switch p.kind {
 	case LSTM:
 		d.lstm = cell.ConvertLSTMWeights[E](p.lstm)
-		if pack {
-			d.pack = cell.PackLSTM(d.lstm)
-		}
+		d.pack = cell.PackLSTM(d.lstm)
 	case GRU:
 		d.gru = cell.ConvertGRUWeights[E](p.gru)
-		if pack {
-			d.pack = cell.PackGRU(d.gru)
-		}
+		d.pack = cell.PackGRU(d.gru)
 	default:
 		d.rnn = cell.ConvertRNNWeights[E](p.rnn)
-		if pack {
-			d.pack = cell.PackRNN(d.rnn)
-		}
+		d.pack = cell.PackRNN(d.rnn)
 	}
 	return d
 }
@@ -138,13 +132,13 @@ func masterFwdWeights(m *Model) *fwdWeights[float64] {
 }
 
 // newFwdMirror converts m's weights into a fresh E-typed view — the
-// inference mirror; training and checkpoints never see it. With pack set
-// every direction also carries packed split-path panels.
-func newFwdMirror[E tensor.Elt](m *Model, pack bool) *fwdWeights[E] {
+// inference mirror, packed panels included; training and checkpoints never
+// see it.
+func newFwdMirror[E tensor.Elt](m *Model) *fwdWeights[E] {
 	w := &fwdWeights[E]{}
 	for d := range m.dir {
 		for _, p := range m.dir[d] {
-			w.dir[d] = append(w.dir[d], newDirMirror[E](p, pack))
+			w.dir[d] = append(w.dir[d], newDirMirror[E](p))
 		}
 	}
 	for h := range m.Heads {
@@ -219,31 +213,10 @@ func (s *cellSt[E]) C() *tensor.Mat[E] {
 	return nil
 }
 
-func (s *cellSt[E]) workingSetBytes() int64 {
-	switch {
-	case s.lstm != nil:
-		return s.lstm.WorkingSetBytes()
-	case s.gru != nil:
-		return s.gru.WorkingSetBytes()
-	default:
-		return s.rnn.WorkingSetBytes()
-	}
-}
+func (s *cellSt[E]) workingSetBytes() int64 { return matsBytes(s.mats()...) }
 
-// forward runs one fused-gate cell update. cPrev is ignored for GRU and RNN.
-func (d *dirFwd[E]) forward(x, hPrev, cPrev *tensor.Mat[E], st *cellSt[E]) {
-	switch d.kind {
-	case LSTM:
-		cell.LSTMForward(d.lstm, x, hPrev, cPrev, st.lstm)
-	case GRU:
-		cell.GRUForward(d.gru, x, hPrev, st.gru)
-	default:
-		cell.RNNForward(d.rnn, x, hPrev, st.rnn)
-	}
-}
-
-// forwardPre runs the chain-resident split forward remainder, through the
-// packed recurrent panels when the view packs. cPrev is ignored for GRU and
+// forwardPre runs the chain-resident forward remainder of one cell, through
+// the packed recurrent panels when the view packs. cPrev is ignored for GRU and
 // RNN.
 func (d *dirFwd[E]) forwardPre(pre, hPrev, cPrev *tensor.Mat[E], st *cellSt[E]) {
 	if d.pack != nil {
@@ -296,18 +269,6 @@ func (d *dirFwd[E]) wParams() (*tensor.Mat[E], []E) {
 	}
 }
 
-// backward runs one cell's BPTT step. dC/dCPrev are ignored for GRU and RNN.
-func (p *dirParams) backward(st *cellSt[float64], hPrev, cPrev, dH, dC, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
-	switch p.kind {
-	case LSTM:
-		cell.LSTMBackward(p.lstm, st.lstm, cPrev, dH, dC, dX, dHPrev, dCPrev, g.lstm)
-	case GRU:
-		cell.GRUBackward(p.gru, st.gru, hPrev, dH, dX, dHPrev, g.gru)
-	default:
-		cell.RNNBackward(p.rnn, st.rnn, dH, dX, dHPrev, g.rnn)
-	}
-}
-
 // dims returns the direction's input size and gate-panel width G*H — the
 // shape [batch x gw] of one preload/gradient panel.
 func (p *dirParams) dims() (in, gw int) {
@@ -356,8 +317,9 @@ func (p *dirParams) hiddenSize() int {
 	}
 }
 
-// backwardPre runs the chain-resident split backward remainder, leaving the
-// pre-activation gate gradients in dGates for the batched dWx task.
+// backwardPre runs the chain-resident backward remainder of one cell, leaving
+// the pre-activation gate gradients in dGates for the batched dw and dx
+// tasks.
 // dC/dCPrev are ignored for GRU and RNN.
 func (p *dirParams) backwardPre(st *cellSt[float64], hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
 	switch p.kind {
@@ -376,7 +338,7 @@ func (p *dirParams) projFlops(batch int) float64 {
 	return cell.ProjFlops(batch, in, gw)
 }
 
-// chainFwdFlops estimates the chain-resident split forward cell cost.
+// chainFwdFlops estimates the chain-resident forward cell cost.
 func (p *dirParams) chainFwdFlops(batch int) float64 {
 	switch p.kind {
 	case LSTM:
@@ -388,8 +350,8 @@ func (p *dirParams) chainFwdFlops(batch int) float64 {
 	}
 }
 
-// chainBwdFlops estimates the chain-resident split backward cell cost (dX
-// and dWx excluded — both are hoisted into batched off-chain tasks).
+// chainBwdFlops estimates the chain-resident backward cell cost (dX and dW
+// excluded — both are hoisted into batched off-chain tasks).
 func (p *dirParams) chainBwdFlops(batch int) float64 {
 	switch p.kind {
 	case LSTM:
@@ -413,6 +375,8 @@ func (p *dirParams) dwFlops(seq, batch int) float64 {
 	return cell.DWFlops(seq, batch, in, p.hiddenSize(), gw)
 }
 
+// fwdFlops, bwdFlops and taskWorkingSet price one whole cell update, the
+// task a phantom graph records in the paper's one-task-per-cell shape.
 func (p *dirParams) fwdFlops(batch int) float64 {
 	switch p.kind {
 	case LSTM:

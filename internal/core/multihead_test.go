@@ -61,8 +61,8 @@ func applyLens(b *Batch, lens []int) *Batch {
 }
 
 // trainNMulti trains a fresh multi-head model for n steps on makeMultiBatch
-// batches with explicit gate-mode and replay switches.
-func trainNMulti(t *testing.T, cfg Config, withLens, fused, noReplay bool, mkExec func() taskrt.Executor, n int) (*Model, float64) {
+// batches with an explicit replay switch.
+func trainNMulti(t *testing.T, cfg Config, withLens, noReplay bool, mkExec func() taskrt.Executor, n int) (*Model, float64) {
 	t.Helper()
 	m, err := NewModel(cfg)
 	if err != nil {
@@ -73,7 +73,6 @@ func trainNMulti(t *testing.T, cfg Config, withLens, fused, noReplay bool, mkExe
 		defer rt.Shutdown()
 	}
 	e := NewEngine(m, exec)
-	e.FusedGates = fused
 	e.NoReplay = noReplay
 	var loss float64
 	for i := 0; i < n; i++ {
@@ -111,11 +110,11 @@ func TestMultiHeadParallelMatchesSequentialBitwise(t *testing.T) {
 		if withLens {
 			name = "masked"
 		}
-		seqM, seqLoss := trainNMulti(t, cfg, withLens, false, false, inlineExec, 4)
+		seqM, seqLoss := trainNMulti(t, cfg, withLens, false, inlineExec, 4)
 		for _, ex := range multiHeadExecs {
 			ex := ex
 			t.Run(name+"/"+ex.name, func(t *testing.T) {
-				parM, parLoss := trainNMulti(t, cfg, withLens, false, false, ex.mk, 4)
+				parM, parLoss := trainNMulti(t, cfg, withLens, false, ex.mk, 4)
 				if !seqM.WeightsEqual(parM) {
 					t.Fatalf("weights diverged: max |diff| = %g", seqM.WeightsMaxAbsDiff(parM))
 				}
@@ -142,8 +141,8 @@ func TestMultiHeadReplayMatchesFreshBitwise(t *testing.T) {
 			for _, ex := range multiHeadExecs {
 				ex := ex
 				t.Run(name+"/"+ex.name, func(t *testing.T) {
-					freshM, freshLoss := trainNMulti(t, cfg, withLens, false, true, ex.mk, 4)
-					replayM, replayLoss := trainNMulti(t, cfg, withLens, false, false, ex.mk, 4)
+					freshM, freshLoss := trainNMulti(t, cfg, withLens, true, ex.mk, 4)
+					replayM, replayLoss := trainNMulti(t, cfg, withLens, false, ex.mk, 4)
 					if !freshM.WeightsEqual(replayM) {
 						t.Fatalf("replay diverged from fresh emission: max |diff| = %g",
 							freshM.WeightsMaxAbsDiff(replayM))
@@ -154,31 +153,6 @@ func TestMultiHeadReplayMatchesFreshBitwise(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestMultiHeadSplitMatchesFusedWeights: the split-gate decomposition stays
-// within rounding error of the fused path on multi-head and masked batches
-// (same tolerance contract as the single-head suite — split reorders the
-// gate summation, so bitwise equality is not expected).
-func TestMultiHeadSplitMatchesFusedWeights(t *testing.T) {
-	const tol = 1e-9
-	for _, withLens := range []bool{false, true} {
-		name := "full"
-		if withLens {
-			name = "masked"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := multiHeadCfg(LSTM, 2)
-			fusedM, fusedLoss := trainNMulti(t, cfg, withLens, true, false, inlineExec, 4)
-			splitM, splitLoss := trainNMulti(t, cfg, withLens, false, false, inlineExec, 4)
-			if d := fusedM.WeightsMaxAbsDiff(splitM); d > tol {
-				t.Fatalf("fused vs split weights differ by %g > %g", d, tol)
-			}
-			if d := fusedLoss - splitLoss; d > tol || d < -tol {
-				t.Fatalf("fused vs split loss differ: %g vs %g", fusedLoss, splitLoss)
-			}
-		})
 	}
 }
 
@@ -761,7 +735,7 @@ func TestMultiHeadSaveLoadRoundtrip(t *testing.T) {
 // computes bitwise the same masked multi-head update as B-Par.
 func TestBSeqMatchesBParMultiHeadMasked(t *testing.T) {
 	cfg := multiHeadCfg(LSTM, 3)
-	parM, parLoss := trainNMulti(t, cfg, true, false, false, parallelExec(4, taskrt.BreadthFirst), 3)
+	parM, parLoss := trainNMulti(t, cfg, true, false, parallelExec(4, taskrt.BreadthFirst), 3)
 
 	m, err := NewModel(cfg)
 	if err != nil {

@@ -7,10 +7,10 @@ import (
 	"bpar/internal/tensor"
 )
 
-// trainNReplay is trainNMode with an explicit replay switch, so the same
-// model/executor/mode combination can run with graph replay (the default) or
-// with fresh per-step emission (the equivalence oracle).
-func trainNReplay(t *testing.T, cfg Config, fused, noReplay bool, mkExec func() taskrt.Executor, n int) (*Model, float64) {
+// trainNReplay is trainN with an explicit replay switch, so the same
+// model/executor combination can run with graph replay (the default) or with
+// fresh per-step emission (the equivalence oracle).
+func trainNReplay(t *testing.T, cfg Config, noReplay bool, mkExec func() taskrt.Executor, n int) (*Model, float64) {
 	t.Helper()
 	m, err := NewModel(cfg)
 	if err != nil {
@@ -21,7 +21,6 @@ func trainNReplay(t *testing.T, cfg Config, fused, noReplay bool, mkExec func() 
 		defer rt.Shutdown()
 	}
 	e := NewEngine(m, exec)
-	e.FusedGates = fused
 	e.NoReplay = noReplay
 	var loss float64
 	for i := 0; i < n; i++ {
@@ -38,7 +37,7 @@ func trainNReplay(t *testing.T, cfg Config, fused, noReplay bool, mkExec func() 
 // executing the captured template must be bitwise identical to re-emitting
 // the task graph every step, because the edge set — and therefore the
 // floating-point summation order — is the same. Covered across all cell
-// kinds, worker counts, scheduling policies, and both gate modes.
+// kinds, both architectures, worker counts and scheduling policies.
 func TestReplayMatchesFreshBitwise(t *testing.T) {
 	execs := []struct {
 		name string
@@ -50,23 +49,21 @@ func TestReplayMatchesFreshBitwise(t *testing.T) {
 		{"w4-la", parallelExec(4, taskrt.LocalityAware)},
 	}
 	cases := []struct {
-		name  string
-		cfg   Config
-		fused bool
+		name string
+		cfg  Config
 	}{
-		{"lstm-split", smallCfg(LSTM, ManyToOne, 2), false},
-		{"gru-split", smallCfg(GRU, ManyToOne, 2), false},
-		{"rnn-split", smallCfg(RNN, ManyToOne, 2), false},
-		{"lstm-fused", smallCfg(LSTM, ManyToOne, 2), true},
-		{"gru-m2m-fused", smallCfg(GRU, ManyToMany, 1), true},
-		{"rnn-m2m-split", smallCfg(RNN, ManyToMany, 1), false},
+		{"lstm-split", smallCfg(LSTM, ManyToOne, 2)},
+		{"gru-split", smallCfg(GRU, ManyToOne, 2)},
+		{"rnn-split", smallCfg(RNN, ManyToOne, 2)},
+		{"gru-m2m-split", smallCfg(GRU, ManyToMany, 1)},
+		{"rnn-m2m-split", smallCfg(RNN, ManyToMany, 1)},
 	}
 	for _, ec := range cases {
 		for _, ex := range execs {
 			ec, ex := ec, ex
 			t.Run(ec.name+"/"+ex.name, func(t *testing.T) {
-				freshM, freshLoss := trainNReplay(t, ec.cfg, ec.fused, true, ex.mk, 4)
-				replayM, replayLoss := trainNReplay(t, ec.cfg, ec.fused, false, ex.mk, 4)
+				freshM, freshLoss := trainNReplay(t, ec.cfg, true, ex.mk, 4)
+				replayM, replayLoss := trainNReplay(t, ec.cfg, false, ex.mk, 4)
 				if !freshM.WeightsEqual(replayM) {
 					t.Fatalf("replay diverged from fresh emission: max |diff| = %g",
 						freshM.WeightsMaxAbsDiff(replayM))

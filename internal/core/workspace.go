@@ -34,9 +34,8 @@ type stepBinding struct {
 // large to execute on the host (e.g. hidden 1024, batch 256, 48 cores).
 type workspace struct {
 	phantom bool
-	split   bool // split-gate decomposition: projection + chain tasks
-	rows    int  // sequences in this mini-batch
-	T       int  // sequence length
+	rows    int // sequences in this mini-batch
+	T       int // sequence length
 	cfg     Config
 
 	// bind is the current step's batch view; see stepBinding.
@@ -89,15 +88,14 @@ type workspace struct {
 // sibling fields under the `foo ↔ kFoo` convention bpar-vet resolves, the
 // backward buffers they name. Grids index [layer][timestep].
 type dirWS struct {
-	// Dependency keys, always present (the split-gate ones too, so phantom
-	// graphs can be emitted in either mode).
+	// Dependency keys, always present.
 	// Chain-buffer convention: kDHChain[l][t] names the grad w.r.t. H of cell
 	// (l,t), written by the backward task of the cell processed after it —
 	// (l,t+1) forward, (l,t-1) reverse — and zero (never written) at the
 	// chain's last-processed cell, t=T-1 forward, t=0 reverse.
 	kSt      [][]taskrt.Dep
 	kPre     [][]taskrt.Dep // gate preload Pre_t = X_t*Wx^T + B, written by the projection task
-	kDGates  [][]taskrt.Dep // pre-activation gate gradients the split chain leaves for the dw task
+	kDGates  [][]taskrt.Dep // pre-activation gate gradients the backward chain leaves for the dw and dx tasks
 	kDHMerge [][]taskrt.Dep
 	kDHChain [][]taskrt.Dep
 	kDCChain [][]taskrt.Dep
@@ -106,19 +104,19 @@ type dirWS struct {
 
 	// Backward buffers; nil in phantom mode.
 	dHMerge, dHChain, dCChain [][]*tensor.Matrix
-	dGates                    [][]*tensor.Matrix // split only; each [rows x G*H]
+	dGates                    [][]*tensor.Matrix // each [rows x G*H]
 	dFinalH                   *tensor.Matrix     // final-merge backward output
 	grads                     []*dirGrads        // per layer
 
 	// Per-layer scratch private to one task body at a time, so unregistered
-	// with the dependency sanitizer: dH accumulation, the fused kernel's dX,
-	// discard targets at chain boundaries, and the batched dw task's
-	// transposition stacks — stackP the [G*H x T·rows] gate-gradient stack,
-	// stackB the [max(in,H) x T·rows] input/state stack (the dw tasks of a
-	// layer's two directions serialize on different grad keys).
-	dHSum, dXScratch []*tensor.Matrix
-	dHSink, dCSink   []*tensor.Matrix
-	stackP, stackB   []*tensor.Matrix
+	// with the dependency sanitizer: dH accumulation, discard targets at chain
+	// boundaries, and the batched dw task's transposition stacks — stackP the
+	// [G*H x T·rows] gate-gradient stack, stackB the [max(in,H) x T·rows]
+	// input/state stack (the dw tasks of a layer's two directions serialize on
+	// different grad keys).
+	dHSum          []*tensor.Matrix
+	dHSink, dCSink []*tensor.Matrix
+	stackP, stackB []*tensor.Matrix
 }
 
 // gradRef is one entry of a workspace's gradient catalogue: the dependency
@@ -162,9 +160,6 @@ func (w *workspace) listKeyGrids(m *Model) []keyGrid {
 			keyGrid{name: "dHChain" + sfx, keys: &d.kDHChain, bufs: &d.dHChain, cols: hidden},
 			keyGrid{name: "dCChain" + sfx, keys: &d.kDCChain, bufs: &d.dCChain, cols: hidden},
 			keyGrid{name: "dGates" + sfx, keys: &d.kDGates, bufs: &d.dGates, cols: func(l int) int {
-				if !w.split {
-					return 0
-				}
 				_, gw := m.dir[i][l].dims()
 				return gw
 			}},
@@ -174,8 +169,8 @@ func (w *workspace) listKeyGrids(m *Model) []keyGrid {
 }
 
 // fwdBufs holds the forward-pass buffers of one workspace at element type E:
-// layer inputs, cell states, merge outputs, head buffers, and (split path)
-// the pooled gate-preload panels. Every workspace has the float64
+// layer inputs, cell states, merge outputs, head buffers, and the pooled
+// gate-preload panels. Every workspace has the float64
 // instantiation — training's backward pass reads it; a float32-inference
 // engine adds the float32 one. Backward buffers exist at float64 only.
 type fwdBufs[E tensor.Elt] struct {
@@ -199,8 +194,8 @@ type fwdBufs[E tensor.Elt] struct {
 	gatherH   *tensor.Mat[E]
 	gatherIdx []int
 
-	// pre pools the split-gate preload panels, [direction][layer][timestep],
-	// each [rows x G*H]; nil when fused.
+	// pre pools the gate-preload panels, [direction][layer][timestep], each
+	// [rows x G*H].
 	pre [2][][]*tensor.Mat[E]
 }
 
@@ -217,13 +212,11 @@ func (c Config) hasMergePerTimestep(l int) bool {
 }
 
 // newWorkspace builds a workspace for one mini-batch of `rows` sequences of
-// length T. When phantom is true, only dependency keys are created. When
-// split is true, the workspace additionally pools the gate-preload and
-// gate-gradient panels of the split-gate decomposition. When f32 is true, the
-// float32 forward buffers are allocated as well.
-func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
+// length T. When phantom is true, only dependency keys are created. When f32
+// is true, the float32 forward buffers are allocated as well.
+func newWorkspace(m *Model, rows, T int, phantom, f32 bool) *workspace {
 	cfg := m.Cfg
-	w := &workspace{phantom: phantom, split: split, rows: rows, T: T, cfg: cfg}
+	w := &workspace{phantom: phantom, rows: rows, T: T, cfg: cfg}
 	L := cfg.Layers
 
 	tokens := func(n int) []taskrt.Dep {
@@ -281,7 +274,7 @@ func (w *workspace) allocBuffers(m *Model, f32 bool) {
 	H := cfg.HiddenSize
 	D := cfg.MergeDim()
 
-	w.fwdBufs = newFwdBufs[float64](m, rows, T, w.split)
+	w.fwdBufs = newFwdBufs[float64](m, rows, T)
 	for _, g := range w.keyGrids {
 		if g.bufs == nil {
 			continue
@@ -306,13 +299,9 @@ func (w *workspace) allocBuffers(m *Model, f32 bool) {
 		d.dCSink = matRow[float64](L, rows, H)
 		for _, p := range m.dir[i] {
 			in, gw := p.dims()
-			d.dXScratch = append(d.dXScratch, tensor.New(rows, in))
 			d.grads = append(d.grads, p.newGrads())
-			if w.split {
-				K := T * rows
-				d.stackP = append(d.stackP, tensor.New(gw, K))
-				d.stackB = append(d.stackB, tensor.New(max(in, H), K))
-			}
+			d.stackP = append(d.stackP, tensor.New(gw, T*rows))
+			d.stackB = append(d.stackB, tensor.New(max(in, H), T*rows))
 		}
 	}
 	for _, spec := range cfg.HeadSpecs() {
@@ -327,7 +316,7 @@ func (w *workspace) allocBuffers(m *Model, f32 bool) {
 		}
 	}
 	if f32 {
-		s := newFwdBufs[float32](m, rows, T, w.split)
+		s := newFwdBufs[float32](m, rows, T)
 		s.x = matRow[float32](T, rows, cfg.InputSize)
 		w.f32 = &s
 	}
@@ -335,7 +324,7 @@ func (w *workspace) allocBuffers(m *Model, f32 bool) {
 
 // newFwdBufs allocates one workspace's forward buffers at element type E. x
 // is left to the caller (see fwdBufs.x).
-func newFwdBufs[E tensor.Elt](m *Model, rows, T int, split bool) fwdBufs[E] {
+func newFwdBufs[E tensor.Elt](m *Model, rows, T int) fwdBufs[E] {
 	cfg := m.Cfg
 	L := cfg.Layers
 	H := cfg.HiddenSize
@@ -353,11 +342,9 @@ func newFwdBufs[E tensor.Elt](m *Model, rows, T int, split bool) fwdBufs[E] {
 			for t := range sts {
 				sts[t] = newCellSt[E](p, rows)
 			}
+			_, gw := p.dims()
 			b.st[d] = append(b.st[d], sts)
-			if split {
-				_, gw := p.dims()
-				b.pre[d] = append(b.pre[d], matRow[E](T, rows, gw))
-			}
+			b.pre[d] = append(b.pre[d], matRow[E](T, rows, gw))
 		}
 	}
 	if cfg.anyClassify() {
@@ -538,9 +525,11 @@ func (w *workspace) resetForStep() {
 // workingSetBytes estimates the resident bytes of all live activation and
 // gradient buffers of this workspace — the quantity the paper's memory
 // study reports (75.36 MB without per-layer sync vs 28.26 MB with, for an
-// 8-layer BLSTM at mbs:6). The split-gate preload/gradient panels are
-// deliberately excluded so the fused-vs-split memory comparison (and the
-// phantom analytic formula) measure the same activation footprint.
+// 8-layer BLSTM at mbs:6). Cell states count every buffer the split cell
+// kernels cache; the gate-preload and gate-gradient panels are left out, as
+// the paper's figure counts activations and gradients, not per-task
+// operands. A phantom workspace prices the fused cell shape it records
+// instead (phantomWorkingSetBytes), which is what the memory study reads.
 func (w *workspace) workingSetBytes() int64 {
 	if w.phantom {
 		return w.phantomWorkingSetBytes()
@@ -587,7 +576,9 @@ func matsBytes[E tensor.Elt](ms ...*tensor.Mat[E]) int64 {
 	return n * int64(tensor.DTypeOf[E]().Size())
 }
 
-// phantomWorkingSetBytes computes the same estimate analytically.
+// phantomWorkingSetBytes computes the estimate analytically, for the fused
+// cell shape a phantom graph records: its states also cache the [X_t,
+// H_{t-1}] concatenations the split kernels never build.
 func (w *workspace) phantomWorkingSetBytes() int64 {
 	cfg := w.cfg
 	var total int64

@@ -11,10 +11,9 @@ import (
 
 // DeterminismRow is one executor configuration of the determinism study.
 type DeterminismRow struct {
-	Mode      string // "fused" or "split" gate tasks
 	Workers   int
 	Policy    taskrt.Policy
-	Identical bool // weights bitwise equal to the 1-worker reference of Mode
+	Identical bool // weights bitwise equal to the 1-worker reference
 }
 
 // RunDeterminism trains the same small BLSTM, from the same weights on the
@@ -23,11 +22,7 @@ type DeterminismRow struct {
 // bit against a single-worker reference. The no-barrier graph serializes
 // every floating-point accumulation along declared edges, so any divergence
 // means a dependency the emitters failed to declare — which the sanitizer
-// should also have caught as an undeclared access. Both gate-computation
-// modes are covered: the fused path and the split-gate decomposition each
-// have their own reference (they order the gate summation differently, so
-// they agree only to rounding across modes, but must be bitwise stable
-// within a mode).
+// should also have caught as an undeclared access.
 func RunDeterminism(o Opts) ([]DeterminismRow, error) {
 	cfg := blstmCfg(2, 32, 16, o.seq(12), 2)
 	cfg.InputSize = 16
@@ -37,26 +32,18 @@ func RunDeterminism(o Opts) ([]DeterminismRow, error) {
 		batches[i] = synthTrainBatch(cfg, uint64(i)+1)
 	}
 
+	ref, err := trainDeterministic(cfg, o.NoReplay, 1, taskrt.BreadthFirst, batches)
+	if err != nil {
+		return nil, err
+	}
 	var rows []DeterminismRow
-	for _, mode := range []struct {
-		name  string
-		fused bool
-	}{{"fused", true}, {"split", false}} {
-		ref, err := trainDeterministic(cfg, mode.fused, o.NoReplay, 1, taskrt.BreadthFirst, batches)
-		if err != nil {
-			return nil, err
-		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
-				m, err := trainDeterministic(cfg, mode.fused, o.NoReplay, workers, pol, batches)
-				if err != nil {
-					return nil, fmt.Errorf("mode=%s workers=%d policy=%v: %w", mode.name, workers, pol, err)
-				}
-				rows = append(rows, DeterminismRow{
-					Mode: mode.name, Workers: workers, Policy: pol,
-					Identical: ref.WeightsEqual(m),
-				})
+	for _, workers := range []int{1, 2, 4} {
+		for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
+			m, err := trainDeterministic(cfg, o.NoReplay, workers, pol, batches)
+			if err != nil {
+				return nil, fmt.Errorf("workers=%d policy=%v: %w", workers, pol, err)
 			}
+			rows = append(rows, DeterminismRow{Workers: workers, Policy: pol, Identical: ref.WeightsEqual(m)})
 		}
 	}
 	return rows, nil
@@ -64,7 +51,7 @@ func RunDeterminism(o Opts) ([]DeterminismRow, error) {
 
 // trainDeterministic runs `len(batches)` training steps under the sanitizer
 // and returns the trained model.
-func trainDeterministic(cfg core.Config, fused, noReplay bool, workers int, pol taskrt.Policy, batches []*core.Batch) (*core.Model, error) {
+func trainDeterministic(cfg core.Config, noReplay bool, workers int, pol taskrt.Policy, batches []*core.Batch) (*core.Model, error) {
 	m, err := core.NewModel(cfg)
 	if err != nil {
 		return nil, err
@@ -73,7 +60,6 @@ func trainDeterministic(cfg core.Config, fused, noReplay bool, workers int, pol 
 	defer rt.Shutdown()
 	defer tensor.SetAccessHook(nil)
 	eng := core.NewEngine(m, rt)
-	eng.FusedGates = fused
 	eng.NoReplay = noReplay
 	eng.GradClip = 1.0
 	for i, b := range batches {
@@ -107,10 +93,10 @@ func synthTrainBatch(cfg core.Config, seed uint64) *core.Batch {
 // PrintDeterminism renders the study.
 func PrintDeterminism(w io.Writer, rows []DeterminismRow) {
 	fprintf(w, "Determinism under depcheck — bitwise weight comparison vs 1-worker reference\n")
-	fprintf(w, "%-8s %-10s %-15s %s\n", "mode", "workers", "policy", "identical")
+	fprintf(w, "%-10s %-15s %s\n", "workers", "policy", "identical")
 	allOK := true
 	for _, r := range rows {
-		fprintf(w, "%-8s %-10d %-15v %v\n", r.Mode, r.Workers, r.Policy, r.Identical)
+		fprintf(w, "%-10d %-15v %v\n", r.Workers, r.Policy, r.Identical)
 		if !r.Identical {
 			allOK = false
 		}

@@ -149,7 +149,7 @@ func makeBatch(cfg core.Config, seed uint64) *core.Batch {
 
 // engineDump trains and infers one step on a small engine so both step
 // templates are captured, then dumps them.
-func engineDump(t *testing.T, cell core.CellKind, fused bool) *taskrt.TemplateDumpFile {
+func engineDump(t *testing.T, cell core.CellKind) *taskrt.TemplateDumpFile {
 	t.Helper()
 	cfg := core.Config{
 		Cell: cell, Arch: core.ManyToOne, Merge: core.MergeSum,
@@ -161,7 +161,6 @@ func engineDump(t *testing.T, cell core.CellKind, fused bool) *taskrt.TemplateDu
 		t.Fatal(err)
 	}
 	e := core.NewEngine(m, taskrt.NewInline(nil))
-	e.FusedGates = fused
 	if _, err := e.TrainStep(makeBatch(cfg, 7), 0.05); err != nil {
 		t.Fatal(err)
 	}
@@ -176,40 +175,34 @@ func engineDump(t *testing.T, cell core.CellKind, fused bool) *taskrt.TemplateDu
 }
 
 // TestRealTemplatesProvenOrdered is the happens-before acceptance criterion:
-// on every cached step template of every cell kind in both gate modes, every
-// same-key task pair must be proven ordered, the frozen edge set must be the
-// exact transitive reduction, and training graphs must actually shed edges.
+// on every cached step template of every cell kind, every same-key task pair
+// must be proven ordered, the frozen edge set must be the exact transitive
+// reduction, and training graphs must actually shed edges.
 func TestRealTemplatesProvenOrdered(t *testing.T) {
 	cells := []struct {
 		name string
 		cell core.CellKind
 	}{{"lstm", core.LSTM}, {"gru", core.GRU}, {"rnn", core.RNN}}
 	for _, c := range cells {
-		for _, fused := range []bool{false, true} {
-			mode := "split"
-			if fused {
-				mode = "fused"
-			}
-			t.Run(c.name+"-"+mode, func(t *testing.T) {
-				df := engineDump(t, c.cell, fused)
-				for i := range df.Templates {
-					d := &df.Templates[i]
-					res := graphlint.Check(d)
-					noDiags(t, res)
-					if res.KeyPairs == 0 {
-						t.Errorf("%s: no same-key pairs proven", d.Name)
-					}
-					if res.FrozenEdges != res.MinimalEdges {
-						t.Errorf("%s: frozen %d edges but minimal is %d", d.Name, res.FrozenEdges, res.MinimalEdges)
-					}
-					if strings.HasPrefix(d.Name, "train") && d.FullEdges <= res.FrozenEdges {
-						t.Errorf("%s: reduction pruned nothing (full %d, frozen %d)", d.Name, d.FullEdges, res.FrozenEdges)
-					}
-					t.Logf("%s: %d nodes, %d→%d edges (%.1f%% pruned), %d key pairs ordered",
-						d.Name, res.Nodes, d.FullEdges, res.FrozenEdges, res.PrunedPct(), res.KeyPairs)
+		t.Run(c.name+"-split", func(t *testing.T) {
+			df := engineDump(t, c.cell)
+			for i := range df.Templates {
+				d := &df.Templates[i]
+				res := graphlint.Check(d)
+				noDiags(t, res)
+				if res.KeyPairs == 0 {
+					t.Errorf("%s: no same-key pairs proven", d.Name)
 				}
-			})
-		}
+				if res.FrozenEdges != res.MinimalEdges {
+					t.Errorf("%s: frozen %d edges but minimal is %d", d.Name, res.FrozenEdges, res.MinimalEdges)
+				}
+				if strings.HasPrefix(d.Name, "train") && d.FullEdges <= res.FrozenEdges {
+					t.Errorf("%s: reduction pruned nothing (full %d, frozen %d)", d.Name, d.FullEdges, res.FrozenEdges)
+				}
+				t.Logf("%s: %d nodes, %d→%d edges (%.1f%% pruned), %d key pairs ordered",
+					d.Name, res.Nodes, d.FullEdges, res.FrozenEdges, res.PrunedPct(), res.KeyPairs)
+			}
+		})
 	}
 }
 
@@ -218,7 +211,7 @@ func TestRealTemplatesProvenOrdered(t *testing.T) {
 // fail loudly, with the happens-before diagnostic naming both task labels
 // and the key.
 func TestStrippedMergeEdgeRace(t *testing.T) {
-	df := engineDump(t, core.LSTM, true)
+	df := engineDump(t, core.LSTM)
 	var d *taskrt.TemplateDump
 	for i := range df.Templates {
 		if strings.HasPrefix(df.Templates[i].Name, "infer") {
@@ -293,7 +286,6 @@ func TestModelCheckTinyBLSTM(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := core.NewEngine(m, taskrt.NewInline(nil))
-	e.FusedGates = true
 	if _, _, err := e.Infer(makeBatch(cfg, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +327,7 @@ func TestModelCheckBounded(t *testing.T) {
 // validating loader, and expects identical verification results and a
 // renderable, acyclic graph.
 func TestDumpRoundTrip(t *testing.T) {
-	df := engineDump(t, core.GRU, false)
+	df := engineDump(t, core.GRU)
 	path := filepath.Join(t.TempDir(), "templates.json")
 	if err := df.WriteFile(path); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import "fmt"
 // The batched variants take a whole sequence of operands and hoist the weight
 // block to the outer loop: one cache-resident weight panel is reused across
 // every timestep before the next panel is touched, which is where the
-// split path's memory-traffic advantage over the fused path comes from.
+// split path saves memory traffic over one whole-cell GEMM per timestep.
 
 // GemmTAccCols computes dst += a * bT[:, lo:lo+k)^T, where a is m x k and bT
 // is n x kb with lo+k <= kb. It is GemmTAcc restricted to a column window of
@@ -225,36 +225,6 @@ func GemmATAccCols[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo, aHi int, b *Ma
 	k, m, n := a.Rows, aHi-aLo, b.Cols
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	gemmATColsBlock(dst, dstLo, a, aLo, b, 0, m)
-}
-
-// GemmATAccColsBatch computes dst[:, dstLo:dstLo+n) += a[s][:, aLo:aHi)^T *
-// b[s] summed over every s. The destination row block is the outer loop, so
-// the weight-gradient panel stays cache-resident while the whole sequence of
-// gate gradients streams through once — the batched dWx accumulation that
-// moves the input-weight gradient off the backward recurrence. Per-element
-// accumulation order is (s ascending, then row ascending), identical to
-// sequential GemmATAccCols calls, so the result is bitwise the same.
-func GemmATAccColsBatch[E Elt](dst *Mat[E], dstLo int, as []*Mat[E], aLo, aHi int, bs []*Mat[E]) {
-	if len(as) != len(bs) {
-		panic(fmt.Sprintf("tensor: GemmATAccColsBatch got %d gradient panels for %d inputs", len(as), len(bs)))
-	}
-	if len(as) == 0 {
-		return
-	}
-	var flops int64
-	for s := range as {
-		checkATCols(dst, dstLo, as[s], aLo, aHi, bs[s], "GemmATAccColsBatch")
-		guardWRR(dst, as[s], bs[s])
-		flops += 2 * int64(aHi-aLo) * int64(as[s].Rows) * int64(bs[s].Cols)
-	}
-	countGemmOf[E](flops)
-	m := aHi - aLo
-	for ii := 0; ii < m; ii += blockM {
-		iMax := min(ii+blockM, m)
-		for s := range as {
-			gemmATColsBlock(dst, dstLo, as[s], aLo, bs[s], ii, iMax)
-		}
-	}
 }
 
 func checkATCols[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo, aHi int, b *Mat[E], name string) {

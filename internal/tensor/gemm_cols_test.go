@@ -149,28 +149,6 @@ func TestGemmATAccColsMatchesWindowedReference(t *testing.T) {
 	}
 }
 
-// TestGemmATAccColsBatchBitwise pins the dWx determinism contract: one
-// batched call over the whole sequence must be bit-identical to per-timestep
-// accumulation in ascending order.
-func TestGemmATAccColsBatchBitwise(t *testing.T) {
-	r := rng.New(23)
-	const T, batch, aw, m, n, dw, aLo, dstLo = 7, 3, 80, 72, 40, 56, 8, 16
-	dst := randomMatrix(r, m, dw)
-	seq := dst.Clone()
-	var as, bs []*Matrix
-	for s := 0; s < T; s++ {
-		as = append(as, randomMatrix(r, batch, aw))
-		bs = append(bs, randomMatrix(r, batch, n))
-	}
-	GemmATAccColsBatch(dst, dstLo, as, aLo, aLo+m, bs)
-	for s := 0; s < T; s++ {
-		GemmATAccCols(seq, dstLo, as[s], aLo, aLo+m, bs[s])
-	}
-	if !seq.Equal(dst) {
-		t.Fatal("batched dWx accumulation not bitwise equal to sequential")
-	}
-}
-
 func TestGemmTAccDstColsMatchesWindowedReference(t *testing.T) {
 	r := rng.New(37)
 	for _, d := range [][4]int{{24, 18, 8, 14}, {5, 3, 2, 4}, {65, 33, 9, 20}} {

@@ -1,5 +1,6 @@
 // Command bpar-bench regenerates the paper's evaluation: every table and
-// figure of Section IV, at full paper parameters by default.
+// figure of Section IV, at full paper parameters by default, plus the
+// Section IV-B granularity and memory studies and the determinism check.
 //
 // Usage:
 //
@@ -10,10 +11,11 @@
 //	bpar-bench -exp granularity       # the task-granularity study
 //	bpar-bench -exp memory            # the memory-consumption study
 //	bpar-bench -exp ablation          # barrier-removal ablation
-//	bpar-bench -exp replay            # fresh emission vs graph capture & replay
 //	bpar-bench -exp all -seq 40       # reduced sequence length (faster)
 //
-// Serving load is measured by the benchmark harness in bench/, not here.
+// Native-engine speed (training steps/s, serving latency, per-layer
+// kernel and runtime costs) is measured by the benchmark harness in bench/,
+// not here.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -32,17 +35,13 @@ import (
 	"bpar/internal/core"
 	"bpar/internal/experiments"
 	"bpar/internal/obs"
-	"bpar/internal/prof"
 	"bpar/internal/tensor"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table3, table4, fig3..fig8, granularity, memory, ablation, replay, policy, efficiency, sched, determinism, dtype, multihead")
+	exp := flag.String("exp", "all", expUsage())
 	seq := flag.Int("seq", 0, "override sequence length (0 = paper value, 100)")
-	noReplay := flag.Bool("no-replay", false, "force fresh task-graph emission every step in native-engine experiments instead of graph capture & replay")
 	listen := flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address (e.g. :8080) during the run")
-	profGraph := flag.Bool("profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof)")
-	profOut := flag.String("profile-out", "bpar-profile.json", "profile dump path written at exit when -profile-graph is set")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	jsonOut := flag.String("json", "", "write machine-readable results of every experiment run to this JSON file")
@@ -89,15 +88,10 @@ func main() {
 			"endpoints", "/metrics /healthz /debug/pprof/")
 	}
 
-	o := experiments.Opts{SeqLen: *seq, NoReplay: *noReplay}
-	var profiler *prof.GraphProfiler
-	if *profGraph {
-		profiler = prof.NewGraphProfiler()
-		o.Profile = profiler
-	}
+	o := experiments.Opts{SeqLen: *seq}
 	names := strings.Split(*exp, ",")
 	if *exp == "all" {
-		names = []string{"table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "granularity", "memory", "ablation", "replay", "policy", "efficiency", "platforms", "crossover", "sched"}
+		names = experimentNames()
 	}
 	results := make(map[string]any)
 	durations := make(map[string]float64)
@@ -127,19 +121,6 @@ func main() {
 		log.Info("json results written", "file", *jsonOut, "experiments", len(results))
 	}
 
-	if profiler != nil {
-		// Every experiment runtime has drained by now; the snapshot covers
-		// whatever native-engine experiments replayed templates.
-		pd := profiler.Snapshot(runtime.GOMAXPROCS(0))
-		if err := pd.WriteFile(*profOut); err != nil {
-			log.Error("profile dump", "err", err)
-			os.Exit(1)
-		}
-		log.Info("profile dump written", "file", *profOut,
-			"templates", profiler.Templates(), "replays", profiler.Replays(),
-			"reader", "bpar-prof "+*profOut)
-	}
-
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
@@ -164,7 +145,6 @@ type benchReport struct {
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	GoVersion   string             `json:"go_version"`
 	SeqOverride int                `json:"seq_override,omitempty"`
-	NoReplay    bool               `json:"no_replay,omitempty"`
 	DurationSec map[string]float64 `json:"duration_sec"`
 	Experiments map[string]any     `json:"experiments"`
 }
@@ -176,7 +156,6 @@ func writeResults(path string, results map[string]any, durations map[string]floa
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		GoVersion:   runtime.Version(),
 		SeqOverride: o.SeqLen,
-		NoReplay:    o.NoReplay,
 		DurationSec: durations,
 		Experiments: results,
 	}
@@ -187,160 +166,80 @@ func writeResults(path string, results map[string]any, durations map[string]floa
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func run(name string, o experiments.Opts) (any, error) {
-	w := os.Stdout
-	switch name {
-	case "table3":
-		rows, err := experiments.RunTable(core.LSTM, o)
+// experiment is one -exp name: it runs the study and prints its report to w,
+// returning the result struct for -json.
+type experiment struct {
+	name string
+	run  func(w io.Writer, o experiments.Opts) (any, error)
+}
+
+// study adapts an experiment's Run/Print pair to experiment.run.
+func study[R any](runFn func(experiments.Opts) (R, error), printFn func(io.Writer, R)) func(io.Writer, experiments.Opts) (any, error) {
+	return func(w io.Writer, o experiments.Opts) (any, error) {
+		r, err := runFn(o)
 		if err != nil {
 			return nil, err
 		}
-		experiments.PrintTable(w, "Table III — BLSTM training times and B-Par speed-ups", rows)
-		return rows, nil
-	case "table4":
-		rows, err := experiments.RunTable(core.GRU, o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintTable(w, "Table IV — BGRU training times and B-Par speed-ups", rows)
-		return rows, nil
-	case "fig3":
-		r, err := experiments.RunFig3(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig3(w, r)
+		printFn(w, r)
 		return r, nil
-	case "fig4":
-		r, err := experiments.RunFig4(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig4(w, r)
-		return r, nil
-	case "fig5":
-		r, err := experiments.RunFig5(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig5(w, r)
-		return r, nil
-	case "fig6":
-		r, err := experiments.RunFig6(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig6(w, r)
-		return r, nil
-	case "fig7":
-		r, err := experiments.RunFig7(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig7(w, r)
-		return r, nil
-	case "fig8":
-		r, err := experiments.RunFig8(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig8(w, r)
-		return r, nil
-	case "granularity":
-		r, err := experiments.RunGranularity(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintGranularity(w, r)
-		return r, nil
-	case "memory":
-		r, err := experiments.RunMemory(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintMemory(w, r)
-		return r, nil
-	case "policy":
-		r, err := experiments.RunAblationPolicy(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintAblationPolicy(w, r)
-		return r, nil
-	case "efficiency":
-		r, err := experiments.RunEfficiency(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintEfficiency(w, r)
-		return r, nil
-	case "crossover":
-		r, err := experiments.RunCrossover(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintCrossover(w, r)
-		return r, nil
-	case "platforms":
-		r, err := experiments.RunPlatforms(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintPlatforms(w, r)
-		return r, nil
-	case "sched":
-		r, err := experiments.RunScheduler(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintScheduler(w, r)
-		return r, nil
-	case "dtype":
-		r, err := experiments.RunDType(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintDType(w, r)
-		return r, nil
-	case "multihead":
-		r, err := experiments.RunMultiHead(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintMultiHead(w, r)
-		return r, nil
-	case "replay":
-		r, err := experiments.RunReplay(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintReplay(w, r)
-		return r, nil
-	case "determinism":
-		r, err := experiments.RunDeterminism(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintDeterminism(w, r)
-		return r, nil
-	case "granularity-ablation":
-		r, err := experiments.RunAblationGranularity(o)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintAblationGranularity(w, r)
-		return r, nil
-	case "ablation":
-		r, err := experiments.RunAblationBarrier(o)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "Barrier-removal ablation (8-layer BLSTM, mbs:8, 48 cores)\n")
-		fmt.Fprintf(w, "  barrier-free:   %.3fs (avg parallelism %.1f)\n", r.BarrierFreeSec, r.AvgParallelismFree)
-		fmt.Fprintf(w, "  per-layer sync: %.3fs (avg parallelism %.1f)\n", r.BarrierSec, r.AvgParallelismBarrier)
-		fmt.Fprintf(w, "  speed-up from removing barriers: %.2fx\n", r.Speedup)
-		return r, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
+}
+
+// table is the study of Table III (LSTM) or Table IV (GRU).
+func table(cell core.CellKind, title string) func(io.Writer, experiments.Opts) (any, error) {
+	return study(
+		func(o experiments.Opts) ([]experiments.TableRow, error) { return experiments.RunTable(cell, o) },
+		func(w io.Writer, rows []experiments.TableRow) { experiments.PrintTable(w, title, rows) })
+}
+
+// experimentList is the one list of experiments: -exp all, the -exp help
+// text and run's dispatch all come from it.
+var experimentList = []experiment{
+	{"table3", table(core.LSTM, "Table III — BLSTM training times and B-Par speed-ups")},
+	{"table4", table(core.GRU, "Table IV — BGRU training times and B-Par speed-ups")},
+	{"fig3", study(experiments.RunFig3, experiments.PrintFig3)},
+	{"fig4", study(experiments.RunFig4, experiments.PrintFig4)},
+	{"fig5", study(experiments.RunFig5, experiments.PrintFig5)},
+	{"fig6", study(experiments.RunFig6, experiments.PrintFig6)},
+	{"fig7", study(experiments.RunFig7, experiments.PrintFig7)},
+	{"fig8", study(experiments.RunFig8, experiments.PrintFig8)},
+	{"granularity", study(experiments.RunGranularity, experiments.PrintGranularity)},
+	{"memory", study(experiments.RunMemory, experiments.PrintMemory)},
+	{"ablation", study(experiments.RunAblationBarrier, printAblationBarrier)},
+	{"policy", study(experiments.RunAblationPolicy, experiments.PrintAblationPolicy)},
+	{"efficiency", study(experiments.RunEfficiency, experiments.PrintEfficiency)},
+	{"platforms", study(experiments.RunPlatforms, experiments.PrintPlatforms)},
+	{"crossover", study(experiments.RunCrossover, experiments.PrintCrossover)},
+	{"granularity-ablation", study(experiments.RunAblationGranularity, experiments.PrintAblationGranularity)},
+	{"determinism", study(experiments.RunDeterminism, experiments.PrintDeterminism)},
+}
+
+// experimentNames lists every -exp name, in the order -exp all runs them.
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
+// expUsage is the -exp help text.
+func expUsage() string {
+	return "comma-separated experiments, or all: " + strings.Join(experimentNames(), ", ")
+}
+
+func run(name string, o experiments.Opts) (any, error) {
+	for _, e := range experimentList {
+		if e.name == name {
+			return e.run(os.Stdout, o)
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
+}
+
+func printAblationBarrier(w io.Writer, r *experiments.AblationBarrierResult) {
+	fmt.Fprintf(w, "Barrier-removal ablation (8-layer BLSTM, mbs:8, 48 cores)\n")
+	fmt.Fprintf(w, "  barrier-free:   %.3fs (avg parallelism %.1f)\n", r.BarrierFreeSec, r.AvgParallelismFree)
+	fmt.Fprintf(w, "  per-layer sync: %.3fs (avg parallelism %.1f)\n", r.BarrierSec, r.AvgParallelismBarrier)
+	fmt.Fprintf(w, "  speed-up from removing barriers: %.2fx\n", r.Speedup)
 }

@@ -1,5 +1,5 @@
-// Command bpar-prof reads a profile dump written by bpar-train, bpar-bench,
-// or bpar-serve (-profile-graph -profile-out) and reports where a step's
+// Command bpar-prof reads a profile dump written by bpar-train or
+// bpar-serve (-profile-graph -profile-out) and reports where a step's
 // time actually goes: the measured critical path over the frozen replay
 // template, per-node slack, span vs. work (attainable parallelism), the
 // scheduling-overhead ratio against the paper's <10% bound, and per-worker

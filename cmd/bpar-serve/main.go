@@ -54,7 +54,6 @@ type options struct {
 	engWorker int
 	windowMS  float64
 	queueCap  int
-	roundSeq  int
 	buckets   string
 	maxSeq    int
 	maxCached int
@@ -82,8 +81,7 @@ func main() {
 	flag.IntVar(&o.engWorker, "engine-workers", 2, "task-runtime workers per engine")
 	flag.Float64Var(&o.windowMS, "batch-window-ms", 2, "micro-batch collection window in milliseconds")
 	flag.IntVar(&o.queueCap, "queue-cap", 0, "max sequences in flight before 429 (0 = 8*batch*engines)")
-	flag.IntVar(&o.roundSeq, "round-seq", 1, "round sequence lengths up to a multiple; >1 shrinks the bucket working set (padding is masked, numerics unchanged)")
-	flag.StringVar(&o.buckets, "buckets", "", "comma-separated ascending sequence-length buckets; lengths pad up to their bucket (masked, numerics unchanged) and longer sequences are rejected. Mutually exclusive with -round-seq")
+	flag.StringVar(&o.buckets, "buckets", "", "comma-separated ascending sequence-length buckets; lengths pad up to their bucket (masked, numerics unchanged) and longer sequences are rejected (empty = exact lengths)")
 	flag.IntVar(&o.maxSeq, "max-seq", 512, "reject sequences longer than this")
 	flag.IntVar(&o.maxCached, "max-cached-seqs", 16, "per-engine workspace/template LRU bound on distinct sequence lengths")
 	flag.StringVar(&o.dtype, "dtype", "f64", "inference dtype: f64 (bitwise-exact responses) or f32 (float32 mirror with packed weight panels; checkpoints stay f64)")
@@ -203,7 +201,6 @@ func run(o options) error {
 		WorkersPerEngine: o.engWorker,
 		BatchWindow:      time.Duration(o.windowMS * float64(time.Millisecond)),
 		QueueCap:         o.queueCap,
-		RoundSeqTo:       o.roundSeq,
 		Buckets:          bucketLens,
 		MaxSeqLen:        o.maxSeq,
 		MaxCachedSeqLens: o.maxCached,

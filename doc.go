@@ -20,7 +20,7 @@
 //	internal/data        synthetic TIDIGITS and Wikipedia workloads
 //	internal/experiments every table and figure of the paper's evaluation
 //
-// This file's sibling bench_test.go regenerates each table and figure as a
-// Go benchmark; cmd/bpar-bench does the same as a CLI. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// cmd/bpar-bench regenerates each table and figure; the benchmark harness
+// in bench/ measures native-engine speed. See README.md, DESIGN.md and
+// EXPERIMENTS.md.
 package bpar

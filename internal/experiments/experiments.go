@@ -31,14 +31,9 @@ type Opts struct {
 	SeqLen int
 	// CoreCounts overrides the core sweep.
 	CoreCounts []int
-	// NoReplay disables graph capture & replay in the native-engine
-	// experiments, forcing fresh task-graph emission every step (the
-	// engine's default is replay; the replay experiment contrasts both).
+	// NoReplay makes the determinism study train with fresh task-graph
+	// emission every step instead of graph capture & replay.
 	NoReplay bool
-	// Profile, when non-nil, is installed as the profiling sink of every
-	// native runtime the experiments create (bpar-bench's -profile-graph),
-	// so template replays accumulate per-node timing for bpar-prof.
-	Profile taskrt.ProfileSink
 	// Machine overrides the simulated platform.
 	Machine *costmodel.Machine
 }

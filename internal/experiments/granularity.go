@@ -123,13 +123,12 @@ func RunGranularity(o Opts) (*GranularityResult, error) {
 	if workers < 2 {
 		workers = 2
 	}
-	rt := taskrt.New(taskrt.Options{Workers: workers, Policy: taskrt.LocalityAware, Sink: sink, Profile: o.Profile})
+	rt := taskrt.New(taskrt.Options{Workers: workers, Policy: taskrt.LocalityAware, Sink: sink})
 	m, err := core.NewModel(hostCfg)
 	if err != nil {
 		return nil, err
 	}
 	eng := core.NewEngine(m, rt)
-	eng.NoReplay = o.NoReplay
 	corpus := data.NewSpeechCorpus(hostCfg.InputSize, 7)
 	for i := 0; i < 3; i++ {
 		b := corpus.Batch(hostCfg.Batch, hostCfg.SeqLen)

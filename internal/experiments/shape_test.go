@@ -6,14 +6,13 @@ package experiments
 // in EXPERIMENTS.md; the assertions here use generous bands around the
 // paper's ratios so they check structure, not calibration luck.
 //
-// Tests run with a reduced sequence length to keep the suite fast; the
-// bench harness and cmd/bpar-bench run the full paper parameters.
+// Tests run with a reduced sequence length to keep the suite fast;
+// cmd/bpar-bench runs the full paper parameters.
 
 import (
 	"encoding/json"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"bpar/internal/core"
@@ -544,31 +543,5 @@ func TestCrossoverShape(t *testing.T) {
 		if rows[i].SpeedupVsGPU > rows[i-1].SpeedupVsGPU*1.1 {
 			t.Errorf("advantage should decay with seq length: %v", rows)
 		}
-	}
-}
-
-func TestSchedulerShape(t *testing.T) {
-	o := testOpts()
-	o.SeqLen = 10 // chain depth; keep the flood small in tests
-	rows, err := RunScheduler(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 rows (2 policies x 2 submit modes), got %d", len(rows))
-	}
-	want := int64(64 * 10)
-	for _, r := range rows {
-		if r.Tasks != want {
-			t.Fatalf("row %+v executed %d tasks, want %d", r, r.Tasks, want)
-		}
-		if r.Overhead < 0 || r.LockWaitNS < 0 || r.IdleNS < 0 {
-			t.Fatalf("negative counters in row %+v", r)
-		}
-	}
-	var buf strings.Builder
-	PrintScheduler(&buf, rows)
-	if !strings.Contains(buf.String(), "lockwait-us") {
-		t.Fatalf("render missing counters:\n%s", buf.String())
 	}
 }

@@ -41,8 +41,8 @@ type metrics struct {
 
 	// Per-bucket occupancy and padding cost, labeled by bucketed sequence
 	// length. Series are registered lazily on a bucket's first dispatch —
-	// the bucket working set is request-driven (RoundSeqTo, exact lengths)
-	// unless Config.Buckets pins it.
+	// the bucket working set is request-driven (exact lengths) unless
+	// Config.Buckets pins it.
 	reg      *obs.Registry
 	bmu      sync.Mutex
 	byBucket map[int]*bucketMetrics

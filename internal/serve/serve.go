@@ -15,12 +15,12 @@
 // Row padding is not computed: the engine runs a partial micro-batch's real
 // rows only (Batch.Real), and the forward pass is row-independent, so a
 // sequence's probabilities are bitwise identical whether it rides in a full
-// batch, a padded one, or alone. Sequence-length padding (RoundSeqTo or
-// Buckets) is made inert through the engine's masked-batch path: every
-// micro-batch carries Batch.Lens with each row's true length, the engine
-// masks the reverse direction at padded steps and gathers each row's final
-// forward state at its own boundary, so a bucketed response stays bitwise
-// identical to a direct Engine.InferProbs call at the exact length. Frames
+// batch, a padded one, or alone. Sequence-length padding (Buckets) is made
+// inert through the engine's masked-batch path: every micro-batch carries
+// Batch.Lens with each row's true length, the engine masks the reverse
+// direction at padded steps and gathers each row's final forward state at
+// its own boundary, so a bucketed response stays bitwise identical to a
+// direct Engine.InferProbs call at the exact length. Frames
 // past a micro-batch's longest row are not computed at all. Buckets is the
 // production shape — a handful of fixed lengths keeps the per-(T)
 // template cache hot regardless of request-length diversity.
@@ -66,19 +66,12 @@ type Config struct {
 	// 8 * Model.Cfg.Batch * Engines, floored at 64.
 	QueueCap int
 
-	// RoundSeqTo, when > 1, rounds sequence lengths up to the next multiple
-	// with zero-frame padding, shrinking the bucket working set. 0 or 1
-	// keeps exact-length buckets (the default). Padded frames are masked
-	// through Batch.Lens, so responses stay bitwise identical to a direct
-	// Engine.InferProbs call at the exact length either way.
-	RoundSeqTo int
-
 	// Buckets, when non-empty, fixes the admissible sequence lengths to an
 	// explicit strictly-increasing boundary set: each sequence is padded up
 	// to the smallest boundary >= its length (masked via Batch.Lens, so
 	// numerics are unchanged) and sequences beyond the largest boundary are
-	// rejected with 400. Mutually exclusive with RoundSeqTo > 1. This is
-	// the recommended production setting: the engine's workspace and
+	// rejected with 400. Empty keeps exact-length buckets (the default).
+	// This is the recommended production setting: the engine's workspace and
 	// template caches then hold at most len(Buckets) entries no matter how
 	// diverse the request lengths are.
 	Buckets []int
@@ -129,13 +122,7 @@ func (c *Config) withDefaults() error {
 	if c.QueueCap <= 0 {
 		c.QueueCap = max(64, 8*c.Model.Cfg.Batch*c.Engines)
 	}
-	if c.RoundSeqTo <= 0 {
-		c.RoundSeqTo = 1
-	}
 	if len(c.Buckets) > 0 {
-		if c.RoundSeqTo > 1 {
-			return fmt.Errorf("serve: Buckets and RoundSeqTo are mutually exclusive")
-		}
 		bk, err := data.NewBucketer(c.Buckets)
 		if err != nil {
 			return err
@@ -153,7 +140,7 @@ func (c *Config) withDefaults() error {
 // item is one admitted sequence flowing queue → bucket → batch → engine.
 type item struct {
 	frames [][]float64 // origT frames of Model.Cfg.InputSize features
-	T      int         // bucketed (possibly rounded-up) length
+	T      int         // bucketed length (origT unless Buckets is set)
 	origT  int
 	done   chan itemResult // buffered(1): the worker never blocks on it
 
@@ -252,21 +239,20 @@ func New(cfg Config) (*Server, error) {
 	obs.Logger("serve").Info("inference service started",
 		"engines", cfg.Engines, "workers_per_engine", cfg.WorkersPerEngine,
 		"batch_window", cfg.BatchWindow, "queue_cap", cfg.QueueCap,
-		"round_seq_to", cfg.RoundSeqTo, "dtype", cfg.InferDType.String(),
+		"dtype", cfg.InferDType.String(),
 		"model", cfg.Model.Cfg.String())
 	return s, nil
 }
 
 // bucketLen returns the bucketed sequence length for an original length:
-// the enclosing bucket boundary when Buckets is set, otherwise the next
-// RoundSeqTo multiple. Admission has already bounded origT by MaxSeqLen,
-// which withDefaults capped at the largest bucket.
+// the enclosing bucket boundary when Buckets is set, otherwise origT itself.
+// Admission has already bounded origT by MaxSeqLen, which withDefaults
+// capped at the largest bucket.
 func (s *Server) bucketLen(origT int) int {
 	if s.bk != nil {
 		return s.bk.Round(origT)
 	}
-	r := s.cfg.RoundSeqTo
-	return (origT + r - 1) / r * r
+	return origT
 }
 
 // Warm captures the forward template of each given original sequence length

@@ -551,9 +551,6 @@ func TestServeBucketsRejectAndValidate(t *testing.T) {
 		t.Fatalf("over-long sequence: status %d, want 400", resp.StatusCode)
 	}
 
-	if _, err := New(Config{Model: m, Buckets: []int{4, 8}, RoundSeqTo: 2}); err == nil {
-		t.Fatal("Buckets + RoundSeqTo should be rejected")
-	}
 	if _, err := New(Config{Model: m, Buckets: []int{8, 4}}); err == nil {
 		t.Fatal("unsorted buckets should be rejected")
 	}

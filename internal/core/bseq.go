@@ -54,7 +54,7 @@ func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
 			Kind:  "bseq",
 			Fn: func() {
 				wss := sub.workspaces(T)
-				wss[0].resetForStep()
+				wss[0].resetForStep(sub.M, nil, i)
 				wss[0].bindStep(mb, T)
 				sub.emitForward(wss[0], i)
 				sub.emitBackward(wss[0], i)

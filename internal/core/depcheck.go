@@ -45,54 +45,6 @@ func regMats[E tensor.Elt](dc *taskrt.DepChecker, k taskrt.Dep, name string, ms 
 	dc.Register(k, name, bufs...)
 }
 
-// registerDeps tells the sanitizer which buffers each dependency key names,
-// so an access to a buffer can be attributed to the key a task should have
-// declared. Scratch buffers private to a single task body (dHSum*, sinks,
-// zeroH/C) stay unregistered: accesses to them are not attributable
-// and therefore never reported.
-func (w *workspace) registerDeps(dc *taskrt.DepChecker, mbIdx int) {
-	if w.phantom {
-		return
-	}
-	reg := func(k taskrt.Dep, name string, ms ...*tensor.Matrix) {
-		regMats(dc, k, fmt.Sprintf("%s mb%d", name, mbIdx), ms...)
-	}
-	registerFwdDeps(dc, w, &w.fwdBufs, "", mbIdx)
-	for _, g := range w.keyGrids {
-		if g.bufs == nil {
-			continue
-		}
-		for l, row := range *g.bufs {
-			for t, buf := range row {
-				reg((*g.keys)[l][t], fmt.Sprintf("%s L%d t%d", g.name, l, t), buf)
-			}
-		}
-	}
-	reg(w.kDFinalMerged, "dFinalMerged", w.dFinalMerged)
-	for i := range w.dir {
-		d := &w.dir[i]
-		reg(d.kDFinalH, "dFinalH"+dirSuffix[i], d.dFinalH)
-		for l, g := range d.grads {
-			dw, _ := g.wData()
-			reg(d.kGrads[l], fmt.Sprintf("grads%s L%d", dirSuffix[i], l), dw)
-		}
-	}
-	for h := range w.kHeadGrads {
-		reg(w.kHeadGrads[h], fmt.Sprintf("headGrads h%d", h), w.headGrads[h].W, w.dLogits[h])
-	}
-	if w.f32 != nil {
-		// Registration is additive per buffer, so the float32 buffers share
-		// the float64 buffers' keys — the graph has the identical topology
-		// and a task may legally touch either representation of the value
-		// its key names. Only the converted inputs get distinct keys (kX32),
-		// because they are written by conv tasks that read kX.
-		registerFwdDeps(dc, w, w.f32, "32", mbIdx)
-		for t, x := range w.f32.x {
-			regMats(dc, w.kX32[t], fmt.Sprintf("x32 t%d mb%d", t, mbIdx), x)
-		}
-	}
-}
-
 // registerFwdDeps registers the forward buffers b of w under w's forward
 // keys; tag distinguishes the element type in the sanitizer's names.
 func registerFwdDeps[E tensor.Elt](dc *taskrt.DepChecker, w *workspace, b *fwdBufs[E], tag string, mbIdx int) {

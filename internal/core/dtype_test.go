@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"bpar/internal/taskrt"
@@ -82,45 +84,84 @@ func TestInferF32MatchesF64(t *testing.T) {
 }
 
 // TestWeightCachesTrackTraining is the invalidation contract: one engine
-// alternates training and f32 inference, and after every update its
-// inference must match a fresh engine built from the current weights — the
-// f32 mirror has to reconvert and its packed panels repack.
+// infers first, then alternates training and inference, and after every
+// update its inference must match a fresh engine built from the current
+// weights — the f32 mirror has to reconvert and its packed panels repack.
+// Its losses, weights and probabilities must also equal, bitwise, those of a
+// train-first engine: a serving engine that later builds its training half
+// trains and infers exactly like one that trained from the start.
 func TestWeightCachesTrackTraining(t *testing.T) {
-	cfg := smallCfg(GRU, ManyToOne, 1)
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := taskrt.New(taskrt.Options{Workers: 2})
-	defer rt.Shutdown()
-	e := NewEngine(m, rt)
-	e.InferDType = tensor.F32
-	b := makeBatch(cfg, 7)
-	for i := 0; i < 3; i++ {
-		if _, err := e.TrainStep(makeBatch(cfg, uint64(80+i)), 0.1); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := e.InferProbs(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A fresh engine converts the *current* weights from scratch: if the
-		// long-lived engine's caches went stale, the two diverge at 1e-2
-		// scale (the size of an SGD step), far outside the f32 band.
-		fresh := inferProbsWith(t, m, b, tensor.F32, false)
-		if d := probsMaxDiff(fresh, got); d > 1e-7 {
-			t.Fatalf("after update %d: cached f32 inference drifted %g from fresh conversion", i, d)
-		}
-		ref := inferProbsWith(t, m, b, tensor.F64, false)
-		if d := probsMaxDiff(ref, got); d > f32ProbTol {
-			t.Fatalf("after update %d: f32 inference off f64 reference by %g", i, d)
+	for _, cell := range []CellKind{LSTM, GRU} {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, mbs := range []int{1, 2} {
+				for _, noReplay := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%v/%v/mbs%d/noReplay=%v", cell, dt, mbs, noReplay), func(t *testing.T) {
+						cfg := smallCfg(cell, ManyToOne, mbs)
+						rt := taskrt.New(taskrt.Options{Workers: 2})
+						defer rt.Shutdown()
+						newEng := func(exec taskrt.Executor) *Engine {
+							m, err := NewModel(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							e := NewEngine(m, exec)
+							e.InferDType, e.NoReplay = dt, noReplay
+							return e
+						}
+						e, trainFirst := newEng(rt), newEng(taskrt.NewInline(nil))
+						b := makeBatch(cfg, 7)
+						if _, _, err := e.InferProbs(b); err != nil {
+							t.Fatal(err)
+						}
+						for i := 0; i < 3; i++ {
+							tb := makeBatch(cfg, uint64(80+i))
+							loss, err := e.TrainStep(tb, 0.1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							wantLoss, err := trainFirst.TrainStep(tb, 0.1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if loss != wantLoss || !e.M.WeightsEqual(trainFirst.M) {
+								t.Fatalf("update %d: loss %g, train-first %g; weights differ by %g", i, loss, wantLoss, e.M.WeightsMaxAbsDiff(trainFirst.M))
+							}
+							got, gotLoss, err := e.InferProbs(b)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, wantLoss, err := trainFirst.InferProbs(b)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if d := probsMaxDiff(want, got); d != 0 || gotLoss != wantLoss {
+								t.Fatalf("after update %d: inference differs from a train-first engine's by %g (loss %g vs %g)", i, d, gotLoss, wantLoss)
+							}
+							// A fresh engine converts the *current* weights from
+							// scratch: if the long-lived engine's caches went stale,
+							// the two diverge at 1e-2 scale (the size of an SGD
+							// step), far outside the f32 band.
+							fresh := inferProbsWith(t, e.M, b, dt, false)
+							if d := probsMaxDiff(fresh, got); d > 1e-7 {
+								t.Fatalf("after update %d: cached inference drifted %g from fresh conversion", i, d)
+							}
+							ref := inferProbsWith(t, e.M, b, tensor.F64, false)
+							if d := probsMaxDiff(ref, got); d > f32ProbTol {
+								t.Fatalf("after update %d: inference off f64 reference by %g", i, d)
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }
 
 // TestF32LeavesF64BuffersUntouched is the structural half of the dtype seam:
-// during an f32 inference the f64 cell-state buffers must stay zero (the f64
-// graph tasks were not emitted) while the f32 mirrors carry activations.
+// an f32 inference must leave the f64 cell-state buffers exactly as the last
+// training step left them (the f64 graph tasks were not emitted) while the
+// f32 mirrors carry activations. Before any training step the f64 buffers do
+// not exist at all (TestInferAllocatesNoTrainingState).
 func TestF32LeavesF64BuffersUntouched(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 1)
 	m, err := NewModel(cfg)
@@ -131,26 +172,18 @@ func TestF32LeavesF64BuffersUntouched(t *testing.T) {
 	defer rt.Shutdown()
 	e := NewEngine(m, rt)
 	e.InferDType = tensor.F32
-	if _, _, err := e.InferProbs(makeBatch(cfg, 3)); err != nil {
+	if _, err := e.TrainStep(makeBatch(cfg, 2), 0.1); err != nil {
 		t.Fatal(err)
 	}
 	ws := e.workspaces(cfg.SeqLen)[0]
-	if ws.f32 == nil {
-		t.Fatal("f32 workspace not allocated")
+	trained := slices.Clone(ws.st[fwdDir][0][1].lstm.H.Data)
+	if _, _, err := e.InferProbs(makeBatch(cfg, 3)); err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range ws.st[fwdDir][0][1].lstm.H.Data {
-		if v != 0 {
-			t.Fatal("f64 cell state written during f32 inference")
-		}
+	if !slices.Equal(ws.st[fwdDir][0][1].lstm.H.Data, trained) {
+		t.Fatal("f64 cell state written during f32 inference")
 	}
-	nonzero := false
-	for _, v := range ws.f32.st[fwdDir][0][1].lstm.H.Data {
-		if v != 0 {
-			nonzero = true
-			break
-		}
-	}
-	if !nonzero {
+	if !slices.ContainsFunc(ws.f32.st[fwdDir][0][1].lstm.H.Data, func(v float32) bool { return v != 0 }) {
 		t.Fatal("f32 cell state all zero: mirror graph did not run")
 	}
 }

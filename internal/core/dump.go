@@ -9,9 +9,9 @@ import (
 // keyNames maps every dependency key of this workspace to the human name
 // the dependency sanitizer would use for it ("fwdSt L2 t17 mb0"), so that
 // template dumps and graphlint diagnostics speak the same vocabulary as
-// depcheck reports. Unlike registerDeps it names every key grid — including
-// kX, which phantom captures reference with no buffer behind it — and it
-// needs no live buffers.
+// depcheck reports. Unlike the sanitizer registration it names every key
+// grid — including kX, which phantom captures reference with no buffer
+// behind it — and it needs no live buffers.
 func (w *workspace) keyNames(mbIdx int, into map[taskrt.Dep]string) {
 	name := func(k taskrt.Dep, format string, args ...any) {
 		into[k] = fmt.Sprintf(format, args...) + fmt.Sprintf(" mb%d", mbIdx)

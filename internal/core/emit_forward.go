@@ -358,7 +358,7 @@ func (fp *fwdPass[E]) heads() {
 					if perFrame {
 						if t >= ws.bind.maxLen {
 							// A skipped frame answers 0; its loss is the 0
-							// resetForStep left (every row is IgnoreLabel).
+							// bindStep left (every row is IgnoreLabel).
 							buf.probs[lo+t].Zero()
 							return
 						}

@@ -110,7 +110,8 @@ type Engine struct {
 	// float64 graph; tensor.F32 runs a float32 mirror of the model — weights
 	// converted once per weight version into packed panels, activations in
 	// float32 throughout. Training is always float64. Set before the first
-	// step: workspaces are built per dtype. Phantom engines ignore it.
+	// step: workspaces hold forward buffers of this dtype only until they
+	// first train. Phantom engines ignore it.
 	InferDType tensor.DType
 
 	// noReduce freezes captured templates with the full derived edge set
@@ -200,12 +201,7 @@ func (e *Engine) workspaces(T int) []*workspace {
 	ws := make([]*workspace, n)
 	for i := range ws {
 		lo, hi := e.M.Cfg.mbBounds(i)
-		ws[i] = newWorkspace(e.M, hi-lo, T, e.phantom, e.isF32())
-	}
-	if dc := e.depChecker(); dc != nil {
-		for i, w := range ws {
-			w.registerDeps(dc, i)
-		}
+		ws[i] = newWorkspace(e.M, hi-lo, T, e.phantom, e.isF32(), e.depChecker(), i)
 	}
 	e.wsByT[T] = ws
 	e.touchSeqLen(T)
@@ -456,19 +452,21 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 	return loss, nil
 }
 
-// bindWorkspaces prepares every workspace for one step over batch b: reset
-// the step accumulators, bind the per-step batch views, and (under depcheck)
-// register this step's input matrices. A forward-only step binds each
-// micro-batch's leading real rows only and skips the timesteps past its
-// longest real row (all of them for an all-padding micro-batch); training
-// binds every row for all T, since the backward chains read every row and
-// timestep. Returns the sanitizer for finishStep.
+// bindWorkspaces prepares every workspace for one step over batch b: ready
+// the training half on a training step (resetForStep), bind the per-step
+// batch views, and (under depcheck) register this step's input matrices. A
+// forward-only step touches no training state and binds each micro-batch's
+// leading real rows only, skipping the timesteps past its longest real row
+// (all of them for an all-padding micro-batch); training binds every row for
+// all T, since the backward chains read every row and timestep. Returns the
+// sanitizer for finishStep.
 func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch, train bool) *taskrt.DepChecker {
 	dc := e.depChecker()
 	for i, ws := range wss {
-		ws.resetForStep()
 		lo, hi := e.M.Cfg.mbBounds(i)
-		if !train {
+		if train {
+			ws.resetForStep(e.M, dc, i)
+		} else {
 			hi = lo + b.realRows(lo, hi)
 		}
 		mb := b.sliceRows(lo, hi)
@@ -651,8 +649,9 @@ func (e *Engine) EmitInferGraph(T int) {
 	}
 }
 
-// WorkingSetBytes reports the total activation/gradient working set across
-// all mini-batch workspaces for sequence length T (the memory study).
+// WorkingSetBytes reports a training step's activation/gradient working set
+// across all mini-batch workspaces for sequence length T (the memory study),
+// without building their training half.
 func (e *Engine) WorkingSetBytes(T int) int64 {
 	var total int64
 	for _, ws := range e.workspaces(T) {

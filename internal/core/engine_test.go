@@ -199,32 +199,35 @@ func TestInferLearnsBatch(t *testing.T) {
 }
 
 // TestBSeqMatchesBPar: the data-parallel-only baseline computes bitwise the
-// same update as B-Par with equal mini-batching.
+// same update as B-Par with equal mini-batching, from a fresh model whose
+// sub-engines build their training half on the first step.
 func TestBSeqMatchesBPar(t *testing.T) {
 	for _, arch := range []Arch{ManyToOne, ManyToMany} {
-		cfg := smallCfg(LSTM, arch, 3)
-		parM, parLoss := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
+		for _, cell := range []CellKind{LSTM, GRU} {
+			cfg := smallCfg(cell, arch, 3)
+			parM, parLoss := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
 
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := taskrt.New(taskrt.Options{Workers: 4})
-		bs := NewBSeq(m, rt)
-		var loss float64
-		for i := 0; i < 3; i++ {
-			b := makeBatch(cfg, uint64(100+i))
-			loss, err = bs.TrainStep(b, 0.05)
+			m, err := NewModel(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		rt.Shutdown()
-		if !m.WeightsEqual(parM) {
-			t.Fatalf("%v: BSeq diverged from B-Par: %g", arch, m.WeightsMaxAbsDiff(parM))
-		}
-		if loss != parLoss {
-			t.Fatalf("%v: losses differ: %g vs %g", arch, loss, parLoss)
+			rt := taskrt.New(taskrt.Options{Workers: 4})
+			bs := NewBSeq(m, rt)
+			var loss float64
+			for i := 0; i < 3; i++ {
+				b := makeBatch(cfg, uint64(100+i))
+				loss, err = bs.TrainStep(b, 0.05)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.Shutdown()
+			if !m.WeightsEqual(parM) {
+				t.Fatalf("%v/%v: BSeq diverged from B-Par: %g", cell, arch, m.WeightsMaxAbsDiff(parM))
+			}
+			if loss != parLoss {
+				t.Fatalf("%v/%v: losses differ: %g vs %g", cell, arch, loss, parLoss)
+			}
 		}
 	}
 }
@@ -400,8 +403,9 @@ func TestWorkingSetBytesPositiveAndPhantomAgrees(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("phantom estimate off: real %d phantom %d", r, p)
 	}
-	// An f32-inference engine keeps its float32 forward buffers next to the
-	// float64 ones (training still needs those), and the study must see both.
+	// A training step of an f32-inference engine holds its float32 forward
+	// buffers next to the float64 ones it builds, and the study must see both
+	// before the engine has trained.
 	f32 := NewEngine(m, taskrt.NewInline(nil))
 	f32.InferDType = tensor.F32
 	if got := f32.WorkingSetBytes(cfg.SeqLen); got <= r || got >= 2*r {

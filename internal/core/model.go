@@ -412,32 +412,24 @@ func (p *dirParams) taskWorkingSet(batch int) int64 {
 
 // dirGrads accumulates weight gradients for one direction of one layer.
 type dirGrads struct {
-	kind CellKind
 	lstm *cell.LSTMGrads
 	gru  *cell.GRUGrads
 	rnn  *cell.RNNGrads
 }
 
-func (p *dirParams) newGrads() *dirGrads {
+// newGrads allocates zeroed gradients shaped like p, also returned as their
+// weight/bias pair.
+func (p *dirParams) newGrads() (*dirGrads, wb) {
 	switch p.kind {
 	case LSTM:
-		return &dirGrads{kind: LSTM, lstm: cell.NewLSTMGrads(p.lstm)}
+		g := cell.NewLSTMGrads(p.lstm)
+		return &dirGrads{lstm: g}, wb{g.DW, g.DB}
 	case GRU:
-		return &dirGrads{kind: GRU, gru: cell.NewGRUGrads(p.gru)}
+		g := cell.NewGRUGrads(p.gru)
+		return &dirGrads{gru: g}, wb{g.DW, g.DB}
 	default:
-		return &dirGrads{kind: RNN, rnn: cell.NewRNNGrads(p.rnn)}
-	}
-}
-
-// wData returns the weight-gradient matrix and bias-gradient slice.
-func (g *dirGrads) wData() (*tensor.Matrix, []float64) {
-	switch g.kind {
-	case LSTM:
-		return g.lstm.DW, g.lstm.DB
-	case GRU:
-		return g.gru.DW, g.gru.DB
-	default:
-		return g.rnn.DW, g.rnn.DB
+		g := cell.NewRNNGrads(p.rnn)
+		return &dirGrads{rnn: g}, wb{g.DW, g.DB}
 	}
 }
 

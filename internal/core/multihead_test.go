@@ -158,7 +158,9 @@ func TestMultiHeadReplayMatchesFreshBitwise(t *testing.T) {
 
 // TestMultiHeadDepCheckClean runs shared-trunk masked training and inference
 // under the runtime dependency sanitizer: every tensor the head and masking
-// tasks touch must be declared, or the step fails loudly.
+// tasks touch must be declared, or the step fails loudly. Both engines infer
+// before their first training step, so the sanitizer also sees every buffer
+// of a training half built after inference registered.
 func TestMultiHeadDepCheckClean(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU} {
 		t.Run(cell.String(), func(t *testing.T) {
@@ -171,6 +173,9 @@ func TestMultiHeadDepCheckClean(t *testing.T) {
 			defer rt.Shutdown()
 			defer tensor.SetAccessHook(nil)
 			eng := NewEngine(m, rt)
+			if _, _, err := eng.Infer(makeMultiBatch(cfg, 54, true)); err != nil {
+				t.Fatalf("infer before training: %v", err)
+			}
 			for i := 0; i < 3; i++ {
 				if _, err := eng.TrainStep(makeMultiBatch(cfg, uint64(100+i), true), 0.05); err != nil {
 					t.Fatalf("step %d: %v", i, err)
@@ -200,8 +205,10 @@ func TestMultiHeadDepCheckClean(t *testing.T) {
 					}
 				}
 			}
-			if _, err := eng.TrainStep(makeMultiBatch(cfg, 58, true), 0.05); err != nil {
-				t.Fatalf("train after partial infer: %v", err)
+			for _, e := range []*Engine{eng, f32} {
+				if _, err := e.TrainStep(makeMultiBatch(cfg, 58, true), 0.05); err != nil {
+					t.Fatalf("train %v after partial infer: %v", e.InferDType, err)
+				}
 			}
 		})
 	}
@@ -433,8 +440,10 @@ func TestInferShortAfterLong(t *testing.T) {
 // second micro-batch all padding), the full batch again, and finally trains
 // one step. Every real row's live slots must equal a fresh engine's
 // full-batch run of the same rows, bitwise, whatever the padding rows hold;
-// and the training step's loss and weights must equal a fresh engine's, so a
-// buffer a partial step reshaped and left unrestored cannot go unnoticed.
+// and the training step's loss and weights, and the inference after it, must
+// equal a fresh train-first engine's, so neither a buffer a partial step
+// reshaped and left unrestored nor a training half built after inference
+// can go unnoticed.
 func TestInferPartialBatch(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU, RNN} {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
@@ -486,6 +495,7 @@ func TestInferPartialBatch(t *testing.T) {
 							if !eng.M.WeightsEqual(fresh.M) {
 								t.Fatalf("training after partial inference: weights differ by %g", eng.M.WeightsMaxAbsDiff(fresh.M))
 							}
+							checkRealRows(t, "after training", cfg, infer(eng, full), infer(fresh, full), full.Lens, cfg.Batch)
 						})
 					}
 				}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
 )
@@ -57,8 +60,8 @@ type workspace struct {
 	kDFinalMerged taskrt.Dep
 	kHeadGrads    []taskrt.Dep // one per head
 
-	// Real buffers; nil in phantom mode. The forward half lives in the
-	// embedded float64 fwdBufs, which the backward pass reads.
+	// Real buffers; nil in phantom mode. The forward half is fwdBufs or f32;
+	// the rest here and in dir is the training half (see resetForStep).
 	fwdBufs[float64]
 	losses       []float64 // one per output slot
 	dMerged      [][]*tensor.Matrix
@@ -67,8 +70,8 @@ type workspace struct {
 	dLogits      []*tensor.Matrix // per-head backward scratch (serialized by kHeadGrads[h])
 
 	// grads is the gradient catalogue: one entry per Model.params entry, in
-	// that order, aliasing dir[d].grads[l] and headGrads[h]. Phantom
-	// workspaces carry the keys only.
+	// that order, aliasing dir[d].grads[l] and headGrads[h]. It holds keys
+	// only until the training half exists, and always in phantom mode.
 	grads []gradRef
 
 	// genTargets/ignoreRow back the generate heads' shifted label binding:
@@ -102,7 +105,7 @@ type dirWS struct {
 	kGrads   []taskrt.Dep // per layer
 	kDFinalH taskrt.Dep   // final-merge grad w.r.t. this direction
 
-	// Backward buffers; nil in phantom mode.
+	// Backward buffers; nil until the first training step.
 	dHMerge, dHChain, dCChain [][]*tensor.Matrix
 	dGates                    [][]*tensor.Matrix // each [rows x G*H]
 	dFinalH                   *tensor.Matrix     // final-merge backward output
@@ -130,13 +133,14 @@ type gradRef struct {
 // depcheck name, where the keys live, and — for backward grids — where the
 // float64 buffers they name live and how wide those are at layer l (0: the
 // layer has none). Forward grids leave bufs nil: their buffers exist per
-// element type in fwdBufs. newWorkspace, registerDeps and keyNames all walk
-// this one list.
+// element type in fwdBufs. newWorkspace, allocTraining, keyNames and
+// workingSetBytes all walk this one list.
 type keyGrid struct {
-	name string
-	keys *[][]taskrt.Dep
-	bufs *[][]*tensor.Matrix
-	cols func(l int) int
+	name    string
+	keys    *[][]taskrt.Dep
+	bufs    *[][]*tensor.Matrix
+	cols    func(l int) int
+	operand bool // a per-task operand panel, left out of workingSetBytes
 }
 
 func (w *workspace) listKeyGrids(m *Model) []keyGrid {
@@ -159,7 +163,7 @@ func (w *workspace) listKeyGrids(m *Model) []keyGrid {
 			keyGrid{name: "dHMerge" + sfx, keys: &d.kDHMerge, bufs: &d.dHMerge, cols: hidden},
 			keyGrid{name: "dHChain" + sfx, keys: &d.kDHChain, bufs: &d.dHChain, cols: hidden},
 			keyGrid{name: "dCChain" + sfx, keys: &d.kDCChain, bufs: &d.dCChain, cols: hidden},
-			keyGrid{name: "dGates" + sfx, keys: &d.kDGates, bufs: &d.dGates, cols: func(l int) int {
+			keyGrid{name: "dGates" + sfx, keys: &d.kDGates, bufs: &d.dGates, operand: true, cols: func(l int) int {
 				_, gw := m.dir[i][l].dims()
 				return gw
 			}},
@@ -170,9 +174,9 @@ func (w *workspace) listKeyGrids(m *Model) []keyGrid {
 
 // fwdBufs holds the forward-pass buffers of one workspace at element type E:
 // layer inputs, cell states, merge outputs, head buffers, and the pooled
-// gate-preload panels. Every workspace has the float64
-// instantiation — training's backward pass reads it; a float32-inference
-// engine adds the float32 one. Backward buffers exist at float64 only.
+// gate-preload panels. A workspace is built with the instantiation of its
+// engine's inference dtype; a float32 engine's first training step adds the
+// float64 one, which the backward pass reads. Backward buffers are float64.
 type fwdBufs[E tensor.Elt] struct {
 	// x is the layer-0 input, one matrix per timestep. At float64 it is the
 	// current step's batch views, pointed here by bindStep; at float32 it is
@@ -211,10 +215,11 @@ func (c Config) hasMergePerTimestep(l int) bool {
 	return l < c.Layers-1 || c.anyPerFrame()
 }
 
-// newWorkspace builds a workspace for one mini-batch of `rows` sequences of
-// length T. When phantom is true, only dependency keys are created. When f32
-// is true, the float32 forward buffers are allocated as well.
-func newWorkspace(m *Model, rows, T int, phantom, f32 bool) *workspace {
+// newWorkspace builds mini-batch mbIdx's workspace of `rows` sequences of
+// length T: every dependency key, the gradient catalogue's keys and, unless
+// phantom, the forward half of the buffers (allocForward). The training half
+// waits for the workspace's first training step (allocTraining).
+func newWorkspace(m *Model, rows, T int, phantom, f32 bool, dc *taskrt.DepChecker, mbIdx int) *workspace {
 	cfg := m.Cfg
 	w := &workspace{phantom: phantom, rows: rows, T: T, cfg: cfg}
 	L := cfg.Layers
@@ -243,38 +248,72 @@ func newWorkspace(m *Model, rows, T int, phantom, f32 bool) *workspace {
 		w.dir[i].kGrads = tokens(L)
 		w.dir[i].kDFinalH = newToken()
 	}
+	for l := 0; l < L; l++ {
+		w.grads = append(w.grads, gradRef{key: w.dir[fwdDir].kGrads[l]}, gradRef{key: w.dir[revDir].kGrads[l]})
+	}
+	for _, k := range w.kHeadGrads {
+		w.grads = append(w.grads, gradRef{key: k})
+	}
 	w.losses = make([]float64, nSlots)
 	if !phantom {
-		w.allocBuffers(m, f32)
-	}
-	for l := 0; l < L; l++ {
-		for i := range w.dir {
-			d := &w.dir[i]
-			g := gradRef{key: d.kGrads[l]}
-			if !phantom {
-				g.W, g.B = d.grads[l].wData()
-			}
-			w.grads = append(w.grads, g)
-		}
-	}
-	for h, k := range w.kHeadGrads {
-		g := gradRef{key: k}
-		if !phantom {
-			g.wb = w.headGrads[h]
-		}
-		w.grads = append(w.grads, g)
+		w.allocForward(m, f32, dc, mbIdx)
 	}
 	return w
 }
 
-// allocBuffers allocates the numeric buffers of a non-phantom workspace.
-func (w *workspace) allocBuffers(m *Model, f32 bool) {
+// allocForward allocates the forward half of a non-phantom workspace — the
+// forward buffers at the engine's inference dtype only, and the generate
+// heads' label rows, which a labelled forward-only step reads too — and
+// registers it with dc (when non-nil), so an access to a buffer can be
+// attributed to the key a task should have declared. The float32 buffers
+// share the float64 buffers' keys: the graph has the identical topology. Only
+// the converted inputs get distinct keys (kX32), because conv tasks that read
+// kX write them. Scratch buffers private to one task body (dHSum*, sinks,
+// zeroH/C) stay unregistered, so accesses to them are never reported.
+func (w *workspace) allocForward(m *Model, f32 bool, dc *taskrt.DepChecker, mbIdx int) {
+	if slices.ContainsFunc(m.Cfg.HeadSpecs(), func(s HeadSpec) bool { return s.Kind == HeadGenerate }) {
+		w.genTargets, w.ignoreRow = make([][]int, w.T), slices.Repeat([]int{tensor.IgnoreLabel}, w.rows)
+	}
+	if !f32 {
+		w.fwdBufs = newFwdBufs[float64](m, w.rows, w.T)
+		if dc != nil {
+			registerFwdDeps(dc, w, &w.fwdBufs, "", mbIdx)
+		}
+		return
+	}
+	s := newFwdBufs[float32](m, w.rows, w.T)
+	s.x = matRow[float32](w.T, w.rows, m.Cfg.InputSize)
+	w.f32 = &s
+	if dc != nil {
+		registerFwdDeps(dc, w, w.f32, "32", mbIdx)
+		for t, x := range s.x {
+			regMats(dc, w.kX32[t], fmt.Sprintf("x32 t%d mb%d", t, mbIdx), x)
+		}
+	}
+}
+
+// allocTraining builds the training half of a non-phantom workspace and
+// registers each buffer with dc (when non-nil) as it allocates it: the
+// float64 forward buffers a float32 engine lacks, the backward key grids, the
+// final-merge gradients, the per-layer backward scratch and dw stacks, and the
+// weight and head gradients behind the catalogue.
+func (w *workspace) allocTraining(m *Model, dc *taskrt.DepChecker, mbIdx int) {
 	cfg, rows, T := w.cfg, w.rows, w.T
 	L := cfg.Layers
 	H := cfg.HiddenSize
 	D := cfg.MergeDim()
+	reg := func(k taskrt.Dep, buf *tensor.Matrix, format string, args ...any) {
+		if dc != nil {
+			regMats(dc, k, fmt.Sprintf(format+" mb%d", append(args, mbIdx)...), buf)
+		}
+	}
 
-	w.fwdBufs = newFwdBufs[float64](m, rows, T)
+	if w.f32 != nil {
+		w.fwdBufs = newFwdBufs[float64](m, rows, T)
+		if dc != nil {
+			registerFwdDeps(dc, w, &w.fwdBufs, "", mbIdx)
+		}
+	}
 	for _, g := range w.keyGrids {
 		if g.bufs == nil {
 			continue
@@ -284,41 +323,42 @@ func (w *workspace) allocBuffers(m *Model, f32 bool) {
 			if c := g.cols(l); c > 0 {
 				(*g.bufs)[l] = matRow[float64](T, rows, c)
 			}
+			for t, buf := range (*g.bufs)[l] {
+				reg((*g.keys)[l][t], buf, "%s L%d t%d", g.name, l, t)
+			}
 		}
 	}
 	if cfg.anyClassify() {
 		w.dFinalMerged = tensor.New(rows, D)
+		reg(w.kDFinalMerged, w.dFinalMerged, "dFinalMerged")
 	}
+	cat := w.grads // Model.params order: per layer both directions, then the heads
 	for i := range w.dir {
 		d := &w.dir[i]
 		if cfg.anyClassify() {
 			d.dFinalH = tensor.New(rows, H)
+			reg(d.kDFinalH, d.dFinalH, "dFinalH%s", dirSuffix[i])
 		}
 		d.dHSum = matRow[float64](L, rows, H)
 		d.dHSink = matRow[float64](L, rows, H)
 		d.dCSink = matRow[float64](L, rows, H)
-		for _, p := range m.dir[i] {
+		for l, p := range m.dir[i] {
 			in, gw := p.dims()
-			d.grads = append(d.grads, p.newGrads())
+			g, pair := p.newGrads()
+			d.grads = append(d.grads, g)
 			d.stackP = append(d.stackP, tensor.New(gw, T*rows))
 			d.stackB = append(d.stackB, tensor.New(max(in, H), T*rows))
+			cat[2*l+i].wb = pair
+			reg(cat[2*l+i].key, pair.W, "grads%s L%d", dirSuffix[i], l)
 		}
 	}
-	for _, spec := range cfg.HeadSpecs() {
-		w.headGrads = append(w.headGrads, wb{tensor.New(spec.Classes, D), make([]float64, spec.Classes)})
+	for h, spec := range cfg.HeadSpecs() {
+		g := &cat[2*L+h]
+		g.wb = wb{tensor.New(spec.Classes, D), make([]float64, spec.Classes)}
+		w.headGrads = append(w.headGrads, g.wb)
 		w.dLogits = append(w.dLogits, tensor.New(rows, spec.Classes))
-		if spec.Kind == HeadGenerate && w.genTargets == nil {
-			w.genTargets = make([][]int, T)
-			w.ignoreRow = make([]int, rows)
-			for i := range w.ignoreRow {
-				w.ignoreRow[i] = tensor.IgnoreLabel
-			}
-		}
-	}
-	if f32 {
-		s := newFwdBufs[float32](m, rows, T)
-		s.x = matRow[float32](T, rows, cfg.InputSize)
-		w.f32 = &s
+		reg(g.key, g.W, "headGrads h%d", h)
+		reg(g.key, w.dLogits[h], "headGrads h%d", h)
 	}
 }
 
@@ -379,10 +419,12 @@ func matRow[E tensor.Elt](n, rows, cols int) []*tensor.Mat[E] {
 	return out
 }
 
-// bindStep binds mb's views and fits the forward buffers to mb's rows, with
-// forward tasks at timesteps ≥ maxLen skipped. It must run before emitting or
-// replaying any non-phantom graph over this workspace.
+// bindStep binds mb's views, fits the forward buffers to mb's rows, with
+// forward tasks at timesteps ≥ maxLen skipped, and clears the step's losses.
+// It must run before emitting or replaying any non-phantom graph over this
+// workspace.
 func (w *workspace) bindStep(mb *Batch, maxLen int) {
+	clear(w.losses)
 	w.fitRows(mb.X[0].Rows)
 	w.x = mb.X
 	w.bind.targets = mb.Targets
@@ -391,9 +433,7 @@ func (w *workspace) bindStep(mb *Batch, maxLen int) {
 	w.bind.maxLen = maxLen
 	w.bind.genTargets = nil
 	if w.genTargets != nil && mb.StepTargets != nil {
-		for t := 0; t < w.T-1; t++ {
-			w.genTargets[t] = mb.StepTargets[t+1]
-		}
+		copy(w.genTargets, mb.StepTargets[1:])
 		w.genTargets[w.T-1] = w.ignoreRow
 		w.bind.genTargets = w.genTargets
 	}
@@ -405,9 +445,6 @@ func (w *workspace) bindStep(mb *Batch, maxLen int) {
 // keep their identity: replayed closures and the dependency sanitizer hold
 // buffers by pointer. The float64 x is the caller's view, never reshaped.
 func (w *workspace) fitRows(n int) {
-	if w.zeroH.Rows == n {
-		return
-	}
 	w.fwdBufs.fitRows(n)
 	if w.f32 != nil {
 		w.f32.fitRows(n)
@@ -415,7 +452,11 @@ func (w *workspace) fitRows(n int) {
 	}
 }
 
+// fitRows fits one dtype's buffers, if allocated; see workspace.fitRows.
 func (b *fwdBufs[E]) fitRows(n int) {
+	if b.zeroH == nil || b.zeroH.Rows == n {
+		return
+	}
 	for d := range b.st {
 		for l := range b.st[d] {
 			for _, st := range b.st[d][l] {
@@ -498,19 +539,20 @@ func (b *fwdBufs[E]) gatherLastHFwd(lens []int) *tensor.Mat[E] {
 	return b.gatherH
 }
 
-// resetForStep zeroes the buffers that accumulate across tasks within one
-// training step: dMerged and dFinalMerged (summed into by cell-backward and
-// head-backward tasks) and the per-mini-batch gradients. Chain and merge-grad
-// buffers at graph boundaries stay zero by construction.
-func (w *workspace) resetForStep() {
-	if w.phantom {
+// resetForStep readies w for a training step, the one point both training
+// entries (bindWorkspaces, BSeq.TrainStep) pass before any emission or
+// capture. The first call allocates the training half, zeroed; later ones
+// zero what accumulates across tasks within a step: dMerged, dFinalMerged
+// and the gradients. Boundary chain and merge-grad buffers stay zero by
+// construction.
+func (w *workspace) resetForStep(m *Model, dc *taskrt.DepChecker, mbIdx int) {
+	if w.dir[fwdDir].grads == nil {
+		w.allocTraining(m, dc, mbIdx)
 		return
 	}
-	for l := range w.dMerged {
-		for _, m := range w.dMerged[l] {
-			if m != nil {
-				m.Zero()
-			}
+	for _, row := range w.dMerged {
+		for _, m := range row {
+			m.Zero()
 		}
 	}
 	if w.dFinalMerged != nil {
@@ -519,33 +561,39 @@ func (w *workspace) resetForStep() {
 	for _, g := range w.grads {
 		g.zero()
 	}
-	clear(w.losses)
 }
 
-// workingSetBytes estimates the resident bytes of all live activation and
-// gradient buffers of this workspace — the quantity the paper's memory
-// study reports (75.36 MB without per-layer sync vs 28.26 MB with, for an
-// 8-layer BLSTM at mbs:6). Cell states count every buffer the split cell
-// kernels cache; the gate-preload and gate-gradient panels are left out, as
-// the paper's figure counts activations and gradients, not per-task
-// operands. A phantom workspace prices the fused cell shape it records
-// instead (phantomWorkingSetBytes), which is what the memory study reads.
+// workingSetBytes estimates the resident bytes of this workspace's activation
+// and gradient buffers once it trains — the quantity the paper's memory study
+// reports (75.36 MB without per-layer sync vs 28.26 MB with, for an 8-layer
+// BLSTM at mbs:6) — from shapes, so it allocates nothing. Cell states count
+// every buffer the split cell kernels cache; the gate-preload and
+// gate-gradient panels are left out, as the paper's figure counts activations
+// and gradients, not per-task operands. A phantom workspace prices the fused
+// cell shape it records instead (phantomWorkingSetBytes), which is what the
+// memory study reads.
 func (w *workspace) workingSetBytes() int64 {
 	if w.phantom {
 		return w.phantomWorkingSetBytes()
 	}
 	total := w.fwdBufs.workingSetBytes()
 	if w.f32 != nil {
-		total += w.f32.workingSetBytes()
+		// The float32 buffers plus training's float64 ones: the same shapes
+		// at twice the element size.
+		total = 3 * w.f32.workingSetBytes()
 	}
-	for l := range w.dMerged {
-		total += matsBytes(w.dMerged[l]...)
-		for i := range w.dir {
-			d := &w.dir[i]
-			total += matsBytes(d.dHMerge[l]...) + matsBytes(d.dHChain[l]...) + matsBytes(d.dCChain[l]...)
+	for _, g := range w.keyGrids {
+		if g.bufs == nil || g.operand {
+			continue
+		}
+		for l := range w.cfg.Layers {
+			total += int64(8 * w.T * w.rows * g.cols(l))
 		}
 	}
-	return total + matsBytes(w.dFinalMerged)
+	if w.cfg.anyClassify() {
+		total += int64(8 * w.rows * w.cfg.MergeDim()) // dFinalMerged
+	}
+	return total
 }
 
 // workingSetBytes is the forward half of workspace.workingSetBytes at one

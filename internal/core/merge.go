@@ -47,23 +47,16 @@ func mergeBackward(op MergeOp, dMerged, hFwd, hRev, dHFwd, dHRev *tensor.Matrix)
 	}
 }
 
-// mergeFlops estimates the floating-point work of one merge task.
-func mergeFlops(op MergeOp, batch, hidden int) float64 {
+// Cost estimates the floating-point work and the bytes touched of one merge
+// task (forward or backward) over batch rows of width hidden.
+func (op MergeOp) Cost(batch, hidden int) (flops float64, workingSet int64) {
 	n := float64(batch * hidden)
-	switch op {
-	case MergeConcat:
-		return n // pure copy traffic, count one op per element
-	default:
-		return 2 * n
-	}
-}
-
-// mergeWorkingSetBytes estimates the bytes one merge task touches.
-func mergeWorkingSetBytes(op MergeOp, batch, hidden int) int64 {
+	flops = 2 * n
 	in := int64(2 * batch * hidden * 8)
 	out := int64(batch * hidden * 8)
 	if op == MergeConcat {
+		flops = n // pure copy traffic, count one op per element
 		out *= 2
 	}
-	return in + out
+	return flops, in + out
 }

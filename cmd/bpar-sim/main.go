@@ -1,7 +1,8 @@
-// Command bpar-sim records the B-Par task graph of a model configuration
-// and replays it on the simulated dual-socket 48-core platform, sweeping
-// core counts and comparing scheduling policies. It is the tool behind the
-// scalability and locality analyses.
+// Command bpar-sim records the paper's B-Par task graph of a model
+// configuration (one task per cell, Algorithms 1–3) and replays it on the
+// simulated dual-socket 48-core platform, sweeping core counts and comparing
+// scheduling policies. It is the tool behind the scalability and locality
+// analyses.
 //
 // Usage:
 //
@@ -16,11 +17,11 @@ import (
 	"strconv"
 	"strings"
 
+	"bpar/internal/baseline"
 	"bpar/internal/core"
 	"bpar/internal/costmodel"
 	"bpar/internal/obs"
 	"bpar/internal/sim"
-	"bpar/internal/taskrt"
 )
 
 func main() {
@@ -95,7 +96,14 @@ func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, core
 		return fmt.Errorf("unknown policy %q", policy)
 	}
 
-	g, err := record(cfg, infer, false)
+	if infer && barrier {
+		return fmt.Errorf("-infer and -barrier cannot be combined: the per-layer barrier graph is a training graph")
+	}
+	record := baseline.TrainGraph
+	if infer {
+		record = baseline.InferGraph
+	}
+	g, err := record(cfg)
 	if err != nil {
 		return err
 	}
@@ -135,7 +143,7 @@ func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, core
 	}
 
 	if barrier {
-		gb, err := record(cfg, infer, true)
+		gb, err := baseline.BarrierTrainGraph(cfg)
 		if err != nil {
 			return err
 		}
@@ -149,27 +157,4 @@ func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, core
 		}
 	}
 	return nil
-}
-
-// record captures the task graph of one batch of the configuration.
-func record(cfg core.Config, infer, barrier bool) (*taskrt.Graph, error) {
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec := taskrt.NewCapture()
-	e := core.NewPhantomEngine(m, rec)
-	switch {
-	case infer:
-		e.EmitInferGraph(cfg.SeqLen)
-	case barrier:
-		e.EmitTrainGraphBarrier(cfg.SeqLen)
-	default:
-		e.EmitTrainGraph(cfg.SeqLen)
-	}
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

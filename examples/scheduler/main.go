@@ -11,6 +11,7 @@ import (
 	"log"
 	"sync/atomic"
 
+	"bpar/internal/baseline"
 	"bpar/internal/core"
 	"bpar/internal/costmodel"
 	"bpar/internal/sim"
@@ -69,10 +70,10 @@ func directRuntimeDemo() {
 	fmt.Printf("  stats: %d tasks, max %d running concurrently\n\n", st.Executed, st.MaxRunning)
 }
 
-// graphReplayDemo records the dependency graph of a real B-Par training
-// step (without executing its numerics) and replays it on the simulated
-// dual-socket Xeon, comparing breadth-first FIFO against locality-aware
-// scheduling — a miniature of the paper's Figure 7.
+// graphReplayDemo records the paper's B-Par training graph of one batch (one
+// task per cell, built from the configuration alone) and replays it on the
+// simulated dual-socket Xeon, comparing breadth-first FIFO against
+// locality-aware scheduling — a miniature of the paper's Figure 7.
 func graphReplayDemo() {
 	fmt.Println("== recorded B-Par graph on the simulated 48-core Xeon ==")
 	cfg := core.Config{
@@ -80,13 +81,10 @@ func graphReplayDemo() {
 		InputSize: 256, HiddenSize: 512, Layers: 4, SeqLen: 50,
 		Batch: 128, Classes: 11, MiniBatches: 6, Seed: 1,
 	}
-	model, err := core.NewModel(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := taskrt.NewCapture()
-	core.NewPhantomEngine(model, rec).EmitTrainGraph(cfg.SeqLen)
-	g := rec.Graph()
 	fmt.Printf("  %v\n  graph: %d tasks, %.1f GFLOP, critical path %.1f GFLOP, width %d\n",
 		cfg, len(g.Nodes), g.TotalFlops()/1e9, g.CriticalPathFlops()/1e9, g.MaxWidth())
 

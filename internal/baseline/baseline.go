@@ -20,13 +20,19 @@
 //     on 90M+-parameter models in Table III.
 //   - GPUs have high throughput but per-kernel launch latency and fixed
 //     framework overhead, so small batch/sequence workloads favour CPUs.
+//
+// The package also records the B-Par side of every simulated comparison:
+// TrainGraph, InferGraph and BarrierTrainGraph build the paper's
+// one-task-per-cell graph of Algorithms 1–3 from a core.Config alone, priced
+// by the same fused cell costs the framework models use. The engine
+// executes a finer, split-gate graph; this one is the shape the simulator
+// is calibrated on.
 package baseline
 
 import (
 	"fmt"
 	"math"
 
-	"bpar/internal/cell"
 	"bpar/internal/core"
 	"bpar/internal/costmodel"
 )
@@ -133,44 +139,6 @@ func (f *CPUModel) baseRate(rows int) float64 {
 	return gemvGFlops + (f.Machine.CoreGFlops-gemvGFlops)*fracR
 }
 
-// cellFwdFlops returns the forward flops of one cell of layer l.
-func cellFwdFlops(cfg core.Config, l int) float64 {
-	in := cfg.LayerInputSize(l)
-	switch cfg.Cell {
-	case core.GRU:
-		return cell.GRUForwardFlops(cfg.Batch, in, cfg.HiddenSize)
-	case core.RNN:
-		return cell.RNNForwardFlops(cfg.Batch, in, cfg.HiddenSize)
-	default:
-		return cell.LSTMForwardFlops(cfg.Batch, in, cfg.HiddenSize)
-	}
-}
-
-func cellBwdFlops(cfg core.Config, l int) float64 {
-	in := cfg.LayerInputSize(l)
-	switch cfg.Cell {
-	case core.GRU:
-		return cell.GRUBackwardFlops(cfg.Batch, in, cfg.HiddenSize)
-	case core.RNN:
-		return cell.RNNBackwardFlops(cfg.Batch, in, cfg.HiddenSize)
-	default:
-		return cell.LSTMBackwardFlops(cfg.Batch, in, cfg.HiddenSize)
-	}
-}
-
-// layerWeightBytes is one direction's weight footprint of layer l.
-func layerWeightBytes(cfg core.Config, l int) int64 {
-	gates := 4
-	switch cfg.Cell {
-	case core.GRU:
-		gates = 3
-	case core.RNN:
-		gates = 1
-	}
-	in := cfg.LayerInputSize(l)
-	return int64(gates*cfg.HiddenSize*(in+cfg.HiddenSize)+gates*cfg.HiddenSize) * 8
-}
-
 // gemmSec is the time of one fused cell GEMM parallelized across p cores.
 func (f *CPUModel) gemmSec(flops float64, p int, rows int, weightBytes int64) float64 {
 	frac := f.ParallelFrac(rows, flops)
@@ -203,12 +171,12 @@ func (f *CPUModel) batchSec(cfg core.Config, cores int, train bool) float64 {
 	T := float64(cfg.SeqLen)
 	total := 0.0
 	for l := 0; l < cfg.Layers; l++ {
-		wB := layerWeightBytes(cfg, l)
-		fw := f.gemmSec(cellFwdFlops(cfg, l), cores, cfg.Batch, wB)
+		wB := int64(dirParamCount(cfg, l)) * 8 // one direction's weights
+		fw := f.gemmSec(cellFlops(cfg, l, cfg.Batch, false), cores, cfg.Batch, wB)
 		// Forward-order steps, then reverse-order steps, sequentially.
 		layer := 2 * T * (fw + f.OpsPerStep*f.PerOpSec)
 		if train {
-			bw := f.gemmSec(cellBwdFlops(cfg, l), cores, cfg.Batch, wB)
+			bw := f.gemmSec(cellFlops(cfg, l, cfg.Batch, true), cores, cfg.Batch, wB)
 			layer += 2 * T * (bw + f.OpsPerStep*f.PerOpSec)
 		}
 		// Merges are cheap element-wise ops plus their dispatches.
@@ -284,7 +252,7 @@ func (f *GPUModel) batchSec(cfg core.Config, train bool) (float64, error) {
 	}
 	total := f.GPU.FixedSec
 	for l := 0; l < cfg.Layers; l++ {
-		flops := cellFwdFlops(cfg, l) * mult
+		flops := cellFlops(cfg, l, cfg.Batch, false) * mult
 		stepSec := f.GPU.LaunchSec + f.StepOverheadSec + flops/(f.GPU.EffTFlops*1e12)
 		// The two directions overlap on independent streams; model 80%
 		// overlap efficiency.

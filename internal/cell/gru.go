@@ -152,21 +152,6 @@ func (g *GRUGrads) Zero() {
 	}
 }
 
-// GRUForwardFlops estimates one whole forward cell update (the paper's
-// one-task-per-cell shape).
-func GRUForwardFlops(batch, inputSize, hiddenSize int) float64 {
-	gemm := 2.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(gruGates*hiddenSize)
-	elem := 10.0 * float64(batch) * float64(hiddenSize)
-	return gemm + elem
-}
-
-// GRUBackwardFlops estimates one backward cell update.
-func GRUBackwardFlops(batch, inputSize, hiddenSize int) float64 {
-	gemm := 4.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(gruGates*hiddenSize)
-	elem := 18.0 * float64(batch) * float64(hiddenSize)
-	return gemm + elem
-}
-
 // GRUWorkingSetBytes estimates the bytes one cell task touches.
 func GRUWorkingSetBytes(batch, inputSize, hiddenSize int) int64 {
 	weights := int64(gruGates*hiddenSize*(inputSize+hiddenSize)+gruGates*hiddenSize) * 8

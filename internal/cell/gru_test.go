@@ -145,21 +145,6 @@ func TestGRUGradsZero(t *testing.T) {
 	}
 }
 
-func TestGRUFlopsEstimates(t *testing.T) {
-	f := GRUForwardFlops(128, 256, 256)
-	b := GRUBackwardFlops(128, 256, 256)
-	l := LSTMForwardFlops(128, 256, 256)
-	if f <= 0 || b <= f {
-		t.Fatal("GRU flops inconsistent")
-	}
-	if f >= l {
-		t.Fatal("GRU must be cheaper than LSTM at same dims")
-	}
-	if GRUWorkingSetBytes(128, 256, 256) <= 0 {
-		t.Fatal("working set must be positive")
-	}
-}
-
 func TestNewGRUWeightsPanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -200,22 +200,6 @@ func lstmGateGrads(w *LSTMWeights, st *LSTMState, cPrev, dH, dC, dGates, dCPrev 
 	}
 }
 
-// LSTMForwardFlops estimates the floating-point operations of one whole
-// forward cell update — the paper's one-task-per-cell shape, dominated by the
-// GEMM over [X_t, H_{t-1}].
-func LSTMForwardFlops(batch, inputSize, hiddenSize int) float64 {
-	gemm := 2.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(lstmGates*hiddenSize)
-	elem := 12.0 * float64(batch) * float64(hiddenSize)
-	return gemm + elem
-}
-
-// LSTMBackwardFlops estimates one backward cell update (two GEMMs: dW and dZ).
-func LSTMBackwardFlops(batch, inputSize, hiddenSize int) float64 {
-	gemm := 4.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(lstmGates*hiddenSize)
-	elem := 20.0 * float64(batch) * float64(hiddenSize)
-	return gemm + elem
-}
-
 // LSTMWorkingSetBytes estimates the bytes one cell task touches: weights,
 // activations and caches. The paper reports 4.71 MB for batch 128, input 64,
 // hidden 512.

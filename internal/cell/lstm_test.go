@@ -176,10 +176,7 @@ func TestLSTMGradsZero(t *testing.T) {
 	}
 }
 
-func TestLSTMFlopsAndWorkingSetPositive(t *testing.T) {
-	if LSTMForwardFlops(128, 64, 512) <= 0 || LSTMBackwardFlops(128, 64, 512) <= LSTMForwardFlops(128, 64, 512) {
-		t.Fatal("flops estimates inconsistent")
-	}
+func TestLSTMWorkingSetNearPaper(t *testing.T) {
 	// Paper: batch 128, input 64, hidden 512 → ~4.71 MB per LSTM task.
 	ws := LSTMWorkingSetBytes(128, 64, 512)
 	mb := float64(ws) / (1 << 20)

@@ -79,19 +79,6 @@ func (g *RNNGrads) Zero() {
 	}
 }
 
-// RNNForwardFlops estimates one whole forward cell update (the paper's
-// one-task-per-cell shape).
-func RNNForwardFlops(batch, inputSize, hiddenSize int) float64 {
-	gemm := 2.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(hiddenSize)
-	return gemm + 2.0*float64(batch)*float64(hiddenSize)
-}
-
-// RNNBackwardFlops estimates one backward cell update.
-func RNNBackwardFlops(batch, inputSize, hiddenSize int) float64 {
-	gemm := 4.0 * float64(batch) * float64(inputSize+hiddenSize) * float64(hiddenSize)
-	return gemm + 4.0*float64(batch)*float64(hiddenSize)
-}
-
 // RNNWorkingSetBytes estimates the bytes one cell task touches.
 func RNNWorkingSetBytes(batch, inputSize, hiddenSize int) int64 {
 	weights := int64(hiddenSize*(inputSize+hiddenSize)+hiddenSize) * 8

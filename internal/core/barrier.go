@@ -1,21 +1,5 @@
 package core
 
-// barrierer is implemented by executors that can record a synchronization
-// point without blocking (taskrt.Capture). Executors without it are
-// synchronized by waiting for all outstanding tasks — the behaviour of
-// framework per-layer barriers on a real runtime.
-type barrierer interface{ Barrier() }
-
-// barrier inserts a per-layer synchronization point: a recorded barrier for
-// graph recorders, a full Wait otherwise.
-func (e *Engine) barrier() error {
-	if br, ok := e.Exec.(barrierer); ok {
-		br.Barrier()
-		return nil
-	}
-	return e.Exec.Wait()
-}
-
 // TrainStepBarrier runs one training step with framework-style per-layer
 // barriers: each layer's forward (and later backward) tasks must all finish
 // before the next layer's tasks start, exactly the synchronization pattern
@@ -26,18 +10,10 @@ func (e *Engine) TrainStepBarrier(b *Batch, lr float64) (float64, error) {
 	return e.runStep(b, stepTrainBarrier, func(wss []*workspace, scale float64) { e.applySGD(wss[0], lr, scale) })
 }
 
-// EmitTrainGraphBarrier records the per-layer-barrier training graph of one
-// step (phantom engines with a Capture executor); the simulator contrasts
-// it against the barrier-free graph for the memory and scalability studies.
-func (e *Engine) EmitTrainGraphBarrier(T int) {
-	wss := e.workspaces(T)
-	_ = e.emitBarrierGraph(wss)
-}
-
-// emitBarrierGraph emits forward and backward with a barrier between layers.
-// Like the barrier-free emitters, all per-step data is read through the
-// workspace step bindings, which the caller set up via bindWorkspaces
-// (phantom emission has no bodies and needs no binding).
+// emitBarrierGraph emits forward and backward with a barrier — a full Wait on
+// the executor — between layers. Like the barrier-free emitters, all per-step
+// data is read through the workspace step bindings, which the caller set up
+// via bindWorkspaces.
 func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 	cfg := e.M.Cfg
 	L := cfg.Layers
@@ -46,7 +22,7 @@ func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 		for i, ws := range wss {
 			emit(ws, i)
 		}
-		return e.barrier()
+		return e.Exec.Wait()
 	}
 	dirs := [2]bool{false, true}
 	for l := 0; l < L; l++ {

@@ -330,20 +330,6 @@ func (c Config) HeadParamCount() int {
 	return total
 }
 
-// CellTaskCount returns the number of cell + merge + head tasks one forward
-// propagation emits, matching the structure of Figures 1 and 2.
-func (c Config) CellTaskCount() int {
-	cells := 2 * c.Layers * c.SeqLen // forward + reverse order cells
-	merges := (c.Layers - 1) * c.SeqLen
-	if c.anyPerFrame() {
-		merges += c.SeqLen
-	}
-	if c.anyClassify() {
-		merges++
-	}
-	return cells + merges + c.HeadSlots(c.SeqLen)
-}
-
 func (c Config) String() string {
 	s := fmt.Sprintf("%s/%s in=%d hid=%d layers=%d seq=%d batch=%d mbs=%d merge=%s",
 		c.Cell, c.Arch, c.InputSize, c.HiddenSize, c.Layers, c.SeqLen, c.Batch, c.MiniBatches, c.Merge)

@@ -98,19 +98,6 @@ func TestMergeDimAndLayerInput(t *testing.T) {
 	}
 }
 
-func TestCellTaskCount(t *testing.T) {
-	c := validCfg() // 2 layers, seq 3, many-to-one
-	// cells: 2*2*3=12; merges: (2-1)*3+1=4; heads: 1 → 17.
-	if got := c.CellTaskCount(); got != 17 {
-		t.Fatalf("CellTaskCount %d, want 17", got)
-	}
-	c.Arch = ManyToMany
-	// cells 12; merges 2*3=6; heads 3 → 21.
-	if got := c.CellTaskCount(); got != 21 {
-		t.Fatalf("CellTaskCount %d, want 21", got)
-	}
-}
-
 func TestEnumStrings(t *testing.T) {
 	if LSTM.String() != "LSTM" || GRU.String() != "GRU" {
 		t.Fatal("cell names")

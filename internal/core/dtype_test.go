@@ -187,24 +187,3 @@ func TestF32LeavesF64BuffersUntouched(t *testing.T) {
 		t.Fatal("f32 cell state all zero: mirror graph did not run")
 	}
 }
-
-// TestInferDTypePhantomIgnored: a phantom (graph-emission) engine ignores the
-// f32 request — EmitInferGraph must keep describing the f64 graph.
-func TestInferDTypePhantomIgnored(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 1)
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := taskrt.New(taskrt.Options{Workers: 2})
-	defer rt.Shutdown()
-	e := NewEngine(m, rt)
-	e.InferDType = tensor.F32
-	if e.isF32() != true {
-		t.Fatal("isF32 should hold on a real engine")
-	}
-	e.phantom = true
-	if e.isF32() {
-		t.Fatal("phantom engine must not build the f32 mirror")
-	}
-}

@@ -10,8 +10,8 @@ import (
 // the dependency sanitizer would use for it ("fwdSt L2 t17 mb0"), so that
 // template dumps and graphlint diagnostics speak the same vocabulary as
 // depcheck reports. Unlike the sanitizer registration it names every key
-// grid — including kX, which phantom captures reference with no buffer
-// behind it — and it needs no live buffers.
+// grid — including kX, whose buffers are the caller's batch views — and it
+// needs no live buffers.
 func (w *workspace) keyNames(mbIdx int, into map[taskrt.Dep]string) {
 	name := func(k taskrt.Dep, format string, args ...any) {
 		into[k] = fmt.Sprintf(format, args...) + fmt.Sprintf(" mb%d", mbIdx)

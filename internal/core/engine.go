@@ -111,7 +111,7 @@ type Engine struct {
 	// converted once per weight version into packed panels, activations in
 	// float32 throughout. Training is always float64. Set before the first
 	// step: workspaces hold forward buffers of this dtype only until they
-	// first train. Phantom engines ignore it.
+	// first train.
 	InferDType tensor.DType
 
 	// noReduce freezes captured templates with the full derived edge set
@@ -119,7 +119,6 @@ type Engine struct {
 	// oracle only: it lets the replay tests pin reduced == unreduced.
 	noReduce bool
 
-	phantom bool
 	// inStep guards against concurrent TrainStep/Infer/InferProbs calls: a
 	// CAS taken at step entry, released on every exit path. Mirrors the
 	// replay `live` guard in taskrt.Template, but returns ErrEngineBusy
@@ -174,14 +173,6 @@ func NewEngine(m *Model, exec taskrt.Executor) *Engine {
 	return e
 }
 
-// NewPhantomEngine creates an engine that emits dependency-and-metadata-only
-// task graphs (no numeric buffers, no task bodies); used with
-// taskrt.Capture to record graphs for the discrete-event simulator. Its
-// graphs have the paper's one-task-per-cell shape (see fwdPass.cells).
-func NewPhantomEngine(m *Model, exec taskrt.Executor) *Engine {
-	return &Engine{M: m, Exec: exec, phantom: true, wsByT: make(map[int][]*workspace), tpls: make(map[tplKey]*taskrt.Template)}
-}
-
 // workspaces returns (building if needed) the per-mini-batch workspaces for
 // sequence length T. B-Par adjusts the computation graph dynamically when
 // the sequence length changes between batches. The cache holds at most
@@ -201,7 +192,7 @@ func (e *Engine) workspaces(T int) []*workspace {
 	ws := make([]*workspace, n)
 	for i := range ws {
 		lo, hi := e.M.Cfg.mbBounds(i)
-		ws[i] = newWorkspace(e.M, hi-lo, T, e.phantom, e.isF32(), e.depChecker(), i)
+		ws[i] = newWorkspace(e.M, hi-lo, T, e.isF32(), e.depChecker(), i)
 	}
 	e.wsByT[T] = ws
 	e.touchSeqLen(T)
@@ -249,7 +240,7 @@ func (e *Engine) touchSeqLen(T int) {
 
 // isF32 reports whether forward-only steps run the float32 mirror graph.
 func (e *Engine) isF32() bool {
-	return e.InferDType == tensor.F32 && !e.phantom
+	return e.InferDType == tensor.F32
 }
 
 // refreshWeightCaches brings the float32 weight mirror up to date when the
@@ -401,9 +392,6 @@ const (
 // applies the update or copies results out of the workspaces. Returns the
 // mean batch loss.
 func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace, scale float64)) (float64, error) {
-	if e.phantom {
-		return 0, fmt.Errorf("core: a phantom engine cannot execute steps; use EmitTrainGraph, EmitTrainGraphBarrier or EmitInferGraph")
-	}
 	train := kind != stepInfer
 	if err := e.M.Cfg.checkBatch(b, train); err != nil {
 		return 0, err
@@ -487,9 +475,9 @@ func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch, train bool) *taskrt.
 
 // replayer returns the executor's replay capability when graph replay is in
 // effect for this engine, nil when fresh emission should run instead
-// (phantom engines, NoReplay, or executors without the capability).
+// (NoReplay, or executors without the capability).
 func (e *Engine) replayer() taskrt.Replayer {
-	if e.phantom || e.NoReplay {
+	if e.NoReplay {
 		return nil
 	}
 	rp, _ := e.Exec.(taskrt.Replayer)
@@ -612,40 +600,20 @@ func (e *Engine) gatherProbs(wss []*workspace) []*tensor.Matrix {
 	return probs
 }
 
-// EmitTrainGraph emits the dependency/metadata-only task graph of one
-// training step of sequence length T (phantom engines only). The caller
-// owns Wait on the executor (typically a taskrt.Capture).
-func (e *Engine) EmitTrainGraph(T int) {
-	e.emitTrain(e.workspaces(T))
-}
-
-// emitTrain emits one training step over wss: per mini-batch the forward and
-// backward graphs, then the cross-mini-batch gradient reduction.
-func (e *Engine) emitTrain(wss []*workspace) {
+// emitStep emits one step's barrier-free task graph over wss: per mini-batch
+// the forward and backward graphs, then the cross-mini-batch gradient
+// reduction; or the forward-only graph at the engine's inference dtype.
+func (e *Engine) emitStep(train bool, wss []*workspace) {
 	for i, ws := range wss {
+		if !train {
+			e.emitInfer(ws, i)
+			continue
+		}
 		e.emitForward(ws, i)
 		e.emitBackward(ws, i)
 	}
-	e.emitReduce(wss)
-}
-
-// emitStep emits one step's barrier-free task graph over wss: the training
-// graph, or the forward-only graph at the engine's inference dtype.
-func (e *Engine) emitStep(train bool, wss []*workspace) {
 	if train {
-		e.emitTrain(wss)
-		return
-	}
-	for i, ws := range wss {
-		e.emitInfer(ws, i)
-	}
-}
-
-// EmitInferGraph emits the forward-only task graph of sequence length T.
-func (e *Engine) EmitInferGraph(T int) {
-	wss := e.workspaces(T)
-	for i, ws := range wss {
-		e.emitForward(ws, i)
+		e.emitReduce(wss)
 	}
 }
 

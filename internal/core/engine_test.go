@@ -377,31 +377,12 @@ func TestGradClipKeepsTrainingStable(t *testing.T) {
 	}
 }
 
-func TestPhantomEngineRefusesRealWork(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 1)
-	m, _ := NewModel(cfg)
-	e := NewPhantomEngine(m, taskrt.NewCapture())
-	if _, err := e.TrainStep(makeBatch(cfg, 1), 0.1); err == nil {
-		t.Fatal("phantom TrainStep must fail")
-	}
-	if _, _, err := e.Infer(makeBatch(cfg, 1)); err == nil {
-		t.Fatal("phantom Infer must fail")
-	}
-}
-
-func TestWorkingSetBytesPositiveAndPhantomAgrees(t *testing.T) {
+func TestWorkingSetBytesPositive(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
 	m, _ := NewModel(cfg)
-	real := NewEngine(m, taskrt.NewInline(nil))
-	phantom := NewPhantomEngine(m, taskrt.NewCapture())
-	r := real.WorkingSetBytes(cfg.SeqLen)
-	p := phantom.WorkingSetBytes(cfg.SeqLen)
-	if r <= 0 || p <= 0 {
+	r := NewEngine(m, taskrt.NewInline(nil)).WorkingSetBytes(cfg.SeqLen)
+	if r <= 0 {
 		t.Fatal("working sets must be positive")
-	}
-	ratio := float64(r) / float64(p)
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("phantom estimate off: real %d phantom %d", r, p)
 	}
 	// A training step of an f32-inference engine holds its float32 forward
 	// buffers next to the float64 ones it builds, and the study must see both
@@ -554,7 +535,7 @@ func TestIgnoreLabelLossDropsMaskedRows(t *testing.T) {
 func TestWorkspaceCacheLRU(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
 	m, _ := NewModel(cfg)
-	e := NewPhantomEngine(m, taskrt.NewCapture())
+	e := NewEngine(m, inlineExec())
 	e.MaxCachedSeqLens = 3
 
 	for _, T := range []int{2, 3, 4} {
@@ -578,7 +559,7 @@ func TestWorkspaceCacheLRU(t *testing.T) {
 	}
 
 	// Default bound applies when the field is zero.
-	e2 := NewPhantomEngine(m, taskrt.NewCapture())
+	e2 := NewEngine(m, inlineExec())
 	for T := 1; T <= 20; T++ {
 		e2.workspaces(T)
 	}
@@ -587,7 +568,7 @@ func TestWorkspaceCacheLRU(t *testing.T) {
 	}
 
 	// Negative disables the bound.
-	e3 := NewPhantomEngine(m, taskrt.NewCapture())
+	e3 := NewEngine(m, inlineExec())
 	e3.MaxCachedSeqLens = -1
 	for T := 1; T <= 20; T++ {
 		e3.workspaces(T)

@@ -1,51 +1,122 @@
-package core
+package core_test
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
+	"bpar/internal/baseline"
+	"bpar/internal/core"
 	"bpar/internal/taskrt"
 )
 
-// recordTrain captures the training graph of cfg.
-func recordTrain(t *testing.T, cfg Config) *taskrt.Graph {
+// These tests pin and check the paper's one-task-per-cell graph, which the
+// simulator and every experiment consume. The engine emitted it until the
+// configuration-only builder in internal/baseline took it over; the tests
+// kept their names, assertions and constants through the move.
+
+// recordTrain records the training graph of cfg.
+func recordTrain(t *testing.T, cfg core.Config) *taskrt.Graph {
 	t.Helper()
-	m, err := NewModel(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	rec := taskrt.NewCapture()
-	NewPhantomEngine(m, rec).EmitTrainGraph(cfg.SeqLen)
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-func recordInfer(t *testing.T, cfg Config) *taskrt.Graph {
+func recordInfer(t *testing.T, cfg core.Config) *taskrt.Graph {
 	t.Helper()
-	m, err := NewModel(cfg)
+	g, err := baseline.InferGraph(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := taskrt.NewCapture()
-	NewPhantomEngine(m, rec).EmitInferGraph(cfg.SeqLen)
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
+	return g
+}
+
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// graphPin hashes a recorded graph node by node in submission order: label,
+// kind, cost metadata, predecessors with their data flags, and successors.
+func graphPin(g *taskrt.Graph) uint64 {
+	var buf bytes.Buffer
+	for _, n := range g.Nodes {
+		fmt.Fprintf(&buf, "%s|%s|%g|%d|%v|%v|%v\n", n.Label, n.Kind, n.Flops, n.WorkingSet, n.Preds, n.DataPreds, n.Succs)
+	}
+	return fnv64a(buf.Bytes())
+}
+
+// TestBarrierGraphPin pins the per-layer-barrier training graph that the
+// simulator's barrier ablation consumes: first labels, kinds and predecessor
+// lists in submission order, then the whole graph including data flags and
+// successor lists.
+func TestBarrierGraphPin(t *testing.T) {
+	g, err := baseline.BarrierTrainGraph(core.MultiHeadCfg(core.LSTM, 2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	var buf bytes.Buffer
+	for _, n := range g.Nodes {
+		fmt.Fprintf(&buf, "%s|%s|%v\n", n.Label, n.Kind, n.Preds)
+	}
+	if got, want := fnv64a(buf.Bytes()), uint64(0xd417d1bc990bc083); got != want {
+		t.Fatalf("barrier graph drifted: 0x%x want 0x%x", got, want)
+	}
+	if got, want := graphPin(g), uint64(0xa97f15a4006563d2); got != want {
+		t.Fatalf("barrier graph flags or successors drifted: 0x%x want 0x%x", got, want)
+	}
+}
+
+// TestPhantomGraphPins pins the barrier-free training and inference graphs
+// the simulator and every experiment consume, for each cell kind. The
+// constants were captured from the graph recorder that kept its own copy of
+// the RAW/WAR/WAW rules, and held through the engine's graph-only
+// ("phantom") mode that the builder replaced; the builder must reproduce node
+// order, predecessor order, data flags and successors.
+func TestPhantomGraphPins(t *testing.T) {
+	want := map[string]uint64{
+		"LSTM-train": 0x5f1dbff081804d7e, "LSTM-infer": 0x28702c25ccc47d17,
+		"GRU-train": 0x362aa67a80629050, "GRU-infer": 0x2b59455fdc5e7273,
+		"RNN-train": 0x56286808336cf4d0, "RNN-infer": 0xa333b90ab008f43b,
+	}
+	for _, cell := range []core.CellKind{core.LSTM, core.GRU, core.RNN} {
+		for _, train := range []bool{true, false} {
+			name := fmt.Sprintf("%v-infer", cell)
+			if train {
+				name = fmt.Sprintf("%v-train", cell)
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := core.MultiHeadCfg(cell, 2)
+				var g *taskrt.Graph
+				if train {
+					g = recordTrain(t, cfg)
+				} else {
+					g = recordInfer(t, cfg)
+				}
+				if got := graphPin(g); got != want[name] {
+					t.Errorf("phantom graph drifted: 0x%x want 0x%x", got, want[name])
+				}
+			})
+		}
+	}
 }
 
 // TestInferGraphMatchesCellTaskCount: the forward-only graph contains
-// exactly the cells + merges + heads that Figures 1-2 describe.
+// exactly the cells + merges + heads that Figures 1-2 describe. At 3 layers
+// and 5 timesteps: 30 cells; many-to-one adds 10 merges, the final merge and
+// one head (42), many-to-many 15 merges and 5 per-frame heads (50).
 func TestInferGraphMatchesCellTaskCount(t *testing.T) {
-	for _, arch := range []Arch{ManyToOne, ManyToMany} {
-		cfg := smallCfg(LSTM, arch, 1)
-		g := recordInfer(t, cfg)
-		if len(g.Nodes) != cfg.CellTaskCount() {
-			t.Errorf("%v: got %d nodes, want CellTaskCount %d", arch, len(g.Nodes), cfg.CellTaskCount())
+	want := map[core.Arch]int{core.ManyToOne: 42, core.ManyToMany: 50}
+	for _, arch := range []core.Arch{core.ManyToOne, core.ManyToMany} {
+		g := recordInfer(t, core.SmallCfg(core.LSTM, arch, 1))
+		if len(g.Nodes) != want[arch] {
+			t.Errorf("%v: got %d nodes, want %d", arch, len(g.Nodes), want[arch])
 		}
 	}
 }
@@ -53,7 +124,7 @@ func TestInferGraphMatchesCellTaskCount(t *testing.T) {
 // TestTrainGraphComposition: kind counts of a training graph follow the
 // model structure exactly.
 func TestTrainGraphComposition(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 1) // 3 layers, seq 5
+	cfg := core.SmallCfg(core.LSTM, core.ManyToOne, 1) // 3 layers, seq 5
 	g := recordTrain(t, cfg)
 	L, T := cfg.Layers, cfg.SeqLen
 	if got, want := g.CountKind("lstm"), 2*L*T; got != want {
@@ -82,7 +153,7 @@ func TestTrainGraphComposition(t *testing.T) {
 // TestTrainGraphReduceTasks: mbs:N emits one reduce per layer/direction
 // plus one for the head.
 func TestTrainGraphReduceTasks(t *testing.T) {
-	cfg := smallCfg(GRU, ManyToOne, 3)
+	cfg := core.SmallCfg(core.GRU, core.ManyToOne, 3)
 	g := recordTrain(t, cfg)
 	want := 2*cfg.Layers + 1
 	if got := g.CountKind("reduce"); got != want {
@@ -93,7 +164,7 @@ func TestTrainGraphReduceTasks(t *testing.T) {
 // TestEmissionIsDeterministic: two independent emissions of the same
 // configuration produce structurally identical graphs.
 func TestEmissionIsDeterministic(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToMany, 2)
+	cfg := core.SmallCfg(core.LSTM, core.ManyToMany, 2)
 	a := recordTrain(t, cfg)
 	b := recordTrain(t, cfg)
 	if len(a.Nodes) != len(b.Nodes) {
@@ -118,8 +189,8 @@ func TestEmissionIsDeterministic(t *testing.T) {
 // TestCriticalPathScalesWithDepthAndLength: the dependency structure forces
 // the critical path to grow linearly in both SeqLen and Layers.
 func TestCriticalPathScalesWithDepthAndLength(t *testing.T) {
-	base := smallCfg(LSTM, ManyToOne, 1)
-	cp := func(c Config) float64 { return recordTrain(t, c).CriticalPathFlops() }
+	base := core.SmallCfg(core.LSTM, core.ManyToOne, 1)
+	cp := func(c core.Config) float64 { return recordTrain(t, c).CriticalPathFlops() }
 
 	c2 := base
 	c2.SeqLen = base.SeqLen * 2
@@ -140,15 +211,9 @@ func TestCriticalPathScalesWithDepthAndLength(t *testing.T) {
 // and they dominate the graph's ordering (every non-barrier node after the
 // first barrier transitively depends on one).
 func TestBarrierGraphHasBarriers(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 2)
-	m, err := NewModel(cfg)
+	cfg := core.SmallCfg(core.LSTM, core.ManyToOne, 2)
+	g, err := baseline.BarrierTrainGraph(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	rec := taskrt.NewCapture()
-	NewPhantomEngine(m, rec).EmitTrainGraphBarrier(cfg.SeqLen)
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	nBarriers := g.CountKind("barrier")
@@ -167,8 +232,8 @@ func TestBarrierGraphHasBarriers(t *testing.T) {
 // TestGraphWidthGrowsWithMiniBatches: data parallelism multiplies the
 // achievable concurrency.
 func TestGraphWidthGrowsWithMiniBatches(t *testing.T) {
-	cfg1 := smallCfg(LSTM, ManyToOne, 1)
-	cfg3 := smallCfg(LSTM, ManyToOne, 3)
+	cfg1 := core.SmallCfg(core.LSTM, core.ManyToOne, 1)
+	cfg3 := core.SmallCfg(core.LSTM, core.ManyToOne, 3)
 	w1 := recordTrain(t, cfg1).MaxWidth()
 	w3 := recordTrain(t, cfg3).MaxWidth()
 	if w3 < 2*w1 {
@@ -185,10 +250,10 @@ func TestQuickRandomConfigGraphs(t *testing.T) {
 			seed = seed*6364136223846793005 + 1442695040888963407
 			return int((seed>>33)%uint64(mod)) + min
 		}
-		cfg := Config{
-			Cell:        CellKind(pick(3, 0)),
-			Arch:        Arch(pick(2, 0)),
-			Merge:       MergeOp(pick(4, 0)),
+		cfg := core.Config{
+			Cell:        core.CellKind(pick(3, 0)),
+			Arch:        core.Arch(pick(2, 0)),
+			Merge:       core.MergeOp(pick(4, 0)),
 			InputSize:   pick(5, 1),
 			HiddenSize:  pick(6, 1),
 			Layers:      pick(4, 1),
@@ -202,14 +267,8 @@ func TestQuickRandomConfigGraphs(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			return false
 		}
-		m, err := NewModel(cfg)
+		g, err := baseline.TrainGraph(cfg)
 		if err != nil {
-			return false
-		}
-		rec := taskrt.NewCapture()
-		NewPhantomEngine(m, rec).EmitTrainGraph(cfg.SeqLen)
-		g := rec.Graph()
-		if g.Validate() != nil {
 			return false
 		}
 		if g.CriticalPathFlops() <= 0 || g.TotalFlops() < g.CriticalPathFlops() {
@@ -219,9 +278,9 @@ func TestQuickRandomConfigGraphs(t *testing.T) {
 		wantCells := 2 * cfg.Layers * cfg.SeqLen * cfg.MiniBatches
 		kind := "lstm"
 		switch cfg.Cell {
-		case GRU:
+		case core.GRU:
 			kind = "gru"
-		case RNN:
+		case core.RNN:
 			kind = "rnn"
 		}
 		return g.CountKind(kind) == wantCells && g.CountKind(kind+"-bwd") == wantCells

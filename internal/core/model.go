@@ -375,30 +375,8 @@ func (p *dirParams) dwFlops(seq, batch int) float64 {
 	return cell.DWFlops(seq, batch, in, p.hiddenSize(), gw)
 }
 
-// fwdFlops, bwdFlops and taskWorkingSet price one whole cell update, the
-// task a phantom graph records in the paper's one-task-per-cell shape.
-func (p *dirParams) fwdFlops(batch int) float64 {
-	switch p.kind {
-	case LSTM:
-		return cell.LSTMForwardFlops(batch, p.lstm.InputSize, p.lstm.HiddenSize)
-	case GRU:
-		return cell.GRUForwardFlops(batch, p.gru.InputSize, p.gru.HiddenSize)
-	default:
-		return cell.RNNForwardFlops(batch, p.rnn.InputSize, p.rnn.HiddenSize)
-	}
-}
-
-func (p *dirParams) bwdFlops(batch int) float64 {
-	switch p.kind {
-	case LSTM:
-		return cell.LSTMBackwardFlops(batch, p.lstm.InputSize, p.lstm.HiddenSize)
-	case GRU:
-		return cell.GRUBackwardFlops(batch, p.gru.InputSize, p.gru.HiddenSize)
-	default:
-		return cell.RNNBackwardFlops(batch, p.rnn.InputSize, p.rnn.HiddenSize)
-	}
-}
-
+// taskWorkingSet estimates the bytes one cell task touches: weights,
+// activations and caches.
 func (p *dirParams) taskWorkingSet(batch int) int64 {
 	switch p.kind {
 	case LSTM:

@@ -9,7 +9,6 @@ import (
 	"math"
 	"testing"
 
-	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
 )
 
@@ -218,72 +217,6 @@ func TestTemplateDumpPins(t *testing.T) {
 				t.Errorf("template dump drifted: 0x%x want 0x%x", got, want[c.name])
 			}
 		})
-	}
-}
-
-// graphPin hashes a recorded graph node by node in submission order: label,
-// kind, cost metadata, predecessors with their data flags, and successors.
-func graphPin(g *taskrt.Graph) uint64 {
-	var buf bytes.Buffer
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&buf, "%s|%s|%g|%d|%v|%v|%v\n", n.Label, n.Kind, n.Flops, n.WorkingSet, n.Preds, n.DataPreds, n.Succs)
-	}
-	return fnv64a(buf.Bytes())
-}
-
-// TestBarrierGraphPin pins the phantom per-layer-barrier training graph
-// that the simulator's barrier ablation consumes: first labels, kinds and
-// predecessor lists in submission order, then the whole graph including
-// data flags and successor lists.
-func TestBarrierGraphPin(t *testing.T) {
-	m, err := NewModel(multiHeadCfg(LSTM, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := taskrt.NewCapture()
-	NewPhantomEngine(m, rec).EmitTrainGraphBarrier(m.Cfg.SeqLen)
-	var buf bytes.Buffer
-	for _, n := range rec.Graph().Nodes {
-		fmt.Fprintf(&buf, "%s|%s|%v\n", n.Label, n.Kind, n.Preds)
-	}
-	if got, want := fnv64a(buf.Bytes()), uint64(0xd417d1bc990bc083); got != want {
-		t.Fatalf("barrier graph drifted: 0x%x want 0x%x", got, want)
-	}
-	if got, want := graphPin(rec.Graph()), uint64(0xa97f15a4006563d2); got != want {
-		t.Fatalf("barrier graph flags or successors drifted: 0x%x want 0x%x", got, want)
-	}
-}
-
-// TestPhantomGraphPins pins the barrier-free phantom training and inference
-// graphs the simulator and every experiment consume, for each cell kind.
-// The constants were captured from the graph recorder that kept its own
-// copy of the RAW/WAR/WAW rules; the single dependency deriver must
-// reproduce node order, predecessor order, data flags and successors.
-func TestPhantomGraphPins(t *testing.T) {
-	want := map[string]uint64{
-		"LSTM-train": 0x5f1dbff081804d7e, "LSTM-infer": 0x28702c25ccc47d17,
-		"GRU-train": 0x362aa67a80629050, "GRU-infer": 0x2b59455fdc5e7273,
-		"RNN-train": 0x56286808336cf4d0, "RNN-infer": 0xa333b90ab008f43b,
-	}
-	for _, cell := range []CellKind{LSTM, GRU, RNN} {
-		for _, train := range []bool{true, false} {
-			name := fmt.Sprintf("%v-infer", cell)
-			if train {
-				name = fmt.Sprintf("%v-train", cell)
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := multiHeadCfg(cell, 2)
-				var g *taskrt.Graph
-				if train {
-					g = recordTrain(t, cfg)
-				} else {
-					g = recordInfer(t, cfg)
-				}
-				if got := graphPin(g); got != want[name] {
-					t.Errorf("phantom graph drifted: 0x%x want 0x%x", got, want[name])
-				}
-			})
-		}
 	}
 }
 

@@ -30,16 +30,10 @@ type stepBinding struct {
 // one mini-batch, plus the dependency keys that name them in task
 // annotations. Everything that exists once per direction lives in dir; the
 // two directions meet only in the merge buffers held here (Equation 11).
-//
-// In phantom mode no numeric buffers are allocated: only dependency keys
-// exist, and emitted tasks carry metadata but no bodies. Phantom mode lets
-// the discrete-event simulator record task graphs for configurations far too
-// large to execute on the host (e.g. hidden 1024, batch 256, 48 cores).
 type workspace struct {
-	phantom bool
-	rows    int // sequences in this mini-batch
-	T       int // sequence length
-	cfg     Config
+	rows int // sequences in this mini-batch
+	T    int // sequence length
+	cfg  Config
 
 	// bind is the current step's batch view; see stepBinding.
 	bind stepBinding
@@ -60,8 +54,8 @@ type workspace struct {
 	kDFinalMerged taskrt.Dep
 	kHeadGrads    []taskrt.Dep // one per head
 
-	// Real buffers; nil in phantom mode. The forward half is fwdBufs or f32;
-	// the rest here and in dir is the training half (see resetForStep).
+	// Buffers: the forward half is fwdBufs or f32; the rest here and in dir
+	// is the training half (see resetForStep).
 	fwdBufs[float64]
 	losses       []float64 // one per output slot
 	dMerged      [][]*tensor.Matrix
@@ -71,7 +65,7 @@ type workspace struct {
 
 	// grads is the gradient catalogue: one entry per Model.params entry, in
 	// that order, aliasing dir[d].grads[l] and headGrads[h]. It holds keys
-	// only until the training half exists, and always in phantom mode.
+	// only until the training half exists.
 	grads []gradRef
 
 	// genTargets/ignoreRow back the generate heads' shifted label binding:
@@ -203,7 +197,7 @@ type fwdBufs[E tensor.Elt] struct {
 	pre [2][][]*tensor.Mat[E]
 }
 
-// token is a unique comparable dependency key for phantom buffers.
+// token is a unique comparable dependency key naming a workspace buffer.
 type token struct{ _ byte }
 
 func newToken() taskrt.Dep { return &token{} }
@@ -216,12 +210,12 @@ func (c Config) hasMergePerTimestep(l int) bool {
 }
 
 // newWorkspace builds mini-batch mbIdx's workspace of `rows` sequences of
-// length T: every dependency key, the gradient catalogue's keys and, unless
-// phantom, the forward half of the buffers (allocForward). The training half
-// waits for the workspace's first training step (allocTraining).
-func newWorkspace(m *Model, rows, T int, phantom, f32 bool, dc *taskrt.DepChecker, mbIdx int) *workspace {
+// length T: every dependency key, the gradient catalogue's keys and the
+// forward half of the buffers (allocForward). The training half waits for the
+// workspace's first training step (allocTraining).
+func newWorkspace(m *Model, rows, T int, f32 bool, dc *taskrt.DepChecker, mbIdx int) *workspace {
 	cfg := m.Cfg
-	w := &workspace{phantom: phantom, rows: rows, T: T, cfg: cfg}
+	w := &workspace{rows: rows, T: T, cfg: cfg}
 	L := cfg.Layers
 
 	tokens := func(n int) []taskrt.Dep {
@@ -255,13 +249,11 @@ func newWorkspace(m *Model, rows, T int, phantom, f32 bool, dc *taskrt.DepChecke
 		w.grads = append(w.grads, gradRef{key: k})
 	}
 	w.losses = make([]float64, nSlots)
-	if !phantom {
-		w.allocForward(m, f32, dc, mbIdx)
-	}
+	w.allocForward(m, f32, dc, mbIdx)
 	return w
 }
 
-// allocForward allocates the forward half of a non-phantom workspace — the
+// allocForward allocates the forward half of a workspace — the
 // forward buffers at the engine's inference dtype only, and the generate
 // heads' label rows, which a labelled forward-only step reads too — and
 // registers it with dc (when non-nil), so an access to a buffer can be
@@ -292,7 +284,7 @@ func (w *workspace) allocForward(m *Model, f32 bool, dc *taskrt.DepChecker, mbId
 	}
 }
 
-// allocTraining builds the training half of a non-phantom workspace and
+// allocTraining builds the training half of a workspace and
 // registers each buffer with dc (when non-nil) as it allocates it: the
 // float64 forward buffers a float32 engine lacks, the backward key grids, the
 // final-merge gradients, the per-layer backward scratch and dw stacks, and the
@@ -421,8 +413,7 @@ func matRow[E tensor.Elt](n, rows, cols int) []*tensor.Mat[E] {
 
 // bindStep binds mb's views, fits the forward buffers to mb's rows, with
 // forward tasks at timesteps ≥ maxLen skipped, and clears the step's losses.
-// It must run before emitting or replaying any non-phantom graph over this
-// workspace.
+// It must run before emitting or replaying any graph over this workspace.
 func (w *workspace) bindStep(mb *Batch, maxLen int) {
 	clear(w.losses)
 	w.fitRows(mb.X[0].Rows)
@@ -569,13 +560,8 @@ func (w *workspace) resetForStep(m *Model, dc *taskrt.DepChecker, mbIdx int) {
 // BLSTM at mbs:6) — from shapes, so it allocates nothing. Cell states count
 // every buffer the split cell kernels cache; the gate-preload and
 // gate-gradient panels are left out, as the paper's figure counts activations
-// and gradients, not per-task operands. A phantom workspace prices the fused
-// cell shape it records instead (phantomWorkingSetBytes), which is what the
-// memory study reads.
+// and gradients, not per-task operands.
 func (w *workspace) workingSetBytes() int64 {
-	if w.phantom {
-		return w.phantomWorkingSetBytes()
-	}
 	total := w.fwdBufs.workingSetBytes()
 	if w.f32 != nil {
 		// The float32 buffers plus training's float64 ones: the same shapes
@@ -622,42 +608,4 @@ func matsBytes[E tensor.Elt](ms ...*tensor.Mat[E]) int64 {
 		}
 	}
 	return n * int64(tensor.DTypeOf[E]().Size())
-}
-
-// phantomWorkingSetBytes computes the estimate analytically, for the fused
-// cell shape a phantom graph records: its states also cache the [X_t,
-// H_{t-1}] concatenations the split kernels never build.
-func (w *workspace) phantomWorkingSetBytes() int64 {
-	cfg := w.cfg
-	var total int64
-	gates := int64(cfg.gatesPerCell())
-	H := int64(cfg.HiddenSize)
-	D := int64(cfg.MergeDim())
-	rows := int64(w.rows)
-	T := int64(w.T)
-	for l := 0; l < cfg.Layers; l++ {
-		in := int64(cfg.LayerInputSize(l))
-		var perState int64
-		if cfg.Cell == LSTM {
-			perState = rows*(in+H) + rows*gates*H + 3*rows*H
-		} else {
-			perState = 2*rows*(in+H) + rows*2*H + 2*rows*H
-		}
-		total += 2 * T * perState * 8
-		if cfg.hasMergePerTimestep(l) {
-			total += 2 * T * rows * D * 8 // merged + dMerged
-		}
-		total += 6 * T * rows * H * 8 // merge-grad and chain buffers
-	}
-	if cfg.anyClassify() {
-		total += 2 * rows * D * 8
-	}
-	for _, spec := range cfg.HeadSpecs() {
-		slots := int64(1)
-		if spec.Kind.PerFrame() {
-			slots = T
-		}
-		total += 2 * slots * rows * int64(spec.Classes) * 8
-	}
-	return total
 }

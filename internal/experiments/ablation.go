@@ -83,7 +83,7 @@ type GranularityAblationRow struct {
 func RunAblationGranularity(o Opts) ([]GranularityAblationRow, error) {
 	machine := o.machine()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
-	base, err := buildTrainGraph(cfg)
+	base, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ type PolicyAblationRow struct {
 func RunAblationPolicy(o Opts) ([]PolicyAblationRow, error) {
 	machine := o.machine()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ type EfficiencyRow struct {
 func RunEfficiency(o Opts) ([]EfficiencyRow, error) {
 	machine := o.machine()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ type PlatformRow struct {
 // small per-CMG cache, HBM bandwidth).
 func RunPlatforms(o Opts) ([]PlatformRow, error) {
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}

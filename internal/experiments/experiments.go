@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section IV). Each experiment builds the relevant B-Par task
-// graphs with the real builder, replays them on the simulated 48-core
-// platform (internal/sim) or the native runtime, evaluates the framework
-// baselines (internal/baseline), and prints rows/series in the same shape
-// the paper reports.
+// evaluation (Section IV). Each experiment records the paper's B-Par task
+// graphs — the fused one-task-per-cell shape of Algorithms 1–3, built from
+// the configuration by internal/baseline — replays them on the simulated
+// 48-core platform (internal/sim) or the native runtime, evaluates the
+// framework baselines (internal/baseline), and prints rows/series in the
+// same shape the paper reports.
 //
 // Absolute times come from a calibrated cost model, so they land near —
 // not exactly on — the paper's numbers; the experiment tests assert the
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"io"
 
+	"bpar/internal/baseline"
 	"bpar/internal/core"
 	"bpar/internal/costmodel"
 	"bpar/internal/sim"
@@ -59,58 +61,9 @@ func (o Opts) machine() costmodel.Machine {
 	return costmodel.XeonPlatinum8160x2()
 }
 
-// buildTrainGraph records the barrier-free training task graph of cfg.
-func buildTrainGraph(cfg core.Config) (*taskrt.Graph, error) {
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec := taskrt.NewCapture()
-	e := core.NewPhantomEngine(m, rec)
-	e.EmitTrainGraph(cfg.SeqLen)
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// buildInferGraph records the forward-only task graph of cfg.
-func buildInferGraph(cfg core.Config) (*taskrt.Graph, error) {
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec := taskrt.NewCapture()
-	e := core.NewPhantomEngine(m, rec)
-	e.EmitInferGraph(cfg.SeqLen)
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// buildBarrierTrainGraph records the training graph with per-layer barriers
-// (the framework-style execution of the same model).
-func buildBarrierTrainGraph(cfg core.Config) (*taskrt.Graph, error) {
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec := taskrt.NewCapture()
-	e := core.NewPhantomEngine(m, rec)
-	e.EmitTrainGraphBarrier(cfg.SeqLen)
-	g := rec.Graph()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // simBParTrain simulates one B-Par training batch of cfg on `cores` cores.
 func simBParTrain(cfg core.Config, machine costmodel.Machine, cores int, pol sim.Policy) (float64, error) {
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +77,7 @@ func simBParTrain(cfg core.Config, machine costmodel.Machine, cores int, pol sim
 // simBParBest simulates cfg across the core sweep and returns the best time
 // and the core count achieving it (the paper reports best-over-cores).
 func simBParBest(cfg core.Config, machine costmodel.Machine, coreCounts []int) (float64, int, error) {
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -150,7 +103,7 @@ func simGraphBest(g *taskrt.Graph, machine costmodel.Machine, coreCounts []int) 
 // times of both task-based models on it: B-Par simulated, B-Seq modelled from
 // the graph's flop total.
 func trainBest(cfg core.Config, machine costmodel.Machine, coreCounts []int) (bpar, bseq float64, err error) {
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return 0, 0, err
 	}

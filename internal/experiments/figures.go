@@ -43,7 +43,7 @@ func RunFig3(o Opts) ([]*Fig3Result, error) {
 		base := -1.0
 		for _, mbs := range fig3MBS {
 			cfg := blstmCfg(layers, 256, 128, o.seq(100), mbs)
-			g, err := buildTrainGraph(cfg)
+			g, err := baseline.TrainGraph(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -63,7 +63,7 @@ func RunFig3(o Opts) ([]*Fig3Result, error) {
 		if base < 0 {
 			// Core sweep without 1 core: compute the baseline explicitly.
 			cfg := blstmCfg(layers, 256, 128, o.seq(100), 1)
-			g, err := buildTrainGraph(cfg)
+			g, err := baseline.TrainGraph(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +119,7 @@ func RunFig4(o Opts) (*Fig4Result, error) {
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
 	k := baseline.KerasCPU(machine)
 	p := baseline.PyTorchCPU(machine)
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ func RunFig6(o Opts) ([]Fig6Row, error) {
 
 		row.InferKeras, _ = k.BestOverCores(cfg, cores, false)
 		row.InferPyTorch, _ = p.BestOverCores(cfg, cores, false)
-		ig, err := buildInferGraph(cfg)
+		ig, err := baseline.InferGraph(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +280,7 @@ type Fig7Result struct {
 func RunFig7(o Opts) (*Fig7Result, error) {
 	machine := o.machine()
 	cfg := blstmCfg(8, 512, 128, o.seq(100), 6)
-	g, err := buildTrainGraph(cfg)
+	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}

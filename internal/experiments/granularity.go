@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"bpar/internal/baseline"
 	"bpar/internal/core"
 	"bpar/internal/data"
 	"bpar/internal/sim"
@@ -151,7 +152,7 @@ func RunGranularity(o Opts) (*GranularityResult, error) {
 		InputSize: 64, HiddenSize: 512, Layers: 6, SeqLen: o.seq(100),
 		Batch: 128, Classes: 11, MiniBatches: 1, Seed: 1,
 	}
-	g, err := buildTrainGraph(paperCfg)
+	g, err := baseline.TrainGraph(paperCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -228,11 +229,11 @@ type MemoryResult struct {
 func RunMemory(o Opts) (*MemoryResult, error) {
 	machine := o.machine()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 6)
-	free, err := buildTrainGraph(cfg)
+	free, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
-	barred, err := buildBarrierTrainGraph(cfg)
+	barred, err := baseline.BarrierTrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -142,11 +142,11 @@ func RunAblationBarrier(o Opts) (*AblationBarrierResult, error) {
 		InputSize: 256, HiddenSize: 256, Layers: 8, SeqLen: o.seq(100),
 		Batch: 128, Classes: 11, MiniBatches: 8, Seed: 1,
 	}
-	free, err := buildTrainGraph(cfg)
+	free, err := baseline.TrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
-	barred, err := buildBarrierTrainGraph(cfg)
+	barred, err := baseline.BarrierTrainGraph(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 // Command bpar-bench regenerates the paper's evaluation: every table and
 // figure of Section IV, at full paper parameters by default, plus the
-// Section IV-B granularity and memory studies and the determinism check.
+// Section IV-B granularity and memory studies. Every experiment runs on the
+// simulator and the cost model, so stdout is the same on every run and
+// every host.
 //
 // Usage:
 //
@@ -35,13 +37,11 @@ import (
 	"bpar/internal/core"
 	"bpar/internal/experiments"
 	"bpar/internal/obs"
-	"bpar/internal/tensor"
 )
 
 func main() {
 	exp := flag.String("exp", "all", expUsage())
 	seq := flag.Int("seq", 0, "override sequence length (0 = paper value, 100)")
-	listen := flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address (e.g. :8080) during the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	jsonOut := flag.String("json", "", "write machine-readable results of every experiment run to this JSON file")
@@ -69,24 +69,10 @@ func main() {
 		log.Info("cpu profiling enabled", "file", *cpuProfile)
 	}
 
-	// Interrupts stop between experiments and still tear telemetry down
-	// gracefully: a bare srv.Close would drop a scrape caught in flight.
+	// Interrupts stop between experiments; -json still gets the results of
+	// the experiments that finished.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *listen != "" {
-		reg := obs.NewRegistry()
-		obs.RegisterProcessMetrics(reg)
-		tensor.RegisterMetrics(reg)
-		srv, addr, err := obs.Serve(*listen, reg)
-		if err != nil {
-			log.Error("telemetry listen", "err", err)
-			os.Exit(1)
-		}
-		defer obs.ShutdownServer(srv, 2*time.Second)
-		log.Info("telemetry listening", "addr", addr,
-			"endpoints", "/metrics /healthz /debug/pprof/")
-	}
 
 	o := experiments.Opts{SeqLen: *seq}
 	names := strings.Split(*exp, ",")
@@ -211,7 +197,6 @@ var experimentList = []experiment{
 	{"platforms", study(experiments.RunPlatforms, experiments.PrintPlatforms)},
 	{"crossover", study(experiments.RunCrossover, experiments.PrintCrossover)},
 	{"granularity-ablation", study(experiments.RunAblationGranularity, experiments.PrintAblationGranularity)},
-	{"determinism", study(experiments.RunDeterminism, experiments.PrintDeterminism)},
 }
 
 // experimentNames lists every -exp name, in the order -exp all runs them.

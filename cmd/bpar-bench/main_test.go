@@ -25,10 +25,11 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 	}
 }
 
-// TestRunRejectsDeletedExperiments: the native wall-clock experiments that
-// bench/ superseded are gone from the CLI.
+// TestRunRejectsDeletedExperiments: the native wall-clock experiments are
+// gone from the CLI. bench/ measures the engine; core's
+// TestDepCheckDeterminism checks determinism.
 func TestRunRejectsDeletedExperiments(t *testing.T) {
-	for _, name := range []string{"replay", "dtype", "multihead", "sched"} {
+	for _, name := range []string{"replay", "dtype", "multihead", "sched", "determinism"} {
 		_, err := run(name, experiments.Opts{})
 		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("run(%q) = %v, want an unknown experiment error", name, err)

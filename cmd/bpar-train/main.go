@@ -56,7 +56,6 @@ type options struct {
 	workers    int
 	locality   bool
 	depCheck   bool
-	noReplay   bool
 	inferDtype string
 	seed       uint64
 	profGraph  bool
@@ -84,7 +83,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "worker goroutines")
 	flag.BoolVar(&o.locality, "locality", true, "locality-aware scheduling")
 	flag.BoolVar(&o.depCheck, "depcheck", false, "enable the dependency sanitizer: verify every tensor access against declared In/Out/InOut edges (slow; serializes task bodies)")
-	flag.BoolVar(&o.noReplay, "no-replay", false, "force fresh task-graph emission every step instead of capturing each step's graph once and replaying it")
 	flag.StringVar(&o.inferDtype, "infer-dtype", "f64", "dtype for the per-epoch eval pass: f64 (exact) or f32 (float32 mirror, refreshed after every weight update; training itself always runs f64)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.BoolVar(&o.profGraph, "profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof; bpar-prof -chrome renders the schedule timeline)")
@@ -112,12 +110,6 @@ func main() {
 
 func run(ctx context.Context, o options) error {
 	log := obs.Logger("cmd")
-
-	// The profiler only sees template replays, so without them its dump
-	// would hold no templates at all.
-	if o.profGraph && o.noReplay {
-		return fmt.Errorf("-profile-graph needs template replay; drop -no-replay")
-	}
 
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
@@ -215,7 +207,6 @@ func run(ctx context.Context, o options) error {
 	}
 	eng := core.NewEngine(model, rt)
 	eng.GradClip = 1.0
-	eng.NoReplay = o.noReplay
 	inferDT, err := tensor.ParseDType(o.inferDtype)
 	if err != nil {
 		return err

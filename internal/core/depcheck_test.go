@@ -134,8 +134,9 @@ func TestDepCheckCatchesUndeclaredWriteInTrainStep(t *testing.T) {
 }
 
 // trainWeights trains a fresh model from cfg for a few steps on the given
-// executor configuration and returns the resulting model.
-func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, batches []*Batch) *Model {
+// executor configuration, with graph replay or fresh per-step emission, and
+// returns the resulting model.
+func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, noReplay bool, batches []*Batch) *Model {
 	t.Helper()
 	m, err := NewModel(cfg)
 	if err != nil {
@@ -146,27 +147,31 @@ func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, batc
 	defer tensor.SetAccessHook(nil)
 	eng := NewEngine(m, rt)
 	eng.GradClip = 1.0
+	eng.NoReplay = noReplay
 	for i, b := range batches {
 		if _, err := eng.TrainStep(b, 0.05); err != nil {
-			t.Fatalf("workers=%d policy=%v step %d: %v", workers, pol, i, err)
+			t.Fatalf("workers=%d policy=%v noReplay=%v step %d: %v", workers, pol, noReplay, i, err)
 		}
 	}
 	return m
 }
 
 // TestDepCheckDeterminism: with the sanitizer enabled, training is bitwise
-// identical across worker counts {1, 4} and both scheduling policies —
-// the no-barrier graph fixes the floating-point summation order, so any
-// divergence would indicate an undeclared dependency the checker missed.
+// identical across worker counts {1, 2, 4}, both scheduling policies, and
+// graph replay vs fresh per-step emission — the no-barrier graph fixes the
+// floating-point summation order, so any divergence would indicate an
+// undeclared dependency the checker missed.
 func TestDepCheckDeterminism(t *testing.T) {
 	cfg := depCheckConfig(LSTM, ManyToOne)
 	batches := trainBatches(t, cfg, 4)
-	ref := trainWeights(t, cfg, 1, taskrt.BreadthFirst, batches)
-	for _, workers := range []int{1, 4} {
-		for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
-			got := trainWeights(t, cfg, workers, pol, batches)
-			if !ref.WeightsEqual(got) {
-				t.Errorf("weights diverged at workers=%d policy=%v", workers, pol)
+	ref := trainWeights(t, cfg, 1, taskrt.BreadthFirst, false, batches)
+	for _, noReplay := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4} {
+			for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
+				got := trainWeights(t, cfg, workers, pol, noReplay, batches)
+				if !ref.WeightsEqual(got) {
+					t.Errorf("weights diverged at workers=%d policy=%v noReplay=%v", workers, pol, noReplay)
+				}
 			}
 		}
 	}

@@ -34,9 +34,6 @@ func NewBucketer(bounds []int) (*Bucketer, error) {
 	return &Bucketer{bounds: append([]int(nil), bounds...)}, nil
 }
 
-// Bounds returns the boundary set, ascending.
-func (bk *Bucketer) Bounds() []int { return append([]int(nil), bk.bounds...) }
-
 // Max returns the largest bucket boundary.
 func (bk *Bucketer) Max() int { return bk.bounds[len(bk.bounds)-1] }
 

@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"bpar/internal/core"
-	"bpar/internal/rng"
 	"bpar/internal/taskrt"
 )
-
-func rngNew(seed uint64) *rng.RNG { return rng.New(seed) }
 
 func TestSpeechBatchShapes(t *testing.T) {
 	c := NewSpeechCorpus(13, 1)
@@ -330,78 +327,6 @@ func TestSpeechForkSharesTemplates(t *testing.T) {
 	}
 	if same {
 		t.Fatal("Fork must draw independent utterances")
-	}
-}
-
-func TestSpeechDatasetMaterializeAndSplit(t *testing.T) {
-	c := NewSpeechCorpus(6, 3)
-	d := c.Materialize(40, 10)
-	if d.Len() != 40 {
-		t.Fatalf("len %d", d.Len())
-	}
-	train, eval := d.Split(0.75)
-	if train.Len() != 30 || eval.Len() != 10 {
-		t.Fatalf("split %d/%d", train.Len(), eval.Len())
-	}
-	// Batches are stable in dataset order.
-	b := d.Batch(5, 4)
-	for i := 0; i < 4; i++ {
-		if b.Targets[i] != d.Target(5+i) {
-			t.Fatal("Batch order broken")
-		}
-	}
-	// Epoch covers the dataset once, shuffled, dropping the remainder.
-	r := rngNew(9)
-	batches := d.Epoch(8, r)
-	if len(batches) != 5 {
-		t.Fatalf("epoch batches %d, want 5", len(batches))
-	}
-	counts := map[int]int{}
-	total := 0
-	for _, b := range batches {
-		for _, tgt := range b.Targets {
-			counts[tgt]++
-			total++
-		}
-	}
-	if total != 40 {
-		t.Fatalf("epoch covered %d of 40", total)
-	}
-	// Two epochs shuffle differently (with overwhelming probability).
-	b1 := d.Epoch(8, rngNew(1))
-	b2 := d.Epoch(8, rngNew(2))
-	same := true
-	for i := range b1 {
-		for j := range b1[i].Targets {
-			if b1[i].Targets[j] != b2[i].Targets[j] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("epochs not shuffled")
-	}
-}
-
-func TestSpeechDatasetPanics(t *testing.T) {
-	c := NewSpeechCorpus(4, 1)
-	d := c.Materialize(10, 5)
-	for _, f := range []func(){
-		func() { c.Materialize(0, 5) },
-		func() { d.Split(0) },
-		func() { d.Split(1) },
-		func() { d.Batch(8, 4) },
-		func() { d.Epoch(0, rngNew(1)) },
-		func() { d.Epoch(11, rngNew(1)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -2,9 +2,11 @@
 // evaluation (Section IV). Each experiment records the paper's B-Par task
 // graphs — the fused one-task-per-cell shape of Algorithms 1–3, built from
 // the configuration by internal/baseline — replays them on the simulated
-// 48-core platform (internal/sim) or the native runtime, evaluates the
-// framework baselines (internal/baseline), and prints rows/series in the
-// same shape the paper reports.
+// 48-core platform (internal/sim), evaluates the framework baselines
+// (internal/baseline), and prints rows/series in the same shape the paper
+// reports. Every result is a pure function of the configuration and the
+// cost model: no experiment executes a kernel or reads a clock, so the
+// output is the same on every run and every host.
 //
 // Absolute times come from a calibrated cost model, so they land near —
 // not exactly on — the paper's numbers; the experiment tests assert the
@@ -33,9 +35,6 @@ type Opts struct {
 	SeqLen int
 	// CoreCounts overrides the core sweep.
 	CoreCounts []int
-	// NoReplay makes the determinism study train with fresh task-graph
-	// emission every step instead of graph capture & replay.
-	NoReplay bool
 	// Machine overrides the simulated platform.
 	Machine *costmodel.Machine
 }
@@ -59,19 +58,6 @@ func (o Opts) machine() costmodel.Machine {
 		return *o.Machine
 	}
 	return costmodel.XeonPlatinum8160x2()
-}
-
-// simBParTrain simulates one B-Par training batch of cfg on `cores` cores.
-func simBParTrain(cfg core.Config, machine costmodel.Machine, cores int, pol sim.Policy) (float64, error) {
-	g, err := baseline.TrainGraph(cfg)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sim.Run(g, sim.Options{Machine: machine, Cores: cores, Policy: pol})
-	if err != nil {
-		return 0, err
-	}
-	return res.MakespanSec, nil
 }
 
 // simBParBest simulates cfg across the core sweep and returns the best time

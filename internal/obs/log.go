@@ -7,9 +7,6 @@ import (
 	"strings"
 )
 
-// logLevel is the process-wide level, adjustable after InitLogging.
-var logLevel slog.LevelVar
-
 // InitLogging installs a slog text handler writing to w as the process
 // default logger. Every component logger derives from it, so one call in
 // main configures the whole tree. level names: debug, info, warn, error.
@@ -20,13 +17,9 @@ func InitLogging(w io.Writer, level string) error {
 	if err != nil {
 		return err
 	}
-	logLevel.Set(l)
-	slog.SetDefault(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: &logLevel})))
+	slog.SetDefault(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: l})))
 	return nil
 }
-
-// SetLevel adjusts the level of an initialized logging tree at runtime.
-func SetLevel(l slog.Level) { logLevel.Set(l) }
 
 // ParseLevel maps a level name to a slog.Level.
 func ParseLevel(s string) (slog.Level, error) {

@@ -28,9 +28,7 @@ func NewInline(sink TraceSink) *Inline {
 }
 
 // Submit runs the task body immediately. Every task — including Fn == nil
-// placeholder tasks — is counted and recorded with real timestamps, so an
-// inline run yields the same TaskRecord stream shape as the parallel
-// runtime executing the same graph.
+// placeholder tasks — is counted and recorded with real timestamps.
 func (e *Inline) Submit(t *Task) {
 	id := e.nextID
 	e.nextID++

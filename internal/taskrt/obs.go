@@ -7,18 +7,6 @@ import (
 	"bpar/internal/obs"
 )
 
-// QueueDepths returns the current depth of the global ready queue and of
-// each worker's local deque, read from the queues' atomic size snapshots
-// (no queue lock is taken).
-func (r *Runtime) QueueDepths() (global int, local []int) {
-	global = int(r.global.size.Load())
-	local = make([]int, len(r.local))
-	for i := range r.local {
-		local[i] = int(r.local[i].size.Load())
-	}
-	return global, local
-}
-
 // RegisterMetrics exposes the runtime's live counters on reg under the
 // bpar_sched_* families. Every series snapshots the atomics the scheduler
 // already maintains for Stats — registration adds zero work to the task

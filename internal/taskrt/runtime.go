@@ -39,8 +39,6 @@ type Options struct {
 	Workers int
 	// Policy selects breadth-first or locality-aware scheduling.
 	Policy Policy
-	// Sink, when non-nil, receives a record per executed task.
-	Sink TraceSink
 	// Profile, when non-nil, receives per-node timing callbacks for every
 	// template replay (fresh-emission tasks are invisible to it). The
 	// callbacks are wired so a sink can use plain fixed-index arrays keyed
@@ -55,9 +53,7 @@ type Options struct {
 
 // node is the runtime-internal representation of a submitted task.
 type node struct {
-	task     *Task
-	id       int
-	submitNS int64
+	task *Task
 
 	// pending is the unsatisfied-dependency count plus a submission guard:
 	// it starts at 1 so the node cannot become ready while Submit is still
@@ -166,7 +162,6 @@ type Runtime struct {
 	// submitMu serializes task submission and guards deps, the dependency
 	// table. Completion never takes it.
 	submitMu sync.Mutex
-	nextID   int
 	deps     depTable[*node]
 
 	global queue
@@ -269,7 +264,7 @@ func (r *Runtime) Submit(t *Task) {
 		r.submitMu.Unlock()
 		panic(fmt.Sprintf("taskrt: Submit of task %q after Shutdown — the worker pool is gone; create a new Runtime or submit before Shutdown", t.Label))
 	}
-	n := r.submitOne(t, tStart)
+	n := r.submitOne(t)
 	r.submitMu.Unlock()
 	if n != nil {
 		r.global.push(n)
@@ -297,7 +292,7 @@ func (r *Runtime) SubmitAll(ts []*Task) {
 	}
 	var ready []*node
 	for _, t := range ts {
-		if n := r.submitOne(t, tStart); n != nil {
+		if n := r.submitOne(t); n != nil {
 			ready = append(ready, n)
 		}
 	}
@@ -310,11 +305,10 @@ func (r *Runtime) SubmitAll(ts []*Task) {
 }
 
 // submitOne derives the task's dependency edges and registers it. Caller
-// holds submitMu and passes the submission-time clock reading. Returns the
-// node if it is immediately ready (the caller enqueues it), nil otherwise.
-func (r *Runtime) submitOne(t *Task, at time.Time) *node {
-	n := &node{task: t, id: r.nextID, submitNS: at.Sub(r.start).Nanoseconds()}
-	r.nextID++
+// holds submitMu. Returns the node if it is immediately ready (the caller
+// enqueues it), nil otherwise.
+func (r *Runtime) submitOne(t *Task) *node {
+	n := &node{task: t}
 	if r.depc != nil {
 		r.depc.onSubmit(t)
 	}
@@ -497,19 +491,6 @@ func (r *Runtime) execute(n *node, w int) {
 	endNS := endT.Sub(r.start).Nanoseconds()
 	if r.opts.Profile != nil && n.tpl != nil {
 		r.opts.Profile.NodeDone(n.tpl, int(n.tplIdx), w, startNS, endNS)
-	}
-	if r.opts.Sink != nil {
-		r.opts.Sink.TaskDone(TaskRecord{
-			ID:         n.id,
-			Label:      n.task.Label,
-			Kind:       n.task.Kind,
-			Worker:     w,
-			SubmitNS:   n.submitNS,
-			StartNS:    startNS,
-			EndNS:      endNS,
-			Flops:      n.task.Flops,
-			WorkingSet: n.task.WorkingSet,
-		})
 	}
 
 	r.stats.running.Add(-1)

@@ -303,8 +303,7 @@ func TestLocalityPolicyRunsCorrectly(t *testing.T) {
 func TestLocalityPrefersProducingWorker(t *testing.T) {
 	// With a chain of dependent tasks and the locality policy, successors
 	// should mostly execute on the worker that made them ready.
-	sink := &collectSink{}
-	r := New(Options{Workers: 4, Policy: LocalityAware, Sink: sink})
+	r := New(Options{Workers: 4, Policy: LocalityAware})
 	k := key("chain")
 	for i := 0; i < 200; i++ {
 		r.Submit(&Task{Label: fmt.Sprintf("c%d", i), InOut: []Dep{k}, Fn: func() {}})
@@ -393,26 +392,4 @@ func (s *collectSink) TaskDone(r TaskRecord) {
 	s.mu.Lock()
 	s.recs = append(s.recs, r)
 	s.mu.Unlock()
-}
-
-func TestSinkReceivesRecords(t *testing.T) {
-	sink := &collectSink{}
-	r := New(Options{Workers: 2, Sink: sink})
-	defer r.Shutdown()
-	r.Submit(&Task{Label: "x", Kind: "lstm", Flops: 123, WorkingSet: 456, Fn: func() {}})
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.recs) != 1 {
-		t.Fatalf("got %d records", len(sink.recs))
-	}
-	rec := sink.recs[0]
-	if rec.Label != "x" || rec.Kind != "lstm" || rec.Flops != 123 || rec.WorkingSet != 456 {
-		t.Fatalf("bad record %+v", rec)
-	}
-	if rec.EndNS < rec.StartNS {
-		t.Fatalf("time travel: %+v", rec)
-	}
 }

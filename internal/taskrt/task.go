@@ -98,9 +98,8 @@ type TaskRecord struct {
 	WorkingSet int64
 }
 
-// TraceSink receives a record for every completed task, fresh or replayed;
-// tests and the granularity study observe execution through it. Timelines
-// come from a ProfileSink. Implementations must be safe for concurrent use.
+// TraceSink receives a record for every task an Inline executor completes,
+// fresh or replayed. Timelines come from a ProfileSink.
 type TraceSink interface {
 	TaskDone(rec TaskRecord)
 }

@@ -342,19 +342,16 @@ func (r *Runtime) Replay(tpl *Template) {
 		r.submitMu.Unlock()
 		panic("taskrt: Replay of a template whose previous replay has not drained; Wait before replaying it again")
 	}
-	base := r.nextID
-	r.nextID += len(tpl.nodes)
 	if r.depc != nil {
 		for _, t := range tpl.tasks {
 			r.depc.onSubmit(t)
 		}
 	}
-	nowNS := tStart.Sub(r.start).Nanoseconds()
 	if r.opts.Profile != nil {
 		// Under submitMu: ReplayStart calls are serialized, and the sink sees
 		// the template before any of this replay's NodeDone callbacks (roots
 		// are not published until the reset loop below).
-		r.opts.Profile.ReplayStart(tpl, nowNS)
+		r.opts.Profile.ReplayStart(tpl, tStart.Sub(r.start).Nanoseconds())
 	}
 	r.submitMu.Unlock()
 
@@ -362,10 +359,7 @@ func (r *Runtime) Replay(tpl *Template) {
 	// a successor's counter still holds the previous replay's zero would
 	// double-release it.
 	for i := range tpl.nodes {
-		nd := &tpl.nodes[i]
-		nd.id = base + i
-		nd.submitNS = nowNS
-		nd.pending.Store(tpl.initPending[i])
+		tpl.nodes[i].pending.Store(tpl.initPending[i])
 	}
 	r.outstanding.Add(int64(len(tpl.nodes)))
 	r.stats.submitted.Add(int64(len(tpl.nodes)))

@@ -57,11 +57,11 @@ func seedSummaries() map[string]*mutSummary {
 	const tp = "bpar/internal/tensor"
 	seeds := map[string]*mutSummary{}
 	dst0 := []string{
-		"Add", "Sub", "Mul", "MulAcc", "AddAcc", "Scale", "ScaleInPlace",
+		"Add", "Sub", "Mul", "AddAcc", "Scale", "ScaleInPlace",
 		"AxpyMatrix", "Average", "AddBiasRows", "ClipInPlace",
-		"MatMul", "MatMulT", "MatMulNaive", "GemmAcc", "GemmTAcc", "GemmATAcc",
+		"MatMulT", "MatMulNaive", "GemmAcc", "GemmTAcc", "GemmATAcc",
 		"SigmoidInPlace", "TanhInPlace", "SoftmaxRows",
-		"SoftmaxCrossEntropyBackward", "ConcatCols",
+		"ConcatCols",
 		// Column-window and stacked kernels of the split-gate decomposition.
 		// The batch variants take a []*Matrix destination; their param-0 seed
 		// resolves only when the slice itself roots at a key-mapped field

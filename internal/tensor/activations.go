@@ -87,29 +87,3 @@ func SoftmaxRows[E Elt](m *Mat[E]) {
 // IgnoreLabel marks a row as excluded from loss and gradient computation —
 // the padding label for within-batch variable-length sequences.
 const IgnoreLabel = -1
-
-// SoftmaxCrossEntropyBackward writes into dst the gradient of the mean
-// cross-entropy loss with respect to the softmax *inputs*: (p - onehot)/N.
-// probs must already contain softmax outputs.
-func SoftmaxCrossEntropyBackward[E Elt](dst, probs *Mat[E], targets []int) {
-	checkSameShape2("SoftmaxCrossEntropyBackward", dst, probs)
-	if len(targets) != probs.Rows {
-		panic("tensor: SoftmaxCrossEntropyBackward targets length mismatch")
-	}
-	guardWR(dst, probs)
-	invN := 1 / float64(probs.Rows)
-	for i := 0; i < probs.Rows; i++ {
-		d := dst.Row(i)
-		if targets[i] == IgnoreLabel {
-			for j := range d {
-				d[j] = 0
-			}
-			continue
-		}
-		p := probs.Row(i)
-		for j, v := range p {
-			d[j] = E(float64(v) * invN)
-		}
-		d[targets[i]] -= E(invN)
-	}
-}

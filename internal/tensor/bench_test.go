@@ -15,7 +15,7 @@ func benchDims() [][3]int {
 	}
 }
 
-func BenchmarkMatMul(b *testing.B) {
+func BenchmarkGemmAcc(b *testing.B) {
 	for _, d := range benchDims() {
 		m, k, n := d[0], d[1], d[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
@@ -26,7 +26,7 @@ func BenchmarkMatMul(b *testing.B) {
 			b.SetBytes(int64(8 * (m*k + k*n + m*n)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMul(dst, a, bm)
+				GemmAcc(dst, a, bm)
 			}
 		})
 	}

@@ -77,7 +77,7 @@ func TestQuickF32MatMulWithinBand(t *testing.T) {
 		want := New(m, n)
 		MatMulNaive(want, a, b)
 		got := NewOf[float32](m, n)
-		MatMul(got, ConvertedOf[float32](a), ConvertedOf[float32](b))
+		GemmAcc(got, ConvertedOf[float32](a), ConvertedOf[float32](b))
 		return withinBand(t, want, got, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

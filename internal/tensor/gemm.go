@@ -5,21 +5,9 @@ import "fmt"
 // Blocking parameters for the cache-blocked GEMM kernels. Tuned for typical
 // L1/L2 sizes; correctness never depends on them.
 const (
-	blockM = 64
 	blockN = 64
 	blockK = 64
 )
-
-// MatMul computes dst = a * b, where a is m x k and b is k x n.
-// dst must be m x n and must not alias a or b.
-func MatMul[E Elt](dst, a, b *Mat[E]) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch dst %dx%d = a %dx%d * b %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst.Zero()
-	GemmAcc(dst, a, b)
-}
 
 // GemmAcc computes dst += a * b with cache blocking.
 // dst must be m x n and must not alias a or b.
@@ -33,18 +21,15 @@ func GemmAcc[E Elt](dst, a, b *Mat[E]) {
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for kk := 0; kk < k; kk += blockK {
 		kMax := min(kk+blockK, k)
-		for ii := 0; ii < m; ii += blockM {
-			iMax := min(ii+blockM, m)
-			for i := ii; i < iMax; i++ {
-				arow := a.Data[i*k:]
-				drow := dst.Data[i*n : (i+1)*n]
-				for p := kk; p < kMax; p++ {
-					// No zero-skip here: dense RNN activations are
-					// essentially never exactly zero, so a data-dependent
-					// branch only costs its misprediction. The sparse dW
-					// kernels (GemmATAcc and friends) keep theirs.
-					axpy(arow[p], b.Data[p*n:(p+1)*n], drow)
-				}
+		for i := 0; i < m; i++ {
+			arow := a.Data[i*k:]
+			drow := dst.Data[i*n : (i+1)*n]
+			for p := kk; p < kMax; p++ {
+				// No zero-skip here: dense RNN activations are
+				// essentially never exactly zero, so a data-dependent
+				// branch only costs its misprediction. The sparse dW
+				// kernels (GemmATAcc and friends) keep theirs.
+				axpy(arow[p], b.Data[p*n:(p+1)*n], drow)
 			}
 		}
 	}
@@ -73,17 +58,14 @@ func GemmTAcc[E Elt](dst, a, bT *Mat[E]) {
 	guardWRR(dst, a, bT)
 	m, k, n := a.Rows, a.Cols, bT.Rows
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
-	for ii := 0; ii < m; ii += blockM {
-		iMax := min(ii+blockM, m)
-		for jj := 0; jj < n; jj += blockN {
-			jMax := min(jj+blockN, n)
-			for i := ii; i < iMax; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				drow := dst.Data[i*n:]
-				for j := jj; j < jMax; j++ {
-					brow := bT.Data[j*k : (j+1)*k]
-					drow[j] += dot(arow, brow)
-				}
+	for jj := 0; jj < n; jj += blockN {
+		jMax := min(jj+blockN, n)
+		for i := 0; i < m; i++ {
+			arow := a.Data[i*k : (i+1)*k]
+			drow := dst.Data[i*n:]
+			for j := jj; j < jMax; j++ {
+				brow := bT.Data[j*k : (j+1)*k]
+				drow[j] += dot(arow, brow)
 			}
 		}
 	}

@@ -1,0 +1,135 @@
+#include "textflag.h"
+
+// AVX microkernels for the float64 GEMMs (see gemm_vec.go). Every lane is an
+// independent output, and each output gets one VMULPD then one VADDPD per
+// term, in the order of the Go kernel it replaces: the same rounding steps,
+// so the same bits. No FMA instruction may appear in this file.
+
+// func hasAVX() bool
+TEXT ·hasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV               // XCR0: the OS saves XMM (bit 1) and YMM (bit 2) state
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func axpyQuadAVX(d, b []float64, stride int, a0, a1, a2, a3 float64)
+//
+// d[j] = (((d[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j] for j <
+// len(d), a multiple of 4, where bq[j] = b[q*stride+j].
+TEXT ·axpyQuadAVX(SB), NOSPLIT, $0-88
+	MOVQ         d_base+0(FP), DI
+	MOVQ         d_len+8(FP), CX
+	MOVQ         b_base+24(FP), R8
+	MOVQ         stride+48(FP), R9
+	SHLQ         $3, R9
+	LEAQ         (R8)(R9*1), R11     // b1
+	LEAQ         (R8)(R9*2), R10     // b2
+	LEAQ         (R10)(R9*1), R12    // b3
+	VBROADCASTSD a0+56(FP), Y0
+	VBROADCASTSD a1+64(FP), Y1
+	VBROADCASTSD a2+72(FP), Y2
+	VBROADCASTSD a3+80(FP), Y3
+	XORQ         AX, AX
+	SHRQ         $2, CX
+	JZ           axpydone
+
+axpyloop:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R11)(AX*8), Y1, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R10)(AX*8), Y2, Y7
+	VADDPD  Y7, Y4, Y4
+	VMULPD  (R12)(AX*8), Y3, Y8
+	VADDPD  Y8, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	DECQ    CX
+	JNZ     axpyloop
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func dotLanesAVX(acc *[32]float64, aT *float64, b []float64, stride, k int)
+//
+// For eight columns c and four lanes l, acc[4c+l] += aT[4p+l] * b[c*stride+p],
+// one p at a time in ascending order: a sequential sum per output, carried in
+// and out through acc.
+TEXT ·dotLanesAVX(SB), NOSPLIT, $0-56
+	MOVQ    acc+0(FP), DI
+	MOVQ    aT+8(FP), SI
+	MOVQ    b_base+16(FP), R8
+	MOVQ    stride+40(FP), R9
+	MOVQ    k+48(FP), CX
+	SHLQ    $3, R9
+	LEAQ    (R9)(R9*2), R10 // 3 rows
+	LEAQ    (R8)(R9*4), R11 // columns 4..7
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	TESTQ   CX, CX
+	JZ      dotstore
+
+dotloop:
+	VMOVUPD      (SI), Y8
+	VBROADCASTSD (R8), Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       Y9, Y0, Y0
+	VBROADCASTSD (R8)(R9*1), Y10
+	VMULPD       Y8, Y10, Y10
+	VADDPD       Y10, Y1, Y1
+	VBROADCASTSD (R8)(R9*2), Y11
+	VMULPD       Y8, Y11, Y11
+	VADDPD       Y11, Y2, Y2
+	VBROADCASTSD (R8)(R10*1), Y12
+	VMULPD       Y8, Y12, Y12
+	VADDPD       Y12, Y3, Y3
+	VBROADCASTSD (R11), Y13
+	VMULPD       Y8, Y13, Y13
+	VADDPD       Y13, Y4, Y4
+	VBROADCASTSD (R11)(R9*1), Y14
+	VMULPD       Y8, Y14, Y14
+	VADDPD       Y14, Y5, Y5
+	VBROADCASTSD (R11)(R9*2), Y15
+	VMULPD       Y8, Y15, Y15
+	VADDPD       Y15, Y6, Y6
+	VBROADCASTSD (R11)(R10*1), Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       Y9, Y7, Y7
+	ADDQ         $32, SI
+	ADDQ         $8, R8
+	ADDQ         $8, R11
+	DECQ         CX
+	JNZ          dotloop
+
+dotstore:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET

@@ -23,7 +23,7 @@ func GemmTAccCols[E Elt](dst, a, bT *Mat[E], lo int) {
 	m, k, n := a.Rows, a.Cols, bT.Rows
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for jj := 0; jj < n; jj += blockN {
-		gemmTColsPanel(dst, a, bT, lo, jj, min(jj+blockN, n))
+		gemmTColsPanel(dst, 0, a, bT, lo, jj, min(jj+blockN, n))
 	}
 }
 
@@ -53,13 +53,38 @@ func GemmTAccColsBatch[E Elt](dsts, as []*Mat[E], bT *Mat[E], lo int) {
 		flops += 2 * int64(as[s].Rows) * int64(as[s].Cols) * int64(bT.Rows)
 	}
 	countGemmOf[E](flops)
-	n := bT.Rows
-	for jj := 0; jj < n; jj += blockN {
-		jMax := min(jj+blockN, n)
-		for s := range dsts {
-			gemmTColsPanel(dsts[s], as[s], bT, lo, jj, jMax)
+	gemmTColsBatch(dsts, as, bT, lo)
+}
+
+// gemmTColsBatch is the panel loop of the batched entry points. One-row
+// operands (the batch-1 projection tiles) go to the vector kernel four at a
+// time, one operand per lane.
+func gemmTColsBatch[E Elt](dsts, as []*Mat[E], bT *Mat[E], lo int) {
+	b64 := vecMat(bT)
+	for jj := 0; jj < bT.Rows; jj += blockN {
+		jMax := min(jj+blockN, bT.Rows)
+		s := 0
+		for ; b64 != nil && s+4 <= len(as) && oneRowEach(as[s:s+4]); s += 4 {
+			var lanes laneRows
+			for l := range 4 {
+				lanes.d[l], lanes.a[l] = vecMat(dsts[s+l]).Data, vecMat(as[s+l]).Data[:as[s].Cols]
+			}
+			lanes.run(b64.Data, bT.Cols, lo, jj, jMax)
+		}
+		for ; s < len(dsts); s++ {
+			gemmTColsPanel(dsts[s], 0, as[s], bT, lo, jj, jMax)
 		}
 	}
+}
+
+// oneRowEach reports whether every operand is one row of the same width.
+func oneRowEach[E Elt](as []*Mat[E]) bool {
+	for _, a := range as {
+		if a.Rows != 1 || a.Cols != as[0].Cols {
+			return false
+		}
+	}
+	return true
 }
 
 func checkTCols[E Elt](dst, a, bT *Mat[E], lo int, name string) {
@@ -69,43 +94,53 @@ func checkTCols[E Elt](dst, a, bT *Mat[E], lo int, name string) {
 	}
 }
 
-// gemmTColsPanel accumulates dst[:, jj:jMax) += a * bT[jj:jMax, lo:lo+k)^T.
-// The inner microkernel is register-blocked four output columns wide: each
-// element of a is loaded once and feeds four independent multiply-adds, which
-// keeps the load ports off the critical path of the h-chain GEMM that repeats
-// T times per direction. Shared by the single and batched entry points so
-// both accumulate in bitwise-identical order.
-func gemmTColsPanel[E Elt](dst, a, bT *Mat[E], lo, jj, jMax int) {
-	m, k, n, kb := a.Rows, a.Cols, dst.Cols, bT.Cols
-	for ii := 0; ii < m; ii += blockM {
-		iMax := min(ii+blockM, m)
-		for i := ii; i < iMax; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*n:]
-			j := jj
-			for ; j+4 <= jMax; j += 4 {
-				// Re-slicing to len(arow) lets the compiler drop the
-				// per-element bounds checks in the microkernel loop.
-				b0 := bT.Data[j*kb+lo : j*kb+lo+k][:len(arow)]
-				b1 := bT.Data[(j+1)*kb+lo : (j+1)*kb+lo+k][:len(arow)]
-				b2 := bT.Data[(j+2)*kb+lo : (j+2)*kb+lo+k][:len(arow)]
-				b3 := bT.Data[(j+3)*kb+lo : (j+3)*kb+lo+k][:len(arow)]
-				var s0, s1, s2, s3 E
-				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				drow[j] += s0
-				drow[j+1] += s1
-				drow[j+2] += s2
-				drow[j+3] += s3
-			}
-			for ; j < jMax; j++ {
-				drow[j] += dot(arow, bT.Data[j*kb+lo:j*kb+lo+k])
-			}
+// gemmTColsPanel accumulates dst[:, dstLo+jj:dstLo+jMax) += a *
+// bT[jj:jMax, lo:lo+k)^T, one gemmTRow per row of a, or with the vector
+// kernels on, one laneRows.run per four rows. Shared by every dot-form entry
+// point so all accumulate in bitwise-identical order.
+func gemmTColsPanel[E Elt](dst *Mat[E], dstLo int, a, bT *Mat[E], lo, jj, jMax int) {
+	m, k := a.Rows, a.Cols
+	d64, a64, b64 := vecMat(dst), vecMat(a), vecMat(bT)
+	i := 0
+	for ; d64 != nil && i+4 <= m; i += 4 {
+		var lanes laneRows
+		for l := range 4 {
+			lanes.d[l], lanes.a[l] = d64.Data[(i+l)*dst.Cols+dstLo:], a64.Data[(i+l)*k:(i+l+1)*k]
 		}
+		lanes.run(b64.Data, bT.Cols, lo, jj, jMax)
+	}
+	for ; i < m; i++ {
+		gemmTRow(dst.Data[i*dst.Cols+dstLo:], a.Data[i*k:(i+1)*k], bT.Data, bT.Cols, lo, jj, jMax)
+	}
+}
+
+// gemmTRow accumulates drow[j] += arow · bT[j*kb+lo : j*kb+lo+k) for j in
+// [j, jMax), register-blocked four columns wide: each element of arow is
+// loaded once and feeds four independent sequential sums, which keeps the
+// load ports off the critical path of the h-chain GEMM. The rest take dot.
+func gemmTRow[E Elt](drow, arow, bT []E, kb, lo, j, jMax int) {
+	k := len(arow)
+	for ; j+4 <= jMax; j += 4 {
+		// Re-slicing to len(arow) lets the compiler drop the per-element
+		// bounds checks in the microkernel loop.
+		b0 := bT[j*kb+lo : j*kb+lo+k][:len(arow)]
+		b1 := bT[(j+1)*kb+lo : (j+1)*kb+lo+k][:len(arow)]
+		b2 := bT[(j+2)*kb+lo : (j+2)*kb+lo+k][:len(arow)]
+		b3 := bT[(j+3)*kb+lo : (j+3)*kb+lo+k][:len(arow)]
+		var s0, s1, s2, s3 E
+		for p, av := range arow {
+			s0 += av * b0[p]
+			s1 += av * b1[p]
+			s2 += av * b2[p]
+			s3 += av * b3[p]
+		}
+		drow[j] += s0
+		drow[j+1] += s1
+		drow[j+2] += s2
+		drow[j+3] += s3
+	}
+	for ; j < jMax; j++ {
+		drow[j] += dot(arow, bT[j*kb+lo:j*kb+lo+k])
 	}
 }
 
@@ -132,42 +167,49 @@ func GemmAccCols[E Elt](dst, a *Mat[E], aLo, aHi int, b *Mat[E], bLo int) {
 
 // gemmAColsBlock accumulates weight rows [kk, kMax) of one windowed a*b
 // product into dst. Shared by the single and batched entry points so both
-// accumulate in bitwise-identical order.
+// accumulate in bitwise-identical order. With the vector kernels on, the
+// first n&^3 columns of each quad update run in axpyQuadAVX, which applies
+// the same four adds per element in the same order; the rest stay in Go.
 func gemmAColsBlock[E Elt](dst, a *Mat[E], aLo int, b *Mat[E], bLo, kk, kMax int) {
 	m, n := a.Rows, dst.Cols
-	for ii := 0; ii < m; ii += blockM {
-		iMax := min(ii+blockM, m)
-		for i := ii; i < iMax; i++ {
-			arow := a.Data[i*a.Cols:]
-			drow := dst.Data[i*n : (i+1)*n]
-			p := kk
-			for ; p+4 <= kMax; p += 4 {
-				a0, a1 := arow[aLo+p], arow[aLo+p+1]
-				a2, a3 := arow[aLo+p+2], arow[aLo+p+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				// Re-sliced to len(drow) so the inner loop runs
-				// without per-element bounds checks.
-				b0 := b.Data[p*b.Cols+bLo : p*b.Cols+bLo+n][:len(drow)]
-				b1 := b.Data[(p+1)*b.Cols+bLo : (p+1)*b.Cols+bLo+n][:len(drow)]
-				b2 := b.Data[(p+2)*b.Cols+bLo : (p+2)*b.Cols+bLo+n][:len(drow)]
-				b3 := b.Data[(p+3)*b.Cols+bLo : (p+3)*b.Cols+bLo+n][:len(drow)]
-				for j, d := range drow {
-					d += a0 * b0[j]
-					d += a1 * b1[j]
-					d += a2 * b2[j]
-					d += a3 * b3[j]
-					drow[j] = d
-				}
+	d64, b64, nv := vecMat(dst), vecMat(b), 0
+	if d64 != nil {
+		nv = n &^ 3
+	}
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*a.Cols:]
+		drow := dst.Data[i*n+nv : (i+1)*n]
+		p := kk
+		for ; p+4 <= kMax; p += 4 {
+			a0, a1 := arow[aLo+p], arow[aLo+p+1]
+			a2, a3 := arow[aLo+p+2], arow[aLo+p+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
 			}
-			for ; p < kMax; p++ {
-				av := arow[aLo+p]
-				if av == 0 {
-					continue
-				}
-				axpy(av, b.Data[p*b.Cols+bLo:p*b.Cols+bLo+n], drow)
+			if nv > 0 {
+				bq := b64.Data[p*b.Cols+bLo : (p+3)*b.Cols+bLo+nv]
+				axpyQuadAVX(d64.Data[i*n:i*n+nv], bq, b.Cols, float64(a0), float64(a1), float64(a2), float64(a3))
 			}
+			// Re-sliced to len(drow) so the inner loop runs
+			// without per-element bounds checks.
+			b0 := b.Data[p*b.Cols+bLo+nv : p*b.Cols+bLo+n][:len(drow)]
+			b1 := b.Data[(p+1)*b.Cols+bLo+nv : (p+1)*b.Cols+bLo+n][:len(drow)]
+			b2 := b.Data[(p+2)*b.Cols+bLo+nv : (p+2)*b.Cols+bLo+n][:len(drow)]
+			b3 := b.Data[(p+3)*b.Cols+bLo+nv : (p+3)*b.Cols+bLo+n][:len(drow)]
+			for j, d := range drow {
+				d += a0 * b0[j]
+				d += a1 * b1[j]
+				d += a2 * b2[j]
+				d += a3 * b3[j]
+				drow[j] = d
+			}
+		}
+		for ; p < kMax; p++ {
+			av := arow[aLo+p]
+			if av == 0 {
+				continue
+			}
+			axpy(av, b.Data[p*b.Cols+bLo:p*b.Cols+bLo+n], dst.Data[i*n:(i+1)*n])
 		}
 	}
 }
@@ -295,35 +337,7 @@ func GemmTAccDstCols[E Elt](dst *Mat[E], dstLo int, a, bT *Mat[E]) {
 	guardWRR(dst, a, bT)
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for jj := 0; jj < n; jj += blockN {
-		jMax := min(jj+blockN, n)
-		for ii := 0; ii < m; ii += blockM {
-			iMax := min(ii+blockM, m)
-			for i := ii; i < iMax; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				drow := dst.Data[i*dst.Cols+dstLo:]
-				j := jj
-				for ; j+4 <= jMax; j += 4 {
-					b0 := bT.Data[j*k : (j+1)*k][:len(arow)]
-					b1 := bT.Data[(j+1)*k : (j+2)*k][:len(arow)]
-					b2 := bT.Data[(j+2)*k : (j+3)*k][:len(arow)]
-					b3 := bT.Data[(j+3)*k : (j+4)*k][:len(arow)]
-					var s0, s1, s2, s3 E
-					for p, av := range arow {
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-					drow[j] += s0
-					drow[j+1] += s1
-					drow[j+2] += s2
-					drow[j+3] += s3
-				}
-				for ; j < jMax; j++ {
-					drow[j] += dot(arow, bT.Data[j*k:(j+1)*k])
-				}
-			}
-		}
+		gemmTColsPanel(dst, dstLo, a, bT, 0, jj, min(jj+blockN, n))
 	}
 }
 

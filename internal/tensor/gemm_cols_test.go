@@ -97,7 +97,7 @@ func TestMatMulColsZeroesDst(t *testing.T) {
 	dst := randomMatrix(r, 3, 6)
 	want := New(3, 6)
 	MatMulCols(dst, a, 2, 6, bm, 3)
-	MatMul(want, subCols(a, 2, 6), subCols(bm, 3, 9))
+	GemmAcc(want, subCols(a, 2, 6), subCols(bm, 3, 9))
 	if !allClose(want, dst, 1e-12, 1e-12) {
 		t.Fatalf("max diff %g", want.MaxAbsDiff(dst))
 	}

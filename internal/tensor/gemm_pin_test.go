@@ -14,12 +14,13 @@ import (
 // n=70 and gw=71 leave a second block of one quad plus a 2- or 3-wide
 // remainder (the j+4<=jMax / p+4<=kMax / i+4<=iMax tails), and the gate
 // gradient g carries an all-zero quad, a lone zero in the remainder and a
-// whole zero row so both zero-skip branches run.
+// whole zero row so both zero-skip branches run. The six one-row operands
+// of rows1 are the batch-1 projection tiles: one group of four plus two.
 type pinInputs[E Elt] struct {
 	m, k, n, kb, lo, gLo, gw int
 
 	a, b, bTk, bT, g, w, x *Mat[E]
-	as, gs                 []*Mat[E]
+	as, gs, rows1          []*Mat[E]
 }
 
 func newPinInputs[E Elt]() *pinInputs[E] {
@@ -44,6 +45,9 @@ func newPinInputs[E Elt]() *pinInputs[E] {
 		in.as = append(in.as, mat(in.m, in.k))
 		in.gs = append(in.gs, gate())
 	}
+	for s := 0; s < 6; s++ {
+		in.rows1 = append(in.rows1, mat(1, in.k))
+	}
 	return in
 }
 
@@ -53,9 +57,9 @@ func (in *pinInputs[E]) dst(rows, cols int) *Mat[E] {
 	return ConvertedOf[E](randomMatrix(rng.New(9), rows, cols))
 }
 
-func (in *pinInputs[E]) dsts(rows, cols int) []*Mat[E] {
+func (in *pinInputs[E]) dsts(count, rows, cols int) []*Mat[E] {
 	r := rng.New(9)
-	ds := make([]*Mat[E], len(in.as))
+	ds := make([]*Mat[E], count)
 	for s := range ds {
 		ds[s] = ConvertedOf[E](randomMatrix(r, rows, cols))
 	}
@@ -93,60 +97,72 @@ func gemmFingerprints[E Elt]() map[string]uint64 {
 		return fingerprint(d)
 	}
 	many := func(rows, cols int, run func(ds []*Mat[E])) uint64 {
-		ds := in.dsts(rows, cols)
+		ds := in.dsts(len(in.as), rows, cols)
+		run(ds)
+		return fingerprint(ds...)
+	}
+	rows1 := func(run func(ds []*Mat[E])) uint64 {
+		ds := in.dsts(len(in.rows1), 1, n)
 		run(ds)
 		return fingerprint(ds...)
 	}
 	return map[string]uint64{
-		"MatMul":            one(m, n, func(d *Mat[E]) { MatMul(d, in.a, in.b) }),
-		"GemmAcc":           one(m, n, func(d *Mat[E]) { GemmAcc(d, in.a, in.b) }),
-		"MatMulT":           one(m, n, func(d *Mat[E]) { MatMulT(d, in.a, in.bTk) }),
-		"GemmTAcc":          one(m, n, func(d *Mat[E]) { GemmTAcc(d, in.a, in.bTk) }),
-		"GemmATAcc":         one(in.g.Cols, k, func(d *Mat[E]) { GemmATAcc(d, in.g, in.x) }),
-		"GemmTAccCols":      one(m, n, func(d *Mat[E]) { GemmTAccCols(d, in.a, in.bT, lo) }),
-		"MatMulTCols":       one(m, n, func(d *Mat[E]) { MatMulTCols(d, in.a, in.bT, lo) }),
-		"GemmTAccColsBatch": many(m, n, func(ds []*Mat[E]) { GemmTAccColsBatch(ds, in.as, in.bT, lo) }),
-		"GemmAccCols":       one(m, k, func(d *Mat[E]) { GemmAccCols(d, in.g, gLo, gHi, in.w, lo) }),
-		"MatMulCols":        one(m, k, func(d *Mat[E]) { MatMulCols(d, in.g, gLo, gHi, in.w, lo) }),
-		"GemmAccColsBatch":  many(m, k, func(ds []*Mat[E]) { GemmAccColsBatch(ds, in.gs, gLo, gHi, in.w, lo) }),
-		"GemmATAccCols":     one(in.gw, kb, func(d *Mat[E]) { GemmATAccCols(d, lo, in.g, gLo, gHi, in.x) }),
-		"GemmTAccDstCols":   one(m, n+lo+2, func(d *Mat[E]) { GemmTAccDstCols(d, lo, in.a, in.bTk) }),
+		"GemmAcc":              one(m, n, func(d *Mat[E]) { GemmAcc(d, in.a, in.b) }),
+		"MatMulT":              one(m, n, func(d *Mat[E]) { MatMulT(d, in.a, in.bTk) }),
+		"GemmTAcc":             one(m, n, func(d *Mat[E]) { GemmTAcc(d, in.a, in.bTk) }),
+		"GemmATAcc":            one(in.g.Cols, k, func(d *Mat[E]) { GemmATAcc(d, in.g, in.x) }),
+		"GemmTAccCols":         one(m, n, func(d *Mat[E]) { GemmTAccCols(d, in.a, in.bT, lo) }),
+		"MatMulTCols":          one(m, n, func(d *Mat[E]) { MatMulTCols(d, in.a, in.bT, lo) }),
+		"GemmTAccColsBatch":    many(m, n, func(ds []*Mat[E]) { GemmTAccColsBatch(ds, in.as, in.bT, lo) }),
+		"GemmTAccColsBatch/M1": rows1(func(ds []*Mat[E]) { GemmTAccColsBatch(ds, in.rows1, in.bT, lo) }),
+		"GemmAccCols":          one(m, k, func(d *Mat[E]) { GemmAccCols(d, in.g, gLo, gHi, in.w, lo) }),
+		"MatMulCols":           one(m, k, func(d *Mat[E]) { MatMulCols(d, in.g, gLo, gHi, in.w, lo) }),
+		"GemmAccColsBatch":     many(m, k, func(ds []*Mat[E]) { GemmAccColsBatch(ds, in.gs, gLo, gHi, in.w, lo) }),
+		"GemmATAccCols":        one(in.gw, kb, func(d *Mat[E]) { GemmATAccCols(d, lo, in.g, gLo, gHi, in.x) }),
+		"GemmTAccDstCols":      one(m, n+lo+2, func(d *Mat[E]) { GemmTAccDstCols(d, lo, in.a, in.bTk) }),
 	}
 }
 
-// TestGemmBitPins pins the output bits of all 13 GEMM entry points at both
-// element types. There is one generic implementation per kernel; the float64
-// constants were captured from the hand-written float64 kernels and the
-// float32 constants from their generic mirrors before the two were merged
-// (parent of the commit that introduced this test), so a kernel edit that
-// moves a single bit of either instantiation fails here.
+// TestGemmBitPins pins the output bits of all 12 GEMM entry points at both
+// element types, plus GemmTAccColsBatch over one-row operands (captured from
+// the Go kernels before the vector kernels existed). There is one generic
+// implementation per kernel; the float64 constants were captured from the
+// hand-written float64 kernels and the float32 constants from their generic
+// mirrors before the two were merged (parent of the commit that introduced
+// this test), so a kernel edit that moves a single bit of either
+// instantiation fails here. The pins hold with the vector kernels off and on.
 func TestGemmBitPins(t *testing.T) {
-	f64, f32 := gemmFingerprints[float64](), gemmFingerprints[float32]()
-	if len(f64) != len(gemmPins) || len(f32) != len(gemmPins) {
-		t.Fatalf("pin table has %d entries, kernels report %d (f64) / %d (f32)", len(gemmPins), len(f64), len(f32))
-	}
-	for name, want := range gemmPins {
-		if got := f64[name]; got != want.f64 {
-			t.Errorf("%s float64: fingerprint %#016x, pinned %#016x", name, got, want.f64)
-		}
-		if got := f32[name]; got != want.f32 {
-			t.Errorf("%s float32: fingerprint %#016x, pinned %#016x", name, got, want.f32)
-		}
+	for _, path := range []string{"go", "vec"} {
+		t.Run(path, func(t *testing.T) {
+			setVecKernels(t, path == "vec")
+			f64, f32 := gemmFingerprints[float64](), gemmFingerprints[float32]()
+			if len(f64) != len(gemmPins) || len(f32) != len(gemmPins) {
+				t.Fatalf("pin table has %d entries, kernels report %d (f64) / %d (f32)", len(gemmPins), len(f64), len(f32))
+			}
+			for name, want := range gemmPins {
+				if got := f64[name]; got != want.f64 {
+					t.Errorf("%s float64: fingerprint %#016x, pinned %#016x", name, got, want.f64)
+				}
+				if got := f32[name]; got != want.f32 {
+					t.Errorf("%s float32: fingerprint %#016x, pinned %#016x", name, got, want.f32)
+				}
+			}
+		})
 	}
 }
 
 var gemmPins = map[string]struct{ f64, f32 uint64 }{
-	"GemmATAcc":         {0x88065dda5ab51956, 0x0d0bac63cf473a1d},
-	"GemmATAccCols":     {0x700600921679f19a, 0xacb186ac2dec3cba},
-	"GemmAcc":           {0x22698294aad8ad51, 0x3a9789594a5a2754},
-	"GemmAccCols":       {0x6ef62c525b90eba7, 0xb2b982936d40dbb4},
-	"GemmAccColsBatch":  {0xef7f3d04f3f4e146, 0x38816a6dc8625e3b},
-	"GemmTAcc":          {0x2f212f0b565ff56f, 0xdb7251589d4b6dce},
-	"GemmTAccCols":      {0x3da3e23e53cc6f69, 0xaea85df92da3a865},
-	"GemmTAccColsBatch": {0xca9304e691a549b4, 0x3ab1a5b1db1ca8f0},
-	"GemmTAccDstCols":   {0xbbaa0d17ad9659d5, 0xb30ad82056a35ecd},
-	"MatMul":            {0x9252be5d59bd74ef, 0xda817e5a06486cdd},
-	"MatMulCols":        {0x5564f1594d93f2c9, 0xd800df00ee2b7f7b},
-	"MatMulT":           {0x88424297f7c078e1, 0xe14b15da524097df},
-	"MatMulTCols":       {0x8dde54b00afc4dff, 0x37417754a318df74},
+	"GemmATAcc":            {0x88065dda5ab51956, 0x0d0bac63cf473a1d},
+	"GemmATAccCols":        {0x700600921679f19a, 0xacb186ac2dec3cba},
+	"GemmAcc":              {0x22698294aad8ad51, 0x3a9789594a5a2754},
+	"GemmAccCols":          {0x6ef62c525b90eba7, 0xb2b982936d40dbb4},
+	"GemmAccColsBatch":     {0xef7f3d04f3f4e146, 0x38816a6dc8625e3b},
+	"GemmTAcc":             {0x2f212f0b565ff56f, 0xdb7251589d4b6dce},
+	"GemmTAccCols":         {0x3da3e23e53cc6f69, 0xaea85df92da3a865},
+	"GemmTAccColsBatch":    {0xca9304e691a549b4, 0x3ab1a5b1db1ca8f0},
+	"GemmTAccColsBatch/M1": {0x2d9d3bb890c33dd9, 0x01111102b5264d83},
+	"GemmTAccDstCols":      {0xbbaa0d17ad9659d5, 0xb30ad82056a35ecd},
+	"MatMulCols":           {0x5564f1594d93f2c9, 0xd800df00ee2b7f7b},
+	"MatMulT":              {0x88424297f7c078e1, 0xe14b15da524097df},
+	"MatMulTCols":          {0x8dde54b00afc4dff, 0x37417754a318df74},
 }

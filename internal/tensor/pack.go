@@ -14,8 +14,8 @@ import "fmt"
 // (layer, direction) and only repacks when the weights change.
 //
 // Layout: column-major over window rows — packed column j (row j of bT) is
-// the contiguous k-vector buf[j*k : (j+1)*k]. The packed microkernel is then
-// statement-for-statement the unpacked gemmTColsPanel with kb = k, lo = 0:
+// the contiguous k-vector packed.Data[j*k : (j+1)*k], so the packed kernels
+// are gemmTColsPanel over that [N x K] matrix with lo = 0:
 // same quad grouping, same accumulation order, same remainder dot, so packed
 // kernels are bitwise-identical to their unpacked originals per dtype while
 // reading one sequential stream instead of four strided ones.
@@ -26,7 +26,8 @@ type PackedPanel[E Elt] struct {
 	// src is the matrix the panel was packed from; packed kernels report it
 	// to the access-hook sanitizer so reads attribute to the real weights.
 	src *Mat[E]
-	buf []E
+	// packed views the packed buffer as an [N x K] matrix.
+	packed Mat[E]
 }
 
 // NewPackedPanel packs the column window [lo, lo+k) of bT. The panel holds a
@@ -35,7 +36,7 @@ func NewPackedPanel[E Elt](bT *Mat[E], lo, k int) *PackedPanel[E] {
 	if lo < 0 || k < 0 || lo+k > bT.Cols {
 		panic(fmt.Sprintf("tensor: NewPackedPanel window [%d,%d) out of range for %d cols", lo, lo+k, bT.Cols))
 	}
-	pp := &PackedPanel[E]{N: bT.Rows, K: k, Lo: lo, src: bT, buf: make([]E, bT.Rows*k)}
+	pp := &PackedPanel[E]{N: bT.Rows, K: k, Lo: lo, src: bT, packed: Mat[E]{Rows: bT.Rows, Cols: k, Data: make([]E, bT.Rows*k)}}
 	pp.Repack()
 	return pp
 }
@@ -44,7 +45,7 @@ func NewPackedPanel[E Elt](bT *Mat[E], lo, k int) *PackedPanel[E] {
 func (pp *PackedPanel[E]) Src() *Mat[E] { return pp.src }
 
 // Bytes returns the size of the packed buffer.
-func (pp *PackedPanel[E]) Bytes() int { return len(pp.buf) * int(DTypeOf[E]().Size()) }
+func (pp *PackedPanel[E]) Bytes() int { return len(pp.packed.Data) * int(DTypeOf[E]().Size()) }
 
 // Repack refreshes the packed copy from the source matrix, in place; existing
 // pointers to the panel stay valid, which keeps captured replay templates
@@ -53,7 +54,7 @@ func (pp *PackedPanel[E]) Repack() {
 	guardR(pp.src)
 	k, kb := pp.K, pp.src.Cols
 	for j := 0; j < pp.N; j++ {
-		copy(pp.buf[j*k:(j+1)*k], pp.src.Data[j*kb+pp.Lo:j*kb+pp.Lo+k])
+		copy(pp.packed.Data[j*k:(j+1)*k], pp.src.Data[j*kb+pp.Lo:j*kb+pp.Lo+k])
 	}
 }
 
@@ -73,7 +74,7 @@ func GemmTAccColsPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E]) {
 	m, k, n := a.Rows, a.Cols, pp.N
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
 	for jj := 0; jj < n; jj += blockN {
-		gemmTColsPanelPacked(dst, a, pp, jj, min(jj+blockN, n))
+		gemmTColsPanel(dst, 0, a, &pp.packed, 0, jj, min(jj+blockN, n))
 	}
 }
 
@@ -102,45 +103,5 @@ func GemmTAccColsPackedBatch[E Elt](dsts, as []*Mat[E], pp *PackedPanel[E]) {
 		flops += 2 * int64(as[s].Rows) * int64(as[s].Cols) * int64(pp.N)
 	}
 	countGemmOf[E](flops)
-	for jj := 0; jj < pp.N; jj += blockN {
-		jMax := min(jj+blockN, pp.N)
-		for s := range dsts {
-			gemmTColsPanelPacked(dsts[s], as[s], pp, jj, jMax)
-		}
-	}
-}
-
-// gemmTColsPanelPacked is gemmTColsPanel reading the contiguous packed
-// buffer instead of strided bT rows — identical multiply-add sequence per
-// output element, so packed and unpacked results match bitwise per dtype.
-func gemmTColsPanelPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E], jj, jMax int) {
-	m, k, n := a.Rows, a.Cols, dst.Cols
-	for ii := 0; ii < m; ii += blockM {
-		iMax := min(ii+blockM, m)
-		for i := ii; i < iMax; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*n:]
-			j := jj
-			for ; j+4 <= jMax; j += 4 {
-				b0 := pp.buf[j*k : (j+1)*k][:len(arow)]
-				b1 := pp.buf[(j+1)*k : (j+2)*k][:len(arow)]
-				b2 := pp.buf[(j+2)*k : (j+3)*k][:len(arow)]
-				b3 := pp.buf[(j+3)*k : (j+4)*k][:len(arow)]
-				var s0, s1, s2, s3 E
-				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				drow[j] += s0
-				drow[j+1] += s1
-				drow[j+2] += s2
-				drow[j+3] += s3
-			}
-			for ; j < jMax; j++ {
-				drow[j] += dot(arow, pp.buf[j*k:(j+1)*k])
-			}
-		}
-	}
+	gemmTColsBatch(dsts, as, &pp.packed, 0)
 }

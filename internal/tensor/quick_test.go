@@ -33,7 +33,7 @@ func TestQuickGemmMatchesNaive(t *testing.T) {
 		a := randomMatrix(r, m, k)
 		b := randomMatrix(r, k, n)
 		got, want := New(m, n), New(m, n)
-		MatMul(got, a, b)
+		GemmAcc(got, a, b)
 		MatMulNaive(want, a, b)
 		return allClose(got, want, 1e-11, 1e-11)
 	}
@@ -54,10 +54,10 @@ func TestQuickGemmDistributesOverAdd(t *testing.T) {
 		sum := New(m, k)
 		Add(sum, a1, a2)
 		left := New(m, n)
-		MatMul(left, sum, b)
+		GemmAcc(left, sum, b)
 		r1, r2 := New(m, n), New(m, n)
-		MatMul(r1, a1, b)
-		MatMul(r2, a2, b)
+		GemmAcc(r1, a1, b)
+		GemmAcc(r2, a2, b)
 		right := New(m, n)
 		Add(right, r1, r2)
 		return allClose(left, right, 1e-10, 1e-10)
@@ -76,10 +76,10 @@ func TestQuickTransposeOfProduct(t *testing.T) {
 		a := randomMatrix(r, m, k)
 		b := randomMatrix(r, k, n)
 		ab := New(m, n)
-		MatMul(ab, a, b)
+		GemmAcc(ab, a, b)
 		left := transpose(ab)
 		right := New(n, m)
-		MatMul(right, transpose(b), transpose(a))
+		GemmAcc(right, transpose(b), transpose(a))
 		return allClose(left, right, 1e-10, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

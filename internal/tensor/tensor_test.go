@@ -172,10 +172,10 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		b := randomMatrix(r, k, n)
 		got := New(m, n)
 		want := New(m, n)
-		MatMul(got, a, b)
+		GemmAcc(got, a, b)
 		MatMulNaive(want, a, b)
 		if !allClose(got, want, 1e-12, 1e-12) {
-			t.Fatalf("MatMul mismatch for %dx%dx%d: max diff %g", m, k, n, got.MaxAbsDiff(want))
+			t.Fatalf("GemmAcc mismatch for %dx%dx%d: max diff %g", m, k, n, got.MaxAbsDiff(want))
 		}
 	}
 }
@@ -187,7 +187,7 @@ func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
 	got := New(13, 17)
 	MatMulT(got, a, bT)
 	want := New(13, 17)
-	MatMul(want, a, transpose(bT))
+	GemmAcc(want, a, transpose(bT))
 	if !allClose(got, want, 1e-12, 1e-12) {
 		t.Fatalf("MatMulT mismatch: %g", got.MaxAbsDiff(want))
 	}
@@ -201,7 +201,7 @@ func TestGemmATAccMatchesExplicitTranspose(t *testing.T) {
 	got.Fill(0.5)
 	GemmATAcc(got, a, b)
 	want := New(8, 11)
-	MatMul(want, transpose(a), b)
+	GemmAcc(want, transpose(a), b)
 	for i := range want.Data {
 		want.Data[i] += 0.5
 	}
@@ -215,7 +215,7 @@ func TestGemmAccAccumulates(t *testing.T) {
 	a := randomMatrix(r, 5, 6)
 	b := randomMatrix(r, 6, 7)
 	dst := New(5, 7)
-	MatMul(dst, a, b)
+	GemmAcc(dst, a, b)
 	once := dst.Clone()
 	GemmAcc(dst, a, b)
 	twice := New(5, 7)
@@ -226,8 +226,8 @@ func TestGemmAccAccumulates(t *testing.T) {
 }
 
 func TestMatMulShapePanics(t *testing.T) {
-	defer expectPanic(t, "MatMul")
-	MatMul(New(2, 2), New(2, 3), New(4, 2))
+	defer expectPanic(t, "GemmAcc")
+	GemmAcc(New(2, 2), New(2, 3), New(4, 2))
 }
 
 func TestDotAxpy(t *testing.T) {

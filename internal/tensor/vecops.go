@@ -45,15 +45,6 @@ func Mul[E Elt](dst, a, b *Mat[E]) {
 	}
 }
 
-// MulAcc computes dst += a ⊙ b.
-func MulAcc[E Elt](dst, a, b *Mat[E]) {
-	checkSameShape3("MulAcc", dst, a, b)
-	guardWRR(dst, a, b)
-	for i, v := range a.Data {
-		dst.Data[i] += v * b.Data[i]
-	}
-}
-
 // AddAcc computes dst += a.
 func AddAcc[E Elt](dst, a *Mat[E]) {
 	checkSameShape2("AddAcc", dst, a)

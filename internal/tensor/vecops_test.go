@@ -26,14 +26,9 @@ func TestAddSubMul(t *testing.T) {
 	}
 }
 
-func TestMulAccAddAcc(t *testing.T) {
+func TestAddAcc(t *testing.T) {
 	a := fromSlice(1, 3, []float64{1, 2, 3})
-	b := fromSlice(1, 3, []float64{4, 5, 6})
-	dst := fromSlice(1, 3, []float64{1, 1, 1})
-	MulAcc(dst, a, b)
-	if !dst.Equal(fromSlice(1, 3, []float64{5, 11, 19})) {
-		t.Fatalf("MulAcc got %v", dst)
-	}
+	dst := fromSlice(1, 3, []float64{5, 11, 19})
 	AddAcc(dst, a)
 	if !dst.Equal(fromSlice(1, 3, []float64{6, 13, 22})) {
 		t.Fatalf("AddAcc got %v", dst)
@@ -187,44 +182,6 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-func TestCrossEntropyAndBackward(t *testing.T) {
-	logits := fromSlice(2, 3, []float64{2, 1, 0, 0, 3, 0})
-	probs := logits.Clone()
-	SoftmaxRows(probs)
-	targets := []int{0, 1}
-	// meanNLL is the loss the backward kernel differentiates: the targets'
-	// negative log-likelihood averaged over the rows.
-	meanNLL := func(probs *Matrix) float64 {
-		loss := 0.0
-		for i, c := range targets {
-			loss -= math.Log(probs.At(i, c))
-		}
-		return loss / float64(probs.Rows)
-	}
-	if loss := meanNLL(probs); loss <= 0 {
-		t.Fatalf("loss must be positive, got %g", loss)
-	}
-
-	// Numeric check of the fused softmax+CE gradient.
-	grad := New(2, 3)
-	SoftmaxCrossEntropyBackward(grad, probs, targets)
-	const h = 1e-6
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			lp := logits.Clone()
-			lp.Set(i, j, lp.At(i, j)+h)
-			SoftmaxRows(lp)
-			lm := logits.Clone()
-			lm.Set(i, j, lm.At(i, j)-h)
-			SoftmaxRows(lm)
-			num := (meanNLL(lp) - meanNLL(lm)) / (2 * h)
-			if math.Abs(num-grad.At(i, j)) > 1e-5 {
-				t.Fatalf("CE gradient off at (%d,%d): analytic %g numeric %g", i, j, grad.At(i, j), num)
-			}
-		}
-	}
-}
-
 func TestGradKernelsAgainstRandomShapes(t *testing.T) {
 	// dX = dG * W and dW += dG^T * X shapes used by the cells.
 	r := rng.New(11)
@@ -234,7 +191,7 @@ func TestGradKernelsAgainstRandomShapes(t *testing.T) {
 	x := randomMatrix(r, batch, in)
 
 	dX := New(batch, in)
-	MatMul(dX, dG, w)
+	GemmAcc(dX, dG, w)
 	dXref := New(batch, in)
 	MatMulNaive(dXref, dG, w)
 	if !allClose(dX, dXref, 1e-12, 1e-12) {
@@ -247,19 +204,5 @@ func TestGradKernelsAgainstRandomShapes(t *testing.T) {
 	MatMulNaive(dWref, transpose(dG), x)
 	if !allClose(dW, dWref, 1e-12, 1e-12) {
 		t.Fatal("dW kernel mismatch")
-	}
-}
-
-func TestCrossEntropyIgnoreLabel(t *testing.T) {
-	probs := fromSlice(3, 2, []float64{0.7, 0.3, 0.2, 0.8, 0.5, 0.5})
-	grad := New(3, 2)
-	SoftmaxCrossEntropyBackward(grad, probs, []int{0, 1, IgnoreLabel})
-	for j := 0; j < 2; j++ {
-		if grad.At(2, j) != 0 {
-			t.Fatal("ignored row must have zero gradient")
-		}
-	}
-	if grad.At(0, 0) == 0 {
-		t.Fatal("live rows must have gradient")
 	}
 }

@@ -6,7 +6,15 @@
 //	depkey           value-typed dependency key in a []taskrt.Dep list
 //	lifecycle        Submit/SubmitAll/Replay after Shutdown on the same runtime
 //	emitterbarrier   Wait inside a graph-emitter file
+//	stalecapture     per-step state frozen into a captured task graph
 //	errcheck         discarded error result in a command package
+//	unusedexport     exported name or option field under internal/ that only tests use
+//
+// unusedexport indexes uses over every package of the module whatever the
+// package arguments, so a narrow load reports only what a whole-module load
+// reports for the same packages. Its allowlist of kept test oracles lives in
+// internal/analysis/unusedexport.go; an entry that matches nothing is
+// reported too.
 //
 // With -graph, the arguments are template dump files (written by
 // bpar-train -dump-templates or Engine.DumpTemplates) and bpar-vet instead

@@ -6,7 +6,8 @@
 // reuses a key by value, re-submits after teardown, or sneaks a barrier into
 // an emitter — silently breaks the model in ways neither the compiler nor
 // the race detector reliably sees. Each pass maps one such OmpSs-pragma-
-// style mistake onto Go source.
+// style mistake onto Go source. One pass, unusedexport, guards the code
+// base instead: exported API that only tests use.
 //
 // Everything here is standard library only: packages are loaded through
 // `go list -export -deps -json`, type-checked with go/types against the
@@ -60,6 +61,11 @@ type Program struct {
 	StrictWait bool
 
 	summaries map[string]*mutSummary // see undeclaredwrite.go
+
+	// dir and module locate the main module of a Load; empty for programs
+	// built by hand, whose units are then the whole world.
+	dir, module string
+	unused      map[string][]Diagnostic // see unusedexport.go
 }
 
 // Passes returns every registered pass in reporting order.
@@ -71,6 +77,7 @@ func Passes() []Pass {
 		passEmitterBarrier,
 		passStaleCapture,
 		passErrcheck,
+		passUnusedExport,
 	}
 }
 

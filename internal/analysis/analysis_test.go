@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -129,5 +130,49 @@ func TestRepoIsClean(t *testing.T) {
 	_, prog := loadModule(t)
 	for _, d := range prog.Run(Passes()) {
 		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
+// TestSeedSummariesResolve checks every kernel undeclaredwrite seeds names a
+// function of the loaded tensor package: a stale name seeds nothing, and
+// the pass then silently misses writes through the kernel it meant.
+func TestSeedSummariesResolve(t *testing.T) {
+	_, prog := loadModule(t)
+	var pkg *types.Package
+	for _, u := range prog.Units {
+		if u.ImportPath == "bpar/internal/tensor" {
+			pkg = u.Pkg
+		}
+	}
+	if pkg == nil {
+		t.Fatal("bpar/internal/tensor not loaded")
+	}
+	funcs := map[string]bool{}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			funcs[obj.FullName()] = true
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() != 1 {
+				continue
+			}
+			for _, elt := range []types.Type{types.Typ[types.Float64], types.Typ[types.Float32]} {
+				inst, err := types.Instantiate(nil, named, []types.Type{elt}, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m, _, _ := types.LookupFieldOrMethod(types.NewPointer(inst), true, pkg, named.Method(i).Name())
+					funcs[m.(*types.Func).FullName()] = true
+				}
+			}
+		}
+	}
+	for name := range seedSummaries() {
+		if !funcs[name] {
+			t.Errorf("seed %s names no function of bpar/internal/tensor", name)
+		}
 	}
 }

@@ -25,6 +25,7 @@ type listPkg struct {
 	DepOnly    bool
 	Standard   bool
 	ImportMap  map[string]string
+	Module     *struct{ Path string }
 }
 
 // Loader loads packages for analysis: target packages are parsed and
@@ -77,7 +78,7 @@ func (l *Loader) Load(patterns ...string) (*Program, error) {
 	}
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Standard,ImportMap",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Standard,ImportMap,Module",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
@@ -107,8 +108,11 @@ func (l *Loader) Load(patterns ...string) (*Program, error) {
 		}
 	}
 
-	prog := &Program{}
+	prog := &Program{dir: l.Dir}
 	for _, t := range targets {
+		if t.Module != nil {
+			prog.module = t.Module.Path
+		}
 		u, err := l.checkPackage(t)
 		if err != nil {
 			return nil, err

@@ -57,7 +57,7 @@ func seedSummaries() map[string]*mutSummary {
 	const tp = "bpar/internal/tensor"
 	seeds := map[string]*mutSummary{}
 	dst0 := []string{
-		"Add", "Sub", "Mul", "AddAcc", "Scale", "ScaleInPlace",
+		"Add", "Mul", "AddAcc", "Scale", "ScaleInPlace",
 		"AxpyMatrix", "Average", "AddBiasRows", "ClipInPlace",
 		"MatMulT", "MatMulNaive", "GemmAcc", "GemmTAcc", "GemmATAcc",
 		"SigmoidInPlace", "TanhInPlace", "SoftmaxRows",
@@ -67,7 +67,7 @@ func seedSummaries() map[string]*mutSummary {
 		// resolves only when the slice itself roots at a key-mapped field
 		// (append-built locals stay conservatively silent).
 		"MatMulCols", "MatMulTCols", "GemmAccCols", "GemmTAccCols",
-		"GemmATAccCols", "GemmTAccDstCols", "TransposeStackInto",
+		"GemmTAccDstCols", "TransposeStackInto",
 		"GemmTAccColsBatch", "GemmAccColsBatch",
 		"CopyColsInto",
 		// Packed-panel kernels and the cross-dtype conversion kernel.
@@ -87,7 +87,7 @@ func seedSummaries() map[string]*mutSummary {
 	// receiver with the instantiated type argument (the `Matrix` alias never
 	// appears), so both dtypes are seeded explicitly.
 	for _, inst := range []string{"Mat[float64]", "Mat[float32]"} {
-		for _, m := range []string{"CopyFrom", "Zero", "Fill", "Set"} {
+		for _, m := range []string{"CopyFrom", "Zero", "Set"} {
 			seeds["(*"+tp+"."+inst+")."+m] = &mutSummary{muts: map[mutKey]bool{{param: -1}: true}}
 		}
 	}

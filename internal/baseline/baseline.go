@@ -197,11 +197,6 @@ func (f *CPUModel) TrainBatchSec(cfg core.Config, cores int) float64 {
 	return f.batchSec(cfg, cores, true)
 }
 
-// InferBatchSec estimates one inference batch (forward only).
-func (f *CPUModel) InferBatchSec(cfg core.Config, cores int) float64 {
-	return f.batchSec(cfg, cores, false)
-}
-
 // BestOverCores returns the minimum batch time over the given core counts
 // and the core count achieving it — the paper reports framework results at
 // their best configuration.
@@ -265,9 +260,4 @@ func (f *GPUModel) batchSec(cfg core.Config, train bool) (float64, error) {
 // paper reports hung runs.
 func (f *GPUModel) TrainBatchSec(cfg core.Config) (float64, error) {
 	return f.batchSec(cfg, true)
-}
-
-// InferBatchSec estimates one inference batch.
-func (f *GPUModel) InferBatchSec(cfg core.Config) (float64, error) {
-	return f.batchSec(cfg, false)
 }

@@ -106,11 +106,11 @@ func TestPyTorchGPUHangsOnHugeModels(t *testing.T) {
 func TestInferCheaperThanTrain(t *testing.T) {
 	k := KerasCPU(xeon)
 	c := cfg6(core.LSTM, 256, 256, 128, 100)
-	if !(k.InferBatchSec(c, 24) < k.TrainBatchSec(c, 24)/2) {
+	if !(k.batchSec(c, 24, false) < k.TrainBatchSec(c, 24)/2) {
 		t.Fatal("inference should be well under half of training")
 	}
 	kg := KerasGPU(costmodel.TeslaV100())
-	gi, _ := kg.InferBatchSec(c)
+	gi, _ := kg.batchSec(c, false)
 	gt, _ := kg.TrainBatchSec(c)
 	if gi >= gt {
 		t.Fatal("GPU inference should be cheaper")

@@ -144,14 +144,6 @@ func NewGRUGrads(w *GRUWeights) *GRUGrads {
 	return &GRUGrads{DW: tensor.New(w.W.Rows, w.W.Cols), DB: make([]float64, len(w.B))}
 }
 
-// Zero clears the accumulated gradients.
-func (g *GRUGrads) Zero() {
-	g.DW.Zero()
-	for i := range g.DB {
-		g.DB[i] = 0
-	}
-}
-
 // GRUWorkingSetBytes estimates the bytes one cell task touches.
 func GRUWorkingSetBytes(batch, inputSize, hiddenSize int) int64 {
 	weights := int64(gruGates*hiddenSize*(inputSize+hiddenSize)+gruGates*hiddenSize) * 8

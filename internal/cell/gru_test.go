@@ -134,17 +134,6 @@ func TestGRUDeterministic(t *testing.T) {
 	}
 }
 
-func TestGRUGradsZero(t *testing.T) {
-	w := NewGRUWeights(2, 2)
-	g := NewGRUGrads(w)
-	g.DW.Fill(1)
-	g.DB[1] = 2
-	g.Zero()
-	if !g.DW.Equal(tensor.New(g.DW.Rows, g.DW.Cols)) || g.DB[1] != 0 {
-		t.Fatal("Zero failed")
-	}
-}
-
 func TestNewGRUWeightsPanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

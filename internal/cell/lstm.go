@@ -155,14 +155,6 @@ func NewLSTMGrads(w *LSTMWeights) *LSTMGrads {
 	}
 }
 
-// Zero clears the accumulated gradients.
-func (g *LSTMGrads) Zero() {
-	g.DW.Zero()
-	for i := range g.DB {
-		g.DB[i] = 0
-	}
-}
-
 // lstmGateGrads computes the pre-activation gate gradients and dCPrev from
 // the forward cache — the elementwise half of the backward cell. dH is the
 // gradient w.r.t. H_t summed over its consumers; dC, the gradient w.r.t. C_t

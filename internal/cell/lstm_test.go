@@ -165,17 +165,6 @@ func TestLSTMInitForgetBias(t *testing.T) {
 	}
 }
 
-func TestLSTMGradsZero(t *testing.T) {
-	w := NewLSTMWeights(2, 2)
-	g := NewLSTMGrads(w)
-	g.DW.Fill(3)
-	g.DB[0] = 4
-	g.Zero()
-	if !g.DW.Equal(tensor.New(g.DW.Rows, g.DW.Cols)) || g.DB[0] != 0 {
-		t.Fatal("Zero failed")
-	}
-}
-
 func TestLSTMWorkingSetNearPaper(t *testing.T) {
 	// Paper: batch 128, input 64, hidden 512 → ~4.71 MB per LSTM task.
 	ws := LSTMWorkingSetBytes(128, 64, 512)

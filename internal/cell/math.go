@@ -7,7 +7,6 @@ import (
 	"bpar/internal/tensor"
 )
 
-func tanh(x float64) float64     { return math.Tanh(x) }
 func mathSqrt(x float64) float64 { return math.Sqrt(x) }
 
 // tanhE evaluates tanh in float64 and rounds to E — an identity at

@@ -58,17 +58,6 @@ func (ps *PackSet[E]) Repack() {
 	}
 }
 
-// Bytes returns the total packed-buffer footprint.
-func (ps *PackSet[E]) Bytes() int {
-	n := 0
-	for _, pp := range []*tensor.PackedPanel[E]{ps.X, ps.H, ps.HZR, ps.HH} {
-		if pp != nil {
-			n += pp.Bytes()
-		}
-	}
-	return n
-}
-
 // --- Packed forward variants ---
 //
 // Each mirrors its unpacked counterpart exactly — same bias handling, same

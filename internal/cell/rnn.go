@@ -71,14 +71,6 @@ func NewRNNGrads(w *RNNWeights) *RNNGrads {
 	return &RNNGrads{DW: tensor.New(w.W.Rows, w.W.Cols), DB: make([]float64, len(w.B))}
 }
 
-// Zero clears the accumulated gradients.
-func (g *RNNGrads) Zero() {
-	g.DW.Zero()
-	for i := range g.DB {
-		g.DB[i] = 0
-	}
-}
-
 // RNNWorkingSetBytes estimates the bytes one cell task touches.
 func RNNWorkingSetBytes(batch, inputSize, hiddenSize int) int64 {
 	weights := int64(hiddenSize*(inputSize+hiddenSize)+hiddenSize) * 8

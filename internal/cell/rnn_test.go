@@ -62,7 +62,7 @@ func TestRNNGradientCheck(t *testing.T) {
 	grads := NewRNNGrads(w)
 	panels, dXs := chainGrads(w.W, in, hid, masks, func(t0 int, dH, panel *tensor.Matrix) *tensor.Matrix {
 		dHPrev := tensor.New(batch, hid)
-		RNNBackwardPre(w, states[t0], hPrevs[t0], dH, panel, nil, dHPrev, grads)
+		RNNBackwardPre(w, states[t0], hPrevs[t0], dH, panel, dHPrev)
 		return dHPrev
 	})
 	RNNDWBatch(w, grads, panels, xs, hPrevs, tensor.New(hid, steps*batch), tensor.New(max(in, hid), steps*batch))
@@ -88,16 +88,6 @@ func TestRNNCheaperThanGRU(t *testing.T) {
 	r, g, l := RNNWorkingSetBytes(128, 256, 256), GRUWorkingSetBytes(128, 256, 256), LSTMWorkingSetBytes(128, 256, 256)
 	if r <= 0 || r >= g || g >= l {
 		t.Fatalf("working sets RNN %d, GRU %d, LSTM %d: want 0 < RNN < GRU < LSTM", r, g, l)
-	}
-}
-
-func TestRNNGradsZero(t *testing.T) {
-	g := NewRNNGrads(NewRNNWeights(2, 2))
-	g.DW.Fill(1)
-	g.DB[0] = 2
-	g.Zero()
-	if !g.DW.Equal(tensor.New(g.DW.Rows, g.DW.Cols)) || g.DB[0] != 0 {
-		t.Fatal("Zero failed")
 	}
 }
 

@@ -37,29 +37,15 @@ func LSTMForwardPre[E tensor.Elt](w *LSTMWeightsOf[E], pre, hPrev, cPrev *tensor
 	lstmPointwise(w, cPrev, st)
 }
 
-// LSTMBackwardPre is the chain-resident backward remainder. The
-// pre-activation gate gradients land in dGates (the caller's pooled panel).
-// A nil dX selects deferred-gradient mode: the chain computes only the gate
-// gradients and dHPrev, and the caller hoists everything derivable from the
-// panels — dX, dW (both halves) and DB — into batched off-chain tasks. With
-// dX non-nil the kernel is self-contained: it accumulates the recurrent
-// weight-gradient window, the bias, and the per-timestep input gradient.
+// LSTMBackwardPre is the chain-resident backward remainder. It computes the
+// pre-activation gate gradients, into dGates (the caller's pooled panel),
+// and dHPrev; the caller hoists everything derivable from the panels — dX,
+// dW (both halves) and DB — into batched off-chain tasks. dX and grads are
+// ignored: they stay in the signature only for bench/probes.go's call, and
+// go with ROADMAP item 1(f).
 func LSTMBackwardPre(w *LSTMWeights, st *LSTMState, hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev *tensor.Matrix, grads *LSTMGrads) {
-	H := w.HiddenSize
 	lstmGateGrads(w, st, cPrev, dH, dC, dGates, dCPrev)
-
-	if dX != nil {
-		tensor.GemmATAccCols(grads.DW, w.InputSize, dGates, 0, lstmGates*H, hPrev)
-		batch := dH.Rows
-		for r := 0; r < batch; r++ {
-			row := dGates.Row(r)
-			for j, v := range row {
-				grads.DB[j] += v
-			}
-		}
-		tensor.MatMulCols(dX, dGates, 0, lstmGates*H, w.W, 0)
-	}
-	tensor.MatMulCols(dHPrev, dGates, 0, lstmGates*H, w.W, w.InputSize)
+	tensor.MatMulCols(dHPrev, dGates, 0, lstmGates*w.HiddenSize, w.W, w.InputSize)
 }
 
 // LSTMDWBatch folds a whole sequence of deferred gate-gradient panels into
@@ -166,9 +152,10 @@ func gruForwardPre[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], 
 // GRUBackwardPre is the chain-resident backward remainder. dGates is the
 // pooled [batch x 3H] panel in (z, r, hbar) pre-activation order — the same
 // layout as the weight rows, so the batched dW tasks and the fused-bias
-// accumulation index it directly. A nil dX selects deferred-gradient mode:
-// dX, dW and DB are all left to the caller's batched off-chain tasks and
-// only the gate gradients, dRHh and dHPrev are computed here.
+// accumulation index it directly. Only the gate gradients, dRHh (in grads'
+// scratch) and dHPrev are computed here; dX, dW and DB are left to the
+// caller's batched off-chain tasks. dX is ignored: it stays in the signature
+// only for bench/probes.go's call, and goes with ROADMAP item 1(f).
 func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *tensor.Matrix, grads *GRUGrads) {
 	H := w.HiddenSize
 	In := w.InputSize
@@ -187,12 +174,7 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 			dg[gruGateH*H+j] = dh[j] * z[j] * tensor.DTanhFromY(hb[j])
 		}
 	}
-	wH := w.hView
-	if dX != nil {
-		dWH := grads.viewDH()
-		tensor.GemmATAccCols(dWH, In, dGates, gruGateH*H, gruGates*H, st.RH)
-	}
-	tensor.MatMulCols(dRHh, dGates, gruGateH*H, gruGates*H, wH, In)
+	tensor.MatMulCols(dRHh, dGates, gruGateH*H, gruGates*H, w.hView, In)
 
 	// Gate gradients and the direct hPrev contributions.
 	for rI := 0; rI < batch; rI++ {
@@ -211,22 +193,8 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 			dhp[j] = dh[j]*(1-z[j]) + drhh[j]*r[j]
 		}
 	}
-	wZR := w.zrView
-	if dX != nil {
-		dWZR := grads.viewDZR()
-		tensor.GemmATAccCols(dWZR, In, dGates, 0, 2*H, hPrev)
-		for rI := 0; rI < batch; rI++ {
-			row := dGates.Row(rI)
-			for j, v := range row {
-				grads.DB[j] += v
-			}
-		}
-		// dX covers both the gate and candidate x-paths in one product:
-		// the W rows stack [Wzr; Wh], matching the panel's gate order.
-		tensor.MatMulCols(dX, dGates, 0, gruGates*H, w.W, 0)
-	}
 	// dHPrev += gate-path hPrev grad (candidate path went through RH above).
-	tensor.GemmAccCols(dHPrev, dGates, 0, 2*H, wZR, In)
+	tensor.GemmAccCols(dHPrev, dGates, 0, 2*H, w.zrView, In)
 }
 
 // GRUDWBatch is the GRU analog of LSTMDWBatch. The input half is one GEMM
@@ -256,12 +224,6 @@ func GRUDWBatch(w *GRUWeights, grads *GRUGrads, panels, xs, hPrevs, rhs []*tenso
 
 // --- RNN ---
 
-// RNNPreGates computes pre = x*Wx^T + B for one timestep.
-func RNNPreGates[E tensor.Elt](w *RNNWeightsOf[E], x, pre *tensor.Mat[E]) {
-	tensor.MatMulTCols(pre, x, w.W, 0)
-	tensor.AddBiasRows(pre, w.B)
-}
-
 // RNNForwardPre is the chain-resident forward remainder: h = tanh(pre +
 // hPrev*Wh^T).
 func RNNForwardPre[E tensor.Elt](w *RNNWeightsOf[E], pre, hPrev *tensor.Mat[E], st *RNNStateOf[E]) {
@@ -283,24 +245,12 @@ func rnnPreGrads(st *RNNState, dH, dPre *tensor.Matrix) {
 	}
 }
 
-// RNNBackwardPre is the chain-resident backward remainder; dPre is the
-// caller's pooled panel. A nil dX selects deferred-gradient mode: dX, dW and
-// DB are all left to the caller's batched off-chain tasks.
-func RNNBackwardPre(w *RNNWeights, st *RNNState, hPrev, dH, dPre, dX, dHPrev *tensor.Matrix, grads *RNNGrads) {
-	H := w.HiddenSize
+// RNNBackwardPre is the chain-resident backward remainder: the
+// pre-activation gradient into dPre (the caller's pooled panel) and dHPrev.
+// dX, dW and DB are all left to the caller's batched off-chain tasks.
+func RNNBackwardPre(w *RNNWeights, st *RNNState, hPrev, dH, dPre, dHPrev *tensor.Matrix) {
 	rnnPreGrads(st, dH, dPre)
-	if dX != nil {
-		tensor.GemmATAccCols(grads.DW, w.InputSize, dPre, 0, H, hPrev)
-		batch := dH.Rows
-		for r := 0; r < batch; r++ {
-			row := dPre.Row(r)
-			for j, v := range row {
-				grads.DB[j] += v
-			}
-		}
-		tensor.MatMulCols(dX, dPre, 0, H, w.W, 0)
-	}
-	tensor.MatMulCols(dHPrev, dPre, 0, H, w.W, w.InputSize)
+	tensor.MatMulCols(dHPrev, dPre, 0, w.HiddenSize, w.W, w.InputSize)
 }
 
 // RNNDWBatch is the RNN analog of LSTMDWBatch (one gate block, H wide).

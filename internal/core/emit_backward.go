@@ -267,7 +267,7 @@ func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
 			}
 			p.backwardPre(sts[t], hPrev, cPrev,
 				d.dHSum[l], d.dCChain[l][t], d.dGates[l][t],
-				nil, dHPrev, dCPrev, d.grads[l])
+				dHPrev, dCPrev, d.grads[l])
 			if rev && hasPrev {
 				// The gradient w.r.t. a masked (constant-zero) boundary
 				// state must not leak into the padded steps' chain: zero

@@ -79,18 +79,8 @@ type Engine struct {
 	// [-GradClip, GradClip] before the SGD update.
 	GradClip float64
 
-	// Momentum, when positive, enables classical momentum SGD:
-	// v = Momentum*v + g; w -= lr*v. The paper cites momentum methods
-	// (MomentumRNN) as directly composable with B-Par — the optimizer step
-	// is outside the task graph, so nothing else changes.
-	Momentum float64
-
-	// Adam, when non-nil, selects the Adam optimizer (overrides Momentum).
+	// Adam, when non-nil, selects the Adam optimizer over plain SGD.
 	Adam *AdamOpts
-
-	// WeightDecay, when positive, applies decoupled L2 regularization
-	// before each update: w *= (1 - lr*WeightDecay).
-	WeightDecay float64
 
 	// MaxCachedSeqLens bounds how many distinct sequence lengths keep live
 	// workspaces in the cache (LRU eviction). Zero means the default of 8;
@@ -135,7 +125,6 @@ type Engine struct {
 	// caches live and die together: evicting a T's workspaces evicts its
 	// templates in the same breath.
 	tpls map[tplKey]*taskrt.Template
-	vel  []wb // momentum buffers, parallel to Model.params
 	adam *adamState
 	obs  *engineObs // live metrics; nil unless EnableObs was called
 
@@ -667,19 +656,14 @@ func sliceReal(real, lo, hi int) int {
 }
 
 // applySGD folds mini-batch gradients (already reduced into workspace 0),
-// normalizes, optionally clips, folds momentum, and updates the weights —
-// each pass one loop over the parameter catalogue and ws.grads beside it.
+// normalizes, optionally clips, and updates the weights — each pass one
+// loop over the parameter catalogue and ws.grads beside it.
 func (e *Engine) applySGD(ws *workspace, lr, scale float64) {
 	e.M.noteWeightUpdate()
 	params, grads := e.M.params, ws.grads
-	if e.WeightDecay > 0 {
-		for _, p := range params {
-			p.scale(1 - lr*e.WeightDecay)
-		}
-	}
 	inv := 1.0 / scale
-	if e.GradClip > 0 || e.Momentum > 0 || e.Adam != nil {
-		// Normalize in place so clipping and momentum see mean gradients.
+	if e.GradClip > 0 || e.Adam != nil {
+		// Normalize in place so clipping and Adam see mean gradients.
 		for _, g := range grads {
 			g.scale(inv)
 		}
@@ -690,23 +674,12 @@ func (e *Engine) applySGD(ws *workspace, lr, scale float64) {
 			g.clip(e.GradClip)
 		}
 	}
-	switch {
-	case e.Adam != nil:
+	if e.Adam != nil {
 		e.applyAdam(params, grads, lr)
-	case e.Momentum > 0:
-		if e.vel == nil {
-			e.vel = newVelocity(params)
-		}
-		for i, p := range params {
-			v := e.vel[i]
-			v.scale(e.Momentum)
-			v.axpy(1, grads[i].wb)
-			p.axpy(-lr, v)
-		}
-	default:
-		for i, p := range params {
-			p.axpy(-lr*inv, grads[i].wb)
-		}
+		return
+	}
+	for i, p := range params {
+		p.axpy(-lr*inv, grads[i].wb)
 	}
 }
 

@@ -321,14 +321,14 @@ func (p *dirParams) hiddenSize() int {
 // the pre-activation gate gradients in dGates for the batched dw and dx
 // tasks.
 // dC/dCPrev are ignored for GRU and RNN.
-func (p *dirParams) backwardPre(st *cellSt[float64], hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
+func (p *dirParams) backwardPre(st *cellSt[float64], hPrev, cPrev, dH, dC, dGates, dHPrev, dCPrev *tensor.Matrix, g *dirGrads) {
 	switch p.kind {
 	case LSTM:
-		cell.LSTMBackwardPre(p.lstm, st.lstm, hPrev, cPrev, dH, dC, dGates, dX, dHPrev, dCPrev, g.lstm)
+		cell.LSTMBackwardPre(p.lstm, st.lstm, hPrev, cPrev, dH, dC, dGates, nil, dHPrev, dCPrev, nil)
 	case GRU:
-		cell.GRUBackwardPre(p.gru, st.gru, hPrev, dH, dGates, dX, dHPrev, g.gru)
+		cell.GRUBackwardPre(p.gru, st.gru, hPrev, dH, dGates, nil, dHPrev, g.gru)
 	default:
-		cell.RNNBackwardPre(p.rnn, st.rnn, hPrev, dH, dGates, dX, dHPrev, g.rnn)
+		cell.RNNBackwardPre(p.rnn, st.rnn, hPrev, dH, dGates, dHPrev)
 	}
 }
 
@@ -413,7 +413,7 @@ func (p *dirParams) newGrads() (*dirGrads, wb) {
 
 // wb is one weight-shaped tensor pair — a parameter set, its gradient, or an
 // optimizer moment: a matrix plus a bias-shaped vector. Every host-side pass
-// over the model (decay, normalize, clip, momentum, SGD, Adam, the mini-batch
+// over the model (normalize, clip, SGD, Adam, the mini-batch
 // reduction, checkpoints, comparisons) is one loop over a list of these, in
 // Model.params order.
 type wb struct {
@@ -549,19 +549,6 @@ func (m *Model) ParamCount() int {
 		}
 	}
 	return total
-}
-
-// Clone returns a deep copy of the model (same config, copied weights).
-func (m *Model) Clone() *Model {
-	c, err := NewModel(m.Cfg)
-	if err != nil {
-		panic(err) // m.Cfg was validated when m was built
-	}
-	for i, p := range m.params {
-		c.params[i].W.CopyFrom(p.W)
-		copy(c.params[i].B, p.B)
-	}
-	return c
 }
 
 // WithBatch returns a model sharing this model's weights but configured for

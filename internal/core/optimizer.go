@@ -7,7 +7,7 @@ import (
 )
 
 // AdamOpts configures the Adam optimizer. Enable by setting Engine.Adam;
-// it then takes precedence over Momentum/plain SGD.
+// it then takes precedence over plain SGD.
 type AdamOpts struct {
 	Beta1, Beta2, Eps float64
 }
@@ -22,9 +22,9 @@ type adamState struct {
 	m, v []wb
 }
 
-// newVelocity returns zeroed optimizer state shaped like params, entry for
-// entry: the momentum buffer, or one of Adam's two moments.
-func newVelocity(params []param) []wb {
+// newMoment returns one of Adam's two zeroed moment estimates, shaped like
+// params entry for entry.
+func newMoment(params []param) []wb {
 	v := make([]wb, len(params))
 	for i, p := range params {
 		v[i] = wb{tensor.New(p.W.Rows, p.W.Cols), make([]float64, len(p.B))}
@@ -48,7 +48,7 @@ func adamUpdate(w, g, m, v []float64, lr float64, o *AdamOpts, c1, c2 float64) {
 // and optionally clipped) gradients.
 func (e *Engine) applyAdam(params []param, grads []gradRef, lr float64) {
 	if e.adam == nil {
-		e.adam = &adamState{m: newVelocity(params), v: newVelocity(params)}
+		e.adam = &adamState{m: newMoment(params), v: newMoment(params)}
 	}
 	st := e.adam
 	st.step++

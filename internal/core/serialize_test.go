@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"bpar/internal/taskrt"
-	"bpar/internal/tensor"
 )
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -71,66 +70,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := LoadModel(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
-	}
-}
-
-func TestMomentumAcceleratesConvergence(t *testing.T) {
-	cfg := Config{
-		Cell: LSTM, Arch: ManyToOne, Merge: MergeSum,
-		InputSize: 4, HiddenSize: 8, Layers: 2, SeqLen: 4,
-		Batch: 8, Classes: 3, MiniBatches: 1, Seed: 3,
-	}
-	run := func(momentum float64) float64 {
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(m, taskrt.NewInline(nil))
-		e.Momentum = momentum
-		b := makeBatch(cfg, 77)
-		var loss float64
-		for i := 0; i < 40; i++ {
-			loss, err = e.TrainStep(b, 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.IsNaN(loss) {
-				t.Fatal("loss NaN")
-			}
-		}
-		return loss
-	}
-	plain := run(0)
-	mom := run(0.9)
-	if !(mom < plain) {
-		t.Fatalf("momentum (%.4f) should beat plain SGD (%.4f) on this convex-ish fit", mom, plain)
-	}
-}
-
-func TestMomentumParallelMatchesSequential(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 2)
-	run := func(mk func() taskrt.Executor) *Model {
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec := mk()
-		if rt, ok := exec.(*taskrt.Runtime); ok {
-			defer rt.Shutdown()
-		}
-		e := NewEngine(m, exec)
-		e.Momentum = 0.9
-		for i := 0; i < 4; i++ {
-			if _, err := e.TrainStep(makeBatch(cfg, uint64(i)), 0.05); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m
-	}
-	seq := run(inlineExec)
-	par := run(parallelExec(4, taskrt.BreadthFirst))
-	if !seq.WeightsEqual(par) {
-		t.Fatalf("momentum training diverged: %g", seq.WeightsMaxAbsDiff(par))
 	}
 }
 
@@ -206,41 +145,5 @@ func TestAdamBeatsSGDOnFixedBudget(t *testing.T) {
 	adam := run(true)
 	if adam >= sgd {
 		t.Fatalf("Adam (%.4f) should beat plain SGD (%.4f) at 50 steps", adam, sgd)
-	}
-}
-
-func TestWeightDecayShrinksNorms(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 1)
-	run := func(wd float64) float64 {
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(m, taskrt.NewInline(nil))
-		e.WeightDecay = wd
-		b := makeBatch(cfg, 4)
-		for i := 0; i < 20; i++ {
-			if _, err := e.TrainStep(b, 0.05); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// L1 norm of the head and the forward-direction weights.
-		ws := []*tensor.Matrix{m.Heads[0].W}
-		for _, p := range m.dir[fwdDir] {
-			w, _ := p.wParams()
-			ws = append(ws, w)
-		}
-		norm := 0.0
-		for _, w := range ws {
-			for _, v := range w.Data {
-				norm += math.Abs(v)
-			}
-		}
-		return norm
-	}
-	plain := run(0)
-	decayed := run(0.5)
-	if decayed >= plain {
-		t.Fatalf("weight decay should shrink weight norms: %g vs %g", decayed, plain)
 	}
 }

@@ -18,7 +18,8 @@ func trainTemplateGraph(t *testing.T, cfg Config) *taskrt.Graph {
 	if _, err := e.TrainStep(makeBatch(cfg, 3), 0.05); err != nil {
 		t.Fatal(err)
 	}
-	g := e.tpls[tplKey{train: true, T: cfg.SeqLen}].Graph()
+	d := e.tpls[tplKey{train: true, T: cfg.SeqLen}].Dump(nil)
+	g := d.Graph()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

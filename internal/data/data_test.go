@@ -58,23 +58,40 @@ func TestSpeechDeterministicPerSeed(t *testing.T) {
 // beats chance by a wide margin, so the corpus is learnable.
 func TestSpeechClassesSeparable(t *testing.T) {
 	c := NewSpeechCorpus(16, 3)
+	// Mean frame of utterance i.
+	meanFrame := func(b *core.Batch, i int) []float64 {
+		mean := make([]float64, 16)
+		for t0 := range b.X {
+			for j, v := range b.X[t0].Row(i) {
+				mean[j] += v / float64(len(b.X))
+			}
+		}
+		return mean
+	}
+	// Class centroids from a separate draw of utterances.
+	train := c.Batch(200, 12)
+	cents := make([][]float64, NumDigits)
+	counts := make([]int, NumDigits)
+	for d := range cents {
+		cents[d] = make([]float64, 16)
+	}
+	for i, d := range train.Targets {
+		counts[d]++
+		for j, v := range meanFrame(train, i) {
+			cents[d][j] += v
+		}
+	}
+	for d := range cents {
+		for j := range cents[d] {
+			cents[d][j] /= float64(max(counts[d], 1))
+		}
+	}
 	b := c.Batch(100, 12)
 	correct := 0
 	for i := 0; i < 100; i++ {
-		// Mean frame of the utterance.
-		mean := make([]float64, 16)
-		for t0 := range b.X {
-			row := b.X[t0].Row(i)
-			for j, v := range row {
-				mean[j] += v
-			}
-		}
-		for j := range mean {
-			mean[j] /= float64(len(b.X))
-		}
+		mean := meanFrame(b, i)
 		best, bestD := -1, math.Inf(1)
-		for d := 0; d < NumDigits; d++ {
-			cent := c.Centroid(d)
+		for d, cent := range cents {
 			dist := 0.0
 			for j := range mean {
 				diff := mean[j] - cent[j]
@@ -131,10 +148,10 @@ func TestSpeechPanicsOnBadArgs(t *testing.T) {
 
 func TestTextCorpusBasics(t *testing.T) {
 	c := NewTextCorpus(32, 10000, 1)
-	if c.Len() != 10000 {
-		t.Fatalf("len %d", c.Len())
+	if len(c.text) != 10000 {
+		t.Fatalf("len %d", len(c.text))
 	}
-	for i := 0; i < c.Len(); i++ {
+	for i := range c.text {
 		if int(c.At(i)) >= 32 {
 			t.Fatalf("symbol %d out of vocab", c.At(i))
 		}
@@ -190,8 +207,8 @@ func TestTextChainIsPredictable(t *testing.T) {
 	c := NewTextCorpus(24, 50000, 3)
 	// Find the most frequent symbol.
 	freq := make([]int, 24)
-	for i := 0; i < c.Len(); i++ {
-		freq[c.At(i)]++
+	for _, s := range c.text {
+		freq[s]++
 	}
 	best := 0
 	for s, f := range freq {
@@ -199,7 +216,12 @@ func TestTextChainIsPredictable(t *testing.T) {
 			best = s
 		}
 	}
-	counts := c.BigramCounts(byte(best))
+	counts := map[byte]int{} // successors of best
+	for i := 0; i+1 < len(c.text); i++ {
+		if c.text[i] == byte(best) {
+			counts[c.text[i+1]]++
+		}
+	}
 	total, maxC := 0, 0
 	for _, n := range counts {
 		total += n
@@ -308,14 +330,9 @@ func TestCorporaTrainEndToEnd(t *testing.T) {
 func TestSpeechForkSharesTemplates(t *testing.T) {
 	c := NewSpeechCorpus(8, 42)
 	f := c.Fork(7)
-	// Same language: centroids identical.
-	for d := 0; d < NumDigits; d++ {
-		a, b := c.Centroid(d), f.Centroid(d)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatal("Fork must share templates")
-			}
-		}
+	// Same language: the anchor templates are shared, not redrawn.
+	if &f.templates[0][0][0] != &c.templates[0][0][0] {
+		t.Fatal("Fork must share templates")
 	}
 	// Different utterance streams.
 	ba, bb := c.Batch(4, 8), f.Batch(4, 8)
@@ -371,8 +388,12 @@ func TestTagCorpusLabels(t *testing.T) {
 }
 
 func TestTagBatchShapesAndMasking(t *testing.T) {
-	c := NewTagCorpus(6, 3, 10, 7)
-	b := c.Batch(20, 8)
+	// One bucket: every row is truncated or padded to 8 steps.
+	bk, err := NewBucketer([]int{8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBucketBatcher(NewTagCorpus(6, 3, 10, 7), bk, 20).Next()
 	if len(b.X) != 8 || len(b.StepTargets) != 8 || len(b.Targets) != 20 {
 		t.Fatal("shape")
 	}
@@ -419,7 +440,7 @@ func TestTagBatchShapesAndMasking(t *testing.T) {
 		t.Fatal("expected some rows shorter than seqLen")
 	}
 	// Determinism per seed.
-	b2 := NewTagCorpus(6, 3, 10, 7).Batch(20, 8)
+	b2 := NewBucketBatcher(NewTagCorpus(6, 3, 10, 7), bk, 20).Next()
 	for t0 := range b.X {
 		if !b.X[t0].Equal(b2.X[t0]) {
 			t.Fatal("same seed must give same batch")
@@ -461,7 +482,11 @@ func TestBucketBatcherEmitsUniformBuckets(t *testing.T) {
 // loss falls well below its starting point, proving the labels carry
 // learnable bidirectional structure.
 func TestTagCorpusLearnable(t *testing.T) {
-	c := NewTagCorpus(4, 6, 6, 3)
+	bk, err := NewBucketer([]int{6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBucketBatcher(NewTagCorpus(4, 6, 6, 3), bk, 16).Next()
 	cfg := core.Config{
 		Cell: core.GRU, Arch: core.ManyToMany, Merge: core.MergeConcat,
 		InputSize: 4, HiddenSize: 16, Layers: 1, SeqLen: 6,
@@ -473,7 +498,6 @@ func TestTagCorpusLearnable(t *testing.T) {
 	}
 	e := core.NewEngine(m, taskrt.NewInline(nil))
 	e.Adam = core.DefaultAdam()
-	b := c.Batch(16, 6)
 	first, err := e.TrainStep(b, 0.02)
 	if err != nil {
 		t.Fatal(err)

@@ -140,21 +140,6 @@ func (c *SpeechCorpus) Fork(seed uint64) *SpeechCorpus {
 	}
 }
 
-// Centroid returns the mean anchor vector of a digit — used by tests to
-// verify class separability.
-func (c *SpeechCorpus) Centroid(digit int) []float64 {
-	v := make([]float64, c.InputSize)
-	for _, a := range c.templates[digit] {
-		for j, x := range a {
-			v[j] += x
-		}
-	}
-	for j := range v {
-		v[j] /= float64(c.anchorsPerDigit)
-	}
-	return v
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

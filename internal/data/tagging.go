@@ -46,12 +46,6 @@ func NewTagCorpus(vocab, minLen, maxLen int, seed uint64) *TagCorpus {
 	return c
 }
 
-// Fork returns an independent corpus with the same parameters and a fresh
-// stream, for held-out evaluation.
-func (c *TagCorpus) Fork(seed uint64) *TagCorpus {
-	return &TagCorpus{Vocab: c.Vocab, MinLen: c.MinLen, MaxLen: c.MaxLen, r: rng.New(seed)}
-}
-
 // Sample draws one symbol sequence of random length in [MinLen, MaxLen].
 func (c *TagCorpus) Sample() []int {
 	n := c.MinLen + c.r.Intn(c.MaxLen-c.MinLen+1)
@@ -89,25 +83,6 @@ func (c *TagCorpus) Dominant(syms []int) int {
 		}
 	}
 	return best
-}
-
-// Batch draws `batch` sequences and assembles them at exactly seqLen
-// timesteps (rows longer than seqLen are truncated), with Lens recording
-// true lengths. Rows shorter than seqLen leave zero input frames and
-// IgnoreLabel step targets in the padded tail.
-func (c *TagCorpus) Batch(batch, seqLen int) *core.Batch {
-	if batch <= 0 || seqLen <= 0 {
-		panic(fmt.Sprintf("data: Batch(%d, %d)", batch, seqLen))
-	}
-	rows := make([][]int, batch)
-	for i := range rows {
-		syms := c.Sample()
-		if len(syms) > seqLen {
-			syms = syms[:seqLen]
-		}
-		rows[i] = syms
-	}
-	return c.assemble(rows, seqLen)
 }
 
 // assemble packs symbol sequences (each of length <= T) into a batch with

@@ -61,9 +61,6 @@ func NewTextCorpus(vocab, length int, seed uint64) *TextCorpus {
 	return c
 }
 
-// Len returns the corpus length in characters.
-func (c *TextCorpus) Len() int { return len(c.text) }
-
 // At returns the symbol at position i.
 func (c *TextCorpus) At(i int) byte { return c.text[i] }
 
@@ -108,16 +105,4 @@ func (c *TextCorpus) Preview(n int) string {
 		sb.WriteByte(alphabet[int(c.text[i])%len(alphabet)])
 	}
 	return sb.String()
-}
-
-// BigramCounts tallies successor frequencies of symbol s, for tests that
-// verify the chain's predictability.
-func (c *TextCorpus) BigramCounts(s byte) map[byte]int {
-	out := map[byte]int{}
-	for i := 0; i+1 < len(c.text); i++ {
-		if c.text[i] == s {
-			out[c.text[i+1]]++
-		}
-	}
-	return out
 }

@@ -81,7 +81,7 @@ type GranularityAblationRow struct {
 // overhead and lose cache locality without exposing useful extra
 // parallelism, so the cell-granular graph should win or tie.
 func RunAblationGranularity(o Opts) ([]GranularityAblationRow, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
 	base, err := baseline.TrainGraph(cfg)
 	if err != nil {
@@ -128,7 +128,7 @@ type PolicyAblationRow struct {
 // scheduler, and a critical-path-first priority scheduler on the standard
 // 8-layer BLSTM graph.
 func RunAblationPolicy(o Opts) ([]PolicyAblationRow, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
 	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
@@ -178,7 +178,7 @@ type EfficiencyRow struct {
 // "parallel efficiency" analysis the paper's abstract promises — for the
 // 8-layer BLSTM at mbs:8.
 func RunEfficiency(o Opts) ([]EfficiencyRow, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
 	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
@@ -268,7 +268,7 @@ type CrossoverRow struct {
 // batch-1 rows (seq 2, 10, 100) are three points of this curve; the sweep
 // exposes the crossover explicitly.
 func RunCrossover(o Opts) ([]CrossoverRow, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	gpu := baseline.KerasGPU(costmodel.TeslaV100())
 	coreCounts := o.cores()
 	var rows []CrossoverRow

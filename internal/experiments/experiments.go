@@ -35,8 +35,6 @@ type Opts struct {
 	SeqLen int
 	// CoreCounts overrides the core sweep.
 	CoreCounts []int
-	// Machine overrides the simulated platform.
-	Machine *costmodel.Machine
 }
 
 func (o Opts) seq(def int) int {
@@ -51,13 +49,6 @@ func (o Opts) cores() []int {
 		return o.CoreCounts
 	}
 	return PaperCoreCounts
-}
-
-func (o Opts) machine() costmodel.Machine {
-	if o.Machine != nil {
-		return *o.Machine
-	}
-	return costmodel.XeonPlatinum8160x2()
 }
 
 // simBParBest simulates cfg across the core sweep and returns the best time

@@ -5,6 +5,7 @@ import (
 
 	"bpar/internal/baseline"
 	"bpar/internal/core"
+	"bpar/internal/costmodel"
 	"bpar/internal/sim"
 )
 
@@ -35,7 +36,7 @@ type Fig3Result struct {
 // RunFig3 regenerates Figure 3: B-Par self-relative scalability across
 // mini-batch sizes and core counts for 8- and 12-layer BLSTMs.
 func RunFig3(o Opts) ([]*Fig3Result, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cores := o.cores()
 	var out []*Fig3Result
 	for _, layers := range []int{8, 12} {
@@ -114,7 +115,7 @@ type Fig4Result struct {
 
 // RunFig4 regenerates Figure 4.
 func RunFig4(o Opts) (*Fig4Result, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cores := o.cores()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 8)
 	k := baseline.KerasCPU(machine)
@@ -159,7 +160,7 @@ type Fig5Row struct {
 // RunFig5 regenerates Figure 5: batch sizes 128-1024, hidden 128/256,
 // 8- and 12-layer BLSTMs.
 func RunFig5(o Opts) ([]Fig5Row, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cores := o.cores()
 	k := baseline.KerasCPU(machine)
 	p := baseline.PyTorchCPU(machine)
@@ -207,7 +208,7 @@ type Fig6Row struct {
 
 // RunFig6 regenerates Figure 6: layer counts 2-12, training and inference.
 func RunFig6(o Opts) ([]Fig6Row, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cores := o.cores()
 	k := baseline.KerasCPU(machine)
 	p := baseline.PyTorchCPU(machine)
@@ -278,7 +279,7 @@ type Fig7Result struct {
 // RunFig7 regenerates Figure 7 on the 8-layer hidden-512 model whose 31.7M
 // parameters exceed the cache hierarchy.
 func RunFig7(o Opts) (*Fig7Result, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cfg := blstmCfg(8, 512, 128, o.seq(100), 6)
 	g, err := baseline.TrainGraph(cfg)
 	if err != nil {
@@ -336,7 +337,7 @@ type Fig8Row struct {
 // RunFig8 regenerates Figure 8 over both cell kinds, layer counts 2-12 and
 // batch/hidden combinations, on the synthetic Wikipedia task shapes.
 func RunFig8(o Opts) ([]Fig8Row, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cores := o.cores()
 	k := baseline.KerasCPU(machine)
 	const vocab = 64
@@ -383,15 +384,4 @@ func PrintFig8(w io.Writer, rows []Fig8Row) {
 	for _, l := range []int{2, 4, 8, 12} {
 		fprintf(w, "max speed-up %d layers: %.2fx\n", l, maxPerLayer[l])
 	}
-}
-
-// MaxSpeedupByLayer extracts the per-layer-count maximum speed-up of Fig 8.
-func MaxSpeedupByLayer(rows []Fig8Row) map[int]float64 {
-	out := map[int]float64{}
-	for _, r := range rows {
-		if r.Speedup > out[r.Layers] {
-			out[r.Layers] = r.Speedup
-		}
-	}
-	return out
 }

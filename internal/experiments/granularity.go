@@ -5,6 +5,7 @@ import (
 
 	"bpar/internal/baseline"
 	"bpar/internal/core"
+	"bpar/internal/costmodel"
 	"bpar/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func RunGranularity(o Opts) (*GranularityResult, error) {
 	res.PaperTasksPerStep = len(g.Nodes)
 	res.PaperStepsFor368k = (368240 + len(g.Nodes) - 1) / len(g.Nodes)
 
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	minUS, maxUS, sumUS := -1.0, 0.0, 0.0
 	var lstmWS float64
 	var lstmN int
@@ -93,7 +94,7 @@ type MemoryResult struct {
 
 // RunMemory executes the memory study.
 func RunMemory(o Opts) (*MemoryResult, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cfg := blstmCfg(8, 256, 128, o.seq(100), 6)
 	free, err := baseline.TrainGraph(cfg)
 	if err != nil {

@@ -391,7 +391,10 @@ func TestFig8Shape(t *testing.T) {
 			t.Errorf("%v L%d h%d b%d: speed-up %.2f outside [1.1, 7]", r.Cell, r.Layers, r.Hidden, r.Batch, r.Speedup)
 		}
 	}
-	maxima := MaxSpeedupByLayer(rows)
+	maxima := map[int]float64{}
+	for _, r := range rows {
+		maxima[r.Layers] = max(maxima[r.Layers], r.Speedup)
+	}
 	for _, l := range []int{2, 4, 8, 12} {
 		if maxima[l] < 1.5 {
 			t.Errorf("%d layers: max speed-up %.2f below 1.5", l, maxima[l])

@@ -58,7 +58,7 @@ func tableConfig(cell core.CellKind, row [4]int, seqOverride int) core.Config {
 
 // RunTable computes Table III (LSTM) or Table IV (GRU).
 func RunTable(cell core.CellKind, o Opts) ([]TableRow, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	gpu := baseline.KerasGPU(costmodel.TeslaV100())
 	pgpu := baseline.PyTorchGPU(costmodel.TeslaV100())
 	kcpu := baseline.KerasCPU(machine)
@@ -136,7 +136,7 @@ type AblationBarrierResult struct {
 
 // RunAblationBarrier runs the barrier ablation on an 8-layer BLSTM.
 func RunAblationBarrier(o Opts) (*AblationBarrierResult, error) {
-	machine := o.machine()
+	machine := costmodel.XeonPlatinum8160x2()
 	cfg := core.Config{
 		Cell: core.LSTM, Arch: core.ManyToOne, Merge: core.MergeSum,
 		InputSize: 256, HiddenSize: 256, Layers: 8, SeqLen: o.seq(100),

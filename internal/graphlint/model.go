@@ -39,13 +39,11 @@ type ModelOptions struct {
 	// default of 1<<20. The exploration is exhaustive iff the run finishes
 	// under the cap (Result.Complete).
 	MaxStates int
-	// Bug injects a protocol defect (see Bug).
+	// Bug injects a protocol defect (see Bug). BugNone models two
+	// back-to-back replays of the template, the minimum that exercises
+	// counter reuse; bug modes model one replay over drained counters — the
+	// state a second replay starts from.
 	Bug Bug
-	// Replays is how many back-to-back replays of the template to model
-	// under BugNone; 0 means 2 (the minimum that exercises counter reuse).
-	// Bug modes always model one replay over drained counters — the state
-	// a second replay starts from.
-	Replays int
 }
 
 // ModelResult reports a model-checking run.
@@ -91,10 +89,7 @@ func ModelCheck(d *taskrt.TemplateDump, opts ModelOptions) ModelResult {
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
-	replays := opts.Replays
-	if replays <= 0 {
-		replays = 2
-	}
+	replays := 2
 	if opts.Bug != BugNone {
 		replays = 1
 	}

@@ -16,20 +16,6 @@ var DefSecondsBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// ExpBuckets returns n exponentially spaced bucket upper bounds starting at
-// start and growing by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic(fmt.Sprintf("obs: ExpBuckets(%g, %g, %d)", start, factor, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // histShard is one worker's private bucket array. Shards are independently
 // allocated slices, so concurrent observers on different shards never touch
 // the same cache lines; the pad keeps neighbouring sum/count words apart.
@@ -155,18 +141,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return lo + frac*(h.edges[i]-lo)
 	}
 	return h.edges[len(h.edges)-1]
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	_, n, _ := h.snapshot()
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	_, _, s := h.snapshot()
-	return s
 }
 
 func (h *Histogram) writeSamples(w *bufio.Writer, fam string, labels []labelPair) {

@@ -202,16 +202,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
-// Add adds v with a CAS loop.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(floatFrom(old)+v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return floatFrom(g.bits.Load()) }
 

@@ -61,7 +61,7 @@ func captureRandom(n, keys int, noReduce bool) *taskrt.Template {
 func TestAnalyzeInvariantUnderReduction(t *testing.T) {
 	full := captureRandom(120, 17, true)
 	reduced := captureRandom(120, 17, false)
-	if reduced.PrunedEdges() == 0 {
+	if reduced.Edges() == full.Edges() {
 		t.Fatal("generated capture has no redundant edges — the comparison is vacuous")
 	}
 	t.Logf("random capture: %d nodes, %d edges full, %d reduced",

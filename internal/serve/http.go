@@ -70,14 +70,6 @@ func (s *Server) Routes(mux *http.ServeMux) {
 	})
 }
 
-// Handler returns a standalone mux with just the service endpoints; tests
-// and embedders that do not want the telemetry catalog use it directly.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Routes(mux)
-	return mux
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -410,9 +410,6 @@ func (s *Server) TemplateStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// Inflight returns the number of admitted, not yet completed sequences.
-func (s *Server) Inflight() int64 { return s.inflight.Load() }
-
 // Drain performs graceful shutdown: stop admitting (503 from then on),
 // flush every pending bucket, finish every admitted sequence, then shut the
 // engine runtimes down. It returns nil once all work completed, or the

@@ -81,7 +81,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(svc.Handler())
+	mux := http.NewServeMux()
+	svc.Routes(mux)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -297,7 +299,7 @@ func TestServeBackpressure429(t *testing.T) {
 	// Wait until both sequences are admitted and held in the bucket, then a
 	// third arrival is guaranteed to overflow the queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Inflight() < 2 {
+	for svc.inflight.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("first request was never admitted")
 		}
@@ -325,7 +327,9 @@ func TestServeGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(svc.Handler())
+	mux := http.NewServeMux()
+	svc.Routes(mux)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	inFlight := make(chan *http.Response, 1)
@@ -333,7 +337,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		resp, _ := post(t, ts.URL+"/v1/probs", [][][]float64{makeSeq(5, m.Cfg.InputSize, 3)})
 		inFlight <- resp
 	}()
-	for svc.Inflight() == 0 {
+	for svc.inflight.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -347,7 +351,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("in-flight request finished with status %d, want 200", resp.StatusCode)
 	}
-	if n := svc.Inflight(); n != 0 {
+	if n := svc.inflight.Load(); n != 0 {
 		t.Errorf("inflight = %d after drain, want 0", n)
 	}
 

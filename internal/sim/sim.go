@@ -51,14 +51,6 @@ type Options struct {
 	Policy  Policy
 	// Cores optionally restricts the machine to its first n cores.
 	Cores int
-	// NoSteal disables the idle-thief model: by default, when the machine
-	// is nearly idle (over 7/8 of cores free), spinning thief workers win
-	// the race against the locality-preferred core and the task runs on
-	// the longest-idle core instead. This reproduces the NUMA degradation
-	// the paper observes for low-concurrency configurations (mbs:1-4) on
-	// 32 and 48 cores, while highly concurrent configurations keep their
-	// locality because few thieves are idle.
-	NoSteal bool
 	// Durations, when non-nil, overrides the cost model with measured
 	// per-node durations in seconds, indexed by node ID — the calibration
 	// mode internal/prof feeds with a profiled template's mean durations.
@@ -96,11 +88,6 @@ type Result struct {
 	LocalityHits, Steals int
 	// Tasks is the number of executed graph nodes.
 	Tasks int
-}
-
-func (r *Result) String() string {
-	return fmt.Sprintf("makespan=%.4fs work=%.4fs parallelism=%.2f util=%.1f%% tasks=%d",
-		r.MakespanSec, r.TotalTaskSec, r.AvgParallelism, r.Utilization*100, r.Tasks)
 }
 
 // completion is a scheduled task completion event.
@@ -257,9 +244,14 @@ func Run(g *taskrt.Graph, opt Options) (*Result, error) {
 		if head >= len(ready) {
 			return readyItem{}, -1, false
 		}
-		// When the machine is nearly idle, spinning thieves grab readied
-		// tasks before the locality-preferred worker can.
-		starved := !opt.NoSteal && nFree*8 > m.Cores*7
+		// The idle-thief model: when the machine is nearly idle (over 7/8
+		// of cores free), spinning thief workers win the race against the
+		// locality-preferred core and the task runs on the longest-idle
+		// core instead. This reproduces the NUMA degradation the paper
+		// observes for low-concurrency configurations (mbs:1-4) on 32 and
+		// 48 cores, while highly concurrent configurations keep their
+		// locality because few thieves are idle.
+		starved := nFree*8 > m.Cores*7
 		if opt.Policy == Locality && !starved {
 			// The most recently readied task whose preferred core is free —
 			// LIFO preference keeps reuse distances short.

@@ -104,23 +104,24 @@ func TestCaptureBarrier(t *testing.T) {
 }
 
 // TestCaptureGraphIsUnreduced checks Graph keeps every derived edge after
-// Freeze, while the template's graph holds the reduced set with the
-// deriver's flags on the edges it kept.
+// Freeze, while the template's dump graph holds the reduced set with the
+// RAW flags of the edges it kept.
 func TestCaptureGraphIsUnreduced(t *testing.T) {
 	c := NewCapture()
 	k := key("x")
 	c.Submit(&Task{Label: "w", Out: []Dep{k}})
 	c.Submit(&Task{Label: "r", In: []Dep{k}})
 	c.Submit(&Task{Label: "w2", Out: []Dep{k}})
-	tpl := c.Freeze()
-	full, reduced := c.Graph().Nodes[2], tpl.Graph().Nodes[2]
+	d := c.Freeze().Dump(nil)
+	tg := d.Graph()
+	full, reduced := c.Graph().Nodes[2], tg.Nodes[2]
 	if fmt.Sprint(full.Preds, full.DataPreds) != "[0 1] [false false]" {
 		t.Fatalf("capture graph w2: preds %v data %v, want WAW on w and WAR on r", full.Preds, full.DataPreds)
 	}
 	if fmt.Sprint(reduced.Preds, reduced.DataPreds) != "[1] [false]" {
 		t.Fatalf("template graph w2: preds %v data %v, want only the WAR edge", reduced.Preds, reduced.DataPreds)
 	}
-	if !tpl.Graph().Nodes[1].DataPreds[0] {
+	if !tg.Nodes[1].DataPreds[0] {
 		t.Fatal("template graph lost the RAW flag of w -> r")
 	}
 }
@@ -159,8 +160,8 @@ func TestInlineExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fn == nil tasks count as executed empty bodies, matching Runtime.
-	if sum != 3 || e.Executed() != 3 {
-		t.Fatalf("sum=%d executed=%d", sum, e.Executed())
+	if sum != 3 || e.nextID != 3 {
+		t.Fatalf("sum=%d executed=%d", sum, e.nextID)
 	}
 }
 

@@ -14,12 +14,10 @@ import (
 // runtime is checked for bitwise equality, and it is how B-Seq processes each
 // mini-batch internally.
 type Inline struct {
-	errs     []error
-	executed int64
-	taskNS   int64
-	sink     TraceSink
-	nextID   int
-	start    time.Time
+	errs   []error
+	sink   TraceSink
+	nextID int
+	start  time.Time
 }
 
 // NewInline returns an inline executor. sink may be nil.
@@ -28,7 +26,7 @@ func NewInline(sink TraceSink) *Inline {
 }
 
 // Submit runs the task body immediately. Every task — including Fn == nil
-// placeholder tasks — is counted and recorded with real timestamps.
+// placeholder tasks — gets an ID and is recorded with real timestamps.
 func (e *Inline) Submit(t *Task) {
 	id := e.nextID
 	e.nextID++
@@ -45,8 +43,6 @@ func (e *Inline) Submit(t *Task) {
 		}()
 	}
 	endT := time.Now()
-	e.executed++
-	e.taskNS += endT.Sub(startT).Nanoseconds()
 	if e.sink != nil {
 		e.sink.TaskDone(TaskRecord{
 			ID: id, Label: t.Label, Kind: t.Kind, Worker: 0,
@@ -60,7 +56,3 @@ func (e *Inline) Submit(t *Task) {
 
 // Wait returns the joined errors produced by submitted tasks, if any.
 func (e *Inline) Wait() error { return errors.Join(e.errs...) }
-
-// Executed reports how many tasks were submitted and ran (Fn == nil tasks
-// count as executed empty bodies, matching Runtime).
-func (e *Inline) Executed() int64 { return e.executed }

@@ -243,9 +243,6 @@ func New(opts Options) *Runtime {
 	return r
 }
 
-// Workers reports the configured worker count.
-func (r *Runtime) Workers() int { return r.opts.Workers }
-
 // DepChecker returns the runtime's dependency sanitizer, or nil when
 // Options.DepCheck is off. Callers register buffer-to-key associations on it
 // so undeclared accesses can be attributed.

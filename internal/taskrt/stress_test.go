@@ -249,8 +249,8 @@ func TestSubmitBatchFallback(t *testing.T) {
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if sum != 3 || e.Executed() != 2 {
-		t.Fatalf("sum=%d executed=%d", sum, e.Executed())
+	if sum != 3 || e.nextID != 2 {
+		t.Fatalf("sum=%d executed=%d", sum, e.nextID)
 	}
 }
 

@@ -2,7 +2,6 @@ package taskrt
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -107,9 +106,6 @@ func (c *Capture) SubmitAll(ts []*Task) {
 // Wait is a no-op: captured tasks are recorded, not executed.
 func (c *Capture) Wait() error { return nil }
 
-// Len reports how many tasks have been captured.
-func (c *Capture) Len() int { return len(c.tasks) }
-
 // Freeze converts the captured sequence into an immutable Template and
 // invalidates the capture for further submissions. Node storage is one flat
 // slice and all successor lists live in a single shared arena, so a replay
@@ -130,16 +126,15 @@ func (c *Capture) Freeze() *Template {
 	for _, preds := range c.preds {
 		fullEdges += len(preds)
 	}
-	kept, data := c.preds, c.data
+	kept := c.preds
 	if !c.NoReduce {
-		kept, data = reducePreds(kept, data)
+		kept = reducePreds(kept)
 	}
 	tpl := &Template{
 		tasks:       c.tasks,
 		initPending: make([]int32, n),
 		nodes:       make([]node, n),
 		preds:       make([][]int32, n),
-		data:        data,
 		fullEdges:   fullEdges,
 	}
 	for id, preds := range kept {
@@ -186,19 +181,19 @@ func (c *Capture) Freeze() *Template {
 
 // reducePreds computes the transitive reduction of a DAG given in
 // topological order (every predecessor index is smaller than its node's).
-// It returns new per-node predecessor lists, and their data flags, with
-// every transitively redundant edge removed: edge p→i is redundant iff p is
-// an ancestor of some other predecessor q of i, since then p→…→q→i already
-// orders the pair. For a DAG the transitive reduction is unique, so this is
+// It returns new per-node predecessor lists with every transitively
+// redundant edge removed: edge p→i is redundant iff p is an ancestor of
+// some other predecessor q of i, since then p→…→q→i already orders the
+// pair. For a DAG the transitive reduction is unique, so this is
 // the minimal edge set with the same transitive closure.
 //
 // Ancestor sets are bitsets built in one forward sweep; the cost is
 // O(n²/64 · avg preds) time and n²/8 bytes — a one-off at capture time,
 // off the replay path.
-func reducePreds(preds [][]int, data [][]bool) ([][]int, [][]bool) {
+func reducePreds(preds [][]int) [][]int {
 	n := len(preds)
 	if n == 0 {
-		return preds, data
+		return preds
 	}
 	words := (n + 63) / 64
 	buf := make([]uint64, n*words)
@@ -215,15 +210,15 @@ func reducePreds(preds [][]int, data [][]bool) ([][]int, [][]bool) {
 			a[p>>6] |= 1 << (uint(p) & 63)
 		}
 	}
-	reduced, flags := make([][]int, n), make([][]bool, n)
+	reduced := make([][]int, n)
 	for i := 0; i < n; i++ {
 		ps := preds[i]
 		if len(ps) <= 1 {
-			reduced[i], flags[i] = ps, data[i]
+			reduced[i] = ps
 			continue
 		}
-		keep, keepData := make([]int, 0, len(ps)), make([]bool, 0, len(ps))
-		for j, p := range ps {
+		keep := make([]int, 0, len(ps))
+		for _, p := range ps {
 			redundant := false
 			for _, q := range ps {
 				if q != p && anc[q][p>>6]&(1<<(uint(p)&63)) != 0 {
@@ -233,12 +228,11 @@ func reducePreds(preds [][]int, data [][]bool) ([][]int, [][]bool) {
 			}
 			if !redundant {
 				keep = append(keep, p)
-				keepData = append(keepData, data[i][j])
 			}
 		}
-		reduced[i], flags[i] = keep, keepData
+		reduced[i] = keep
 	}
-	return reduced, flags
+	return reduced
 }
 
 // Template is a frozen task DAG: one submission sequence with precomputed
@@ -262,7 +256,6 @@ type Template struct {
 	nodes       []node
 	roots       []*node
 	preds       [][]int32
-	data        [][]bool // parallel to preds: the edge carries data (RAW)
 	fullEdges   int
 
 	// live counts this template's nodes still in flight; Replay refuses to
@@ -272,9 +265,6 @@ type Template struct {
 
 // Len reports the number of tasks in the template.
 func (tpl *Template) Len() int { return len(tpl.nodes) }
-
-// Roots reports how many tasks start with no unsatisfied dependencies.
-func (tpl *Template) Roots() int { return len(tpl.roots) }
 
 // Task returns the i-th task of the frozen submission sequence. Node indices
 // are capture order, which is topological: every predecessor of i is < i.
@@ -292,26 +282,6 @@ func (tpl *Template) Edges() int {
 		e += int(tpl.initPending[i])
 	}
 	return e
-}
-
-// FullEdges reports the edge count the capture derived before transitive
-// reduction. Equal to Edges() when the capture was frozen with NoReduce.
-func (tpl *Template) FullEdges() int { return tpl.fullEdges }
-
-// PrunedEdges reports how many transitively redundant edges Freeze removed.
-func (tpl *Template) PrunedEdges() int { return tpl.fullEdges - tpl.Edges() }
-
-// Graph converts the frozen template into a Graph so the DOT renderer,
-// cycle checker, and simulator run on exactly the edge set replay executes
-// (reduced, if the capture reduced). Data flags are the deriver's: edges the
-// reduction kept for WAR/WAW ordering only are dashed in DOT output.
-func (tpl *Template) Graph() *Graph { return linkGraph(taskNodes(tpl.tasks), tpl.preds, tpl.data) }
-
-// Dot renders the frozen template through the shared DOT path — handy for
-// eyeballing a captured graph, or diffing the same capture frozen with and
-// without reduction.
-func (tpl *Template) Dot(w io.Writer, title string) error {
-	return tpl.Graph().WriteDOT(w, title)
 }
 
 // Replay executes a frozen template on the worker pool: it resets every

@@ -31,9 +31,9 @@ func TestTemplateDumpRoundTrip(t *testing.T) {
 	if d.Name != "tiny" || len(d.Nodes) != 3 {
 		t.Fatalf("round trip mangled the template: %+v", d)
 	}
-	if d.Edges() != tpl.Edges() || d.FullEdges != tpl.FullEdges() {
+	if d.Edges() != tpl.Edges() || d.FullEdges != tpl.fullEdges {
 		t.Fatalf("edge counts lost: dump %d/%d, template %d/%d",
-			d.Edges(), d.FullEdges, tpl.Edges(), tpl.FullEdges())
+			d.Edges(), d.FullEdges, tpl.Edges(), tpl.fullEdges)
 	}
 	if d.Keys[d.Nodes[0].Out[0]] != "x" {
 		t.Fatalf("key naming lost: %v", d.Keys)
@@ -73,18 +73,19 @@ func TestReadTemplateDumpsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestTemplateDotRendersLabels checks the frozen template renders through
-// the shared DOT path with task labels and data/ordering edge styles.
+// TestTemplateDotRendersLabels checks a frozen template's dump renders
+// through the shared DOT path with task labels and data/ordering edge
+// styles.
 func TestTemplateDotRendersLabels(t *testing.T) {
 	c := NewCapture()
 	x := key("x")
 	c.Submit(&Task{Label: "writer", Kind: "proj", Out: []Dep{x}})
 	c.Submit(&Task{Label: "reader", Kind: "merge", In: []Dep{x}})
 	c.Submit(&Task{Label: "rewriter", Kind: "proj", Out: []Dep{x}})
-	tpl := c.Freeze()
+	d := c.Freeze().Dump(nil)
 
 	var buf bytes.Buffer
-	if err := tpl.Dot(&buf, "test graph"); err != nil {
+	if err := d.Graph().WriteDOT(&buf, "test graph"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -22,19 +22,16 @@ func TestCaptureChainEdges(t *testing.T) {
 	if tpl.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tpl.Len())
 	}
-	if tpl.Roots() != 1 {
-		t.Fatalf("Roots = %d, want 1 (only the first writer)", tpl.Roots())
+	if len(tpl.roots) != 1 {
+		t.Fatalf("roots = %d, want 1 (only the first writer)", len(tpl.roots))
 	}
 	// Derived: w->r (RAW), w->w2 (WAW), r->w2 (WAR). Reduction drops w->w2,
 	// which w->r->w2 already orders.
 	if tpl.Edges() != 2 {
 		t.Fatalf("Edges = %d, want 2 after reduction", tpl.Edges())
 	}
-	if tpl.FullEdges() != 3 {
-		t.Fatalf("FullEdges = %d, want 3", tpl.FullEdges())
-	}
-	if tpl.PrunedEdges() != 1 {
-		t.Fatalf("PrunedEdges = %d, want 1", tpl.PrunedEdges())
+	if tpl.fullEdges != 3 {
+		t.Fatalf("full edges = %d, want 3", tpl.fullEdges)
 	}
 }
 
@@ -50,8 +47,8 @@ func TestCaptureChainEdgesNoReduce(t *testing.T) {
 	if tpl.Edges() != 3 {
 		t.Fatalf("Edges = %d, want 3 with NoReduce", tpl.Edges())
 	}
-	if tpl.FullEdges() != 3 || tpl.PrunedEdges() != 0 {
-		t.Fatalf("FullEdges = %d, PrunedEdges = %d, want 3 and 0", tpl.FullEdges(), tpl.PrunedEdges())
+	if tpl.fullEdges != 3 {
+		t.Fatalf("full edges = %d, want 3", tpl.fullEdges)
 	}
 }
 
@@ -78,14 +75,14 @@ func TestCaptureDiamondEdges(t *testing.T) {
 	// Reduction drops src->join: src->left->join (and src->right->join)
 	// already order the pair.
 	tpl := build(false)
-	if tpl.Roots() != 1 {
-		t.Fatalf("Roots = %d, want 1", tpl.Roots())
+	if len(tpl.roots) != 1 {
+		t.Fatalf("roots = %d, want 1", len(tpl.roots))
 	}
 	if got, want := tpl.Edges(), 4; got != want {
 		t.Fatalf("Edges = %d, want %d after reduction", got, want)
 	}
-	if got, want := tpl.PrunedEdges(), 1; got != want {
-		t.Fatalf("PrunedEdges = %d, want %d", got, want)
+	if got, want := tpl.fullEdges-tpl.Edges(), 1; got != want {
+		t.Fatalf("pruned edges = %d, want %d", got, want)
 	}
 	if got := tpl.nodes[3].tplSuccs; len(got) != 0 {
 		t.Fatalf("join has %d successors, want 0", len(got))

@@ -146,14 +146,6 @@ func axpy[E Elt](alpha E, x, y []E) {
 	}
 }
 
-// Dot exposes the inner product for vector callers.
-func Dot[E Elt](a, b []E) E {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	return dot(a, b)
-}
-
 // Axpy exposes y += alpha*x for vector callers.
 func Axpy[E Elt](alpha E, x, y []E) {
 	if len(x) != len(y) {

@@ -258,67 +258,6 @@ func checkACols[E Elt](dst, a *Mat[E], aLo, aHi int, b *Mat[E], bLo int, name st
 	}
 }
 
-// GemmATAccCols computes dst[:, dstLo:dstLo+n) += a[:, aLo:aHi)^T * b: the
-// gate-gradient panel a[:, aLo:aHi) times input b lands in a column window of
-// the fused weight gradient. dst must have aHi-aLo rows.
-func GemmATAccCols[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo, aHi int, b *Mat[E]) {
-	checkATCols(dst, dstLo, a, aLo, aHi, b, "GemmATAccCols")
-	guardWRR(dst, a, b)
-	k, m, n := a.Rows, aHi-aLo, b.Cols
-	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
-	gemmATColsBlock(dst, dstLo, a, aLo, b, 0, m)
-}
-
-func checkATCols[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo, aHi int, b *Mat[E], name string) {
-	if a.Rows != b.Rows || aLo < 0 || aHi > a.Cols || aHi < aLo ||
-		dst.Rows != aHi-aLo || dstLo < 0 || dstLo+b.Cols > dst.Cols {
-		panic(fmt.Sprintf("tensor: %s shape mismatch (dst %dx%d)[:, %d:%d) += ((a %dx%d)[:, %d:%d))^T * b %dx%d",
-			name, dst.Rows, dst.Cols, dstLo, dstLo+b.Cols, a.Rows, a.Cols, aLo, aHi, b.Rows, b.Cols))
-	}
-}
-
-// gemmATColsBlock accumulates rows [ii, iMax) of one a^T*b product into the
-// destination column window, streaming a and b row-major with the same
-// zero-skip as GemmATAcc. The microkernel is register-blocked four
-// destination rows deep: each element of the b row is loaded once and feeds
-// four independent multiply-adds. Grouping destination rows does not touch
-// any row's own accumulation sequence (still one update per b row, in
-// ascending p), so results stay bitwise identical to the axpy formulation.
-func gemmATColsBlock[E Elt](dst *Mat[E], dstLo int, a *Mat[E], aLo int, b *Mat[E], ii, iMax int) {
-	k, n := a.Rows, b.Cols
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*a.Cols:]
-		brow := b.Data[p*n : (p+1)*n]
-		i := ii
-		for ; i+4 <= iMax; i += 4 {
-			a0, a1 := arow[aLo+i], arow[aLo+i+1]
-			a2, a3 := arow[aLo+i+2], arow[aLo+i+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			// Re-sliced to len(brow) so the inner loop runs without
-			// per-element bounds checks.
-			d0 := dst.Data[i*dst.Cols+dstLo : i*dst.Cols+dstLo+n][:len(brow)]
-			d1 := dst.Data[(i+1)*dst.Cols+dstLo : (i+1)*dst.Cols+dstLo+n][:len(brow)]
-			d2 := dst.Data[(i+2)*dst.Cols+dstLo : (i+2)*dst.Cols+dstLo+n][:len(brow)]
-			d3 := dst.Data[(i+3)*dst.Cols+dstLo : (i+3)*dst.Cols+dstLo+n][:len(brow)]
-			for j, bv := range brow {
-				d0[j] += a0 * bv
-				d1[j] += a1 * bv
-				d2[j] += a2 * bv
-				d3[j] += a3 * bv
-			}
-		}
-		for ; i < iMax; i++ {
-			av := arow[aLo+i]
-			if av == 0 {
-				continue
-			}
-			axpy(av, brow, dst.Data[i*dst.Cols+dstLo:i*dst.Cols+dstLo+n])
-		}
-	}
-}
-
 // GemmTAccDstCols computes dst[:, dstLo:dstLo+n) += a * bT^T, where n =
 // bT.Rows: the full product of a [m x k] and bT [n x k] lands in a column
 // window of dst. With a = the gate-gradient panels stacked [gw x T*batch]

@@ -127,28 +127,6 @@ func TestGemmAccColsBatchBitwise(t *testing.T) {
 	}
 }
 
-func TestGemmATAccColsMatchesWindowedReference(t *testing.T) {
-	r := rng.New(19)
-	for _, d := range [][5]int{{2, 24, 16, 8, 32}, {1, 12, 12, 6, 6}, {5, 9, 4, 3, 11}} {
-		batch, aw, m, n, dw := d[0], d[1], d[2], d[3], d[4]
-		aLo := aw - m
-		dstLo := dw - n
-		a := randomMatrix(r, batch, aw)
-		bm := randomMatrix(r, batch, n)
-		dst := randomMatrix(r, m, dw)
-		want := dst.Clone()
-		GemmATAccCols(dst, dstLo, a, aLo, aLo+m, bm)
-		ref := subCols(want, dstLo, dstLo+n)
-		GemmATAcc(ref, subCols(a, aLo, aLo+m), bm)
-		for i := 0; i < m; i++ {
-			copy(want.Data[i*dw+dstLo:i*dw+dstLo+n], ref.Data[i*n:(i+1)*n])
-		}
-		if !allClose(want, dst, 1e-12, 1e-12) {
-			t.Fatalf("%v: max diff %g", d, want.MaxAbsDiff(dst))
-		}
-	}
-}
-
 func TestGemmTAccDstColsMatchesWindowedReference(t *testing.T) {
 	r := rng.New(37)
 	for _, d := range [][4]int{{24, 18, 8, 14}, {5, 3, 2, 4}, {65, 33, 9, 20}} {
@@ -210,7 +188,6 @@ func TestColsKernelsPanicOnBadWindows(t *testing.T) {
 		"BatchLen":            func() { GemmTAccColsBatch([]*Matrix{dst}, nil, bT, 0) },
 		"AccBatchLen":         func() { GemmAccColsBatch([]*Matrix{dst}, nil, 0, 3, bT, 0) },
 		"GemmAccCols-window":  func() { GemmAccCols(dst, a, 1, 6, New(5, 3), 0) },
-		"GemmATAccCols-rows":  func() { GemmATAccCols(New(2, 3), 0, a, 1, 4, New(2, 3)) },
 		"GemmTAccDstCols-win": func() { GemmTAccDstCols(dst, 2, a, New(2, 4)) },
 		"TransposeStack-dims": func() { TransposeStackInto(New(4, 4), []*Matrix{New(2, 4)}) },
 		"CopyColsInto-window": func() { CopyColsInto(dst, New(4, 10), 3) },

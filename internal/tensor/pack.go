@@ -41,12 +41,6 @@ func NewPackedPanel[E Elt](bT *Mat[E], lo, k int) *PackedPanel[E] {
 	return pp
 }
 
-// Src returns the matrix the panel packs (the live weights, not the copy).
-func (pp *PackedPanel[E]) Src() *Mat[E] { return pp.src }
-
-// Bytes returns the size of the packed buffer.
-func (pp *PackedPanel[E]) Bytes() int { return len(pp.packed.Data) * int(DTypeOf[E]().Size()) }
-
 // Repack refreshes the packed copy from the source matrix, in place; existing
 // pointers to the panel stay valid, which keeps captured replay templates
 // working across weight updates.

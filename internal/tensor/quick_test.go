@@ -142,25 +142,3 @@ func TestQuickSoftmaxIsDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuickDotBilinear(t *testing.T) {
-	// dot(a, x+y) == dot(a,x) + dot(a,y)
-	f := func(seed uint64, ns uint8) bool {
-		n := int(ns%64) + 1
-		r := rng.New(seed)
-		a := make([]float64, n)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		r.FillUniform(a, -1, 1)
-		r.FillUniform(x, -1, 1)
-		r.FillUniform(y, -1, 1)
-		xy := make([]float64, n)
-		for i := range xy {
-			xy[i] = x[i] + y[i]
-		}
-		return math.Abs(Dot(a, xy)-(Dot(a, x)+Dot(a, y))) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

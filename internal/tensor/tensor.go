@@ -69,14 +69,6 @@ func (m *Mat[E]) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Mat[E]) Fill(v E) {
-	guardW(m)
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Equal reports exact element-wise equality (including shape).
 func (m *Mat[E]) Equal(o *Mat[E]) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {

@@ -198,7 +198,9 @@ func TestGemmATAccMatchesExplicitTranspose(t *testing.T) {
 	a := randomMatrix(r, 21, 8) // a^T is 8x21
 	b := randomMatrix(r, 21, 11)
 	got := New(8, 11)
-	got.Fill(0.5)
+	for i := range got.Data {
+		got.Data[i] = 0.5
+	}
 	GemmATAcc(got, a, b)
 	want := New(8, 11)
 	GemmAcc(want, transpose(a), b)
@@ -230,12 +232,8 @@ func TestMatMulShapePanics(t *testing.T) {
 	GemmAcc(New(2, 2), New(2, 3), New(4, 2))
 }
 
-func TestDotAxpy(t *testing.T) {
+func TestAxpy(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	b := []float64{5, 4, 3, 2, 1}
-	if Dot(a, b) != 35 {
-		t.Fatalf("Dot got %g", Dot(a, b))
-	}
 	y := []float64{1, 1, 1, 1, 1}
 	Axpy(2, a, y)
 	want := []float64{3, 5, 7, 9, 11}
@@ -244,11 +242,6 @@ func TestDotAxpy(t *testing.T) {
 			t.Fatalf("Axpy got %v", y)
 		}
 	}
-}
-
-func TestDotLengthMismatchPanics(t *testing.T) {
-	defer expectPanic(t, "Dot")
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 func expectPanic(t *testing.T, name string) {

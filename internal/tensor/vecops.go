@@ -26,15 +26,6 @@ func Add[E Elt](dst, a, b *Mat[E]) {
 	}
 }
 
-// Sub computes dst = a - b element-wise.
-func Sub[E Elt](dst, a, b *Mat[E]) {
-	checkSameShape3("Sub", dst, a, b)
-	guardWRR(dst, a, b)
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-}
-
 // Mul computes dst = a ⊙ b, the Hadamard product used by Equations 5, 6, 9
 // and 10.
 func Mul[E Elt](dst, a, b *Mat[E]) {
@@ -86,15 +77,6 @@ func Average[E Elt](dst, a, b *Mat[E]) {
 	for i, v := range a.Data {
 		dst.Data[i] = 0.5 * (v + b.Data[i])
 	}
-}
-
-// Sum returns the sum of all elements, accumulated in float64.
-func (m *Mat[E]) Sum() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += float64(v)
-	}
-	return s
 }
 
 // ArgmaxRows returns, for each row, the column index of the maximum value.

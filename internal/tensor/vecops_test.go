@@ -7,7 +7,7 @@ import (
 	"bpar/internal/rng"
 )
 
-func TestAddSubMul(t *testing.T) {
+func TestAddMul(t *testing.T) {
 	a := fromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := fromSlice(2, 2, []float64{5, 6, 7, 8})
 	dst := New(2, 2)
@@ -15,10 +15,6 @@ func TestAddSubMul(t *testing.T) {
 	Add(dst, a, b)
 	if !dst.Equal(fromSlice(2, 2, []float64{6, 8, 10, 12})) {
 		t.Fatalf("Add got %v", dst)
-	}
-	Sub(dst, b, a)
-	if !dst.Equal(fromSlice(2, 2, []float64{4, 4, 4, 4})) {
-		t.Fatalf("Sub got %v", dst)
 	}
 	Mul(dst, a, b)
 	if !dst.Equal(fromSlice(2, 2, []float64{5, 12, 21, 32})) {
@@ -64,13 +60,6 @@ func TestAddBiasRows(t *testing.T) {
 		if m.At(i, 0) != 1 || m.At(i, 1) != -1 {
 			t.Fatalf("AddBiasRows got %v", m)
 		}
-	}
-}
-
-func TestSum(t *testing.T) {
-	m := fromSlice(1, 4, []float64{1, -2, 3, -4})
-	if m.Sum() != -2 {
-		t.Fatalf("Sum got %g", m.Sum())
 	}
 }
 

@@ -1,9 +1,10 @@
 // Command bpar-prof reads a profile dump written by bpar-train or
-// bpar-serve (-profile-graph -profile-out) and reports where a step's
-// time actually goes: the measured critical path over the frozen replay
-// template, per-node slack, span vs. work (attainable parallelism), the
-// scheduling-overhead ratio against the paper's <10% bound, and per-worker
-// idle time split into "waiting on dependencies" vs. "ready work existed".
+// bpar-serve (-profile-out) and reports where a step's time actually goes:
+// the measured critical path over the frozen replay template, per-node
+// slack, span vs. work (attainable parallelism), the scheduling-overhead
+// ratio against the paper's <10% bound, and per-worker idle time split into
+// "waiting on dependencies" vs. "ready work existed". Idle attribution and
+// calibration use the worker count the dump records.
 //
 // Usage:
 //
@@ -23,7 +24,6 @@ import (
 
 func main() {
 	topK := flag.Int("top", 10, "critical-path contributor groups to print per template")
-	workers := flag.Int("workers", 0, "worker count for idle attribution and calibration (0 = the count recorded in the dump)")
 	chrome := flag.String("chrome", "", "also write a Chrome trace-event JSON of each template's last replay (with dependency flow events) to this file")
 	calibrate := flag.Bool("calibrate", false, "feed the measured per-node durations into the discrete-event simulator and compare its makespan against the measured step time")
 	flag.Parse()
@@ -33,25 +33,21 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *topK, *workers, *chrome, *calibrate); err != nil {
+	if err := run(flag.Arg(0), *topK, *chrome, *calibrate); err != nil {
 		fmt.Fprintln(os.Stderr, "bpar-prof:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, topK, workers int, chrome string, calibrate bool) error {
+func run(path string, topK int, chrome string, calibrate bool) error {
 	pd, err := prof.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	prof.WriteReport(os.Stdout, pd, prof.ReportOptions{TopK: topK, Workers: workers})
+	prof.WriteReport(os.Stdout, pd, topK)
 	if calibrate {
 		fmt.Println()
-		w := workers
-		if w <= 0 {
-			w = pd.Workers
-		}
-		if err := prof.WriteCalibration(os.Stdout, pd, w); err != nil {
+		if err := prof.WriteCalibration(os.Stdout, pd); err != nil {
 			return err
 		}
 	}

@@ -14,11 +14,17 @@
 // requests finish, every admitted sequence is answered, then the process
 // exits.
 //
+// With -buckets, every engine step runs at a bucket length, so each engine
+// caches one workspace set and template per bucket and never evicts. With
+// -profile-out, per-node timings of the replayed templates are written to
+// that file after drain, for bpar-prof.
+//
 // Usage:
 //
 //	bpar-serve -model model.bpar -listen :8080
-//	bpar-serve -model model.bpar -batch 32 -engines 4 -warm 20,50,100
+//	bpar-serve -model model.bpar -batch 32 -engines 4 -buckets 20,50,100 -warm 20,50,100
 //	bpar-serve -synthetic -hidden 64 -layers 2 -listen :8080   # no checkpoint needed
+//	bpar-serve -synthetic -profile-out profile.json && bpar-prof profile.json
 package main
 
 import (
@@ -56,12 +62,10 @@ type options struct {
 	queueCap  int
 	buckets   string
 	maxSeq    int
-	maxCached int
 	dtype     string
 	warm      string
 	listen    string
 	drainSec  int
-	profGraph bool
 	profOut   string
 	logLevel  string
 }
@@ -83,13 +87,11 @@ func main() {
 	flag.IntVar(&o.queueCap, "queue-cap", 0, "max sequences in flight before 429 (0 = 8*batch*engines)")
 	flag.StringVar(&o.buckets, "buckets", "", "comma-separated ascending sequence-length buckets; lengths pad up to their bucket (masked, numerics unchanged) and longer sequences are rejected (empty = exact lengths)")
 	flag.IntVar(&o.maxSeq, "max-seq", 512, "reject sequences longer than this")
-	flag.IntVar(&o.maxCached, "max-cached-seqs", 16, "per-engine workspace/template LRU bound on distinct sequence lengths")
 	flag.StringVar(&o.dtype, "dtype", "f64", "inference dtype: f64 (bitwise-exact responses) or f32 (float32 mirror with packed weight panels; checkpoints stay f64)")
 	flag.StringVar(&o.warm, "warm", "", "comma-separated sequence lengths to pre-capture templates for at startup")
 	flag.StringVar(&o.listen, "listen", ":8080", "serve the API and telemetry on this address")
 	flag.IntVar(&o.drainSec, "drain-timeout", 30, "seconds to wait for graceful drain on SIGINT/SIGTERM")
-	flag.BoolVar(&o.profGraph, "profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof); stage histograms on /metrics are always on")
-	flag.StringVar(&o.profOut, "profile-out", "bpar-profile.json", "profile dump path written after drain when -profile-graph is set")
+	flag.StringVar(&o.profOut, "profile-out", "", "accumulate per-node timing over the replayed task graphs and write the profile dump to this file after drain (see bpar-prof); stage histograms on /metrics are always on")
 	flag.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, or error")
 	flag.Parse()
 
@@ -190,7 +192,7 @@ func run(o options) error {
 	tensor.RegisterMetrics(reg)
 
 	var profiler *prof.GraphProfiler
-	if o.profGraph {
+	if o.profOut != "" {
 		profiler = prof.NewGraphProfiler()
 		prof.RegisterMetrics(reg, profiler, o.engWorker)
 	}
@@ -203,7 +205,6 @@ func run(o options) error {
 		QueueCap:         o.queueCap,
 		Buckets:          bucketLens,
 		MaxSeqLen:        o.maxSeq,
-		MaxCachedSeqLens: o.maxCached,
 		InferDType:       dtype,
 		Registry:         reg,
 	}

@@ -7,9 +7,9 @@
 // metrics in Prometheus text format at /metrics, liveness at /healthz, and
 // the standard pprof profiles at /debug/pprof/ for the duration of the run.
 // For headless runs, -cpuprofile and -memprofile write runtime/pprof files
-// directly. With -profile-graph, per-node timings of the replayed step
-// templates are dumped at exit for bpar-prof, which reports them and renders
-// the schedule as a Chrome trace.
+// directly. With -profile-out, per-node timings of the replayed step
+// templates are dumped to that file at exit for bpar-prof, which reports
+// them and renders the schedule as a Chrome trace.
 //
 // Usage:
 //
@@ -17,7 +17,7 @@
 //	bpar-train -task text -cell gru -layers 2 -hidden 128 -seq 32
 //	bpar-train -task speech -listen :8080          # curl localhost:8080/metrics
 //	bpar-train -task speech -cpuprofile cpu.pprof
-//	bpar-train -task speech -profile-graph && bpar-prof -chrome trace.json bpar-profile.json
+//	bpar-train -task speech -profile-out profile.json && bpar-prof -chrome trace.json profile.json
 package main
 
 import (
@@ -58,7 +58,6 @@ type options struct {
 	depCheck   bool
 	inferDtype string
 	seed       uint64
-	profGraph  bool
 	profOut    string
 	dumpTpls   string
 	listen     string
@@ -85,8 +84,7 @@ func main() {
 	flag.BoolVar(&o.depCheck, "depcheck", false, "enable the dependency sanitizer: verify every tensor access against declared In/Out/InOut edges (slow; serializes task bodies)")
 	flag.StringVar(&o.inferDtype, "infer-dtype", "f64", "dtype for the per-epoch eval pass: f64 (exact) or f32 (float32 mirror, refreshed after every weight update; training itself always runs f64)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
-	flag.BoolVar(&o.profGraph, "profile-graph", false, "accumulate per-node timing over the replayed task graphs (see bpar-prof; bpar-prof -chrome renders the schedule timeline)")
-	flag.StringVar(&o.profOut, "profile-out", "bpar-profile.json", "profile dump path written at exit when -profile-graph is set")
+	flag.StringVar(&o.profOut, "profile-out", "", "accumulate per-node timing over the replayed task graphs and write the profile dump to this file at exit (see bpar-prof; bpar-prof -chrome renders the schedule timeline)")
 	flag.StringVar(&o.dumpTpls, "dump-templates", "", "write every cached step template (with named dependency keys) to this file at exit, for bpar-vet -graph")
 	flag.StringVar(&o.listen, "listen", "", "serve /metrics, /healthz, and /debug/pprof on this address (e.g. :8080) during the run")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -195,7 +193,7 @@ func run(ctx context.Context, o options) error {
 	}
 	var profiler *prof.GraphProfiler
 	var psink taskrt.ProfileSink
-	if o.profGraph {
+	if o.profOut != "" {
 		profiler = prof.NewGraphProfiler()
 		psink = profiler
 	}

@@ -29,7 +29,7 @@
 //
 // Usage:
 //
-//	bpar-vet [-strict-wait] [-pass name[,name]] [packages]
+//	bpar-vet [-pass name[,name]] [packages]
 //	bpar-vet -graph [-model-check 64] [-dot dir] templates.json...
 //
 // Packages default to ./... . Exit status is 1 when diagnostics are found,
@@ -46,7 +46,6 @@ import (
 )
 
 func main() {
-	strictWait := flag.Bool("strict-wait", false, "treat Wait like Shutdown in the lifecycle pass")
 	passList := flag.String("pass", "", "comma-separated pass names to run (default: all)")
 	list := flag.Bool("list", false, "list available passes and exit")
 	graph := flag.Bool("graph", false, "arguments are template dump files; run the whole-graph verifier instead of source passes")
@@ -98,7 +97,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bpar-vet: %v\n", err)
 		os.Exit(2)
 	}
-	prog.StrictWait = *strictWait
 
 	diags := prog.Run(passes)
 	for _, d := range diags {

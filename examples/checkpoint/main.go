@@ -31,7 +31,7 @@ func main() {
 	defer rt.Shutdown()
 
 	engine := core.NewEngine(model, rt)
-	engine.Adam = core.DefaultAdam() // Adam on top of B-Par's task graphs
+	engine.Adam = true // Adam on top of B-Par's task graphs
 	corpus := data.NewSpeechCorpus(cfg.InputSize, 4)
 
 	fmt.Println("phase 1: train 40 steps with Adam")
@@ -82,7 +82,7 @@ func main() {
 	// Resume training from the checkpoint and confirm progress continues.
 	fmt.Println("phase 2: resume 40 more steps from the checkpoint")
 	resumed := core.NewEngine(restored, rt)
-	resumed.Adam = core.DefaultAdam()
+	resumed.Adam = true
 	var last float64
 	for step := 1; step <= 40; step++ {
 		last, err = resumed.TrainStep(corpus.Batch(cfg.Batch, cfg.SeqLen), 0.005)

@@ -56,10 +56,6 @@ type Pass struct {
 type Program struct {
 	Units []*Unit
 
-	// StrictWait makes the lifecycle pass treat Wait like Shutdown,
-	// flagging any submission after a full synchronization point.
-	StrictWait bool
-
 	summaries map[string]*mutSummary // see undeclaredwrite.go
 
 	// dir and module locate the main module of a Load; empty for programs

@@ -44,17 +44,15 @@ func passByName(t *testing.T, name string) Pass {
 func TestFixtures(t *testing.T) {
 	l, _ := loadModule(t)
 	cases := []struct {
-		file   string
-		pass   string
-		strict bool
+		file string
+		pass string
 	}{
-		{"undeclaredwrite.go", "undeclaredwrite", false},
-		{"depkey.go", "depkey", false},
-		{"lifecycle.go", "lifecycle", false},
-		{"lifecycle_strict.go", "lifecycle", true},
-		{"emit_forward.go", "emitterbarrier", false},
-		{"emit_backward.go", "stalecapture", false},
-		{"errcheck_main.go", "errcheck", false},
+		{"undeclaredwrite.go", "undeclaredwrite"},
+		{"depkey.go", "depkey"},
+		{"lifecycle.go", "lifecycle"},
+		{"emit_forward.go", "emitterbarrier"},
+		{"emit_backward.go", "stalecapture"},
+		{"errcheck_main.go", "errcheck"},
 	}
 	for _, c := range cases {
 		t.Run(c.file+"/"+c.pass, func(t *testing.T) {
@@ -63,7 +61,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("check fixture: %v", err)
 			}
-			prog := &Program{Units: []*Unit{u}, StrictWait: c.strict}
+			prog := &Program{Units: []*Unit{u}}
 			diags := prog.Run([]Pass{passByName(t, c.pass)})
 			compareWants(t, path, diags)
 		})

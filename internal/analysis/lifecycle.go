@@ -12,12 +12,11 @@ import (
 // After Shutdown the worker pool is gone; the runtime panics at run time
 // (see taskrt.Runtime.Submit), but catching it statically turns a crash into
 // a vet diagnostic. Replay is a submission too — it publishes a frozen
-// template's roots to the same dead pool. With Program.StrictWait, Wait is
-// treated like Shutdown — useful for auditing builders that should emit a
-// whole graph before any synchronization.
+// template's roots to the same dead pool. Wait is not terminal: a runtime
+// accepts new submissions after Wait returns.
 var passLifecycle = Pass{
 	Name: "lifecycle",
-	Doc:  "Submit/SubmitAll/Replay after Shutdown (or Wait in strict mode) on the same runtime",
+	Doc:  "Submit/SubmitAll/Replay after Shutdown on the same runtime",
 	Run:  runLifecycle,
 }
 
@@ -29,17 +28,17 @@ func runLifecycle(p *Program, u *Unit) []Diagnostic {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			diags = append(diags, lifecycleInFunc(p, u, fd)...)
+			diags = append(diags, lifecycleInFunc(u, fd)...)
 		}
 	}
 	return diags
 }
 
-func lifecycleInFunc(p *Program, u *Unit, fd *ast.FuncDecl) []Diagnostic {
-	// First sweep: the earliest terminating call per runtime object.
+func lifecycleInFunc(u *Unit, fd *ast.FuncDecl) []Diagnostic {
+	// First sweep: the earliest Shutdown per runtime object.
 	// Deferred calls don't count — `defer rt.Shutdown()` runs after every
 	// Submit in the function body.
-	ended := map[types.Object]endState{}
+	ended := map[types.Object]token.Pos{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if _, isDefer := n.(*ast.DeferStmt); isDefer {
 			return false
@@ -49,12 +48,11 @@ func lifecycleInFunc(p *Program, u *Unit, fd *ast.FuncDecl) []Diagnostic {
 			return true
 		}
 		name, obj := taskrtMethodCall(u.Info, call)
-		terminal := name == "Shutdown" || (p.StrictWait && name == "Wait")
-		if !terminal || obj == nil {
+		if name != "Shutdown" || obj == nil {
 			return true
 		}
-		if prev, seen := ended[obj]; !seen || call.Pos() < prev.pos {
-			ended[obj] = endState{pos: call.Pos(), what: name}
+		if prev, seen := ended[obj]; !seen || call.Pos() < prev {
+			ended[obj] = call.Pos()
 		}
 		return true
 	})
@@ -73,22 +71,17 @@ func lifecycleInFunc(p *Program, u *Unit, fd *ast.FuncDecl) []Diagnostic {
 			return true
 		}
 		end, seen := ended[obj]
-		if !seen || call.Pos() <= end.pos {
+		if !seen || call.Pos() <= end {
 			return true
 		}
 		diags = append(diags, Diagnostic{
 			Pos:     u.Fset.Position(call.Pos()),
 			Pass:    "lifecycle",
-			Message: fmt.Sprintf("%s after %s on %q (line %d): the worker pool is gone, this panics at run time", name, end.what, obj.Name(), u.Fset.Position(end.pos).Line),
+			Message: fmt.Sprintf("%s after Shutdown on %q (line %d): the worker pool is gone, this panics at run time", name, obj.Name(), u.Fset.Position(end).Line),
 		})
 		return true
 	})
 	return diags
-}
-
-type endState struct {
-	pos  token.Pos
-	what string
 }
 
 // taskrtMethodCall returns the method name and receiver root object when

@@ -38,3 +38,29 @@ func lifecycleSeparateRuntimes() {
 	b.Submit(&taskrt.Task{Label: "other runtime"}) // different variable: fine
 	b.Shutdown()
 }
+
+// A runtime is live after Wait: resubmitting and replaying are fine. This is
+// the shape of bench's taskrt probes, whose Wait sits in a helper closure
+// that precedes the closures that submit.
+func lifecycleSubmitAfterWaitIsFine(tasks []*taskrt.Task, tpl *taskrt.Template) func() {
+	rt := taskrt.New(taskrt.Options{Workers: 1})
+	wait := func() {
+		if err := rt.Wait(); err != nil {
+			panic(err)
+		}
+	}
+	submit := func() {
+		rt.SubmitAll(tasks)
+		wait()
+		rt.ResetDeps()
+	}
+	replay := func() {
+		rt.Replay(tpl)
+		wait()
+	}
+	submit()
+	replay()
+	rt.Submit(&taskrt.Task{Label: "after wait"})
+	wait()
+	return rt.Shutdown
+}

@@ -57,18 +57,17 @@ type CPUModel struct {
 	// socket L3 (set high for PyTorch).
 	ThrashSlope float64
 	// ParallelFrac returns the Amdahl parallel fraction of one fused GEMM
-	// given its row count (batch) and flop count.
-	ParallelFrac func(rows int, flops float64) float64
+	// given its row count (batch).
+	ParallelFrac func(rows int) float64
 	// RateCapGFlops bounds the aggregate rate of one GEMM given its size.
 	RateCapGFlops func(gemmFlops float64) float64
 }
 
 // defaultParallelFrac models MKL intra-op scaling: parallel efficiency
-// grows with both the GEMM's row count (batch) and its absolute size —
-// a 256x2048x4096 GEMM scales almost perfectly, a single-row GEMV barely
-// at all.
-func defaultParallelFrac(rows int, flops float64) float64 {
-	_ = flops
+// grows with the GEMM's row count (batch) — a batch-256 GEMM scales almost
+// perfectly, a single-row GEMV barely at all. The GEMM's size enters
+// through RateCapGFlops instead.
+func defaultParallelFrac(rows int) float64 {
 	switch {
 	case rows >= 64:
 		return 0.95
@@ -122,7 +121,7 @@ func PyTorchCPU(m costmodel.Machine) *CPUModel {
 		Name: "PyTorch-CPU", Machine: m,
 		PerOpSec: 80e-6, OpsPerStep: 6, BarrierSec: 1.5e-3,
 		NUMAFactor: 1.35, ThrashSlope: 2.2,
-		ParallelFrac:  func(rows int, flops float64) float64 { return defaultParallelFrac(rows, flops) * 0.95 },
+		ParallelFrac:  func(rows int) float64 { return defaultParallelFrac(rows) * 0.95 },
 		RateCapGFlops: func(gemmFlops float64) float64 { return 0.55 * defaultRateCap(gemmFlops) },
 	}
 }
@@ -141,7 +140,7 @@ func (f *CPUModel) baseRate(rows int) float64 {
 
 // gemmSec is the time of one fused cell GEMM parallelized across p cores.
 func (f *CPUModel) gemmSec(flops float64, p int, rows int, weightBytes int64) float64 {
-	frac := f.ParallelFrac(rows, flops)
+	frac := f.ParallelFrac(rows)
 	speedup := 1.0 / ((1 - frac) + frac/float64(p))
 	rate := f.baseRate(rows) * speedup
 	if cap := f.RateCapGFlops(flops); rate > cap {
@@ -237,27 +236,19 @@ func PyTorchGPU(g costmodel.GPU) *GPUModel {
 // workload (PyTorch-GPU on >90M-parameter models in the paper).
 var ErrHang = fmt.Errorf("baseline: framework hangs on this configuration")
 
-func (f *GPUModel) batchSec(cfg core.Config, train bool) (float64, error) {
+// TrainBatchSec estimates one training batch; returns ErrHang where the
+// paper reports hung runs.
+func (f *GPUModel) TrainBatchSec(cfg core.Config) (float64, error) {
 	if f.HangThresholdParams > 0 && cfg.ParamCount() > f.HangThresholdParams {
 		return 0, ErrHang
 	}
-	mult := 1.0
-	if train {
-		mult = 3.0 // forward + backward(2x)
-	}
 	total := f.GPU.FixedSec
 	for l := 0; l < cfg.Layers; l++ {
-		flops := cellFlops(cfg, l, cfg.Batch, false) * mult
+		flops := cellFlops(cfg, l, cfg.Batch, false) * 3 // forward + backward(2x)
 		stepSec := f.GPU.LaunchSec + f.StepOverheadSec + flops/(f.GPU.EffTFlops*1e12)
 		// The two directions overlap on independent streams; model 80%
 		// overlap efficiency.
 		total += 2 * float64(cfg.SeqLen) * stepSec * 0.6
 	}
 	return total, nil
-}
-
-// TrainBatchSec estimates one training batch; returns ErrHang where the
-// paper reports hung runs.
-func (f *GPUModel) TrainBatchSec(cfg core.Config) (float64, error) {
-	return f.batchSec(cfg, true)
 }

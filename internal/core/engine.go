@@ -79,13 +79,14 @@ type Engine struct {
 	// [-GradClip, GradClip] before the SGD update.
 	GradClip float64
 
-	// Adam, when non-nil, selects the Adam optimizer over plain SGD.
-	Adam *AdamOpts
+	// Adam selects the Adam optimizer (beta1 0.9, beta2 0.999, eps 1e-8)
+	// over plain SGD.
+	Adam bool
 
 	// MaxCachedSeqLens bounds how many distinct sequence lengths keep live
-	// workspaces in the cache (LRU eviction). Zero means the default of 8;
-	// negative means unbounded. Variable-length serving workloads would
-	// otherwise accumulate one workspace set per length seen.
+	// workspaces in the cache (LRU eviction). Zero means the default of 8.
+	// Variable-length serving workloads would otherwise accumulate one
+	// workspace set per length seen.
 	MaxCachedSeqLens int
 
 	// NoReplay disables graph capture & replay: every step re-emits the task
@@ -115,8 +116,8 @@ type Engine struct {
 	// instead of panicking — concurrent use is an expected caller error on
 	// the serving path, not runtime corruption.
 	inStep atomic.Bool
-	// tplHitN/tplMissN count template-cache lookups independently of obs so
-	// serving code can compute hit rates without a registry.
+	// tplHitN/tplMissN count template-cache lookups: serving code reads
+	// them through TemplateStats, and EnableObs exports them at scrape time.
 	tplHitN, tplMissN atomic.Int64
 	wsByT             map[int][]*workspace
 	wsLRU             []int // cached sequence lengths, most recently used first
@@ -185,34 +186,25 @@ func (e *Engine) workspaces(T int) []*workspace {
 	}
 	e.wsByT[T] = ws
 	e.touchSeqLen(T)
-	if bound := e.wsCacheBound(); bound > 0 {
-		for len(e.wsLRU) > bound {
-			victim := e.wsLRU[len(e.wsLRU)-1]
-			e.wsLRU = e.wsLRU[:len(e.wsLRU)-1]
-			delete(e.wsByT, victim)
-			// Captured templates close over the victim's workspace buffers;
-			// they must not outlive them.
-			delete(e.tpls, tplKey{train: true, T: victim})
-			delete(e.tpls, tplKey{train: false, T: victim})
-			if e.obs != nil {
-				e.obs.cacheEvicts.Inc()
-			}
-			obs.Logger("core").Debug("workspace evicted", "seq_len", victim, "cached", len(e.wsLRU))
+	bound := e.MaxCachedSeqLens
+	if bound <= 0 {
+		bound = defaultMaxCachedSeqLens
+	}
+	for len(e.wsLRU) > bound {
+		victim := e.wsLRU[len(e.wsLRU)-1]
+		e.wsLRU = e.wsLRU[:len(e.wsLRU)-1]
+		delete(e.wsByT, victim)
+		// Captured templates close over the victim's workspace buffers;
+		// they must not outlive them.
+		delete(e.tpls, tplKey{train: true, T: victim})
+		delete(e.tpls, tplKey{train: false, T: victim})
+		if e.obs != nil {
+			e.obs.cacheEvicts.Inc()
 		}
+		obs.Logger("core").Debug("workspace evicted", "seq_len", victim, "cached", len(e.wsLRU))
 	}
 	obs.Logger("core").Debug("workspaces built", "seq_len", T, "mini_batches", n)
 	return ws
-}
-
-func (e *Engine) wsCacheBound() int {
-	switch {
-	case e.MaxCachedSeqLens > 0:
-		return e.MaxCachedSeqLens
-	case e.MaxCachedSeqLens < 0:
-		return 0 // unbounded
-	default:
-		return defaultMaxCachedSeqLens
-	}
 }
 
 // touchSeqLen moves T to the most-recently-used slot of the LRU list.
@@ -483,15 +475,9 @@ func (e *Engine) template(train bool, T int) *taskrt.Template {
 	key := tplKey{train: train, T: T}
 	if tpl, ok := e.tpls[key]; ok {
 		e.tplHitN.Add(1)
-		if e.obs != nil {
-			e.obs.tplHits.Inc()
-		}
 		return tpl
 	}
 	e.tplMissN.Add(1)
-	if e.obs != nil {
-		e.obs.tplMisses.Inc()
-	}
 	start := time.Now()
 	wss := e.wsByT[T]
 	rec := taskrt.NewCapture()
@@ -662,7 +648,7 @@ func (e *Engine) applySGD(ws *workspace, lr, scale float64) {
 	e.M.noteWeightUpdate()
 	params, grads := e.M.params, ws.grads
 	inv := 1.0 / scale
-	if e.GradClip > 0 || e.Adam != nil {
+	if e.GradClip > 0 || e.Adam {
 		// Normalize in place so clipping and Adam see mean gradients.
 		for _, g := range grads {
 			g.scale(inv)
@@ -674,7 +660,7 @@ func (e *Engine) applySGD(ws *workspace, lr, scale float64) {
 			g.clip(e.GradClip)
 		}
 	}
-	if e.Adam != nil {
+	if e.Adam {
 		e.applyAdam(params, grads, lr)
 		return
 	}

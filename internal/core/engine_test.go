@@ -566,14 +566,4 @@ func TestWorkspaceCacheLRU(t *testing.T) {
 	if len(e2.wsByT) != defaultMaxCachedSeqLens {
 		t.Fatalf("default cache holds %d lengths, want %d", len(e2.wsByT), defaultMaxCachedSeqLens)
 	}
-
-	// Negative disables the bound.
-	e3 := NewEngine(m, inlineExec())
-	e3.MaxCachedSeqLens = -1
-	for T := 1; T <= 20; T++ {
-		e3.workspaces(T)
-	}
-	if len(e3.wsByT) != 20 {
-		t.Fatalf("unbounded cache holds %d lengths, want 20", len(e3.wsByT))
-	}
 }

@@ -19,8 +19,6 @@ type engineObs struct {
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
 	cacheEvicts  *obs.Counter
-	tplHits      *obs.Counter
-	tplMisses    *obs.Counter
 	tplCaptureNS *obs.Counter
 }
 
@@ -29,7 +27,8 @@ type engineObs struct {
 // pairs appended to every series — an engine pool (internal/serve) passes
 // ("engine", "<idx>") so its engines coexist on one registry; without
 // distinguishing labels, registering two engines on the same registry panics
-// on name collision.
+// on name collision. The template hit/miss series count from engine
+// construction; the others from this call.
 func (e *Engine) EnableObs(reg *obs.Registry, labels ...string) {
 	lbl := func(extra ...string) []string {
 		return append(append([]string(nil), extra...), labels...)
@@ -38,9 +37,9 @@ func (e *Engine) EnableObs(reg *obs.Registry, labels ...string) {
 		steps: reg.MustCounter("bpar_engine_steps_total",
 			"Completed engine steps.", lbl("op", "train")...),
 		trainSeconds: reg.MustHistogram("bpar_engine_step_seconds",
-			"Wall time of one engine step.", obs.DefSecondsBuckets, 1, lbl("op", "train")...),
+			"Wall time of one engine step.", obs.DefSecondsBuckets, lbl("op", "train")...),
 		inferSeconds: reg.MustHistogram("bpar_engine_step_seconds",
-			"Wall time of one engine step.", obs.DefSecondsBuckets, 1, lbl("op", "infer")...),
+			"Wall time of one engine step.", obs.DefSecondsBuckets, lbl("op", "infer")...),
 		loss: reg.MustGauge("bpar_engine_loss",
 			"Mean loss of the most recent labeled step.", lbl()...),
 		seqPerSec: reg.MustGauge("bpar_engine_sequences_per_second",
@@ -53,13 +52,17 @@ func (e *Engine) EnableObs(reg *obs.Registry, labels ...string) {
 			"Workspace lookups that had to build new workspaces.", lbl()...),
 		cacheEvicts: reg.MustCounter("bpar_engine_workspace_cache_evictions_total",
 			"Workspace sets evicted from the sequence-length LRU cache.", lbl()...),
-		tplHits: reg.MustCounter("bpar_engine_template_hits_total",
-			"Steps served by replaying a cached task-graph template.", lbl()...),
-		tplMisses: reg.MustCounter("bpar_engine_template_misses_total",
-			"Steps that had to capture a new task-graph template.", lbl()...),
 		tplCaptureNS: reg.MustCounter("bpar_engine_template_capture_ns_total",
 			"Cumulative wall time spent capturing and freezing task-graph templates, in nanoseconds.", lbl()...),
 	}
+	// Template lookups are counted once, by the always-on TemplateStats
+	// atomics; the series read them at scrape time.
+	reg.MustCounterFunc("bpar_engine_template_hits_total",
+		"Steps served by replaying a cached task-graph template.",
+		func() float64 { return float64(e.tplHitN.Load()) }, lbl()...)
+	reg.MustCounterFunc("bpar_engine_template_misses_total",
+		"Steps that had to capture a new task-graph template.",
+		func() float64 { return float64(e.tplMissN.Load()) }, lbl()...)
 }
 
 // recordStep publishes the latency, loss, and throughput of one completed

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -101,6 +103,49 @@ func TestRecordStepUsesRealRows(t *testing.T) {
 	bad.Real = cfg.Batch + 1
 	if _, _, err := e.InferProbs(bad); err == nil {
 		t.Error("InferProbs accepted Real > Cfg.Batch")
+	}
+}
+
+// TestTemplateSeriesMatchTemplateStats pins the exported template-cache
+// series: their names and labels, and that they read the same single count
+// of each lookup that TemplateStats returns.
+func TestTemplateSeriesMatchTemplateStats(t *testing.T) {
+	cfg := smallCfg(LSTM, ManyToOne, 1)
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(m, inlineExec())
+	reg := obs.NewRegistry()
+	e.EnableObs(reg, "engine", "3")
+
+	for i := 0; i < 3; i++ {
+		if _, err := e.TrainStep(makeBatch(cfg, uint64(i)), 0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := e.InferProbs(unlabeled(makeBatch(cfg, uint64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses := e.TemplateStats()
+	if hits != 3 || misses != 2 {
+		t.Fatalf("TemplateStats = %d hits, %d misses; want 3, 2", hits, misses)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("bpar_engine_template_hits_total{engine=\"3\"} %d\n", hits),
+		fmt.Sprintf("bpar_engine_template_misses_total{engine=\"3\"} %d\n", misses),
+		"# TYPE bpar_engine_template_hits_total counter\n",
+		"# TYPE bpar_engine_template_misses_total counter\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("scrape lacks %q:\n%s", want, b.String())
+		}
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"bpar/internal/tensor"
 )
 
-// AdamOpts configures the Adam optimizer. Enable by setting Engine.Adam;
-// it then takes precedence over plain SGD.
-type AdamOpts struct {
-	Beta1, Beta2, Eps float64
-}
-
-// DefaultAdam returns the standard Adam hyper-parameters.
-func DefaultAdam() *AdamOpts { return &AdamOpts{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} }
+// Adam's standard hyper-parameters. They are typed, so each is rounded to
+// float64 first and 1-adamBeta1 is the float64 subtraction; an untyped 0.9
+// would fold 1-0.9 exactly, a different float64 that moves the Adam pins.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
 
 // adamState holds the first and second moment estimates for every
 // parameter, plus the step counter for bias correction.
@@ -34,13 +34,13 @@ func newMoment(params []param) []wb {
 
 // adamUpdate applies one Adam step to parameters w given normalized
 // gradients g and moment buffers m, v (all equal-length slices).
-func adamUpdate(w, g, m, v []float64, lr float64, o *AdamOpts, c1, c2 float64) {
+func adamUpdate(w, g, m, v []float64, lr, c1, c2 float64) {
 	for i, gi := range g {
-		m[i] = o.Beta1*m[i] + (1-o.Beta1)*gi
-		v[i] = o.Beta2*v[i] + (1-o.Beta2)*gi*gi
+		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
+		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
 		mhat := m[i] / c1
 		vhat := v[i] / c2
-		w[i] -= lr * mhat / (math.Sqrt(vhat) + o.Eps)
+		w[i] -= lr * mhat / (math.Sqrt(vhat) + adamEps)
 	}
 }
 
@@ -52,11 +52,11 @@ func (e *Engine) applyAdam(params []param, grads []gradRef, lr float64) {
 	}
 	st := e.adam
 	st.step++
-	c1 := 1 - math.Pow(e.Adam.Beta1, float64(st.step))
-	c2 := 1 - math.Pow(e.Adam.Beta2, float64(st.step))
+	c1 := 1 - math.Pow(adamBeta1, float64(st.step))
+	c2 := 1 - math.Pow(adamBeta2, float64(st.step))
 	for i, p := range params {
 		g, m, v := grads[i], st.m[i], st.v[i]
-		adamUpdate(p.W.Data, g.W.Data, m.W.Data, v.W.Data, lr, e.Adam, c1, c2)
-		adamUpdate(p.B, g.B, m.B, v.B, lr, e.Adam, c1, c2)
+		adamUpdate(p.W.Data, g.W.Data, m.W.Data, v.W.Data, lr, c1, c2)
+		adamUpdate(p.B, g.B, m.B, v.B, lr, c1, c2)
 	}
 }

@@ -93,7 +93,7 @@ func TestSingleHeadBitwisePin(t *testing.T) {
 		{
 			name:     "adam-2head-mbs2",
 			cfg:      twoHeadCfg(GRU),
-			setup:    func(e *Engine) { e.Adam = DefaultAdam() },
+			setup:    func(e *Engine) { e.Adam = true },
 			batch:    multi,
 			wantHash: 0x29774cceda388bb9,
 			wantLoss: 0x3ff655b282821b79,

@@ -89,7 +89,7 @@ func TestAdamConvergesAndIsDeterministic(t *testing.T) {
 			defer rt.Shutdown()
 		}
 		e := NewEngine(m, exec)
-		e.Adam = DefaultAdam()
+		e.Adam = true
 		b := makeBatch(cfg, 77)
 		var loss float64
 		for i := 0; i < 60; i++ {
@@ -129,7 +129,7 @@ func TestAdamBeatsSGDOnFixedBudget(t *testing.T) {
 		e := NewEngine(m, taskrt.NewInline(nil))
 		lr := 0.05
 		if adam {
-			e.Adam = DefaultAdam()
+			e.Adam = true
 			lr = 0.01
 		}
 		b := makeBatch(cfg, 7)

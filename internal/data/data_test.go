@@ -497,7 +497,7 @@ func TestTagCorpusLearnable(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := core.NewEngine(m, taskrt.NewInline(nil))
-	e.Adam = core.DefaultAdam()
+	e.Adam = true
 	first, err := e.TrainStep(b, 0.02)
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,9 @@ import (
 // NumDigits is the TIDIGITS vocabulary: "oh", "zero", and "one" … "nine".
 const NumDigits = 11
 
+// anchorsPerDigit is the length of each digit's feature-space trajectory.
+const anchorsPerDigit = 4
+
 // SpeechCorpus synthesizes digit utterances. Each digit has a fixed
 // trajectory through feature space (a sequence of anchor vectors,
 // interpolated over the utterance); each utterance adds a per-speaker
@@ -37,9 +40,8 @@ type SpeechCorpus struct {
 	InputSize int
 	Classes   int
 
-	anchorsPerDigit int
-	templates       [][][]float64 // [digit][anchor][feature]
-	r               *rng.RNG
+	templates [][][]float64 // [digit][anchor][feature]
+	r         *rng.RNG
 }
 
 // NewSpeechCorpus builds a corpus with the given feature width.
@@ -48,15 +50,14 @@ func NewSpeechCorpus(inputSize int, seed uint64) *SpeechCorpus {
 		panic(fmt.Sprintf("data: inputSize %d", inputSize))
 	}
 	c := &SpeechCorpus{
-		InputSize:       inputSize,
-		Classes:         NumDigits,
-		anchorsPerDigit: 4,
-		r:               rng.New(seed),
+		InputSize: inputSize,
+		Classes:   NumDigits,
+		r:         rng.New(seed),
 	}
 	tr := rng.New(seed ^ 0x5eedf00d)
 	c.templates = make([][][]float64, c.Classes)
 	for d := range c.templates {
-		c.templates[d] = make([][]float64, c.anchorsPerDigit)
+		c.templates[d] = make([][]float64, anchorsPerDigit)
 		for a := range c.templates[d] {
 			v := make([]float64, inputSize)
 			tr.FillNormal(v, 0, 1)
@@ -74,15 +75,15 @@ func (c *SpeechCorpus) fillUtterance(dst *tensor.Matrix, row0 int, frames int, d
 	offset := make([]float64, c.InputSize)
 	c.r.FillNormal(offset, 0, 0.15)
 	anchors := c.templates[digit]
-	span := float64(c.anchorsPerDigit - 1)
+	span := float64(anchorsPerDigit - 1)
 	for f := 0; f < frames; f++ {
 		pos := float64(f) / float64(max(frames-1, 1)) * span * rate
 		if pos > span {
 			pos = span
 		}
 		lo := int(pos)
-		if lo >= c.anchorsPerDigit-1 {
-			lo = c.anchorsPerDigit - 2
+		if lo >= anchorsPerDigit-1 {
+			lo = anchorsPerDigit - 2
 		}
 		frac := pos - float64(lo)
 		dstRow := dst.Row(row0 + f)
@@ -132,11 +133,10 @@ func (c *SpeechCorpus) Batch(batch, seqLen int) *core.Batch {
 // to build held-out evaluation sets.
 func (c *SpeechCorpus) Fork(seed uint64) *SpeechCorpus {
 	return &SpeechCorpus{
-		InputSize:       c.InputSize,
-		Classes:         c.Classes,
-		anchorsPerDigit: c.anchorsPerDigit,
-		templates:       c.templates,
-		r:               rng.New(seed ^ 0xf0a3c0de),
+		InputSize: c.InputSize,
+		Classes:   c.Classes,
+		templates: c.templates,
+		r:         rng.New(seed ^ 0xf0a3c0de),
 	}
 }
 

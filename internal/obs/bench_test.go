@@ -6,7 +6,7 @@ import (
 )
 
 // The overhead budget: counter/gauge updates are one atomic op, histogram
-// observation a shard-local handful. These benchmarks fail loudly in CI's
+// observation a handful. These benchmarks fail loudly in CI's
 // benchmark smoke step if instrumentation cost regresses.
 
 func BenchmarkCounterInc(b *testing.B) {
@@ -29,14 +29,12 @@ func BenchmarkGaugeSet(b *testing.B) {
 	})
 }
 
-func BenchmarkHistogramObserveShard(b *testing.B) {
+func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
-	h := r.MustHistogram("bench_seconds", "lat", DefSecondsBuckets, 0)
+	h := r.MustHistogram("bench_seconds", "lat", DefSecondsBuckets)
 	b.RunParallel(func(pb *testing.PB) {
-		i := 0
 		for pb.Next() {
-			h.ObserveShard(i, 0.01)
-			i++
+			h.Observe(0.01)
 		}
 	})
 }
@@ -46,7 +44,7 @@ func BenchmarkScrape(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		r.MustGaugeFunc("bench_gauge", "g", func() float64 { return 1 }, "i", string(rune('a'+i)))
 	}
-	h := r.MustHistogram("bench_scrape_seconds", "lat", DefSecondsBuckets, 4)
+	h := r.MustHistogram("bench_scrape_seconds", "lat", DefSecondsBuckets)
 	h.Observe(0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

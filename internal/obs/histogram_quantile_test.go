@@ -5,14 +5,8 @@ import (
 	"testing"
 )
 
-// quantileHist builds a single-shard histogram so bucket placement is exactly
-// deterministic for the test's hand-computed expectations.
-func quantileHist(edges []float64) *Histogram {
-	return newHistogram(edges, 1)
-}
-
 func TestHistogramQuantileEmpty(t *testing.T) {
-	h := quantileHist([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("Quantile on empty histogram = %g, want 0", got)
 	}
@@ -22,7 +16,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 	// 100 observations spread uniformly over (0, 1]; every one lands in the
 	// first bucket (le=1), so histogram_quantile-style interpolation inside
 	// [0, 1] should track the true quantiles closely.
-	h := quantileHist([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 100)
 	}
@@ -40,7 +34,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 func TestHistogramQuantileAcrossBuckets(t *testing.T) {
 	// 50 observations in (0,1], 50 in (1,2]: the median sits at the bucket
 	// boundary and p75 interpolates to the middle of the second bucket.
-	h := quantileHist([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	for i := 1; i <= 50; i++ {
 		h.Observe(float64(i) / 50)   // (0, 1]
 		h.Observe(1 + float64(i)/50) // (1, 2]
@@ -57,7 +51,7 @@ func TestHistogramQuantileOverflowBucket(t *testing.T) {
 	// Observations beyond the last edge land in the +Inf bucket; quantiles
 	// that fall there are clamped to the largest finite edge rather than
 	// fabricating an unbounded estimate.
-	h := quantileHist([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	h.Observe(0.5)
 	h.Observe(100)
 	h.Observe(200)
@@ -67,7 +61,7 @@ func TestHistogramQuantileOverflowBucket(t *testing.T) {
 }
 
 func TestHistogramQuantileClampsQ(t *testing.T) {
-	h := quantileHist([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	h.Observe(0.5)
 	if got := h.Quantile(-1); got < 0 || got > 1 {
 		t.Errorf("Quantile(-1) = %g, want a value inside the first bucket", got)

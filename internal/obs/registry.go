@@ -1,12 +1,12 @@
 // Package obs is the live telemetry layer: a zero-dependency metric
-// registry (atomic counters, gauges, and sharded histograms) with Prometheus
+// registry (atomic counters, gauges, and histograms) with Prometheus
 // text-format exposition, an HTTP mux serving /metrics, /healthz, and the
 // standard pprof endpoints, and slog-based structured logging helpers.
 //
 // The post-hoc instruments (internal/prof, taskrt.Stats) answer "what
 // happened during that run"; obs answers "what is happening right now".
 // Hot-path recording never takes a shared lock: counters and gauges are
-// single atomics, histograms shard their buckets per worker, and the
+// single atomics, histograms one atomic per bucket, and the
 // scheduler gauges snapshot taskrt's existing atomic counters at scrape time
 // instead of double-counting on the task path.
 package obs

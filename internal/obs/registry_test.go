@@ -82,7 +82,7 @@ func TestRegistrationPanics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.MustHistogram("test_latency_seconds", "lat", []float64{0.1, 1, 10}, 4)
+	h := r.MustHistogram("test_latency_seconds", "lat", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.1, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -110,17 +110,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramShardMerge(t *testing.T) {
-	h := newHistogram([]float64{1}, 8)
-	for w := 0; w < 32; w++ {
-		h.ObserveShard(w, 0.5)
-	}
-	cum, count, sum := h.snapshot()
-	if cum[0] != 32 || count != 32 || sum != 16 {
-		t.Fatalf("snapshot cum=%v count=%d sum=%g", cum, count, sum)
-	}
-}
-
 // TestConcurrentRecording hammers every metric type from many goroutines
 // while a scraper renders concurrently; run with -race it proves hot-path
 // recording is lock-free-safe against exposition.
@@ -128,19 +117,19 @@ func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustCounter("hammer_ops_total", "ops")
 	g := r.MustGauge("hammer_depth", "depth")
-	h := r.MustHistogram("hammer_seconds", "lat", []float64{0.001, 0.01, 0.1, 1}, 8)
+	h := r.MustHistogram("hammer_seconds", "lat", []float64{0.001, 0.01, 0.1, 1})
 	const goroutines, iters = 16, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				h.ObserveShard(w, float64(i%100)/100)
+				h.Observe(float64(i%100) / 100)
 			}
-		}(w)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {

@@ -62,14 +62,12 @@ func Calibrate(td *TemplateData, workers int) (*Calibration, error) {
 	return c, nil
 }
 
-// WriteCalibration renders calibration rows for every template in the dump.
-func WriteCalibration(w io.Writer, pd *ProfileData, workers int) error {
-	if workers <= 0 {
-		workers = pd.Workers
-	}
-	fmt.Fprintf(w, "simulator calibration (measured durations on the recorded graph, %d cores):\n", workers)
+// WriteCalibration renders calibration rows for every template in the dump,
+// simulated on the dump's recorded worker count.
+func WriteCalibration(w io.Writer, pd *ProfileData) error {
+	fmt.Fprintf(w, "simulator calibration (measured durations on the recorded graph, %d cores):\n", pd.Workers)
 	for ti := range pd.Templates {
-		c, err := Calibrate(&pd.Templates[ti], workers)
+		c, err := Calibrate(&pd.Templates[ti], pd.Workers)
 		if err != nil {
 			return err
 		}

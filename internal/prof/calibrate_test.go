@@ -37,8 +37,8 @@ func TestCalibrateSingleCore(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	pd := &ProfileData{Version: DumpVersion, Templates: []TemplateData{*td}}
-	if err := WriteCalibration(&buf, pd, 1); err != nil {
+	pd := &ProfileData{Version: DumpVersion, Workers: 1, Templates: []TemplateData{*td}}
+	if err := WriteCalibration(&buf, pd); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "golden") {

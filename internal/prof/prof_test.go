@@ -133,7 +133,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Report renders and names the pieces.
 	var rep bytes.Buffer
-	WriteReport(&rep, pd, ReportOptions{TopK: 5})
+	WriteReport(&rep, pd, 5)
 	out := rep.String()
 	for _, want := range []string{"test-diamond", "critical path", "slack", "idle attribution", "lstm"} {
 		if !strings.Contains(out, want) {

@@ -48,35 +48,23 @@ func parseLabel(label string) (layer int, dir string) {
 	return layer, dir
 }
 
-// ReportOptions tunes WriteReport.
-type ReportOptions struct {
-	// TopK bounds the critical-path contributor and slack tables (default 10).
-	TopK int
-	// Workers sizes idle attribution and utilization; 0 falls back to the
-	// dump's recorded worker count.
-	Workers int
-}
-
 // WriteReport renders the full profile report: per template, the measured
 // span/work/parallelism, the top critical-path contributors grouped by task
-// kind/layer/direction, a slack table, and the per-worker idle attribution.
-func WriteReport(w io.Writer, pd *ProfileData, opt ReportOptions) {
-	topK := opt.TopK
+// kind/layer/direction, a slack table, and the per-worker idle attribution
+// over the dump's recorded worker count. topK bounds the contributor and
+// slack tables (default 10).
+func WriteReport(w io.Writer, pd *ProfileData, topK int) {
 	if topK <= 0 {
 		topK = 10
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = pd.Workers
-	}
-	fmt.Fprintf(w, "profile: %d template(s), %d worker(s)", len(pd.Templates), workers)
+	fmt.Fprintf(w, "profile: %d template(s), %d worker(s)", len(pd.Templates), pd.Workers)
 	if pd.SchedOverheadRatio > 0 {
 		fmt.Fprintf(w, ", runtime overhead/useful work %.4f (paper bound: <0.10)", pd.SchedOverheadRatio)
 	}
 	fmt.Fprintln(w)
 	for ti := range pd.Templates {
 		td := &pd.Templates[ti]
-		writeTemplateReport(w, td, Analyze(td, workers), topK)
+		writeTemplateReport(w, td, Analyze(td, pd.Workers), topK)
 	}
 }
 

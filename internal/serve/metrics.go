@@ -74,10 +74,10 @@ func (m *metrics) forBucket(T int) *bucketMetrics {
 			"Micro-batches dispatched per length bucket.", "bucket", label),
 		fill: m.reg.MustHistogram("bpar_serve_bucket_fill",
 			"Real rows over batch capacity per micro-batch, by length bucket.",
-			fillBuckets, 0, "bucket", label),
+			fillBuckets, "bucket", label),
 		padOverhead: m.reg.MustHistogram("bpar_serve_bucket_padding_overhead",
 			"Padded-cell fraction per micro-batch, by length bucket.",
-			fillBuckets, 0, "bucket", label),
+			fillBuckets, "bucket", label),
 	}
 	m.byBucket[T] = bm
 	return bm
@@ -113,22 +113,22 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 			"Sequences that opened a never-seen length bucket."),
 		latency: reg.MustHistogram("bpar_serve_request_seconds",
 			"End-to-end request latency: admission, batching wait, inference, assembly.",
-			obs.DefSecondsBuckets, 0),
+			obs.DefSecondsBuckets),
 		batchFill: reg.MustHistogram("bpar_serve_batch_fill",
 			"Real rows over batch capacity of each dispatched micro-batch.",
-			fillBuckets, 1),
+			fillBuckets),
 		stageQueueWait: reg.MustHistogram("bpar_serve_stage_seconds",
-			"Per-stage request timing.", obs.DefSecondsBuckets, 0,
+			"Per-stage request timing.", obs.DefSecondsBuckets,
 			"stage", "queue_wait"),
 		stageBatchWait: reg.MustHistogram("bpar_serve_stage_seconds",
-			"Per-stage request timing.", obs.DefSecondsBuckets, 0,
+			"Per-stage request timing.", obs.DefSecondsBuckets,
 			"stage", "batch_wait"),
 		stageCompute: reg.MustHistogram("bpar_serve_stage_seconds",
-			"Per-stage request timing.", obs.DefSecondsBuckets, 0,
+			"Per-stage request timing.", obs.DefSecondsBuckets,
 			"stage", "compute"),
 		paddingOverhead: reg.MustHistogram("bpar_serve_padding_overhead",
 			"Padded-cell fraction (rows and rounded-up frames) per micro-batch.",
-			fillBuckets, 1),
+			fillBuckets),
 	}
 	reg.MustGaugeFunc("bpar_serve_queue_depth",
 		"Admitted sequences not yet answered.",

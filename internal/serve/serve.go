@@ -71,19 +71,15 @@ type Config struct {
 	// to the smallest boundary >= its length (masked via Batch.Lens, so
 	// numerics are unchanged) and sequences beyond the largest boundary are
 	// rejected with 400. Empty keeps exact-length buckets (the default).
-	// This is the recommended production setting: the engine's workspace and
-	// template caches then hold at most len(Buckets) entries no matter how
-	// diverse the request lengths are.
+	// This is the recommended production setting: every engine step then
+	// runs at a bucket length, so each engine's workspace and template
+	// caches are bounded at len(Buckets) and, once warm, never evict.
+	// Without Buckets the engine's default bound applies.
 	Buckets []int
 
 	// MaxSeqLen rejects longer sequences with 400. Defaults to 512, or to
 	// the largest bucket when Buckets is set (and is capped by it).
 	MaxSeqLen int
-
-	// MaxCachedSeqLens is passed through to each engine's workspace LRU
-	// (0 = the engine default of 8). Size it to the number of distinct
-	// bucket lengths expected in steady state, or recaptures will churn.
-	MaxCachedSeqLens int
 
 	// InferDType selects each pool engine's inference dtype. The zero value
 	// (tensor.F64) keeps responses bitwise identical to direct float64
@@ -224,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Engines; i++ {
 		rt := taskrt.New(taskrt.Options{Workers: cfg.WorkersPerEngine, Policy: taskrt.LocalityAware, Profile: cfg.Profile})
 		eng := core.NewEngine(cfg.Model, rt)
-		eng.MaxCachedSeqLens = cfg.MaxCachedSeqLens
+		eng.MaxCachedSeqLens = len(cfg.Buckets)
 		eng.InferDType = cfg.InferDType
 		eng.EnableObs(reg, "engine", strconv.Itoa(i))
 		s.rts = append(s.rts, rt)
@@ -400,7 +396,8 @@ func (s *Server) runBatch(eng *core.Engine, mb *microBatch) {
 
 // TemplateStats sums template-cache hits and misses across the engine pool.
 // After warmup every serve-path step should be a hit: misses growing in
-// steady state mean the bucket working set exceeds MaxCachedSeqLens.
+// steady state mean the exact-length working set (no Buckets) exceeds the
+// engine's workspace cache bound.
 func (s *Server) TemplateStats() (hits, misses int64) {
 	for _, eng := range s.engines {
 		h, m := eng.TemplateStats()

@@ -398,6 +398,40 @@ func TestServeTemplateHitRateAfterWarm(t *testing.T) {
 	}
 }
 
+// TestServeBucketsBoundEngineCache: with Buckets set, each engine's
+// workspace cache is bounded by the bucket count and every step runs at a
+// bucket length, so warmed traffic over every bucket captures one template
+// per bucket and evicts nothing.
+func TestServeBucketsBoundEngineCache(t *testing.T) {
+	m := testModel(t, core.ManyToOne)
+	reg := obs.NewRegistry()
+	buckets := []int{3, 6, 10}
+	svc, ts := newTestServer(t, Config{Model: m, Engines: 1, Buckets: buckets, Registry: reg})
+	if err := svc.Warm([]int{2, 5, 9}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for _, T := range buckets {
+			for _, origT := range []int{T - 1, T} {
+				resp, _ := post(t, ts.URL+"/v1/probs", [][][]float64{makeSeq(origT, m.Cfg.InputSize, uint64(origT))})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("T=%d: status %d", origT, resp.StatusCode)
+				}
+			}
+		}
+	}
+	if _, misses := svc.TemplateStats(); misses != int64(len(buckets)) {
+		t.Errorf("template misses = %d, want %d (one capture per bucket)", misses, len(buckets))
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `bpar_engine_workspace_cache_evictions_total{engine="0"} 0` + "\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("scrape lacks %q:\n%s", want, b.String())
+	}
+}
+
 // TestServeStageMetricsAndProfile drives requests through a profiled server
 // and checks (1) the per-stage histograms populate on the scrape and (2) the
 // engine-pool replays reached the Profile sink so a profile dump can be

@@ -121,16 +121,9 @@ func loadModel(o options) (*core.Model, error) {
 	if !o.synthetic {
 		return nil, fmt.Errorf("either -model or -synthetic is required")
 	}
-	var cellKind core.CellKind
-	switch o.cell {
-	case "lstm":
-		cellKind = core.LSTM
-	case "gru":
-		cellKind = core.GRU
-	case "rnn":
-		cellKind = core.RNN
-	default:
-		return nil, fmt.Errorf("unknown cell %q", o.cell)
+	cellKind, err := core.ParseCellKind(o.cell)
+	if err != nil {
+		return nil, err
 	}
 	cfg := core.Config{
 		Cell: cellKind, Arch: core.ManyToOne, Merge: core.MergeSum,
@@ -157,6 +150,11 @@ func parseLens(flagName, s string) ([]int, error) {
 
 func run(o options) error {
 	log := obs.Logger("cmd")
+	// The profile's overhead ratio and bpar-prof's calibration need the
+	// workers the engines really run, so there is no fallback count.
+	if o.engWorker < 1 {
+		return fmt.Errorf("-engine-workers must be >= 1, got %d", o.engWorker)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

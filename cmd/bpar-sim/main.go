@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,60 +25,71 @@ import (
 	"bpar/internal/sim"
 )
 
+// options holds bpar-sim's flags.
+type options struct {
+	cell, arch                        string
+	layers, hidden, input, seq, batch int
+	mbs                               int
+	cores, policy                     string
+	barrier, infer                    bool
+	dot, logLevel                     string
+}
+
+// bindFlags registers bpar-sim's flags on fs, writing into o.
+func bindFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.cell, "cell", "lstm", "cell type: lstm, gru, or rnn")
+	fs.StringVar(&o.arch, "arch", "m2o", "architecture: m2o or m2m")
+	fs.IntVar(&o.layers, "layers", 8, "stacked layers")
+	fs.IntVar(&o.hidden, "hidden", 256, "hidden size")
+	fs.IntVar(&o.input, "input", 256, "input size")
+	fs.IntVar(&o.seq, "seq", 100, "sequence length")
+	fs.IntVar(&o.batch, "batch", 128, "batch size")
+	fs.IntVar(&o.mbs, "mbs", 8, "data-parallel mini-batches")
+	fs.StringVar(&o.cores, "cores", "1,2,4,8,16,24,32,48", "core counts to sweep")
+	fs.StringVar(&o.policy, "policy", "locality", "scheduling: fifo, locality, or both")
+	fs.BoolVar(&o.barrier, "barrier", false, "also simulate with per-layer barriers")
+	fs.BoolVar(&o.infer, "infer", false, "simulate inference (forward only) instead of training")
+	fs.StringVar(&o.dot, "dot", "", "also write the task graph in Graphviz DOT format to this file")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, or error")
+}
+
 func main() {
-	cellName := flag.String("cell", "lstm", "cell type: lstm, gru, or rnn")
-	arch := flag.String("arch", "m2o", "architecture: m2o or m2m")
-	layers := flag.Int("layers", 8, "stacked layers")
-	hidden := flag.Int("hidden", 256, "hidden size")
-	input := flag.Int("input", 256, "input size")
-	seq := flag.Int("seq", 100, "sequence length")
-	batch := flag.Int("batch", 128, "batch size")
-	mbs := flag.Int("mbs", 8, "data-parallel mini-batches")
-	coreList := flag.String("cores", "1,2,4,8,16,24,32,48", "core counts to sweep")
-	policy := flag.String("policy", "locality", "scheduling: fifo, locality, or both")
-	barrier := flag.Bool("barrier", false, "also simulate with per-layer barriers")
-	infer := flag.Bool("infer", false, "simulate inference (forward only) instead of training")
-	dot := flag.String("dot", "", "also write the task graph in Graphviz DOT format to this file")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
+	var o options
+	bindFlags(flag.CommandLine, &o)
 	flag.Parse()
 
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
+	if err := obs.InitLogging(os.Stderr, o.logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "bpar-sim:", err)
 		os.Exit(2)
 	}
-	if err := run(*cellName, *arch, *layers, *hidden, *input, *seq, *batch, *mbs, *coreList, *policy, *barrier, *infer, *dot); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		obs.Logger("cmd").Error("bpar-sim failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, coreList, policy string, barrier, infer bool, dotFile string) error {
+// run simulates the configuration o describes and writes the report to w.
+func run(w io.Writer, o options) error {
 	cfg := core.Config{
-		Merge: core.MergeSum, InputSize: input, HiddenSize: hidden,
-		Layers: layers, SeqLen: seq, Batch: batch, Classes: 11,
-		MiniBatches: mbs, Seed: 1,
+		Merge: core.MergeSum, InputSize: o.input, HiddenSize: o.hidden,
+		Layers: o.layers, SeqLen: o.seq, Batch: o.batch, Classes: 11,
+		MiniBatches: o.mbs, Seed: 1,
 	}
-	switch cellName {
-	case "lstm":
-		cfg.Cell = core.LSTM
-	case "gru":
-		cfg.Cell = core.GRU
-	case "rnn":
-		cfg.Cell = core.RNN
-	default:
-		return fmt.Errorf("unknown cell %q", cellName)
+	var err error
+	if cfg.Cell, err = core.ParseCellKind(o.cell); err != nil {
+		return err
 	}
-	switch arch {
+	switch o.arch {
 	case "m2o":
 		cfg.Arch = core.ManyToOne
 	case "m2m":
 		cfg.Arch = core.ManyToMany
 	default:
-		return fmt.Errorf("unknown arch %q", arch)
+		return fmt.Errorf("unknown arch %q", o.arch)
 	}
 
 	var cores []int
-	for _, tok := range strings.Split(coreList, ",") {
+	for _, tok := range strings.Split(o.cores, ",") {
 		c, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil || c < 1 {
 			return fmt.Errorf("bad core count %q", tok)
@@ -85,7 +97,7 @@ func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, core
 		cores = append(cores, c)
 	}
 	var policies []sim.Policy
-	switch policy {
+	switch o.policy {
 	case "fifo":
 		policies = []sim.Policy{sim.FIFO}
 	case "locality":
@@ -93,26 +105,26 @@ func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, core
 	case "both":
 		policies = []sim.Policy{sim.FIFO, sim.Locality}
 	default:
-		return fmt.Errorf("unknown policy %q", policy)
+		return fmt.Errorf("unknown policy %q", o.policy)
 	}
 
-	if infer && barrier {
+	if o.infer && o.barrier {
 		return fmt.Errorf("-infer and -barrier cannot be combined: the per-layer barrier graph is a training graph")
 	}
 	record := baseline.TrainGraph
-	if infer {
+	if o.infer {
 		record = baseline.InferGraph
 	}
 	g, err := record(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("config: %v\n", cfg)
-	fmt.Printf("graph: %d tasks, %.1f GFLOP total, %.1f GFLOP critical path, max width %d\n",
+	fmt.Fprintf(w, "config: %v\n", cfg)
+	fmt.Fprintf(w, "graph: %d tasks, %.1f GFLOP total, %.1f GFLOP critical path, max width %d\n",
 		len(g.Nodes), g.TotalFlops()/1e9, g.CriticalPathFlops()/1e9, g.MaxWidth())
 
-	if dotFile != "" {
-		f, err := os.Create(dotFile)
+	if o.dot != "" {
+		f, err := os.Create(o.dot)
 		if err != nil {
 			return err
 		}
@@ -123,37 +135,37 @@ func run(cellName, arch string, layers, hidden, input, seq, batch, mbs int, core
 		if err := f.Close(); err != nil {
 			return err
 		}
-		obs.Logger("cmd").Info("DOT graph written", "file", dotFile,
-			"render", fmt.Sprintf("dot -Tsvg %s -o graph.svg", dotFile))
+		obs.Logger("cmd").Info("DOT graph written", "file", o.dot,
+			"render", fmt.Sprintf("dot -Tsvg %s -o graph.svg", o.dot))
 	}
 
 	machine := costmodel.XeonPlatinum8160x2()
-	fmt.Printf("platform: %s\n\n", machine.Name)
-	fmt.Printf("%6s %-15s %12s %8s %8s %8s %10s\n", "cores", "policy", "makespan(s)", "par", "util%", "hit", "peakWS(MB)")
+	fmt.Fprintf(w, "platform: %s\n\n", machine.Name)
+	fmt.Fprintf(w, "%6s %-15s %12s %8s %8s %8s %10s\n", "cores", "policy", "makespan(s)", "par", "util%", "hit", "peakWS(MB)")
 	for _, c := range cores {
 		for _, pol := range policies {
 			r, err := sim.Run(g, sim.Options{Machine: machine, Cores: c, Policy: pol})
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%6d %-15s %12.4f %8.1f %8.1f %8.2f %10.1f\n",
+			fmt.Fprintf(w, "%6d %-15s %12.4f %8.1f %8.1f %8.2f %10.1f\n",
 				c, pol.String(), r.MakespanSec, r.AvgParallelism, r.Utilization*100,
 				r.AvgHitRatio, float64(r.PeakRunningWS)/(1<<20))
 		}
 	}
 
-	if barrier {
+	if o.barrier {
 		gb, err := baseline.BarrierTrainGraph(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nwith per-layer barriers (%d tasks incl. barrier nodes):\n", len(gb.Nodes))
+		fmt.Fprintf(w, "\nwith per-layer barriers (%d tasks incl. barrier nodes):\n", len(gb.Nodes))
 		for _, c := range cores {
 			r, err := sim.Run(gb, sim.Options{Machine: machine, Cores: c, Policy: sim.Locality})
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%6d %-15s %12.4f %8.1f\n", c, "barrier", r.MakespanSec, r.AvgParallelism)
+			fmt.Fprintf(w, "%6d %-15s %12.4f %8.1f\n", c, "barrier", r.MakespanSec, r.AvgParallelism)
 		}
 	}
 	return nil

@@ -9,7 +9,9 @@
 // For headless runs, -cpuprofile and -memprofile write runtime/pprof files
 // directly. With -profile-out, per-node timings of the replayed step
 // templates are dumped to that file at exit for bpar-prof, which reports
-// them and renders the schedule as a Chrome trace.
+// them and renders the schedule as a Chrome trace. With -dump-templates, the
+// same templates' declared keys and edges are dumped, in the same format
+// with no timings, for bpar-vet -graph.
 //
 // Usage:
 //
@@ -122,16 +124,9 @@ func run(ctx context.Context, o options) error {
 		log.Info("cpu profiling enabled", "file", o.cpuProfile)
 	}
 
-	var cellKind core.CellKind
-	switch o.cell {
-	case "lstm":
-		cellKind = core.LSTM
-	case "gru":
-		cellKind = core.GRU
-	case "rnn":
-		cellKind = core.RNN
-	default:
-		return fmt.Errorf("unknown cell %q", o.cell)
+	cellKind, err := core.ParseCellKind(o.cell)
+	if err != nil {
+		return err
 	}
 
 	cfg := core.Config{

@@ -8,7 +8,7 @@ import (
 
 	"bpar/internal/analysis"
 	"bpar/internal/graphlint"
-	"bpar/internal/taskrt"
+	"bpar/internal/prof"
 )
 
 // graphOptions configures the -graph mode.
@@ -19,8 +19,8 @@ type graphOptions struct {
 	dotDir      string
 }
 
-// runGraph verifies template dump files (bpar-train -dump-templates) with the
-// graphlint passes, optionally grounded by the undeclaredwrite source pass:
+// runGraph verifies static template dumps (bpar-train -dump-templates) with
+// the graphlint passes, optionally grounded by the undeclaredwrite source pass:
 // the AST summaries prove declarations exhaustive, graphlint proves the
 // declared pairs ordered. Returns the number of diagnostics printed.
 func runGraph(files []string, o graphOptions) int {
@@ -30,13 +30,17 @@ func runGraph(files []string, o graphOptions) int {
 	}
 	nDiags := 0
 	for _, path := range files {
-		df, err := taskrt.ReadTemplateDumpFile(path)
+		df, err := prof.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bpar-vet: %v\n", err)
 			os.Exit(2)
 		}
 		for ti := range df.Templates {
 			d := &df.Templates[ti]
+			if len(d.Keys) == 0 && len(d.Nodes) > 0 {
+				fmt.Fprintf(os.Stderr, "bpar-vet: %s: template %q records no dependency keys: a profile, not a -dump-templates file\n", path, d.Name)
+				os.Exit(2)
+			}
 			res := graphlint.Check(d)
 			for _, diag := range res.Diags {
 				fmt.Println(diag)
@@ -95,7 +99,7 @@ func runGraphSourceJoin(patterns string) int {
 
 // writeDot renders one template as Graphviz DOT under dir, named after the
 // template with path-hostile characters replaced.
-func writeDot(dir string, d *taskrt.TemplateDump) error {
+func writeDot(dir string, d *prof.TemplateData) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

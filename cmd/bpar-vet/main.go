@@ -16,16 +16,18 @@
 // internal/analysis/unusedexport.go; an entry that matches nothing is
 // reported too.
 //
-// With -graph, the arguments are template dump files (written by
-// bpar-train -dump-templates or Engine.DumpTemplates) and bpar-vet instead
-// runs the whole-graph verifier (internal/graphlint) over each frozen
-// template: shape lints, verification that the frozen edge set is the exact
-// transitive reduction of the derived dependencies, and a happens-before
-// proof that every pair of tasks touching the same key is ordered. The
-// undeclaredwrite source pass still runs over -graph-src (default ./...),
-// because the graph proof is sound only if declarations are exhaustive;
-// pass -graph-src "" to skip the source join. -model-check N additionally
-// enumerates the full schedule space of templates up to N nodes.
+// With -graph, the arguments are static template dumps, written by
+// bpar-train -dump-templates or Engine.DumpTemplates in the one dump format
+// prof.Read reads (a -profile-out dump records no keys and is rejected).
+// bpar-vet then runs the whole-graph verifier (internal/graphlint) over each
+// frozen template: shape lints, verification that the frozen edge set is the
+// exact transitive reduction of the derived dependencies, and a
+// happens-before proof that every pair of tasks touching the same key is
+// ordered. The undeclaredwrite source pass still runs over -graph-src
+// (default ./...), because the graph proof is sound only if declarations are
+// exhaustive; pass -graph-src "" to skip the source join. -model-check N
+// additionally enumerates the full schedule space of templates up to N
+// nodes.
 //
 // Usage:
 //

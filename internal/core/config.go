@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 )
 
 // CellKind selects the recurrent cell type.
@@ -35,17 +36,24 @@ const (
 	RNN
 )
 
+// cellNames spells each CellKind; CLI flags take the lower-case spelling.
+var cellNames = [...]string{LSTM: "LSTM", GRU: "GRU", RNN: "RNN"}
+
 func (k CellKind) String() string {
-	switch k {
-	case LSTM:
-		return "LSTM"
-	case GRU:
-		return "GRU"
-	case RNN:
-		return "RNN"
-	default:
+	if k < 0 || int(k) >= len(cellNames) {
 		return fmt.Sprintf("CellKind(%d)", int(k))
 	}
+	return cellNames[k]
+}
+
+// ParseCellKind accepts the spellings used by CLI flags: lstm, gru or rnn.
+func ParseCellKind(s string) (CellKind, error) {
+	for k, name := range cellNames {
+		if s == strings.ToLower(name) {
+			return CellKind(k), nil
+		}
+	}
+	return LSTM, fmt.Errorf("unknown cell %q", s)
 }
 
 // Arch selects the BRNN output architecture.

@@ -99,8 +99,16 @@ func TestMergeDimAndLayerInput(t *testing.T) {
 }
 
 func TestEnumStrings(t *testing.T) {
-	if LSTM.String() != "LSTM" || GRU.String() != "GRU" {
+	if LSTM.String() != "LSTM" || GRU.String() != "GRU" || RNN.String() != "RNN" || CellKind(-1).String() != "CellKind(-1)" {
 		t.Fatal("cell names")
+	}
+	for _, k := range []CellKind{LSTM, GRU, RNN} {
+		if got, err := ParseCellKind(strings.ToLower(k.String())); got != k || err != nil {
+			t.Fatalf("ParseCellKind(%q) = %v, %v", strings.ToLower(k.String()), got, err)
+		}
+	}
+	if _, err := ParseCellKind("LSTM"); err == nil || err.Error() != `unknown cell "LSTM"` {
+		t.Fatalf("ParseCellKind accepted or misreported an upper-case spelling: %v", err)
 	}
 	if ManyToOne.String() != "many-to-one" || ManyToMany.String() != "many-to-many" {
 		t.Fatal("arch names")

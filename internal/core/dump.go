@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
+	"bpar/internal/prof"
 	"bpar/internal/taskrt"
 )
 
@@ -50,23 +53,12 @@ func (w *workspace) keyNames(mbIdx int, into map[taskrt.Dep]string) {
 // The result feeds bpar-vet -graph: happens-before coverage, reduction
 // verification, and shape lints over exactly the graphs replay executes.
 // Like the step methods, it must not run concurrently with them.
-func (e *Engine) DumpTemplates() *taskrt.TemplateDumpFile {
-	df := &taskrt.TemplateDumpFile{Version: taskrt.TemplateDumpVersion}
-	namesByT := make(map[int]map[taskrt.Dep]string)
-	namer := func(T int) func(taskrt.Dep) string {
-		names := namesByT[T]
-		if names == nil {
-			names = make(map[taskrt.Dep]string)
-			for i, ws := range e.wsByT[T] {
-				ws.keyNames(i, names)
-			}
-			namesByT[T] = names
+func (e *Engine) DumpTemplates() *prof.ProfileData {
+	names := make(map[taskrt.Dep]string)
+	for _, wss := range e.wsByT {
+		for i, ws := range wss {
+			ws.keyNames(i, names)
 		}
-		return func(k taskrt.Dep) string { return names[k] }
 	}
-	for key, tpl := range e.tpls {
-		df.Templates = append(df.Templates, tpl.Dump(namer(key.T)))
-	}
-	taskrt.SortTemplateDumps(df.Templates)
-	return df
+	return prof.DumpTemplates(slices.Collect(maps.Values(e.tpls)), func(k taskrt.Dep) string { return names[k] })
 }

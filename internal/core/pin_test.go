@@ -9,6 +9,8 @@ import (
 	"math"
 	"testing"
 
+	"bpar/internal/prof"
+	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
 )
 
@@ -236,7 +238,7 @@ func TestTemplateGraphPin(t *testing.T) {
 		if tpl == nil {
 			t.Fatal("no training template captured")
 		}
-		d := tpl.Dump(nil)
+		d := prof.DumpTemplates([]*taskrt.Template{tpl}, nil).Templates[0]
 		var buf bytes.Buffer
 		for _, n := range d.Graph().Nodes {
 			fmt.Fprintf(&buf, "%v|%v\n", n.Preds, n.DataPreds)

@@ -98,7 +98,7 @@ func TestReplayReducedMatchesUnreducedBitwise(t *testing.T) {
 			}
 		}
 		tpl := e.tpls[tplKey{train: true, T: cfg.SeqLen}]
-		pruned := tpl.Dump(nil).FullEdges - tpl.Edges()
+		pruned := tpl.FullEdges() - tpl.Edges()
 		if noReduce && pruned != 0 {
 			t.Fatalf("noReduce engine pruned %d edges", pruned)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"bpar/internal/prof"
 	"bpar/internal/taskrt"
 )
 
@@ -18,8 +19,8 @@ func trainTemplateGraph(t *testing.T, cfg Config) *taskrt.Graph {
 	if _, err := e.TrainStep(makeBatch(cfg, 3), 0.05); err != nil {
 		t.Fatal(err)
 	}
-	d := e.tpls[tplKey{train: true, T: cfg.SeqLen}].Dump(nil)
-	g := d.Graph()
+	tpl := e.tpls[tplKey{train: true, T: cfg.SeqLen}]
+	g := prof.DumpTemplates([]*taskrt.Template{tpl}, nil).Templates[0].Graph()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ package graphlint
 import (
 	"fmt"
 
-	"bpar/internal/taskrt"
+	"bpar/internal/prof"
 )
 
 // Diagnostic is one finding about a dumped template.
@@ -68,11 +68,12 @@ func (r *Result) PrunedPct() float64 {
 // preserving — and minimal), and happens-before coverage. The schedule-space
 // model check is separate (ModelCheck) because it is exponential in graph
 // width and only meant for small templates.
-func Check(d *taskrt.TemplateDump) *Result {
+func Check(d *prof.TemplateData) *Result {
+	frozen := frozenPreds(d)
 	res := &Result{
 		Template:    d.Name,
 		Nodes:       len(d.Nodes),
-		FrozenEdges: d.Edges(),
+		FrozenEdges: countEdges(frozen),
 	}
 	res.Diags = append(res.Diags, checkShape(d)...)
 
@@ -85,7 +86,7 @@ func Check(d *taskrt.TemplateDump) *Result {
 	res.MinimalEdges = countEdges(minimal)
 	res.Diags = append(res.Diags, verifyFrozenEdges(d, full, minimal)...)
 
-	reach := closure(frozenPreds(d), len(d.Nodes))
+	reach := closure(frozen, len(d.Nodes))
 	diags, pairs := checkHappensBefore(d, reach)
 	res.KeyPairs = pairs
 	res.Diags = append(res.Diags, diags...)
@@ -93,7 +94,7 @@ func Check(d *taskrt.TemplateDump) *Result {
 }
 
 // frozenPreds extracts the frozen predecessor lists as []int slices.
-func frozenPreds(d *taskrt.TemplateDump) [][]int {
+func frozenPreds(d *prof.TemplateData) [][]int {
 	preds := make([][]int, len(d.Nodes))
 	for i := range d.Nodes {
 		ps := make([]int, len(d.Nodes[i].Preds))
@@ -156,7 +157,7 @@ func closure(preds [][]int, n int) []bitset {
 // taskrt.Capture.Submit applies to an empty dependency table. This is an
 // independent implementation: cross-checking it against the frozen Preds
 // verifies Freeze's derivation and reduction rather than trusting them.
-func deriveFullPreds(d *taskrt.TemplateDump) [][]int {
+func deriveFullPreds(d *prof.TemplateData) [][]int {
 	type entry struct {
 		lastWriter int
 		readers    []int
@@ -238,7 +239,7 @@ func reduce(preds [][]int) [][]int {
 // kept, none invented), and no transitively redundant edge may remain
 // (the frozen set is minimal — unless the capture opted out of reduction,
 // in which case it must equal the full derivation verbatim).
-func verifyFrozenEdges(d *taskrt.TemplateDump, full, minimal [][]int) []Diagnostic {
+func verifyFrozenEdges(d *prof.TemplateData, full, minimal [][]int) []Diagnostic {
 	var diags []Diagnostic
 	n := len(d.Nodes)
 	frozen := frozenPreds(d)

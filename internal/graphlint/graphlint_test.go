@@ -3,11 +3,13 @@ package graphlint_test
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bpar/internal/core"
 	"bpar/internal/graphlint"
+	"bpar/internal/prof"
 	"bpar/internal/rng"
 	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
@@ -16,9 +18,14 @@ import (
 // key is a comparable dependency key for hand-built captures.
 type key string
 
+// dumpOne returns the static dump of tpl, naming each key by its string.
+func dumpOne(tpl *taskrt.Template) prof.TemplateData {
+	return prof.DumpTemplates([]*taskrt.Template{tpl}, func(d taskrt.Dep) string { return string(d.(key)) }).Templates[0]
+}
+
 // goldenChain captures w -> r -> w2 on one key: the minimal template with a
 // transitively redundant edge (w->w2).
-func goldenChain(noReduce bool) taskrt.TemplateDump {
+func goldenChain(noReduce bool) prof.TemplateData {
 	c := taskrt.NewCapture()
 	c.NoReduce = noReduce
 	k := key("x")
@@ -27,11 +34,11 @@ func goldenChain(noReduce bool) taskrt.TemplateDump {
 	c.Submit(&taskrt.Task{Label: "w2", Out: []taskrt.Dep{k}})
 	tpl := c.Freeze()
 	tpl.Name = "chain"
-	return tpl.Dump(func(d taskrt.Dep) string { return string(d.(key)) })
+	return dumpOne(tpl)
 }
 
 // goldenDiamond captures src -> {left, right} -> join.
-func goldenDiamond() taskrt.TemplateDump {
+func goldenDiamond() prof.TemplateData {
 	c := taskrt.NewCapture()
 	a, b := key("a"), key("b")
 	c.Submit(&taskrt.Task{Label: "src", Out: []taskrt.Dep{a}})
@@ -40,12 +47,12 @@ func goldenDiamond() taskrt.TemplateDump {
 	c.Submit(&taskrt.Task{Label: "join", In: []taskrt.Dep{b}, InOut: []taskrt.Dep{a}})
 	tpl := c.Freeze()
 	tpl.Name = "diamond"
-	return tpl.Dump(func(d taskrt.Dep) string { return string(d.(key)) })
+	return dumpOne(tpl)
 }
 
 // goldenFanOut captures one writer feeding n independent readers joined by a
 // final reducer.
-func goldenFanOut(n int) taskrt.TemplateDump {
+func goldenFanOut(n int) prof.TemplateData {
 	c := taskrt.NewCapture()
 	src := key("src")
 	c.Submit(&taskrt.Task{Label: "produce", Out: []taskrt.Dep{src}})
@@ -60,7 +67,7 @@ func goldenFanOut(n int) taskrt.TemplateDump {
 	c.Submit(&taskrt.Task{Label: "reduce", In: outs})
 	tpl := c.Freeze()
 	tpl.Name = "fan-out"
-	return tpl.Dump(func(d taskrt.Dep) string { return string(d.(key)) })
+	return dumpOne(tpl)
 }
 
 func noDiags(t *testing.T, res *graphlint.Result) {
@@ -71,7 +78,7 @@ func noDiags(t *testing.T, res *graphlint.Result) {
 }
 
 func TestGoldenTemplatesClean(t *testing.T) {
-	for _, d := range []taskrt.TemplateDump{goldenChain(false), goldenDiamond(), goldenFanOut(4)} {
+	for _, d := range []prof.TemplateData{goldenChain(false), goldenDiamond(), goldenFanOut(4)} {
 		res := graphlint.Check(&d)
 		noDiags(t, res)
 		if res.KeyPairs == 0 {
@@ -94,7 +101,7 @@ func TestGoldenTemplatesClean(t *testing.T) {
 // TestModelCheckGoldenClean exhaustively model-checks the golden templates
 // under the real replay protocol.
 func TestModelCheckGoldenClean(t *testing.T) {
-	for _, d := range []taskrt.TemplateDump{goldenChain(false), goldenChain(true), goldenDiamond(), goldenFanOut(4)} {
+	for _, d := range []prof.TemplateData{goldenChain(false), goldenChain(true), goldenDiamond(), goldenFanOut(4)} {
 		res := graphlint.ModelCheck(&d, graphlint.ModelOptions{})
 		if res.Violation != "" {
 			t.Errorf("%s: %s", d.Name, res.Violation)
@@ -109,7 +116,7 @@ func TestModelCheckGoldenClean(t *testing.T) {
 // counter-reset-before-roots ordering prevents and expects the checker to
 // find the racing interleaving.
 func TestModelCheckCatchesRootsBeforeReset(t *testing.T) {
-	for _, d := range []taskrt.TemplateDump{goldenChain(false), goldenDiamond()} {
+	for _, d := range []prof.TemplateData{goldenChain(false), goldenDiamond()} {
 		res := graphlint.ModelCheck(&d, graphlint.ModelOptions{Bug: graphlint.BugRootsBeforeReset})
 		if res.Violation == "" {
 			t.Errorf("%s: roots-before-reset bug not caught", d.Name)
@@ -149,7 +156,7 @@ func makeBatch(cfg core.Config, seed uint64) *core.Batch {
 
 // engineDump trains and infers one step on a small engine so both step
 // templates are captured, then dumps them.
-func engineDump(t *testing.T, cell core.CellKind) *taskrt.TemplateDumpFile {
+func engineDump(t *testing.T, cell core.CellKind) *prof.ProfileData {
 	t.Helper()
 	cfg := core.Config{
 		Cell: cell, Arch: core.ManyToOne, Merge: core.MergeSum,
@@ -212,7 +219,7 @@ func TestRealTemplatesProvenOrdered(t *testing.T) {
 // and the key.
 func TestStrippedMergeEdgeRace(t *testing.T) {
 	df := engineDump(t, core.LSTM)
-	var d *taskrt.TemplateDump
+	var d *prof.TemplateData
 	for i := range df.Templates {
 		if strings.HasPrefix(df.Templates[i].Name, "infer") {
 			d = &df.Templates[i]
@@ -332,7 +339,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err := df.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := taskrt.ReadTemplateDumpFile(path)
+	back, err := prof.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +348,11 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 	for i := range back.Templates {
 		orig, rt := &df.Templates[i], &back.Templates[i]
-		if orig.Name != rt.Name || len(orig.Nodes) != len(rt.Nodes) || orig.Edges() != rt.Edges() {
+		if !reflect.DeepEqual(orig, rt) {
 			t.Fatalf("template %d changed across round trip", i)
 		}
 		a, b := graphlint.Check(orig), graphlint.Check(rt)
-		if len(a.Diags) != 0 || len(b.Diags) != 0 || a.KeyPairs != b.KeyPairs {
+		if len(a.Diags) != 0 || len(b.Diags) != 0 || a.KeyPairs != b.KeyPairs || a.FrozenEdges != b.FrozenEdges {
 			t.Fatalf("verification differs across round trip: %+v vs %+v", a, b)
 		}
 		g := rt.Graph()
@@ -366,7 +373,7 @@ func TestDumpRoundTrip(t *testing.T) {
 // (classify + tag + generate) model fed a variable-length batch, the
 // template carrying the new per-head gradient-accumulation joins and the
 // lens masking tasks.
-func multiHeadDump(t *testing.T, layers, seqLen, mbs int) *taskrt.TemplateDumpFile {
+func multiHeadDump(t *testing.T, layers, seqLen, mbs int) *prof.ProfileData {
 	t.Helper()
 	cfg := core.Config{
 		Cell: core.LSTM, Arch: core.ManyToMany, Merge: core.MergeSum,

@@ -3,7 +3,7 @@ package graphlint
 import (
 	"fmt"
 
-	"bpar/internal/taskrt"
+	"bpar/internal/prof"
 )
 
 // checkHappensBefore proves every conflicting same-key task pair is ordered
@@ -17,7 +17,7 @@ import (
 //
 // reach must be the closure of the frozen predecessor lists. The returned
 // count is how many conflicting pairs were proven ordered.
-func checkHappensBefore(d *taskrt.TemplateDump, reach []bitset) ([]Diagnostic, int) {
+func checkHappensBefore(d *prof.TemplateData, reach []bitset) ([]Diagnostic, int) {
 	type touch struct {
 		node   int
 		writes bool

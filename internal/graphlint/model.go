@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"bpar/internal/taskrt"
+	"bpar/internal/prof"
 )
 
 // Bug selects a deliberately broken replay protocol for ModelCheck to
@@ -84,7 +84,7 @@ type ModelResult struct {
 // bugs break commutativity (counter resets race executions), so their memo
 // key also carries the reset-set and counter values. Exploration is
 // depth-first and bounded by MaxStates.
-func ModelCheck(d *taskrt.TemplateDump, opts ModelOptions) ModelResult {
+func ModelCheck(d *prof.TemplateData, opts ModelOptions) ModelResult {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = 1 << 20
@@ -126,7 +126,7 @@ func ModelCheck(d *taskrt.TemplateDump, opts ModelOptions) ModelResult {
 }
 
 type modelChecker struct {
-	d           *taskrt.TemplateDump
+	d           *prof.TemplateData
 	n           int
 	anc         []bitset
 	succs       [][]int
@@ -322,7 +322,7 @@ func (m *modelChecker) complete(st *modelState, i int) (func(), int) {
 	}, raced
 }
 
-func firstWrittenKey(nd *taskrt.TemplateNodeDump) int {
+func firstWrittenKey(nd *prof.NodeData) int {
 	if len(nd.Out) > 0 {
 		return nd.Out[0]
 	}

@@ -3,7 +3,7 @@ package graphlint
 import (
 	"fmt"
 
-	"bpar/internal/taskrt"
+	"bpar/internal/prof"
 )
 
 // checkShape lints structural defects of the dumped template:
@@ -21,7 +21,7 @@ import (
 //     views, zero-initialized chain boundaries) and legitimate; a key the
 //     graph itself defines being read before its definition means the task
 //     consumes stale or uninitialized memory on every replay.
-func checkShape(d *taskrt.TemplateDump) []Diagnostic {
+func checkShape(d *prof.TemplateData) []Diagnostic {
 	var diags []Diagnostic
 	n := len(d.Nodes)
 

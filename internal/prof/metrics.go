@@ -8,8 +8,8 @@ import (
 // gauges. Scrapes read only the atomics ReplayDone maintains — never the
 // per-node arrays a replay in flight is writing — so scraping mid-step is
 // safe and free for the hot path. The span/work/elapsed gauges describe the
-// most recently completed replay across all templates; workers sizes the
-// overhead ratio (pass the runtime's worker count, or 0 to omit it).
+// most recently completed replay across all templates; workers, the
+// runtime's worker count, sizes the overhead ratio.
 func RegisterMetrics(reg *obs.Registry, p *GraphProfiler, workers int) {
 	last := func(f func(tp *tplProf) float64) func() float64 {
 		return func() float64 {
@@ -44,19 +44,17 @@ func RegisterMetrics(reg *obs.Registry, p *GraphProfiler, workers int) {
 			}
 			return float64(tp.lastWorkNS.Load()) / float64(span)
 		}))
-	if workers > 0 {
-		reg.MustGaugeFunc("bpar_prof_overhead_ratio",
-			"Non-compute fraction of the worker pool during the last completed replay: 1 - work/(workers*elapsed). Bundles scheduling overhead and idle gaps; the paper keeps pure runtime overhead below 0.10.",
-			last(func(tp *tplProf) float64 {
-				denom := float64(workers) * float64(tp.lastElapsedNS.Load())
-				if denom == 0 {
-					return 0
-				}
-				r := 1 - float64(tp.lastWorkNS.Load())/denom
-				if r < 0 {
-					return 0
-				}
-				return r
-			}))
-	}
+	reg.MustGaugeFunc("bpar_prof_overhead_ratio",
+		"Non-compute fraction of the worker pool during the last completed replay: 1 - work/(workers*elapsed). Bundles scheduling overhead and idle gaps; the paper keeps pure runtime overhead below 0.10.",
+		last(func(tp *tplProf) float64 {
+			denom := float64(workers) * float64(tp.lastElapsedNS.Load())
+			if denom == 0 {
+				return 0
+			}
+			r := 1 - float64(tp.lastWorkNS.Load())/denom
+			if r < 0 {
+				return 0
+			}
+			return r
+		}))
 }

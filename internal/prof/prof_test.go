@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -122,13 +123,11 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Templates) != 1 || back.Templates[0].Replays != replays ||
-		len(back.Templates[0].Nodes) != len(td.Nodes) {
-		t.Fatalf("round-trip mismatch: %+v", back.Templates)
+	if !reflect.DeepEqual(back, pd) {
+		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", back, pd)
 	}
-	a2 := Analyze(&back.Templates[0], workers)
-	if a2.SpanNS != a.SpanNS || a2.WorkNS != a.WorkNS {
-		t.Fatalf("round-trip analysis: span %v/%v work %v/%v", a.SpanNS, a2.SpanNS, a.WorkNS, a2.WorkNS)
+	if a2 := Analyze(&back.Templates[0], back.Workers); !reflect.DeepEqual(a2, a) {
+		t.Fatalf("round-trip analysis:\n got %+v\nwant %+v", a2, a)
 	}
 
 	// Report renders and names the pieces.

@@ -18,7 +18,7 @@ type GraphNode struct {
 }
 
 // Graph is an immutable task dependency DAG captured from a builder's task
-// stream (Capture.Graph, Template.Graph). The discrete-event simulator
+// stream (Capture.Graph) or a dump (prof.TemplateData.Graph). The simulator
 // replays it on a virtual machine.
 type Graph struct {
 	Nodes []*GraphNode
@@ -33,11 +33,11 @@ func taskNodes(tasks []*Task) []*GraphNode {
 	return nodes
 }
 
-// linkGraph adds per-node predecessor lists and their data flags to nodes:
+// LinkGraph adds per-node predecessor lists and their data flags to nodes:
 // Preds and DataPreds keep the given order, and each node's Succs lists its
 // successors in ID order. DataPreds shares data's storage, capped so an
 // append by the caller reallocates.
-func linkGraph[I int | int32](nodes []*GraphNode, preds [][]I, data [][]bool) *Graph {
+func LinkGraph[I int | int32](nodes []*GraphNode, preds [][]I, data [][]bool) *Graph {
 	for i, n := range nodes {
 		n.DataPreds = data[i][:len(data[i]):len(data[i])]
 		for _, p := range preds[i] {

@@ -104,25 +104,23 @@ func TestCaptureBarrier(t *testing.T) {
 }
 
 // TestCaptureGraphIsUnreduced checks Graph keeps every derived edge after
-// Freeze, while the template's dump graph holds the reduced set with the
-// RAW flags of the edges it kept.
+// Freeze, while the template holds the reduced set.
 func TestCaptureGraphIsUnreduced(t *testing.T) {
 	c := NewCapture()
 	k := key("x")
 	c.Submit(&Task{Label: "w", Out: []Dep{k}})
 	c.Submit(&Task{Label: "r", In: []Dep{k}})
 	c.Submit(&Task{Label: "w2", Out: []Dep{k}})
-	d := c.Freeze().Dump(nil)
-	tg := d.Graph()
-	full, reduced := c.Graph().Nodes[2], tg.Nodes[2]
+	tpl := c.Freeze()
+	full := c.Graph().Nodes[2]
 	if fmt.Sprint(full.Preds, full.DataPreds) != "[0 1] [false false]" {
 		t.Fatalf("capture graph w2: preds %v data %v, want WAW on w and WAR on r", full.Preds, full.DataPreds)
 	}
-	if fmt.Sprint(reduced.Preds, reduced.DataPreds) != "[1] [false]" {
-		t.Fatalf("template graph w2: preds %v data %v, want only the WAR edge", reduced.Preds, reduced.DataPreds)
+	if got := fmt.Sprint(tpl.NodePreds(2)); got != "[1]" {
+		t.Fatalf("template w2: preds %s, want only the WAR edge", got)
 	}
-	if !tg.Nodes[1].DataPreds[0] {
-		t.Fatal("template graph lost the RAW flag of w -> r")
+	if tpl.FullEdges() != 3 || tpl.Edges() != 2 {
+		t.Fatalf("template edges %d of %d derived, want 2 of 3", tpl.Edges(), tpl.FullEdges())
 	}
 }
 

@@ -94,7 +94,7 @@ func (c *Capture) Barrier() {
 // Graph returns the full derived graph of the submissions so far — every
 // RAW/WAR/WAW and barrier edge, before the transitive reduction Freeze
 // applies. Node IDs are submission order, which is topological.
-func (c *Capture) Graph() *Graph { return linkGraph(taskNodes(c.tasks), c.preds, c.data) }
+func (c *Capture) Graph() *Graph { return LinkGraph(taskNodes(c.tasks), c.preds, c.data) }
 
 // SubmitAll records a batch in order, like Runtime.SubmitAll.
 func (c *Capture) SubmitAll(ts []*Task) {
@@ -283,6 +283,9 @@ func (tpl *Template) Edges() int {
 	}
 	return e
 }
+
+// FullEdges reports the derived edge count before transitive reduction.
+func (tpl *Template) FullEdges() int { return tpl.fullEdges }
 
 // Replay executes a frozen template on the worker pool: it resets every
 // node's in-degree counter in one pass over the flat node slice, then

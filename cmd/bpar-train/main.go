@@ -346,16 +346,9 @@ func parseHeads(s string, defClasses int) ([]core.HeadSpec, error) {
 	var out []core.HeadSpec
 	for _, part := range strings.Split(s, ",") {
 		kindStr, classStr, hasClasses := strings.Cut(strings.TrimSpace(part), ":")
-		var kind core.HeadKind
-		switch kindStr {
-		case "classify":
-			kind = core.HeadClassify
-		case "tag":
-			kind = core.HeadTag
-		case "generate":
-			kind = core.HeadGenerate
-		default:
-			return nil, fmt.Errorf("unknown head kind %q (want classify, tag, or generate)", kindStr)
+		kind, err := core.ParseHeadKind(kindStr)
+		if err != nil {
+			return nil, err
 		}
 		classes := defClasses
 		if hasClasses {

@@ -13,10 +13,8 @@ import (
 
 // graphOptions configures the -graph mode.
 type graphOptions struct {
-	src         string
-	modelMax    int
-	modelStates int
-	dotDir      string
+	src    string
+	dotDir string
 }
 
 // runGraph verifies static template dumps (bpar-train -dump-templates) with
@@ -48,18 +46,6 @@ func runGraph(files []string, o graphOptions) int {
 			nDiags += len(res.Diags)
 			fmt.Printf("%s: %d nodes, %d edges (%d derived, %.1f%% pruned), %d same-key pairs ordered\n",
 				d.Name, res.Nodes, res.FrozenEdges, res.FullEdges, res.PrunedPct(), res.KeyPairs)
-			if o.modelMax > 0 && len(d.Nodes) <= o.modelMax {
-				mr := graphlint.ModelCheck(d, graphlint.ModelOptions{MaxStates: o.modelStates})
-				if mr.Violation != "" {
-					fmt.Printf("%s: [model] %s\n", d.Name, mr.Violation)
-					nDiags++
-				}
-				scope := "exhaustive"
-				if !mr.Complete {
-					scope = "bounded"
-				}
-				fmt.Printf("%s: model-checked %d states (%s)\n", d.Name, mr.States, scope)
-			}
 			if o.dotDir != "" {
 				if err := writeDot(o.dotDir, d); err != nil {
 					fmt.Fprintf(os.Stderr, "bpar-vet: %v\n", err)

@@ -25,14 +25,12 @@
 // happens-before proof that every pair of tasks touching the same key is
 // ordered. The undeclaredwrite source pass still runs over -graph-src
 // (default ./...), because the graph proof is sound only if declarations are
-// exhaustive; pass -graph-src "" to skip the source join. -model-check N
-// additionally enumerates the full schedule space of templates up to N
-// nodes.
+// exhaustive; pass -graph-src "" to skip the source join.
 //
 // Usage:
 //
 //	bpar-vet [-pass name[,name]] [packages]
-//	bpar-vet -graph [-model-check 64] [-dot dir] templates.json...
+//	bpar-vet -graph [-dot dir] templates.json...
 //
 // Packages default to ./... . Exit status is 1 when diagnostics are found,
 // 2 when loading or type-checking fails.
@@ -53,8 +51,6 @@ func main() {
 	graph := flag.Bool("graph", false, "arguments are template dump files; run the whole-graph verifier instead of source passes")
 	var gopt graphOptions
 	flag.StringVar(&gopt.src, "graph-src", "./...", "with -graph: packages for the undeclaredwrite soundness join (\"\" skips it)")
-	flag.IntVar(&gopt.modelMax, "model-check", 0, "with -graph: exhaustively model-check templates of at most this many nodes (0 disables)")
-	flag.IntVar(&gopt.modelStates, "model-states", 1<<20, "with -graph: distinct-state bound per model-checked template")
 	flag.StringVar(&gopt.dotDir, "dot", "", "with -graph: write one Graphviz .dot per template into this directory")
 	flag.Parse()
 

@@ -43,7 +43,6 @@ var unusedAllowlist = map[string]string{
 	"tensor.Mat.Clone":             "the deep copy the tensor, cell and core tests snapshot operands with",
 	"taskrt.Graph.CountKind":       "the per-kind task count the emitter shape tests assert on",
 	"core.Engine.TrainStepBarrier": "the per-layer-barrier training step; ROADMAP item 2 gives it a caller",
-	"graphlint.ModelOptions.Bug":   "the model checker's own fault injection",
 	"experiments.Opts.CoreCounts":  "the 5-point core sweep the experiment goldens were recorded at",
 	"analysis.Loader.CheckFixture": "type-checks the pass fixtures",
 }

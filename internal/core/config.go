@@ -68,15 +68,13 @@ const (
 	ManyToMany
 )
 
+var archNames = [...]string{ManyToOne: "many-to-one", ManyToMany: "many-to-many"}
+
 func (a Arch) String() string {
-	switch a {
-	case ManyToOne:
-		return "many-to-one"
-	case ManyToMany:
-		return "many-to-many"
-	default:
+	if a < 0 || int(a) >= len(archNames) {
 		return fmt.Sprintf("Arch(%d)", int(a))
 	}
+	return archNames[a]
 }
 
 // HeadKind selects what one output head computes on top of the shared
@@ -97,17 +95,24 @@ const (
 	HeadGenerate
 )
 
+// headNames spells each HeadKind as the -heads flag takes it.
+var headNames = [...]string{HeadClassify: "classify", HeadTag: "tag", HeadGenerate: "generate"}
+
 func (k HeadKind) String() string {
-	switch k {
-	case HeadClassify:
-		return "classify"
-	case HeadTag:
-		return "tag"
-	case HeadGenerate:
-		return "generate"
-	default:
+	if k < 0 || int(k) >= len(headNames) {
 		return fmt.Sprintf("HeadKind(%d)", int(k))
 	}
+	return headNames[k]
+}
+
+// ParseHeadKind accepts the spellings String returns.
+func ParseHeadKind(s string) (HeadKind, error) {
+	for k, name := range headNames {
+		if s == name {
+			return HeadKind(k), nil
+		}
+	}
+	return HeadClassify, fmt.Errorf("unknown head kind %q (want classify, tag, or generate)", s)
 }
 
 // PerFrame reports whether the head emits one output slot per timestep.
@@ -135,19 +140,13 @@ const (
 	MergeConcat
 )
 
+var mergeNames = [...]string{MergeSum: "sum", MergeAvg: "avg", MergeMul: "mul", MergeConcat: "concat"}
+
 func (m MergeOp) String() string {
-	switch m {
-	case MergeSum:
-		return "sum"
-	case MergeAvg:
-		return "avg"
-	case MergeMul:
-		return "mul"
-	case MergeConcat:
-		return "concat"
-	default:
+	if m < 0 || int(m) >= len(mergeNames) {
 		return fmt.Sprintf("MergeOp(%d)", int(m))
 	}
+	return mergeNames[m]
 }
 
 // Config describes one BRNN model and workload.

@@ -110,13 +110,27 @@ func TestEnumStrings(t *testing.T) {
 	if _, err := ParseCellKind("LSTM"); err == nil || err.Error() != `unknown cell "LSTM"` {
 		t.Fatalf("ParseCellKind accepted or misreported an upper-case spelling: %v", err)
 	}
-	if ManyToOne.String() != "many-to-one" || ManyToMany.String() != "many-to-many" {
+	for _, k := range []HeadKind{HeadClassify, HeadTag, HeadGenerate} {
+		if got, err := ParseHeadKind(k.String()); got != k || err != nil {
+			t.Fatalf("ParseHeadKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	if _, err := ParseHeadKind("regress"); err == nil || err.Error() != `unknown head kind "regress" (want classify, tag, or generate)` {
+		t.Fatalf("ParseHeadKind accepted or misreported an unknown kind: %v", err)
+	}
+	if HeadKind(3).String() != "HeadKind(3)" {
+		t.Fatal("out-of-range head name")
+	}
+	if ManyToOne.String() != "many-to-one" || ManyToMany.String() != "many-to-many" || Arch(2).String() != "Arch(2)" {
 		t.Fatal("arch names")
 	}
 	for _, m := range []MergeOp{MergeSum, MergeAvg, MergeMul, MergeConcat} {
 		if m.String() == "" || strings.HasPrefix(m.String(), "MergeOp") {
 			t.Fatal("merge names")
 		}
+	}
+	if MergeOp(-1).String() != "MergeOp(-1)" {
+		t.Fatal("out-of-range merge name")
 	}
 	if !strings.Contains(validCfg().String(), "LSTM") {
 		t.Fatal("config string")

@@ -5,10 +5,10 @@
 // of tasks touching the same key is ordered by the frozen edge set's
 // transitive closure (no schedule can race them), the frozen edge set is the
 // exact transitive reduction of the derived dependencies (minimal counters
-// per replay, same closure), the replay protocol's invariants hold on every
-// interleaving of a bounded schedule space, and the graph has no shape
-// defects (duplicate edges, unreachable nodes, reads of keys first written
-// later).
+// per replay, same closure), and the graph has no shape defects (duplicate
+// edges, unreachable nodes, reads of keys first written later). The replay
+// protocol that executes a verified graph is tested on taskrt.Runtime.Replay
+// itself, not modelled here.
 //
 // The soundness of the happens-before pass rests on the undeclaredwrite
 // source pass: a task body writing a tensor it did not declare would be a
@@ -65,9 +65,7 @@ func (r *Result) PrunedPct() float64 {
 // Check runs every static pass over one dumped template: shape lints,
 // edge-set verification (frozen edges are a subset of the derived closure
 // and close to the same relation — i.e. the reduction is equivalence-
-// preserving — and minimal), and happens-before coverage. The schedule-space
-// model check is separate (ModelCheck) because it is exponential in graph
-// width and only meant for small templates.
+// preserving — and minimal), and happens-before coverage.
 func Check(d *prof.TemplateData) *Result {
 	frozen := frozenPreds(d)
 	res := &Result{
@@ -116,8 +114,6 @@ func countEdges(preds [][]int) int {
 
 // bitset is a fixed-size bitset over node indices.
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }

@@ -2,7 +2,6 @@ package taskrt
 
 import (
 	"fmt"
-	"time"
 
 	"bpar/internal/obs"
 )
@@ -64,15 +63,7 @@ func (r *Runtime) RegisterMetrics(reg *obs.Registry) {
 		w := w
 		reg.MustCounterFunc("bpar_sched_worker_idle_seconds_total",
 			"Per-worker time parked with no runnable task, including the in-progress park.",
-			func() float64 {
-				v := s.workerIdleNS[w].Load()
-				if since := s.idleSince[w].Load(); since != 0 {
-					if now := time.Since(r.start).Nanoseconds(); now > since {
-						v += now - since
-					}
-				}
-				return float64(v) / 1e9
-			},
+			func() float64 { return float64(r.workerIdleNS(w)) / 1e9 },
 			"worker", fmt.Sprintf("%d", w))
 	}
 }

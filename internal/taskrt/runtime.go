@@ -606,16 +606,23 @@ func (r *Runtime) Stats() Stats {
 		LockWaitNS: r.stats.lockWaitNS.Load(),
 		Replays:    r.stats.replays.Load(),
 	}
-	nowNS := time.Since(r.start).Nanoseconds()
 	s.WorkerIdleNS = make([]int64, len(r.stats.workerIdleNS))
-	for i := range r.stats.workerIdleNS {
-		v := r.stats.workerIdleNS[i].Load()
-		if since := r.stats.idleSince[i].Load(); since != 0 && nowNS > since {
-			v += nowNS - since
-		}
-		s.WorkerIdleNS[i] = v
+	for w := range s.WorkerIdleNS {
+		s.WorkerIdleNS[w] = r.workerIdleNS(w)
 	}
 	return s
+}
+
+// workerIdleNS is worker w's parked time so far, the in-progress park
+// included. Stats and the per-worker idle metric both read it.
+func (r *Runtime) workerIdleNS(w int) int64 {
+	v := r.stats.workerIdleNS[w].Load()
+	if since := r.stats.idleSince[w].Load(); since != 0 {
+		if now := time.Since(r.start).Nanoseconds(); now > since {
+			v += now - since
+		}
+	}
+	return v
 }
 
 // ResetDeps clears the dependency table between iterations that reuse the

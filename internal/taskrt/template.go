@@ -328,9 +328,10 @@ func (r *Runtime) Replay(tpl *Template) {
 	}
 	r.submitMu.Unlock()
 
-	// Reset every counter before publishing any root: a root finishing while
-	// a successor's counter still holds the previous replay's zero would
-	// double-release it.
+	// Reset every counter before publishing any root. A root finishing first
+	// could decrement a successor's stale zero that the reset then
+	// overwrites: a lost decrement, so the successor is never released and
+	// the replay never drains (TestReplayResetsBeforePublish).
 	for i := range tpl.nodes {
 		tpl.nodes[i].pending.Store(tpl.initPending[i])
 	}

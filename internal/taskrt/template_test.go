@@ -1,10 +1,12 @@
 package taskrt
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // captureChain records w -> r -> w2 on one key and freezes it.
@@ -307,4 +309,102 @@ func TestReplayWithDepCheckClean(t *testing.T) {
 			t.Fatalf("replay %d: %v", i, err)
 		}
 	}
+}
+
+// drainTimeout bounds how long the replay protocol tests wait for a drain.
+const drainTimeout = 5 * time.Second
+
+// waitWithin waits for r to drain, failing the test instead of hanging the
+// suite when it has not drained within drainTimeout. A runtime that timed
+// out is left running: its Shutdown would block on the same Wait.
+func waitWithin(t *testing.T, r *Runtime, what string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- r.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(drainTimeout):
+		t.Fatalf("%s did not drain within %v", what, drainTimeout)
+	}
+}
+
+// TestReplayResetsBeforePublish pins Replay's prologue order: every
+// in-degree counter is reset before any root is published. The template is
+// a writer of k and a reader of k. Were the writer published first, it could
+// finish while the reader's counter still held the previous replay's zero;
+// the reset would then overwrite that decrement, so the reader would never
+// be released and the replay would never drain.
+//
+// The test makes that interleaving certain rather than lucky. A fresh task
+// keeps one worker spinning until the roots are published, and the test
+// holds idleMu, which Replay takes to wake the parked worker when it
+// publishes, until the writer has run. Replay thus stalls at its publish
+// step, and a reset placed after it would run only after the writer's
+// decrement.
+func TestReplayResetsBeforePublish(t *testing.T) {
+	const replays = 4
+	r := New(Options{Workers: 2})
+	c := NewCapture()
+	k := key("x")
+	wrote := make(chan struct{}, replays)
+	var reads atomic.Int32
+	c.Submit(&Task{Label: "w", Out: []Dep{k}, Fn: func() { wrote <- struct{}{} }})
+	c.Submit(&Task{Label: "r", In: []Dep{k}, Fn: func() { reads.Add(1) }})
+	tpl := c.Freeze()
+
+	for i := 0; i < replays; i++ {
+		// The spinner also stops once any task runs, in case it missed the
+		// roots while descheduled.
+		var spinning atomic.Bool
+		r.Submit(&Task{Label: "spin", Fn: func() {
+			ran := r.stats.executed.Load()
+			spinning.Store(true)
+			for r.global.size.Load() == 0 && r.stats.executed.Load() == ran {
+			}
+		}})
+		// wake takes idleMu only while a worker is parked.
+		for !spinning.Load() || r.idlers.Load() == 0 {
+			runtime.Gosched()
+		}
+		r.idleMu.Lock()
+		go func() {
+			select {
+			case <-wrote:
+			case <-time.After(drainTimeout):
+			}
+			r.idleMu.Unlock()
+		}()
+		r.Replay(tpl)
+		waitWithin(t, r, "replay")
+	}
+	if got := reads.Load(); got != replays {
+		t.Fatalf("reader ran %d times in %d replays", got, replays)
+	}
+	r.Shutdown()
+}
+
+// TestReplayLeavesDepTableClean pins table isolation: a replay never enters
+// the dependency table, so a fresh task submitted after it derives against
+// the table as the replay found it. A replayed writer left in the table
+// would become the fresh task's predecessor, and a template node never
+// releases fresh successors, so the fresh task would never run.
+func TestReplayLeavesDepTableClean(t *testing.T) {
+	r := New(Options{Workers: 2})
+	c := NewCapture()
+	k := key("x")
+	c.Submit(&Task{Label: "w", Out: []Dep{k}})
+	tpl := c.Freeze()
+
+	r.Replay(tpl)
+	waitWithin(t, r, "replay")
+	var ran atomic.Bool
+	r.Submit(&Task{Label: "fresh", InOut: []Dep{k}, Fn: func() { ran.Store(true) }})
+	waitWithin(t, r, "fresh task after replay")
+	if !ran.Load() {
+		t.Fatal("fresh task did not run")
+	}
+	r.Shutdown()
 }

@@ -10,19 +10,20 @@ func (e *Engine) TrainStepBarrier(b *Batch, lr float64) (float64, error) {
 	return e.runStep(b, stepTrainBarrier, func(wss []*workspace, scale float64) { e.applySGD(wss[0], lr, scale) })
 }
 
-// emitBarrierGraph emits forward and backward with a barrier — a full Wait on
-// the executor — between layers. Like the barrier-free emitters, all per-step
-// data is read through the workspace step bindings, which the caller set up
-// via bindWorkspaces.
-func (e *Engine) emitBarrierGraph(wss []*workspace) error {
+// emitBarrierGraph emits forward and backward with a barrier node between
+// layers: every task before it precedes it, and it precedes every task after
+// it, which is what a full Wait on the executor between layers would do.
+// Like the barrier-free emitters, all per-step data is read through the
+// workspace step bindings, which the caller set up via bindWorkspaces.
+func (e *Engine) emitBarrierGraph(wss []*workspace) {
 	cfg := e.M.Cfg
 	L := cfg.Layers
 	// phase emits one group of tasks for every mini-batch, then a barrier.
-	phase := func(emit func(ws *workspace, mbIdx int)) error {
+	phase := func(emit func(ws *workspace, mbIdx int)) {
 		for i, ws := range wss {
 			emit(ws, i)
 		}
-		return e.Exec.Wait()
+		e.rec.Barrier()
 	}
 	dirs := [2]bool{false, true}
 	for l := 0; l < L; l++ {
@@ -32,24 +33,17 @@ func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 		// order RNNs computations for each timestamp, and then merge"
 		// (Section II).
 		for _, rev := range dirs {
-			if err := phase(func(ws *workspace, i int) { e.fwdPass64(ws, i).cells(l, rev) }); err != nil {
-				return err
-			}
+			phase(func(ws *workspace, i int) { e.fwdPass64(ws, i).cells(l, rev) })
 		}
-		if err := phase(func(ws *workspace, i int) { e.fwdPass64(ws, i).mergeCells(l) }); err != nil {
-			return err
-		}
+		phase(func(ws *workspace, i int) { e.fwdPass64(ws, i).mergeCells(l) })
 	}
-	err := phase(func(ws *workspace, i int) {
+	phase(func(ws *workspace, i int) {
 		fp := e.fwdPass64(ws, i)
 		fp.finalMerge()
 		fp.heads()
 	})
-	if err != nil {
-		return err
-	}
 	for l := L - 1; l >= 0; l-- {
-		err := phase(func(ws *workspace, i int) {
+		phase(func(ws *workspace, i int) {
 			if l == L-1 {
 				e.emitHeadBackward(ws, i)
 				if cfg.anyClassify() {
@@ -60,15 +54,9 @@ func (e *Engine) emitBarrierGraph(wss []*workspace) error {
 				e.emitMergeBackward(ws, l, i)
 			}
 		})
-		if err != nil {
-			return err
-		}
 		for _, rev := range dirs {
-			if err := phase(func(ws *workspace, i int) { e.emitCellBackward(ws, l, i, rev) }); err != nil {
-				return err
-			}
+			phase(func(ws *workspace, i int) { e.emitCellBackward(ws, l, i, rev) })
 		}
 	}
 	e.emitReduce(wss)
-	return nil
 }

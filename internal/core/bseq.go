@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"bpar/internal/taskrt"
@@ -15,25 +16,42 @@ import (
 // top of the same data parallelism.
 type BSeq struct {
 	M *Model
-	// Exec receives one coarse task per mini-batch; normally a
+	// Exec replays one coarse task per mini-batch; normally a
 	// taskrt.Runtime so mini-batches run on different cores.
 	Exec taskrt.Executor
 
 	subs []*Engine
+	// tpl holds the coarse tasks, frozen once. Each step binds its
+	// mini-batch views in mbs before the replay; task i records its
+	// sub-engine's error in errs[i].
+	tpl  *taskrt.Template
+	mbs  []*Batch
+	errs []error
 }
 
 // NewBSeq builds the baseline around an existing model. The model's
 // MiniBatches field sets the data-parallel width.
 func NewBSeq(m *Model, exec taskrt.Executor) *BSeq {
-	s := &BSeq{M: m, Exec: exec}
-	for i := 0; i < m.Cfg.MiniBatches; i++ {
+	n := m.Cfg.MiniBatches
+	s := &BSeq{M: m, Exec: exec, mbs: make([]*Batch, n), errs: make([]error, n)}
+	rec := taskrt.NewCapture()
+	for i := 0; i < n; i++ {
 		// Each sub-engine shares the parent's weights but sees its
-		// mini-batch as its whole world, executed inline.
+		// mini-batch as its whole world, replayed inline.
 		lo, hi := m.Cfg.mbBounds(i)
-		sub := m.Cfg
-		sub.Batch, sub.MiniBatches = hi-lo, 1
-		s.subs = append(s.subs, NewEngine(m.view(sub), taskrt.NewInline(nil)))
+		cfg := m.Cfg
+		cfg.Batch, cfg.MiniBatches = hi-lo, 1
+		sub := NewEngine(m.view(cfg), taskrt.NewInline(nil))
+		s.subs = append(s.subs, sub)
+		rec.Submit(&taskrt.Task{
+			Label: fmt.Sprintf("bseq mb%d", i),
+			Kind:  "bseq",
+			Fn: func() {
+				_, s.errs[i] = sub.runStep(s.mbs[i], stepTrain, func([]*workspace, float64) {})
+			},
+		})
 	}
+	s.tpl = rec.Freeze()
 	return s
 }
 
@@ -46,27 +64,19 @@ func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
 	if err := s.M.Cfg.checkBatch(b, true); err != nil {
 		return 0, err
 	}
-	T := b.SeqLen()
-	for i, sub := range s.subs {
-		mb := b.sliceRows(s.M.Cfg.mbBounds(i))
-		s.Exec.Submit(&taskrt.Task{
-			Label: fmt.Sprintf("bseq mb%d", i),
-			Kind:  "bseq",
-			Fn: func() {
-				wss := sub.workspaces(T)
-				wss[0].resetForStep(sub.M, nil, i)
-				wss[0].bindStep(mb, T)
-				sub.emitForward(wss[0], i)
-				sub.emitBackward(wss[0], i)
-			},
-		})
+	for i := range s.mbs {
+		s.mbs[i] = b.sliceRows(s.M.Cfg.mbBounds(i))
 	}
-	if err := s.Exec.Wait(); err != nil {
+	clear(s.errs)
+	s.Exec.Replay(s.tpl)
+	err := s.Exec.Wait()
+	if err = errors.Join(append(s.errs, err)...); err != nil {
 		return 0, err
 	}
 
 	// Combine mini-batch gradients into mini-batch 0's buffers in index
 	// order — the same order Engine.emitReduce uses.
+	T := b.SeqLen()
 	w0 := s.subs[0].workspaces(T)[0]
 	loss := w0.sumLosses()
 	for _, sub := range s.subs[1:] {

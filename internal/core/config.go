@@ -13,9 +13,9 @@
 // cells, reverse cells, merge cells and cells of *different layers* all
 // overlap, with no per-layer barrier anywhere.
 //
-// The same emission can be pointed at the native goroutine runtime, an
-// inline sequential executor (the bitwise reference), or a graph recorder
-// feeding the discrete-event simulator.
+// The engine captures that emission once per step shape into a frozen
+// template and replays it on the native goroutine runtime or on an inline
+// sequential executor (the bitwise reference).
 package core
 
 import (

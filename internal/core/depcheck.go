@@ -9,7 +9,7 @@ import (
 
 // depChecker returns the executor's dependency sanitizer when it has one
 // (taskrt.Runtime with Options.DepCheck), nil otherwise. Detected through an
-// interface so Capture, Inline, and test executors need no stub.
+// interface so Inline and test executors need no stub.
 func (e *Engine) depChecker() *taskrt.DepChecker {
 	if p, ok := e.Exec.(interface{ DepChecker() *taskrt.DepChecker }); ok {
 		return p.DepChecker()
@@ -86,9 +86,8 @@ func (s *cellSt[E]) mats() []*tensor.Mat[E] {
 }
 
 // registerStepInputs associates this step's input matrices with the kX keys.
-// Batch views are new each step, so they register transiently and are
-// dropped after the step — by ResetDeps on the fresh-emission path, by
-// DepChecker.ResetStepOwners on the replay path.
+// Batch views are new each step, so they register transiently and
+// DepChecker.ResetStepOwners drops them after the step.
 func (e *Engine) registerStepInputs(dc *taskrt.DepChecker, ws *workspace, mb *Batch, mbIdx int) {
 	for t, x := range mb.X {
 		dc.RegisterStep(ws.kX[t], fmt.Sprintf("x t%d mb%d", t, mbIdx), x)

@@ -88,22 +88,23 @@ func TestDepCheckTrainStepClean(t *testing.T) {
 	}
 }
 
-// stripOutExec forwards every task to the wrapped runtime, but removes the
-// Out list of the task with the given label — simulating an emitter that
-// forgot to declare the buffer it writes.
+// stripOutExec forwards every replay to the wrapped runtime, but first
+// removes the Out list of the template's task with the given label —
+// simulating an emitter that forgot to declare the buffer it writes.
 type stripOutExec struct {
 	rt    *taskrt.Runtime
 	label string
 }
 
-func (s *stripOutExec) Submit(t *taskrt.Task) {
-	if t.Label == s.label {
-		t.Out = nil
+func (s *stripOutExec) Replay(tpl *taskrt.Template) {
+	for i := 0; i < tpl.Len(); i++ {
+		if t := tpl.Task(i); t.Label == s.label {
+			t.Out = nil
+		}
 	}
-	s.rt.Submit(t)
+	s.rt.Replay(tpl)
 }
 func (s *stripOutExec) Wait() error                    { return s.rt.Wait() }
-func (s *stripOutExec) ResetDeps()                     { s.rt.ResetDeps() }
 func (s *stripOutExec) DepChecker() *taskrt.DepChecker { return s.rt.DepChecker() }
 
 // TestDepCheckCatchesUndeclaredWriteInTrainStep injects the paper's failure
@@ -134,8 +135,8 @@ func TestDepCheckCatchesUndeclaredWriteInTrainStep(t *testing.T) {
 }
 
 // trainWeights trains a fresh model from cfg for a few steps on the given
-// executor configuration, with graph replay or fresh per-step emission, and
-// returns the resulting model.
+// executor configuration, with its cached template or a fresh capture every
+// step, and returns the resulting model.
 func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, noReplay bool, batches []*Batch) *Model {
 	t.Helper()
 	m, err := NewModel(cfg)
@@ -158,8 +159,8 @@ func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, noRe
 
 // TestDepCheckDeterminism: with the sanitizer enabled, training is bitwise
 // identical across worker counts {1, 2, 4}, both scheduling policies, and
-// graph replay vs fresh per-step emission — the no-barrier graph fixes the
-// floating-point summation order, so any divergence would indicate an
+// cached template vs fresh capture every step — the no-barrier graph fixes
+// the floating-point summation order, so any divergence would indicate an
 // undeclared dependency the checker missed.
 func TestDepCheckDeterminism(t *testing.T) {
 	cfg := depCheckConfig(LSTM, ManyToOne)

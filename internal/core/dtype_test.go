@@ -45,11 +45,11 @@ func probsMaxDiff(a, b []*tensor.Matrix) float64 {
 }
 
 // TestInferF32MatchesF64 sweeps the full configuration matrix the float32
-// mirror must cover — every cell kind, replayed and fresh emission, both
+// mirror must cover — every cell kind, cached and fresh capture, both
 // architectures — and checks the probabilities stay in
 // the tolerance band while genuinely differing from f64 (a bitwise-equal
 // result would mean the f32 graph never ran), and that the replayed and
-// freshly emitted f32 graphs agree bitwise with each other.
+// freshly captured f32 graphs agree bitwise with each other.
 func TestInferF32MatchesF64(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU, RNN} {
 		for _, arch := range []Arch{ManyToOne, ManyToMany} {

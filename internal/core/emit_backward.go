@@ -76,7 +76,7 @@ func (e *Engine) emitHeadBackward(ws *workspace, mbIdx int) {
 			task.Fn = func() {
 				e.headBackward(ws, h, lo, ws.finalMerged, ws.bind.targets, ws.dFinalMerged)
 			}
-			e.Exec.Submit(task)
+			e.rec.Submit(task)
 			continue
 		}
 
@@ -95,7 +95,7 @@ func (e *Engine) emitHeadBackward(ws *workspace, mbIdx int) {
 			}
 			batch = append(batch, task)
 		}
-		taskrt.SubmitBatch(e.Exec, batch)
+		e.rec.SubmitAll(batch)
 	}
 }
 
@@ -158,7 +158,7 @@ func (e *Engine) emitFinalMergeBackward(ws *workspace, mbIdx int) {
 			ws.gatherLastHFwd(ws.bind.lens), ws.st[revDir][L-1][0].H(),
 			f.dFinalH, r.dFinalH)
 	}
-	e.Exec.Submit(task)
+	e.rec.Submit(task)
 }
 
 // emitMergeBackward emits one merge-backward task per timestep of layer l,
@@ -188,7 +188,7 @@ func (e *Engine) emitMergeBackward(ws *workspace, l, mbIdx int) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	e.rec.SubmitAll(batch)
 }
 
 // emitCellBackward emits one direction's backward cell chain of layer l — the
@@ -280,7 +280,7 @@ func (e *Engine) emitCellBackward(ws *workspace, l, mbIdx int, rev bool) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	e.rec.SubmitAll(batch)
 	e.emitDW(ws, mbIdx, l, rev)
 	if l > 0 {
 		e.emitDX(ws, mbIdx, l, rev)
@@ -339,7 +339,7 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 		}
 		p.dwBatch(d.grads[l], d.dGates[l], xs, hPrevs, rhs, d.stackP[l], d.stackB[l])
 	}
-	e.Exec.Submit(task)
+	e.rec.Submit(task)
 }
 
 // emitDX emits the batched input-gradient tasks of layer l's given
@@ -373,7 +373,7 @@ func (e *Engine) emitDX(ws *workspace, mbIdx, l int, rev bool) {
 		}
 		dsts, panels := ws.dMerged[l-1][t0:t1], d.dGates[l][t0:t1]
 		task.Fn = func() { p.dxBatch(dsts, panels) }
-		e.Exec.Submit(task)
+		e.rec.Submit(task)
 	}
 }
 
@@ -409,5 +409,5 @@ func (e *Engine) emitReduce(wss []*workspace) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	e.rec.SubmitAll(batch)
 }

@@ -101,7 +101,7 @@ func (e *Engine) emitConvertInputs(ws *workspace, mbIdx int) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	e.rec.SubmitAll(batch)
 }
 
 // projTileT is the timestep-tile width of one input-projection task. Tiling
@@ -162,7 +162,7 @@ func (fp *fwdPass[E]) projection(l int, rev bool) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	e.rec.SubmitAll(batch)
 }
 
 // cells emits layer l's cells of one direction: forward-order cells
@@ -224,7 +224,7 @@ func (fp *fwdPass[E]) cells(l int, rev bool) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(e.Exec, batch)
+	e.rec.SubmitAll(batch)
 }
 
 // mergeCells emits layer l's merge cells. Merges are kept as separate tasks
@@ -253,7 +253,7 @@ func (fp *fwdPass[E]) mergeCells(l int) {
 		}
 		batch = append(batch, task)
 	}
-	taskrt.SubmitBatch(fp.e.Exec, batch)
+	fp.e.rec.SubmitAll(batch)
 }
 
 // finalMerge emits the single final merge feeding the classification heads:
@@ -282,7 +282,7 @@ func (fp *fwdPass[E]) finalMerge() {
 	task.Fn = func() {
 		mergeForward(cfg.Merge, buf.finalMerged, buf.gatherLastHFwd(ws.bind.lens), buf.st[revDir][L-1][0].H())
 	}
-	fp.e.Exec.Submit(task)
+	fp.e.rec.Submit(task)
 }
 
 // finalStateKeys lists the keys of the states the final merge (and its
@@ -350,7 +350,7 @@ func (fp *fwdPass[E]) heads() {
 			}
 			batch = append(batch, task)
 		}
-		taskrt.SubmitBatch(fp.e.Exec, batch)
+		fp.e.rec.SubmitAll(batch)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -67,9 +68,9 @@ func (b *Batch) realRows(lo, hi int) int {
 	}
 }
 
-// Engine drives B-Par execution of one model on one executor: it emits the
-// forward and backward task graphs for each batch, waits for dataflow
-// completion, and applies the optimizer. It owns the per-mini-batch
+// Engine drives B-Par execution of one model on one executor: it replays the
+// captured forward and backward task graph of each batch's shape, waits for
+// dataflow completion, and applies the optimizer. It owns the per-mini-batch
 // workspaces (the mbs:N data parallelism of the paper).
 type Engine struct {
 	M    *Model
@@ -89,11 +90,10 @@ type Engine struct {
 	// workspace set per length seen.
 	MaxCachedSeqLens int
 
-	// NoReplay disables graph capture & replay: every step re-emits the task
-	// graph through the executor's dependency table. Replay is the default
-	// whenever the executor can replay a frozen template (taskrt.Replayer);
-	// fresh emission remains both the fallback for executors without the
-	// capability and the equivalence oracle replay is tested against.
+	// NoReplay drops a step's cached template before the step, so every
+	// step captures its task graph afresh and then replays it. It is the
+	// oracle the template cache is tested against: a stale cached template
+	// diverges from a fresh capture.
 	NoReplay bool
 
 	// InferDType selects the numeric representation of forward-only steps
@@ -126,6 +126,9 @@ type Engine struct {
 	// caches live and die together: evicting a T's workspaces evicts its
 	// templates in the same breath.
 	tpls map[tplKey]*taskrt.Template
+	// rec is the capture the emitters submit into; set only while template
+	// is capturing a step.
+	rec  *taskrt.Capture
 	adam *adamState
 	obs  *engineObs // live metrics; nil unless EnableObs was called
 
@@ -143,11 +146,11 @@ type Engine struct {
 	lastHeadLosses []float64
 }
 
-// tplKey identifies one cached step template: training (forward + backward +
-// reduce) or forward-only, at one sequence length.
+// tplKey identifies one cached step template: a step kind at one sequence
+// length.
 type tplKey struct {
-	train bool
-	T     int
+	kind stepKind
+	T    int
 }
 
 // defaultMaxCachedSeqLens is the workspace-cache bound when
@@ -196,8 +199,7 @@ func (e *Engine) workspaces(T int) []*workspace {
 		delete(e.wsByT, victim)
 		// Captured templates close over the victim's workspace buffers;
 		// they must not outlive them.
-		delete(e.tpls, tplKey{train: true, T: victim})
-		delete(e.tpls, tplKey{train: false, T: victim})
+		maps.DeleteFunc(e.tpls, func(k tplKey, _ *taskrt.Template) bool { return k.T == victim })
 		if e.obs != nil {
 			e.obs.cacheEvicts.Inc()
 		}
@@ -364,14 +366,15 @@ const (
 	stepTrainBarrier                 // the same tasks between per-layer barriers (barrier.go)
 )
 
+// stepNames name each kind's templates ("train T=100").
+var stepNames = [...]string{"infer", "train", "barrier"}
+
 // runStep is the one step runner behind TrainStep, TrainStepBarrier and
 // InferProbs: validate the batch, take the single-caller guard, bind the
-// workspaces, run the kind's task graph — a template replay when the executor
-// can, fresh emission otherwise; the barrier ablation always emits fresh,
-// since replay has no sync points to model — and total the losses. consume
-// runs once the graph has completed and before the guard is released: it
-// applies the update or copies results out of the workspaces. Returns the
-// mean batch loss.
+// workspaces, replay the kind's template and total the losses. consume runs
+// once the graph has completed and before the guard is released: it applies
+// the update or copies results out of the workspaces. Returns the mean batch
+// loss.
 func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace, scale float64)) (float64, error) {
 	train := kind != stepInfer
 	if err := e.M.Cfg.checkBatch(b, train); err != nil {
@@ -386,20 +389,11 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 	wss := e.workspaces(T)
 	e.refreshWeightCaches()
 	dc := e.bindWorkspaces(wss, b, train)
-	var rp taskrt.Replayer
-	if kind != stepTrainBarrier {
-		rp = e.replayer()
+	key := tplKey{kind, T}
+	if e.NoReplay {
+		delete(e.tpls, key)
 	}
-	switch {
-	case rp != nil:
-		rp.Replay(e.template(train, T))
-	case kind == stepTrainBarrier:
-		if err := e.emitBarrierGraph(wss); err != nil {
-			return 0, err
-		}
-	default:
-		e.emitStep(train, wss)
-	}
+	e.Exec.Replay(e.template(key))
 	if err := e.Exec.Wait(); err != nil {
 		return 0, err
 	}
@@ -416,7 +410,11 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 	loss /= scale
 	e.recordHeadLosses(wss, T, scale)
 	consume(wss, scale)
-	e.finishStep(dc, rp != nil)
+	if dc != nil {
+		// Replays never touch the sanitizer's shadow versions; only this
+		// step's input registrations go.
+		dc.ResetStepOwners()
+	}
 	e.recordStep(stepStart, loss, !train, train || e.hasLabels(b), real)
 	return loss, nil
 }
@@ -428,7 +426,7 @@ func (e *Engine) runStep(b *Batch, kind stepKind, consume func(wss []*workspace,
 // leading real rows only, skipping the timesteps past its longest real row
 // (all of them for an all-padding micro-batch); training binds every row for
 // all T, since the backward chains read every row and timestep. Returns the
-// sanitizer for finishStep.
+// sanitizer, nil without one.
 func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch, train bool) *taskrt.DepChecker {
 	dc := e.depChecker()
 	for i, ws := range wss {
@@ -454,68 +452,37 @@ func (e *Engine) bindWorkspaces(wss []*workspace, b *Batch, train bool) *taskrt.
 	return dc
 }
 
-// replayer returns the executor's replay capability when graph replay is in
-// effect for this engine, nil when fresh emission should run instead
-// (NoReplay, or executors without the capability).
-func (e *Engine) replayer() taskrt.Replayer {
-	if e.NoReplay {
-		return nil
-	}
-	rp, _ := e.Exec.(taskrt.Replayer)
-	return rp
-}
-
 // template returns (capturing on a miss) the frozen task graph of one step
-// kind at sequence length T. Capture swaps the engine's executor for a
-// taskrt.Capture, runs the ordinary emitters once, and freezes the recorded
-// sequence; because the emitters' closures read only stable workspace
-// buffers and the step binding, the resulting template stays valid for every
-// later batch of the same shape, for exactly as long as T's workspaces live.
-func (e *Engine) template(train bool, T int) *taskrt.Template {
-	key := tplKey{train: train, T: T}
+// kind at one sequence length. Capture points the emitters at a fresh
+// taskrt.Capture, runs them once, and freezes the recorded sequence; because
+// the emitters' closures read only stable workspace buffers and the step
+// binding, the resulting template stays valid for every later batch of the
+// same shape, for exactly as long as T's workspaces live.
+func (e *Engine) template(key tplKey) *taskrt.Template {
 	if tpl, ok := e.tpls[key]; ok {
 		e.tplHitN.Add(1)
 		return tpl
 	}
 	e.tplMissN.Add(1)
 	start := time.Now()
-	wss := e.wsByT[T]
-	rec := taskrt.NewCapture()
-	rec.NoReduce = e.noReduce
-	saved := e.Exec
-	e.Exec = rec
-	func() {
-		defer func() { e.Exec = saved }()
-		e.emitStep(train, wss)
-	}()
-	tpl := rec.Freeze()
-	if train {
-		tpl.Name = fmt.Sprintf("train T=%d", T)
+	wss := e.wsByT[key.T]
+	e.rec = taskrt.NewCapture()
+	e.rec.NoReduce = e.noReduce
+	if key.kind == stepTrainBarrier {
+		e.emitBarrierGraph(wss)
 	} else {
-		tpl.Name = fmt.Sprintf("infer T=%d", T)
+		e.emitStep(key.kind == stepTrain, wss)
 	}
+	tpl := e.rec.Freeze()
+	e.rec = nil
+	tpl.Name = fmt.Sprintf("%s T=%d", stepNames[key.kind], key.T)
 	e.tpls[key] = tpl
 	if e.obs != nil {
 		e.obs.tplCaptureNS.Add(time.Since(start).Nanoseconds())
 	}
 	obs.Logger("core").Debug("task graph captured",
-		"train", train, "seq_len", T, "tasks", tpl.Len(), "edges", tpl.Edges())
+		"template", tpl.Name, "tasks", tpl.Len(), "edges", tpl.Edges())
 	return tpl
-}
-
-// finishStep performs the between-steps dependency hygiene of the path just
-// taken. Fresh emission populated the executor's dependency table, so it is
-// cleared (along with the sanitizer's shadow state). Replay never touched
-// the table: only the sanitizer's per-step buffer registrations are dropped,
-// and no ResetDeps churn happens at all.
-func (e *Engine) finishStep(dc *taskrt.DepChecker, replayed bool) {
-	if !replayed {
-		e.maybeResetDeps()
-		return
-	}
-	if dc != nil {
-		dc.ResetStepOwners()
-	}
 }
 
 // Infer runs forward propagation only and returns, per output slot, the
@@ -710,13 +677,4 @@ func (e *Engine) HeadLosses() []float64 {
 // across an engine pool to report template hit rate.
 func (e *Engine) TemplateStats() (hits, misses int64) {
 	return e.tplHitN.Load(), e.tplMissN.Load()
-}
-
-// maybeResetDeps clears the executor's dependency table between steps when
-// supported, so per-step input tensors do not accumulate entries. Only the
-// fresh-emission path needs it; replays never populate the table.
-func (e *Engine) maybeResetDeps() {
-	if rd, ok := e.Exec.(taskrt.DepResetter); ok {
-		rd.ResetDeps()
-	}
 }

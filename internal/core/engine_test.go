@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"bpar/internal/rng"
@@ -232,37 +234,109 @@ func TestBSeqMatchesBPar(t *testing.T) {
 	}
 }
 
-// TestBarrierModeMatchesBPar: per-layer barriers change scheduling only,
-// never numerics.
-func TestBarrierModeMatchesBPar(t *testing.T) {
-	cfg := smallCfg(LSTM, ManyToOne, 2)
-	parM, parLoss := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
+// failExec replays nothing and reports a task failure.
+type failExec struct{}
 
+func (failExec) Replay(*taskrt.Template) {}
+func (failExec) Wait() error             { return errors.New("mini-batch task failed") }
+
+// TestBSeqReportsSubEngineFailure: a failed task inside one mini-batch's
+// sequential sub-engine fails the whole B-Seq step.
+func TestBSeqReportsSubEngineFailure(t *testing.T) {
+	cfg := smallCfg(LSTM, ManyToOne, 3)
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := taskrt.New(taskrt.Options{Workers: 4})
-	e := NewEngine(m, rt)
-	var loss float64
-	for i := 0; i < 3; i++ {
-		b := makeBatch(cfg, uint64(100+i))
-		loss, err = e.TrainStepBarrier(b, 0.05)
-		if err != nil {
+	rt := taskrt.New(taskrt.Options{Workers: 2})
+	defer rt.Shutdown()
+	bs := NewBSeq(m, rt)
+	bs.subs[1].Exec = failExec{}
+	if _, err := bs.TrainStep(makeBatch(cfg, 100), 0.05); err == nil || !strings.Contains(err.Error(), "mini-batch task failed") {
+		t.Fatalf("TrainStep error = %v, want the sub-engine's failure", err)
+	}
+}
+
+// TestBarrierModeMatchesBPar: per-layer barriers change scheduling only,
+// never numerics, on every executor. The barrier step replays a captured
+// template whose barrier nodes stand where a Wait between layers would be:
+// three per layer forward, one after the heads, three per layer backward.
+func TestBarrierModeMatchesBPar(t *testing.T) {
+	cfg := smallCfg(LSTM, ManyToOne, 2)
+	parM, parLoss := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
+	const steps = 3
+	for _, ex := range []struct {
+		name string
+		mk   func() taskrt.Executor
+	}{
+		{"w4-bf", parallelExec(4, taskrt.BreadthFirst)},
+		{"w2-bf", parallelExec(2, taskrt.BreadthFirst)},
+	} {
+		t.Run(ex.name, func(t *testing.T) {
+			m, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := ex.mk()
+			defer exec.(*taskrt.Runtime).Shutdown()
+			e := NewEngine(m, exec)
+			var loss float64
+			for i := 0; i < steps; i++ {
+				b := makeBatch(cfg, uint64(100+i))
+				loss, err = e.TrainStepBarrier(b, 0.05)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !m.WeightsEqual(parM) {
+				t.Fatalf("barrier mode diverged: %g", m.WeightsMaxAbsDiff(parM))
+			}
+			if loss != parLoss {
+				t.Fatalf("losses differ: %g vs %g", loss, parLoss)
+			}
+			// The ablation runs through the ordinary step epilogue, so it
+			// reports per-head losses like TrainStep does.
+			if hl := e.HeadLosses(); len(hl) != 1 || hl[0] != loss {
+				t.Fatalf("HeadLosses after TrainStepBarrier = %v, want [%g]", hl, loss)
+			}
+			tpl := e.tpls[tplKey{kind: stepTrainBarrier, T: cfg.SeqLen}]
+			if tpl == nil {
+				t.Fatal("no cached barrier template")
+			}
+			barriers := 0
+			for i := 0; i < tpl.Len(); i++ {
+				if tpl.Task(i).Kind == "barrier" {
+					barriers++
+				}
+			}
+			if want := 6*cfg.Layers + 1; barriers != want {
+				t.Fatalf("barrier template holds %d barrier nodes, want %d", barriers, want)
+			}
+			if hits, misses := e.TemplateStats(); hits != steps-1 || misses != 1 {
+				t.Fatalf("TemplateStats = %d hits, %d misses; want %d, 1", hits, misses, steps-1)
+			}
+		})
+	}
+}
+
+// TestNoReplayRecapturesEveryStep: a NoReplay engine drops the step's cached
+// template before each step, so every step is a template miss.
+func TestNoReplayRecapturesEveryStep(t *testing.T) {
+	cfg := smallCfg(GRU, ManyToOne, 2)
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(m, inlineExec())
+	e.NoReplay = true
+	const steps = 3
+	for i := 0; i < steps; i++ {
+		if _, err := e.TrainStep(makeBatch(cfg, uint64(100+i)), 0.05); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rt.Shutdown()
-	if !m.WeightsEqual(parM) {
-		t.Fatalf("barrier mode diverged: %g", m.WeightsMaxAbsDiff(parM))
-	}
-	if loss != parLoss {
-		t.Fatalf("losses differ: %g vs %g", loss, parLoss)
-	}
-	// The ablation runs through the ordinary step epilogue, so it reports
-	// per-head losses like TrainStep does.
-	if hl := e.HeadLosses(); len(hl) != 1 || hl[0] != loss {
-		t.Fatalf("HeadLosses after TrainStepBarrier = %v, want [%g]", hl, loss)
+	if hits, misses := e.TemplateStats(); hits != 0 || misses != steps {
+		t.Fatalf("TemplateStats = %d hits, %d misses; want 0, %d", hits, misses, steps)
 	}
 }
 

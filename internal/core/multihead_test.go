@@ -129,7 +129,7 @@ func TestMultiHeadParallelMatchesSequentialBitwise(t *testing.T) {
 // TestMultiHeadReplayMatchesFreshBitwise: the captured template of a
 // multi-head masked step — including the new head-gradient accumulation
 // joins and the lens-dependent masking tasks — replays bitwise identically
-// to fresh per-step emission on every worker count and policy.
+// to a fresh capture every step on every worker count and policy.
 func TestMultiHeadReplayMatchesFreshBitwise(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU} {
 		for _, withLens := range []bool{false, true} {

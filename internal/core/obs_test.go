@@ -184,7 +184,6 @@ func TestConcurrentStepReturnsErrEngineBusy(t *testing.T) {
 	}
 	g := newGateExec()
 	e := NewEngine(m, g)
-	e.NoReplay = true // keep the executor on the plain Submit/Wait path
 
 	firstErr := make(chan error, 1)
 	go func() {

@@ -234,7 +234,7 @@ func TestTemplateGraphPin(t *testing.T) {
 		if _, err := e.TrainStep(makeMultiBatch(cfg, 7, true), 0.05); err != nil {
 			t.Fatal(err)
 		}
-		tpl := e.tpls[tplKey{train: true, T: cfg.SeqLen}]
+		tpl := e.tpls[tplKey{kind: stepTrain, T: cfg.SeqLen}]
 		if tpl == nil {
 			t.Fatal("no training template captured")
 		}

@@ -303,8 +303,8 @@ func relDiff(a, b float64) float64 {
 // TestInferMatchesReference holds production InferProbs to the reference on
 // every live slot of every real row — within 1e-10 relative at float64 and
 // f32ProbTol at float32, loss included — over masked and full-length rows,
-// full and partial batches, MiniBatches 1 and 2, and replayed and freshly
-// emitted graphs. Padding rows must read exactly 0.
+// full and partial batches, MiniBatches 1 and 2, and cached and freshly
+// captured graphs. Padding rows must read exactly 0.
 func TestInferMatchesReference(t *testing.T) {
 	refSweep(t, func(t *testing.T, cell CellKind, heads string, merge MergeOp) {
 		for _, masked := range []bool{false, true} {

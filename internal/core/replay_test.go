@@ -8,8 +8,8 @@ import (
 )
 
 // trainNReplay is trainN with an explicit replay switch, so the same
-// model/executor combination can run with graph replay (the default) or with
-// fresh per-step emission (the equivalence oracle).
+// model/executor combination can run with its cached template (the default)
+// or with a fresh capture every step (NoReplay, the equivalence oracle).
 func trainNReplay(t *testing.T, cfg Config, noReplay bool, mkExec func() taskrt.Executor, n int) (*Model, float64) {
 	t.Helper()
 	m, err := NewModel(cfg)
@@ -33,10 +33,10 @@ func trainNReplay(t *testing.T, cfg Config, noReplay bool, mkExec func() taskrt.
 	return m, loss
 }
 
-// TestReplayMatchesFreshBitwise is the replay path's correctness contract:
-// executing the captured template must be bitwise identical to re-emitting
-// the task graph every step, because the edge set — and therefore the
-// floating-point summation order — is the same. Covered across all cell
+// TestReplayMatchesFreshBitwise is the template cache's correctness
+// contract: replaying the cached template must be bitwise identical to
+// capturing the task graph afresh every step, because the edge set — and
+// therefore the floating-point summation order — is the same. Covered across all cell
 // kinds, both architectures, worker counts and scheduling policies.
 func TestReplayMatchesFreshBitwise(t *testing.T) {
 	execs := []struct {
@@ -97,7 +97,7 @@ func TestReplayReducedMatchesUnreducedBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tpl := e.tpls[tplKey{train: true, T: cfg.SeqLen}]
+		tpl := e.tpls[tplKey{kind: stepTrain, T: cfg.SeqLen}]
 		pruned := tpl.FullEdges() - tpl.Edges()
 		if noReduce && pruned != 0 {
 			t.Fatalf("noReduce engine pruned %d edges", pruned)
@@ -176,7 +176,7 @@ func TestReplayDepcheckClean(t *testing.T) {
 
 // TestReplayVariableSeqLens checks template capture per sequence length:
 // alternating batch shapes each replay their own template and still match
-// fresh emission bitwise.
+// a fresh capture every step bitwise.
 func TestReplayVariableSeqLens(t *testing.T) {
 	cfg := smallCfg(GRU, ManyToOne, 1)
 	lens := []int{5, 3, 5, 7, 3}
@@ -233,12 +233,12 @@ func TestReplayTemplateCacheEvictsWithWorkspaces(t *testing.T) {
 	if len(e.tpls) != 2 {
 		t.Fatalf("after T=5: %d cached templates, want 2 (train + infer)", len(e.tpls))
 	}
-	if _, ok := e.tpls[tplKey{train: true, T: 5}]; !ok {
+	if _, ok := e.tpls[tplKey{kind: stepTrain, T: 5}]; !ok {
 		t.Fatal("train template for T=5 missing")
 	}
 
 	step(7) // evicts T=5's workspaces, and with them its templates
-	if _, ok := e.tpls[tplKey{train: true, T: 5}]; ok {
+	if _, ok := e.tpls[tplKey{kind: stepTrain, T: 5}]; ok {
 		t.Fatal("T=5 templates survived workspace eviction")
 	}
 	if len(e.tpls) != 2 {
@@ -246,7 +246,7 @@ func TestReplayTemplateCacheEvictsWithWorkspaces(t *testing.T) {
 	}
 
 	step(5) // recaptures against the rebuilt workspaces
-	if _, ok := e.tpls[tplKey{train: true, T: 5}]; !ok {
+	if _, ok := e.tpls[tplKey{kind: stepTrain, T: 5}]; !ok {
 		t.Fatal("T=5 train template not recaptured after eviction")
 	}
 }

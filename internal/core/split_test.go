@@ -19,7 +19,7 @@ func trainTemplateGraph(t *testing.T, cfg Config) *taskrt.Graph {
 	if _, err := e.TrainStep(makeBatch(cfg, 3), 0.05); err != nil {
 		t.Fatal(err)
 	}
-	tpl := e.tpls[tplKey{train: true, T: cfg.SeqLen}]
+	tpl := e.tpls[tplKey{kind: stepTrain, T: cfg.SeqLen}]
 	g := prof.DumpTemplates([]*taskrt.Template{tpl}, nil).Templates[0].Graph()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

@@ -530,8 +530,8 @@ func (b *fwdBufs[E]) gatherLastHFwd(lens []int) *tensor.Mat[E] {
 	return b.gatherH
 }
 
-// resetForStep readies w for a training step, the one point both training
-// entries (bindWorkspaces, BSeq.TrainStep) pass before any emission or
+// resetForStep readies w for a training step, the one point every training
+// step (bindWorkspaces, B-Seq's sub-engines included) passes before any
 // capture. The first call allocates the training half, zeroed; later ones
 // zero what accumulates across tasks within a step: dMerged, dFinalMerged
 // and the gradients. Boundary chain and merge-grad buffers stay zero by

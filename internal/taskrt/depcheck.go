@@ -278,7 +278,7 @@ func (dc *DepChecker) take() []error {
 }
 
 // ResetStepOwners drops per-step buffer registrations (RegisterStep) while
-// keeping shadow versions intact. The replay path calls it between steps:
+// keeping shadow versions intact. The engine calls it between steps:
 // replays bypass the dependency table, so ResetDeps — and with it reset() —
 // never runs, yet each step registers a fresh batch's input views.
 func (dc *DepChecker) ResetStepOwners() {

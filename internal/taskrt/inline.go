@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// Inline is an Executor that runs each task body immediately at Submit time,
-// on the submitting goroutine. Because B-Par builders emit tasks in
-// topological order (Algorithms 2 and 3 create tasks in the order their
-// dependencies allow), inline execution is a valid sequential schedule of the
-// same graph. It is the reference implementation against which the parallel
-// runtime is checked for bitwise equality, and it is how B-Seq processes each
-// mini-batch internally.
+// Inline is an Executor that runs a template's task bodies one at a time,
+// in capture order, on the calling goroutine. Because B-Par builders emit
+// tasks in topological order (Algorithms 2 and 3 create tasks in the order
+// their dependencies allow), inline execution is a valid sequential schedule
+// of the same graph. It is the reference implementation against which the
+// parallel runtime is checked for bitwise equality, and it is how B-Seq
+// processes each mini-batch internally.
 type Inline struct {
 	errs   []error
 	sink   TraceSink

@@ -40,7 +40,7 @@ type Options struct {
 	// Policy selects breadth-first or locality-aware scheduling.
 	Policy Policy
 	// Profile, when non-nil, receives per-node timing callbacks for every
-	// template replay (fresh-emission tasks are invisible to it). The
+	// template replay (tasks given to Submit are invisible to it). The
 	// callbacks are wired so a sink can use plain fixed-index arrays keyed
 	// by template node index — see the ProfileSink contract.
 	Profile ProfileSink
@@ -332,13 +332,15 @@ func (r *Runtime) submitOne(t *Task) *node {
 
 // wake makes up to k parked workers rescan the queues. The wakeups counter
 // latches signals issued while a worker is between its last scan and its
-// cond wait, so no wake is lost.
+// cond wait, so no wake is lost. It never exceeds the idle workers: a
+// latched signal beyond them would only send a worker round awaitWork
+// again instead of letting it park.
 func (r *Runtime) wake(k int) {
 	if k <= 0 || r.idlers.Load() == 0 {
 		return
 	}
 	r.idleMu.Lock()
-	r.wakeups += k
+	r.wakeups = min(r.wakeups+k, int(r.idlers.Load()))
 	if k == 1 {
 		r.idleCond.Signal()
 	} else {

@@ -108,15 +108,22 @@ func stressTasks(specs []*stressSpec, nKeys int) (tasks []*Task, viol, execd *at
 	return tasks, viol, execd
 }
 
+// submitter is an executor that also runs tasks submitted one by one:
+// Runtime and Inline both are.
+type submitter interface {
+	Executor
+	Submit(t *Task)
+}
+
 // runStressDAG submits the generated DAG to e — or, with replay set,
 // captures and freezes it and replays the template on e — and returns the
 // number of dependency violations observed and task bodies executed.
-func runStressDAG(specs []*stressSpec, nKeys int, e Executor, replay bool) (violations, executed int64) {
+func runStressDAG(specs []*stressSpec, nKeys int, e submitter, replay bool) (violations, executed int64) {
 	tasks, viol, execd := stressTasks(specs, nKeys)
 	if replay {
 		c := NewCapture()
 		c.SubmitAll(tasks)
-		e.(Replayer).Replay(c.Freeze())
+		e.Replay(c.Freeze())
 	} else {
 		for _, t := range tasks {
 			e.Submit(t)
@@ -165,7 +172,7 @@ func TestStressRandomDAG(t *testing.T) {
 					if workers != 1 && workers != 4 {
 						return
 					}
-					for _, e := range []Executor{rt, inl} {
+					for _, e := range []submitter{rt, inl} {
 						if v, n := runStressDAG(specs, nKeys, e, true); v != 0 || n != nTasks {
 							t.Fatalf("%T replay: %d violations, %d executed", e, v, n)
 						}
@@ -234,23 +241,6 @@ func TestSubmitAllChain(t *testing.T) {
 	}
 	if st := rt.Stats(); st.Submitted != n {
 		t.Fatalf("submitted %d", st.Submitted)
-	}
-}
-
-// TestSubmitBatchFallback checks the helper's per-task fallback for
-// executors without SubmitAll.
-func TestSubmitBatchFallback(t *testing.T) {
-	e := NewInline(nil)
-	sum := 0
-	SubmitBatch(e, []*Task{
-		{Fn: func() { sum += 1 }},
-		{Fn: func() { sum += 2 }},
-	})
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 3 || e.nextID != 2 {
-		t.Fatalf("sum=%d executed=%d", sum, e.nextID)
 	}
 }
 

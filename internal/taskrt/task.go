@@ -3,13 +3,13 @@
 //
 // A Task is a sequential piece of work annotated with the data it reads (In)
 // and writes (Out/InOut), exactly like `#pragma omp task in(...) out(...)`.
-// The runtime derives read-after-write, write-after-read and
-// write-after-write edges from those annotations, dynamically building the
-// task dependency graph as tasks are submitted, and schedules a task onto a
-// worker as soon as its last dependency is satisfied. There are no barriers:
-// synchronization exists only along data-dependency edges, which is the
-// property that lets B-Par overlap forward-order cells, reverse-order cells,
-// merge cells, and cells of different layers.
+// A Capture derives read-after-write, write-after-read and write-after-write
+// edges from those annotations as tasks are submitted, as OmpSs does, and
+// freezes the graph into a Template; the runtime replays it, scheduling a
+// task onto a worker as soon as its last dependency is satisfied. B-Par's
+// graphs have no barriers: synchronization exists only along data-dependency
+// edges, which is the property that lets B-Par overlap forward-order cells,
+// reverse-order cells, merge cells, and cells of different layers.
 //
 // Two scheduling policies are provided, mirroring the paper's Section IV-A:
 //
@@ -48,41 +48,17 @@ type Task struct {
 	WorkingSet int64
 }
 
-// Executor abstracts where an emitted task graph runs: the native goroutine
-// runtime (Runtime), an inline sequential executor, or a graph capture
-// (Capture) feeding template replay and the discrete-event simulator. B-Par's builders emit the same task
-// stream to any of them.
+// Executor runs frozen task graphs: the native goroutine runtime (Runtime)
+// or the inline sequential executor (Inline). Builders never submit to an
+// executor; they submit into a Capture, freeze it once, and replay the
+// Template on any executor, which derives no edges at run time.
 type Executor interface {
-	// Submit registers the task and its dependencies. The task runs when its
-	// dependencies are satisfied (possibly immediately, possibly never for a
-	// record-only executor).
-	Submit(t *Task)
-	// Wait blocks until every submitted task has finished and returns the
+	// Replay starts one execution of the template. Replays of the same
+	// template must not overlap: Wait between them.
+	Replay(tpl *Template)
+	// Wait blocks until every replayed task has finished and returns the
 	// task errors joined with errors.Join, or nil if none failed.
 	Wait() error
-}
-
-// BatchSubmitter is implemented by executors that can register a whole
-// batch of tasks under a single acquisition of their submission lock.
-// Tasks are processed in slice order, so a batch derives the same
-// dependency edges as the equivalent sequence of Submit calls.
-type BatchSubmitter interface {
-	SubmitAll(ts []*Task)
-}
-
-// SubmitBatch submits the tasks through e.SubmitAll when e supports
-// batching, and falls back to one Submit call per task otherwise. Builders
-// emit per-timestep and per-layer task batches through this helper so the
-// parallel runtime amortizes locking while Inline keeps its simple per-task
-// path.
-func SubmitBatch(e Executor, ts []*Task) {
-	if b, ok := e.(BatchSubmitter); ok {
-		b.SubmitAll(ts)
-		return
-	}
-	for _, t := range ts {
-		e.Submit(t)
-	}
 }
 
 // TaskRecord describes one executed task for a TraceSink.
@@ -98,8 +74,8 @@ type TaskRecord struct {
 	WorkingSet int64
 }
 
-// TraceSink receives a record for every task an Inline executor completes,
-// fresh or replayed. Timelines come from a ProfileSink.
+// TraceSink receives a record for every task an Inline executor completes.
+// Timelines come from a ProfileSink.
 type TraceSink interface {
 	TaskDone(rec TaskRecord)
 }
@@ -120,7 +96,7 @@ type TraceSink interface {
 //     visible (the template's live counter is a single atomic every worker
 //     decrements), and before Wait can observe the replay drained.
 //
-// Fresh-emission tasks never reach the sink.
+// Tasks given to Runtime.Submit never reach the sink.
 type ProfileSink interface {
 	ReplayStart(tpl *Template, atNS int64)
 	NodeDone(tpl *Template, idx, worker int, startNS, endNS int64)

@@ -6,27 +6,11 @@ import (
 	"time"
 )
 
-// DepResetter is the executor capability of clearing the dependency table
-// between steps that reuse the same buffers. The parallel Runtime implements
-// it; Inline and Capture have no table, so callers feature-test instead of
-// type-asserting concrete executor types.
-type DepResetter interface {
-	ResetDeps()
-}
-
-// Replayer is the executor capability of executing a frozen Template. Both
-// Runtime and Inline implement it, so an engine can capture its step graph
-// once and replay it regardless of which executor backs it.
-type Replayer interface {
-	Replay(tpl *Template)
-}
-
-// Capture is an Executor/BatchSubmitter that records a submission sequence
-// instead of executing it. It derives RAW/WAR/WAW edges with the dependency
-// table Runtime.submitOne uses, starting empty, so a graph captured here and
-// frozen into a Template executes with the same edge set — and therefore the
-// same floating-point summation order — as fresh emission after a ResetDeps.
-// Graph hands the same derived edges, barriers included, to the simulator.
+// Capture records a submission sequence instead of executing it, and is the
+// only place builders submit to. It derives RAW/WAR/WAW edges with the
+// dependency table Runtime.submitOne uses, starting empty; Freeze turns the
+// sequence into a Template any Executor replays, and Graph hands the same
+// derived edges, barriers included, to the simulator.
 //
 // Capture is not safe for concurrent use; builders submit from one goroutine.
 type Capture struct {
@@ -46,8 +30,7 @@ type Capture struct {
 	frozen      bool
 }
 
-// NewCapture returns an empty capture with a fresh (empty) dependency view,
-// matching the table state a fresh-emission step starts from.
+// NewCapture returns an empty capture with an empty dependency view.
 func NewCapture() *Capture {
 	return &Capture{deps: newDepTable(-1), lastBarrier: -1}
 }
@@ -102,9 +85,6 @@ func (c *Capture) SubmitAll(ts []*Task) {
 		c.Submit(t)
 	}
 }
-
-// Wait is a no-op: captured tasks are recorded, not executed.
-func (c *Capture) Wait() error { return nil }
 
 // Freeze converts the captured sequence into an immutable Template and
 // invalidates the capture for further submissions. Node storage is one flat
@@ -238,9 +218,9 @@ func reducePreds(preds [][]int) [][]int {
 // Template is a frozen task DAG: one submission sequence with precomputed
 // successor edge lists, initial in-degree counts, and flat reusable node
 // storage. Replaying it re-executes the identical graph without touching the
-// dependency table — zero key hashing, zero node allocation, and no
-// ResetDeps between steps. Task bodies must therefore read any per-step data
-// through stable indirection (the closures themselves are reused verbatim).
+// dependency table — zero key hashing and zero node allocation. Task bodies
+// must therefore read any per-step data through stable indirection (the
+// closures themselves are reused verbatim).
 //
 // A template may be replayed any number of times, but replays of the same
 // template must not overlap: the caller must drain one replay (Wait) before
@@ -290,9 +270,8 @@ func (tpl *Template) FullEdges() int { return tpl.fullEdges }
 // Replay executes a frozen template on the worker pool: it resets every
 // node's in-degree counter in one pass over the flat node slice, then
 // publishes the roots. No dependency-table work happens — the edges were
-// derived once at capture. A replay never enters the dependency table, so a
-// later fresh emission derives against a clean table; a replay is
-// synchronized with Wait, like a whole-step fresh emission.
+// derived once at capture. A replay never enters the dependency table that
+// Submit uses, and is synchronized with Wait.
 //
 // The dependency sanitizer, when enabled, re-validates every replay: the
 // capture-ordered submission sequence is re-announced to it (shadow versions
@@ -345,8 +324,7 @@ func (r *Runtime) Replay(tpl *Template) {
 
 // Replay executes a captured template sequentially in capture order. Capture
 // order is topological (every predecessor was submitted before its
-// successors), so running the tasks in that order is a valid schedule — and
-// the same schedule inline fresh emission would have produced.
+// successors), so running the tasks in that order is a valid schedule.
 func (e *Inline) Replay(tpl *Template) {
 	for _, t := range tpl.tasks {
 		e.Submit(t)

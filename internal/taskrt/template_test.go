@@ -408,3 +408,34 @@ func TestReplayLeavesDepTableClean(t *testing.T) {
 	}
 	r.Shutdown()
 }
+
+// TestWideReplayLatchesAtMostWorkers pins wake's clamp: a replay that
+// publishes far more roots than there are workers latches at most one
+// wakeup per idle worker. Both workers are parked before the replay, and
+// every root blocks on a gate, so each woken worker consumes one wakeup and
+// then stays inside a body: the count read under idleMu is what the replay
+// left latched, with no timing involved. Unclamped, it would be 4096 less
+// the two consumed.
+func TestWideReplayLatchesAtMostWorkers(t *testing.T) {
+	const workers, roots = 2, 4096
+	r := New(Options{Workers: workers})
+	gate := make(chan struct{})
+	c := NewCapture()
+	for i := 0; i < roots; i++ {
+		c.Submit(&Task{Label: "root", Fn: func() { <-gate }})
+	}
+	tpl := c.Freeze()
+	for r.idlers.Load() != workers {
+		runtime.Gosched()
+	}
+	r.Replay(tpl)
+	r.idleMu.Lock()
+	latched := r.wakeups
+	r.idleMu.Unlock()
+	close(gate)
+	waitWithin(t, r, "wide replay")
+	r.Shutdown()
+	if latched > workers {
+		t.Fatalf("replay of %d roots latched %d wakeups on %d workers", roots, latched, workers)
+	}
+}

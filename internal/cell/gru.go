@@ -55,12 +55,8 @@ func NewGRUWeights(inputSize, hiddenSize int) *GRUWeights {
 
 // Init fills the weights with scaled uniform values (Xavier/Glorot).
 func (w *GRUWeightsOf[E]) Init(r *rng.RNG) {
-	fanIn := float64(w.InputSize + w.HiddenSize)
-	scale := 1.0 / mathSqrt(fanIn)
-	fillUniform(r, w.W.Data, scale)
-	for i := range w.B {
-		w.B[i] = 0
-	}
+	fillUniform(r, w.W.Data, w.InputSize+w.HiddenSize)
+	clear(w.B)
 }
 
 // ParamCount returns the number of trainable parameters.

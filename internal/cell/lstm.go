@@ -64,12 +64,8 @@ func NewLSTMWeights(inputSize, hiddenSize int) *LSTMWeights {
 // the forget-gate bias to one, the standard trick that keeps early training
 // stable.
 func (w *LSTMWeightsOf[E]) Init(r *rng.RNG) {
-	fanIn := float64(w.InputSize + w.HiddenSize)
-	scale := 1.0 / sqrt(fanIn)
-	fillUniform(r, w.W.Data, scale)
-	for i := range w.B {
-		w.B[i] = 0
-	}
+	fillUniform(r, w.W.Data, w.InputSize+w.HiddenSize)
+	clear(w.B)
 	for j := 0; j < w.HiddenSize; j++ {
 		w.B[lstmGateF*w.HiddenSize+j] = 1
 	}
@@ -199,9 +195,4 @@ func LSTMWorkingSetBytes(batch, inputSize, hiddenSize int) int64 {
 	weights := int64(lstmGates*hiddenSize*(inputSize+hiddenSize)+lstmGates*hiddenSize) * 8
 	acts := int64(batch*(inputSize+hiddenSize)+batch*lstmGates*hiddenSize+3*batch*hiddenSize) * 8
 	return weights + acts
-}
-
-func sqrt(x float64) float64 {
-	// Tiny wrapper so the file reads without importing math twice elsewhere.
-	return mathSqrt(x)
 }

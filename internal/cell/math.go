@@ -7,17 +7,17 @@ import (
 	"bpar/internal/tensor"
 )
 
-func mathSqrt(x float64) float64 { return math.Sqrt(x) }
-
 // tanhE evaluates tanh in float64 and rounds to E — an identity at
 // E = float64, so the generic forward kernels stay bitwise-identical to the
 // historical float64 path.
 func tanhE[E tensor.Elt](x E) E { return E(math.Tanh(float64(x))) }
 
-// fillUniform draws the same float64 stream regardless of E, so an
-// f32-initialized model is the rounded image of the f64 model with the same
-// seed (weight initialization in practice happens at f64 and is converted).
-func fillUniform[E tensor.Elt](r *rng.RNG, data []E, scale float64) {
+// fillUniform fills data uniformly in ±1/√fanIn (Xavier/Glorot). It draws
+// the same float64 stream regardless of E, so an f32-initialized model is
+// the rounded image of the f64 model with the same seed (weight
+// initialization in practice happens at f64 and is converted).
+func fillUniform[E tensor.Elt](r *rng.RNG, data []E, fanIn int) {
+	scale := 1.0 / math.Sqrt(float64(fanIn))
 	if d, ok := any(data).([]float64); ok {
 		r.FillUniform(d, -scale, scale)
 		return

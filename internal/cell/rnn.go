@@ -35,11 +35,8 @@ func NewRNNWeights(inputSize, hiddenSize int) *RNNWeights {
 
 // Init fills the weights with scaled uniform values (Xavier/Glorot).
 func (w *RNNWeightsOf[E]) Init(r *rng.RNG) {
-	scale := 1.0 / mathSqrt(float64(w.InputSize+w.HiddenSize))
-	fillUniform(r, w.W.Data, scale)
-	for i := range w.B {
-		w.B[i] = 0
-	}
+	fillUniform(r, w.W.Data, w.InputSize+w.HiddenSize)
+	clear(w.B)
 }
 
 // ParamCount returns the number of trainable parameters.

@@ -522,7 +522,7 @@ func NewModel(cfg Config) (*Model, error) {
 		}
 	}
 	d := cfg.MergeDim()
-	scale := 1.0 / sqrtF(float64(d))
+	scale := 1.0 / mathSqrt(float64(d))
 	for i, spec := range cfg.HeadSpecs() {
 		h := Head{Kind: spec.Kind, Classes: spec.Classes, W: tensor.New(spec.Classes, d), B: make([]float64, spec.Classes)}
 		hr := r.Split()
@@ -607,9 +607,4 @@ func sliceMaxAbsDiff(a, b []float64) float64 {
 		}
 	}
 	return max
-}
-
-func sqrtF(x float64) float64 {
-	// local alias to avoid importing math in several files
-	return mathSqrt(x)
 }

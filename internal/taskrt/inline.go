@@ -54,5 +54,10 @@ func (e *Inline) Submit(t *Task) {
 	}
 }
 
-// Wait returns the joined errors produced by submitted tasks, if any.
-func (e *Inline) Wait() error { return errors.Join(e.errs...) }
+// Wait returns the joined errors produced by the tasks run since the last
+// Wait, if any, and clears them.
+func (e *Inline) Wait() error {
+	err := errors.Join(e.errs...)
+	e.errs = nil
+	return err
+}

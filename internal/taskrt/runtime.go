@@ -252,15 +252,7 @@ func (r *Runtime) DepChecker() *DepChecker { return r.depc }
 // are satisfied. Safe for concurrent use, although B-Par's builders submit
 // from a single goroutine in topological order, like Algorithm 2/3.
 func (r *Runtime) Submit(t *Task) {
-	tStart := time.Now()
-	if !r.submitMu.TryLock() {
-		r.submitMu.Lock()
-		r.stats.lockWaitNS.Add(time.Since(tStart).Nanoseconds())
-	}
-	if r.shutdownFlg.Load() {
-		r.submitMu.Unlock()
-		panic(fmt.Sprintf("taskrt: Submit of task %q after Shutdown — the worker pool is gone; create a new Runtime or submit before Shutdown", t.Label))
-	}
+	tStart := r.lockSubmit(func() string { return fmt.Sprintf("Submit of task %q", t.Label) })
 	n := r.submitOne(t)
 	r.submitMu.Unlock()
 	if n != nil {
@@ -278,15 +270,7 @@ func (r *Runtime) SubmitAll(ts []*Task) {
 	if len(ts) == 0 {
 		return
 	}
-	tStart := time.Now()
-	if !r.submitMu.TryLock() {
-		r.submitMu.Lock()
-		r.stats.lockWaitNS.Add(time.Since(tStart).Nanoseconds())
-	}
-	if r.shutdownFlg.Load() {
-		r.submitMu.Unlock()
-		panic(fmt.Sprintf("taskrt: SubmitAll of %d tasks (first %q) after Shutdown — the worker pool is gone; create a new Runtime or submit before Shutdown", len(ts), ts[0].Label))
-	}
+	tStart := r.lockSubmit(func() string { return fmt.Sprintf("SubmitAll of %d tasks (first %q)", len(ts), ts[0].Label) })
 	var ready []*node
 	for _, t := range ts {
 		if n := r.submitOne(t); n != nil {
@@ -299,6 +283,22 @@ func (r *Runtime) SubmitAll(ts []*Task) {
 		r.wake(len(ready))
 	}
 	r.stats.submitNS.Add(time.Since(tStart).Nanoseconds())
+}
+
+// lockSubmit takes submitMu, charging any wait for it to the lock-wait
+// counter, and returns when it started. After Shutdown it panics instead,
+// naming the submission with describe.
+func (r *Runtime) lockSubmit(describe func() string) time.Time {
+	tStart := time.Now()
+	if !r.submitMu.TryLock() {
+		r.submitMu.Lock()
+		r.stats.lockWaitNS.Add(time.Since(tStart).Nanoseconds())
+	}
+	if r.shutdownFlg.Load() {
+		r.submitMu.Unlock()
+		panic("taskrt: " + describe() + " after Shutdown — the worker pool is gone; create a new Runtime or submit before Shutdown")
+	}
+	return tStart
 }
 
 // submitOne derives the task's dependency edges and registers it. Caller
@@ -554,9 +554,10 @@ func (r *Runtime) execute(n *node, w int) {
 }
 
 // Wait blocks until all submitted tasks have completed, then returns the
-// joined task errors (nil if none). The runtime remains usable afterwards:
-// the dependency table persists, so later submissions still order against
-// completed writers correctly (completed predecessors simply add no edges).
+// joined errors of the tasks completed since the last Wait (nil if none) and
+// clears them. The runtime remains usable afterwards: the dependency table
+// persists, so later submissions still order against completed writers
+// correctly (completed predecessors simply add no edges).
 func (r *Runtime) Wait() error {
 	if r.outstanding.Load() > 0 {
 		r.doneWaiters.Add(1)
@@ -572,6 +573,7 @@ func (r *Runtime) Wait() error {
 		r.errs = append(r.errs, r.depc.take()...)
 	}
 	err := errors.Join(r.errs...)
+	r.errs = nil
 	r.errsMu.Unlock()
 	return err
 }

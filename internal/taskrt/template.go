@@ -281,15 +281,7 @@ func (r *Runtime) Replay(tpl *Template) {
 	if len(tpl.nodes) == 0 {
 		return
 	}
-	tStart := time.Now()
-	if !r.submitMu.TryLock() {
-		r.submitMu.Lock()
-		r.stats.lockWaitNS.Add(time.Since(tStart).Nanoseconds())
-	}
-	if r.shutdownFlg.Load() {
-		r.submitMu.Unlock()
-		panic(fmt.Sprintf("taskrt: Replay of %d-task template after Shutdown — the worker pool is gone; create a new Runtime or replay before Shutdown", len(tpl.nodes)))
-	}
+	tStart := r.lockSubmit(func() string { return fmt.Sprintf("Replay of %d-task template", len(tpl.nodes)) })
 	if !tpl.live.CompareAndSwap(0, int64(len(tpl.nodes))) {
 		r.submitMu.Unlock()
 		panic("taskrt: Replay of a template whose previous replay has not drained; Wait before replaying it again")

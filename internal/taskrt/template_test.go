@@ -181,6 +181,33 @@ func TestReplayPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestWaitClearsTaskErrors checks that Wait reports a task failure once: on
+// either executor, a clean template replayed after a panicking one waits to
+// nil, so one failed step does not fail every later step of an engine.
+func TestWaitClearsTaskErrors(t *testing.T) {
+	r := New(Options{Workers: 2})
+	defer r.Shutdown()
+	capture := func(fn func()) *Template {
+		c := NewCapture()
+		c.Submit(&Task{Label: "t", Fn: fn})
+		return c.Freeze()
+	}
+	boom, clean := capture(func() { panic("kaput") }), capture(func() {})
+	for _, ex := range []struct {
+		name string
+		e    Executor
+	}{{"Runtime", r}, {"Inline", NewInline(nil)}} {
+		ex.e.Replay(boom)
+		if err := ex.e.Wait(); err == nil || !strings.Contains(err.Error(), "kaput") {
+			t.Fatalf("%s: Wait after the panicking template = %v, want the task panic", ex.name, err)
+		}
+		ex.e.Replay(clean)
+		if err := ex.e.Wait(); err != nil {
+			t.Fatalf("%s: Wait after the clean template = %v, want nil", ex.name, err)
+		}
+	}
+}
+
 func TestReplayAfterShutdownPanics(t *testing.T) {
 	r := New(Options{Workers: 1})
 	tpl := captureChain()

@@ -133,3 +133,58 @@ dotstore:
 	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
+
+// func dotColsAVX(s *[8]float64, a, b []float64, stride int)
+//
+// For eight columns c, s[c] = a[0]*bc[0] + a[1]*bc[1] + ... summed from +0
+// in ascending order over the first len(a)&^1 terms, where bc[p] =
+// b[c*stride+p]. Each step transposes two terms of four columns in
+// registers, so one lane carries one column's sequential sum.
+TEXT ·dotColsAVX(SB), NOSPLIT, $0-64
+	MOVQ   s+0(FP), DI
+	MOVQ   a_base+8(FP), SI
+	MOVQ   a_len+16(FP), CX
+	MOVQ   b_base+32(FP), R8
+	MOVQ   stride+56(FP), R9
+	SHLQ   $3, R9
+	LEAQ   (R9)(R9*2), R10 // 3 rows
+	LEAQ   (R8)(R9*4), R11 // columns 4..7
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	SHRQ   $1, CX
+	JZ     colstore
+
+colloop:
+	VBROADCASTSD (SI), Y2
+	VBROADCASTSD 8(SI), Y3
+	VMOVUPD      (R8), X4
+	VMOVUPD      (R8)(R9*1), X5
+	VINSERTF128  $1, (R8)(R9*2), Y4, Y4
+	VINSERTF128  $1, (R8)(R10*1), Y5, Y5
+	VUNPCKLPD    Y5, Y4, Y6             // term p of columns 0..3
+	VUNPCKHPD    Y5, Y4, Y7             // term p+1
+	VMULPD       Y6, Y2, Y6
+	VADDPD       Y6, Y0, Y0
+	VMULPD       Y7, Y3, Y7
+	VADDPD       Y7, Y0, Y0
+	VMOVUPD      (R11), X8
+	VMOVUPD      (R11)(R9*1), X9
+	VINSERTF128  $1, (R11)(R9*2), Y8, Y8
+	VINSERTF128  $1, (R11)(R10*1), Y9, Y9
+	VUNPCKLPD    Y9, Y8, Y10            // term p of columns 4..7
+	VUNPCKHPD    Y9, Y8, Y11            // term p+1
+	VMULPD       Y10, Y2, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       Y11, Y3, Y11
+	VADDPD       Y11, Y1, Y1
+	ADDQ         $16, SI
+	ADDQ         $16, R8
+	ADDQ         $16, R11
+	DECQ         CX
+	JNZ          colloop
+
+colstore:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET

@@ -96,8 +96,9 @@ func checkTCols[E Elt](dst, a, bT *Mat[E], lo int, name string) {
 
 // gemmTColsPanel accumulates dst[:, dstLo+jj:dstLo+jMax) += a *
 // bT[jj:jMax, lo:lo+k)^T, one gemmTRow per row of a, or with the vector
-// kernels on, one laneRows.run per four rows. Shared by every dot-form entry
-// point so all accumulate in bitwise-identical order.
+// kernels on, one laneRows.run per four rows and one dotCols per leftover
+// row. Shared by every dot-form entry point so all accumulate in
+// bitwise-identical order.
 func gemmTColsPanel[E Elt](dst *Mat[E], dstLo int, a, bT *Mat[E], lo, jj, jMax int) {
 	m, k := a.Rows, a.Cols
 	d64, a64, b64 := vecMat(dst), vecMat(a), vecMat(bT)
@@ -108,6 +109,9 @@ func gemmTColsPanel[E Elt](dst *Mat[E], dstLo int, a, bT *Mat[E], lo, jj, jMax i
 			lanes.d[l], lanes.a[l] = d64.Data[(i+l)*dst.Cols+dstLo:], a64.Data[(i+l)*k:(i+l+1)*k]
 		}
 		lanes.run(b64.Data, bT.Cols, lo, jj, jMax)
+	}
+	for ; d64 != nil && i < m; i++ {
+		dotCols(d64.Data[i*dst.Cols+dstLo:], a64.Data[i*k:(i+1)*k], b64.Data, bT.Cols, lo, jj, jMax)
 	}
 	for ; i < m; i++ {
 		gemmTRow(dst.Data[i*dst.Cols+dstLo:], a.Data[i*k:(i+1)*k], bT.Data, bT.Cols, lo, jj, jMax)

@@ -55,3 +55,21 @@ func (r *laneRows) run(bT []float64, kb, lo, jj, jMax int) {
 		gemmTRow(drow, r.a[l], bT, kb, lo, jj+nv, jMax)
 	}
 }
+
+// dotCols is gemmTRow with eight columns at a time in dotColsAVX, one column
+// per lane: each sum starts from +0 and adds its terms in ascending order,
+// an odd last term in Go, then lands in drow[j]. The columns after the last
+// group of eight take gemmTRow.
+func dotCols(drow, arow, bT []float64, kb, lo, j, jMax int) {
+	var s [8]float64
+	for k := len(arow); j+8 <= jMax; j += 8 {
+		dotColsAVX(&s, arow, bT[j*kb+lo:(j+7)*kb+lo+k], kb)
+		for c, v := range s {
+			if k&1 == 1 {
+				v += arow[k-1] * bT[(j+c)*kb+lo+k-1]
+			}
+			drow[j+c] += v
+		}
+	}
+	gemmTRow(drow, arow, bT, kb, lo, j, jMax)
+}

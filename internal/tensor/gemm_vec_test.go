@@ -80,19 +80,9 @@ func TestVecKernelsMatchGo(t *testing.T) {
 		pp := NewPackedPanel(bT, lo, k)
 		check := func(name string, dsts []*Matrix, run func(ds []*Matrix)) {
 			t.Helper()
-			var got [2][]*Matrix
-			for v := range got {
-				vecKernels = v == 1
-				for _, d := range dsts {
-					got[v] = append(got[v], d.Clone())
-				}
-				run(got[v])
-			}
-			for s := range dsts {
-				if !sameBits(got[0][s], got[1][s]) {
-					t.Fatalf("trial %d %s (m=%d k=%d n=%d ops=%d) operand %d: vector bits differ from Go",
-						trial, name, m, k, n, ops, s)
-				}
+			if s := vecDiffersFromGo(dsts, run); s >= 0 {
+				t.Fatalf("trial %d %s (m=%d k=%d n=%d ops=%d) operand %d: vector bits differ from Go",
+					trial, name, m, k, n, ops, s)
 			}
 		}
 		one := func(d *Matrix) []*Matrix { return []*Matrix{d} }
@@ -107,22 +97,78 @@ func TestVecKernelsMatchGo(t *testing.T) {
 	}
 }
 
+// vecDiffersFromGo runs run on clones of dsts with the vector kernels off
+// and then on, and returns the first operand whose bits differ, or -1.
+func vecDiffersFromGo(dsts []*Matrix, run func(ds []*Matrix)) int {
+	var got [2][]*Matrix
+	for v := range got {
+		vecKernels = v == 1
+		for _, d := range dsts {
+			got[v] = append(got[v], d.Clone())
+		}
+		run(got[v])
+	}
+	for s := range dsts {
+		if !sameBits(got[0][s], got[1][s]) {
+			return s
+		}
+	}
+	return -1
+}
+
+// TestDotColsMatchGo checks GemmTAccCols on m = 1..3 rows, the rows that
+// dotCols runs one column per lane (the M=1 chain of a batch-1 step, and the
+// rows left over after the four-row lanes), at shapes the random trials
+// reach rarely: the Table III window (lo > 0, kb ≫ k), n across the blockN
+// panel boundary with n%8 ≠ 0, and k = 0, 1 and odd. Each runs without and
+// with ±Inf and NaN, which swamp most sums at k = 256.
+func TestDotColsMatchGo(t *testing.T) {
+	if !hasAVX() {
+		t.Skip("no AVX: the Go kernels are the only path")
+	}
+	setVecKernels(t, true)
+	r := rng.New(47)
+	for _, sh := range []struct{ k, n, kb, lo int }{
+		{256, 1024, 512, 256}, // Table III: Wh inside the fused [4H x In+H] weights
+		{33, blockN + 11, 41, 5},
+		{0, 27, 3, 2},
+		{1, 27, 3, 2},
+		{7, 2*blockN + 3, 70, 60},
+		{129, 13, 300, 100},
+	} {
+		for m := 1; m <= 3; m++ {
+			for _, specials := range []bool{false, true} {
+				a, bT := specialMatrix(r, m, sh.k, specials), specialMatrix(r, sh.n, sh.kb, specials)
+				d := specialMatrix(r, m, sh.n, specials)
+				if vecDiffersFromGo([]*Matrix{d}, func(ds []*Matrix) { GemmTAccCols(ds[0], a, bT, sh.lo) }) >= 0 {
+					t.Fatalf("GemmTAccCols/M1 (m=%d k=%d n=%d kb=%d lo=%d specials=%v): vector bits differ from Go",
+						m, sh.k, sh.n, sh.kb, sh.lo, specials)
+				}
+			}
+		}
+	}
+}
+
+// gemmBenchShape is one named shape of a benchmarked GEMM family; each
+// benchmark's body says what its rows, gates, k and t are.
+type gemmBenchShape struct {
+	name              string
+	rows, gates, k, t int
+}
+
 // gemmBenchShapes are the paper's two training shapes: Table III (LSTM
 // 256/256, batch 1, so every projection and dX operand is one row of an
 // 8-step tile, and dW sums over T=100 steps) and Table IV (GRU 256/256,
 // 8-row mini-batches, dW over T*rows = 160 terms).
-var gemmBenchShapes = []struct {
-	name              string
-	rows, gates, k, t int
-}{
+var gemmBenchShapes = []gemmBenchShape{
 	{"tableIII", 1, 4 * 256, 100, 8},
 	{"tableIV", 8, 3 * 256, 160, 8},
 }
 
 // benchVecAndGo runs body as a "go" and a "vec" sub-benchmark per shape and
 // reports GFLOP/s from the flops one call performs.
-func benchVecAndGo(b *testing.B, flops func(rows, gates, k, t int) int, body func(b *testing.B, rows, gates, k, t int)) {
-	for _, sh := range gemmBenchShapes {
+func benchVecAndGo(b *testing.B, shapes []gemmBenchShape, flops func(rows, gates, k, t int) int, body func(b *testing.B, rows, gates, k, t int)) {
+	for _, sh := range shapes {
 		for _, path := range []string{"go", "vec"} {
 			b.Run(fmt.Sprintf("%s/%s", sh.name, path), func(b *testing.B) {
 				if path == "vec" && !hasAVX() {
@@ -139,7 +185,7 @@ func benchVecAndGo(b *testing.B, flops func(rows, gates, k, t int) int, body fun
 // BenchmarkGemmProj is the projection: t operand tiles times the input half
 // of the fused weights (gemmTColsPanel, operand or row lanes).
 func BenchmarkGemmProj(b *testing.B) {
-	benchVecAndGo(b, func(rows, gates, k, t int) int { return 2 * t * rows * 256 * gates },
+	benchVecAndGo(b, gemmBenchShapes, func(rows, gates, k, t int) int { return 2 * t * rows * 256 * gates },
 		func(b *testing.B, rows, gates, _, t int) {
 			r := rng.New(1)
 			w := randomMatrix(r, gates, 512)
@@ -157,7 +203,7 @@ func BenchmarkGemmProj(b *testing.B) {
 // [gates x k] times inputs [256 x k] (gemmTColsPanel over GemmTAccDstCols,
 // row lanes).
 func BenchmarkGemmDW(b *testing.B) {
-	benchVecAndGo(b, func(_, gates, k, _ int) int { return 2 * gates * k * 256 },
+	benchVecAndGo(b, gemmBenchShapes, func(_, gates, k, _ int) int { return 2 * gates * k * 256 },
 		func(b *testing.B, _, gates, k, _ int) {
 			r := rng.New(2)
 			dw, p, xT := New(gates, 512), randomMatrix(r, gates, k), randomMatrix(r, 256, k)
@@ -170,7 +216,7 @@ func BenchmarkGemmDW(b *testing.B) {
 // BenchmarkGemmDX is the input gradient: t gate-gradient tiles times the
 // input half of the weights (gemmAColsBlock, lanes over columns).
 func BenchmarkGemmDX(b *testing.B) {
-	benchVecAndGo(b, func(rows, gates, _, t int) int { return 2 * t * rows * gates * 256 },
+	benchVecAndGo(b, gemmBenchShapes, func(rows, gates, _, t int) int { return 2 * t * rows * gates * 256 },
 		func(b *testing.B, rows, gates, _, t int) {
 			r := rng.New(3)
 			w := randomMatrix(r, gates, 512)
@@ -180,6 +226,34 @@ func BenchmarkGemmDX(b *testing.B) {
 			}
 			for b.Loop() {
 				GemmAccColsBatch(dsts, gs, 0, gates, w, 0)
+			}
+		})
+}
+
+// BenchmarkGemmChain is the recurrent chain of a batch-1 step: hPrev [1 x H]
+// times the recurrent half Wh of the fused [4H x 2H] weights (gemmTColsPanel,
+// dotCols), cycling over t weight matrices: one hot Wh at Table III's
+// H = 256, the 12 Wh of its 6-layer bidirectional model, and H = 128 and
+// train_fine_h32_t100's H = 32, whose Wh sit in L2.
+func BenchmarkGemmChain(b *testing.B) {
+	shapes := []gemmBenchShape{
+		{"tableIII", 1, 4 * 256, 256, 1},
+		{"tableIII-12w", 1, 4 * 256, 256, 12},
+		{"h128", 1, 4 * 128, 128, 1},
+		{"h32", 1, 4 * 32, 32, 1},
+	}
+	benchVecAndGo(b, shapes, func(rows, gates, k, t int) int { return 2 * t * rows * k * gates },
+		func(b *testing.B, rows, gates, k, t int) {
+			r := rng.New(4)
+			ws := make([]*Matrix, t)
+			for i := range ws {
+				ws[i] = randomMatrix(r, gates, 2*k)
+			}
+			d, h := New(rows, gates), randomMatrix(r, rows, k)
+			for b.Loop() {
+				for _, w := range ws {
+					GemmTAccCols(d, h, w, k)
+				}
 			}
 		})
 }

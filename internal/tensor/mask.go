@@ -20,10 +20,7 @@ func MaskRowsZero[E Elt](m *Mat[E], lens []int, t int) {
 	guardW(m)
 	for i, n := range lens {
 		if n <= t {
-			row := m.Row(i)
-			for j := range row {
-				row[j] = 0
-			}
+			clear(m.Row(i))
 		}
 	}
 }

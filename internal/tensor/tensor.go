@@ -64,9 +64,7 @@ func (m *Mat[E]) CopyFrom(src *Mat[E]) {
 // Zero sets every element to zero.
 func (m *Mat[E]) Zero() {
 	guardW(m)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
+	clear(m.Data)
 }
 
 // Equal reports exact element-wise equality (including shape).
@@ -155,11 +153,4 @@ func (m *Mat[E]) SliceRows(lo, hi int) *Mat[E] {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %d rows", lo, hi, m.Rows))
 	}
 	return &Mat[E]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

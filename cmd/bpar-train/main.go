@@ -303,7 +303,6 @@ func run(ctx context.Context, o options) error {
 		"local_queue_hits", st.LocalHits,
 		"steals", st.Steals,
 		"steal_fails", st.StealFails,
-		"submit_lock_wait", time.Duration(st.LockWaitNS),
 		"worker_idle", time.Duration(st.IdleNS()))
 
 	if profiler != nil {

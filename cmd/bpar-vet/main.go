@@ -4,7 +4,7 @@
 //
 //	undeclaredwrite  task body writes a tensor whose key is missing from Out/InOut
 //	depkey           value-typed dependency key in a []taskrt.Dep list
-//	lifecycle        Submit/SubmitAll/Replay after Shutdown on the same runtime
+//	lifecycle        Replay/SubmitAll after Shutdown on the same runtime
 //	emitterbarrier   Wait inside a graph-emitter file
 //	stalecapture     per-step state frozen into a captured task graph
 //	errcheck         discarded error result in a command package

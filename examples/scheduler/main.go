@@ -23,10 +23,10 @@ func main() {
 	graphReplayDemo()
 }
 
-// directRuntimeDemo submits hand-annotated tasks, exactly like the pragma
+// directRuntimeDemo captures hand-annotated tasks, exactly like the pragma
 // annotations of the paper's Algorithm 2: in(...) out(...) clauses on
-// buffers. The runtime derives the dependency graph and runs what it can in
-// parallel.
+// buffers. The capture derives the dependency graph once; the runtime
+// replays it, running what it can in parallel.
 func directRuntimeDemo() {
 	fmt.Println("== direct runtime: a diamond of tasks ==")
 	rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.LocalityAware})
@@ -36,6 +36,7 @@ func directRuntimeDemo() {
 	type buf struct{ vals [4]float64 }
 	a, b, c := &buf{}, &buf{}, &buf{}
 	var order int64
+	capture := taskrt.NewCapture()
 
 	stamp := func(name string) int64 {
 		n := atomic.AddInt64(&order, 1)
@@ -47,22 +48,23 @@ func directRuntimeDemo() {
 		return n
 	}
 
-	rt.Submit(&taskrt.Task{
+	capture.Submit(&taskrt.Task{
 		Label: "produce-a", Out: []taskrt.Dep{a},
 		Fn: func() { a.vals[0] = 1; stamp("produce-a") },
 	})
-	rt.Submit(&taskrt.Task{
+	capture.Submit(&taskrt.Task{
 		Label: "a-to-b", In: []taskrt.Dep{a}, Out: []taskrt.Dep{b},
 		Fn: func() { b.vals[0] = a.vals[0] * 2; stamp("a-to-b") },
 	})
-	rt.Submit(&taskrt.Task{
+	capture.Submit(&taskrt.Task{
 		Label: "a-to-c", In: []taskrt.Dep{a}, Out: []taskrt.Dep{c},
 		Fn: func() { c.vals[0] = a.vals[0] + 10; stamp("a-to-c") },
 	})
-	rt.Submit(&taskrt.Task{
+	capture.Submit(&taskrt.Task{
 		Label: "join-bc", In: []taskrt.Dep{b, c},
 		Fn: func() { stamp("join-bc"); fmt.Printf("  result: %g\n", b.vals[0]+c.vals[0]) },
 	})
+	rt.Replay(capture.Freeze())
 	if err := rt.Wait(); err != nil {
 		log.Fatal(err)
 	}

@@ -7,16 +7,15 @@ import (
 	"go/types"
 )
 
-// passLifecycle flags Submit/SubmitAll/Replay calls that appear, in source
-// order within one function, after a Shutdown of the same runtime variable.
-// After Shutdown the worker pool is gone; the runtime panics at run time
-// (see taskrt.Runtime.Submit), but catching it statically turns a crash into
-// a vet diagnostic. Replay is a submission too — it publishes a frozen
-// template's roots to the same dead pool. Wait is not terminal: a runtime
-// accepts new submissions after Wait returns.
+// passLifecycle flags Replay/SubmitAll calls that appear, in source order
+// within one function, after a Shutdown of the same runtime variable. After
+// Shutdown the worker pool is gone; the runtime panics at run time (see
+// taskrt.Runtime.Replay, which SubmitAll calls), but catching it statically
+// turns a crash into a vet diagnostic. Wait is not terminal: a runtime
+// accepts new replays after Wait returns.
 var passLifecycle = Pass{
 	Name: "lifecycle",
-	Doc:  "Submit/SubmitAll/Replay after Shutdown on the same runtime",
+	Doc:  "Replay/SubmitAll after Shutdown on the same runtime",
 	Run:  runLifecycle,
 }
 
@@ -37,7 +36,7 @@ func runLifecycle(p *Program, u *Unit) []Diagnostic {
 func lifecycleInFunc(u *Unit, fd *ast.FuncDecl) []Diagnostic {
 	// First sweep: the earliest Shutdown per runtime object.
 	// Deferred calls don't count — `defer rt.Shutdown()` runs after every
-	// Submit in the function body.
+	// Replay in the function body.
 	ended := map[types.Object]token.Pos{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if _, isDefer := n.(*ast.DeferStmt); isDefer {
@@ -67,7 +66,7 @@ func lifecycleInFunc(u *Unit, fd *ast.FuncDecl) []Diagnostic {
 			return true
 		}
 		name, obj := taskrtMethodCall(u.Info, call)
-		if name != "Submit" && name != "SubmitAll" && name != "Replay" {
+		if name != "SubmitAll" && name != "Replay" {
 			return true
 		}
 		end, seen := ended[obj]

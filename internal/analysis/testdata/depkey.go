@@ -6,9 +6,9 @@ import "bpar/internal/taskrt"
 
 type keyPair struct{ a, b int }
 
-func badValueKeys(rt *taskrt.Runtime, chain int) {
+func badValueKeys(rec *taskrt.Capture, chain int) {
 	k := 7
-	rt.Submit(&taskrt.Task{
+	rec.Submit(&taskrt.Task{
 		Label: "value-keys",
 		In: []taskrt.Dep{
 			chain,         // want "value-typed dependency key \\(int\\)"
@@ -21,5 +21,5 @@ func badValueKeys(rt *taskrt.Runtime, chain int) {
 	deps := []taskrt.Dep{}
 	deps = append(deps, chain) // want "value-typed dependency key \\(int\\)"
 	deps = append(deps, &k)
-	rt.Submit(&taskrt.Task{Label: "grown", InOut: deps})
+	rec.Submit(&taskrt.Task{Label: "grown", InOut: deps})
 }

@@ -20,13 +20,13 @@ type workspace struct {
 	buf  []float64
 }
 
-func emitReadsBindingAtEmission(rt *taskrt.Runtime, ws *workspace) {
+func emitReadsBindingAtEmission(rec *taskrt.Capture, ws *workspace) {
 	x := ws.bind.x // want "per-step binding read at emission time in emit_backward.go"
-	rt.Submit(&taskrt.Task{Label: "stale", Fn: func() { _ = x }})
+	rec.Submit(&taskrt.Task{Label: "stale", Fn: func() { _ = x }})
 }
 
-func emitCapturesBatch(rt *taskrt.Runtime, ws *workspace, mb *Batch) {
-	rt.Submit(&taskrt.Task{
+func emitCapturesBatch(rec *taskrt.Capture, ws *workspace, mb *Batch) {
+	rec.Submit(&taskrt.Task{
 		Label: "stale",
 		Fn: func() {
 			copy(ws.buf, mb.X) // want "task closure captures per-step batch \"mb\""
@@ -34,10 +34,10 @@ func emitCapturesBatch(rt *taskrt.Runtime, ws *workspace, mb *Batch) {
 	})
 }
 
-func emitReadsBindingInBody(rt *taskrt.Runtime, ws *workspace) {
+func emitReadsBindingInBody(rec *taskrt.Capture, ws *workspace) {
 	// Correct: the binding is dereferenced when the body runs, so every
 	// replay sees the batch bound for its own step.
-	rt.Submit(&taskrt.Task{Label: "ok", Fn: func() { _ = ws.bind.x }})
+	rec.Submit(&taskrt.Task{Label: "ok", Fn: func() { _ = ws.bind.x }})
 }
 
 func emitBatchOutsideClosure(ws *workspace, mb *Batch) {

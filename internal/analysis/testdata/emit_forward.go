@@ -4,9 +4,7 @@ package fixture
 
 import "bpar/internal/taskrt"
 
-func emitStageWithBarrier(rt *taskrt.Runtime, tasks []*taskrt.Task) {
-	for _, t := range tasks {
-		rt.Submit(t)
-	}
-	_ = rt.Wait() // want "Wait inside emitter emit_forward.go acts as a barrier"
+func emitStageWithBarrier(rec *taskrt.Capture, ex taskrt.Executor, tasks []*taskrt.Task) {
+	rec.SubmitAll(tasks)
+	_ = ex.Wait() // want "Wait inside emitter emit_forward.go acts as a barrier"
 }

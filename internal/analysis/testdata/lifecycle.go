@@ -7,7 +7,6 @@ func lifecycleBad() {
 	rt := taskrt.New(taskrt.Options{Workers: 1})
 	t := &taskrt.Task{Label: "late"}
 	rt.Shutdown()
-	rt.Submit(t)                    // want "Submit after Shutdown"
 	rt.SubmitAll([]*taskrt.Task{t}) // want "SubmitAll after Shutdown"
 }
 
@@ -24,18 +23,11 @@ func lifecycleReplayDeferIsFine(tpl *taskrt.Template) {
 	_ = rt.Wait()
 }
 
-func lifecycleDeferIsFine() {
-	rt := taskrt.New(taskrt.Options{Workers: 1})
-	defer rt.Shutdown()
-	rt.Submit(&taskrt.Task{Label: "ok"})
-	_ = rt.Wait()
-}
-
-func lifecycleSeparateRuntimes() {
+func lifecycleSeparateRuntimes(tpl *taskrt.Template) {
 	a := taskrt.New(taskrt.Options{Workers: 1})
 	b := taskrt.New(taskrt.Options{Workers: 1})
 	a.Shutdown()
-	b.Submit(&taskrt.Task{Label: "other runtime"}) // different variable: fine
+	b.Replay(tpl) // different variable: fine
 	b.Shutdown()
 }
 
@@ -60,7 +52,7 @@ func lifecycleSubmitAfterWaitIsFine(tasks []*taskrt.Task, tpl *taskrt.Template) 
 	}
 	submit()
 	replay()
-	rt.Submit(&taskrt.Task{Label: "after wait"})
+	rt.Replay(tpl)
 	wait()
 	return rt.Shutdown
 }

@@ -44,8 +44,8 @@ func scaleInto(dst, src *tensor.Matrix) {
 	tensor.Scale(dst, 0.5, src)
 }
 
-func emitUndeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitUndeclared(rec *taskrt.Capture, ws *fixWS, x *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "bad-merge",
 		In:    []taskrt.Dep{ws.kDMerged},
 		Out:   []taskrt.Dep{},
@@ -55,8 +55,8 @@ func emitUndeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
 	})
 }
 
-func emitDeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitDeclared(rec *taskrt.Capture, ws *fixWS, x *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "good-merge",
 		Out:   []taskrt.Dep{ws.kMerged},
 		Fn: func() {
@@ -66,7 +66,7 @@ func emitDeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
 }
 
 // emitLateFn uses the append-built list and deferred-Fn emitter idiom.
-func emitLateFn(rt *taskrt.Runtime, ws *fixWS) {
+func emitLateFn(rec *taskrt.Capture, ws *fixWS) {
 	out := []taskrt.Dep{}
 	out = append(out, ws.kDMerged)
 	t := &taskrt.Task{Label: "late-fn", Out: out}
@@ -74,12 +74,12 @@ func emitLateFn(rt *taskrt.Runtime, ws *fixWS) {
 		ws.merged.Zero() // want "task \"late-fn\" writes ws.merged"
 		ws.dMerged.Zero()
 	}
-	rt.Submit(t)
+	rec.Submit(t)
 }
 
 // emitViaHelper writes through a local helper two levels above the kernel.
-func emitViaHelper(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitViaHelper(rec *taskrt.Capture, ws *fixWS, x *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "helper-write",
 		Out:   []taskrt.Dep{ws.kDMerged},
 		Fn: func() {
@@ -89,8 +89,8 @@ func emitViaHelper(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
 }
 
 // emitScratch writes a buffer with no key convention: silent by design.
-func emitScratch(rt *taskrt.Runtime, ws *fixWS) {
-	rt.Submit(&taskrt.Task{
+func emitScratch(rec *taskrt.Capture, ws *fixWS) {
+	rec.Submit(&taskrt.Task{
 		Label: "scratch-write",
 		Out:   []taskrt.Dep{ws.kMerged},
 		Fn: func() {
@@ -101,8 +101,8 @@ func emitScratch(rt *taskrt.Runtime, ws *fixWS) {
 
 // emitAliased writes through a local alias that can only point at
 // undeclared key-mapped buffers.
-func emitAliased(rt *taskrt.Runtime, ws *fixWS, flip bool) {
-	rt.Submit(&taskrt.Task{
+func emitAliased(rec *taskrt.Capture, ws *fixWS, flip bool) {
+	rec.Submit(&taskrt.Task{
 		Label: "alias-write",
 		In:    []taskrt.Dep{ws.kMerged},
 		Out:   []taskrt.Dep{},
@@ -118,8 +118,8 @@ func emitAliased(rt *taskrt.Runtime, ws *fixWS, flip bool) {
 
 // emitProjUndeclared mimics a projection task writing its gate-preload panel
 // through the column-window kernels without declaring the panel's key.
-func emitProjUndeclared(rt *taskrt.Runtime, ws *fixWS, x, w *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitProjUndeclared(rec *taskrt.Capture, ws *fixWS, x, w *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "bad-proj",
 		In:    []taskrt.Dep{ws.kMerged},
 		Fn: func() {
@@ -130,8 +130,8 @@ func emitProjUndeclared(rt *taskrt.Runtime, ws *fixWS, x, w *tensor.Matrix) {
 }
 
 // emitProjDeclared is the same write with the key declared: silent.
-func emitProjDeclared(rt *taskrt.Runtime, ws *fixWS, x, w *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitProjDeclared(rec *taskrt.Capture, ws *fixWS, x, w *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "good-proj",
 		Out:   []taskrt.Dep{ws.kPre},
 		Fn: func() {
@@ -143,8 +143,8 @@ func emitProjDeclared(rt *taskrt.Runtime, ws *fixWS, x, w *tensor.Matrix) {
 // emitDWStacked mimics a batched dw task: the stacked dot-form kernels write
 // a key-mapped gradient panel (must be declared) and unmapped transposition
 // scratch (silent by design).
-func emitDWStacked(rt *taskrt.Runtime, ws *fixWS, panels []*tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitDWStacked(rec *taskrt.Capture, ws *fixWS, panels []*tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "bad-dw",
 		In:    []taskrt.Dep{ws.kPre},
 		Fn: func() {
@@ -156,8 +156,8 @@ func emitDWStacked(rt *taskrt.Runtime, ws *fixWS, panels []*tensor.Matrix) {
 
 // emitConvUndeclared mimics a dtype-conversion task writing the float32
 // input mirror without declaring its key.
-func emitConvUndeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitConvUndeclared(rec *taskrt.Capture, ws *fixWS, x *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "bad-conv",
 		In:    []taskrt.Dep{ws.kMerged},
 		Fn: func() {
@@ -167,8 +167,8 @@ func emitConvUndeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
 }
 
 // emitConvDeclared declares the mirror's key: silent.
-func emitConvDeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitConvDeclared(rec *taskrt.Capture, ws *fixWS, x *tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "good-conv",
 		In:    []taskrt.Dep{ws.kMerged},
 		Out:   []taskrt.Dep{ws.kX32},
@@ -182,8 +182,8 @@ func emitConvDeclared(rt *taskrt.Runtime, ws *fixWS, x *tensor.Matrix) {
 // packed microkernel and the generic column-window kernel instantiated at
 // float32 write the preload panel, and each seed must fire without help from
 // the other.
-func emitPackedUndeclared(rt *taskrt.Runtime, ws *fixWS, w *tensor.Mat[float32], pp *tensor.PackedPanel[float32]) {
-	rt.Submit(&taskrt.Task{
+func emitPackedUndeclared(rec *taskrt.Capture, ws *fixWS, w *tensor.Mat[float32], pp *tensor.PackedPanel[float32]) {
+	rec.Submit(&taskrt.Task{
 		Label: "bad-packed",
 		In:    []taskrt.Dep{ws.kX32},
 		Fn: func() {
@@ -194,8 +194,8 @@ func emitPackedUndeclared(rt *taskrt.Runtime, ws *fixWS, w *tensor.Mat[float32],
 }
 
 // emitPackedDeclared is the same projection with the panel key declared.
-func emitPackedDeclared(rt *taskrt.Runtime, ws *fixWS, pp *tensor.PackedPanel[float32]) {
-	rt.Submit(&taskrt.Task{
+func emitPackedDeclared(rec *taskrt.Capture, ws *fixWS, pp *tensor.PackedPanel[float32]) {
+	rec.Submit(&taskrt.Task{
 		Label: "good-packed",
 		In:    []taskrt.Dep{ws.kX32},
 		Out:   []taskrt.Dep{ws.kPre32},
@@ -208,8 +208,8 @@ func emitPackedDeclared(rt *taskrt.Runtime, ws *fixWS, pp *tensor.PackedPanel[fl
 // emitMaskUndeclared mimics the masked variable-length batch tasks: the
 // row-masking, boundary-accumulate, and last-row gather kernels all write
 // their first argument, and each seed must fire on its own.
-func emitMaskUndeclared(rt *taskrt.Runtime, ws *fixWS, lens []int, srcs []*tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitMaskUndeclared(rec *taskrt.Capture, ws *fixWS, lens []int, srcs []*tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "bad-mask",
 		In:    []taskrt.Dep{ws.kMerged},
 		Fn: func() {
@@ -221,8 +221,8 @@ func emitMaskUndeclared(rt *taskrt.Runtime, ws *fixWS, lens []int, srcs []*tenso
 }
 
 // emitMaskDeclared declares every masked-kernel destination: silent.
-func emitMaskDeclared(rt *taskrt.Runtime, ws *fixWS, lens []int, srcs []*tensor.Matrix) {
-	rt.Submit(&taskrt.Task{
+func emitMaskDeclared(rec *taskrt.Capture, ws *fixWS, lens []int, srcs []*tensor.Matrix) {
+	rec.Submit(&taskrt.Task{
 		Label: "good-mask",
 		Out:   []taskrt.Dep{ws.kDMerged, ws.kPre},
 		Fn: func() {
@@ -235,9 +235,9 @@ func emitMaskDeclared(rt *taskrt.Runtime, ws *fixWS, lens []int, srcs []*tensor.
 // emitDirUndeclared mimics the unified backward-chain emitter: the direction
 // is an index, the body writes the chain buffer of the next cell through the
 // per-direction pointer, and Out forgets that buffer's key.
-func emitDirUndeclared(rt *taskrt.Runtime, ws *fixDirWS, i, l, t int, lens []int) {
+func emitDirUndeclared(rec *taskrt.Capture, ws *fixDirWS, i, l, t int, lens []int) {
 	d := &ws.dir[i]
-	rt.Submit(&taskrt.Task{
+	rec.Submit(&taskrt.Task{
 		Label: "bad-dir-chain",
 		In:    []taskrt.Dep{d.kDHChain[l][t]},
 		Fn: func() {
@@ -249,7 +249,7 @@ func emitDirUndeclared(rt *taskrt.Runtime, ws *fixDirWS, i, l, t int, lens []int
 
 // emitDirDeclared is the same write with the sibling key declared through
 // the append-built Out list the real emitter uses: silent.
-func emitDirDeclared(rt *taskrt.Runtime, ws *fixDirWS, i, l, t int, lens []int) {
+func emitDirDeclared(rec *taskrt.Capture, ws *fixDirWS, i, l, t int, lens []int) {
 	d := &ws.dir[i]
 	var out []taskrt.Dep
 	if t > 0 {
@@ -259,15 +259,15 @@ func emitDirDeclared(rt *taskrt.Runtime, ws *fixDirWS, i, l, t int, lens []int) 
 	task.Fn = func() {
 		tensor.MaskRowsZero(d.dHChain[l][t-1], lens, t-1) // declared: no diagnostic
 	}
-	rt.Submit(task)
+	rec.Submit(task)
 }
 
 // emitOpaqueDecl has a declaration list the analyzer cannot resolve:
 // conservatively silent even though the write is real.
 func deps(ws *fixWS) []taskrt.Dep { return []taskrt.Dep{ws.kMerged} }
 
-func emitOpaqueDecl(rt *taskrt.Runtime, ws *fixWS) {
-	rt.Submit(&taskrt.Task{
+func emitOpaqueDecl(rec *taskrt.Capture, ws *fixWS) {
+	rec.Submit(&taskrt.Task{
 		Label: "opaque-decl",
 		Out:   deps(ws),
 		Fn: func() {

@@ -69,8 +69,9 @@ type tplProf struct {
 	lastEndNS   []int64
 	lastWorker  []int32
 
-	// replayStartAtNS is written by ReplayStart under the runtime's submit
-	// lock and read by ReplayDone; the root-publication edge orders them.
+	// replayStartAtNS is written by ReplayStart before the replay's roots
+	// are published and read by ReplayDone; the root-publication edge
+	// orders them.
 	replayStartAtNS int64
 
 	// eftScratch is ReplayDone's longest-path buffer; replays of one

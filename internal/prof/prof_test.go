@@ -157,24 +157,6 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFreshEmissionNotProfiled checks fresh (non-template) submissions never
-// reach the sink.
-func TestFreshEmissionNotProfiled(t *testing.T) {
-	p := NewGraphProfiler()
-	rt := taskrt.New(taskrt.Options{Workers: 2, Profile: p})
-	defer rt.Shutdown()
-	for i := 0; i < 20; i++ {
-		rt.Submit(&taskrt.Task{Kind: "free", Fn: func() {}})
-	}
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Templates() != 0 || p.Replays() != 0 {
-		t.Fatalf("fresh tasks leaked into the profiler: %d templates, %d replays",
-			p.Templates(), p.Replays())
-	}
-}
-
 // TestMetrics scrapes the bpar_prof_* gauges after a profiled replay.
 func TestMetrics(t *testing.T) {
 	p := NewGraphProfiler()

@@ -88,7 +88,8 @@ func (dc *DepChecker) Register(key Dep, name string, bufs ...any) {
 }
 
 // RegisterStep is Register for buffers that live only for one step (e.g. the
-// current batch's input matrices); Reset clears these associations.
+// current batch's input matrices); ResetStepOwners clears these
+// associations.
 func (dc *DepChecker) RegisterStep(key Dep, name string, bufs ...any) {
 	dc.mu.Lock()
 	dc.names[key] = name
@@ -117,16 +118,22 @@ func (dc *DepChecker) state(k Dep) *depKeyState {
 	return st
 }
 
-// onSubmit records the task's declarations and computes the key versions it
-// must observe. Called under the runtime's submission lock, so it sees tasks
-// in the exact order edges are derived. It also rejects self-dependencies:
-// a key in both In and Out/InOut would make the task its own predecessor —
-// the one cycle a topological-order submitter can express — which the edge
-// derivation silently drops instead of honouring.
-func (dc *DepChecker) onSubmit(t *Task) {
+// announce records the declarations of a replay's tasks, in capture order,
+// the order their edges were derived in, before any of them runs.
+func (dc *DepChecker) announce(ts []*Task) {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
+	for _, t := range ts {
+		dc.announceOne(t)
+	}
+}
 
+// announceOne records the task's declarations and computes the key versions
+// it must observe. It also rejects self-dependencies: a key in both In and
+// Out/InOut would make the task its own predecessor — the one cycle a
+// topological-order submitter can express — which the edge derivation
+// silently drops instead of honouring. Caller holds dc.mu.
+func (dc *DepChecker) announceOne(t *Task) {
 	rec := &depTaskRec{
 		task:        t,
 		readSet:     make(map[Dep]bool, len(t.In)+len(t.InOut)),
@@ -178,7 +185,7 @@ func (dc *DepChecker) begin(t *Task) {
 	dc.runMu.Lock()
 	dc.mu.Lock()
 	rec := dc.recs[t]
-	if rec == nil { // task submitted before DepCheck was enabled; skip
+	if rec == nil { // never announced: nothing to check
 		dc.mu.Unlock()
 		return
 	}
@@ -278,20 +285,11 @@ func (dc *DepChecker) take() []error {
 }
 
 // ResetStepOwners drops per-step buffer registrations (RegisterStep) while
-// keeping shadow versions intact. The engine calls it between steps:
-// replays bypass the dependency table, so ResetDeps — and with it reset() —
-// never runs, yet each step registers a fresh batch's input views.
+// keeping shadow versions intact, which keep advancing across replays. The
+// engine calls it between steps, since each step registers a fresh batch's
+// input views. Persistent Register associations survive.
 func (dc *DepChecker) ResetStepOwners() {
 	dc.mu.Lock()
-	dc.stepOwners = make(map[any]Dep)
-	dc.mu.Unlock()
-}
-
-// reset clears shadow versions and per-step buffer registrations, mirroring
-// Runtime.ResetDeps. Persistent Register associations survive.
-func (dc *DepChecker) reset() {
-	dc.mu.Lock()
-	dc.keys = make(map[Dep]*depKeyState)
 	dc.stepOwners = make(map[any]Dep)
 	dc.mu.Unlock()
 }

@@ -22,33 +22,6 @@ func mustPanic(t *testing.T, f func()) string {
 	return msg
 }
 
-func TestSubmitAfterShutdownPanics(t *testing.T) {
-	r := New(Options{Workers: 1})
-	r.Submit(&Task{Label: "warmup", Fn: func() {}})
-	r.Shutdown()
-	msg := mustPanic(t, func() {
-		r.Submit(&Task{Label: "late-task", Fn: func() {}})
-	})
-	for _, want := range []string{"after Shutdown", "late-task"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("panic message %q missing %q", msg, want)
-		}
-	}
-}
-
-func TestSubmitAllAfterShutdownPanics(t *testing.T) {
-	r := New(Options{Workers: 1})
-	r.Shutdown()
-	msg := mustPanic(t, func() {
-		r.SubmitAll([]*Task{{Label: "batch-head", Fn: func() {}}, {Label: "batch-tail", Fn: func() {}}})
-	})
-	for _, want := range []string{"after Shutdown", "batch-head", "2 tasks"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("panic message %q missing %q", msg, want)
-		}
-	}
-}
-
 type depBuf struct{ vals []float64 }
 
 func TestDepCheckCleanRunReportsNothing(t *testing.T) {
@@ -64,20 +37,21 @@ func TestDepCheckCleanRunReportsNothing(t *testing.T) {
 	dc.Register(kA, "bufA", a)
 	dc.Register(kB, "bufB", b)
 
-	r.Submit(&Task{Label: "produce-a", Out: []Dep{kA}, Fn: func() {
-		dc.NoteWrite(a)
-		a.vals[0] = 1
-	}})
-	r.Submit(&Task{Label: "a-to-b", In: []Dep{kA}, Out: []Dep{kB}, Fn: func() {
-		dc.NoteRead(a)
-		dc.NoteWrite(b)
-		b.vals[0] = a.vals[0] * 2
-	}})
-	r.Submit(&Task{Label: "bump-b", InOut: []Dep{kB}, Fn: func() {
-		dc.NoteRead(b)
-		dc.NoteWrite(b)
-		b.vals[0]++
-	}})
+	replayTasks(r,
+		&Task{Label: "produce-a", Out: []Dep{kA}, Fn: func() {
+			dc.NoteWrite(a)
+			a.vals[0] = 1
+		}},
+		&Task{Label: "a-to-b", In: []Dep{kA}, Out: []Dep{kB}, Fn: func() {
+			dc.NoteRead(a)
+			dc.NoteWrite(b)
+			b.vals[0] = a.vals[0] * 2
+		}},
+		&Task{Label: "bump-b", InOut: []Dep{kB}, Fn: func() {
+			dc.NoteRead(b)
+			dc.NoteWrite(b)
+			b.vals[0]++
+		}})
 	if err := r.Wait(); err != nil {
 		t.Fatalf("clean run reported violations: %v", err)
 	}
@@ -96,7 +70,7 @@ func TestDepCheckUndeclaredWrite(t *testing.T) {
 	dc.Register(Dep(b), "victim-buf", b)
 
 	// The task declares only a, but its body also scribbles on b.
-	r.Submit(&Task{Label: "sneaky-writer", Out: []Dep{Dep(a)}, Fn: func() {
+	replayTasks(r, &Task{Label: "sneaky-writer", Out: []Dep{Dep(a)}, Fn: func() {
 		dc.NoteWrite(a)
 		dc.NoteWrite(b)
 	}})
@@ -120,7 +94,7 @@ func TestDepCheckUndeclaredRead(t *testing.T) {
 	dc.Register(Dep(a), "out-buf", a)
 	dc.RegisterStep(Dep(b), "input-buf", b)
 
-	r.Submit(&Task{Label: "sneaky-reader", Out: []Dep{Dep(a)}, Fn: func() {
+	replayTasks(r, &Task{Label: "sneaky-reader", Out: []Dep{Dep(a)}, Fn: func() {
 		dc.NoteRead(b)
 		dc.NoteWrite(a)
 	}})
@@ -140,7 +114,7 @@ func TestDepCheckScratchBuffersIgnored(t *testing.T) {
 	defer r.Shutdown()
 	dc := r.DepChecker()
 	scratch := &depBuf{}
-	r.Submit(&Task{Label: "scratch-user", Fn: func() {
+	replayTasks(r, &Task{Label: "scratch-user", Fn: func() {
 		dc.NoteWrite(scratch) // never registered: not attributable, not an error
 		dc.NoteRead(scratch)
 	}})
@@ -154,7 +128,7 @@ func TestDepCheckSelfDependency(t *testing.T) {
 	defer r.Shutdown()
 	k := Dep(&depBuf{})
 	r.DepChecker().Register(k, "self-key")
-	r.Submit(&Task{Label: "own-tail", In: []Dep{k}, Out: []Dep{k}, Fn: func() {}})
+	replayTasks(r, &Task{Label: "own-tail", In: []Dep{k}, Out: []Dep{k}, Fn: func() {}})
 	err := r.Wait()
 	if err == nil {
 		t.Fatal("self-dependency not reported")
@@ -177,8 +151,7 @@ func TestDepCheckSchedulingViolations(t *testing.T) {
 		dc.Register(k, "raw-key")
 		w := &Task{Label: "writer", Out: []Dep{k}}
 		rd := &Task{Label: "reader", In: []Dep{k}}
-		dc.onSubmit(w)
-		dc.onSubmit(rd)
+		dc.announce([]*Task{w, rd})
 		dc.begin(rd) // reader runs first: writer's version not yet retired
 		dc.end(rd)
 		dc.begin(w)
@@ -199,8 +172,7 @@ func TestDepCheckSchedulingViolations(t *testing.T) {
 		dc.Register(k, "waw-key")
 		w1 := &Task{Label: "first-writer", Out: []Dep{k}}
 		w2 := &Task{Label: "second-writer", Out: []Dep{k}}
-		dc.onSubmit(w1)
-		dc.onSubmit(w2)
+		dc.announce([]*Task{w1, w2})
 		dc.begin(w2) // writers swapped
 		dc.end(w2)
 		dc.begin(w1)
@@ -219,23 +191,26 @@ func TestDepCheckSchedulingViolations(t *testing.T) {
 	})
 }
 
-func TestDepCheckResetClearsVersionsAndStepBuffers(t *testing.T) {
+// TestDepCheckResetStepOwners checks that ResetStepOwners drops per-step
+// buffer registrations while shadow versions keep advancing: after it,
+// touching the buffer is not attributable, and a writer of the key in the
+// next replay still sees the version the first replay left.
+func TestDepCheckResetStepOwners(t *testing.T) {
 	r := New(Options{Workers: 2, DepCheck: true})
 	defer r.Shutdown()
 	dc := r.DepChecker()
 	a := &depBuf{}
 	k := Dep(a)
 	dc.RegisterStep(k, "step-buf", a)
-	r.Submit(&Task{Label: "w", Out: []Dep{k}, Fn: func() { dc.NoteWrite(a) }})
+	replayTasks(r, &Task{Label: "w", Out: []Dep{k}, Fn: func() { dc.NoteWrite(a) }})
 	if err := r.Wait(); err != nil {
 		t.Fatalf("step 1: %v", err)
 	}
-	r.ResetDeps()
-	// After reset, a is no longer attributable: touching it is not an error,
-	// and the key's version history restarts.
-	r.Submit(&Task{Label: "untracked", Fn: func() { dc.NoteWrite(a) }})
-	r.Submit(&Task{Label: "w2", Out: []Dep{k}, Fn: func() {}})
+	dc.ResetStepOwners()
+	replayTasks(r,
+		&Task{Label: "untracked", Fn: func() { dc.NoteWrite(a) }},
+		&Task{Label: "w2", Out: []Dep{k}, Fn: func() {}})
 	if err := r.Wait(); err != nil {
-		t.Fatalf("step 2 after reset: %v", err)
+		t.Fatalf("step 2 after ResetStepOwners: %v", err)
 	}
 }

@@ -8,15 +8,15 @@ import (
 
 // RegisterMetrics exposes the runtime's live counters on reg under the
 // bpar_sched_* families. Every series snapshots the atomics the scheduler
-// already maintains for Stats — registration adds zero work to the task
-// submit/execute hot paths. Register each Runtime on at most one registry;
+// already maintains for Stats — registration adds zero work to the replay and
+// execute hot paths. Register each Runtime on at most one registry;
 // duplicate registration panics on name collision.
 func (r *Runtime) RegisterMetrics(reg *obs.Registry) {
 	s := &r.stats
 	reg.MustGaugeFunc("bpar_sched_workers",
 		"Configured worker goroutines.", func() float64 { return float64(r.opts.Workers) })
 	reg.MustCounterFunc("bpar_sched_tasks_submitted_total",
-		"Tasks submitted to the runtime.", func() float64 { return float64(s.submitted.Load()) })
+		"Tasks of replayed templates.", func() float64 { return float64(s.submitted.Load()) })
 	reg.MustCounterFunc("bpar_sched_tasks_executed_total",
 		"Tasks whose bodies finished executing.", func() float64 { return float64(s.executed.Load()) })
 	reg.MustCounterFunc("bpar_sched_tasks_stolen_total",
@@ -27,10 +27,8 @@ func (r *Runtime) RegisterMetrics(reg *obs.Registry) {
 		"Tasks served from the popping worker's own deque.", func() float64 { return float64(s.localHits.Load()) })
 	reg.MustCounterFunc("bpar_sched_replays_total",
 		"Frozen task-graph templates replayed (their tasks count as submitted).", func() float64 { return float64(s.replays.Load()) })
-	reg.MustCounterFunc("bpar_sched_lock_wait_seconds_total",
-		"Time blocked acquiring the submission lock.", func() float64 { return float64(s.lockWaitNS.Load()) / 1e9 })
 	reg.MustCounterFunc("bpar_sched_submit_seconds_total",
-		"Time spent creating tasks and deriving dependencies.", func() float64 { return float64(s.submitNS.Load()) / 1e9 })
+		"Time spent starting template replays: counter resets and root publication.", func() float64 { return float64(s.submitNS.Load()) / 1e9 })
 	reg.MustCounterFunc("bpar_sched_complete_seconds_total",
 		"Time spent in completion bookkeeping.", func() float64 { return float64(s.completeNS.Load()) / 1e9 })
 	reg.MustCounterFunc("bpar_sched_task_seconds_total",
@@ -40,7 +38,7 @@ func (r *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.MustGaugeFunc("bpar_sched_max_running_tasks",
 		"Peak concurrently running tasks.", func() float64 { return float64(s.maxRunning.Load()) })
 	reg.MustGaugeFunc("bpar_sched_outstanding_tasks",
-		"Submitted tasks not yet completed.", func() float64 { return float64(r.outstanding.Load()) })
+		"Replayed tasks not yet completed.", func() float64 { return float64(r.outstanding.Load()) })
 	reg.MustGaugeFunc("bpar_sched_idle_workers",
 		"Workers currently parked with no runnable task.", func() float64 { return float64(r.idlers.Load()) })
 

@@ -40,9 +40,9 @@ type Options struct {
 	// Policy selects breadth-first or locality-aware scheduling.
 	Policy Policy
 	// Profile, when non-nil, receives per-node timing callbacks for every
-	// template replay (tasks given to Submit are invisible to it). The
-	// callbacks are wired so a sink can use plain fixed-index arrays keyed
-	// by template node index — see the ProfileSink contract.
+	// template replay. The callbacks are wired so a sink can use plain
+	// fixed-index arrays keyed by template node index — see the ProfileSink
+	// contract.
 	Profile ProfileSink
 	// DepCheck enables the runtime dependency sanitizer: shadow versions per
 	// key, undeclared-access detection via registered buffers, and
@@ -51,31 +51,21 @@ type Options struct {
 	DepCheck bool
 }
 
-// node is the runtime-internal representation of a submitted task.
+// node is one task of a frozen Template. Its successor list was fixed at
+// Freeze, so completion reads it without a lock; tpl and idx, the owning
+// template and the node's index in it, let a ProfileSink accumulate timings
+// into fixed-index arrays with no per-task map lookups.
 type node struct {
 	task *Task
 
-	// pending is the unsatisfied-dependency count plus a submission guard:
-	// it starts at 1 so the node cannot become ready while Submit is still
-	// deriving edges; Submit drops the guard with a final decrement, so
-	// exactly one party (Submit or the last-finishing predecessor) observes
-	// zero and enqueues the node.
+	// pending is the unsatisfied-dependency count. Replay resets it to the
+	// frozen in-degree; the predecessor whose decrement reaches zero
+	// enqueues the node.
 	pending atomic.Int32
 
-	mu       sync.Mutex // guards finished and succs
-	finished bool
-	succs    []*node
-
-	// Template-owned nodes carry their successor list precomputed at capture
-	// (tplSuccs) and a back-pointer to the owning template (tpl, non-nil iff
-	// the node belongs to a Template) plus their fixed index within it
-	// (tplIdx). They bypass the mutex-guarded succs/finished protocol
-	// entirely: the edge set is frozen, so no submitter ever appends to it
-	// concurrently. tplIdx is what lets a ProfileSink accumulate timings into
-	// fixed-index arrays with no per-task map lookups.
-	tplSuccs []*node
-	tpl      *Template
-	tplIdx   int32
+	succs []*node
+	tpl   *Template
+	idx   int32
 }
 
 // queue is a locked slice-backed task queue. The global ready queue pops
@@ -88,13 +78,6 @@ type queue struct {
 	items []*node
 	head  int
 	size  atomic.Int32
-}
-
-func (q *queue) push(n *node) {
-	q.mu.Lock()
-	q.items = append(q.items, n)
-	q.size.Store(int32(len(q.items) - q.head))
-	q.mu.Unlock()
 }
 
 func (q *queue) pushBatch(ns []*node) {
@@ -145,24 +128,15 @@ func (q *queue) popTail() *node {
 	return n
 }
 
-// Runtime executes tasks on a pool of worker goroutines, deriving the task
-// dependency graph dynamically from Submit annotations.
-//
-// Unlike a single-mutex design, the hot paths are partitioned: submission
-// serializes on submitMu, which also guards the dependency table (derivation
-// must observe submissions in order), each worker owns a ready deque with its
-// own small lock, and completion bookkeeping touches only atomics, the
-// finished node, and the readied successors' queues — never the table — so
-// the builder goroutine submitting the next timestep never contends with
-// workers retiring the previous one.
+// Runtime executes frozen task graphs (Templates) on a pool of worker
+// goroutines. It derives no edges: Capture did that once, so Replay only
+// resets in-degree counters and publishes the roots. There is no global
+// lock: each worker owns a ready deque with its own small lock, and
+// completion bookkeeping touches only atomics and the readied successors'
+// queues.
 type Runtime struct {
 	opts  Options
 	start time.Time
-
-	// submitMu serializes task submission and guards deps, the dependency
-	// table. Completion never takes it.
-	submitMu sync.Mutex
-	deps     depTable[*node]
 
 	global queue
 	local  []queue
@@ -202,7 +176,6 @@ type runtimeStats struct {
 	taskNS     atomic.Int64
 	submitNS   atomic.Int64
 	completeNS atomic.Int64
-	lockWaitNS atomic.Int64
 	localHits  atomic.Int64
 	steals     atomic.Int64
 	stealFails atomic.Int64
@@ -225,7 +198,6 @@ func New(opts Options) *Runtime {
 	r := &Runtime{
 		opts:  opts,
 		start: time.Now(),
-		deps:  newDepTable[*node](nil),
 		local: make([]queue, opts.Workers),
 	}
 	if opts.DepCheck {
@@ -248,86 +220,13 @@ func New(opts Options) *Runtime {
 // so undeclared accesses can be attributed.
 func (r *Runtime) DepChecker() *DepChecker { return r.depc }
 
-// Submit registers the task; it becomes ready as soon as its dependencies
-// are satisfied. Safe for concurrent use, although B-Par's builders submit
-// from a single goroutine in topological order, like Algorithm 2/3.
-func (r *Runtime) Submit(t *Task) {
-	tStart := r.lockSubmit(func() string { return fmt.Sprintf("Submit of task %q", t.Label) })
-	n := r.submitOne(t)
-	r.submitMu.Unlock()
-	if n != nil {
-		r.global.push(n)
-		r.wake(1)
-	}
-	r.stats.submitNS.Add(time.Since(tStart).Nanoseconds())
-}
-
-// SubmitAll registers a batch of tasks in order under a single acquisition
-// of the submission lock, then publishes every immediately-ready task at
-// once. Builders that emit a whole timestep (or layer) of tasks use it to
-// amortize locking across the batch.
+// SubmitAll captures ts, freezes the capture and replays the template, so
+// its tasks are ordered among themselves only, like one Replay. It remains
+// for bench's taskrt.submit probe; other code captures once and replays.
 func (r *Runtime) SubmitAll(ts []*Task) {
-	if len(ts) == 0 {
-		return
-	}
-	tStart := r.lockSubmit(func() string { return fmt.Sprintf("SubmitAll of %d tasks (first %q)", len(ts), ts[0].Label) })
-	var ready []*node
-	for _, t := range ts {
-		if n := r.submitOne(t); n != nil {
-			ready = append(ready, n)
-		}
-	}
-	r.submitMu.Unlock()
-	if len(ready) > 0 {
-		r.global.pushBatch(ready)
-		r.wake(len(ready))
-	}
-	r.stats.submitNS.Add(time.Since(tStart).Nanoseconds())
-}
-
-// lockSubmit takes submitMu, charging any wait for it to the lock-wait
-// counter, and returns when it started. After Shutdown it panics instead,
-// naming the submission with describe.
-func (r *Runtime) lockSubmit(describe func() string) time.Time {
-	tStart := time.Now()
-	if !r.submitMu.TryLock() {
-		r.submitMu.Lock()
-		r.stats.lockWaitNS.Add(time.Since(tStart).Nanoseconds())
-	}
-	if r.shutdownFlg.Load() {
-		r.submitMu.Unlock()
-		panic("taskrt: " + describe() + " after Shutdown — the worker pool is gone; create a new Runtime or submit before Shutdown")
-	}
-	return tStart
-}
-
-// submitOne derives the task's dependency edges and registers it. Caller
-// holds submitMu. Returns the node if it is immediately ready (the caller
-// enqueues it), nil otherwise.
-func (r *Runtime) submitOne(t *Task) *node {
-	n := &node{task: t}
-	if r.depc != nil {
-		r.depc.onSubmit(t)
-	}
-	n.pending.Store(1) // submission guard, dropped at the end
-	// The deriver reports each predecessor once, so pending counts each once.
-	r.deps.derive(t, n, func(p *node, _ bool) {
-		p.mu.Lock()
-		if !p.finished {
-			// Increment before the successor becomes visible to p's
-			// completer, or its decrement could race pending to zero and
-			// double-enqueue n.
-			n.pending.Add(1)
-			p.succs = append(p.succs, n)
-		}
-		p.mu.Unlock()
-	})
-	r.outstanding.Add(1)
-	r.stats.submitted.Add(1)
-	if n.pending.Add(-1) == 0 {
-		return n
-	}
-	return nil
+	c := NewCapture()
+	c.SubmitAll(ts)
+	r.Replay(c.Freeze())
 }
 
 // wake makes up to k parked workers rescan the queues. The wakeups counter
@@ -488,8 +387,8 @@ func (r *Runtime) execute(n *node, w int) {
 
 	startNS := startT.Sub(r.start).Nanoseconds()
 	endNS := endT.Sub(r.start).Nanoseconds()
-	if r.opts.Profile != nil && n.tpl != nil {
-		r.opts.Profile.NodeDone(n.tpl, int(n.tplIdx), w, startNS, endNS)
+	if r.opts.Profile != nil {
+		r.opts.Profile.NodeDone(n.tpl, int(n.idx), w, startNS, endNS)
 	}
 
 	r.stats.running.Add(-1)
@@ -501,22 +400,8 @@ func (r *Runtime) execute(n *node, w int) {
 		r.errsMu.Unlock()
 	}
 
-	var succs []*node
-	if n.tpl != nil {
-		// Replayed node: the frozen successor list needs no lock, since no
-		// submitter ever appends to it, and the finished flag stays false
-		// because template nodes are reused across replays.
-		succs = n.tplSuccs
-	} else {
-		n.mu.Lock()
-		n.finished = true
-		succs = n.succs
-		n.succs = nil
-		n.mu.Unlock()
-	}
-
 	var readied []*node
-	for _, s := range succs {
+	for _, s := range n.succs {
 		if s.pending.Add(-1) == 0 {
 			readied = append(readied, s)
 		}
@@ -532,15 +417,13 @@ func (r *Runtime) execute(n *node, w int) {
 		// This worker loops and picks one task itself; wake peers for the rest.
 		r.wake(len(readied) - 1)
 	}
-	if n.tpl != nil {
-		// The final decrement sees every peer's node timings (each peer's
-		// writes are released by its own Add on the same atomic), so a
-		// ReplayDone callback may safely read all per-node arrays. It fires
-		// before this node's outstanding decrement: once Wait returns, the
-		// sink has fully observed the replay.
-		if n.tpl.live.Add(-1) == 0 && r.opts.Profile != nil {
-			r.opts.Profile.ReplayDone(n.tpl, endNS)
-		}
+	// The final decrement sees every peer's node timings (each peer's writes
+	// are released by its own Add on the same atomic), so a ReplayDone
+	// callback may safely read all per-node arrays. It fires before this
+	// node's outstanding decrement: once Wait returns, the sink has fully
+	// observed the replay.
+	if n.tpl.live.Add(-1) == 0 && r.opts.Profile != nil {
+		r.opts.Profile.ReplayDone(n.tpl, endNS)
 	}
 	// Only a full drain satisfies Wait. A waiter registers in doneWaiters
 	// before it checks outstanding under doneMu, so either it sees zero or
@@ -553,11 +436,9 @@ func (r *Runtime) execute(n *node, w int) {
 	r.stats.completeNS.Add(time.Since(endT).Nanoseconds())
 }
 
-// Wait blocks until all submitted tasks have completed, then returns the
+// Wait blocks until every replayed task has completed, then returns the
 // joined errors of the tasks completed since the last Wait (nil if none) and
-// clears them. The runtime remains usable afterwards: the dependency table
-// persists, so later submissions still order against completed writers
-// correctly (completed predecessors simply add no edges).
+// clears them. The runtime remains usable afterwards: replay again.
 func (r *Runtime) Wait() error {
 	if r.outstanding.Load() > 0 {
 		r.doneWaiters.Add(1)
@@ -607,7 +488,6 @@ func (r *Runtime) Stats() Stats {
 		LocalHits:  r.stats.localHits.Load(),
 		Steals:     r.stats.steals.Load(),
 		StealFails: r.stats.stealFails.Load(),
-		LockWaitNS: r.stats.lockWaitNS.Load(),
 		Replays:    r.stats.replays.Load(),
 	}
 	s.WorkerIdleNS = make([]int64, len(r.stats.workerIdleNS))
@@ -629,35 +509,24 @@ func (r *Runtime) workerIdleNS(w int) int64 {
 	return v
 }
 
-// ResetDeps clears the dependency table between iterations that reuse the
-// same buffers, preventing spurious WAR/WAW edges from a previous batch when
-// the caller has already synchronized with Wait.
-func (r *Runtime) ResetDeps() {
-	r.submitMu.Lock()
-	defer r.submitMu.Unlock()
-	if r.outstanding.Load() != 0 {
-		panic("taskrt: ResetDeps with outstanding tasks")
-	}
-	r.deps.reset()
-	if r.depc != nil {
-		r.depc.reset()
-	}
-}
+// ResetDeps does nothing: the runtime keeps no dependency table, since
+// every Replay (and so every SubmitAll) is ordered among its own tasks only.
+// It remains for bench's taskrt.submit probe.
+func (r *Runtime) ResetDeps() {}
 
 // Stats aggregates runtime counters. SubmitNS and CompleteNS together are
 // the runtime's bookkeeping overhead; the paper reports this overhead to be
 // ten times smaller than time spent in task bodies (TaskNS).
 type Stats struct {
-	Submitted  int64
+	Submitted  int64 // tasks of every replay
 	Executed   int64
 	TaskNS     int64 // total wall time inside task bodies
-	SubmitNS   int64 // time spent creating tasks/deps (includes LockWaitNS)
+	SubmitNS   int64 // time spent starting replays: counter resets, root publication
 	CompleteNS int64 // time spent in completion bookkeeping
 	MaxRunning int   // peak concurrently running tasks
 	LocalHits  int64 // tasks served from the popping worker's own deque
 	Steals     int64 // tasks stolen from peer deques
 	StealFails int64 // steal scans that found every peer deque empty
-	LockWaitNS int64 // time blocked acquiring the submission lock
 	Replays    int64 // template replays executed (Submitted counts their tasks)
 	// WorkerIdleNS is the per-worker time spent parked with no runnable
 	// task, one entry per worker.
@@ -673,8 +542,8 @@ func (s Stats) IdleNS() int64 {
 	return t
 }
 
-// OverheadRatio returns (submit+complete time) / task body time; the paper's
-// granularity study keeps this well under 0.1.
+// OverheadRatio returns (replay start+complete time) / task body time; the
+// paper's granularity study keeps this well under 0.1.
 func (s Stats) OverheadRatio() float64 {
 	if s.TaskNS == 0 {
 		return 0

@@ -10,11 +10,19 @@ import (
 // key is a convenient comparable dependency key for tests.
 type key string
 
+// replayTasks captures ts in order, freezes them and replays the template
+// on r: the one way tests run tasks on a Runtime.
+func replayTasks(r *Runtime, ts ...*Task) {
+	c := NewCapture()
+	c.SubmitAll(ts)
+	r.Replay(c.Freeze())
+}
+
 func TestSingleTaskRuns(t *testing.T) {
 	r := New(Options{Workers: 2})
 	defer r.Shutdown()
 	ran := int32(0)
-	r.Submit(&Task{Label: "t", Fn: func() { atomic.AddInt32(&ran, 1) }})
+	replayTasks(r, &Task{Label: "t", Fn: func() { atomic.AddInt32(&ran, 1) }})
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +37,13 @@ func TestRAWOrdering(t *testing.T) {
 		r := New(Options{Workers: 4})
 		var wrote, readOK int32
 		k := key("x")
-		r.Submit(&Task{Label: "w", Out: []Dep{k}, Fn: func() { atomic.StoreInt32(&wrote, 1) }})
-		r.Submit(&Task{Label: "r", In: []Dep{k}, Fn: func() {
-			if atomic.LoadInt32(&wrote) == 1 {
-				atomic.StoreInt32(&readOK, 1)
-			}
-		}})
+		replayTasks(r,
+			&Task{Label: "w", Out: []Dep{k}, Fn: func() { atomic.StoreInt32(&wrote, 1) }},
+			&Task{Label: "r", In: []Dep{k}, Fn: func() {
+				if atomic.LoadInt32(&wrote) == 1 {
+					atomic.StoreInt32(&readOK, 1)
+				}
+			}})
 		if err := r.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +67,12 @@ func TestWARAndWAWOrdering(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		r.Submit(&Task{Label: "w1", Out: []Dep{k}, Fn: logT("w1")})
-		r.Submit(&Task{Label: "r1", In: []Dep{k}, Fn: logT("r1")})
-		r.Submit(&Task{Label: "r2", In: []Dep{k}, Fn: logT("r2")})
-		r.Submit(&Task{Label: "w2", Out: []Dep{k}, Fn: logT("w2")}) // WAR on r1,r2; WAW on w1
-		r.Submit(&Task{Label: "r3", In: []Dep{k}, Fn: logT("r3")})  // RAW on w2
+		replayTasks(r,
+			&Task{Label: "w1", Out: []Dep{k}, Fn: logT("w1")},
+			&Task{Label: "r1", In: []Dep{k}, Fn: logT("r1")},
+			&Task{Label: "r2", In: []Dep{k}, Fn: logT("r2")},
+			&Task{Label: "w2", Out: []Dep{k}, Fn: logT("w2")}, // WAR on r1,r2; WAW on w1
+			&Task{Label: "r3", In: []Dep{k}, Fn: logT("r3")})  // RAW on w2
 		if err := r.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -99,14 +109,15 @@ func TestInOutChainSerializes(t *testing.T) {
 	n := 200
 	var got []int
 	var mu sync.Mutex
+	var tasks []*Task
 	for i := 0; i < n; i++ {
-		i := i
-		r.Submit(&Task{Label: fmt.Sprintf("acc%d", i), InOut: []Dep{k}, Fn: func() {
+		tasks = append(tasks, &Task{Label: fmt.Sprintf("acc%d", i), InOut: []Dep{k}, Fn: func() {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
 		}})
 	}
+	replayTasks(r, tasks...)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +134,9 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 	var running, peak int32
 	var gate sync.WaitGroup
 	gate.Add(4)
+	var tasks []*Task
 	for i := 0; i < 4; i++ {
-		r.Submit(&Task{Label: "p", Fn: func() {
+		tasks = append(tasks, &Task{Label: "p", Fn: func() {
 			v := atomic.AddInt32(&running, 1)
 			for {
 				p := atomic.LoadInt32(&peak)
@@ -137,6 +149,7 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 			atomic.AddInt32(&running, -1)
 		}})
 	}
+	replayTasks(r, tasks...)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +165,15 @@ func TestDiamondDependency(t *testing.T) {
 		ka, kb, kc := key("a"), key("b"), key("c")
 		var b, c int32
 		var dSawBoth int32
-		r.Submit(&Task{Label: "a", Out: []Dep{ka}})
-		r.Submit(&Task{Label: "b", In: []Dep{ka}, Out: []Dep{kb}, Fn: func() { atomic.StoreInt32(&b, 1) }})
-		r.Submit(&Task{Label: "c", In: []Dep{ka}, Out: []Dep{kc}, Fn: func() { atomic.StoreInt32(&c, 1) }})
-		r.Submit(&Task{Label: "d", In: []Dep{kb, kc}, Fn: func() {
-			if atomic.LoadInt32(&b) == 1 && atomic.LoadInt32(&c) == 1 {
-				atomic.StoreInt32(&dSawBoth, 1)
-			}
-		}})
+		replayTasks(r,
+			&Task{Label: "a", Out: []Dep{ka}},
+			&Task{Label: "b", In: []Dep{ka}, Out: []Dep{kb}, Fn: func() { atomic.StoreInt32(&b, 1) }},
+			&Task{Label: "c", In: []Dep{ka}, Out: []Dep{kc}, Fn: func() { atomic.StoreInt32(&c, 1) }},
+			&Task{Label: "d", In: []Dep{kb, kc}, Fn: func() {
+				if atomic.LoadInt32(&b) == 1 && atomic.LoadInt32(&c) == 1 {
+					atomic.StoreInt32(&dSawBoth, 1)
+				}
+			}})
 		if err := r.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +189,9 @@ func TestNilFnTaskCompletes(t *testing.T) {
 	defer r.Shutdown()
 	k := key("x")
 	ran := false
-	r.Submit(&Task{Label: "marker", Out: []Dep{k}}) // no body
-	r.Submit(&Task{Label: "after", In: []Dep{k}, Fn: func() { ran = true }})
+	replayTasks(r,
+		&Task{Label: "marker", Out: []Dep{k}}, // no body
+		&Task{Label: "after", In: []Dep{k}, Fn: func() { ran = true }})
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +205,9 @@ func TestPanicIsReportedAndGraphProceeds(t *testing.T) {
 	defer r.Shutdown()
 	k := key("x")
 	after := false
-	r.Submit(&Task{Label: "boom", Out: []Dep{k}, Fn: func() { panic("kaboom") }})
-	r.Submit(&Task{Label: "after", In: []Dep{k}, Fn: func() { after = true }})
+	replayTasks(r,
+		&Task{Label: "boom", Out: []Dep{k}, Fn: func() { panic("kaboom") }},
+		&Task{Label: "after", In: []Dep{k}, Fn: func() { after = true }})
 	err := r.Wait()
 	if err == nil {
 		t.Fatal("expected error from panicking task")
@@ -207,9 +223,11 @@ func TestWaitIsReusable(t *testing.T) {
 	k := key("x")
 	count := int32(0)
 	for round := 0; round < 5; round++ {
+		var tasks []*Task
 		for i := 0; i < 10; i++ {
-			r.Submit(&Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt32(&count, 1) }})
+			tasks = append(tasks, &Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt32(&count, 1) }})
 		}
+		replayTasks(r, tasks...)
 		if err := r.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -219,50 +237,15 @@ func TestWaitIsReusable(t *testing.T) {
 	}
 }
 
-func TestResetDeps(t *testing.T) {
-	r := New(Options{Workers: 2})
-	defer r.Shutdown()
-	k := key("x")
-	r.Submit(&Task{Out: []Dep{k}})
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	r.ResetDeps()
-	// After reset, a reader of k has no predecessor and runs immediately.
-	ran := false
-	r.Submit(&Task{In: []Dep{k}, Fn: func() { ran = true }})
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("task did not run after ResetDeps")
-	}
-}
-
-func TestResetDepsPanicsWithOutstanding(t *testing.T) {
-	r := New(Options{Workers: 1})
-	defer r.Shutdown()
-	block := make(chan struct{})
-	r.Submit(&Task{Fn: func() { <-block }})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-			close(block)
-		}()
-		r.ResetDeps()
-	}()
-	_ = r.Wait()
-}
-
 func TestStatsCounters(t *testing.T) {
 	r := New(Options{Workers: 2})
 	defer r.Shutdown()
 	k := key("x")
+	var tasks []*Task
 	for i := 0; i < 20; i++ {
-		r.Submit(&Task{InOut: []Dep{k}, Fn: func() {}})
+		tasks = append(tasks, &Task{InOut: []Dep{k}, Fn: func() {}})
 	}
+	replayTasks(r, tasks...)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,15 +264,16 @@ func TestLocalityPolicyRunsCorrectly(t *testing.T) {
 		r := New(Options{Workers: 4, Policy: LocalityAware})
 		var sum int64
 		k := key("acc")
+		var tasks []*Task
 		for i := 1; i <= 100; i++ {
-			i := i
-			r.Submit(&Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt64(&sum, int64(i)) }})
+			tasks = append(tasks, &Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt64(&sum, int64(i)) }})
 		}
 		// Plus independent tasks to exercise stealing.
 		var indep int64
 		for i := 0; i < 50; i++ {
-			r.Submit(&Task{Fn: func() { atomic.AddInt64(&indep, 1) }})
+			tasks = append(tasks, &Task{Fn: func() { atomic.AddInt64(&indep, 1) }})
 		}
+		replayTasks(r, tasks...)
 		if err := r.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -305,9 +289,11 @@ func TestLocalityPrefersProducingWorker(t *testing.T) {
 	// should mostly execute on the worker that made them ready.
 	r := New(Options{Workers: 4, Policy: LocalityAware})
 	k := key("chain")
+	var tasks []*Task
 	for i := 0; i < 200; i++ {
-		r.Submit(&Task{Label: fmt.Sprintf("c%d", i), InOut: []Dep{k}, Fn: func() {}})
+		tasks = append(tasks, &Task{Label: fmt.Sprintf("c%d", i), InOut: []Dep{k}, Fn: func() {}})
 	}
+	replayTasks(r, tasks...)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +313,13 @@ func TestStressManyTasksManyKeys(t *testing.T) {
 		keys[i] = key(fmt.Sprintf("k%d", i))
 	}
 	var count int64
-	for i := 0; i < n; i++ {
+	tasks := make([]*Task, n)
+	for i := range tasks {
 		in := []Dep{keys[i%len(keys)]}
 		out := []Dep{keys[(i*7+3)%len(keys)]}
-		r.Submit(&Task{In: in, Out: out, Fn: func() { atomic.AddInt64(&count, 1) }})
+		tasks[i] = &Task{In: in, Out: out, Fn: func() { atomic.AddInt64(&count, 1) }}
 	}
+	replayTasks(r, tasks...)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,27 +328,49 @@ func TestStressManyTasksManyKeys(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubmitters replays four distinct templates from four
+// goroutines at once, each an InOut chain on its own key, five times each.
+// Every chain must run in capture order and every body exactly once.
 func TestConcurrentSubmitters(t *testing.T) {
 	r := New(Options{Workers: 4})
 	defer r.Shutdown()
+	const goroutines, links, replays = 4, 500, 5
 	var count int64
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	var bad atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		k := key(fmt.Sprintf("g%d", g))
+		next := 0 // the chain's next link, written by the chain in order
+		c := NewCapture()
+		for i := 0; i < links; i++ {
+			c.Submit(&Task{InOut: []Dep{k}, Fn: func() {
+				if next != i {
+					bad.Add(1)
+				}
+				next = (i + 1) % links
+				atomic.AddInt64(&count, 1)
+			}})
+		}
+		tpl := c.Freeze()
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			k := key(fmt.Sprintf("g%d", g))
-			for i := 0; i < 500; i++ {
-				r.Submit(&Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt64(&count, 1) }})
+			for rep := 0; rep < replays; rep++ {
+				r.Replay(tpl)
+				// Wait drains every goroutine's replay, so this one's
+				// template has drained too before it is replayed again.
+				if err := r.Wait(); err != nil {
+					bad.Add(1)
+				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
+	if bad.Load() != 0 {
+		t.Fatalf("%d out-of-order links or Wait errors", bad.Load())
 	}
-	if count != 2000 {
-		t.Fatalf("executed %d, want 2000", count)
+	if count != goroutines*links*replays {
+		t.Fatalf("executed %d, want %d", count, goroutines*links*replays)
 	}
 }
 

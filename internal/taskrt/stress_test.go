@@ -108,39 +108,25 @@ func stressTasks(specs []*stressSpec, nKeys int) (tasks []*Task, viol, execd *at
 	return tasks, viol, execd
 }
 
-// submitter is an executor that also runs tasks submitted one by one:
-// Runtime and Inline both are.
-type submitter interface {
-	Executor
-	Submit(t *Task)
-}
-
-// runStressDAG submits the generated DAG to e — or, with replay set,
-// captures and freezes it and replays the template on e — and returns the
-// number of dependency violations observed and task bodies executed.
-func runStressDAG(specs []*stressSpec, nKeys int, e submitter, replay bool) (violations, executed int64) {
+// runStressDAG captures and freezes the generated DAG, replays the template
+// on e, and returns the number of dependency violations observed and task
+// bodies executed.
+func runStressDAG(specs []*stressSpec, nKeys int, e Executor) (violations, executed int64) {
 	tasks, viol, execd := stressTasks(specs, nKeys)
-	if replay {
-		c := NewCapture()
-		c.SubmitAll(tasks)
-		e.Replay(c.Freeze())
-	} else {
-		for _, t := range tasks {
-			e.Submit(t)
-		}
-	}
+	c := NewCapture()
+	c.SubmitAll(tasks)
+	e.Replay(c.Freeze())
 	if err := e.Wait(); err != nil {
 		viol.Add(1)
 	}
 	return viol.Load(), execd.Load()
 }
 
-// TestStressRandomDAG checks that the parallel runtime executes randomized
+// TestStressRandomDAG checks that the parallel runtime replays randomized
 // dependency graphs with exactly the ordering the annotations imply, for
 // both policies across worker counts, against the Inline reference. The
 // reference is buildStressDAG's sequential last-writer walk, not the
-// dependency table, so it also checks the deriver: at 1 and 4 workers the
-// same DAG is captured, frozen and replayed, on the runtime and inline.
+// dependency table, so it also checks the deriver and the reduction.
 func TestStressRandomDAG(t *testing.T) {
 	const nTasks, nKeys = 250, 24
 	for _, policy := range []Policy{BreadthFirst, LocalityAware} {
@@ -150,14 +136,13 @@ func TestStressRandomDAG(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					specs := buildStressDAG(rand.New(rand.NewSource(seed)), nTasks, nKeys)
 
-					inl := NewInline(nil)
-					if v, n := runStressDAG(specs, nKeys, inl, false); v != 0 || n != nTasks {
+					if v, n := runStressDAG(specs, nKeys, NewInline(nil)); v != 0 || n != nTasks {
 						t.Fatalf("inline reference: %d violations, %d executed", v, n)
 					}
 
 					rt := New(Options{Workers: workers, Policy: policy})
 					defer rt.Shutdown()
-					v, n := runStressDAG(specs, nKeys, rt, false)
+					v, n := runStressDAG(specs, nKeys, rt)
 					if v != 0 {
 						t.Fatalf("%d dependency violations", v)
 					}
@@ -168,79 +153,73 @@ func TestStressRandomDAG(t *testing.T) {
 					if st.Submitted != nTasks || st.Executed != nTasks {
 						t.Fatalf("stats submitted=%d executed=%d", st.Submitted, st.Executed)
 					}
-
-					if workers != 1 && workers != 4 {
-						return
-					}
-					for _, e := range []submitter{rt, inl} {
-						if v, n := runStressDAG(specs, nKeys, e, true); v != 0 || n != nTasks {
-							t.Fatalf("%T replay: %d violations, %d executed", e, v, n)
-						}
-					}
 				})
 			}
 		}
 	}
 }
 
-// TestStressRandomDAGBatched runs the same verification through SubmitAll,
-// submitting the graph in chunks.
-func TestStressRandomDAGBatched(t *testing.T) {
-	const nTasks, nKeys = 250, 24
-	specs := buildStressDAG(rand.New(rand.NewSource(7)), nTasks, nKeys)
-	tasks, viol, execd := stressTasks(specs, nKeys)
-	rt := New(Options{Workers: 4, Policy: LocalityAware})
-	defer rt.Shutdown()
-	for lo := 0; lo < len(tasks); lo += 32 {
-		rt.SubmitAll(tasks[lo:min(lo+32, len(tasks))])
-	}
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if v := viol.Load(); v != 0 {
-		t.Fatalf("%d dependency violations", v)
-	}
-	if n := execd.Load(); n != nTasks {
-		t.Fatalf("executed %d of %d", n, nTasks)
-	}
-}
-
-// TestSubmitAllChain checks that a batch whose tasks depend on each other
-// through a shared InOut key executes in submission order.
+// TestSubmitAllChain pins the call shape of bench's taskrt.submit probe on
+// the SubmitAll and ResetDeps shims: SubmitAll, Wait, ResetDeps, SubmitAll,
+// Wait over a chain of diamonds, on a depcheck runtime. Every body must run
+// twice, in dependency order, and Wait must return nil (the probe panics on
+// a Wait error).
 func TestSubmitAllChain(t *testing.T) {
-	rt := New(Options{Workers: 4})
+	const diamonds = 16
+	rt := New(Options{Workers: 4, Policy: LocalityAware, DepCheck: true})
 	defer rt.Shutdown()
-	key := "chain"
 	var mu sync.Mutex
 	var order []int
-	const n = 64
-	tasks := make([]*Task, n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = &Task{
-			Label: fmt.Sprintf("link-%d", i),
-			InOut: []Dep{key},
-			Fn: func() {
+	keys := make([]int, 4*diamonds)
+	var tasks []*Task
+	var prev *int
+	for d := 0; d < diamonds; d++ {
+		top, left, right, bottom := &keys[4*d], &keys[4*d+1], &keys[4*d+2], &keys[4*d+3]
+		ts := []*Task{
+			{Out: []Dep{top}},
+			{In: []Dep{top}, Out: []Dep{left}},
+			{In: []Dep{top}, Out: []Dep{right}},
+			{In: []Dep{left, right}, Out: []Dep{bottom}},
+		}
+		if prev != nil {
+			ts[0].In = []Dep{prev}
+		}
+		for i, tk := range ts {
+			id := len(tasks) + i
+			tk.Label = fmt.Sprintf("d%d-%d", d, i)
+			tk.Fn = func() {
 				mu.Lock()
-				order = append(order, i)
+				order = append(order, id)
 				mu.Unlock()
-			},
+			}
+		}
+		tasks = append(tasks, ts...)
+		prev = bottom
+	}
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			rt.ResetDeps()
+		}
+		mu.Lock()
+		order = order[:0]
+		mu.Unlock()
+		rt.SubmitAll(tasks)
+		if err := rt.Wait(); err != nil {
+			t.Fatalf("round %d: Wait = %v", round, err)
+		}
+		if len(order) != len(tasks) {
+			t.Fatalf("round %d: ran %d of %d", round, len(order), len(tasks))
+		}
+		// Within a diamond the top runs first and the bottom last; the
+		// next diamond's top follows the bottom.
+		for i, id := range order {
+			if d, pos := id/4, id%4; (pos == 0 && i != 4*d) || (pos == 3 && i != 4*d+3) {
+				t.Fatalf("round %d: task %d ran at %d: %v", round, id, i, order)
+			}
 		}
 	}
-	rt.SubmitAll(tasks)
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != n {
-		t.Fatalf("ran %d of %d", len(order), n)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("chain executed out of order at %d: %v", i, order[:i+1])
-		}
-	}
-	if st := rt.Stats(); st.Submitted != n {
-		t.Fatalf("submitted %d", st.Submitted)
+	if st := rt.Stats(); st.Executed != 2*int64(len(tasks)) {
+		t.Fatalf("executed %d, want %d", st.Executed, 2*len(tasks))
 	}
 }
 
@@ -264,7 +243,7 @@ func TestConcurrentWaitDrain(t *testing.T) {
 		<-release
 		links++
 	}
-	rt.SubmitAll(tasks)
+	replayTasks(rt, tasks...)
 	var wg sync.WaitGroup
 	var bad atomic.Int64
 	for w := 0; w < waiters; w++ {
@@ -291,11 +270,9 @@ func TestConcurrentWaitDrain(t *testing.T) {
 // (head) of that deque.
 func TestStealTakesLongestQueue(t *testing.T) {
 	r := &Runtime{opts: Options{Workers: 3, Policy: LocalityAware}, local: make([]queue, 3)}
-	r.local[1].push(&node{})
+	r.local[1].pushBatch([]*node{{}})
 	head := &node{}
-	r.local[2].push(head)
-	r.local[2].push(&node{})
-	r.local[2].push(&node{})
+	r.local[2].pushBatch([]*node{head, {}, {}})
 	if got := r.steal(0); got != head {
 		t.Fatal("stole a node other than the head of the longest queue")
 	}
@@ -317,7 +294,7 @@ func TestIdleAndStealCounters(t *testing.T) {
 	rt := New(Options{Workers: 3, Policy: LocalityAware})
 	defer rt.Shutdown()
 	release := make(chan struct{})
-	rt.Submit(&Task{Label: "block", Fn: func() { <-release }})
+	replayTasks(rt, &Task{Label: "block", Fn: func() { <-release }})
 	time.Sleep(20 * time.Millisecond) // let the other workers park
 	st := rt.Stats()
 	if len(st.WorkerIdleNS) != 3 {
@@ -328,9 +305,6 @@ func TestIdleAndStealCounters(t *testing.T) {
 	}
 	if st.StealFails == 0 {
 		t.Fatal("StealFails=0, want > 0 after idle workers scanned empty peers")
-	}
-	if st.LockWaitNS < 0 {
-		t.Fatalf("LockWaitNS=%d", st.LockWaitNS)
 	}
 	close(release)
 	if err := rt.Wait(); err != nil {
@@ -359,7 +333,8 @@ func TestWaitJoinsAllErrors(t *testing.T) {
 
 	rt := New(Options{Workers: 2})
 	defer rt.Shutdown()
-	rt.Submit(&Task{Label: "boom1", Fn: func() { panic("x") }})
-	rt.Submit(&Task{Label: "boom2", Fn: func() { panic("y") }})
+	replayTasks(rt,
+		&Task{Label: "boom1", Fn: func() { panic("x") }},
+		&Task{Label: "boom2", Fn: func() { panic("y") }})
 	check("runtime", rt.Wait())
 }

@@ -5,8 +5,9 @@
 // and writes (Out/InOut), exactly like `#pragma omp task in(...) out(...)`.
 // A Capture derives read-after-write, write-after-read and write-after-write
 // edges from those annotations as tasks are submitted, as OmpSs does, and
-// freezes the graph into a Template; the runtime replays it, scheduling a
-// task onto a worker as soon as its last dependency is satisfied. B-Par's
+// freezes the graph into a Template. Capture is the only submission point:
+// the runtime derives no edges, it replays Templates, scheduling a task onto
+// a worker as soon as its last dependency is satisfied. B-Par's
 // graphs have no barriers: synchronization exists only along data-dependency
 // edges, which is the property that lets B-Par overlap forward-order cells,
 // reverse-order cells, merge cells, and cells of different layers.
@@ -85,8 +86,9 @@ type TraceSink interface {
 // so implementations can accumulate into fixed-index arrays keyed by template
 // node index with no maps or locks between tasks. The Runtime guarantees:
 //
-//   - ReplayStart(tpl) is called under the submission lock, strictly before
-//     any of that replay's NodeDone callbacks — a safe registration point.
+//   - ReplayStart(tpl) is called by the goroutine that calls Replay, strictly
+//     before any of that replay's NodeDone callbacks — a safe registration
+//     point. Replays of distinct templates may call it concurrently.
 //   - NodeDone(tpl, idx, ...) is called exactly once per node per replay, by
 //     the executing worker. Replays of one template never overlap, and the
 //     runtime's completion atomics order one replay's writes before the
@@ -95,8 +97,6 @@ type TraceSink interface {
 //     final node, after its own NodeDone and with all peers' NodeDone writes
 //     visible (the template's live counter is a single atomic every worker
 //     decrements), and before Wait can observe the replay drained.
-//
-// Tasks given to Runtime.Submit never reach the sink.
 type ProfileSink interface {
 	ReplayStart(tpl *Template, atNS int64)
 	NodeDone(tpl *Template, idx, worker int, startNS, endNS int64)

@@ -7,10 +7,10 @@ import (
 )
 
 // Capture records a submission sequence instead of executing it, and is the
-// only place builders submit to. It derives RAW/WAR/WAW edges with the
-// dependency table Runtime.submitOne uses, starting empty; Freeze turns the
-// sequence into a Template any Executor replays, and Graph hands the same
-// derived edges, barriers included, to the simulator.
+// only place tasks are submitted. It derives RAW/WAR/WAW edges with the
+// package's one dependency table, starting empty; Freeze turns the sequence
+// into a Template any Executor replays, and Graph hands the same derived
+// edges, barriers included, to the simulator.
 //
 // Capture is not safe for concurrent use; builders submit from one goroutine.
 type Capture struct {
@@ -24,7 +24,7 @@ type Capture struct {
 	tasks []*Task
 	preds [][]int  // per task, derived predecessors in discovery order
 	data  [][]bool // parallel to preds: the edge is RAW (carries data)
-	deps  depTable[int]
+	deps  depTable
 	// lastBarrier is the index of the latest Barrier node, -1 before one.
 	lastBarrier int
 	frozen      bool
@@ -32,7 +32,7 @@ type Capture struct {
 
 // NewCapture returns an empty capture with an empty dependency view.
 func NewCapture() *Capture {
-	return &Capture{deps: newDepTable(-1), lastBarrier: -1}
+	return &Capture{deps: newDepTable(), lastBarrier: -1}
 }
 
 // Submit records the task and derives its dependency edges; after a Barrier
@@ -79,7 +79,7 @@ func (c *Capture) Barrier() {
 // applies. Node IDs are submission order, which is topological.
 func (c *Capture) Graph() *Graph { return LinkGraph(taskNodes(c.tasks), c.preds, c.data) }
 
-// SubmitAll records a batch in order, like Runtime.SubmitAll.
+// SubmitAll records a batch in order.
 func (c *Capture) SubmitAll(ts []*Task) {
 	for _, t := range ts {
 		c.Submit(t)
@@ -149,9 +149,9 @@ func (c *Capture) Freeze() *Template {
 	for i := range tpl.nodes {
 		nd := &tpl.nodes[i]
 		nd.task = c.tasks[i]
-		nd.tplSuccs = succs[i]
+		nd.succs = succs[i]
 		nd.tpl = tpl
-		nd.tplIdx = int32(i)
+		nd.idx = int32(i)
 		if tpl.initPending[i] == 0 {
 			tpl.roots = append(tpl.roots, nd)
 		}
@@ -167,28 +167,47 @@ func (c *Capture) Freeze() *Template {
 // pair. For a DAG the transitive reduction is unique, so this is
 // the minimal edge set with the same transitive closure.
 //
-// Ancestor sets are bitsets built in one forward sweep; the cost is
-// O(n²/64 · avg preds) time and n²/8 bytes — a one-off at capture time,
-// off the replay path.
+// Only a join (a node with two or more predecessors) can lose an edge, and
+// it reads the ancestor sets of its predecessors only. So one reverse sweep
+// marks the nodes some join needs (a join's predecessors and, recursively,
+// theirs), and only those get an ancestor bitset, built in one forward
+// sweep: O(n + edges) to mark, then O(m·n/64 · avg preds) time and m·n/8
+// bytes for the m marked nodes — a one-off at capture time, off the replay
+// path. A graph with no join is returned unchanged.
 func reducePreds(preds [][]int) [][]int {
 	n := len(preds)
-	if n == 0 {
+	need := make([]bool, n)
+	marked := 0
+	for i := n - 1; i >= 0; i-- {
+		if len(preds[i]) < 2 && !need[i] {
+			continue
+		}
+		for _, p := range preds[i] {
+			if !need[p] {
+				need[p] = true
+				marked++
+			}
+		}
+	}
+	if marked == 0 {
 		return preds
 	}
 	words := (n + 63) / 64
-	buf := make([]uint64, n*words)
+	buf := make([]uint64, marked*words)
 	anc := make([][]uint64, n)
 	for i := 0; i < n; i++ {
-		anc[i] = buf[i*words : (i+1)*words]
-	}
-	for i := 0; i < n; i++ {
-		a := anc[i]
+		if !need[i] {
+			continue
+		}
+		a := buf[:words:words]
+		buf = buf[words:]
 		for _, p := range preds[i] {
 			for w, bits := range anc[p] {
 				a[w] |= bits
 			}
 			a[p>>6] |= 1 << (uint(p) & 63)
 		}
+		anc[i] = a
 	}
 	reduced := make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -270,8 +289,8 @@ func (tpl *Template) FullEdges() int { return tpl.fullEdges }
 // Replay executes a frozen template on the worker pool: it resets every
 // node's in-degree counter in one pass over the flat node slice, then
 // publishes the roots. No dependency-table work happens — the edges were
-// derived once at capture. A replay never enters the dependency table that
-// Submit uses, and is synchronized with Wait.
+// derived once at capture. Its tasks are ordered among themselves only;
+// Wait synchronizes with it.
 //
 // The dependency sanitizer, when enabled, re-validates every replay: the
 // capture-ordered submission sequence is re-announced to it (shadow versions
@@ -281,23 +300,21 @@ func (r *Runtime) Replay(tpl *Template) {
 	if len(tpl.nodes) == 0 {
 		return
 	}
-	tStart := r.lockSubmit(func() string { return fmt.Sprintf("Replay of %d-task template", len(tpl.nodes)) })
+	tStart := time.Now()
+	if r.shutdownFlg.Load() {
+		panic(fmt.Sprintf("taskrt: Replay of %d-task template after Shutdown — the worker pool is gone; create a new Runtime or replay before Shutdown", len(tpl.nodes)))
+	}
 	if !tpl.live.CompareAndSwap(0, int64(len(tpl.nodes))) {
-		r.submitMu.Unlock()
 		panic("taskrt: Replay of a template whose previous replay has not drained; Wait before replaying it again")
 	}
 	if r.depc != nil {
-		for _, t := range tpl.tasks {
-			r.depc.onSubmit(t)
-		}
+		r.depc.announce(tpl.tasks)
 	}
 	if r.opts.Profile != nil {
-		// Under submitMu: ReplayStart calls are serialized, and the sink sees
-		// the template before any of this replay's NodeDone callbacks (roots
-		// are not published until the reset loop below).
+		// The sink sees the template before any of this replay's NodeDone
+		// callbacks: roots are not published until after the reset loop.
 		r.opts.Profile.ReplayStart(tpl, tStart.Sub(r.start).Nanoseconds())
 	}
-	r.submitMu.Unlock()
 
 	// Reset every counter before publishing any root. A root finishing first
 	// could decrement a successor's stale zero that the reset then

@@ -86,7 +86,7 @@ func TestCaptureDiamondEdges(t *testing.T) {
 	if got, want := tpl.fullEdges-tpl.Edges(), 1; got != want {
 		t.Fatalf("pruned edges = %d, want %d", got, want)
 	}
-	if got := tpl.nodes[3].tplSuccs; len(got) != 0 {
+	if got := tpl.nodes[3].succs; len(got) != 0 {
 		t.Fatalf("join has %d successors, want 0", len(got))
 	}
 }
@@ -165,7 +165,7 @@ func TestReplayAccumulates(t *testing.T) {
 }
 
 // TestReplayPanicPropagates checks a panicking replayed body surfaces as a
-// Wait error, exactly like a fresh-submitted task.
+// Wait error.
 func TestReplayPanicPropagates(t *testing.T) {
 	r := New(Options{Workers: 2})
 	defer r.Shutdown()
@@ -208,16 +208,24 @@ func TestWaitClearsTaskErrors(t *testing.T) {
 	}
 }
 
+// TestReplayAfterShutdownPanics checks Replay, and the SubmitAll shim that
+// replays a fresh capture, panic after Shutdown with Replay's message.
 func TestReplayAfterShutdownPanics(t *testing.T) {
-	r := New(Options{Workers: 1})
-	tpl := captureChain()
-	r.Shutdown()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Replay after Shutdown did not panic")
-		}
-	}()
-	r.Replay(tpl)
+	for name, run := range map[string]func(r *Runtime){
+		"Replay": func(r *Runtime) { r.Replay(captureChain()) },
+		"SubmitAll": func(r *Runtime) {
+			r.SubmitAll([]*Task{{Label: "batch-head", Fn: func() {}}, {Label: "batch-tail", Fn: func() {}}})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := New(Options{Workers: 1})
+			r.Shutdown()
+			msg := mustPanic(t, func() { run(r) })
+			if !strings.Contains(msg, "Replay of") || !strings.Contains(msg, "after Shutdown") {
+				t.Errorf("panic message %q is not Replay's after-Shutdown message", msg)
+			}
+		})
+	}
 }
 
 // TestOverlappingReplayPanics checks the live-counter guard: replaying a
@@ -263,7 +271,7 @@ func TestOverlappingReplayPanics(t *testing.T) {
 }
 
 // TestInlineReplayOrder checks Inline.Replay runs bodies in capture order on
-// the calling goroutine — the same schedule inline fresh emission produces.
+// the calling goroutine.
 func TestInlineReplayOrder(t *testing.T) {
 	e := NewInline(nil)
 	var order []int
@@ -365,8 +373,8 @@ func waitWithin(t *testing.T, r *Runtime, what string) {
 // the reset would then overwrite that decrement, so the reader would never
 // be released and the replay would never drain.
 //
-// The test makes that interleaving certain rather than lucky. A fresh task
-// keeps one worker spinning until the roots are published, and the test
+// The test makes that interleaving certain rather than lucky. A one-task
+// replay keeps one worker spinning until the roots are published, and the test
 // holds idleMu, which Replay takes to wake the parked worker when it
 // publishes, until the writer has run. Replay thus stalls at its publish
 // step, and a reset placed after it would run only after the writer's
@@ -386,7 +394,7 @@ func TestReplayResetsBeforePublish(t *testing.T) {
 		// The spinner also stops once any task runs, in case it missed the
 		// roots while descheduled.
 		var spinning atomic.Bool
-		r.Submit(&Task{Label: "spin", Fn: func() {
+		replayTasks(r, &Task{Label: "spin", Fn: func() {
 			ran := r.stats.executed.Load()
 			spinning.Store(true)
 			for r.global.size.Load() == 0 && r.stats.executed.Load() == ran {
@@ -409,29 +417,6 @@ func TestReplayResetsBeforePublish(t *testing.T) {
 	}
 	if got := reads.Load(); got != replays {
 		t.Fatalf("reader ran %d times in %d replays", got, replays)
-	}
-	r.Shutdown()
-}
-
-// TestReplayLeavesDepTableClean pins table isolation: a replay never enters
-// the dependency table, so a fresh task submitted after it derives against
-// the table as the replay found it. A replayed writer left in the table
-// would become the fresh task's predecessor, and a template node never
-// releases fresh successors, so the fresh task would never run.
-func TestReplayLeavesDepTableClean(t *testing.T) {
-	r := New(Options{Workers: 2})
-	c := NewCapture()
-	k := key("x")
-	c.Submit(&Task{Label: "w", Out: []Dep{k}})
-	tpl := c.Freeze()
-
-	r.Replay(tpl)
-	waitWithin(t, r, "replay")
-	var ran atomic.Bool
-	r.Submit(&Task{Label: "fresh", InOut: []Dep{k}, Fn: func() { ran.Store(true) }})
-	waitWithin(t, r, "fresh task after replay")
-	if !ran.Load() {
-		t.Fatal("fresh task did not run")
 	}
 	r.Shutdown()
 }
@@ -464,5 +449,35 @@ func TestWideReplayLatchesAtMostWorkers(t *testing.T) {
 	r.Shutdown()
 	if latched > workers {
 		t.Fatalf("replay of %d roots latched %d wakeups on %d workers", roots, latched, workers)
+	}
+}
+
+// TestFreezeAllocationBounded checks that the transitive reduction builds
+// ancestor bitsets only for nodes some join needs: freezing 1<<15 tasks with
+// no join (independent tasks, or one InOut chain) must not allocate the
+// n²/8 bytes of bitsets for every node, 128 MB at this size.
+func TestFreezeAllocationBounded(t *testing.T) {
+	const n, limit = 1 << 15, 16 << 20
+	for name, deps := range map[string]func(k Dep) []Dep{
+		"independent": func(Dep) []Dep { return nil },
+		"inout-chain": func(k Dep) []Dep { return []Dep{k} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewCapture()
+			k := key("chain")
+			for i := 0; i < n; i++ {
+				c.Submit(&Task{InOut: deps(k)})
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tpl := c.Freeze()
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+				t.Fatalf("Freeze of %d tasks allocated %d MB, want < %d MB", n, got>>20, limit>>20)
+			}
+			if tpl.Len() != n {
+				t.Fatalf("Len = %d, want %d", tpl.Len(), n)
+			}
+		})
 	}
 }

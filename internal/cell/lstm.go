@@ -129,7 +129,10 @@ func lstmPointwise[E tensor.Elt](w *LSTMWeightsOf[E], cPrev *tensor.Mat[E], st *
 		o := row[lstmGateO*H : (lstmGateO+1)*H]
 		for j := 0; j < H; j++ {
 			c[j] = f[j]*cp[j] + i[j]*g[j] // Equation 5
-			tc[j] = tanhE(c[j])
+		}
+		copy(tc, c)
+		tensor.TanhSlice(tc)
+		for j := 0; j < H; j++ {
 			h[j] = o[j] * tc[j] // Equation 6
 		}
 	}

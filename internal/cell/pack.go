@@ -3,23 +3,16 @@ package cell
 import "bpar/internal/tensor"
 
 // PackSet bundles the packed weight panels one direction of one layer needs
-// on the split execution path. The input projection packs the [0, In) column
-// window of the full fused matrix; the chain-resident recurrent GEMMs pack
-// the [In, In+H) window — for the LSTM and RNN over all gate rows at once,
-// for the GRU separately over the z/r and candidate row blocks because
-// GRUForwardPre multiplies them by different operands (hPrev vs r⊙hPrev).
-//
-// Panels copy the weights; after a weight update call Repack. The engine
-// caches one PackSet per (layer, direction) keyed on the model's weight
-// version, so in steady-state inference the packing cost is paid once per
-// model, not per sequence.
+// on the split execution path; the panels copy the weights. The engine reads
+// W in place (DESIGN.md §14): the packed kernels serve bench's kernel probes.
 type PackSet[E tensor.Elt] struct {
 	// X packs W[:, 0:In) — the off-chain input projection window.
 	X *tensor.PackedPanel[E]
-	// H packs W[:, In:In+H) for LSTM and RNN — the recurrent window.
+	// H packs W[:, In:In+H) for LSTM — the recurrent window.
 	H *tensor.PackedPanel[E]
 	// HZR and HH pack the recurrent window of the GRU's z/r row block and
-	// candidate row block respectively; nil for LSTM and RNN (and vice versa).
+	// candidate row block apart, as GRUForwardPre multiplies them by hPrev
+	// and r⊙hPrev; nil for LSTM (and vice versa).
 	HZR, HH *tensor.PackedPanel[E]
 }
 
@@ -37,24 +30,6 @@ func PackGRU[E tensor.Elt](w *GRUWeightsOf[E]) *PackSet[E] {
 		X:   tensor.NewPackedPanel(w.W, 0, w.InputSize),
 		HZR: tensor.NewPackedPanel(w.zrView, w.InputSize, w.HiddenSize),
 		HH:  tensor.NewPackedPanel(w.hView, w.InputSize, w.HiddenSize),
-	}
-}
-
-// PackRNN packs the split-path panels of one RNN direction.
-func PackRNN[E tensor.Elt](w *RNNWeightsOf[E]) *PackSet[E] {
-	return &PackSet[E]{
-		X: tensor.NewPackedPanel(w.W, 0, w.InputSize),
-		H: tensor.NewPackedPanel(w.W, w.InputSize, w.HiddenSize),
-	}
-}
-
-// Repack refreshes every panel from the live weights, in place; pointers held
-// by captured replay templates stay valid.
-func (ps *PackSet[E]) Repack() {
-	for _, pp := range []*tensor.PackedPanel[E]{ps.X, ps.H, ps.HZR, ps.HH} {
-		if pp != nil {
-			pp.Repack()
-		}
 	}
 }
 
@@ -86,11 +61,4 @@ func GRUPreGatesPacked[E tensor.Elt](w *GRUWeightsOf[E], x, pre *tensor.Mat[E], 
 // GRUForwardPrePacked is GRUForwardPre reading the packed recurrent panels.
 func GRUForwardPrePacked[E tensor.Elt](w *GRUWeightsOf[E], pre, hPrev *tensor.Mat[E], st *GRUStateOf[E], ps *PackSet[E]) {
 	gruForwardPre(w, pre, hPrev, st, ps)
-}
-
-// RNNForwardPrePacked is RNNForwardPre reading the packed recurrent panel.
-func RNNForwardPrePacked[E tensor.Elt](w *RNNWeightsOf[E], pre, hPrev *tensor.Mat[E], st *RNNStateOf[E], ps *PackSet[E]) {
-	st.H.CopyFrom(pre)
-	tensor.GemmTAccColsPacked(st.H, hPrev, ps.H)
-	tensor.TanhInPlace(st.H)
 }

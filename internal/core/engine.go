@@ -98,11 +98,10 @@ type Engine struct {
 
 	// InferDType selects the numeric representation of forward-only steps
 	// (Infer/InferProbs): tensor.F64 (zero value, the default) runs the
-	// float64 graph; tensor.F32 runs a float32 mirror of the model — weights
-	// converted once per weight version into packed panels, activations in
-	// float32 throughout. Training is always float64. Set before the first
-	// step: workspaces hold forward buffers of this dtype only until they
-	// first train.
+	// float64 graph; tensor.F32 runs a float32 mirror of the model, converted
+	// once per weight version. Training is always float64. Set before the
+	// first step: workspaces hold forward buffers of this dtype only until
+	// they first train.
 	InferDType tensor.DType
 
 	// noReduce freezes captured templates with the full derived edge set
@@ -228,8 +227,7 @@ func (e *Engine) isF32() bool {
 
 // refreshWeightCaches brings the float32 weight mirror up to date when the
 // model's weight version has moved since it was last converted. Runs
-// host-side between steps; the mirror, packed panels included, is refreshed
-// in place so pointers captured by replay templates stay valid.
+// host-side between steps, in place, so replay templates' pointers hold.
 func (e *Engine) refreshWeightCaches() {
 	if !e.isF32() {
 		return

@@ -130,6 +130,47 @@ func TestParallelRunsAreDeterministic(t *testing.T) {
 	}
 }
 
+// TestRuntimeAllocatesAsInline: a steady-state train or infer step on a
+// Runtime with one or two workers, under either policy, allocates exactly
+// what the same step allocates on Inline, so replaying a template on the
+// worker pool adds no allocation of its own.
+func TestRuntimeAllocatesAsInline(t *testing.T) {
+	cfg := smallCfg(LSTM, ManyToOne, 2)
+	b := makeBatch(cfg, 5)
+	allocs := func(exec taskrt.Executor) (train, infer float64) {
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(m, exec)
+		step := func() {
+			if _, err := e.TrainStep(b, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inf := func() {
+			if _, _, err := e.Infer(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		inf()
+		return testing.AllocsPerRun(20, step), testing.AllocsPerRun(20, inf)
+	}
+	wantTrain, wantInfer := allocs(taskrt.NewInline(nil))
+	for _, workers := range []int{1, 2} {
+		for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
+			rt := taskrt.New(taskrt.Options{Workers: workers, Policy: pol})
+			train, infer := allocs(rt)
+			rt.Shutdown()
+			if train != wantTrain || infer != wantInfer {
+				t.Errorf("%d workers, policy %v: %v allocations per train step and %v per infer step, Inline %v and %v",
+					workers, pol, train, infer, wantTrain, wantInfer)
+			}
+		}
+	}
+}
+
 // TestTrainingReducesLoss: a small model fits a fixed batch.
 func TestTrainingReducesLoss(t *testing.T) {
 	for _, arch := range []Arch{ManyToOne, ManyToMany} {

@@ -12,7 +12,7 @@ import (
 
 // dirFwd is the forward-kernel view of one direction of one layer at element
 // type E, dispatching on cell kind so the emission code is written once for
-// every cell. The float64 instantiation is the master copy: it is embedded
+// every cell; its kernels read the column windows of W in place. The float64 instantiation is the master copy: it is embedded
 // in dirParams, which training reads and updates. The float32 instantiation
 // is the engine's inference mirror, converted from the master.
 type dirFwd[E tensor.Elt] struct {
@@ -20,12 +20,6 @@ type dirFwd[E tensor.Elt] struct {
 	lstm *cell.LSTMWeightsOf[E]
 	gru  *cell.GRUWeightsOf[E]
 	rnn  *cell.RNNWeightsOf[E]
-	// pack, when non-nil, holds packed copies of the weight panels and the
-	// forward kernels read those; when nil they read the column windows of W
-	// in place. Both accumulate bitwise-identically per dtype. The float32
-	// mirror packs; the float64 master never does (see DESIGN.md §14 for the
-	// measurements behind that).
-	pack *cell.PackSet[E]
 }
 
 // dirParams is the trainable float64 state of one direction of one layer.
@@ -49,26 +43,22 @@ func newDirParams(kind CellKind, inputSize, hiddenSize int, r *rng.RNG) *dirPara
 	return p
 }
 
-// newDirMirror converts p's weights into a fresh E-typed view with packed
-// weight panels.
+// newDirMirror converts p's weights into a fresh E-typed view.
 func newDirMirror[E tensor.Elt](p *dirParams) *dirFwd[E] {
 	d := &dirFwd[E]{kind: p.kind}
 	switch p.kind {
 	case LSTM:
 		d.lstm = cell.ConvertLSTMWeights[E](p.lstm)
-		d.pack = cell.PackLSTM(d.lstm)
 	case GRU:
 		d.gru = cell.ConvertGRUWeights[E](p.gru)
-		d.pack = cell.PackGRU(d.gru)
 	default:
 		d.rnn = cell.ConvertRNNWeights[E](p.rnn)
-		d.pack = cell.PackRNN(d.rnn)
 	}
 	return d
 }
 
 // refresh re-converts the mirror from the master weights in place, so
-// pointers captured by replay templates and packed panels stay valid.
+// pointers captured by replay templates stay valid.
 func (d *dirFwd[E]) refresh(p *dirParams) {
 	switch d.kind {
 	case LSTM:
@@ -77,9 +67,6 @@ func (d *dirFwd[E]) refresh(p *dirParams) {
 		cell.ConvertGRUWeightsInto(d.gru, p.gru)
 	default:
 		cell.ConvertRNNWeightsInto(d.rnn, p.rnn)
-	}
-	if d.pack != nil {
-		d.pack.Repack()
 	}
 }
 
@@ -132,8 +119,7 @@ func masterFwdWeights(m *Model) *fwdWeights[float64] {
 }
 
 // newFwdMirror converts m's weights into a fresh E-typed view — the
-// inference mirror, packed panels included; training and checkpoints never
-// see it.
+// inference mirror, which training and checkpoints never see.
 func newFwdMirror[E tensor.Elt](m *Model) *fwdWeights[E] {
 	w := &fwdWeights[E]{}
 	for d := range m.dir {
@@ -215,21 +201,9 @@ func (s *cellSt[E]) C() *tensor.Mat[E] {
 
 func (s *cellSt[E]) workingSetBytes() int64 { return matsBytes(s.mats()...) }
 
-// forwardPre runs the chain-resident forward remainder of one cell, through
-// the packed recurrent panels when the view packs. cPrev is ignored for GRU and
-// RNN.
+// forwardPre runs the chain-resident forward remainder of one cell. cPrev is
+// ignored for GRU and RNN.
 func (d *dirFwd[E]) forwardPre(pre, hPrev, cPrev *tensor.Mat[E], st *cellSt[E]) {
-	if d.pack != nil {
-		switch d.kind {
-		case LSTM:
-			cell.LSTMForwardPrePacked(d.lstm, pre, hPrev, cPrev, st.lstm, d.pack)
-		case GRU:
-			cell.GRUForwardPrePacked(d.gru, pre, hPrev, st.gru, d.pack)
-		default:
-			cell.RNNForwardPrePacked(d.rnn, pre, hPrev, st.rnn, d.pack)
-		}
-		return
-	}
 	switch d.kind {
 	case LSTM:
 		cell.LSTMForwardPre(d.lstm, pre, hPrev, cPrev, st.lstm)
@@ -242,17 +216,13 @@ func (d *dirFwd[E]) forwardPre(pre, hPrev, cPrev *tensor.Mat[E], st *cellSt[E]) 
 
 // preGatesBatch computes pres[s] = xs[s]*Wx^T + B for a tile of timesteps
 // with one batched kernel call, so the Wx panel is streamed from memory once
-// per tile instead of once per timestep. The accumulation order (bias first,
-// then the column-window product) is the same with and without packing.
+// per tile instead of once per timestep: bias first, then the column-window
+// product.
 func (d *dirFwd[E]) preGatesBatch(xs, pres []*tensor.Mat[E]) {
 	w, b := d.wParams()
 	for _, pre := range pres {
 		pre.Zero()
 		tensor.AddBiasRows(pre, b)
-	}
-	if d.pack != nil {
-		tensor.GemmTAccColsPackedBatch(pres, xs, d.pack.X)
-		return
 	}
 	tensor.GemmTAccColsBatch(pres, xs, w, 0)
 }
@@ -482,8 +452,8 @@ type Model struct {
 	// configs hold exactly the pre-refactor classifier parameters.
 	Heads []Head
 
-	// mut counts weight updates. Engines key their derived weight caches
-	// (packed panels, float32 mirrors) on it so a cache is rebuilt exactly
+	// mut counts weight updates. Engines key their float32 mirrors on it so
+	// a mirror is rebuilt exactly
 	// when the weights moved. Shared — not copied — by WithBatch views so an
 	// update through any view invalidates every engine's caches.
 	mut *atomic.Uint64

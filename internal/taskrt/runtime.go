@@ -400,7 +400,7 @@ func (r *Runtime) execute(n *node, w int) {
 		r.errsMu.Unlock()
 	}
 
-	var readied []*node
+	readied := make([]*node, 0, 8) // on the stack: pushBatch copies it
 	for _, s := range n.succs {
 		if s.pending.Add(-1) == 0 {
 			readied = append(readied, s)

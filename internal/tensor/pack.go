@@ -5,13 +5,10 @@ import "fmt"
 // Panel packing for the transposed-weight column-window GEMMs. The split-path
 // kernels (GemmTAccCols and friends) read a column window [lo, lo+k) of every
 // row of the weight matrix bT [n x kb]: consecutive window rows are strided
-// kb elements apart, so at kb in the kilobyte range every row starts a new
-// page and the windowed sweep touches a footprint kb/k times larger than the
-// data it uses. A PackedPanel copies the window ONCE into a contiguous buffer
-// (GotoBLAS-style pack-and-reuse), turning the per-timestep weight sweep into
-// a single sequential stream — and amortizing the copy over all timesteps of
-// a sequence and all sequences, because the engine caches panels per
-// (layer, direction) and only repacks when the weights change.
+// kb elements apart. A PackedPanel copies the window once into a contiguous
+// buffer (GotoBLAS-style), turning the weight sweep into one sequential
+// stream. The engine no longer packs: with the vector kernels, strided reads
+// were no slower (DESIGN.md §14); bench's kernel probes still time packing.
 //
 // Layout: column-major over window rows — packed column j (row j of bT) is
 // the contiguous k-vector packed.Data[j*k : (j+1)*k], so the packed kernels
@@ -31,25 +28,17 @@ type PackedPanel[E Elt] struct {
 }
 
 // NewPackedPanel packs the column window [lo, lo+k) of bT. The panel holds a
-// copy; call Repack after mutating bT.
+// copy, so it does not follow later writes to bT.
 func NewPackedPanel[E Elt](bT *Mat[E], lo, k int) *PackedPanel[E] {
 	if lo < 0 || k < 0 || lo+k > bT.Cols {
 		panic(fmt.Sprintf("tensor: NewPackedPanel window [%d,%d) out of range for %d cols", lo, lo+k, bT.Cols))
 	}
+	guardR(bT)
 	pp := &PackedPanel[E]{N: bT.Rows, K: k, Lo: lo, src: bT, packed: Mat[E]{Rows: bT.Rows, Cols: k, Data: make([]E, bT.Rows*k)}}
-	pp.Repack()
-	return pp
-}
-
-// Repack refreshes the packed copy from the source matrix, in place; existing
-// pointers to the panel stay valid, which keeps captured replay templates
-// working across weight updates.
-func (pp *PackedPanel[E]) Repack() {
-	guardR(pp.src)
-	k, kb := pp.K, pp.src.Cols
-	for j := 0; j < pp.N; j++ {
-		copy(pp.packed.Data[j*k:(j+1)*k], pp.src.Data[j*kb+pp.Lo:j*kb+pp.Lo+k])
+	for j := range pp.N {
+		copy(pp.packed.Data[j*k:(j+1)*k], bT.Data[j*bT.Cols+lo:j*bT.Cols+lo+k])
 	}
+	return pp
 }
 
 func checkPackedCols[E Elt](dst, a *Mat[E], pp *PackedPanel[E], name string) {

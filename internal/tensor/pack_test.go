@@ -107,32 +107,6 @@ func TestGemmTAccColsPackedBatchBitwise(t *testing.T) {
 	}
 }
 
-// TestPackedPanelRepack pins the cache-invalidation contract: a panel holds a
-// copy, so results go stale when the source weights change and recover after
-// Repack — through the same panel pointer, as replay templates require.
-func TestPackedPanelRepack(t *testing.T) {
-	r := rng.New(17)
-	const m, k, n, kb, lo = 2, 12, 10, 20, 4
-	a := randomMatrix(r, m, k)
-	bT := randomMatrix(r, n, kb)
-	pp := NewPackedPanel(bT, lo, k)
-	for i := range bT.Data {
-		bT.Data[i] *= 1.5
-	}
-	stale, fresh := New(m, n), New(m, n)
-	MatMulTColsPacked(stale, a, pp)
-	MatMulTCols(fresh, a, bT, lo)
-	if stale.Equal(fresh) {
-		t.Fatal("panel tracked a weight update without Repack")
-	}
-	pp.Repack()
-	repacked := New(m, n)
-	MatMulTColsPacked(repacked, a, pp)
-	if !repacked.Equal(fresh) {
-		t.Fatal("Repack did not refresh the packed copy")
-	}
-}
-
 func TestPackedPanelPanics(t *testing.T) {
 	bT := New(6, 10)
 	pp := NewPackedPanel(bT, 2, 4)

@@ -27,8 +27,8 @@ func matMaxDiff32(a *tensor.Matrix, b *tensor.Mat[float32]) float64 {
 }
 
 // TestPackedSplitForwardBitwise pins the packed split path to the unpacked
-// one for the LSTM and the GRU at float64: packing is a pure layout change, so a
-// T-step recurrence through the packed kernels must be bitwise-identical.
+// one for the LSTM and the GRU at float64: packing is a pure layout change,
+// so a T-step recurrence through the packed kernels must be bitwise-identical.
 func TestPackedSplitForwardBitwise(t *testing.T) {
 	const T, batch, in, h = 5, 2, 24, 16
 	r := rng.New(3)

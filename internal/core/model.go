@@ -12,7 +12,7 @@ import (
 
 // dirFwd is the forward-kernel view of one direction of one layer at element
 // type E, dispatching on cell kind so the emission code is written once for
-// every cell; its kernels read the column windows of W in place. The float64 instantiation is the master copy: it is embedded
+// every cell. The float64 instantiation is the master copy: it is embedded
 // in dirParams, which training reads and updates. The float32 instantiation
 // is the engine's inference mirror, converted from the master.
 type dirFwd[E tensor.Elt] struct {

@@ -5,28 +5,30 @@ import (
 	"unsafe"
 )
 
-// exp is this package's own e^x, the non-FMA sequence of Go's
-// math/exp_amd64.s (Shibata's SIMD method, ISC 2010) in Go: k =
-// RoundToEven(x·log2e), r = (x − k·ln2U − k·ln2L)/16, e^r − 1 by the Taylor
-// polynomial (expPoly, in Horner order) and four doublings, then ×2^k with
-// that file's overflow, denormal and underflow branches. Every product that
-// feeds an add is converted explicitly, which the Go spec says no compiler
-// may fuse, so the bits hold on every CPU and GOARCH: exp(x) == math.Exp(x)
-// on amd64 without FMA, and is within 2 ulp of it elsewhere.
+// exp is this package's own e^x: the non-FMA sequence of Go's
+// math/exp_amd64.s (Shibata's SIMD method, ISC 2010) in Go, branches
+// included. Every product that feeds an add is converted explicitly, which
+// the Go spec says no compiler may fuse, so the bits hold on every CPU and
+// GOARCH: exp(x) == math.Exp(x) on amd64 without FMA, and is within 2 ulp of
+// it elsewhere.
 func exp(x float64) float64 {
 	if !(x <= 7.09782712893384e+02) { // NaN stays NaN, the rest overflows
 		return x + math.Inf(1)
 	}
 	k := math.RoundToEven(x * 1.4426950408889634073599246810018920)
-	if k < -1075 {
+	if k < -1075 { // underflow
 		return 0
 	}
+	// r = (x - k·ln 2)/16 with ln 2 in two parts, then Taylor terms in Horner order
 	r := (x - float64(k*0.69314718055966295651160180568695068359375) - float64(k*0.28235290563031577122588448175013436025525412068e-12)) * 0.0625
-	p := expPoly[0]
-	for _, c := range expPoly[1:] {
-		p = float64(p*r) + c
-	}
-	r = float64(r * p)
+	p := float64(2.4801587301587301587e-5*r) + 1.9841269841269841270e-4
+	p = float64(p*r) + 1.3888888888888888889e-3
+	p = float64(p*r) + 8.3333333333333333333e-3
+	p = float64(p*r) + 4.1666666666666666667e-2
+	p = float64(p*r) + 1.6666666666666666667e-1
+	p = float64(p*r) + 0.5
+	p = float64(p*r) + 1
+	r = float64(r * p) // e^r - 1; each step below makes it e^2r - 1, undoing the /16
 	for range 4 {
 		r = float64(r * (r + 2))
 	}
@@ -42,8 +44,6 @@ func exp(x float64) float64 {
 	return float64(r * math.Float64frombits(uint64(e)<<52))
 }
 
-var expPoly = [...]float64{2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
-	8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1}
 var tanhP = [...]float64{-9.64399179425052238628e-1, -9.92877231001918586564e1, -1.61468768441708447952e3}
 var tanhQ = [...]float64{1.12811678491632931402e2, 2.23548839060100448583e3, 4.84406305325125486048e3}
 

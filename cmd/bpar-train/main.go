@@ -56,7 +56,6 @@ type options struct {
 	steps      int
 	lr         float64
 	workers    int
-	locality   bool
 	depCheck   bool
 	inferDtype string
 	seed       uint64
@@ -82,7 +81,6 @@ func main() {
 	flag.IntVar(&o.steps, "steps", 20, "batches per epoch")
 	flag.Float64Var(&o.lr, "lr", 0.1, "learning rate")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "worker goroutines")
-	flag.BoolVar(&o.locality, "locality", true, "locality-aware scheduling")
 	flag.BoolVar(&o.depCheck, "depcheck", false, "enable the dependency sanitizer: verify every tensor access against declared In/Out/InOut edges (slow; serializes task bodies)")
 	flag.StringVar(&o.inferDtype, "infer-dtype", "f64", "dtype for the per-epoch eval pass: f64 (exact) or f32 (float32 mirror, refreshed after every weight update; training itself always runs f64)")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
@@ -182,17 +180,13 @@ func run(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	pol := taskrt.BreadthFirst
-	if o.locality {
-		pol = taskrt.LocalityAware
-	}
 	var profiler *prof.GraphProfiler
 	var psink taskrt.ProfileSink
 	if o.profOut != "" {
 		profiler = prof.NewGraphProfiler()
 		psink = profiler
 	}
-	rt := taskrt.New(taskrt.Options{Workers: o.workers, Policy: pol, DepCheck: o.depCheck, Profile: psink})
+	rt := taskrt.New(taskrt.Options{Workers: o.workers, DepCheck: o.depCheck, Profile: psink})
 	defer rt.Shutdown()
 	if o.depCheck {
 		defer tensor.SetAccessHook(nil)
@@ -231,7 +225,7 @@ func run(ctx context.Context, o options) error {
 	log.Info("training started",
 		"task", o.task, "config", cfg.String(),
 		"params", model.ParamCount(), "head_params", cfg.HeadParamCount(),
-		"workers", o.workers, "policy", pol.String())
+		"workers", o.workers)
 
 	evalBatch := nextBatch()
 	interrupted := false
@@ -278,7 +272,6 @@ func run(ctx context.Context, o options) error {
 			"duration", time.Since(start).Round(time.Millisecond),
 			"tasks_executed", st.Executed,
 			"overhead_ratio", st.OverheadRatio(),
-			"steals", st.Steals,
 			"gemm_flops", tensor.GEMMFlops())
 		if headSums != nil {
 			// Per-head training loss: how the shared trunk's heads fit
@@ -300,9 +293,6 @@ func run(ctx context.Context, o options) error {
 		"tasks_executed", st.Executed,
 		"overhead_ratio", st.OverheadRatio(),
 		"peak_parallel_tasks", st.MaxRunning,
-		"local_queue_hits", st.LocalHits,
-		"steals", st.Steals,
-		"steal_fails", st.StealFails,
 		"worker_idle", time.Duration(st.IdleNS()))
 
 	if profiler != nil {

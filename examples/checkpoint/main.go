@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt := taskrt.New(taskrt.Options{Workers: runtime.GOMAXPROCS(0), Policy: taskrt.LocalityAware})
+	rt := taskrt.New(taskrt.Options{Workers: runtime.GOMAXPROCS(0)})
 	defer rt.Shutdown()
 
 	engine := core.NewEngine(model, rt)

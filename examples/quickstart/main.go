@@ -37,13 +37,10 @@ func main() {
 	fmt.Printf("model: %v (%d parameters)\n", cfg, model.ParamCount())
 
 	// 2. Start the task runtime: one worker per core, with the paper's
-	//    locality-aware breadth-first scheduler. Every LSTM cell update,
-	//    merge, and gradient task will be scheduled the moment its data
-	//    dependencies resolve — no per-layer barriers.
-	rt := taskrt.New(taskrt.Options{
-		Workers: runtime.GOMAXPROCS(0),
-		Policy:  taskrt.LocalityAware,
-	})
+	//    breadth-first scheduler. Every LSTM cell update, merge, and
+	//    gradient task will be scheduled the moment its data dependencies
+	//    resolve — no per-layer barriers.
+	rt := taskrt.New(taskrt.Options{Workers: runtime.GOMAXPROCS(0)})
 	defer rt.Shutdown()
 
 	engine := core.NewEngine(model, rt)

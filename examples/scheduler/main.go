@@ -29,7 +29,7 @@ func main() {
 // replays it, running what it can in parallel.
 func directRuntimeDemo() {
 	fmt.Println("== direct runtime: a diamond of tasks ==")
-	rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.LocalityAware})
+	rt := taskrt.New(taskrt.Options{Workers: 4})
 	defer rt.Shutdown()
 
 	// Dependency keys are just addresses of the data tasks touch.

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	workers := runtime.GOMAXPROCS(0)
-	rt := taskrt.New(taskrt.Options{Workers: workers, Policy: taskrt.LocalityAware})
+	rt := taskrt.New(taskrt.Options{Workers: workers})
 	defer rt.Shutdown()
 
 	par := core.NewEngine(mPar, rt)

@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rt := taskrt.New(taskrt.Options{Workers: runtime.GOMAXPROCS(0), Policy: taskrt.LocalityAware})
+	rt := taskrt.New(taskrt.Options{Workers: runtime.GOMAXPROCS(0)})
 	defer rt.Shutdown()
 	engine := core.NewEngine(model, rt)
 	engine.GradClip = 1.0

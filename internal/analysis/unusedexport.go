@@ -45,6 +45,8 @@ var unusedAllowlist = map[string]string{
 	"core.Engine.TrainStepBarrier": "the per-layer-barrier training step; ROADMAP item 2 gives it a caller",
 	"experiments.Opts.CoreCounts":  "the 5-point core sweep the experiment goldens were recorded at",
 	"analysis.Loader.CheckFixture": "type-checks the pass fixtures",
+	"taskrt.Stats.LocalHits":       "always zero; bench/ reads it until bench/ opens (ROADMAP 1(f))",
+	"taskrt.Stats.Steals":          "always zero; bench/ reads it until bench/ opens (ROADMAP 1(f))",
 }
 
 // useIndex is what the module's non-test code does with each name, keyed

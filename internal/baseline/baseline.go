@@ -35,10 +35,8 @@ import (
 
 	"bpar/internal/core"
 	"bpar/internal/costmodel"
+	"bpar/internal/tensor"
 )
-
-func exp(x float64) float64 { return math.Exp(x) }
-func ln(x float64) float64  { return math.Log(x) }
 
 // CPUModel is an analytic per-layer-barrier framework execution model.
 type CPUModel struct {
@@ -95,12 +93,13 @@ func defaultRateCap(gemmFlops float64) float64 {
 	return cap
 }
 
-// pow035 approximates x^0.35 for positive x.
+// pow035 approximates x^0.35 for positive x. tensor.Exp, unlike math.Exp,
+// gives the same bits on hosts with and without FMA.
 func pow035(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	return exp(0.35 * ln(x))
+	return tensor.Exp(0.35 * math.Log(x))
 }
 
 // KerasCPU returns the TensorFlow-Keras CPU model.

@@ -137,13 +137,13 @@ func TestDepCheckCatchesUndeclaredWriteInTrainStep(t *testing.T) {
 // trainWeights trains a fresh model from cfg for a few steps on the given
 // executor configuration, with its cached template or a fresh capture every
 // step, and returns the resulting model.
-func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, noReplay bool, batches []*Batch) *Model {
+func trainWeights(t *testing.T, cfg Config, workers int, noReplay bool, batches []*Batch) *Model {
 	t.Helper()
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := taskrt.New(taskrt.Options{Workers: workers, Policy: pol, DepCheck: true})
+	rt := taskrt.New(taskrt.Options{Workers: workers, DepCheck: true})
 	defer rt.Shutdown()
 	defer tensor.SetAccessHook(nil)
 	eng := NewEngine(m, rt)
@@ -151,28 +151,25 @@ func trainWeights(t *testing.T, cfg Config, workers int, pol taskrt.Policy, noRe
 	eng.NoReplay = noReplay
 	for i, b := range batches {
 		if _, err := eng.TrainStep(b, 0.05); err != nil {
-			t.Fatalf("workers=%d policy=%v noReplay=%v step %d: %v", workers, pol, noReplay, i, err)
+			t.Fatalf("workers=%d noReplay=%v step %d: %v", workers, noReplay, i, err)
 		}
 	}
 	return m
 }
 
 // TestDepCheckDeterminism: with the sanitizer enabled, training is bitwise
-// identical across worker counts {1, 2, 4}, both scheduling policies, and
-// cached template vs fresh capture every step — the no-barrier graph fixes
+// identical across worker counts {1, 2, 4} and cached template vs fresh capture every step — the no-barrier graph fixes
 // the floating-point summation order, so any divergence would indicate an
 // undeclared dependency the checker missed.
 func TestDepCheckDeterminism(t *testing.T) {
 	cfg := depCheckConfig(LSTM, ManyToOne)
 	batches := trainBatches(t, cfg, 4)
-	ref := trainWeights(t, cfg, 1, taskrt.BreadthFirst, false, batches)
+	ref := trainWeights(t, cfg, 1, false, batches)
 	for _, noReplay := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 4} {
-			for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
-				got := trainWeights(t, cfg, workers, pol, noReplay, batches)
-				if !ref.WeightsEqual(got) {
-					t.Errorf("weights diverged at workers=%d policy=%v noReplay=%v", workers, pol, noReplay)
-				}
+			got := trainWeights(t, cfg, workers, noReplay, batches)
+			if !ref.WeightsEqual(got) {
+				t.Errorf("weights diverged at workers=%d noReplay=%v", workers, noReplay)
 			}
 		}
 	}

@@ -68,9 +68,9 @@ func trainN(t *testing.T, cfg Config, mkExec func() taskrt.Executor, n int) (*Mo
 }
 
 func inlineExec() taskrt.Executor { return taskrt.NewInline(nil) }
-func parallelExec(workers int, pol taskrt.Policy) func() taskrt.Executor {
+func parallelExec(workers int) func() taskrt.Executor {
 	return func() taskrt.Executor {
-		return taskrt.New(taskrt.Options{Workers: workers, Policy: pol})
+		return taskrt.New(taskrt.Options{Workers: workers})
 	}
 }
 
@@ -86,29 +86,27 @@ func smallCfg(cell CellKind, arch Arch, mbs int) Config {
 // claim (Section III): orchestrating BRNN training via task dependencies
 // produces no accuracy loss versus sequential execution. We verify the
 // strongest form — bitwise identical weights after several steps — for both
-// cell kinds, both architectures, both scheduling policies, and with data
-// parallelism enabled.
+// cell kinds, both architectures, and with data parallelism enabled.
 func TestParallelMatchesSequentialBitwise(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		pol  taskrt.Policy
 	}{
-		{"lstm-m2o", smallCfg(LSTM, ManyToOne, 1), taskrt.BreadthFirst},
-		{"gru-m2o", smallCfg(GRU, ManyToOne, 1), taskrt.BreadthFirst},
-		{"rnn-m2o", smallCfg(RNN, ManyToOne, 1), taskrt.BreadthFirst},
-		{"rnn-m2m-mbs2", smallCfg(RNN, ManyToMany, 2), taskrt.BreadthFirst},
-		{"lstm-m2m", smallCfg(LSTM, ManyToMany, 1), taskrt.BreadthFirst},
-		{"gru-m2m", smallCfg(GRU, ManyToMany, 1), taskrt.BreadthFirst},
-		{"lstm-m2o-mbs3", smallCfg(LSTM, ManyToOne, 3), taskrt.BreadthFirst},
-		{"lstm-m2m-mbs2", smallCfg(LSTM, ManyToMany, 2), taskrt.BreadthFirst},
-		{"lstm-m2o-locality", smallCfg(LSTM, ManyToOne, 2), taskrt.LocalityAware},
+		{"lstm-m2o", smallCfg(LSTM, ManyToOne, 1)},
+		{"gru-m2o", smallCfg(GRU, ManyToOne, 1)},
+		{"rnn-m2o", smallCfg(RNN, ManyToOne, 1)},
+		{"rnn-m2m-mbs2", smallCfg(RNN, ManyToMany, 2)},
+		{"lstm-m2m", smallCfg(LSTM, ManyToMany, 1)},
+		{"gru-m2m", smallCfg(GRU, ManyToMany, 1)},
+		{"lstm-m2o-mbs3", smallCfg(LSTM, ManyToOne, 3)},
+		{"lstm-m2m-mbs2", smallCfg(LSTM, ManyToMany, 2)},
+		{"lstm-m2o-mbs2", smallCfg(LSTM, ManyToOne, 2)},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			seqM, seqLoss := trainN(t, tc.cfg, inlineExec, 4)
-			parM, parLoss := trainN(t, tc.cfg, parallelExec(4, tc.pol), 4)
+			parM, parLoss := trainN(t, tc.cfg, parallelExec(4), 4)
 			if !seqM.WeightsEqual(parM) {
 				t.Fatalf("weights diverged: max |diff| = %g", seqM.WeightsMaxAbsDiff(parM))
 			}
@@ -123,15 +121,15 @@ func TestParallelMatchesSequentialBitwise(t *testing.T) {
 // identical regardless of scheduling nondeterminism.
 func TestParallelRunsAreDeterministic(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
-	m1, _ := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
-	m2, _ := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
+	m1, _ := trainN(t, cfg, parallelExec(4), 3)
+	m2, _ := trainN(t, cfg, parallelExec(4), 3)
 	if !m1.WeightsEqual(m2) {
 		t.Fatal("parallel training is not deterministic")
 	}
 }
 
 // TestRuntimeAllocatesAsInline: a steady-state train or infer step on a
-// Runtime with one or two workers, under either policy, allocates exactly
+// Runtime with one or two workers allocates exactly
 // what the same step allocates on Inline, so replaying a template on the
 // worker pool adds no allocation of its own.
 func TestRuntimeAllocatesAsInline(t *testing.T) {
@@ -159,14 +157,12 @@ func TestRuntimeAllocatesAsInline(t *testing.T) {
 	}
 	wantTrain, wantInfer := allocs(taskrt.NewInline(nil))
 	for _, workers := range []int{1, 2} {
-		for _, pol := range []taskrt.Policy{taskrt.BreadthFirst, taskrt.LocalityAware} {
-			rt := taskrt.New(taskrt.Options{Workers: workers, Policy: pol})
-			train, infer := allocs(rt)
-			rt.Shutdown()
-			if train != wantTrain || infer != wantInfer {
-				t.Errorf("%d workers, policy %v: %v allocations per train step and %v per infer step, Inline %v and %v",
-					workers, pol, train, infer, wantTrain, wantInfer)
-			}
+		rt := taskrt.New(taskrt.Options{Workers: workers})
+		train, infer := allocs(rt)
+		rt.Shutdown()
+		if train != wantTrain || infer != wantInfer {
+			t.Errorf("%d workers: %v allocations per train step and %v per infer step, Inline %v and %v",
+				workers, train, infer, wantTrain, wantInfer)
 		}
 	}
 }
@@ -248,7 +244,7 @@ func TestBSeqMatchesBPar(t *testing.T) {
 	for _, arch := range []Arch{ManyToOne, ManyToMany} {
 		for _, cell := range []CellKind{LSTM, GRU} {
 			cfg := smallCfg(cell, arch, 3)
-			parM, parLoss := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
+			parM, parLoss := trainN(t, cfg, parallelExec(4), 3)
 
 			m, err := NewModel(cfg)
 			if err != nil {
@@ -304,14 +300,14 @@ func TestBSeqReportsSubEngineFailure(t *testing.T) {
 // three per layer forward, one after the heads, three per layer backward.
 func TestBarrierModeMatchesBPar(t *testing.T) {
 	cfg := smallCfg(LSTM, ManyToOne, 2)
-	parM, parLoss := trainN(t, cfg, parallelExec(4, taskrt.BreadthFirst), 3)
+	parM, parLoss := trainN(t, cfg, parallelExec(4), 3)
 	const steps = 3
 	for _, ex := range []struct {
 		name string
 		mk   func() taskrt.Executor
 	}{
-		{"w4-bf", parallelExec(4, taskrt.BreadthFirst)},
-		{"w2-bf", parallelExec(2, taskrt.BreadthFirst)},
+		{"w4-bf", parallelExec(4)},
+		{"w2-bf", parallelExec(2)},
 	} {
 		t.Run(ex.name, func(t *testing.T) {
 			m, err := NewModel(cfg)

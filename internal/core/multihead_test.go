@@ -85,16 +85,14 @@ func trainNMulti(t *testing.T, cfg Config, withLens, noReplay bool, mkExec func(
 	return m, loss
 }
 
-// multiHeadExecs is the worker {1,4} × policy {breadth-first, locality-aware}
-// grid the issue's equivalence claims quantify over.
+// multiHeadExecs are the worker counts the multi-head equivalence claims
+// quantify over.
 var multiHeadExecs = []struct {
 	name string
 	mk   func() taskrt.Executor
 }{
-	{"w1-bf", parallelExec(1, taskrt.BreadthFirst)},
-	{"w4-bf", parallelExec(4, taskrt.BreadthFirst)},
-	{"w1-la", parallelExec(1, taskrt.LocalityAware)},
-	{"w4-la", parallelExec(4, taskrt.LocalityAware)},
+	{"w1-bf", parallelExec(1)},
+	{"w4-bf", parallelExec(4)},
 }
 
 // TestMultiHeadParallelMatchesSequentialBitwise extends the paper's central
@@ -129,7 +127,7 @@ func TestMultiHeadParallelMatchesSequentialBitwise(t *testing.T) {
 // TestMultiHeadReplayMatchesFreshBitwise: the captured template of a
 // multi-head masked step — including the new head-gradient accumulation
 // joins and the lens-dependent masking tasks — replays bitwise identically
-// to a fresh capture every step on every worker count and policy.
+// to a fresh capture every step on every worker count.
 func TestMultiHeadReplayMatchesFreshBitwise(t *testing.T) {
 	for _, cell := range []CellKind{LSTM, GRU} {
 		for _, withLens := range []bool{false, true} {
@@ -745,7 +743,7 @@ func TestMultiHeadSaveLoadRoundtrip(t *testing.T) {
 // computes bitwise the same masked multi-head update as B-Par.
 func TestBSeqMatchesBParMultiHeadMasked(t *testing.T) {
 	cfg := multiHeadCfg(LSTM, 3)
-	parM, parLoss := trainNMulti(t, cfg, true, false, parallelExec(4, taskrt.BreadthFirst), 3)
+	parM, parLoss := trainNMulti(t, cfg, true, false, parallelExec(4), 3)
 
 	m, err := NewModel(cfg)
 	if err != nil {

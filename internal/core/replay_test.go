@@ -37,16 +37,15 @@ func trainNReplay(t *testing.T, cfg Config, noReplay bool, mkExec func() taskrt.
 // contract: replaying the cached template must be bitwise identical to
 // capturing the task graph afresh every step, because the edge set — and
 // therefore the floating-point summation order — is the same. Covered across all cell
-// kinds, both architectures, worker counts and scheduling policies.
+// kinds, both architectures and worker counts.
 func TestReplayMatchesFreshBitwise(t *testing.T) {
 	execs := []struct {
 		name string
 		mk   func() taskrt.Executor
 	}{
 		{"inline", inlineExec},
-		{"w1-bf", parallelExec(1, taskrt.BreadthFirst)},
-		{"w4-bf", parallelExec(4, taskrt.BreadthFirst)},
-		{"w4-la", parallelExec(4, taskrt.LocalityAware)},
+		{"w1-bf", parallelExec(1)},
+		{"w4-bf", parallelExec(4)},
 	}
 	cases := []struct {
 		name string
@@ -88,7 +87,7 @@ func TestReplayReducedMatchesUnreducedBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.LocalityAware})
+		rt := taskrt.New(taskrt.Options{Workers: 4})
 		defer rt.Shutdown()
 		e := NewEngine(m, rt)
 		e.noReduce = noReduce
@@ -124,7 +123,7 @@ func TestReplayInferMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.LocalityAware})
+		rt := taskrt.New(taskrt.Options{Workers: 4})
 		defer rt.Shutdown()
 		e := NewEngine(m, rt)
 		e.NoReplay = noReplay
@@ -161,7 +160,7 @@ func TestReplayDepcheckClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.LocalityAware, DepCheck: true})
+	rt := taskrt.New(taskrt.Options{Workers: 4, DepCheck: true})
 	defer rt.Shutdown()
 	e := NewEngine(m, rt)
 	for i := 0; i < 3; i++ {
@@ -185,7 +184,7 @@ func TestReplayVariableSeqLens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := taskrt.New(taskrt.Options{Workers: 4, Policy: taskrt.BreadthFirst})
+		rt := taskrt.New(taskrt.Options{Workers: 4})
 		defer rt.Shutdown()
 		e := NewEngine(m, rt)
 		e.NoReplay = noReplay

@@ -105,7 +105,7 @@ func TestAdamConvergesAndIsDeterministic(t *testing.T) {
 		return m, loss
 	}
 	seqM, seqLoss := run(inlineExec)
-	parM, parLoss := run(parallelExec(4, taskrt.BreadthFirst))
+	parM, parLoss := run(parallelExec(4))
 	if !seqM.WeightsEqual(parM) || seqLoss != parLoss {
 		t.Fatalf("Adam parallel diverged from sequential: %g", seqM.WeightsMaxAbsDiff(parM))
 	}

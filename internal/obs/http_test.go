@@ -117,7 +117,7 @@ func TestSchedulerCountersMoveAfterEngineStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := taskrt.New(taskrt.Options{Workers: 2, Policy: taskrt.LocalityAware})
+	rt := taskrt.New(taskrt.Options{Workers: 2})
 	defer rt.Shutdown()
 	eng := core.NewEngine(m, rt)
 
@@ -162,7 +162,6 @@ func TestSchedulerCountersMoveAfterEngineStep(t *testing.T) {
 		`bpar_sched_worker_idle_seconds_total{worker="0"}`,
 		`bpar_sched_worker_idle_seconds_total{worker="1"}`,
 		`bpar_sched_ready_queue_depth{queue="global"}`,
-		`bpar_sched_ready_queue_depth{queue="local"}`,
 	} {
 		if _, ok := afterVals[series]; !ok {
 			t.Errorf("missing series %q", series)

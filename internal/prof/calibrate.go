@@ -30,6 +30,7 @@ type Calibration struct {
 
 // Calibrate replays td's frozen graph through the simulator with its
 // measured mean node durations on `workers` cores and compares makespans.
+// The simulator runs FIFO, the one policy taskrt.Runtime schedules with.
 func Calibrate(td *TemplateData, workers int) (*Calibration, error) {
 	if td.Replays == 0 {
 		return nil, fmt.Errorf("prof: template %q has no profiled replays to calibrate against", td.Name)
@@ -44,7 +45,7 @@ func Calibrate(td *TemplateData, workers int) (*Calibration, error) {
 	res, err := sim.Run(td.Graph(), sim.Options{
 		Machine:   machine,
 		Cores:     workers,
-		Policy:    sim.Locality,
+		Policy:    sim.FIFO,
 		Durations: td.MeanDurations(),
 	})
 	if err != nil {

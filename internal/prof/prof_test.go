@@ -52,7 +52,7 @@ func TestEndToEnd(t *testing.T) {
 	if workers < 2 {
 		workers = 2
 	}
-	rt := taskrt.New(taskrt.Options{Workers: workers, Policy: taskrt.LocalityAware, Profile: p})
+	rt := taskrt.New(taskrt.Options{Workers: workers, Profile: p})
 	defer rt.Shutdown()
 
 	var counter atomic.Int64

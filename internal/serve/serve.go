@@ -218,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 	s.met = newMetrics(reg, s)
 
 	for i := 0; i < cfg.Engines; i++ {
-		rt := taskrt.New(taskrt.Options{Workers: cfg.WorkersPerEngine, Policy: taskrt.LocalityAware, Profile: cfg.Profile})
+		rt := taskrt.New(taskrt.Options{Workers: cfg.WorkersPerEngine, Profile: cfg.Profile})
 		eng := core.NewEngine(cfg.Model, rt)
 		eng.MaxCachedSeqLens = len(cfg.Buckets)
 		eng.InferDType = cfg.InferDType

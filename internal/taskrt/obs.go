@@ -19,12 +19,6 @@ func (r *Runtime) RegisterMetrics(reg *obs.Registry) {
 		"Tasks of replayed templates.", func() float64 { return float64(s.submitted.Load()) })
 	reg.MustCounterFunc("bpar_sched_tasks_executed_total",
 		"Tasks whose bodies finished executing.", func() float64 { return float64(s.executed.Load()) })
-	reg.MustCounterFunc("bpar_sched_tasks_stolen_total",
-		"Tasks stolen from peer deques.", func() float64 { return float64(s.steals.Load()) })
-	reg.MustCounterFunc("bpar_sched_steal_fails_total",
-		"Steal scans that found every peer deque empty.", func() float64 { return float64(s.stealFails.Load()) })
-	reg.MustCounterFunc("bpar_sched_local_queue_hits_total",
-		"Tasks served from the popping worker's own deque.", func() float64 { return float64(s.localHits.Load()) })
 	reg.MustCounterFunc("bpar_sched_replays_total",
 		"Frozen task-graph templates replayed (their tasks count as submitted).", func() float64 { return float64(s.replays.Load()) })
 	reg.MustCounterFunc("bpar_sched_submit_seconds_total",
@@ -44,18 +38,8 @@ func (r *Runtime) RegisterMetrics(reg *obs.Registry) {
 
 	reg.MustGaugeFunc("bpar_sched_ready_queue_depth",
 		"Tasks waiting on the global ready queue.",
-		func() float64 { return float64(r.global.size.Load()) },
+		func() float64 { return float64(r.ready.size.Load()) },
 		"queue", "global")
-	reg.MustGaugeFunc("bpar_sched_ready_queue_depth",
-		"Tasks waiting on the global ready queue.",
-		func() float64 {
-			var n int64
-			for i := range r.local {
-				n += int64(r.local[i].size.Load())
-			}
-			return float64(n)
-		},
-		"queue", "local")
 
 	for w := 0; w < r.opts.Workers; w++ {
 		w := w

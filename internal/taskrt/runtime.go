@@ -10,34 +10,19 @@ import (
 	"bpar/internal/obs"
 )
 
-// Policy selects the ready-queue scheduling policy.
+// Policy is ignored: the runtime has one scheduler, the paper's
+// breadth-first FIFO ready queue. It and LocalityAware remain only because
+// bench/ still names them (ROADMAP 1(f)).
 type Policy int
 
-const (
-	// BreadthFirst uses a single global FIFO ready queue (the paper's
-	// default breadth-first scheduler).
-	BreadthFirst Policy = iota
-	// LocalityAware places newly readied tasks on the queue of the worker
-	// that produced their input data.
-	LocalityAware
-)
-
-func (p Policy) String() string {
-	switch p {
-	case BreadthFirst:
-		return "breadth-first"
-	case LocalityAware:
-		return "locality-aware"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
+// LocalityAware is ignored; see Policy.
+const LocalityAware Policy = 1
 
 // Options configures a Runtime.
 type Options struct {
 	// Workers is the number of worker goroutines ("cores"). Must be >= 1.
 	Workers int
-	// Policy selects breadth-first or locality-aware scheduling.
+	// Policy is ignored; see Policy.
 	Policy Policy
 	// Profile, when non-nil, receives per-node timing callbacks for every
 	// template replay. The callbacks are wired so a sink can use plain
@@ -68,11 +53,8 @@ type node struct {
 	idx   int32
 }
 
-// queue is a locked slice-backed task queue. The global ready queue pops
-// FIFO at the head; per-worker deques pop LIFO at the tail (the hottest,
-// most recently readied task) while thieves steal FIFO from the head (the
-// oldest task, as the paper's work-stealing does). An atomic length
-// snapshot lets thieves pick a victim without taking any lock.
+// queue is the locked slice-backed FIFO ready queue. An atomic length
+// snapshot lets the queue-depth metric read it without taking the lock.
 type queue struct {
 	mu    sync.Mutex
 	items []*node
@@ -109,37 +91,16 @@ func (q *queue) popHead() *node {
 	return n
 }
 
-func (q *queue) popTail() *node {
-	q.mu.Lock()
-	if q.head >= len(q.items) {
-		q.mu.Unlock()
-		return nil
-	}
-	last := len(q.items) - 1
-	n := q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if q.head >= len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.size.Store(int32(len(q.items) - q.head))
-	q.mu.Unlock()
-	return n
-}
-
 // Runtime executes frozen task graphs (Templates) on a pool of worker
 // goroutines. It derives no edges: Capture did that once, so Replay only
-// resets in-degree counters and publishes the roots. There is no global
-// lock: each worker owns a ready deque with its own small lock, and
-// completion bookkeeping touches only atomics and the readied successors'
-// queues.
+// resets in-degree counters and publishes the roots. Every ready task joins
+// one FIFO queue behind a small lock, the paper's breadth-first scheduler;
+// the rest of completion bookkeeping is atomics.
 type Runtime struct {
 	opts  Options
 	start time.Time
 
-	global queue
-	local  []queue
+	ready queue
 
 	outstanding atomic.Int64
 	shutdownFlg atomic.Bool
@@ -176,9 +137,6 @@ type runtimeStats struct {
 	taskNS     atomic.Int64
 	submitNS   atomic.Int64
 	completeNS atomic.Int64
-	localHits  atomic.Int64
-	steals     atomic.Int64
-	stealFails atomic.Int64
 	replays    atomic.Int64
 	running    atomic.Int32
 	maxRunning atomic.Int32
@@ -198,7 +156,6 @@ func New(opts Options) *Runtime {
 	r := &Runtime{
 		opts:  opts,
 		start: time.Now(),
-		local: make([]queue, opts.Workers),
 	}
 	if opts.DepCheck {
 		r.depc = newDepChecker()
@@ -211,7 +168,7 @@ func New(opts Options) *Runtime {
 	for w := 0; w < opts.Workers; w++ {
 		go r.worker(w)
 	}
-	obs.Logger("taskrt").Debug("runtime started", "workers", opts.Workers, "policy", opts.Policy.String())
+	obs.Logger("taskrt").Debug("runtime started", "workers", opts.Workers)
 	return r
 }
 
@@ -229,9 +186,9 @@ func (r *Runtime) SubmitAll(ts []*Task) {
 	r.Replay(c.Freeze())
 }
 
-// wake makes up to k parked workers rescan the queues. The wakeups counter
-// latches signals issued while a worker is between its last scan and its
-// cond wait, so no wake is lost. It never exceeds the idle workers: a
+// wake makes up to k parked workers rescan the ready queue. The wakeups
+// counter latches signals issued while a worker is between its last scan and
+// its cond wait, so no wake is lost. It never exceeds the idle workers: a
 // latched signal beyond them would only send a worker round awaitWork
 // again instead of letting it park.
 func (r *Runtime) wake(k int) {
@@ -252,7 +209,7 @@ func (r *Runtime) wake(k int) {
 func (r *Runtime) worker(w int) {
 	defer r.wg.Done()
 	for {
-		n := r.tryPop(w)
+		n := r.ready.popHead()
 		if n == nil {
 			n = r.awaitWork(w)
 			if n == nil { // shutdown with no work left
@@ -268,52 +225,6 @@ func (r *Runtime) worker(w int) {
 		}
 		r.execute(n, w)
 	}
-}
-
-// tryPop returns the next task for worker w under the configured policy:
-// own deque (newest first), then the global queue, then a steal.
-func (r *Runtime) tryPop(w int) *node {
-	if r.opts.Policy == LocalityAware {
-		if n := r.local[w].popTail(); n != nil {
-			r.stats.localHits.Add(1)
-			return n
-		}
-	}
-	if n := r.global.popHead(); n != nil {
-		return n
-	}
-	if r.opts.Policy == LocalityAware {
-		return r.steal(w)
-	}
-	return nil
-}
-
-// steal takes the oldest task from the longest peer deque. The longest
-// victim is both the most likely to still hold a task by the time its lock
-// is taken and the one whose backlog most needs draining.
-func (r *Runtime) steal(w int) *node {
-	for attempt := 0; attempt < len(r.local); attempt++ {
-		victim, best := -1, int32(0)
-		for i := range r.local {
-			if i == w {
-				continue
-			}
-			if s := r.local[i].size.Load(); s > best {
-				victim, best = i, s
-			}
-		}
-		if victim < 0 {
-			r.stats.stealFails.Add(1)
-			return nil
-		}
-		if n := r.local[victim].popHead(); n != nil {
-			r.stats.steals.Add(1)
-			return n
-		}
-		// Lost the race to the victim's owner or another thief; rescan.
-	}
-	r.stats.stealFails.Add(1)
-	return nil
 }
 
 // awaitWork parks worker w until a task arrives or shutdown. It accounts
@@ -333,7 +244,7 @@ func (r *Runtime) awaitWork(w int) *node {
 		r.idlers.Add(1)
 		// Rescan after registering as idle: a producer that enqueued before
 		// seeing us idle is now guaranteed visible to this scan.
-		if n := r.tryPop(w); n != nil {
+		if n := r.ready.popHead(); n != nil {
 			r.idlers.Add(-1)
 			return n
 		}
@@ -350,7 +261,7 @@ func (r *Runtime) awaitWork(w int) *node {
 		}
 		r.idleMu.Unlock()
 		r.idlers.Add(-1)
-		if n := r.tryPop(w); n != nil {
+		if n := r.ready.popHead(); n != nil {
 			return n
 		}
 		if r.shutdownFlg.Load() {
@@ -407,13 +318,7 @@ func (r *Runtime) execute(n *node, w int) {
 		}
 	}
 	if len(readied) > 0 {
-		if r.opts.Policy == LocalityAware {
-			// The successors consume data this worker just produced: run
-			// them here for cache reuse; peers steal if this backs up.
-			r.local[w].pushBatch(readied)
-		} else {
-			r.global.pushBatch(readied)
-		}
+		r.ready.pushBatch(readied)
 		// This worker loops and picks one task itself; wake peers for the rest.
 		r.wake(len(readied) - 1)
 	}
@@ -471,7 +376,7 @@ func (r *Runtime) Shutdown() {
 	st := r.Stats()
 	obs.Logger("taskrt").Debug("runtime shut down",
 		"executed", st.Executed, "overhead_ratio", st.OverheadRatio(),
-		"steals", st.Steals, "idle", time.Duration(st.IdleNS()))
+		"idle", time.Duration(st.IdleNS()))
 }
 
 // Stats returns a snapshot of runtime counters. Workers currently parked
@@ -485,9 +390,6 @@ func (r *Runtime) Stats() Stats {
 		SubmitNS:   r.stats.submitNS.Load(),
 		CompleteNS: r.stats.completeNS.Load(),
 		MaxRunning: int(r.stats.maxRunning.Load()),
-		LocalHits:  r.stats.localHits.Load(),
-		Steals:     r.stats.steals.Load(),
-		StealFails: r.stats.stealFails.Load(),
 		Replays:    r.stats.replays.Load(),
 	}
 	s.WorkerIdleNS = make([]int64, len(r.stats.workerIdleNS))
@@ -524,10 +426,11 @@ type Stats struct {
 	SubmitNS   int64 // time spent starting replays: counter resets, root publication
 	CompleteNS int64 // time spent in completion bookkeeping
 	MaxRunning int   // peak concurrently running tasks
-	LocalHits  int64 // tasks served from the popping worker's own deque
-	Steals     int64 // tasks stolen from peer deques
-	StealFails int64 // steal scans that found every peer deque empty
 	Replays    int64 // template replays executed (Submitted counts their tasks)
+	// LocalHits and Steals are always zero: there are no per-worker queues
+	// to hit or steal from. They remain only because bench/ still reads
+	// them (ROADMAP 1(f)).
+	LocalHits, Steals int64
 	// WorkerIdleNS is the per-worker time spent parked with no runnable
 	// task, one entry per worker.
 	WorkerIdleNS []int64

@@ -258,52 +258,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestLocalityPolicyRunsCorrectly(t *testing.T) {
-	// Same dependency semantics under the locality-aware policy.
-	for trial := 0; trial < 20; trial++ {
-		r := New(Options{Workers: 4, Policy: LocalityAware})
-		var sum int64
-		k := key("acc")
-		var tasks []*Task
-		for i := 1; i <= 100; i++ {
-			tasks = append(tasks, &Task{InOut: []Dep{k}, Fn: func() { atomic.AddInt64(&sum, int64(i)) }})
-		}
-		// Plus independent tasks to exercise stealing.
-		var indep int64
-		for i := 0; i < 50; i++ {
-			tasks = append(tasks, &Task{Fn: func() { atomic.AddInt64(&indep, 1) }})
-		}
-		replayTasks(r, tasks...)
-		if err := r.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		r.Shutdown()
-		if sum != 5050 || indep != 50 {
-			t.Fatalf("trial %d: sum=%d indep=%d", trial, sum, indep)
-		}
-	}
-}
-
-func TestLocalityPrefersProducingWorker(t *testing.T) {
-	// With a chain of dependent tasks and the locality policy, successors
-	// should mostly execute on the worker that made them ready.
-	r := New(Options{Workers: 4, Policy: LocalityAware})
-	k := key("chain")
-	var tasks []*Task
-	for i := 0; i < 200; i++ {
-		tasks = append(tasks, &Task{Label: fmt.Sprintf("c%d", i), InOut: []Dep{k}, Fn: func() {}})
-	}
-	replayTasks(r, tasks...)
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	r.Shutdown()
-	s := r.Stats()
-	if s.LocalHits == 0 {
-		t.Fatal("locality policy never used a local queue")
-	}
-}
-
 func TestStressManyTasksManyKeys(t *testing.T) {
 	r := New(Options{Workers: 8})
 	defer r.Shutdown()
@@ -381,15 +335,6 @@ func TestWorkersPanicOnZero(t *testing.T) {
 		}
 	}()
 	New(Options{Workers: 0})
-}
-
-func TestPolicyString(t *testing.T) {
-	if BreadthFirst.String() != "breadth-first" || LocalityAware.String() != "locality-aware" {
-		t.Fatal("bad policy names")
-	}
-	if Policy(9).String() == "" {
-		t.Fatal("unknown policy must still render")
-	}
 }
 
 // collectSink records task completion records.

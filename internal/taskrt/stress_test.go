@@ -123,38 +123,36 @@ func runStressDAG(specs []*stressSpec, nKeys int, e Executor) (violations, execu
 }
 
 // TestStressRandomDAG checks that the parallel runtime replays randomized
-// dependency graphs with exactly the ordering the annotations imply, for
-// both policies across worker counts, against the Inline reference. The
+// dependency graphs with exactly the ordering the annotations imply, across
+// worker counts, against the Inline reference. The
 // reference is buildStressDAG's sequential last-writer walk, not the
 // dependency table, so it also checks the deriver and the reduction.
 func TestStressRandomDAG(t *testing.T) {
 	const nTasks, nKeys = 250, 24
-	for _, policy := range []Policy{BreadthFirst, LocalityAware} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			for seed := int64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("%s/w%d/seed%d", policy, workers, seed)
-				t.Run(name, func(t *testing.T) {
-					specs := buildStressDAG(rand.New(rand.NewSource(seed)), nTasks, nKeys)
+	for _, workers := range []int{1, 2, 4, 8} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("breadth-first/w%d/seed%d", workers, seed)
+			t.Run(name, func(t *testing.T) {
+				specs := buildStressDAG(rand.New(rand.NewSource(seed)), nTasks, nKeys)
 
-					if v, n := runStressDAG(specs, nKeys, NewInline(nil)); v != 0 || n != nTasks {
-						t.Fatalf("inline reference: %d violations, %d executed", v, n)
-					}
+				if v, n := runStressDAG(specs, nKeys, NewInline(nil)); v != 0 || n != nTasks {
+					t.Fatalf("inline reference: %d violations, %d executed", v, n)
+				}
 
-					rt := New(Options{Workers: workers, Policy: policy})
-					defer rt.Shutdown()
-					v, n := runStressDAG(specs, nKeys, rt)
-					if v != 0 {
-						t.Fatalf("%d dependency violations", v)
-					}
-					if n != nTasks {
-						t.Fatalf("executed %d of %d tasks", n, nTasks)
-					}
-					st := rt.Stats()
-					if st.Submitted != nTasks || st.Executed != nTasks {
-						t.Fatalf("stats submitted=%d executed=%d", st.Submitted, st.Executed)
-					}
-				})
-			}
+				rt := New(Options{Workers: workers})
+				defer rt.Shutdown()
+				v, n := runStressDAG(specs, nKeys, rt)
+				if v != 0 {
+					t.Fatalf("%d dependency violations", v)
+				}
+				if n != nTasks {
+					t.Fatalf("executed %d of %d tasks", n, nTasks)
+				}
+				st := rt.Stats()
+				if st.Submitted != nTasks || st.Executed != nTasks {
+					t.Fatalf("stats submitted=%d executed=%d", st.Submitted, st.Executed)
+				}
+			})
 		}
 	}
 }
@@ -166,7 +164,7 @@ func TestStressRandomDAG(t *testing.T) {
 // a Wait error).
 func TestSubmitAllChain(t *testing.T) {
 	const diamonds = 16
-	rt := New(Options{Workers: 4, Policy: LocalityAware, DepCheck: true})
+	rt := New(Options{Workers: 4, DepCheck: true})
 	defer rt.Shutdown()
 	var mu sync.Mutex
 	var order []int
@@ -265,33 +263,10 @@ func TestConcurrentWaitDrain(t *testing.T) {
 	}
 }
 
-// TestStealTakesLongestQueue pins the steal policy: the victim must be the
-// peer with the most queued tasks, and the stolen task must be the oldest
-// (head) of that deque.
-func TestStealTakesLongestQueue(t *testing.T) {
-	r := &Runtime{opts: Options{Workers: 3, Policy: LocalityAware}, local: make([]queue, 3)}
-	r.local[1].pushBatch([]*node{{}})
-	head := &node{}
-	r.local[2].pushBatch([]*node{head, {}, {}})
-	if got := r.steal(0); got != head {
-		t.Fatal("stole a node other than the head of the longest queue")
-	}
-	if r.stats.steals.Load() != 1 {
-		t.Fatalf("steals=%d", r.stats.steals.Load())
-	}
-	// Drain everything; the final scan over empty queues is a steal failure.
-	for r.steal(0) != nil {
-	}
-	if r.stats.stealFails.Load() == 0 {
-		t.Fatal("expected a recorded steal failure on empty queues")
-	}
-}
-
-// TestIdleAndStealCounters checks that the new observability counters are
-// populated: workers blocked with no runnable work accrue idle time (and
-// failed steal attempts under the locality policy) visible mid-run.
+// TestIdleAndStealCounters checks that the idle counters are populated:
+// workers blocked with no runnable work accrue idle time visible mid-run.
 func TestIdleAndStealCounters(t *testing.T) {
-	rt := New(Options{Workers: 3, Policy: LocalityAware})
+	rt := New(Options{Workers: 3})
 	defer rt.Shutdown()
 	release := make(chan struct{})
 	replayTasks(rt, &Task{Label: "block", Fn: func() { <-release }})
@@ -302,9 +277,6 @@ func TestIdleAndStealCounters(t *testing.T) {
 	}
 	if st.IdleNS() <= 0 {
 		t.Fatalf("IdleNS=%d, want > 0 with parked workers", st.IdleNS())
-	}
-	if st.StealFails == 0 {
-		t.Fatal("StealFails=0, want > 0 after idle workers scanned empty peers")
 	}
 	close(release)
 	if err := rt.Wait(); err != nil {

@@ -12,13 +12,10 @@
 // edges, which is the property that lets B-Par overlap forward-order cells,
 // reverse-order cells, merge cells, and cells of different layers.
 //
-// Two scheduling policies are provided, mirroring the paper's Section IV-A:
-//
-//   - Breadth-first: a single global FIFO ready queue.
-//   - Locality-aware: a task made ready by the completion of a predecessor is
-//     placed on the ready queue of the worker that executed the predecessor,
-//     since it will access data that predecessor just produced; idle workers
-//     steal from the global queue and then from peers.
+// The runtime runs the paper's breadth-first scheduler (Section IV-A): one
+// global FIFO ready queue that roots and readied successors join and every
+// worker pops. The paper's locality-aware policy is an L3/NUMA effect at 48
+// cores; the simulator (internal/sim) models it, the runtime does not.
 package taskrt
 
 // Dep identifies a piece of data a task reads or writes. Any comparable

@@ -326,7 +326,7 @@ func (r *Runtime) Replay(tpl *Template) {
 	r.outstanding.Add(int64(len(tpl.nodes)))
 	r.stats.submitted.Add(int64(len(tpl.nodes)))
 	r.stats.replays.Add(1)
-	r.global.pushBatch(tpl.roots)
+	r.ready.pushBatch(tpl.roots)
 	r.wake(len(tpl.roots))
 	r.stats.submitNS.Add(time.Since(tStart).Nanoseconds())
 }

@@ -397,7 +397,7 @@ func TestReplayResetsBeforePublish(t *testing.T) {
 		replayTasks(r, &Task{Label: "spin", Fn: func() {
 			ran := r.stats.executed.Load()
 			spinning.Store(true)
-			for r.global.size.Load() == 0 && r.stats.executed.Load() == ran {
+			for r.ready.size.Load() == 0 && r.stats.executed.Load() == ran {
 			}
 		}})
 		// wake takes idleMu only while a worker is parked.

@@ -5,13 +5,13 @@ import (
 	"unsafe"
 )
 
-// exp is this package's own e^x: the non-FMA sequence of Go's
+// Exp is the repo's own e^x: the non-FMA sequence of Go's
 // math/exp_amd64.s (Shibata's SIMD method, ISC 2010) in Go, branches
 // included. Every product that feeds an add is converted explicitly, which
 // the Go spec says no compiler may fuse, so the bits hold on every CPU and
-// GOARCH: exp(x) == math.Exp(x) on amd64 without FMA, and is within 2 ulp of
+// GOARCH: Exp(x) == math.Exp(x) on amd64 without FMA, and is within 2 ulp of
 // it elsewhere.
-func exp(x float64) float64 {
+func Exp(x float64) float64 {
 	if !(x <= 7.09782712893384e+02) { // NaN stays NaN, the rest overflows
 		return x + math.Inf(1)
 	}
@@ -47,14 +47,14 @@ func exp(x float64) float64 {
 var tanhP = [...]float64{-9.64399179425052238628e-1, -9.92877231001918586564e1, -1.61468768441708447952e3}
 var tanhQ = [...]float64{1.12811678491632931402e2, 2.23548839060100448583e3, 4.84406305325125486048e3}
 
-// tanh is math.tanh's three branches on exp.
+// tanh is math.tanh's three branches on Exp.
 func tanh(x float64) float64 {
 	z := math.Abs(x)
 	switch {
 	case z > 0.5*8.8029691931113054295988e+01: // log(2^127)/2
 		return math.Copysign(1, x)
 	case z >= 0.625:
-		return math.Copysign(1-2/(exp(2*z)+1), x)
+		return math.Copysign(1-2/(Exp(2*z)+1), x)
 	case x == 0:
 		return x
 	}
@@ -69,9 +69,9 @@ func tanh(x float64) float64 {
 // large |x|.
 func Sigmoid(x float64) float64 {
 	if x >= 0 {
-		return 1 / (1 + exp(-x))
+		return 1 / (1 + Exp(-x))
 	}
-	e := exp(x)
+	e := Exp(x)
 	return e / (1 + e)
 }
 
@@ -139,7 +139,7 @@ func SoftmaxRows[E Elt](m *Mat[E]) {
 		}
 		sum := 0.0
 		for j, v := range row {
-			e := exp(float64(v - max))
+			e := Exp(float64(v - max))
 			row[j] = E(e)
 			sum += e
 		}

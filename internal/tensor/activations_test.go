@@ -121,7 +121,7 @@ func TestOwnExpNearMath(t *testing.T) {
 		name      string
 		own, math func(float64) float64
 	}{
-		{"exp", exp, math.Exp},
+		{"exp", Exp, math.Exp},
 		{"Sigmoid", Sigmoid, mathSigmoid},
 		{"tanh", tanh, math.Tanh},
 	}
@@ -152,11 +152,11 @@ func TestActivationsAtKnownPoints(t *testing.T) {
 		got, at float64
 		want    float64
 	}{
-		{"exp", exp(0), 0, 1},
-		{"exp", exp(negZero), negZero, 1},
-		{"exp", exp(710), 710, math.Inf(1)},
-		{"exp", exp(-746), -746, 0},
-		{"exp", exp(math.Inf(-1)), math.Inf(-1), 0},
+		{"exp", Exp(0), 0, 1},
+		{"exp", Exp(negZero), negZero, 1},
+		{"exp", Exp(710), 710, math.Inf(1)},
+		{"exp", Exp(-746), -746, 0},
+		{"exp", Exp(math.Inf(-1)), math.Inf(-1), 0},
 		{"tanh", tanh(negZero), negZero, negZero},
 		{"tanh", tanh(math.Inf(-1)), math.Inf(-1), -1},
 		{"tanh", tanh(20), 20, 1},

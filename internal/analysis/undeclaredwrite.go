@@ -59,7 +59,7 @@ func seedSummaries() map[string]*mutSummary {
 	dst0 := []string{
 		"Add", "Mul", "AddAcc", "Scale", "ScaleInPlace",
 		"AxpyMatrix", "Average", "AddBiasRows", "ClipInPlace",
-		"MatMulT", "MatMulNaive", "GemmAcc", "GemmTAcc", "GemmATAcc",
+		"MatMulT", "GemmAcc", "GemmTAcc", "GemmATAcc",
 		"SigmoidInPlace", "TanhInPlace", "SoftmaxRows",
 		"ConcatCols",
 		// Column-window and stacked kernels of the split-gate decomposition.

@@ -39,7 +39,6 @@ var passUnusedExport = Pass{
 // of an exported name that production code does not use to the reason it
 // stays.
 var unusedAllowlist = map[string]string{
-	"tensor.MatMulNaive":           "the GEMM oracle every kernel test compares against",
 	"tensor.Mat.Clone":             "the deep copy the tensor, cell and core tests snapshot operands with",
 	"taskrt.Graph.CountKind":       "the per-kind task count the emitter shape tests assert on",
 	"core.Engine.TrainStepBarrier": "the per-layer-barrier training step; ROADMAP item 2 gives it a caller",

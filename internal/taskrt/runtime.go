@@ -296,10 +296,8 @@ func (r *Runtime) execute(n *node, w int) {
 		r.depc.end(n.task)
 	}
 
-	startNS := startT.Sub(r.start).Nanoseconds()
-	endNS := endT.Sub(r.start).Nanoseconds()
-	if r.opts.Profile != nil {
-		r.opts.Profile.NodeDone(n.tpl, int(n.idx), w, startNS, endNS)
+	if p := r.opts.Profile; p != nil {
+		p.NodeDone(n.tpl, int(n.idx), w, startT.Sub(r.start).Nanoseconds(), endT.Sub(r.start).Nanoseconds())
 	}
 
 	r.stats.running.Add(-1)
@@ -323,12 +321,12 @@ func (r *Runtime) execute(n *node, w int) {
 		r.wake(len(readied) - 1)
 	}
 	// The final decrement sees every peer's node timings (each peer's writes
-	// are released by its own Add on the same atomic), so a ReplayDone
-	// callback may safely read all per-node arrays. It fires before this
-	// node's outstanding decrement: once Wait returns, the sink has fully
-	// observed the replay.
+	// are released by its own Add on the same atomic), so ReplayDone may read
+	// all per-node arrays, and a clock read after it follows every node's end.
+	// It fires before this node's outstanding decrement: once Wait returns,
+	// the sink has fully observed the replay.
 	if n.tpl.live.Add(-1) == 0 && r.opts.Profile != nil {
-		r.opts.Profile.ReplayDone(n.tpl, endNS)
+		r.opts.Profile.ReplayDone(n.tpl, time.Since(r.start).Nanoseconds())
 	}
 	// Only a full drain satisfies Wait. A waiter registers in doneWaiters
 	// before it checks outstanding under doneMu, so either it sees zero or

@@ -93,7 +93,8 @@ type TraceSink interface {
 //   - ReplayDone(tpl, atNS) is called by the worker retiring the replay's
 //     final node, after its own NodeDone and with all peers' NodeDone writes
 //     visible (the template's live counter is a single atomic every worker
-//     decrements), and before Wait can observe the replay drained.
+//     decrements), and before Wait can observe the replay drained. atNS is
+//     read then, so it is no earlier than any of the replay's endNS.
 type ProfileSink interface {
 	ReplayStart(tpl *Template, atNS int64)
 	NodeDone(tpl *Template, idx, worker int, startNS, endNS int64)

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -479,5 +480,56 @@ func TestFreezeAllocationBounded(t *testing.T) {
 				t.Fatalf("Len = %d, want %d", tpl.Len(), n)
 			}
 		})
+	}
+}
+
+// drainSink is a ProfileSink whose first NodeDone of each replay sleeps, as
+// a worker descheduled between a node's end and its retirement would: the
+// peer worker then ends the replay's other nodes later but retires them
+// first. It counts the replays whose ReplayDone time is earlier than their
+// latest node end.
+type drainSink struct {
+	slept  atomic.Bool
+	maxEnd atomic.Int64
+	early  atomic.Int64
+}
+
+func (s *drainSink) ReplayStart(*Template, int64) { s.slept.Store(false); s.maxEnd.Store(0) }
+
+func (s *drainSink) NodeDone(_ *Template, _, _ int, _, endNS int64) {
+	for old := s.maxEnd.Load(); endNS > old && !s.maxEnd.CompareAndSwap(old, endNS); old = s.maxEnd.Load() {
+	}
+	if !s.slept.Swap(true) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (s *drainSink) ReplayDone(_ *Template, atNS int64) {
+	if atNS < s.maxEnd.Load() {
+		s.early.Add(1)
+	}
+}
+
+// TestReplayDoneFollowsEveryNode checks that ReplayDone's time is no earlier
+// than any NodeDone end of its replay, over many replays of a wide template
+// on two workers in which the worker that ends a node first retires it last.
+func TestReplayDoneFollowsEveryNode(t *testing.T) {
+	sink := &drainSink{}
+	r := New(Options{Workers: 2, Profile: sink})
+	defer r.Shutdown()
+	c := NewCapture()
+	for i := range 64 {
+		c.Submit(&Task{Label: "leaf", Out: []Dep{key(fmt.Sprint(i))}})
+	}
+	tpl := c.Freeze()
+	const replays = 20
+	for range replays {
+		r.Replay(tpl)
+		if err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sink.early.Load(); n > 0 {
+		t.Fatalf("%d of %d replays reported ReplayDone before their last node ended", n, replays)
 	}
 }

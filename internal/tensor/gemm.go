@@ -94,24 +94,6 @@ func GemmATAcc[E Elt](dst, a, b *Mat[E]) {
 	}
 }
 
-// MatMulNaive is the reference triple loop used by tests to validate the
-// blocked kernels.
-func MatMulNaive(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMulNaive shape mismatch")
-	}
-	guardWRR(dst, a, b)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			s := 0.0
-			for p := 0; p < a.Cols; p++ {
-				s += a.At(i, p) * b.At(p, j)
-			}
-			dst.Set(i, j, s)
-		}
-	}
-}
-
 // dot returns the inner product of equal-length slices, unrolled by four to
 // give the compiler independent accumulator chains.
 func dot[E Elt](a, b []E) E {

@@ -11,10 +11,10 @@ func hasAVX() bool
 func axpyQuadAVX(d, b []float64, stride int, a0, a1, a2, a3 float64)
 
 //go:noescape
-func dotLanesAVX(acc *[32]float64, aT *float64, b []float64, stride, k int)
+func dotLanesAVX(acc, aT, b unsafe.Pointer, stride, k int, f32 bool)
 
 //go:noescape
-func dotColsAVX(s *[8]float64, a, b []float64, stride int)
+func dotColsAVX(s, a, b unsafe.Pointer, stride, k int, f32 bool)
 
 //go:noescape
 func actAVX(p unsafe.Pointer, n, op int) int

@@ -1,9 +1,11 @@
 #include "textflag.h"
 
-// AVX microkernels for the float64 GEMMs (see gemm_vec.go). Every lane is an
+// AVX microkernels for the GEMMs (see gemm_vec.go). Every lane is an
 // independent output, and each output gets one VMULPD then one VADDPD per
-// term, in the order of the Go kernel it replaces: the same rounding steps,
-// so the same bits. No FMA instruction may appear in this file.
+// term (VMULPS and VADDPS in the float32 forms), in the order of the Go
+// kernel it replaces: the same rounding steps, so the same bits. No FMA
+// instruction may appear in this file, and no AVX2 one: hasAVX is the whole
+// gate.
 
 // func hasAVX() bool
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
@@ -65,20 +67,17 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func dotLanesAVX(acc *[32]float64, aT *float64, b []float64, stride, k int)
+// func dotLanesAVX(acc, aT, b unsafe.Pointer, stride, k int, f32 bool)
 //
-// For eight columns c and four lanes l, acc[4c+l] += aT[4p+l] * b[c*stride+p],
-// one p at a time in ascending order: a sequential sum per output, carried in
-// and out through acc.
-TEXT ·dotLanesAVX(SB), NOSPLIT, $0-56
-	MOVQ    acc+0(FP), DI
-	MOVQ    aT+8(FP), SI
-	MOVQ    b_base+16(FP), R8
-	MOVQ    stride+40(FP), R9
-	MOVQ    k+48(FP), CX
-	SHLQ    $3, R9
-	LEAQ    (R9)(R9*2), R10 // 3 rows
-	LEAQ    (R8)(R9*4), R11 // columns 4..7
+// For eight float64 columns c (sixteen float32 ones) and four lanes l,
+// acc[4c+l] += aT[4p+l] * b[c*stride+p], one p at a time in ascending order:
+// a sequential sum per output, carried in and out through acc.
+TEXT ·dotLanesAVX(SB), NOSPLIT, $0-41
+	MOVQ acc+0(FP), DI
+	MOVQ aT+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ stride+24(FP), R9
+	MOVQ k+32(FP), CX
 	VMOVUPD 0(DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD 64(DI), Y2
@@ -87,6 +86,11 @@ TEXT ·dotLanesAVX(SB), NOSPLIT, $0-56
 	VMOVUPD 160(DI), Y5
 	VMOVUPD 192(DI), Y6
 	VMOVUPD 224(DI), Y7
+	CMPB f32+40(FP), $0
+	JNE  lanes32
+	SHLQ    $3, R9
+	LEAQ    (R9)(R9*2), R10 // 3 rows
+	LEAQ    (R8)(R9*4), R11 // columns 4..7
 	TESTQ   CX, CX
 	JZ      dotstore
 
@@ -134,23 +138,66 @@ dotstore:
 	VZEROUPPER
 	RET
 
-// func dotColsAVX(s *[8]float64, a, b []float64, stride int)
+// The float32 form: one ymm carries the four lanes of two adjacent columns.
+// aT's four lanes broadcast to both halves, and each half takes its own
+// column's term. acc moves in and out as the same 256 bytes either way.
+lanes32:
+	SHLQ    $2, R9
+	LEAQ    (R9)(R9*2), R10  // 3 rows
+	LEAQ    (R8)(R9*4), R11  // columns 4..7
+	LEAQ    (R11)(R9*4), R12 // columns 8..11
+	LEAQ    (R12)(R9*4), R13 // columns 12..15
+	TESTQ   CX, CX
+	JZ      dotstore
+
+// Term p of two adjacent columns, at lo and hi, into the halves of T, then
+// ACC += aT * T.
+#define PAIR(lo, hi, T, U, ACC) \
+	VBROADCASTSS lo, T;          \
+	VBROADCASTSS hi, U;          \
+	VBLENDPS     $0xF0, U, T, T; \
+	VMULPS       Y8, T, T;       \
+	VADDPS       T, ACC, ACC
+
+lane32loop:
+	VBROADCASTF128 (SI), Y8
+	PAIR((R8), (R8)(R9*1), Y9, Y10, Y0)
+	PAIR((R8)(R9*2), (R8)(R10*1), Y11, Y12, Y1)
+	PAIR((R11), (R11)(R9*1), Y13, Y14, Y2)
+	PAIR((R11)(R9*2), (R11)(R10*1), Y15, Y9, Y3)
+	PAIR((R12), (R12)(R9*1), Y10, Y11, Y4)
+	PAIR((R12)(R9*2), (R12)(R10*1), Y12, Y13, Y5)
+	PAIR((R13), (R13)(R9*1), Y14, Y15, Y6)
+	PAIR((R13)(R9*2), (R13)(R10*1), Y9, Y10, Y7)
+	ADDQ           $16, SI
+	ADDQ           $4, R8
+	ADDQ           $4, R11
+	ADDQ           $4, R12
+	ADDQ           $4, R13
+	DECQ           CX
+	JNZ            lane32loop
+	JMP            dotstore
+
+// func dotColsAVX(s, a, b unsafe.Pointer, stride, k int, f32 bool)
 //
-// For eight columns c, s[c] = a[0]*bc[0] + a[1]*bc[1] + ... summed from +0
-// in ascending order over the first len(a)&^1 terms, where bc[p] =
-// b[c*stride+p]. Each step transposes two terms of four columns in
-// registers, so one lane carries one column's sequential sum.
-TEXT ·dotColsAVX(SB), NOSPLIT, $0-64
-	MOVQ   s+0(FP), DI
-	MOVQ   a_base+8(FP), SI
-	MOVQ   a_len+16(FP), CX
-	MOVQ   b_base+32(FP), R8
-	MOVQ   stride+56(FP), R9
+// For eight float64 columns c (sixteen float32 ones), s[c] = a[0]*bc[0] +
+// a[1]*bc[1] + ... summed from +0 in ascending order over the first k&^1
+// terms (k&^3 at float32), where bc[p] = b[c*stride+p]. Each step transposes
+// two terms of four columns (four of eight) in registers, so one lane
+// carries one column's sequential sum.
+TEXT ·dotColsAVX(SB), NOSPLIT, $0-41
+	MOVQ s+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ stride+24(FP), R9
+	MOVQ k+32(FP), CX
+	VXORPD Y0, Y0, Y0 // +0 at either dtype
+	VXORPD Y1, Y1, Y1
+	CMPB f32+40(FP), $0
+	JNE  cols32
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R10 // 3 rows
 	LEAQ   (R8)(R9*4), R11 // columns 4..7
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
 	SHRQ   $1, CX
 	JZ     colstore
 
@@ -188,3 +235,57 @@ colstore:
 	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET
+
+cols32:
+	SHLQ   $2, R9
+	LEAQ   (R9)(R9*2), R10  // 3 rows
+	LEAQ   (R8)(R9*4), R11  // columns 4..7
+	LEAQ   (R11)(R9*4), R12 // columns 8..11
+	LEAQ   (R12)(R9*4), R13 // columns 12..15
+	SHRQ   $2, CX
+	JZ     colstore
+
+// Terms p..p+3 of columns B..B+3 (low halves) and C..C+3 (high halves),
+// transposed so each of Y4..Y7 holds one term of the eight columns, then
+// added to ACC in ascending order.
+#define COLS8(B, C, ACC) \
+	VMOVUPS     (B), X4;                \
+	VMOVUPS     (B)(R9*1), X5;          \
+	VMOVUPS     (B)(R9*2), X6;          \
+	VMOVUPS     (B)(R10*1), X7;         \
+	VINSERTF128 $1, (C), Y4, Y4;        \
+	VINSERTF128 $1, (C)(R9*1), Y5, Y5;  \
+	VINSERTF128 $1, (C)(R9*2), Y6, Y6;  \
+	VINSERTF128 $1, (C)(R10*1), Y7, Y7; \
+	VUNPCKLPS   Y5, Y4, Y8;             \
+	VUNPCKHPS   Y5, Y4, Y9;             \
+	VUNPCKLPS   Y7, Y6, Y10;            \
+	VUNPCKHPS   Y7, Y6, Y11;            \
+	VUNPCKLPD   Y10, Y8, Y4;            \
+	VUNPCKHPD   Y10, Y8, Y5;            \
+	VUNPCKLPD   Y11, Y9, Y6;            \
+	VUNPCKHPD   Y11, Y9, Y7;            \
+	VMULPS      Y4, Y12, Y4;            \
+	VADDPS      Y4, ACC, ACC;           \
+	VMULPS      Y5, Y13, Y5;            \
+	VADDPS      Y5, ACC, ACC;           \
+	VMULPS      Y6, Y14, Y6;            \
+	VADDPS      Y6, ACC, ACC;           \
+	VMULPS      Y7, Y15, Y7;            \
+	VADDPS      Y7, ACC, ACC
+
+col32loop:
+	VBROADCASTSS (SI), Y12
+	VBROADCASTSS 4(SI), Y13
+	VBROADCASTSS 8(SI), Y14
+	VBROADCASTSS 12(SI), Y15
+	COLS8(R8, R11, Y0)
+	COLS8(R12, R13, Y1)
+	ADDQ         $16, SI
+	ADDQ         $16, R8
+	ADDQ         $16, R11
+	ADDQ         $16, R12
+	ADDQ         $16, R13
+	DECQ         CX
+	JNZ          col32loop
+	JMP          colstore

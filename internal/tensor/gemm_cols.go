@@ -60,16 +60,15 @@ func GemmTAccColsBatch[E Elt](dsts, as []*Mat[E], bT *Mat[E], lo int) {
 // operands (the batch-1 projection tiles) go to the vector kernel four at a
 // time, one operand per lane.
 func gemmTColsBatch[E Elt](dsts, as []*Mat[E], bT *Mat[E], lo int) {
-	b64 := vecMat(bT)
 	for jj := 0; jj < bT.Rows; jj += blockN {
 		jMax := min(jj+blockN, bT.Rows)
 		s := 0
-		for ; b64 != nil && s+4 <= len(as) && oneRowEach(as[s:s+4]); s += 4 {
-			var lanes laneRows
+		for ; vecKernels && s+4 <= len(as) && oneRowEach(as[s:s+4]); s += 4 {
+			var lanes laneRows[E]
 			for l := range 4 {
-				lanes.d[l], lanes.a[l] = vecMat(dsts[s+l]).Data, vecMat(as[s+l]).Data[:as[s].Cols]
+				lanes.d[l], lanes.a[l] = dsts[s+l].Data, as[s+l].Data[:as[s].Cols]
 			}
-			lanes.run(b64.Data, bT.Cols, lo, jj, jMax)
+			lanes.run(bT.Data, bT.Cols, lo, jj, jMax)
 		}
 		for ; s < len(dsts); s++ {
 			gemmTColsPanel(dsts[s], 0, as[s], bT, lo, jj, jMax)
@@ -95,26 +94,22 @@ func checkTCols[E Elt](dst, a, bT *Mat[E], lo int, name string) {
 }
 
 // gemmTColsPanel accumulates dst[:, dstLo+jj:dstLo+jMax) += a *
-// bT[jj:jMax, lo:lo+k)^T, one gemmTRow per row of a, or with the vector
-// kernels on, one laneRows.run per four rows and one dotCols per leftover
-// row. Shared by every dot-form entry point so all accumulate in
+// bT[jj:jMax, lo:lo+k)^T: with the vector kernels on, one laneRows.run per
+// four rows of a, then one dotCols (gemmTRow with the kernels off) per row
+// left. Shared by every dot-form entry point so all accumulate in
 // bitwise-identical order.
 func gemmTColsPanel[E Elt](dst *Mat[E], dstLo int, a, bT *Mat[E], lo, jj, jMax int) {
 	m, k := a.Rows, a.Cols
-	d64, a64, b64 := vecMat(dst), vecMat(a), vecMat(bT)
 	i := 0
-	for ; d64 != nil && i+4 <= m; i += 4 {
-		var lanes laneRows
+	for ; vecKernels && i+4 <= m; i += 4 {
+		var lanes laneRows[E]
 		for l := range 4 {
-			lanes.d[l], lanes.a[l] = d64.Data[(i+l)*dst.Cols+dstLo:], a64.Data[(i+l)*k:(i+l+1)*k]
+			lanes.d[l], lanes.a[l] = dst.Data[(i+l)*dst.Cols+dstLo:], a.Data[(i+l)*k:(i+l+1)*k]
 		}
-		lanes.run(b64.Data, bT.Cols, lo, jj, jMax)
-	}
-	for ; d64 != nil && i < m; i++ {
-		dotCols(d64.Data[i*dst.Cols+dstLo:], a64.Data[i*k:(i+1)*k], b64.Data, bT.Cols, lo, jj, jMax)
+		lanes.run(bT.Data, bT.Cols, lo, jj, jMax)
 	}
 	for ; i < m; i++ {
-		gemmTRow(dst.Data[i*dst.Cols+dstLo:], a.Data[i*k:(i+1)*k], bT.Data, bT.Cols, lo, jj, jMax)
+		dotCols(dst.Data[i*dst.Cols+dstLo:], a.Data[i*k:(i+1)*k], bT.Data, bT.Cols, lo, jj, jMax)
 	}
 }
 
@@ -171,13 +166,16 @@ func GemmAccCols[E Elt](dst, a *Mat[E], aLo, aHi int, b *Mat[E], bLo int) {
 
 // gemmAColsBlock accumulates weight rows [kk, kMax) of one windowed a*b
 // product into dst. Shared by the single and batched entry points so both
-// accumulate in bitwise-identical order. With the vector kernels on, the
-// first n&^3 columns of each quad update run in axpyQuadAVX, which applies
-// the same four adds per element in the same order; the rest stay in Go.
+// accumulate in bitwise-identical order. With the vector kernels on and E
+// float64 (this training-only form has no float32 kernel), the first n&^3
+// columns of each quad update run in axpyQuadAVX, which applies the same
+// four adds per element in the same order; the rest stay in Go.
 func gemmAColsBlock[E Elt](dst, a *Mat[E], aLo int, b *Mat[E], bLo, kk, kMax int) {
 	m, n := a.Rows, dst.Cols
-	d64, b64, nv := vecMat(dst), vecMat(b), 0
-	if d64 != nil {
+	d64, _ := any(dst).(*Mat[float64])
+	b64, _ := any(b).(*Mat[float64])
+	nv := 0
+	if vecKernels && d64 != nil {
 		nv = n &^ 3
 	}
 	for i := 0; i < m; i++ {

@@ -13,6 +13,24 @@ func randomMatrix(r *rng.RNG, rows, cols int) *Matrix {
 	return m
 }
 
+// MatMulNaive is the reference triple loop used by tests to validate the
+// blocked kernels.
+func MatMulNaive(dst, a, b *Matrix) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic("tensor: MatMulNaive shape mismatch")
+	}
+	guardWRR(dst, a, b)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := 0.0
+			for p := 0; p < a.Cols; p++ {
+				s += a.At(i, p) * b.At(p, j)
+			}
+			dst.Set(i, j, s)
+		}
+	}
+}
+
 // fromSlice wraps data (length rows*cols) as a matrix without copying.
 func fromSlice(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
